@@ -28,9 +28,9 @@ print("code summarization (path-attention):")
 for row in result.history[::20] + [result.history[-1]]:
     print(f"  epoch {row['epoch']:>3}  loss {row['loss']:.4f}  train_acc {row['train_acc']:.1f}%")
 
-probs, activations = tasks.forward_cs(result.model, cs_encoded[0])
-predicted = labels.decode(int(probs.argmax()))
-print(f"  sample 0 predicted {predicted!r}, attention weights sum to {activations['attention_weights'].sum():.4f}")
+out = tasks.infer(result.model, cs_encoded[:1], keys=("probs", "weights"))
+predicted = labels.decode(int(out["probs"][0].argmax()))
+print(f"  sample 0 predicted {predicted!r}, attention weights sum to {out['weights'][0].sum():.4f}")
 
 # round-trip through the binary checkpoint container
 blob = tasks.save_checkpoint(result.model, train_config=config.to_dict())

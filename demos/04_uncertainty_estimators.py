@@ -3,12 +3,15 @@
 Every estimator maps (model, sample) to a confidence in [0, 1] where
 higher means "more likely within the model's competence": max softmax
 (vanilla), temperature-scaled softmax, MC-Dropout averaging, mutation
-label-change rate (1 - LCR), and probe-based PV scores.
+label-change rate (1 - LCR), and probe-based PV scores. The registry
+`uq.ESTIMATORS` fits each one and scores a sample list into one column
+table per variant, the same path the `codeshift score` command takes.
 """
 
 from codeshift import extraction as ex
 from codeshift import tasks
 from codeshift import uncertainty as uq
+from codeshift.config import DEFAULT_CONFIG
 
 source = """
 class Pair {
@@ -26,28 +29,28 @@ encoded = tasks.encode_method_samples(samples, terminals, paths, labels, id_pref
 model = tasks.train_cs(encoded, terminals, paths, labels,
                        tasks.TrainConfig(embedding_dim=24, epochs=60, seed=5)).model
 
+# the config's estimator parameters, with a smaller mutant ensemble
+settings = {**DEFAULT_CONFIG["uncertainty"], "mutant_count": 20, "seed": 0}
+states = {name: e.fit(model, encoded, encoded, settings) for name, e in uq.ESTIMATORS.items()}
+
+vanilla = uq.ESTIMATORS["vanilla"].table(model, states["vanilla"], "", encoded)
 print("vanilla (max softmax):")
-for rec in uq.score_vanilla(model, encoded):
-    print(f"  {rec.sample_id}: confidence={rec.confidence:.3f} predicted={labels.decode(rec.predicted)}")
+for sample_id, confidence, predicted in zip(vanilla.sample_ids, vanilla.confidence, vanilla.predicted):
+    print(f"  {sample_id}: confidence={confidence:.3f} predicted={labels.decode(int(predicted))}")
 
-temperature = uq.fit_temperature(model, encoded)
-scaled = uq.score_temp_scale(model, temperature, encoded)
-print(f"\ntemperature scaling: T*={temperature:.3f}, confidences "
-      f"{[round(r.confidence, 3) for r in scaled]}")
-
-mc = uq.score_mc_dropout(model, encoded, passes=30, p=0.5, seed=0)
-print(f"mc-dropout (30 passes, p=0.5): confidences {[round(r.confidence, 3) for r in mc]}")
+print(f"\ntemperature scaling: T*={states['temp_scale']:.3f}")
+for name in ("temp_scale", "mc_dropout"):
+    table = uq.ESTIMATORS[name].table(model, states[name], "", encoded)
+    print(f"{name}: confidences {[round(c, 3) for c in table.confidence.tolist()]}")
 
 print("\nmMutant label-change rates at degree 0.05 (confidence = 1 - LCR):")
 for operator in uq.MUTATION_OPERATORS:
-    ensemble = uq.build_mutant_ensemble(model, operator, degree=0.05, count=20, seed=0)
-    records = uq.score_mmutant(model, ensemble, encoded)
-    print(f"  {operator}: LCR {[round(r.raw_score, 2) for r in records]}")
+    table = uq.ESTIMATORS["mmutant"].table(model, states["mmutant"], operator, encoded)
+    print(f"  {operator}: LCR {[round(r, 2) for r in table.raw.tolist()]}")
 
-probes = uq.train_probes(model, encoded, epochs=20, seed=0)
 print("\ndissector PV scores per growth type:")
 for growth in uq.GROWTH_TYPES:
-    weights = uq.growth_weights(growth, len(probes.probes))
-    records = uq.score_dissector(model, probes, growth, encoded)
+    weights = uq.growth_weights(growth, len(states["dissector"].probes))
+    table = uq.ESTIMATORS["dissector"].table(model, states["dissector"], growth, encoded)
     print(f"  {growth:<6} layer weights {[round(float(w), 3) for w in weights]}, "
-          f"PV {[round(r.confidence, 3) for r in records]}")
+          f"PV {[round(c, 3) for c in table.confidence.tolist()]}")

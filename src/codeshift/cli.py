@@ -15,10 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import zlib
 from pathlib import Path
 
-from . import corpus, evalpipe, synth, tasks
+from . import corpus, evalpipe, nn, synth, tasks
 from . import uncertainty as uq
 from .config import (
     ConfigError,
@@ -45,17 +44,6 @@ from .extraction import (
 
 TASKS = ("cs", "cc")
 SHIFTS = ("timeline", "project", "author")
-CLI_METHODS = {
-    "vanilla": "vanilla",
-    "temp": "temp_scale",
-    "mcdropout": "mc_dropout",
-    "mmutant": "mmutant",
-    "dissector": "dissector",
-}
-METHOD_VARIANTS = {
-    "mmutant": uq.MUTATION_OPERATORS,
-    "dissector": uq.GROWTH_TYPES,
-}
 
 
 class ValidationFailure(Exception):
@@ -82,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         if flags.get("shift"):
             p.add_argument("--shift", choices=SHIFTS, required=True)
         if flags.get("method"):
-            p.add_argument("--method", choices=list(CLI_METHODS) + ["all"], default="all")
+            p.add_argument("--method", choices=[e.flag for e in uq.ESTIMATORS.values()] + ["all"], default="all")
         if flags.get("variant"):
             p.add_argument("--variant", help="mutation operator or probe growth variant")
         if flags.get("threshold"):
@@ -306,99 +294,66 @@ def cmd_train(config: dict, args) -> int:
 
 def _load_model(bucket: Path, task: str, shift: str):
     path = _require(_checkpoint_path(bucket, task, shift), f"train --task {task} --shift {shift}")
-    return tasks.load_checkpoint(path.read_bytes(), expect_kind=task)
+    try:
+        return tasks.load_checkpoint(path.read_bytes(), expect_kind=task)
+    except nn.CheckpointError as exc:
+        raise ValidationFailure(f"checkpoint {path}: {exc}") from exc
 
 
-def _selected_methods(cli_method: str) -> list[str]:
-    if cli_method == "all":
-        return [CLI_METHODS[m] for m in CLI_METHODS]
-    return [CLI_METHODS[cli_method]]
+def _estimators(flag: str) -> list[uq.Estimator]:
+    """The registry entries a `--method` value selects."""
+    return [e for e in uq.ESTIMATORS.values() if flag in ("all", e.flag)]
 
 
 def cmd_score(config: dict, args) -> int:
     bucket = bucket_dir(config)
     model = _load_model(bucket, args.task, args.shift)
     vocabs = _load_vocabs(bucket, args.task, args.shift)
-    methods = _selected_methods(args.method)
-    u = config["uncertainty"]
-    seed = config["seed"]
 
     split_names = _split_names(bucket, args.task, args.shift)
     eval_splits = [s for s in split_names if s == "validation" or s.startswith("test")]
     if "validation" not in eval_splits:
         raise ValidationFailure("no validation contexts found; run `extract` first")
     encoded = {s: _load_encoded(bucket, config, args.task, args.shift, s, vocabs) for s in eval_splits}
+    train = _load_encoded(bucket, config, args.task, args.shift, "train", vocabs)
 
-    temperature = None
-    if "temp_scale" in methods:
-        temperature = uq.fit_temperature(model, encoded["validation"])
-        print(f"score[{args.task}/{args.shift}] fitted temperature = {temperature:.4f}")
-    ensembles = {}
-    if "mmutant" in methods:
-        for op in uq.MUTATION_OPERATORS:
-            ensembles[op] = uq.build_mutant_ensemble(
-                model, op, degree=u["mutation_degree"], count=u["mutant_count"], seed=seed
-            )
-    probes = None
-    if "dissector" in methods:
-        train_enc = _load_encoded(bucket, config, args.task, args.shift, "train", vocabs)
-        probes = uq.train_probes(
-            model, train_enc, epochs=u["probe_epochs"],
-            learning_rate=u["probe_learning_rate"], seed=seed,
-        )
+    settings = {**config["uncertainty"], "seed": config["seed"]}
+    fitted = [(e, e.fit(model, train, encoded["validation"], settings)) for e in _estimators(args.method)]
 
     out_dir = bucket / "scores"
     out_dir.mkdir(parents=True, exist_ok=True)
     hash_hex = config_hash(config)
     written = 0
     for split, samples in encoded.items():
-        split_seed = [seed, zlib.crc32(split.encode())]
-        for method in methods:
-            if method == "vanilla":
-                batches = {"": uq.score_vanilla(model, samples, split)}
-            elif method == "temp_scale":
-                batches = {"": uq.score_temp_scale(model, temperature, samples, split)}
-            elif method == "mc_dropout":
-                batches = {
-                    "": uq.score_mc_dropout(
-                        model, samples, split, passes=u["mc_passes"], p=u["mc_dropout_p"], seed=split_seed
-                    )
-                }
-            elif method == "mmutant":
-                batches = {op: uq.score_mmutant(model, ensembles[op], samples, split) for op in uq.MUTATION_OPERATORS}
-            else:
-                batches = {g: uq.score_dissector(model, probes, g, samples, split) for g in uq.GROWTH_TYPES}
-            for variant, records in batches.items():
-                uq.write_scores_csv(_scores_path(bucket, args.task, args.shift, method, variant, split), records, hash_hex)
+        for estimator, state in fitted:
+            for variant in estimator.variants:
+                table = estimator.table(model, state, variant, samples, split)
+                uq.write_scores_csv(_scores_path(bucket, args.task, args.shift, table.method, variant, split), table, hash_hex)
                 written += 1
     print(f"score[{args.task}/{args.shift}] wrote {written} score files over splits {eval_splits}")
     return 0
 
 
-def _read_all_scores(bucket: Path, task: str, shift: str) -> list[uq.ConfidenceRecord]:
+def _read_all_scores(bucket: Path, task: str, shift: str) -> list[uq.ScoreTable]:
     paths = sorted((bucket / "scores").glob(f"{task}-{shift}-*.csv"))
     if not paths:
         raise ValidationFailure(
             f"no scores for {task}/{shift} under {bucket / 'scores'}; run `score --task {task} --shift {shift}` first"
         )
-    records: list[uq.ConfidenceRecord] = []
-    for path in paths:
-        records.extend(uq.read_scores_csv(path))
-    return records
+    return [uq.read_scores_csv(path) for path in paths]
 
 
 def cmd_eval(config: dict, args) -> int:
     bucket = bucket_dir(config)
-    records = _read_all_scores(bucket, args.task, args.shift)
-    vanilla = [r for r in records if r.method == "vanilla"]
+    tables = _read_all_scores(bucket, args.task, args.shift)
+    vanilla = sorted((t for t in tables if t.method == "vanilla"), key=lambda t: t.split)
     if not vanilla:
         raise ValidationFailure("eval needs vanilla scores for the accuracy table; run `score` with vanilla or all")
-    accuracies: dict[str, float] = {}
-    for split in sorted({r.split for r in vanilla}):
-        split_records = [r for r in vanilla if r.split == split]
-        accuracies[split] = 100.0 * sum(evalpipe.record_is_correct(r) for r in split_records) / len(split_records)
+    accuracies = {
+        t.split: 100.0 * int(evalpipe.is_correct(t.predicted, t.true).sum()) / len(t) for t in vanilla
+    }
     report = evalpipe.build_report(
-        args.task, args.shift, records, accuracies, config_hash=config_hash(config)
+        args.task, args.shift, tables, accuracies, config_hash=config_hash(config)
     )
     out_dir = bucket / "reports"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -412,29 +367,30 @@ def cmd_eval(config: dict, args) -> int:
     return 0
 
 
-def _variant_records(records, method: str, variant: str | None):
-    if method in METHOD_VARIANTS:
-        chosen = variant or METHOD_VARIANTS[method][0]
-        if chosen not in METHOD_VARIANTS[method]:
-            raise ValidationFailure(f"{method} has variants {METHOD_VARIANTS[method]}, not {chosen!r}")
-    else:
-        if variant:
-            raise ValidationFailure(f"method {method} has no variants")
-        chosen = ""
-    subset = [r for r in records if r.method == method and r.variant == chosen]
-    if not subset:
-        raise ValidationFailure(f"no records for method={method} variant={chosen!r}")
-    return chosen, subset
+def _variant_tables(bucket: Path, args) -> tuple[uq.Estimator, str, dict[str, uq.ScoreTable]]:
+    """The estimator `--method` names, its chosen variant, and that variant's tables by split."""
+    if args.method == "all":
+        raise ValidationFailure(f"{args.command} needs a single --method")
+    (estimator,) = _estimators(args.method)
+    variant = args.variant or estimator.variants[0]
+    if variant not in estimator.variants:
+        if estimator.variants == ("",):
+            raise ValidationFailure(f"method {estimator.name} has no variants")
+        raise ValidationFailure(f"{estimator.name} has variants {estimator.variants}, not {variant!r}")
+    tables = {
+        t.split: t
+        for t in _read_all_scores(bucket, args.task, args.shift)
+        if t.method == estimator.name and t.variant == variant
+    }
+    if not tables:
+        raise ValidationFailure(f"no records for method={estimator.name} variant={variant!r}")
+    return estimator, variant, tables
 
 
 def cmd_sweep(config: dict, args) -> int:
-    if args.method == "all":
-        raise ValidationFailure("sweep needs a single --method")
-    method = CLI_METHODS[args.method]
     bucket = bucket_dir(config)
-    records = _read_all_scores(bucket, args.task, args.shift)
-    variant, subset = _variant_records(records, method, args.variant)
-    splits = sorted({r.split for r in subset})
+    estimator, variant, tables = _variant_tables(bucket, args)
+    splits = sorted(tables)
     if args.split:
         if args.split not in splits:
             raise ValidationFailure(f"split {args.split!r} not scored; have {splits}")
@@ -442,22 +398,19 @@ def cmd_sweep(config: dict, args) -> int:
     out_dir = bucket / "reports" / "sweeps"
     out_dir.mkdir(parents=True, exist_ok=True)
     for split in splits:
-        rows = evalpipe.threshold_sweep([r for r in subset if r.split == split])
+        table = tables[split]
+        rows = evalpipe.threshold_sweep(table.confidence, evalpipe.is_correct(table.predicted, table.true))
         variant_part = f"-{variant}" if variant else ""
-        path = out_dir / f"{args.task}-{args.shift}-{method}{variant_part}-{split}.csv"
+        path = out_dir / f"{args.task}-{args.shift}-{estimator.name}{variant_part}-{split}.csv"
         evalpipe.write_sweep_csv(path, rows, config_hash(config))
         print(f"sweep[{args.task}/{args.shift}/{split}] -> {path}")
     return 0
 
 
 def cmd_filter(config: dict, args) -> int:
-    if args.method == "all":
-        raise ValidationFailure("filter needs a single --method")
-    method = CLI_METHODS[args.method]
     bucket = bucket_dir(config)
-    records = _read_all_scores(bucket, args.task, args.shift)
-    variant, subset = _variant_records(records, method, args.variant)
-    splits = sorted({r.split for r in subset if r.split.startswith("test")})
+    estimator, variant, tables = _variant_tables(bucket, args)
+    splits = sorted(s for s in tables if s.startswith("test"))
     if args.split:
         splits = [args.split]
     if not splits:
@@ -465,25 +418,24 @@ def cmd_filter(config: dict, args) -> int:
     out_dir = bucket / "filtered"
     out_dir.mkdir(parents=True, exist_ok=True)
     for split in splits:
-        split_records = [r for r in subset if r.split == split]
-        if not split_records:
+        if split not in tables:
             raise ValidationFailure(f"no records for split {split!r}")
-        accepted, rejected = evalpipe.input_filter(split_records, args.threshold)
+        table = tables[split]
+        accepted = evalpipe.input_filter(table.confidence, args.threshold).tolist()
+        rows = list(zip(table.sample_ids, table.confidence.tolist(), table.predicted.tolist(), accepted))
         variant_part = f"-{variant}" if variant else ""
-        stem = f"{args.task}-{args.shift}-{method}{variant_part}-{split}"
+        stem = f"{args.task}-{args.shift}-{estimator.name}{variant_part}-{split}"
         with open(out_dir / f"{stem}-accepted.csv", "w", encoding="utf-8", newline="\n") as f:
             f.write(f"# config_hash={config_hash(config)}\n")
             f.write("sample_id,confidence,predicted\n")
-            for d in accepted:
-                f.write(f"{d.sample_id},{d.confidence!r},{d.predicted}\n")
+            f.writelines(f"{sample_id},{conf!r},{pred}\n" for sample_id, conf, pred, ok in rows if ok)
         with open(out_dir / f"{stem}-rejected.csv", "w", encoding="utf-8", newline="\n") as f:
             f.write(f"# config_hash={config_hash(config)}\n")
             f.write("sample_id,confidence\n")
-            for d in rejected:
-                f.write(f"{d.sample_id},{d.confidence!r}\n")
+            f.writelines(f"{sample_id},{conf!r}\n" for sample_id, conf, _, ok in rows if not ok)
         print(
             f"filter[{args.task}/{args.shift}/{split}] threshold={args.threshold} "
-            f"accepted={len(accepted)} rejected={len(rejected)}"
+            f"accepted={sum(accepted)} rejected={len(accepted) - sum(accepted)}"
         )
     return 0
 
@@ -533,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationFailure as exc:
         print(f"codeshift: {exc}", file=sys.stderr)
         return 2
-    except (corpus.ManifestError, uq.EstimatorStateError) as exc:
+    except (corpus.ManifestError, uq.EstimatorStateError, uq.ScoresFileError) as exc:
         print(f"codeshift: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # anything else is a runtime failure

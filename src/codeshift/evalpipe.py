@@ -1,83 +1,78 @@
-"""End-to-end evaluations over confidence records.
+"""End-to-end evaluations over score tables.
 
 Ground truths: error/success prediction labels a sample positive iff the
 model predicted it correctly; in-/out-of-distribution detection labels
 validation samples positive and shifted-split samples negative. Metric
-results that are undefined for a record set (single-class) are reported as
+results that are undefined for a score set (single-class) are reported as
 explicit nulls with a reason, never as zeros or crashes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .extraction import UNK_ID
-from .metrics import MetricUndefinedError, ScoredLabel, aupr, brier, roc_auc
-from .uncertainty import ConfidenceRecord, EstimatorStateError
+from .metrics import MetricUndefinedError, aupr, brier, roc_auc
+from .uncertainty import ScoreTable
 
 SWEEP_THRESHOLDS = np.linspace(0.0, 1.0, 21)  # [0, 1] in steps of 0.05
 
 
-def record_is_correct(record: ConfidenceRecord) -> bool:
-    """Exact-match correctness; UNK true labels can never be correct."""
-    return record.predicted == record.true and record.true != UNK_ID
+def is_correct(predicted, true) -> np.ndarray:
+    """Exact-match correctness per sample; UNK true labels can never be correct."""
+    predicted = np.asarray(predicted)
+    true = np.asarray(true)
+    return (predicted == true) & (true != UNK_ID)
 
 
-def _metric_block(items: list[ScoredLabel]) -> dict:
+def _metric_block(scores: np.ndarray, labels: np.ndarray) -> dict:
     out: dict = {"auc": None, "aupr": None, "brier": None, "note": None}
     notes = []
-    try:
-        out["auc"] = roc_auc(items)
-    except MetricUndefinedError as exc:
-        notes.append(f"auc: {exc}")
-    try:
-        out["aupr"] = aupr(items)
-    except MetricUndefinedError as exc:
-        notes.append(f"aupr: {exc}")
-    try:
-        out["brier"] = brier(items)
-    except MetricUndefinedError as exc:
-        notes.append(f"brier: {exc}")
+    for name, metric in (("auc", roc_auc), ("aupr", aupr), ("brier", brier)):
+        try:
+            out[name] = metric(scores, labels)
+        except MetricUndefinedError as exc:
+            notes.append(f"{name}: {exc}")
     if notes:
         out["note"] = "; ".join(notes)
     return out
 
 
-def error_success_eval(records: list[ConfidenceRecord]) -> dict:
+def error_success_eval(confidence, correct) -> dict:
     """AUC/AUPR/Brier for ranking correct (positive) over incorrect samples."""
-    if not records:
-        raise ValueError("no records to evaluate")
-    items = [ScoredLabel(r.confidence, record_is_correct(r)) for r in records]
-    return _metric_block(items)
+    if len(confidence) == 0:
+        raise ValueError("no scores to evaluate")
+    return _metric_block(confidence, correct)
 
 
-def ood_eval(validation_records: list[ConfidenceRecord], shifted_records: list[ConfidenceRecord]) -> dict:
+def ood_eval(validation_confidence, shifted_confidence) -> dict:
     """AUC/AUPR/Brier for ranking in-distribution (validation, positive)
     over shifted-split (negative) samples by confidence."""
-    if not validation_records or not shifted_records:
-        raise ValueError("ood_eval needs records on both sides")
-    items = [ScoredLabel(r.confidence, True) for r in validation_records]
-    items += [ScoredLabel(r.confidence, False) for r in shifted_records]
-    return _metric_block(items)
+    n_val, n_shifted = len(validation_confidence), len(shifted_confidence)
+    if not n_val or not n_shifted:
+        raise ValueError("ood_eval needs scores on both sides")
+    scores = np.concatenate([validation_confidence, shifted_confidence])
+    labels = np.repeat([True, False], [n_val, n_shifted])
+    return _metric_block(scores, labels)
 
 
-def threshold_sweep(records: list[ConfidenceRecord]) -> list[dict]:
+def threshold_sweep(confidence, correct) -> list[dict]:
     """Per threshold in [0, 1] steps of 0.05: retained count and the
-    error/success AUC over retained records (None when single-class)."""
+    error/success AUC over retained samples (None when single-class)."""
+    confidence = np.asarray(confidence)
+    correct = np.asarray(correct)
     rows = []
     for threshold in SWEEP_THRESHOLDS:
-        retained = [r for r in records if r.confidence >= threshold]
+        retained = confidence >= threshold
         auc = None
-        if retained:
-            items = [ScoredLabel(r.confidence, record_is_correct(r)) for r in retained]
+        if retained.any():
             try:
-                auc = roc_auc(items)
+                auc = roc_auc(confidence[retained], correct[retained])
             except MetricUndefinedError:
-                auc = None
-        rows.append({"threshold": float(threshold), "count": len(retained), "auc": auc})
+                pass
+        rows.append({"threshold": float(threshold), "count": int(retained.sum()), "auc": auc})
     return rows
 
 
@@ -138,61 +133,14 @@ def accuracy_drop_report(accuracies: dict[str, float], validation_split: str = "
 # -- runtime input filter ----------------------------------------------------
 
 
-@dataclass
-class FilterDecision:
-    sample_id: str
-    confidence: float
-    predicted: int | None = None
-
-
-def input_filter(records: list[ConfidenceRecord], threshold: float) -> tuple[list[FilterDecision], list[FilterDecision]]:
-    """Split scored inputs into accepted (prediction emitted) and rejected."""
-    accepted, rejected = [], []
-    for r in records:
-        if r.confidence >= threshold:
-            accepted.append(FilterDecision(r.sample_id, r.confidence, r.predicted))
-        else:
-            rejected.append(FilterDecision(r.sample_id, r.confidence))
-    return accepted, rejected
-
-
-def filter_inputs(model, method: str, threshold: float, samples, split: str = "", **estimator_state):
-    """Score an input stream with a fitted estimator and split it at the
-    threshold; raises EstimatorStateError when the method's state is missing."""
-    records = score_records(model, method, samples, split, **estimator_state)
-    return input_filter(records, threshold)
-
-
-def score_records(model, method: str, samples, split: str = "", *, temperature=None,
-                  ensembles=None, probes=None, growth="linear", passes=30,
-                  dropout_p=0.5, seed=0) -> list[ConfidenceRecord]:
-    """Dispatch a fitted estimator; raises EstimatorStateError when the
-    method's state (temperature, ensemble, probes) was not supplied."""
-    from . import uncertainty as uq
-
-    if method == "vanilla":
-        return uq.score_vanilla(model, samples, split)
-    if method == "temp_scale":
-        if temperature is None:
-            raise EstimatorStateError("temp_scale needs a fitted temperature")
-        return uq.score_temp_scale(model, temperature, samples, split)
-    if method == "mc_dropout":
-        return uq.score_mc_dropout(model, samples, split, passes=passes, p=dropout_p, seed=seed)
-    if method == "mmutant":
-        if not ensembles:
-            raise EstimatorStateError("mmutant needs a built mutant ensemble")
-        ensemble = ensembles if not isinstance(ensembles, dict) else next(iter(ensembles.values()))
-        return uq.score_mmutant(model, ensemble, samples, split)
-    if method == "dissector":
-        if probes is None:
-            raise EstimatorStateError("dissector needs trained probes")
-        return uq.score_dissector(model, probes, growth, samples, split)
-    raise ValueError(f"unknown method {method!r}")
+def input_filter(confidence, threshold: float) -> np.ndarray:
+    """Mask of the scored inputs accepted (prediction emitted) at the threshold;
+    the rest are rejected."""
+    return np.asarray(confidence) >= threshold
 
 
 # -- report assembly -----------------------------------------------------------
 
-VARIANT_METHODS = {"mmutant", "dissector"}
 _METRIC_DIRECTION = {"auc": True, "aupr": True, "brier": False}  # higher-is-better?
 
 
@@ -208,25 +156,25 @@ def _best_per_metric(variant_blocks: dict[str, dict]) -> dict:
     return best
 
 
-def group_records(records: list[ConfidenceRecord]) -> dict[tuple[str, str, str], list[ConfidenceRecord]]:
-    """Index records by (method, variant, split)."""
-    grouped: dict[tuple[str, str, str], list[ConfidenceRecord]] = {}
-    for r in records:
-        grouped.setdefault((r.method, r.variant, r.split), []).append(r)
-    return grouped
+def _method_block(variant_blocks: dict[str, dict]) -> dict:
+    """A method without variants reports its one block; one with variants
+    reports every variant and the best variant per metric."""
+    if list(variant_blocks) == [""]:
+        return variant_blocks[""]
+    return {"variants": variant_blocks, "best": _best_per_metric(variant_blocks)}
 
 
 def build_report(
     task: str,
     shift: str,
-    records: list[ConfidenceRecord],
+    tables: list[ScoreTable],
     accuracies: dict[str, float],
     validation_split: str = "validation",
     config_hash: str | None = None,
 ) -> dict:
     """Assemble the full report for one (task, shift): accuracy rows,
     error/success per split, and in-/OOD detection per (validation, test)."""
-    grouped = group_records(records)
+    grouped = {(t.method, t.variant, t.split): t for t in tables}
     methods = sorted({m for m, _, _ in grouped})
     splits = sorted({s for _, _, s in grouped})
     test_splits = [s for s in splits if s != validation_split]
@@ -235,14 +183,12 @@ def build_report(
     for split in splits:
         per_method: dict[str, dict] = {}
         for method in methods:
-            variants = {v: recs for (m, v, s), recs in grouped.items() if m == method and s == split}
-            if not variants:
-                continue
-            if method in VARIANT_METHODS:
-                blocks = {v: error_success_eval(recs) for v, recs in sorted(variants.items())}
-                per_method[method] = {"variants": blocks, "best": _best_per_metric(blocks)}
-            else:
-                per_method[method] = error_success_eval(variants[""])
+            variants = {v: t for (m, v, s), t in grouped.items() if m == method and s == split}
+            if variants:
+                per_method[method] = _method_block({
+                    v: error_success_eval(t.confidence, is_correct(t.predicted, t.true))
+                    for v, t in sorted(variants.items())
+                })
         error_success[split] = per_method
 
     ood: dict[str, dict] = {}
@@ -255,14 +201,10 @@ def build_report(
                 if m == method and s == test_split
             }
             variants = {v: pair for v, pair in variants.items() if pair[0] and pair[1]}
-            if not variants:
-                continue
-            if method in VARIANT_METHODS:
-                blocks = {v: ood_eval(val, test) for v, (val, test) in sorted(variants.items())}
-                per_method[method] = {"variants": blocks, "best": _best_per_metric(blocks)}
-            else:
-                val, test = variants[""]
-                per_method[method] = ood_eval(val, test)
+            if variants:
+                per_method[method] = _method_block({
+                    v: ood_eval(val.confidence, test.confidence) for v, (val, test) in sorted(variants.items())
+                })
         ood[f"{validation_split}|{test_split}"] = per_method
 
     return {

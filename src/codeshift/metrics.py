@@ -1,14 +1,13 @@
 """Threshold-independent binary metrics: AUC, AUPR, Brier.
 
-All three are reported on a 0-100 scale. AUC is the Mann-Whitney rank
+All three take parallel `(scores, labels)` arrays (labels true = positive)
+and return a Python float on a 0-100 scale. AUC is the Mann-Whitney rank
 statistic (ties count 1/2), AUPR the non-interpolated step sum over a
 descending-score sweep with tied scores processed as one group, and Brier
 the mean squared error between a [0,1] confidence and the binary outcome.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,103 +16,66 @@ class MetricUndefinedError(ValueError):
     """The metric is not defined for this label composition."""
 
 
-@dataclass(frozen=True)
-class ScoredLabel:
-    score: float
-    label: bool  # True = positive
-
-
-def _split_scores(items) -> tuple[np.ndarray, np.ndarray]:
-    scores = np.array([it.score for it in items], dtype=np.float64)
-    labels = np.array([bool(it.label) for it in items])
+def _arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
+    if scores.shape != labels.shape or scores.ndim != 1:
+        raise ValueError(f"scores {scores.shape} and labels {labels.shape} must be equal-length vectors")
     if scores.size and not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     return scores, labels
 
 
-def roc_auc(items: list[ScoredLabel]) -> float:
+def _tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group index of every score and the size of every group, ascending by score."""
+    _, group, sizes = np.unique(scores, return_inverse=True, return_counts=True)
+    return group, sizes
+
+
+def roc_auc(scores, labels) -> float:
     """P(random positive outranks random negative) * 100, ties as 1/2.
 
     Computed from average ranks; equal to the brute-force pairwise count.
     """
-    scores, labels = _split_scores(items)
+    scores, labels = _arrays(scores, labels)
     n_pos = int(labels.sum())
     n_neg = int(labels.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError("roc_auc needs at least one positive and one negative")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # ranks are 1-based; tied block gets the average rank
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    group, sizes = _tie_groups(scores)
+    first = np.cumsum(sizes) - sizes  # 0-based sorted position where each tie group starts
+    last = first + sizes - 1
+    # ranks are 1-based; a tied group gets the average rank
+    ranks = ((first + last) / 2.0 + 1.0)[group]
     pos_rank_sum = ranks[labels].sum()
     numerator = pos_rank_sum - n_pos * (n_pos + 1) / 2.0
-    return numerator / (n_pos * n_neg) * 100.0
+    return float(numerator / (n_pos * n_neg) * 100.0)
 
 
-def aupr(items: list[ScoredLabel]) -> float:
+def aupr(scores, labels) -> float:
     """Area under precision-recall via sum of (R_k - R_{k-1}) * P_k, * 100."""
-    scores, labels = _split_scores(items)
+    scores, labels = _arrays(scores, labels)
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise MetricUndefinedError("aupr needs at least one positive")
-    order = np.argsort(-scores, kind="stable")
-    scores = scores[order]
-    labels = labels[order]
-    area = 0.0
-    tp = 0
-    fp = 0
-    prev_recall = 0.0
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and scores[j + 1] == scores[i]:
-            j += 1
-        tp += int(labels[i:j + 1].sum())
-        fp += int(j - i + 1 - labels[i:j + 1].sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return area * 100.0
+    group, sizes = _tie_groups(scores)
+    # tie groups from the highest score down
+    tp = np.cumsum(np.bincount(group[labels], minlength=sizes.size)[::-1])
+    kept = np.cumsum(sizes[::-1])
+    recall = tp / n_pos
+    precision = tp / kept
+    steps = np.diff(recall, prepend=0.0) * precision
+    # cumsum adds left to right like the step-sum definition; np.sum would
+    # add pairwise and round differently
+    return float(np.cumsum(steps)[-1] * 100.0)
 
 
-def brier(items: list[ScoredLabel]) -> float:
+def brier(scores, labels) -> float:
     """Mean of (score - 1{positive})^2, * 100. Scores must already be in [0,1]."""
-    scores, labels = _split_scores(items)
+    scores, labels = _arrays(scores, labels)
     if scores.size == 0:
         raise MetricUndefinedError("brier needs at least one item")
     if scores.min() < 0.0 or scores.max() > 1.0:
         raise ValueError("brier scores must lie in [0, 1]")
     outcome = labels.astype(np.float64)
     return float(np.mean((scores - outcome) ** 2) * 100.0)
-
-
-# Confidence conventions per uncertainty method. Every built-in method
-# already emits a probability-like score in [0,1]; anything unknown is
-# min-max rescaled over the evaluated population before Brier.
-PROBABILISTIC_METHODS = frozenset({"vanilla", "temp_scale", "mc_dropout", "mmutant", "dissector"})
-
-
-def normalize_scores(confidences, method: str) -> np.ndarray:
-    """Return confidences mapped into [0,1] for the given method.
-
-    Probabilistic methods pass through untouched; others are min-max scaled,
-    with a constant population mapping to 0.5.
-    """
-    arr = np.asarray(confidences, dtype=np.float64)
-    if method in PROBABILISTIC_METHODS:
-        return arr
-    if arr.size == 0:
-        return arr
-    lo, hi = arr.min(), arr.max()
-    if hi == lo:
-        return np.full_like(arr, 0.5)
-    return (arr - lo) / (hi - lo)

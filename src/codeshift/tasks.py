@@ -277,42 +277,6 @@ def batch_cc(samples: list[EncodedCbow]) -> tuple[np.ndarray, np.ndarray]:
     return context, targets
 
 
-def forward_cs(
-    model: PathAttentionModel,
-    sample: EncodedMethod,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Single-sample forward: (probs over labels, layer activations)."""
-    if len(sample.left) == 0:
-        raise ValueError("empty context bag")
-    left, path, right, mask, _ = batch_cs([sample])
-    with nn.no_grad() if not training else _nullcontext():
-        out = model.forward_batch(left, path, right, mask, training=training, rng=rng)
-    activations = {
-        "context_embeddings": out["contexts"].data[0],
-        "attention_weights": out["weights"].data[0],
-        "attention_pooled": out["pooled"].data[0],
-        "embedding_mean": out["embed_mean"].data[0],
-    }
-    return out["probs"].data[0], activations
-
-
-def forward_cc(model: MlpCompletionModel, sample: EncodedCbow) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    context, _ = batch_cc([sample])
-    with nn.no_grad():
-        out = model.forward_batch(context)
-    return out["probs"].data[0], {"embedding_mean": out["embed_mean"].data[0]}
-
-
-class _nullcontext:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
 # -- inference over a split ----------------------------------------------
 
 

@@ -1,9 +1,11 @@
 """Five predictive-uncertainty estimators over a trained task model.
 
 All estimators share one convention: `confidence` lies in [0, 1] and higher
-means "more likely within the model's competence". Methods with variants
-(mutation operators, probe growth curves) tag each record so reports can
-select the best-scoring variant per metric.
+means "more likely within the model's competence". `ESTIMATORS` is the one
+registry of them: each entry names its CLI flag and its variants (mutation
+operators, probe growth curves), fits its state, and scores samples into a
+`ScoreTable`, one per (method, variant, split), so reports can select the
+best-scoring variant per metric.
 
 - vanilla: max softmax probability.
 - temp_scale: max softmax(logits / T), T fitted on validation NLL (BFGS).
@@ -20,7 +22,9 @@ select the best-scoring variant per metric.
 from __future__ import annotations
 
 import warnings
+import zlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -28,7 +32,6 @@ from scipy.special import logsumexp
 
 from . import nn, tasks
 
-METHODS = ("vanilla", "temp_scale", "mc_dropout", "mmutant", "dissector")
 MUTATION_OPERATORS = ("GF", "WS", "NS", "NAI")
 GROWTH_TYPES = ("linear", "log", "exp")
 
@@ -39,52 +42,35 @@ class EstimatorStateError(RuntimeError):
     """A scorer was invoked without its fitted state (temperature, ensemble, probes)."""
 
 
-@dataclass(frozen=True)
-class ConfidenceRecord:
-    sample_id: str
+class ScoresFileError(ValueError):
+    """A score CSV is malformed; the message names the file and the line."""
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """Scores of one (method, variant, split) as parallel columns, one row per sample."""
+
     method: str
     variant: str
-    raw_score: float
-    confidence: float
-    predicted: int
-    true: int
-    split: str = ""
+    split: str
+    sample_ids: list[str]
+    raw: np.ndarray  # float64
+    confidence: np.ndarray  # float64, in [0, 1]
+    predicted: np.ndarray  # int64
+    true: np.ndarray  # int64
 
-
-def _records(method, variant, samples, raw, confidence, predicted, split):
-    labels = tasks.true_labels(samples)
-    out = []
-    for i, s in enumerate(samples):
-        c = float(confidence[i])
-        if not 0.0 <= c <= 1.0:
-            raise ValueError(f"confidence {c} outside [0, 1] for {s.sample_id}")
-        out.append(
-            ConfidenceRecord(
-                sample_id=s.sample_id,
-                method=method,
-                variant=variant,
-                raw_score=float(raw[i]),
-                confidence=c,
-                predicted=int(predicted[i]),
-                true=int(labels[i]),
-                split=split,
-            )
-        )
-    return out
+    def __len__(self) -> int:
+        return len(self.sample_ids)
 
 
 # -- vanilla ---------------------------------------------------------------
 
 
-def score_vanilla(model, samples, split: str = "") -> list[ConfidenceRecord]:
+def score_vanilla(model, samples):
+    """(raw, confidence, predicted) arrays; raw and confidence are the max softmax."""
     probs = tasks.infer(model, samples)["probs"]
     conf = probs.max(axis=-1)
-    preds = probs.argmax(axis=-1)
-    return _records("vanilla", "", samples, conf, conf, preds, split)
-
-
-def vanilla_confidence(model, sample) -> ConfidenceRecord:
-    return score_vanilla(model, [sample])[0]
+    return conf, conf, probs.argmax(axis=-1)
 
 
 # -- temperature scaling -----------------------------------------------------
@@ -129,7 +115,7 @@ def fit_temperature(model, val_samples) -> float:
     return temperature
 
 
-def score_temp_scale(model, temperature: float, samples, split: str = "") -> list[ConfidenceRecord]:
+def score_temp_scale(model, temperature: float, samples):
     if temperature is None or temperature <= 0:
         raise EstimatorStateError(f"temperature must be positive, got {temperature}")
     logits = tasks.infer(model, samples, keys=("logits",))["logits"].astype(np.float64)
@@ -138,19 +124,13 @@ def score_temp_scale(model, temperature: float, samples, split: str = "") -> lis
     probs = np.exp(log_probs)
     conf = probs.max(axis=-1)
     preds = logits.argmax(axis=-1)  # monotone scaling cannot move the argmax
-    return _records("temp_scale", "", samples, conf, conf, preds, split)
-
-
-def temp_scale_confidence(model, temperature: float, sample) -> ConfidenceRecord:
-    return score_temp_scale(model, temperature, [sample])[0]
+    return conf, conf, preds
 
 
 # -- MC-Dropout ---------------------------------------------------------------
 
 
-def score_mc_dropout(
-    model, samples, split: str = "", passes: int = 30, p: float = 0.5, seed: int = 0
-) -> list[ConfidenceRecord]:
+def score_mc_dropout(model, samples, passes: int = 30, p: float = 0.5, seed: int = 0):
     if passes < 1:
         raise ValueError(f"MC-Dropout needs passes >= 1, got {passes}")
     if p == 0.0:
@@ -165,12 +145,7 @@ def score_mc_dropout(
             total = probs.astype(np.float64) if total is None else total + probs
         mean_probs = total / passes
     conf = mean_probs.max(axis=-1)
-    preds = mean_probs.argmax(axis=-1)
-    return _records("mc_dropout", "", samples, conf, conf, preds, split)
-
-
-def mc_dropout_confidence(model, sample, passes: int = 30, p: float = 0.5, seed: int = 0) -> ConfidenceRecord:
-    return score_mc_dropout(model, [sample], passes=passes, p=p, seed=seed)[0]
+    return conf, conf, mean_probs.argmax(axis=-1)
 
 
 # -- mMutant -------------------------------------------------------------------
@@ -256,8 +231,9 @@ def build_mutant_ensemble(model, operator: str, degree: float = 0.05, count: int
     return ensemble
 
 
-def score_mmutant(model, ensemble: MutantEnsemble, samples, split: str = "") -> list[ConfidenceRecord]:
-    if not ensemble.mutants:
+def score_mmutant(model, ensemble: MutantEnsemble | None, samples):
+    """Raw score is the label change rate (LCR); confidence is 1 - LCR."""
+    if ensemble is None or not ensemble.mutants:
         raise EstimatorStateError("mMutant scoring needs a built ensemble")
     base_probs = tasks.infer(model, samples)["probs"]
     base_preds = base_probs.argmax(axis=-1)
@@ -266,11 +242,7 @@ def score_mmutant(model, ensemble: MutantEnsemble, samples, split: str = "") -> 
         preds = tasks.infer(mutant, samples)["probs"].argmax(axis=-1)
         changed += preds != base_preds
     lcr = changed / ensemble.count
-    return _records("mmutant", ensemble.operator, samples, lcr, 1.0 - lcr, base_preds, split)
-
-
-def mmutant_confidence(model, ensemble: MutantEnsemble, sample) -> ConfidenceRecord:
-    return score_mmutant(model, ensemble, [sample])[0]
+    return lcr, 1.0 - lcr, base_preds
 
 
 # -- Dissector ------------------------------------------------------------------
@@ -369,7 +341,7 @@ def _snapshot_validity(q: np.ndarray, base_pred: np.ndarray) -> np.ndarray:
     return ql / denom
 
 
-def score_dissector(model, probes: ProbeSet, growth: str, samples, split: str = "") -> list[ConfidenceRecord]:
+def score_dissector(model, probes: ProbeSet | None, growth: str, samples):
     if probes is None or not probes.probes:
         raise EstimatorStateError("dissector scoring needs trained probes")
     if probes.n_classes != model.n_classes():
@@ -383,71 +355,183 @@ def score_dissector(model, probes: ProbeSet, growth: str, samples, split: str = 
     for weight, probe in zip(weights, probes.probes):
         q = probe.predict(acts[probe.tag])
         pv += weight * _snapshot_validity(q, base_preds)
-    return _records("dissector", growth, samples, pv, pv, base_preds, split)
+    return pv, pv, base_preds
 
 
-def dissector_confidence(model, probes: ProbeSet, growth: str, sample) -> ConfidenceRecord:
-    return score_dissector(model, probes, growth, [sample])[0]
+# -- registry --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """One uncertainty method of the study.
+
+    `fit(model, train, validation, settings)` returns the fitted state: the
+    temperature, the MC-Dropout settings, one mutant ensemble per operator,
+    the probes, or None. `settings` holds the `uncertainty` config keys plus
+    `seed`. `score(model, state, variant, samples, split)` returns
+    (raw, confidence, predicted) arrays; `split` keys the random stream of
+    stochastic passes. A method without variants has the one variant "".
+    """
+
+    name: str
+    flag: str
+    variants: tuple[str, ...]
+    fit: Callable
+    score: Callable
+
+    def table(self, model, state, variant: str, samples, split: str = "") -> ScoreTable:
+        raw, confidence, predicted = self.score(model, state, variant, samples, split)
+        confidence = np.asarray(confidence, dtype=np.float64)
+        outside = ~((confidence >= 0.0) & (confidence <= 1.0))
+        if outside.any():
+            i = int(outside.argmax())
+            raise ValueError(f"confidence {confidence[i]} outside [0, 1] for {samples[i].sample_id}")
+        return ScoreTable(
+            method=self.name,
+            variant=variant,
+            split=split,
+            sample_ids=[s.sample_id for s in samples],
+            raw=np.asarray(raw, dtype=np.float64),
+            confidence=confidence,
+            predicted=np.asarray(predicted, dtype=np.int64),
+            true=tasks.true_labels(samples),
+        )
+
+
+def _fit_mutant_ensembles(model, train, validation, settings) -> dict[str, MutantEnsemble]:
+    return {
+        op: build_mutant_ensemble(
+            model, op, degree=settings["mutation_degree"], count=settings["mutant_count"], seed=settings["seed"]
+        )
+        for op in MUTATION_OPERATORS
+    }
+
+
+def _fit_probes(model, train, validation, settings) -> ProbeSet:
+    return train_probes(
+        model, train, epochs=settings["probe_epochs"],
+        learning_rate=settings["probe_learning_rate"], seed=settings["seed"],
+    )
+
+
+def _score_mc_dropout(model, settings, variant, samples, split):
+    seed = [settings["seed"], zlib.crc32(split.encode())]
+    return score_mc_dropout(model, samples, passes=settings["mc_passes"], p=settings["mc_dropout_p"], seed=seed)
+
+
+# Entries call the public functions above through their module-level names
+# at call time, so tracing or patching one of them also covers the
+# registry's calls.
+ESTIMATORS: dict[str, Estimator] = {
+    e.name: e
+    for e in (
+        Estimator(
+            "vanilla", "vanilla", ("",),
+            fit=lambda model, train, validation, settings: None,
+            score=lambda model, state, variant, samples, split: score_vanilla(model, samples),
+        ),
+        Estimator(
+            "temp_scale", "temp", ("",),
+            fit=lambda model, train, validation, settings: fit_temperature(model, validation),
+            score=lambda model, temperature, variant, samples, split: score_temp_scale(model, temperature, samples),
+        ),
+        Estimator(
+            "mc_dropout", "mcdropout", ("",),
+            fit=lambda model, train, validation, settings: settings,
+            score=_score_mc_dropout,
+        ),
+        Estimator(
+            "mmutant", "mmutant", MUTATION_OPERATORS,
+            fit=_fit_mutant_ensembles,
+            score=lambda model, ensembles, operator, samples, split: score_mmutant(
+                model, (ensembles or {}).get(operator), samples
+            ),
+        ),
+        Estimator(
+            "dissector", "dissector", GROWTH_TYPES,
+            fit=_fit_probes,
+            score=lambda model, probes, growth, samples, split: score_dissector(model, probes, growth, samples),
+        ),
+    )
+}
 
 
 # -- scores file --------------------------------------------------------------
 
 
 SCORES_HEADER = "sample_id,method,variant,raw_score,confidence,predicted,true,split"
+_SCORES_FIELDS = SCORES_HEADER.count(",") + 1
 
 
-def write_scores_csv(path, records: list[ConfidenceRecord], config_hash: str | None = None) -> None:
+def write_scores_csv(path, table: ScoreTable, config_hash: str | None = None) -> None:
+    rows = zip(
+        table.sample_ids, table.raw.tolist(), table.confidence.tolist(),
+        table.predicted.tolist(), table.true.tolist(),
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         if config_hash:
             f.write(f"# config_hash={config_hash}\n")
         f.write(SCORES_HEADER + "\n")
-        for r in records:
-            f.write(
-                f"{r.sample_id},{r.method},{r.variant},{r.raw_score!r},"
-                f"{r.confidence!r},{r.predicted},{r.true},{r.split}\n"
-            )
+        f.writelines(
+            f"{sample_id},{table.method},{table.variant},{raw!r},{conf!r},{pred},{true},{table.split}\n"
+            for sample_id, raw, conf, pred, true in rows
+        )
 
 
-def read_scores_csv(path) -> list[ConfidenceRecord]:
-    records = []
+def read_scores_csv(path) -> ScoreTable:
+    """Read one score file; any malformed row raises ScoresFileError naming its line."""
+    rows, line_numbers = [], []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        lines = enumerate(f, 1)
+        for number, line in lines:  # "#" comment lines, then the header
+            if line.rstrip("\n") == SCORES_HEADER:
+                break
+            if not line.startswith("#"):
+                raise ScoresFileError(f"{path}, line {number}: expected the header {SCORES_HEADER!r}")
+        for number, line in lines:
             line = line.rstrip("\n")
-            if not line or line.startswith("#") or line == SCORES_HEADER:
+            if not line:
                 continue
-            sample_id, method, variant, raw, conf, pred, true, split = line.split(",")
-            records.append(
-                ConfidenceRecord(
-                    sample_id=sample_id,
-                    method=method,
-                    variant=variant,
-                    raw_score=float(raw),
-                    confidence=float(conf),
-                    predicted=int(pred),
-                    true=int(true),
-                    split=split,
-                )
-            )
-    return records
+            fields = line.split(",")
+            if len(fields) != _SCORES_FIELDS:
+                raise ScoresFileError(f"{path}, line {number}: expected {_SCORES_FIELDS} fields, got {len(fields)}")
+            rows.append(fields)
+            line_numbers.append(number)
+    if not rows:
+        raise ScoresFileError(f"{path}: no score rows")
+    sample_ids, methods, variants, raw, conf, predicted, true, splits = zip(*rows)
 
+    def reject(index: int, problem: str):
+        raise ScoresFileError(f"{path}, line {line_numbers[index]}: {problem}")
 
-# -- variant selection -------------------------------------------------------
+    for name, column in (("method", methods), ("variant", variants), ("split", splits)):
+        if column.count(column[0]) != len(column):
+            i = next(i for i, value in enumerate(column) if value != column[0])
+            reject(i, f"{name} {column[i]!r} differs from {column[0]!r} of the first row")
 
+    def parse(name: str, texts: tuple[str, ...], dtype, expected: str, valid=None) -> np.ndarray:
+        convert = float if dtype is np.float64 else int
+        try:
+            values = np.fromiter(map(convert, texts), dtype=dtype, count=len(texts))
+            if valid is None or valid(values).all():
+                return values
+        except (ValueError, OverflowError):
+            pass
+        for i, text in enumerate(texts):  # slow path, only to name the first bad line
+            try:
+                value = np.fromiter([convert(text)], dtype=dtype)
+            except (ValueError, OverflowError):
+                value = None
+            if value is None or (valid is not None and not valid(value)[0]):
+                reject(i, f"{name} {text!r} is not {expected}")
 
-def best_of_variants(records_by_variant: dict[str, list[ConfidenceRecord]], evaluator, higher_is_better: bool = True):
-    """Pick the variant whose evaluator score is best; returns (name, records, score).
-
-    Variants whose evaluator returns None (undefined metric) are skipped
-    unless every variant is undefined, in which case the first is returned
-    with a None score.
-    """
-    if not records_by_variant:
-        raise ValueError("no variants to choose from")
-    scored = []
-    for name, records in records_by_variant.items():
-        scored.append((name, records, evaluator(records)))
-    defined = [s for s in scored if s[2] is not None]
-    if not defined:
-        return scored[0]
-    key = (lambda s: s[2]) if higher_is_better else (lambda s: -s[2])
-    return max(defined, key=key)
+    return ScoreTable(
+        method=methods[0],
+        variant=variants[0],
+        split=splits[0],
+        sample_ids=list(sample_ids),
+        raw=parse("raw_score", raw, np.float64, "a finite number", np.isfinite),
+        confidence=parse("confidence", conf, np.float64, "a number in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
+        predicted=parse("predicted", predicted, np.int64, "an integer"),
+        true=parse("true", true, np.int64, "an integer"),
+    )

@@ -16,7 +16,7 @@ from codeshift import extraction as ex
 from codeshift import uncertainty as uq
 from codeshift.cli import _load_encoded, _load_vocabs, main
 from codeshift.config import bucket_dir, config_hash, load_config
-from codeshift.metrics import ScoredLabel, aupr, brier, roc_auc
+from codeshift.metrics import aupr, brier, roc_auc
 
 
 def announce(criterion: int, ok: bool, detail: str) -> None:
@@ -131,27 +131,26 @@ def test_criterion_2_metric_oracle():
             labels[0] = True
         if labels.all():
             labels[0] = False
-        items = [ScoredLabel(float(s), bool(l)) for s, l in zip(scores, labels)]
 
-        pos = [it.score for it in items if it.label]
-        neg = [it.score for it in items if not it.label]
+        pos = [float(s) for s, l in zip(scores, labels) if l]
+        neg = [float(s) for s, l in zip(scores, labels) if not l]
         wins = sum(1.0 if p > n_ else (0.5 if p == n_ else 0.0) for p in pos for n_ in neg)
         brute = wins / (len(pos) * len(neg)) * 100.0
-        if roc_auc(items) != brute:
+        if roc_auc(scores, labels) != brute:
             auc_exact = False
 
-        thresholds = sorted({it.score for it in items}, reverse=True)
+        thresholds = sorted(set(scores.tolist()), reverse=True)
         area, prev_recall = 0.0, 0.0
         for t in thresholds:
-            kept = [it for it in items if it.score >= t]
-            tp = sum(1 for it in kept if it.label)
+            kept = labels[scores >= t]
+            tp = int(kept.sum())
             recall = tp / len(pos)
             area += (recall - prev_recall) * (tp / len(kept))
             prev_recall = recall
-        if abs(aupr(items) - area * 100.0) > 1e-9:
+        if abs(aupr(scores, labels) - area * 100.0) > 1e-9:
             aupr_close = False
 
-    halves = brier([ScoredLabel(0.5, bool(i % 2)) for i in range(10)])
+    halves = brier(np.full(10, 0.5), np.arange(10) % 2 == 1)
     announce(
         2,
         auc_exact and aupr_close and halves == 25.0,
@@ -192,26 +191,26 @@ def test_criterion_3_estimator_invariants(small_models):
     cc_model, cc_encoded, cs_model, cs_encoded = small_models
 
     t_star = uq.fit_temperature(cc_model, cc_encoded)
-    vanilla = uq.score_vanilla(cc_model, cc_encoded)
-    scaled = uq.score_temp_scale(cc_model, t_star, cc_encoded)
-    argmax_preserved = all(v.predicted == s.predicted for v, s in zip(vanilla, scaled))
+    _, vanilla_conf, vanilla_pred = uq.score_vanilla(cc_model, cc_encoded)
+    _, _, scaled_pred = uq.score_temp_scale(cc_model, t_star, cc_encoded)
+    argmax_preserved = bool(np.array_equal(vanilla_pred, scaled_pred))
     logits = tasks.infer(cc_model, cc_encoded, keys=("logits",))["logits"].astype(np.float64)
     labels = tasks.true_labels(cc_encoded)
     nll_improved = uq._nll_at_temperature(logits, labels, t_star) <= uq._nll_at_temperature(logits, labels, 1.0)
 
-    mc = uq.score_mc_dropout(cc_model, cc_encoded, passes=5, p=0.0, seed=3)
-    mc_bitwise = all(v.confidence == m.confidence and v.predicted == m.predicted for v, m in zip(vanilla, mc))
+    _, mc_conf, mc_pred = uq.score_mc_dropout(cc_model, cc_encoded, passes=5, p=0.0, seed=3)
+    mc_bitwise = np.array_equal(vanilla_conf, mc_conf) and np.array_equal(vanilla_pred, mc_pred)
 
     lcr_zero = True
     for op in uq.MUTATION_OPERATORS:
         ensemble = uq.build_mutant_ensemble(cc_model, op, degree=0.0, count=4, seed=2)
-        lcr_zero &= all(r.raw_score == 0.0 for r in uq.score_mmutant(cc_model, ensemble, cc_encoded))
+        lcr_zero &= bool(np.all(uq.score_mmutant(cc_model, ensemble, cc_encoded)[0] == 0.0))
 
     probes = uq.train_probes(cs_model, cs_encoded, epochs=5, seed=1)
     pv_in_bounds = all(
-        0.0 <= r.confidence <= 1.0
+        0.0 <= c <= 1.0
         for growth in uq.GROWTH_TYPES
-        for r in uq.score_dissector(cs_model, probes, growth, cs_encoded)
+        for c in uq.score_dissector(cs_model, probes, growth, cs_encoded)[1]
     )
     exp_weights = uq.growth_weights("exp", len(probes.probes))
     exp_increasing = bool(np.all(np.diff(exp_weights) > 0))

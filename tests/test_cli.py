@@ -2,10 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from codeshift import tasks
+from codeshift import uncertainty as uq
 from codeshift.cli import main
 from codeshift.config import DEFAULT_CONFIG, bucket_dir, config_hash, load_config
+from codeshift.extraction import PAD_TOKEN, UNK_TOKEN, Vocabulary
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +164,114 @@ def test_mc_dropout_scores_differ_from_vanilla(workspace):
     vanilla = confs("cs-project-vanilla-test1.csv")
     mc = confs("cs-project-mc_dropout-test1.csv")
     assert vanilla != mc
+
+
+def test_sweep_and_report_csvs_spell_metrics_like_all_csv(workspace):
+    root, config_path, flags = workspace
+    bucket = bucket_of(config_path)
+    assert main(["sweep", "--task", "cs", "--shift", "project", "--method", "vanilla", *flags]) == 0
+    assert main(["report", *flags]) == 0
+    sweep_path = bucket / "reports" / "sweeps" / "cs-project-vanilla-test1.csv"
+    report_path = bucket / "reports" / "cs-project.csv"
+    all_path = bucket / "reports" / "all.csv"
+    for path in (sweep_path, report_path):
+        assert "np." not in path.read_text()
+
+    def rows(path):
+        lines = path.read_text().splitlines()[1:]
+        header = lines[0].split(",")
+        return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+    key = ("eval", "split", "method", "variant")
+    merged = {tuple(r[k] for k in key): r for r in rows(all_path)}
+    report_rows = rows(report_path)
+    assert report_rows
+    for row in report_rows:
+        for metric in ("auc", "aupr", "brier"):
+            assert row[metric] == merged[tuple(row[k] for k in key)][metric]
+    # the sweep at threshold 0 keeps every row, so its AUC is the report's
+    # error/success AUC for the same split
+    sweep_auc = rows(sweep_path)[0]["auc"]
+    assert sweep_auc == merged[("error_success", "test1", "vanilla", "")]["auc"]
+
+
+def test_filter_rejected_inputs_carry_no_prediction(workspace):
+    root, config_path, flags = workspace
+    bucket = bucket_of(config_path)
+    assert main(["filter", "--task", "cs", "--shift", "project", "--method", "vanilla",
+                 "--threshold", "1.01", *flags]) == 0
+    accepted = (bucket / "filtered" / "cs-project-vanilla-test1-accepted.csv").read_text().splitlines()
+    rejected = (bucket / "filtered" / "cs-project-vanilla-test1-rejected.csv").read_text().splitlines()
+    assert accepted[1:] == ["sample_id,confidence,predicted"]
+    assert rejected[1] == "sample_id,confidence"
+    assert len(rejected) > 2 and all(len(line.split(",")) == 2 for line in rejected[2:])
+
+
+# -- corrupt artifacts ---------------------------------------------------------------
+
+
+def scores_only_bucket(tmp_path):
+    """A bucket holding only vanilla score files for cs/project; no model."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text("{}", encoding="utf-8")
+    scores = bucket_of(config_path) / "scores"
+    scores.mkdir(parents=True)
+    for split in ("validation", "test1"):
+        n = 6
+        confidence = np.linspace(0.2, 0.9, n)
+        table = uq.ScoreTable(
+            method="vanilla", variant="", split=split,
+            sample_ids=[f"{split}#{i}" for i in range(n)],
+            raw=confidence, confidence=confidence,
+            predicted=np.arange(n) % 2 + 2, true=np.full(n, 2),
+        )
+        uq.write_scores_csv(scores / f"cs-project-vanilla-{split}.csv", table, "feed")
+    return config_path, scores / "cs-project-vanilla-test1.csv"
+
+
+CORRUPTIONS = {
+    "field_count": lambda fields: fields[:-1],
+    "non_numeric_score": lambda fields: fields[:3] + ["abc"] + fields[4:],
+    "non_finite_score": lambda fields: fields[:3] + ["inf"] + fields[4:],
+    "confidence_above_one": lambda fields: fields[:4] + ["1.5"] + fields[5:],
+    "mixed_method": lambda fields: fields[:1] + ["temp_scale"] + fields[2:],
+    "mixed_variant": lambda fields: fields[:2] + ["GF"] + fields[3:],
+    "mixed_split": lambda fields: fields[:7] + ["test2"],
+}
+READERS = {
+    "eval": ["eval"],
+    "sweep": ["sweep", "--method", "vanilla"],
+    "filter": ["filter", "--method", "vanilla", "--threshold", "0.5"],
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_corrupt_score_csv_exits_2_naming_file_and_line(tmp_path, capsys, command, corruption):
+    config_path, target = scores_only_bucket(tmp_path)
+    lines = target.read_text().splitlines()
+    lines[3] = ",".join(CORRUPTIONS[corruption](lines[3].split(",")))  # line 4 of the file
+    target.write_text("\n".join(lines) + "\n")
+    argv = [READERS[command][0], "--task", "cs", "--shift", "project", *READERS[command][1:]]
+    assert main([*argv, "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{target}, line 4" in err
+    assert "runtime error" not in err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "wrong_kind"])
+def test_corrupt_checkpoint_exits_2_naming_file(tmp_path, capsys, damage):
+    config_path = tmp_path / "config.json"
+    config_path.write_text("{}", encoding="utf-8")
+    ckpt = bucket_of(config_path) / "checkpoints" / "cs-project.ckpt"
+    ckpt.parent.mkdir(parents=True)
+    vocab = Vocabulary.from_tokens([UNK_TOKEN, PAD_TOKEN, "a", "b"])
+    if damage == "truncated":
+        blob = tasks.save_checkpoint(tasks.PathAttentionModel(vocab, vocab, vocab, dim=4))
+        ckpt.write_bytes(blob[: len(blob) // 2])
+    else:
+        ckpt.write_bytes(tasks.save_checkpoint(tasks.MlpCompletionModel(vocab, dim=4)))
+    assert main(["score", "--task", "cs", "--shift", "project", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err
+    assert "runtime error" not in err

@@ -1,109 +1,96 @@
 """Evaluation pipeline contracts: ground truths, sweeps, drop ratios, filtering."""
 
+import numpy as np
 import pytest
 
 from codeshift import evalpipe as ep
-from codeshift.uncertainty import ConfidenceRecord
+from codeshift.uncertainty import ScoreTable
 
 
-def rec(sample_id, confidence, predicted, true, method="vanilla", variant="", split="validation"):
-    return ConfidenceRecord(
-        sample_id=sample_id,
+def table(confidences, predicted, true, method="vanilla", variant="", split="validation"):
+    confidence = np.array(confidences, dtype=np.float64)
+    return ScoreTable(
         method=method,
         variant=variant,
-        raw_score=confidence,
-        confidence=confidence,
-        predicted=predicted,
-        true=true,
         split=split,
+        sample_ids=[f"{split}#{i}" for i in range(len(confidence))],
+        raw=confidence,
+        confidence=confidence,
+        predicted=np.array(predicted, dtype=np.int64),
+        true=np.array(true, dtype=np.int64),
     )
 
 
+def correct(t):
+    return ep.is_correct(t.predicted, t.true)
+
+
 def test_error_success_oracle_confidences():
-    records = [
-        rec("a", 1.0, 5, 5),
-        rec("b", 1.0, 6, 6),
-        rec("c", 0.0, 5, 7),
-        rec("d", 0.0, 2, 9),
-    ]
-    result = ep.error_success_eval(records)
+    t = table([1.0, 1.0, 0.0, 0.0], [5, 6, 5, 2], [5, 6, 7, 9])
+    result = ep.error_success_eval(t.confidence, correct(t))
     assert result["auc"] == 100.0
     assert result["brier"] == 0.0
     assert result["note"] is None
 
 
 def test_error_success_constant_confidence_auc_50():
-    records = [rec("a", 0.5, 5, 5), rec("b", 0.5, 5, 7)]
-    assert ep.error_success_eval(records)["auc"] == 50.0
+    t = table([0.5, 0.5], [5, 5], [5, 7])
+    assert ep.error_success_eval(t.confidence, correct(t))["auc"] == 50.0
 
 
 def test_error_success_single_class_diagnostic():
-    records = [rec("a", 0.9, 5, 5), rec("b", 0.8, 6, 6)]
-    result = ep.error_success_eval(records)
+    t = table([0.9, 0.8], [5, 6], [5, 6])
+    result = ep.error_success_eval(t.confidence, correct(t))
     assert result["auc"] is None
     assert "auc" in result["note"]
     assert result["aupr"] == 100.0  # all-positive is still defined
     assert result["brier"] is not None
+    with pytest.raises(ValueError):
+        ep.error_success_eval(np.array([]), np.array([], dtype=bool))
 
 
 def test_unk_true_label_is_never_correct():
-    assert not ep.record_is_correct(rec("a", 0.9, 0, 0))
-    assert ep.record_is_correct(rec("a", 0.9, 4, 4))
+    assert not ep.is_correct([0], [0])[0]
+    assert ep.is_correct([4], [4])[0]
 
 
 def test_ood_eval_directions():
-    val = [rec(f"v{i}", 1.0, 2, 2) for i in range(4)]
-    shifted = [rec(f"s{i}", 0.0, 2, 3, split="test1") for i in range(4)]
+    val = np.full(4, 1.0)
+    shifted = np.full(4, 0.0)
     result = ep.ood_eval(val, shifted)
     assert result["auc"] == 100.0
     assert result["brier"] == 0.0
-    identical_val = [rec(f"v{i}", 0.7, 2, 2) for i in range(5)]
-    identical_shift = [rec(f"s{i}", 0.7, 2, 2, split="test1") for i in range(5)]
-    assert ep.ood_eval(identical_val, identical_shift)["auc"] == 50.0
+    assert ep.ood_eval(np.full(5, 0.7), np.full(5, 0.7))["auc"] == 50.0
     with pytest.raises(ValueError):
-        ep.ood_eval(val, [])
+        ep.ood_eval(val, np.array([]))
 
 
 def test_threshold_sweep_monotone_counts():
-    records = [rec(f"r{i}", i / 10.0, 1 if i % 2 else 2, 1) for i in range(11)]
-    rows = ep.threshold_sweep(records)
+    t = table([i / 10.0 for i in range(11)], [1 if i % 2 else 2 for i in range(11)], [1] * 11)
+    rows = ep.threshold_sweep(t.confidence, correct(t))
     assert rows[0]["threshold"] == 0.0
-    assert rows[0]["count"] == len(records)
+    assert rows[0]["count"] == len(t)
     counts = [r["count"] for r in rows]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
-    assert rows[-1]["count"] == sum(1 for r in records if r.confidence >= 1.0)
+    assert rows[-1]["count"] == int((t.confidence >= 1.0).sum())
 
 
 def test_threshold_sweep_matches_filter():
-    records = [rec(f"r{i}", c, 1 if i % 3 else 2, 1) for i, c in enumerate([0.1, 0.3, 0.55, 0.8, 0.95, 1.0])]
-    rows = ep.threshold_sweep(records)
+    confidences = [0.1, 0.3, 0.55, 0.8, 0.95, 1.0]
+    t = table(confidences, [1 if i % 3 else 2 for i in range(6)], [1] * 6)
+    rows = ep.threshold_sweep(t.confidence, correct(t))
     at = next(r for r in rows if abs(r["threshold"] - 0.5) < 1e-12)
-    accepted, rejected = ep.input_filter(records, 0.5)
-    assert at["count"] == len(accepted)
-    assert len(accepted) + len(rejected) == len(records)
+    accepted = ep.input_filter(t.confidence, 0.5)
+    assert at["count"] == int(accepted.sum())
+    assert int(accepted.sum()) + int((~accepted).sum()) == len(t)
     # post-hoc AUC over the accepted set equals the sweep's value there
-    accepted_ids = {d.sample_id for d in accepted}
-    retained = [r for r in records if r.sample_id in accepted_ids]
-    assert ep.error_success_eval(retained)["auc"] == at["auc"]
-
-
-def test_filter_inputs_composes_scoring(monkeypatch):
-    from codeshift import evalpipe
-
-    sample_records = [rec("a", 0.9, 1, 1), rec("b", 0.2, 1, 2)]
-    monkeypatch.setattr(evalpipe, "score_records", lambda *a, **k: sample_records)
-    accepted, rejected = evalpipe.filter_inputs(None, "vanilla", 0.5, ["a", "b"])
-    assert [d.sample_id for d in accepted] == ["a"]
-    assert [d.sample_id for d in rejected] == ["b"]
+    assert ep.error_success_eval(t.confidence[accepted], correct(t)[accepted])["auc"] == at["auc"]
 
 
 def test_input_filter_extremes():
-    records = [rec(f"r{i}", c, 1, 1) for i, c in enumerate([0.0, 0.4, 1.0])]
-    accepted, rejected = ep.input_filter(records, 0.0)
-    assert len(accepted) == 3 and not rejected
-    accepted, rejected = ep.input_filter(records, 1.01)
-    assert not accepted and len(rejected) == 3
-    assert all(d.predicted is None for d in rejected)
+    confidence = np.array([0.0, 0.4, 1.0])
+    assert ep.input_filter(confidence, 0.0).all()
+    assert not ep.input_filter(confidence, 1.01).any()
 
 
 def test_drop_ratio_and_formatting():
@@ -126,8 +113,8 @@ def test_accuracy_drop_report_rows():
     assert "zero" in degenerate["test1"]["note"]
 
 
-def make_records():
-    records = []
+def make_tables():
+    tables = []
     for split, base in (("validation", 0.9), ("test1", 0.4)):
         for method, variant in (
             ("vanilla", ""),
@@ -136,19 +123,16 @@ def make_records():
             ("dissector", "linear"),
             ("dissector", "exp"),
         ):
-            for i in range(6):
-                correct = i % 2 == 0
-                conf = base - (0.0 if correct else 0.3) + i * 0.01
-                records.append(
-                    rec(f"{split}#{i}", round(conf, 3), 3 if correct else 4, 3, method, variant, split)
-                )
-    return records
+            confidences = [round(base - (0.0 if i % 2 == 0 else 0.3) + i * 0.01, 3) for i in range(6)]
+            predicted = [3 if i % 2 == 0 else 4 for i in range(6)]
+            tables.append(table(confidences, predicted, [3] * 6, method, variant, split))
+    return tables
 
 
 def test_build_report_structure_and_flatten():
-    records = make_records()
+    tables = make_tables()
     report = ep.build_report(
-        "cs", "project", records, {"validation": 80.0, "test1": 40.0}, config_hash="deadbeef"
+        "cs", "project", tables, {"validation": 80.0, "test1": 40.0}, config_hash="deadbeef"
     )
     assert report["accuracy"]["test1"]["formatted"] == "40.00(-50.00%)"
     vanilla_block = report["error_success"]["validation"]["vanilla"]
@@ -166,8 +150,8 @@ def test_build_report_structure_and_flatten():
 
 
 def test_report_roundtrip_files(tmp_path):
-    records = make_records()
-    report = ep.build_report("cc", "author", records, {"validation": 70.0, "test1": 60.0})
+    tables = make_tables()
+    report = ep.build_report("cc", "author", tables, {"validation": 70.0, "test1": 60.0})
     json_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
     ep.write_report_json(json_path, report)
@@ -179,8 +163,8 @@ def test_report_roundtrip_files(tmp_path):
 
 
 def test_sweep_csv(tmp_path):
-    records = [rec(f"r{i}", i / 5.0, 1 if i % 2 else 2, 1) for i in range(6)]
-    rows = ep.threshold_sweep(records)
+    t = table([i / 5.0 for i in range(6)], [1 if i % 2 else 2 for i in range(6)], [1] * 6)
+    rows = ep.threshold_sweep(t.confidence, correct(t))
     path = tmp_path / "sweep.csv"
     ep.write_sweep_csv(path, rows, config_hash="beef")
     lines = path.read_text().splitlines()
@@ -189,14 +173,15 @@ def test_sweep_csv(tmp_path):
     assert len(lines) == 2 + 21
 
 
-def test_score_records_missing_state():
-    from codeshift.uncertainty import EstimatorStateError
-
-    with pytest.raises(EstimatorStateError):
-        ep.score_records(None, "temp_scale", [], temperature=None)
-    with pytest.raises(EstimatorStateError):
-        ep.score_records(None, "mmutant", [], ensembles=None)
-    with pytest.raises(EstimatorStateError):
-        ep.score_records(None, "dissector", [], probes=None)
-    with pytest.raises(ValueError):
-        ep.score_records(None, "unknown", [])
+def test_best_per_metric():
+    blocks = {
+        "GF": {"auc": 60.0, "aupr": 50.0, "brier": 0.2},
+        "WS": {"auc": 70.0, "aupr": None, "brier": 0.1},
+        "NS": {"auc": 65.0, "aupr": 40.0, "brier": 0.3},
+    }
+    best = ep._best_per_metric(blocks)
+    assert best["auc"] == {"value": 70.0, "variant": "WS"}
+    assert best["aupr"] == {"value": 50.0, "variant": "GF"}  # undefined variants are skipped
+    assert best["brier"] == {"value": 0.1, "variant": "WS"}  # lower is better
+    undefined = ep._best_per_metric({"only": {"auc": None, "aupr": None, "brier": None}})
+    assert undefined["auc"] == {"value": None, "variant": None}

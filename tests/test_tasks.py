@@ -51,9 +51,9 @@ def zeroed(model):
 def test_zero_cs_model_uniform_probs():
     encoded, terminals, paths, labels = cs_training_setup()
     model = zeroed(tasks.PathAttentionModel(terminals, paths, labels, dim=16))
-    probs, activations = tasks.forward_cs(model, encoded[0])
-    assert np.allclose(probs, 1.0 / len(labels))
-    assert abs(activations["attention_weights"].sum() - 1.0) < 1e-6
+    out = tasks.infer(model, encoded[:1], keys=("probs", "weights"))
+    assert np.allclose(out["probs"][0], 1.0 / len(labels))
+    assert abs(out["weights"][0].sum() - 1.0) < 1e-6
 
 
 def test_single_context_attention_weight_is_one():
@@ -66,30 +66,30 @@ def test_single_context_attention_weight_is_one():
         right=encoded[0].right[:1],
     )
     model = tasks.PathAttentionModel(terminals, paths, labels, dim=16, seed=3)
-    _, activations = tasks.forward_cs(model, single)
-    assert np.allclose(activations["attention_weights"], [1.0])
+    weights = tasks.infer(model, [single], keys=("weights",))["weights"][0]
+    assert np.allclose(weights, [1.0])
 
 
 def test_attention_weights_sum_to_one_per_sample():
     encoded, terminals, paths, labels = cs_training_setup()
     model = tasks.PathAttentionModel(terminals, paths, labels, dim=16, seed=1)
     for s in encoded:
-        _, activations = tasks.forward_cs(model, s)
-        assert abs(activations["attention_weights"].sum() - 1.0) < 1e-5
+        weights = tasks.infer(model, [s], keys=("weights",))["weights"][0]
+        assert abs(weights.sum() - 1.0) < 1e-5
 
 
 def test_empty_context_bag_raises():
     encoded, terminals, paths, labels = cs_training_setup()
     model = tasks.PathAttentionModel(terminals, paths, labels, dim=8)
     empty = tasks.EncodedMethod("none", 2, np.array([], int), np.array([], int), np.array([], int))
-    with pytest.raises(ValueError):
-        tasks.forward_cs(model, empty)
+    with pytest.raises(ValueError, match="empty context bag"):
+        tasks.infer(model, [empty])
 
 
 def test_zero_cc_model_uniform_and_mean_idempotence():
     encoded, vocab = cc_training_setup()
     model = zeroed(tasks.MlpCompletionModel(vocab, dim=16))
-    probs, _ = tasks.forward_cc(model, encoded[0])
+    probs = tasks.infer(model, encoded[:1])["probs"][0]
     assert np.allclose(probs, 1.0 / len(vocab))
 
     model = tasks.MlpCompletionModel(vocab, dim=16, seed=9)
@@ -97,8 +97,8 @@ def test_zero_cc_model_uniform_and_mean_idempotence():
     pad = ex.PAD_ID
     once = tasks.EncodedCbow("s1", 2, np.array([tok, pad, pad, pad]))
     twice = tasks.EncodedCbow("s2", 2, np.array([tok, tok, pad, pad]))
-    p_once, _ = tasks.forward_cc(model, once)
-    p_twice, _ = tasks.forward_cc(model, twice)
+    p_once = tasks.infer(model, [once])["probs"][0]
+    p_twice = tasks.infer(model, [twice])["probs"][0]
     assert np.allclose(p_once, p_twice, atol=1e-6)
 
 
@@ -106,8 +106,8 @@ def test_all_pad_context_raises():
     encoded, vocab = cc_training_setup()
     model = tasks.MlpCompletionModel(vocab, dim=8)
     bad = tasks.EncodedCbow("bad", 2, np.full(8, ex.PAD_ID))
-    with pytest.raises(ValueError):
-        tasks.forward_cc(model, bad)
+    with pytest.raises(ValueError, match="all-PAD"):
+        tasks.infer(model, [bad])
 
 
 def test_cs_memorization_oracle():

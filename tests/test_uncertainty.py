@@ -1,7 +1,9 @@
-"""Estimator contracts: all five methods plus variant selection."""
+"""Estimator contracts: all five methods, the registry, and score files."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from codeshift import extraction as ex
 from codeshift import tasks
@@ -56,23 +58,28 @@ def sample_for(vocab, target="t0"):
     return tasks.EncodedCbow("s0", vocab.encode(target), np.array([2, 2, ex.PAD_ID, ex.PAD_ID]))
 
 
+def assert_same_scores(a, b):
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+
+
 # -- vanilla ---------------------------------------------------------------
 
 
 def test_vanilla_is_max_softmax():
     model, vocab = forced_prob_model([0.7, 0.2, 0.1])
-    rec = uq.vanilla_confidence(model, sample_for(vocab))
-    assert abs(rec.confidence - 0.7) < 1e-6
-    assert rec.predicted == 0
+    rec = uq.ESTIMATORS["vanilla"].table(model, None, "", [sample_for(vocab)])
+    assert abs(rec.confidence[0] - 0.7) < 1e-6
+    assert rec.predicted[0] == 0
     assert rec.method == "vanilla" and rec.variant == ""
 
 
 def test_vanilla_uniform_and_purity():
     model, vocab = forced_prob_model([0.25, 0.25, 0.25, 0.25])
-    a = uq.vanilla_confidence(model, sample_for(vocab))
-    b = uq.vanilla_confidence(model, sample_for(vocab))
-    assert abs(a.confidence - 0.25) < 1e-6
-    assert a == b
+    a = uq.score_vanilla(model, [sample_for(vocab)])
+    b = uq.score_vanilla(model, [sample_for(vocab)])
+    assert abs(a[1][0] - 0.25) < 1e-6
+    assert_same_scores(a, b)
 
 
 # -- temperature scaling ------------------------------------------------------
@@ -80,17 +87,16 @@ def test_vanilla_uniform_and_purity():
 
 def test_temperature_one_equals_vanilla(cc_setup):
     model, encoded, _ = cc_setup
-    vanilla = uq.score_vanilla(model, encoded)
-    scaled = uq.score_temp_scale(model, 1.0, encoded)
-    for v, t in zip(vanilla, scaled):
-        assert v.predicted == t.predicted
-        assert abs(v.confidence - t.confidence) < 1e-6
+    _, v_conf, v_pred = uq.score_vanilla(model, encoded)
+    _, t_conf, t_pred = uq.score_temp_scale(model, 1.0, encoded)
+    assert np.array_equal(v_pred, t_pred)
+    assert np.all(np.abs(v_conf - t_conf) < 1e-6)
 
 
 def test_large_temperature_flattens():
     model, vocab = forced_prob_model([0.88, 0.04, 0.04, 0.04])
-    rec = uq.temp_scale_confidence(model, 1e6, sample_for(vocab))
-    assert abs(rec.confidence - 0.25) < 1e-3
+    _, conf, _ = uq.score_temp_scale(model, 1e6, [sample_for(vocab)])
+    assert abs(conf[0] - 0.25) < 1e-3
 
 
 def test_fit_temperature_improves_nll(cc_setup):
@@ -105,9 +111,7 @@ def test_fit_temperature_improves_nll(cc_setup):
 def test_temp_scaling_preserves_argmax(cc_setup):
     model, encoded, _ = cc_setup
     t_star = uq.fit_temperature(model, encoded)
-    vanilla = uq.score_vanilla(model, encoded)
-    scaled = uq.score_temp_scale(model, t_star, encoded)
-    assert all(v.predicted == t.predicted for v, t in zip(vanilla, scaled))
+    assert np.array_equal(uq.score_vanilla(model, encoded)[2], uq.score_temp_scale(model, t_star, encoded)[2])
 
 
 def test_fit_temperature_degenerate_clamps_and_warns():
@@ -131,27 +135,25 @@ def test_fit_temperature_empty_validation():
 
 def test_mc_dropout_p_zero_is_vanilla_bitwise(cc_setup):
     model, encoded, _ = cc_setup
-    vanilla = uq.score_vanilla(model, encoded)
+    _, v_conf, v_pred = uq.score_vanilla(model, encoded)
     for passes in (1, 7):
-        mc = uq.score_mc_dropout(model, encoded, passes=passes, p=0.0, seed=3)
-        for v, m in zip(vanilla, mc):
-            assert v.confidence == m.confidence  # bitwise
-            assert v.predicted == m.predicted
+        _, m_conf, m_pred = uq.score_mc_dropout(model, encoded, passes=passes, p=0.0, seed=3)
+        assert np.array_equal(v_conf, m_conf)  # bitwise
+        assert np.array_equal(v_pred, m_pred)
 
 
 def test_mc_dropout_deterministic_per_seed(cc_setup):
     model, encoded, _ = cc_setup
     one = uq.score_mc_dropout(model, encoded, passes=1, p=0.5, seed=9)
     two = uq.score_mc_dropout(model, encoded, passes=1, p=0.5, seed=9)
-    assert one == two
+    assert_same_scores(one, two)
 
 
 def test_mc_dropout_converges_with_passes(cs_setup):
     model, encoded = cs_setup
-    a = uq.score_mc_dropout(model, encoded[:6], passes=100, p=0.5, seed=1)
-    b = uq.score_mc_dropout(model, encoded[:6], passes=200, p=0.5, seed=2)
-    for ra, rb in zip(a, b):
-        assert abs(ra.confidence - rb.confidence) < 0.05
+    _, a, _ = uq.score_mc_dropout(model, encoded[:6], passes=100, p=0.5, seed=1)
+    _, b, _ = uq.score_mc_dropout(model, encoded[:6], passes=200, p=0.5, seed=2)
+    assert np.all(np.abs(a - b) < 0.05)
 
 
 def test_mc_dropout_zero_passes_rejected(cc_setup):
@@ -167,10 +169,10 @@ def test_mmutant_degree_zero_lcr_zero(cc_setup):
     model, encoded, _ = cc_setup
     for op in uq.MUTATION_OPERATORS:
         ensemble = uq.build_mutant_ensemble(model, op, degree=0.0, count=5, seed=1)
-        for rec in uq.score_mmutant(model, ensemble, encoded[:10]):
-            assert rec.raw_score == 0.0
-            assert rec.confidence == 1.0
-            assert rec.variant == op
+        rec = uq.ESTIMATORS["mmutant"].table(model, {op: ensemble}, op, encoded[:10])
+        assert np.all(rec.raw == 0.0)
+        assert np.all(rec.confidence == 1.0)
+        assert rec.variant == op
 
 
 def test_mmutant_tied_logits_flip_under_gf():
@@ -182,8 +184,8 @@ def test_mmutant_tied_logits_flip_under_gf():
     model.params()["w_out"].data[:] = np.repeat(rows, model.n_classes(), axis=1)
     model.params()["token_emb"].data[2:, :] = 1.0
     ensemble = uq.build_mutant_ensemble(model, "GF", degree=1.0, count=40, seed=7)
-    rec = uq.mmutant_confidence(model, ensemble, sample_for(vocab))
-    assert rec.raw_score > 0.5
+    lcr, _, _ = uq.score_mmutant(model, ensemble, [sample_for(vocab)])
+    assert lcr[0] > 0.5
 
 
 def test_nai_flips_preactivation_sign_exactly(cc_setup):
@@ -220,7 +222,7 @@ def test_mutation_deterministic(cc_setup):
     e2 = uq.build_mutant_ensemble(model, "GF", degree=0.05, count=6, seed=21)
     r1 = uq.score_mmutant(model, e1, encoded[:12])
     r2 = uq.score_mmutant(model, e2, encoded[:12])
-    assert r1 == r2
+    assert_same_scores(r1, r2)
 
 
 def test_mutation_does_not_touch_base(cc_setup):
@@ -261,8 +263,8 @@ def test_dissector_unanimous_probe_gives_pv_one(cc_setup):
     preds = tasks.infer(model, encoded[:1])["probs"].argmax(-1)
     probe = unanimous_probe(model, agree_with=int(preds[0]))
     probes = uq.ProbeSet(probes=[probe], n_classes=model.n_classes())
-    rec = uq.dissector_confidence(model, probes, "linear", encoded[0])
-    assert rec.confidence == 1.0
+    _, conf, _ = uq.score_dissector(model, probes, "linear", encoded[:1])
+    assert conf[0] == 1.0
 
 
 def test_dissector_zero_probability_on_label_pulls_pv_down(cc_setup):
@@ -271,8 +273,8 @@ def test_dissector_zero_probability_on_label_pulls_pv_down(cc_setup):
     wrong = (int(preds[0]) + 1) % model.n_classes()
     probe = unanimous_probe(model, agree_with=wrong)
     probes = uq.ProbeSet(probes=[probe], n_classes=model.n_classes())
-    rec = uq.dissector_confidence(model, probes, "linear", encoded[0])
-    assert rec.confidence == 0.0
+    _, conf, _ = uq.score_dissector(model, probes, "linear", encoded[:1])
+    assert conf[0] == 0.0
 
 
 def test_dissector_trained_probes_in_bounds(cs_setup):
@@ -280,9 +282,9 @@ def test_dissector_trained_probes_in_bounds(cs_setup):
     probes = uq.train_probes(model, encoded, epochs=5, seed=0)
     assert [p.tag for p in probes.probes] == list(uq.CS_PROBE_LAYERS)
     for growth in uq.GROWTH_TYPES:
-        for rec in uq.score_dissector(model, probes, growth, encoded):
-            assert 0.0 <= rec.confidence <= 1.0
-            assert rec.variant == growth
+        rec = uq.ESTIMATORS["dissector"].table(model, probes, growth, encoded)
+        assert np.all((0.0 <= rec.confidence) & (rec.confidence <= 1.0))
+        assert rec.variant == growth
 
 
 def test_dissector_label_space_mismatch(cc_setup, cs_setup):
@@ -293,32 +295,114 @@ def test_dissector_label_space_mismatch(cc_setup, cs_setup):
         uq.score_dissector(cc_model, probes, "linear", cc_encoded[:2])
 
 
-# -- variant selection ------------------------------------------------------------
+# -- registry and score tables ------------------------------------------------------
 
-
-def test_best_of_variants():
-    recs = {"GF": ["gf"], "WS": ["ws"], "NS": ["ns"]}
-    scores = {"gf": 60.0, "ws": 70.0, "ns": 65.0}
-    name, records, score = uq.best_of_variants(recs, lambda r: scores[r[0]])
-    assert name == "WS" and score == 70.0
-    name, _, score = uq.best_of_variants(
-        {"linear": ["a"], "log": ["b"]}, lambda r: {"a": 0.2, "b": 0.1}[r[0]], higher_is_better=False
-    )
-    assert name == "log" and score == 0.1
-    single = uq.best_of_variants({"only": ["x"]}, lambda r: None)
-    assert single == ("only", ["x"], None)
-    with pytest.raises(ValueError):
-        uq.best_of_variants({}, lambda r: 0)
+SETTINGS = {
+    "mc_passes": 4, "mc_dropout_p": 0.5, "mutant_count": 6, "mutation_degree": 0.4,
+    "probe_epochs": 2, "probe_learning_rate": 0.001, "seed": 0,
+}
 
 
 def test_all_confidences_in_unit_interval(cc_setup):
     model, encoded, _ = cc_setup
-    batches = [
-        uq.score_vanilla(model, encoded),
-        uq.score_temp_scale(model, 2.0, encoded),
-        uq.score_mc_dropout(model, encoded, passes=4, p=0.5, seed=0),
-        uq.score_mmutant(model, uq.build_mutant_ensemble(model, "NAI", 0.4, count=6, seed=0), encoded),
-    ]
-    for records in batches:
-        for rec in records:
-            assert 0.0 <= rec.confidence <= 1.0
+    for estimator in uq.ESTIMATORS.values():
+        state = estimator.fit(model, encoded, encoded, SETTINGS)
+        for variant in estimator.variants:
+            rec = estimator.table(model, state, variant, encoded, "validation")
+            assert len(rec) == len(encoded)
+            assert np.all((0.0 <= rec.confidence) & (rec.confidence <= 1.0))
+
+
+def test_registry_flags_and_variants():
+    assert {name: e.flag for name, e in uq.ESTIMATORS.items()} == {
+        "vanilla": "vanilla", "temp_scale": "temp", "mc_dropout": "mcdropout",
+        "mmutant": "mmutant", "dissector": "dissector",
+    }
+    assert uq.ESTIMATORS["mmutant"].variants == ("GF", "WS", "NS", "NAI")
+    assert uq.ESTIMATORS["dissector"].variants == ("linear", "log", "exp")
+    assert all(uq.ESTIMATORS[m].variants == ("",) for m in ("vanilla", "temp_scale", "mc_dropout"))
+
+
+def test_mmutant_registry_scores_every_operator_with_its_own_ensemble(cc_setup):
+    model, encoded, _ = cc_setup
+    estimator = uq.ESTIMATORS["mmutant"]
+    ensembles = estimator.fit(model, encoded, encoded, SETTINGS)
+    assert sorted(ensembles) == sorted(uq.MUTATION_OPERATORS)
+    tables = [estimator.table(model, ensembles, op, encoded, "test1") for op in estimator.variants]
+    assert [t.variant for t in tables] == ["GF", "WS", "NS", "NAI"]
+    for op, t in zip(estimator.variants, tables):
+        assert ensembles[op].operator == op
+        lcr, conf, pred = uq.score_mmutant(model, ensembles[op], encoded)
+        assert np.array_equal(t.raw, lcr) and np.array_equal(t.confidence, conf)
+        assert np.array_equal(t.predicted, pred)
+    # each operator is scored with its own ensemble, not the first one
+    assert not np.array_equal(tables[0].raw, tables[3].raw)
+
+
+def test_mc_dropout_stream_is_keyed_by_split(cc_setup):
+    model, encoded, _ = cc_setup
+    estimator = uq.ESTIMATORS["mc_dropout"]
+    state = estimator.fit(model, encoded, encoded, SETTINGS)
+    test1 = estimator.table(model, state, "", encoded, "test1")
+    again = estimator.table(model, state, "", encoded, "test1")
+    other = estimator.table(model, state, "", encoded, "test2")
+    assert np.array_equal(test1.confidence, again.confidence)
+    assert not np.array_equal(test1.confidence, other.confidence)
+
+
+def test_registry_missing_state():
+    with pytest.raises(uq.EstimatorStateError):
+        uq.ESTIMATORS["temp_scale"].score(None, None, "", [], "")
+    with pytest.raises(uq.EstimatorStateError):
+        uq.ESTIMATORS["mmutant"].score(None, None, "GF", [], "")
+    with pytest.raises(uq.EstimatorStateError):
+        uq.ESTIMATORS["dissector"].score(None, None, "linear", [], "")
+    with pytest.raises(KeyError):
+        uq.ESTIMATORS["unknown"]
+
+
+def test_table_rejects_confidence_outside_unit_interval(cc_setup):
+    model, encoded, _ = cc_setup
+    broken = uq.Estimator(
+        "broken", "broken", ("",), fit=lambda *a: None,
+        score=lambda model, state, variant, samples, split: (np.ones(len(samples)), np.full(len(samples), 1.5), np.zeros(len(samples))),
+    )
+    with pytest.raises(ValueError, match=encoded[0].sample_id):
+        broken.table(model, None, "", encoded)
+
+
+# -- score files ----------------------------------------------------------------------
+
+_name = st.text(alphabet="abcdefghijklmnopqrstuvwxyzABCXYZ0123456789_#.", max_size=12)
+
+
+@st.composite
+def score_tables(draw):
+    n = draw(st.integers(min_value=1, max_value=30))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    ints = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+    return uq.ScoreTable(
+        method=draw(_name),
+        variant=draw(_name),
+        split=draw(_name),
+        sample_ids=draw(st.lists(_name, min_size=n, max_size=n)),
+        raw=np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=np.float64),
+        confidence=np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)), dtype=np.float64),
+        predicted=np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64),
+        true=np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64),
+    )
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=score_tables())
+def test_scores_csv_roundtrip(tmp_path, table):
+    path = tmp_path / "scores.csv"
+    uq.write_scores_csv(path, table, config_hash="abc")
+    back = uq.read_scores_csv(path)
+    assert (back.method, back.variant, back.split) == (table.method, table.variant, table.split)
+    assert back.sample_ids == table.sample_ids
+    for column in ("raw", "confidence"):
+        assert getattr(back, column).dtype == np.float64
+        assert getattr(back, column).tobytes() == getattr(table, column).tobytes()  # bit-identical
+    assert np.array_equal(back.predicted, table.predicted)
+    assert np.array_equal(back.true, table.true)
