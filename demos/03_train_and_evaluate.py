@@ -20,7 +20,7 @@ class Fixtures {
 tree = ex.parse_java_lite(ex.tokenize_java(cs_source))
 cs_samples = ex.extract_method_samples(tree)
 terminals, paths, labels = ex.build_cs_vocabs(cs_samples)
-cs_encoded = tasks.encode_method_samples(cs_samples, terminals, paths, labels, id_prefix="demo")
+cs_encoded = tasks.encode_split(cs_samples, {"terminals": terminals, "paths": paths, "labels": labels}, id_prefix="demo")
 
 config = tasks.TrainConfig(embedding_dim=32, epochs=60, seed=1)
 result = tasks.train_cs(cs_encoded, terminals, paths, labels, config)
@@ -41,7 +41,7 @@ print(f"  checkpoint round-trip: {len(blob)} bytes, accuracy after reload "
 cc_tokens = ex.tokenize_java("int a0 = b0; int a1 = b1; int a2 = b2; long c0 = d0;")
 cc_samples = ex.extract_cbow_samples(cc_tokens, window=4)
 vocab = ex.build_cc_vocab(cc_samples)
-cc_encoded = tasks.encode_cbow_samples(cc_samples, vocab, id_prefix="demo")
+cc_encoded = tasks.encode_split(cc_samples, {"tokens": vocab}, id_prefix="demo")
 cc_result = tasks.train_cc(cc_encoded, vocab, tasks.TrainConfig(seed=1))  # published defaults
 print("\ncode completion (CBOW MLP):")
 print(f"  final train accuracy {cc_result.history[-1]['train_acc']:.1f}% over {len(cc_encoded)} samples")

@@ -4,7 +4,7 @@ Every estimator maps (model, sample) to a confidence in [0, 1] where
 higher means "more likely within the model's competence": max softmax
 (vanilla), temperature-scaled softmax, MC-Dropout averaging, mutation
 label-change rate (1 - LCR), and probe-based PV scores. The registry
-`uq.ESTIMATORS` fits each one and scores a sample list into one column
+`uq.ESTIMATORS` fits each one and scores an encoded split into one column
 table per variant, the same path the `codeshift score` command takes.
 """
 
@@ -25,7 +25,7 @@ class Pair {
 tree = ex.parse_java_lite(ex.tokenize_java(source))
 samples = ex.extract_method_samples(tree)
 terminals, paths, labels = ex.build_cs_vocabs(samples)
-encoded = tasks.encode_method_samples(samples, terminals, paths, labels, id_prefix="demo")
+encoded = tasks.encode_split(samples, {"terminals": terminals, "paths": paths, "labels": labels}, id_prefix="demo")
 model = tasks.train_cs(encoded, terminals, paths, labels,
                        tasks.TrainConfig(embedding_dim=24, epochs=60, seed=5)).model
 

@@ -29,6 +29,7 @@ from .config import (
     manifest_path,
 )
 from .extraction import (
+    ContextFormatError,
     LexicalError,
     ParseError,
     Vocabulary,
@@ -43,6 +44,7 @@ from .extraction import (
 )
 
 TASKS = ("cs", "cc")
+VOCAB_NAMES = {"cs": ("labels", "paths", "terminals"), "cc": ("tokens",)}
 SHIFTS = ("timeline", "project", "author")
 
 
@@ -231,21 +233,21 @@ def cmd_extract(config: dict, args) -> int:
 
 def _load_vocabs(bucket: Path, task: str, shift: str) -> dict[str, Vocabulary]:
     path = _require(_vocabs_path(bucket, task, shift), f"extract --task {task} --shift {shift}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    return {name: Vocabulary.from_tokens(tokens) for name, tokens in payload["vocabs"].items()}
+    try:
+        vocabs = json.loads(path.read_text(encoding="utf-8"))["vocabs"]
+        if sorted(vocabs) != list(VOCAB_NAMES[task]):
+            raise ValueError(f"expected vocabularies {list(VOCAB_NAMES[task])}, got {sorted(vocabs)}")
+        return {name: Vocabulary.from_tokens(tokens) for name, tokens in vocabs.items()}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationFailure(f"vocab file {path} is malformed: {type(exc).__name__}: {exc}") from exc
 
 
-def _load_encoded(bucket: Path, config: dict, task: str, shift: str, split: str, vocabs: dict):
+def _load_encoded(bucket: Path, task: str, shift: str, split: str, vocabs: dict) -> tasks.EncodedSplit:
     path = _require(
         _contexts_path(bucket, task, shift, split), f"extract --task {task} --shift {shift}"
     )
-    if task == "cs":
-        raw = read_cs_contexts(path)
-        return tasks.encode_method_samples(
-            raw, vocabs["terminals"], vocabs["paths"], vocabs["labels"], id_prefix=split
-        )
-    raw = read_cc_contexts(path)
-    return tasks.encode_cbow_samples(raw, vocabs["tokens"], id_prefix=split)
+    raw = read_cs_contexts(path) if task == "cs" else read_cc_contexts(path)
+    return tasks.encode_split(raw, vocabs, id_prefix=split)
 
 
 def _split_names(bucket: Path, task: str, shift: str) -> list[str]:
@@ -260,8 +262,8 @@ def _split_names(bucket: Path, task: str, shift: str) -> list[str]:
 def cmd_train(config: dict, args) -> int:
     bucket = bucket_dir(config)
     vocabs = _load_vocabs(bucket, args.task, args.shift)
-    train_enc = _load_encoded(bucket, config, args.task, args.shift, "train", vocabs)
-    val_enc = _load_encoded(bucket, config, args.task, args.shift, "validation", vocabs)
+    train_enc = _load_encoded(bucket, args.task, args.shift, "train", vocabs)
+    val_enc = _load_encoded(bucket, args.task, args.shift, "validation", vocabs)
     t = config["train"]
     train_config = tasks.TrainConfig(
         learning_rate=t["learning_rate"],
@@ -314,8 +316,8 @@ def cmd_score(config: dict, args) -> int:
     eval_splits = [s for s in split_names if s == "validation" or s.startswith("test")]
     if "validation" not in eval_splits:
         raise ValidationFailure("no validation contexts found; run `extract` first")
-    encoded = {s: _load_encoded(bucket, config, args.task, args.shift, s, vocabs) for s in eval_splits}
-    train = _load_encoded(bucket, config, args.task, args.shift, "train", vocabs)
+    encoded = {s: _load_encoded(bucket, args.task, args.shift, s, vocabs) for s in eval_splits}
+    train = _load_encoded(bucket, args.task, args.shift, "train", vocabs)
 
     settings = {**config["uncertainty"], "seed": config["seed"]}
     fitted = [(e, e.fit(model, train, encoded["validation"], settings)) for e in _estimators(args.method)]
@@ -334,18 +336,15 @@ def cmd_score(config: dict, args) -> int:
     return 0
 
 
-def _read_all_scores(bucket: Path, task: str, shift: str) -> list[uq.ScoreTable]:
-    paths = sorted((bucket / "scores").glob(f"{task}-{shift}-*.csv"))
-    if not paths:
-        raise ValidationFailure(
-            f"no scores for {task}/{shift} under {bucket / 'scores'}; run `score --task {task} --shift {shift}` first"
-        )
-    return [uq.read_scores_csv(path) for path in paths]
-
-
 def cmd_eval(config: dict, args) -> int:
     bucket = bucket_dir(config)
-    tables = _read_all_scores(bucket, args.task, args.shift)
+    paths = sorted((bucket / "scores").glob(f"{args.task}-{args.shift}-*.csv"))
+    if not paths:
+        raise ValidationFailure(
+            f"no scores for {args.task}/{args.shift} under {bucket / 'scores'}; "
+            f"run `score --task {args.task} --shift {args.shift}` first"
+        )
+    tables = [uq.read_scores_csv(path) for path in paths]
     vanilla = sorted((t for t in tables if t.method == "vanilla"), key=lambda t: t.split)
     if not vanilla:
         raise ValidationFailure("eval needs vanilla scores for the accuracy table; run `score` with vanilla or all")
@@ -377,11 +376,16 @@ def _variant_tables(bucket: Path, args) -> tuple[uq.Estimator, str, dict[str, uq
         if estimator.variants == ("",):
             raise ValidationFailure(f"method {estimator.name} has no variants")
         raise ValidationFailure(f"{estimator.name} has variants {estimator.variants}, not {variant!r}")
-    tables = {
-        t.split: t
-        for t in _read_all_scores(bucket, args.task, args.shift)
-        if t.method == estimator.name and t.variant == variant
-    }
+    pattern = _scores_path(bucket, args.task, args.shift, estimator.name, variant, split="*")
+    tables = {}
+    for path in sorted(pattern.parent.glob(pattern.name)):
+        table = uq.read_scores_csv(path)
+        if (table.method, table.variant) != (estimator.name, variant):
+            raise ValidationFailure(
+                f"score file {path} holds method={table.method} variant={table.variant!r}, "
+                f"expected method={estimator.name} variant={variant!r}"
+            )
+        tables[table.split] = table
     if not tables:
         raise ValidationFailure(f"no records for method={estimator.name} variant={variant!r}")
     return estimator, variant, tables
@@ -485,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationFailure as exc:
         print(f"codeshift: {exc}", file=sys.stderr)
         return 2
-    except (corpus.ManifestError, uq.EstimatorStateError, uq.ScoresFileError) as exc:
+    except (corpus.ManifestError, ContextFormatError, uq.EstimatorStateError, uq.ScoresFileError) as exc:
         print(f"codeshift: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # anything else is a runtime failure

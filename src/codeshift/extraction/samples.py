@@ -216,6 +216,7 @@ def write_cc_contexts(path, samples: list[CbowSample]) -> None:
 
 def read_cc_contexts(path) -> list[CbowSample]:
     samples = []
+    first = None  # (line number, field count) of the first sample
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -224,5 +225,11 @@ def read_cc_contexts(path) -> list[CbowSample]:
             parts = line.split(" ")
             if len(parts) < 3 or len(parts) % 2 == 0:
                 raise ContextFormatError(f"{path}:{lineno}: expected target plus 2*w context tokens")
+            if first is None:
+                first = (lineno, len(parts))
+            elif len(parts) != first[1]:
+                raise ContextFormatError(
+                    f"{path}:{lineno}: {len(parts) - 1} context tokens, but line {first[0]} has {first[1] - 1}"
+                )
             samples.append(CbowSample(target=parts[0], context=parts[1:]))
     return samples

@@ -17,12 +17,15 @@ the model can never legitimately produce UNK.
 
 from __future__ import annotations
 
+import copy
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn
-from .extraction import PAD_ID, UNK_ID, CbowSample, MethodSample, Vocabulary
+from .extraction import PAD_ID, UNK_ID, Vocabulary
 
 CS = "cs"
 CC = "cc"
@@ -48,57 +51,82 @@ class TrainConfig:
         }
 
 
-@dataclass
-class EncodedMethod:
-    sample_id: str
-    label: int
-    left: np.ndarray
-    path: np.ndarray
-    right: np.ndarray
+@dataclass(frozen=True, eq=False)
+class EncodedSplit:
+    """One split's model inputs as padded id columns, one row per sample.
 
+    `inputs` holds the keyword arguments of the model's `forward_batch`,
+    each of shape (N, W) and right-padded with PAD_ID: CS `left`/`path`/
+    `right` ids plus the bool `mask` (True on real contexts), CC `context`
+    ids. `lengths` counts each row's real slots.
+    """
 
-@dataclass
-class EncodedCbow:
-    sample_id: str
-    target: int
-    context: np.ndarray
+    sample_ids: np.ndarray  # str
+    labels: np.ndarray  # int64
+    inputs: dict[str, np.ndarray]
+    lengths: np.ndarray  # int64
 
+    def __len__(self) -> int:
+        return len(self.labels)
 
-def encode_method_samples(
-    samples: list[MethodSample],
-    terminals: Vocabulary,
-    paths: Vocabulary,
-    labels: Vocabulary,
-    id_prefix: str = "",
-) -> list[EncodedMethod]:
-    """Encode against frozen vocabularies, dropping context-free methods."""
-    encoded = []
-    for i, s in enumerate(samples):
-        if not s.contexts:
-            continue
-        encoded.append(
-            EncodedMethod(
-                sample_id=f"{id_prefix}#{i}",
-                label=labels.encode(s.label),
-                left=terminals.encode_all(c.left for c in s.contexts),
-                path=paths.encode_all(c.path for c in s.contexts),
-                right=terminals.encode_all(c.right for c in s.contexts),
-            )
+    def __getitem__(self, rows) -> "EncodedSplit":
+        """The sub-split at `rows` (a slice or an index array), trimmed to its longest real row."""
+        lengths = self.lengths[rows]
+        width = int(lengths.max(initial=0))
+        return EncodedSplit(
+            sample_ids=self.sample_ids[rows],
+            labels=self.labels[rows],
+            inputs={name: ids[rows, :width] for name, ids in self.inputs.items()},
+            lengths=lengths,
         )
-    return encoded
 
 
-def encode_cbow_samples(
-    samples: list[CbowSample], vocab: Vocabulary, id_prefix: str = ""
-) -> list[EncodedCbow]:
-    return [
-        EncodedCbow(
-            sample_id=f"{id_prefix}#{i}",
-            target=vocab.encode(s.target),
-            context=vocab.encode_all(s.context),
+def pack(sample_ids, labels, rows: dict[str, Sequence], masked: bool = False) -> EncodedSplit:
+    """Pad per-sample id rows into one EncodedSplit.
+
+    `rows` maps each input name to one id sequence per sample, and a
+    sample's sequences all have the same length. `masked` adds the `mask`
+    input the path-attention model pools with.
+    """
+    sizes = {name: np.fromiter(map(len, column), dtype=np.int64, count=len(column)) for name, column in rows.items()}
+    lengths = next(iter(sizes.values()))
+    real = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    inputs = {"mask": real} if masked else {}
+    for name, column in rows.items():
+        if not np.array_equal(sizes[name], lengths):
+            raise ValueError(f"input {name!r} rows differ in length from the first input's")
+        padded = np.full(real.shape, PAD_ID, dtype=np.int64)
+        padded[real] = np.fromiter(itertools.chain.from_iterable(column), dtype=np.int64, count=int(lengths.sum()))
+        inputs[name] = padded
+    return EncodedSplit(np.array(sample_ids, dtype=str), np.asarray(labels, dtype=np.int64), inputs, lengths)
+
+
+def encode_split(samples: list, vocabs: dict[str, Vocabulary], id_prefix: str = "") -> EncodedSplit:
+    """Encode a split's samples against frozen vocabularies and pack them.
+
+    `vocabs` holds the CS `terminals`/`paths`/`labels` vocabularies or the
+    CC `tokens` one, under the names a checkpoint stores them. CS methods
+    without contexts are dropped; a sample's id is `<id_prefix>#<index>`.
+    """
+    if "tokens" in vocabs:
+        tokens = vocabs["tokens"]
+        return pack(
+            [f"{id_prefix}#{i}" for i in range(len(samples))],
+            tokens.encode_all(s.target for s in samples),
+            {"context": [tokens.encode_all(s.context) for s in samples]},
         )
-        for i, s in enumerate(samples)
-    ]
+    kept = [(i, s) for i, s in enumerate(samples) if s.contexts]
+    terminals, paths = vocabs["terminals"], vocabs["paths"]
+    return pack(
+        [f"{id_prefix}#{i}" for i, _ in kept],
+        vocabs["labels"].encode_all(s.label for _, s in kept),
+        {
+            "left": [terminals.encode_all(c.left for c in s.contexts) for _, s in kept],
+            "path": [paths.encode_all(c.path for c in s.contexts) for _, s in kept],
+            "right": [terminals.encode_all(c.right for c in s.contexts) for _, s in kept],
+        },
+        masked=True,
+    )
 
 
 def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype) -> nn.Tensor:
@@ -106,7 +134,22 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
     return nn.Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True, dtype=dtype)
 
 
-class PathAttentionModel:
+class _TaskModel:
+    """What both task models share: named parameters and their copies."""
+
+    _params: dict[str, nn.Tensor]
+
+    def params(self) -> dict[str, nn.Tensor]:
+        return self._params
+
+    def clone(self):
+        """A copy with its own parameter arrays; vocabularies and settings are shared."""
+        twin = copy.copy(self)
+        twin._params = {name: nn.Tensor(p.data.copy(), requires_grad=True) for name, p in self._params.items()}
+        return twin
+
+
+class PathAttentionModel(_TaskModel):
     kind = CS
 
     def __init__(
@@ -136,22 +179,11 @@ class PathAttentionModel:
             "b_out": zeros(len(labels)),
         }
 
-    def params(self) -> dict[str, nn.Tensor]:
-        return self._params
-
     def affine_layers(self) -> list[tuple[str, str]]:
         return [("w_comb", "b_comb"), ("w_out", "b_out")]
 
     def n_classes(self) -> int:
         return len(self.labels)
-
-    def clone(self) -> "PathAttentionModel":
-        twin = PathAttentionModel(
-            self.terminals, self.paths, self.labels, dim=self.dim, dropout_p=self.dropout_p
-        )
-        for name, p in self._params.items():
-            twin._params[name] = nn.Tensor(p.data.copy(), requires_grad=True)
-        return twin
 
     def forward_batch(
         self,
@@ -191,7 +223,7 @@ class PathAttentionModel:
         }
 
 
-class MlpCompletionModel:
+class MlpCompletionModel(_TaskModel):
     kind = CC
 
     def __init__(self, tokens: Vocabulary, dim: int = 100, seed: int = 0, dtype=np.float32):
@@ -205,32 +237,24 @@ class MlpCompletionModel:
             "b_out": nn.Tensor(np.zeros(len(tokens)), requires_grad=True, dtype=dtype),
         }
 
-    def params(self) -> dict[str, nn.Tensor]:
-        return self._params
-
     def affine_layers(self) -> list[tuple[str, str]]:
         return [("w_out", "b_out")]
 
     def n_classes(self) -> int:
         return len(self.tokens)
 
-    def clone(self) -> "MlpCompletionModel":
-        twin = MlpCompletionModel(self.tokens, dim=self.dim)
-        for name, p in self._params.items():
-            twin._params[name] = nn.Tensor(p.data.copy(), requires_grad=True)
-        return twin
-
     def forward_batch(
         self,
         context: np.ndarray,
         training: bool = False,
         rng: np.random.Generator | None = None,
-        dropout_p: float = 0.0,
+        dropout_p: float | None = None,
     ) -> dict[str, nn.Tensor]:
         """context (B, 2w) int ids; PAD slots are masked out of the mean.
 
-        `dropout_p` exists only so MC-Dropout can inject a stochastic site
-        after the embedding mean at score time; training never uses it.
+        `dropout_p` (None: the model's own 0.0) exists only so MC-Dropout can
+        inject a stochastic site after the embedding mean at score time;
+        training never uses it.
         """
         p = self._params
         real = context != PAD_ID
@@ -241,7 +265,7 @@ class MlpCompletionModel:
         maskf = nn.Tensor(real.astype(emb.data.dtype)[..., None])
         summed = nn.sum_axis(nn.mul(emb, maskf), axis=-2)
         embed_mean = nn.mul(summed, nn.Tensor((1.0 / counts).astype(emb.data.dtype)[:, None]))
-        h = nn.dropout(embed_mean, dropout_p, training, rng)
+        h = nn.dropout(embed_mean, self.dropout_p if dropout_p is None else dropout_p, training, rng)
         logits = nn.affine(h, p["w_out"], p["b_out"])
         probs = nn.softmax(logits)
         return {"probs": probs, "logits": logits, "embed_mean": embed_mean}
@@ -250,79 +274,36 @@ class MlpCompletionModel:
 Model = PathAttentionModel | MlpCompletionModel
 
 
-# -- batching ------------------------------------------------------------
-
-
-def batch_cs(samples: list[EncodedMethod]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    width = max(len(s.left) for s in samples)
-    B = len(samples)
-    left = np.full((B, width), PAD_ID, dtype=np.int64)
-    path = np.full((B, width), PAD_ID, dtype=np.int64)
-    right = np.full((B, width), PAD_ID, dtype=np.int64)
-    mask = np.zeros((B, width), dtype=bool)
-    labels = np.zeros(B, dtype=np.int64)
-    for i, s in enumerate(samples):
-        n = len(s.left)
-        left[i, :n] = s.left
-        path[i, :n] = s.path
-        right[i, :n] = s.right
-        mask[i, :n] = True
-        labels[i] = s.label
-    return left, path, right, mask, labels
-
-
-def batch_cc(samples: list[EncodedCbow]) -> tuple[np.ndarray, np.ndarray]:
-    context = np.stack([s.context for s in samples])
-    targets = np.array([s.target for s in samples], dtype=np.int64)
-    return context, targets
-
-
 # -- inference over a split ----------------------------------------------
 
 
 def infer(
     model: Model,
-    samples: list,
+    samples: EncodedSplit,
     batch_size: int = 512,
     keys: tuple[str, ...] = ("probs",),
     training: bool = False,
     rng: np.random.Generator | None = None,
     dropout_p: float | None = None,
 ) -> dict[str, np.ndarray]:
-    """Batched no-grad forward over a sample list; concatenates `keys`."""
+    """Batched no-grad forward over a split; concatenates `keys`."""
     chunks: dict[str, list[np.ndarray]] = {k: [] for k in keys}
     with nn.no_grad():
         for start in range(0, len(samples), batch_size):
-            part = samples[start:start + batch_size]
-            if model.kind == CS:
-                left, path, right, mask, _ = batch_cs(part)
-                out = model.forward_batch(
-                    left, path, right, mask, training=training, rng=rng, dropout_p=dropout_p
-                )
-            else:
-                context, _ = batch_cc(part)
-                out = model.forward_batch(
-                    context, training=training, rng=rng,
-                    dropout_p=0.0 if dropout_p is None else dropout_p,
-                )
+            batch = samples[start:start + batch_size]
+            out = model.forward_batch(**batch.inputs, training=training, rng=rng, dropout_p=dropout_p)
             for k in keys:
                 chunks[k].append(out[k].data)
     return {k: np.concatenate(v, axis=0) for k, v in chunks.items()}
 
 
-def true_labels(samples: list) -> np.ndarray:
-    if samples and isinstance(samples[0], EncodedMethod):
-        return np.array([s.label for s in samples], dtype=np.int64)
-    return np.array([s.target for s in samples], dtype=np.int64)
-
-
-def evaluate_accuracy(model: Model, samples: list, batch_size: int = 512) -> float:
+def evaluate_accuracy(model: Model, samples: EncodedSplit, batch_size: int = 512) -> float:
     """Exact-match accuracy in percent; UNK true labels count as failures."""
     if not samples:
         raise ValueError("cannot evaluate accuracy on an empty split")
     probs = infer(model, samples, batch_size=batch_size)["probs"]
     preds = probs.argmax(axis=-1)
-    labels = true_labels(samples)
+    labels = samples.labels
     correct = (preds == labels) & (labels != UNK_ID)
     return float(correct.mean() * 100.0)
 
@@ -336,7 +317,9 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
 
 
-def _train_loop(model: Model, samples: list, config: TrainConfig, val_samples: list | None) -> TrainResult:
+def _train_loop(
+    model: Model, samples: EncodedSplit, config: TrainConfig, val_samples: EncodedSplit | None
+) -> TrainResult:
     if not samples:
         raise ValueError("empty training split")
     state = nn.AdamState(learning_rate=config.learning_rate)
@@ -348,15 +331,10 @@ def _train_loop(model: Model, samples: list, config: TrainConfig, val_samples: l
         order = shuffle_rng.permutation(len(samples))
         losses = []
         for start in range(0, len(samples), config.batch_size):
-            part = [samples[i] for i in order[start:start + config.batch_size]]
+            batch = samples[order[start:start + config.batch_size]]
             nn.zero_grads(params.values())
-            if model.kind == CS:
-                left, path, right, mask, labels = batch_cs(part)
-                out = model.forward_batch(left, path, right, mask, training=True, rng=drop_rng)
-            else:
-                context, labels = batch_cc(part)
-                out = model.forward_batch(context, training=True, rng=drop_rng)
-            loss = nn.mean(nn.cross_entropy(out["probs"], labels))
+            out = model.forward_batch(**batch.inputs, training=True, rng=drop_rng)
+            loss = nn.mean(nn.cross_entropy(out["probs"], batch.labels))
             nn.backward(loss)
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}
             nn.adam_step(params, grads, state)
@@ -372,12 +350,12 @@ def _train_loop(model: Model, samples: list, config: TrainConfig, val_samples: l
 
 
 def train_cs(
-    samples: list[EncodedMethod],
+    samples: EncodedSplit,
     terminals: Vocabulary,
     paths: Vocabulary,
     labels: Vocabulary,
     config: TrainConfig,
-    val_samples: list[EncodedMethod] | None = None,
+    val_samples: EncodedSplit | None = None,
 ) -> TrainResult:
     model = PathAttentionModel(
         terminals, paths, labels,
@@ -387,10 +365,10 @@ def train_cs(
 
 
 def train_cc(
-    samples: list[EncodedCbow],
+    samples: EncodedSplit,
     tokens: Vocabulary,
     config: TrainConfig,
-    val_samples: list[EncodedCbow] | None = None,
+    val_samples: EncodedSplit | None = None,
 ) -> TrainResult:
     model = MlpCompletionModel(tokens, dim=config.embedding_dim, seed=config.seed)
     return _train_loop(model, samples, config, val_samples)

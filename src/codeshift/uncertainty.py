@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from . import nn, tasks
 
@@ -77,6 +75,8 @@ def score_vanilla(model, samples):
 
 
 def _nll_at_temperature(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
+    from scipy.special import logsumexp
+
     scaled = logits / temperature
     log_probs = scaled - logsumexp(scaled, axis=-1, keepdims=True)
     return float(-log_probs[np.arange(len(labels)), labels].mean())
@@ -89,10 +89,13 @@ def fit_temperature(model, val_samples) -> float:
     TEMPERATURE_BOUNDS (a degenerate validation set can push T to the
     boundary) and never allowed to be worse than T = 1.
     """
+    # scipy is imported where it is used: it is most of the CLI's start-up time
+    from scipy.optimize import minimize
+
     if not val_samples:
         raise EstimatorStateError("temperature fitting needs a non-empty validation set")
     logits = tasks.infer(model, val_samples, keys=("logits",))["logits"].astype(np.float64)
-    labels = tasks.true_labels(val_samples)
+    labels = val_samples.labels
 
     result = minimize(
         lambda x: _nll_at_temperature(logits, labels, float(np.exp(x[0]))),
@@ -116,6 +119,8 @@ def fit_temperature(model, val_samples) -> float:
 
 
 def score_temp_scale(model, temperature: float, samples):
+    from scipy.special import logsumexp
+
     if temperature is None or temperature <= 0:
         raise EstimatorStateError(f"temperature must be positive, got {temperature}")
     logits = tasks.infer(model, samples, keys=("logits",))["logits"].astype(np.float64)
@@ -290,7 +295,7 @@ def train_probes(
     if not train_samples:
         raise EstimatorStateError("probe training needs training-split samples")
     acts = collect_activations(model, train_samples, batch_size=batch_size)
-    labels = tasks.true_labels(train_samples)
+    labels = train_samples.labels
     n_classes = model.n_classes()
     probes = []
     for layer_index, tag in enumerate(probe_layer_tags(model)):
@@ -385,16 +390,16 @@ class Estimator:
         outside = ~((confidence >= 0.0) & (confidence <= 1.0))
         if outside.any():
             i = int(outside.argmax())
-            raise ValueError(f"confidence {confidence[i]} outside [0, 1] for {samples[i].sample_id}")
+            raise ValueError(f"confidence {confidence[i]} outside [0, 1] for {samples.sample_ids[i]}")
         return ScoreTable(
             method=self.name,
             variant=variant,
             split=split,
-            sample_ids=[s.sample_id for s in samples],
+            sample_ids=samples.sample_ids.tolist(),
             raw=np.asarray(raw, dtype=np.float64),
             confidence=confidence,
             predicted=np.asarray(predicted, dtype=np.int64),
-            true=tasks.true_labels(samples),
+            true=samples.labels,
         )
 
 

@@ -167,7 +167,7 @@ def small_models():
     cc_tokens = ex.tokenize_java("int a0 = b0; int a1 = b1; int a2 = b2; long c0 = d0;")
     cc_samples = ex.extract_cbow_samples(cc_tokens, window=4)
     cc_vocab = ex.build_cc_vocab(cc_samples)
-    cc_encoded = tasks.encode_cbow_samples(cc_samples, cc_vocab, id_prefix="acc")
+    cc_encoded = tasks.encode_split(cc_samples, {"tokens": cc_vocab}, id_prefix="acc")
     cc_model = tasks.train_cc(cc_encoded, cc_vocab, tasks.TrainConfig(epochs=40, seed=8, embedding_dim=16)).model
 
     cs_source = """
@@ -180,7 +180,7 @@ def small_models():
     tree = ex.parse_java_lite(ex.tokenize_java(cs_source))
     cs_samples = ex.extract_method_samples(tree)
     terminals, paths, labels = ex.build_cs_vocabs(cs_samples)
-    cs_encoded = tasks.encode_method_samples(cs_samples, terminals, paths, labels, id_prefix="acc")
+    cs_encoded = tasks.encode_split(cs_samples, {"terminals": terminals, "paths": paths, "labels": labels}, id_prefix="acc")
     cs_model = tasks.train_cs(
         cs_encoded, terminals, paths, labels, tasks.TrainConfig(epochs=40, seed=8, embedding_dim=16)
     ).model
@@ -195,7 +195,7 @@ def test_criterion_3_estimator_invariants(small_models):
     _, _, scaled_pred = uq.score_temp_scale(cc_model, t_star, cc_encoded)
     argmax_preserved = bool(np.array_equal(vanilla_pred, scaled_pred))
     logits = tasks.infer(cc_model, cc_encoded, keys=("logits",))["logits"].astype(np.float64)
-    labels = tasks.true_labels(cc_encoded)
+    labels = cc_encoded.labels
     nll_improved = uq._nll_at_temperature(logits, labels, t_star) <= uq._nll_at_temperature(logits, labels, 1.0)
 
     _, mc_conf, mc_pred = uq.score_mc_dropout(cc_model, cc_encoded, passes=5, p=0.0, seed=3)
@@ -244,7 +244,7 @@ def test_criterion_4_memorization_oracle():
     tree = ex.parse_java_lite(ex.tokenize_java(cs_source))
     cs_samples = ex.extract_method_samples(tree)
     terminals, paths, labels = ex.build_cs_vocabs(cs_samples)
-    cs_encoded = tasks.encode_method_samples(cs_samples, terminals, paths, labels, id_prefix="fix")
+    cs_encoded = tasks.encode_split(cs_samples, {"terminals": terminals, "paths": paths, "labels": labels}, id_prefix="fix")
     assert len(cs_encoded) == 8
     cs_result = tasks.train_cs(cs_encoded, terminals, paths, labels, tasks.TrainConfig(seed=3))
     cs_acc = tasks.evaluate_accuracy(cs_result.model, cs_encoded)
@@ -252,7 +252,7 @@ def test_criterion_4_memorization_oracle():
     cc_tokens = ex.tokenize_java("int a0 = b0; int a1 = b1; int a2 = b2; int a3 = b3; long c0 = d0;")
     cc_samples = ex.extract_cbow_samples(cc_tokens, window=4)[:20]
     cc_vocab = ex.build_cc_vocab(cc_samples)
-    cc_encoded = tasks.encode_cbow_samples(cc_samples, cc_vocab, id_prefix="fix")
+    cc_encoded = tasks.encode_split(cc_samples, {"tokens": cc_vocab}, id_prefix="fix")
     assert len(cc_encoded) == 20
     cc_result = tasks.train_cc(cc_encoded, cc_vocab, tasks.TrainConfig(seed=3))
     cc_acc = tasks.evaluate_accuracy(cc_result.model, cc_encoded)
@@ -305,8 +305,8 @@ def study(tmp_path_factory):
 def _accuracy_pair(config, bucket, task, shift, cross_split):
     vocabs = _load_vocabs(bucket, task, shift)
     model = tasks.load_checkpoint((bucket / "checkpoints" / f"{task}-{shift}.ckpt").read_bytes())
-    val = tasks.evaluate_accuracy(model, _load_encoded(bucket, config, task, shift, "validation", vocabs))
-    test = tasks.evaluate_accuracy(model, _load_encoded(bucket, config, task, shift, cross_split, vocabs))
+    val = tasks.evaluate_accuracy(model, _load_encoded(bucket, task, shift, "validation", vocabs))
+    test = tasks.evaluate_accuracy(model, _load_encoded(bucket, task, shift, cross_split, vocabs))
     return val, test
 
 

@@ -1,10 +1,15 @@
 """CLI contracts: exit codes, artifact layout, config hashing, defaults."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import codeshift
 from codeshift import tasks
 from codeshift import uncertainty as uq
 from codeshift.cli import main
@@ -275,3 +280,78 @@ def test_corrupt_checkpoint_exits_2_naming_file(tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert str(ckpt) in err
     assert "runtime error" not in err
+
+
+def test_sweep_and_filter_read_only_their_method(tmp_path, capsys):
+    config_path, _ = scores_only_bucket(tmp_path)
+    other = bucket_of(config_path) / "scores" / "cs-project-temp_scale-test1.csv"
+    other.write_text("# config_hash=feed\nnot a score file\n")
+    flags = ["--task", "cs", "--shift", "project", "--config", str(config_path)]
+    assert main(["sweep", "--method", "vanilla", *flags]) == 0
+    assert main(["filter", "--method", "vanilla", "--threshold", "0.5", *flags]) == 0
+    capsys.readouterr()
+    assert main(["eval", *flags]) == 2
+    err = capsys.readouterr().err
+    assert str(other) in err
+    assert "runtime error" not in err
+
+
+def test_score_file_named_for_another_method_exits_2(tmp_path, capsys):
+    config_path, target = scores_only_bucket(tmp_path)
+    target.write_text(target.read_text().replace(",vanilla,", ",temp_scale,"))
+    assert main(["sweep", "--method", "vanilla", "--task", "cs", "--shift", "project",
+                 "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err and "temp_scale" in err
+
+
+def contexts_bucket(tmp_path, task):
+    """A bucket holding only the train/validation context files and the vocab file of `task`/project."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"train": {"embedding_dim": 4, "epochs": 1}}), encoding="utf-8")
+    contexts = bucket_of(config_path) / "contexts"
+    contexts.mkdir(parents=True)
+    if task == "cs":
+        lines = ["addPair a,Name↑Call↓Name,b a,Name↑Call↓Name,c", "subPair b,Name↑Call↓Name,c"]
+        vocabs = {"terminals": ["a", "b", "c"], "paths": ["Name↑Call↓Name"], "labels": ["addPair", "subPair"]}
+    else:
+        lines = ["b a <PAD> c a", "c b a <PAD> <PAD>"]
+        vocabs = {"tokens": ["a", "b", "c"]}
+    for split in ("train", "validation"):
+        (contexts / f"{task}-project-{split}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    payload = {"vocabs": {name: [UNK_TOKEN, PAD_TOKEN, *tokens] for name, tokens in vocabs.items()}}
+    (contexts / f"{task}-project-vocabs.json").write_text(json.dumps(payload), encoding="utf-8")
+    return config_path, contexts
+
+
+CONTEXT_CORRUPTIONS = {  # (task, file, text after the corruption, named line)
+    "cc_ragged_width": ("cc", "validation.txt", "b a <PAD> c a\nc b a\n", ":2"),
+    "cc_even_field_count": ("cc", "train.txt", "b a <PAD> c a\nc b a <PAD>\n", ":2"),
+    "cs_bad_triple": ("cs", "validation.txt", "addPair a,Name↑Call↓Name,b\nsubPair b,c\n", ":2"),
+    "vocab_not_json": ("cc", "vocabs.json", '{"vocabs": ', ""),
+    "vocab_missing_reserved": ("cs", "vocabs.json", '{"vocabs": {"terminals": ["a"], "paths": [], "labels": []}}', ""),
+    "vocab_of_other_task": ("cs", "vocabs.json", '{"vocabs": {"tokens": ["<UNK>", "<PAD>"]}}', ""),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CONTEXT_CORRUPTIONS))
+def test_corrupt_contexts_or_vocabs_exit_2_naming_file(tmp_path, capsys, corruption):
+    task, name, text, line = CONTEXT_CORRUPTIONS[corruption]
+    config_path, contexts = contexts_bucket(tmp_path, task)
+    flags = ["--task", task, "--shift", "project", "--config", str(config_path)]
+    assert main(["train", *flags]) == 0  # the uncorrupted bucket trains
+    target = contexts / f"{task}-project-{name}"
+    target.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"{target}{line}" in err
+    assert "runtime error" not in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(codeshift.__file__).resolve().parents[1])
+    probe = "import sys, codeshift.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert result.stdout.strip() == "[]"

@@ -29,7 +29,7 @@ def cs_training_setup(config=None):
     samples = ex.extract_method_samples(tree, max_contexts=200, max_path_len=9)
     assert len(samples) == 8
     terminals, paths, labels = ex.build_cs_vocabs(samples, min_count=1)
-    encoded = tasks.encode_method_samples(samples, terminals, paths, labels, id_prefix="fix")
+    encoded = tasks.encode_split(samples, {"terminals": terminals, "paths": paths, "labels": labels}, id_prefix="fix")
     return encoded, terminals, paths, labels
 
 
@@ -37,7 +37,7 @@ def cc_training_setup():
     tokens = ex.tokenize_java(CC_FIXTURE)
     samples = ex.extract_cbow_samples(tokens, window=4)[:20]
     vocab = ex.build_cc_vocab(samples, min_count=1)
-    encoded = tasks.encode_cbow_samples(samples, vocab, id_prefix="fix")
+    encoded = tasks.encode_split(samples, {"tokens": vocab}, id_prefix="fix")
     assert len(encoded) == 20
     return encoded, vocab
 
@@ -58,32 +58,64 @@ def test_zero_cs_model_uniform_probs():
 
 def test_single_context_attention_weight_is_one():
     encoded, terminals, paths, labels = cs_training_setup()
-    single = tasks.EncodedMethod(
-        sample_id="one",
-        label=encoded[0].label,
-        left=encoded[0].left[:1],
-        path=encoded[0].path[:1],
-        right=encoded[0].right[:1],
-    )
+    first_context = {name: [encoded.inputs[name][0, :1]] for name in ("left", "path", "right")}
+    single = tasks.pack(["one"], encoded.labels[:1], first_context, masked=True)
     model = tasks.PathAttentionModel(terminals, paths, labels, dim=16, seed=3)
-    weights = tasks.infer(model, [single], keys=("weights",))["weights"][0]
+    weights = tasks.infer(model, single, keys=("weights",))["weights"][0]
     assert np.allclose(weights, [1.0])
 
 
 def test_attention_weights_sum_to_one_per_sample():
     encoded, terminals, paths, labels = cs_training_setup()
     model = tasks.PathAttentionModel(terminals, paths, labels, dim=16, seed=1)
-    for s in encoded:
-        weights = tasks.infer(model, [s], keys=("weights",))["weights"][0]
+    for i in range(len(encoded)):
+        weights = tasks.infer(model, encoded[i:i + 1], keys=("weights",))["weights"][0]
         assert abs(weights.sum() - 1.0) < 1e-5
+
+
+def test_split_rows_are_padded_and_trimmed_to_their_longest_row():
+    split = tasks.pack(
+        ["a", "b", "c"], [5, 6, 7],
+        {"left": [[2, 3], [4], [2, 3, 4, 5]], "path": [[6, 7], [8], [6, 7, 8, 9]], "right": [[3, 2], [5], [5, 4, 3, 2]]},
+        masked=True,
+    )
+    assert len(split) == 3 and split.lengths.tolist() == [2, 1, 4]
+    assert split.inputs["left"].tolist() == [[2, 3, ex.PAD_ID, ex.PAD_ID], [4] + [ex.PAD_ID] * 3, [2, 3, 4, 5]]
+    assert split.inputs["mask"].dtype == bool
+    assert split.inputs["mask"].tolist() == [[True, True, False, False], [True, False, False, False], [True] * 4]
+    sub = split[np.array([1, 0])]
+    assert sub.sample_ids.tolist() == ["b", "a"] and sub.labels.tolist() == [6, 5]
+    assert sub.inputs["path"].tolist() == [[8, ex.PAD_ID], [6, 7]]
+    assert sub.inputs["mask"].tolist() == [[True, False], [True, True]]
+    assert split[1:2].inputs["right"].tolist() == [[5]]
+    with pytest.raises(ValueError, match="'path' rows differ"):
+        tasks.pack(["a"], [5], {"left": [[2, 3]], "path": [[6]], "right": [[3, 2]]}, masked=True)
+
+
+def test_clone_copies_parameters_without_initialising_new_ones(monkeypatch):
+    encoded, vocab = cc_training_setup()
+    model = tasks.MlpCompletionModel(vocab, dim=8, seed=4)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("clone must not draw fresh parameters")
+
+    monkeypatch.setattr(tasks, "_uniform_init", fail)
+    twin = model.clone()
+    assert type(twin) is type(model) and twin.tokens is model.tokens
+    for name, p in model.params().items():
+        assert np.array_equal(twin.params()[name].data, p.data)
+        assert twin.params()[name].data.dtype == p.data.dtype
+        assert not np.shares_memory(twin.params()[name].data, p.data)
+    twin.params()["w_out"].data[:] = 0.0
+    assert model.params()["w_out"].data.any()
 
 
 def test_empty_context_bag_raises():
     encoded, terminals, paths, labels = cs_training_setup()
     model = tasks.PathAttentionModel(terminals, paths, labels, dim=8)
-    empty = tasks.EncodedMethod("none", 2, np.array([], int), np.array([], int), np.array([], int))
+    empty = tasks.pack(["none"], [2], {"left": [[]], "path": [[]], "right": [[]]}, masked=True)
     with pytest.raises(ValueError, match="empty context bag"):
-        tasks.infer(model, [empty])
+        tasks.infer(model, empty)
 
 
 def test_zero_cc_model_uniform_and_mean_idempotence():
@@ -95,19 +127,19 @@ def test_zero_cc_model_uniform_and_mean_idempotence():
     model = tasks.MlpCompletionModel(vocab, dim=16, seed=9)
     tok = vocab.encode("a0")
     pad = ex.PAD_ID
-    once = tasks.EncodedCbow("s1", 2, np.array([tok, pad, pad, pad]))
-    twice = tasks.EncodedCbow("s2", 2, np.array([tok, tok, pad, pad]))
-    p_once = tasks.infer(model, [once])["probs"][0]
-    p_twice = tasks.infer(model, [twice])["probs"][0]
+    once = tasks.pack(["s1"], [2], {"context": [[tok, pad, pad, pad]]})
+    twice = tasks.pack(["s2"], [2], {"context": [[tok, tok, pad, pad]]})
+    p_once = tasks.infer(model, once)["probs"][0]
+    p_twice = tasks.infer(model, twice)["probs"][0]
     assert np.allclose(p_once, p_twice, atol=1e-6)
 
 
 def test_all_pad_context_raises():
     encoded, vocab = cc_training_setup()
     model = tasks.MlpCompletionModel(vocab, dim=8)
-    bad = tasks.EncodedCbow("bad", 2, np.full(8, ex.PAD_ID))
+    bad = tasks.pack(["bad"], [2], {"context": [np.full(8, ex.PAD_ID)]})
     with pytest.raises(ValueError, match="all-PAD"):
-        tasks.infer(model, [bad])
+        tasks.infer(model, bad)
 
 
 def test_cs_memorization_oracle():
@@ -133,10 +165,11 @@ def test_untrained_model_near_chance_on_balanced_data():
     model = tasks.MlpCompletionModel(vocab, dim=32, seed=123)
     rng = np.random.default_rng(0)
     n_classes = len(vocab)
-    balanced = [
-        tasks.EncodedCbow(f"b{i}", i % n_classes, rng.integers(2, n_classes, size=8))
-        for i in range(400)
-    ]
+    balanced = tasks.pack(
+        [f"b{i}" for i in range(400)],
+        [i % n_classes for i in range(400)],
+        {"context": [rng.integers(2, n_classes, size=8) for i in range(400)]},
+    )
     acc = tasks.evaluate_accuracy(model, balanced)
     assert acc < 3 * 100.0 / n_classes  # chance is 100/C percent
 
@@ -144,7 +177,7 @@ def test_untrained_model_near_chance_on_balanced_data():
 def test_train_empty_split_errors():
     encoded, vocab = cc_training_setup()
     with pytest.raises(ValueError):
-        tasks.train_cc([], vocab, tasks.TrainConfig(epochs=1))
+        tasks.train_cc(encoded[:0], vocab, tasks.TrainConfig(epochs=1))
 
 
 def test_training_deterministic_bitwise():
@@ -160,12 +193,12 @@ def test_training_deterministic_bitwise():
 def test_unk_true_label_counts_as_failure():
     encoded, vocab = cc_training_setup()
     model = tasks.MlpCompletionModel(vocab, dim=8, seed=0)
-    unk_sample = tasks.EncodedCbow("u", ex.UNK_ID, encoded[0].context)
+    unk_sample = tasks.pack(["u"], [ex.UNK_ID], {"context": [encoded.inputs["context"][0]]})
     # even a model that predicts UNK gets no credit for it
     for p in model.params().values():
         p.data[:] = 0.0
     model.params()["b_out"].data[ex.UNK_ID] = 10.0
-    assert tasks.evaluate_accuracy(model, [unk_sample]) == 0.0
+    assert tasks.evaluate_accuracy(model, unk_sample) == 0.0
 
 
 def test_epoch_log_csv(tmp_path):

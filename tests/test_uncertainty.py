@@ -25,7 +25,7 @@ def cc_setup():
     tokens = ex.tokenize_java(CC_SOURCE)
     samples = ex.extract_cbow_samples(tokens, window=4)
     vocab = ex.build_cc_vocab(samples, min_count=1)
-    encoded = tasks.encode_cbow_samples(samples, vocab, id_prefix="cc")
+    encoded = tasks.encode_split(samples, {"tokens": vocab}, id_prefix="cc")
     config = tasks.TrainConfig(epochs=60, seed=5, embedding_dim=24)
     model = tasks.train_cc(encoded, vocab, config).model
     return model, encoded, vocab
@@ -36,7 +36,7 @@ def cs_setup():
     tree = ex.parse_java_lite(ex.tokenize_java(CS_SOURCE))
     samples = ex.extract_method_samples(tree)
     terminals, paths, labels = ex.build_cs_vocabs(samples)
-    encoded = tasks.encode_method_samples(samples, terminals, paths, labels, id_prefix="cs")
+    encoded = tasks.encode_split(samples, {"terminals": terminals, "paths": paths, "labels": labels}, id_prefix="cs")
     config = tasks.TrainConfig(epochs=60, seed=5, embedding_dim=24)
     model = tasks.train_cs(encoded, terminals, paths, labels, config).model
     return model, encoded
@@ -55,7 +55,7 @@ def forced_prob_model(probs):
 
 
 def sample_for(vocab, target="t0"):
-    return tasks.EncodedCbow("s0", vocab.encode(target), np.array([2, 2, ex.PAD_ID, ex.PAD_ID]))
+    return tasks.pack(["s0"], [vocab.encode(target)], {"context": [[2, 2, ex.PAD_ID, ex.PAD_ID]]})
 
 
 def assert_same_scores(a, b):
@@ -68,7 +68,7 @@ def assert_same_scores(a, b):
 
 def test_vanilla_is_max_softmax():
     model, vocab = forced_prob_model([0.7, 0.2, 0.1])
-    rec = uq.ESTIMATORS["vanilla"].table(model, None, "", [sample_for(vocab)])
+    rec = uq.ESTIMATORS["vanilla"].table(model, None, "", sample_for(vocab))
     assert abs(rec.confidence[0] - 0.7) < 1e-6
     assert rec.predicted[0] == 0
     assert rec.method == "vanilla" and rec.variant == ""
@@ -76,8 +76,8 @@ def test_vanilla_is_max_softmax():
 
 def test_vanilla_uniform_and_purity():
     model, vocab = forced_prob_model([0.25, 0.25, 0.25, 0.25])
-    a = uq.score_vanilla(model, [sample_for(vocab)])
-    b = uq.score_vanilla(model, [sample_for(vocab)])
+    a = uq.score_vanilla(model, sample_for(vocab))
+    b = uq.score_vanilla(model, sample_for(vocab))
     assert abs(a[1][0] - 0.25) < 1e-6
     assert_same_scores(a, b)
 
@@ -95,14 +95,14 @@ def test_temperature_one_equals_vanilla(cc_setup):
 
 def test_large_temperature_flattens():
     model, vocab = forced_prob_model([0.88, 0.04, 0.04, 0.04])
-    _, conf, _ = uq.score_temp_scale(model, 1e6, [sample_for(vocab)])
+    _, conf, _ = uq.score_temp_scale(model, 1e6, sample_for(vocab))
     assert abs(conf[0] - 0.25) < 1e-3
 
 
 def test_fit_temperature_improves_nll(cc_setup):
     model, encoded, _ = cc_setup
     logits = tasks.infer(model, encoded, keys=("logits",))["logits"].astype(np.float64)
-    labels = tasks.true_labels(encoded)
+    labels = encoded.labels
     t_star = uq.fit_temperature(model, encoded)
     assert t_star > 0
     assert uq._nll_at_temperature(logits, labels, t_star) <= uq._nll_at_temperature(logits, labels, 1.0) + 1e-9
@@ -118,7 +118,7 @@ def test_fit_temperature_degenerate_clamps_and_warns():
     model, vocab = forced_prob_model([0.4, 0.3, 0.2, 0.1])
     # single-class validation, all labeled with the argmax class: the
     # optimum runs toward T -> 0 and must be clamped
-    val = [tasks.EncodedCbow(f"v{i}", 0, np.array([2, 3, ex.PAD_ID, ex.PAD_ID])) for i in range(8)]
+    val = tasks.pack([f"v{i}" for i in range(8)], [0] * 8, {"context": [[2, 3, ex.PAD_ID, ex.PAD_ID]] * 8})
     with pytest.warns(RuntimeWarning):
         t = uq.fit_temperature(model, val)
     assert uq.TEMPERATURE_BOUNDS[0] <= t <= uq.TEMPERATURE_BOUNDS[1]
@@ -184,7 +184,7 @@ def test_mmutant_tied_logits_flip_under_gf():
     model.params()["w_out"].data[:] = np.repeat(rows, model.n_classes(), axis=1)
     model.params()["token_emb"].data[2:, :] = 1.0
     ensemble = uq.build_mutant_ensemble(model, "GF", degree=1.0, count=40, seed=7)
-    lcr, _, _ = uq.score_mmutant(model, ensemble, [sample_for(vocab)])
+    lcr, _, _ = uq.score_mmutant(model, ensemble, sample_for(vocab))
     assert lcr[0] > 0.5
 
 
@@ -367,7 +367,7 @@ def test_table_rejects_confidence_outside_unit_interval(cc_setup):
         "broken", "broken", ("",), fit=lambda *a: None,
         score=lambda model, state, variant, samples, split: (np.ones(len(samples)), np.full(len(samples), 1.5), np.zeros(len(samples))),
     )
-    with pytest.raises(ValueError, match=encoded[0].sample_id):
+    with pytest.raises(ValueError, match=encoded.sample_ids[0]):
         broken.table(model, None, "", encoded)
 
 
