@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import corpus, evalpipe, nn, synth, tasks
@@ -125,6 +126,15 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
+@contextmanager
+def _malformed(kind: str, path: Path):
+    """Turn a decode or structure error while reading `path` into exit 2 naming it."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValidationFailure(f"{kind} file {path} is malformed: {type(exc).__name__}: {exc}") from exc
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -167,8 +177,9 @@ def cmd_make_splits(config: dict, args) -> int:
 
 def _load_assignment(bucket: Path, shift: str) -> corpus.SplitAssignment:
     path = _require(_splits_path(bucket, shift), f"make-splits --shift {shift}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    return corpus.SplitAssignment.from_json(payload["assignment"])
+    with _malformed("splits", path):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        return corpus.SplitAssignment.from_json(payload["assignment"])
 
 
 def cmd_extract(config: dict, args) -> int:
@@ -233,13 +244,11 @@ def cmd_extract(config: dict, args) -> int:
 
 def _load_vocabs(bucket: Path, task: str, shift: str) -> dict[str, Vocabulary]:
     path = _require(_vocabs_path(bucket, task, shift), f"extract --task {task} --shift {shift}")
-    try:
+    with _malformed("vocab", path):
         vocabs = json.loads(path.read_text(encoding="utf-8"))["vocabs"]
         if sorted(vocabs) != list(VOCAB_NAMES[task]):
             raise ValueError(f"expected vocabularies {list(VOCAB_NAMES[task])}, got {sorted(vocabs)}")
         return {name: Vocabulary.from_tokens(tokens) for name, tokens in vocabs.items()}
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValidationFailure(f"vocab file {path} is malformed: {type(exc).__name__}: {exc}") from exc
 
 
 def _load_encoded(bucket: Path, task: str, shift: str, split: str, vocabs: dict) -> tasks.EncodedSplit:
@@ -453,9 +462,10 @@ def cmd_report(config: dict, args) -> int:
     merged = {"config_hash": config_hash(config), "reports": []}
     rows = []
     for path in paths:
-        report = json.loads(path.read_text(encoding="utf-8"))
+        with _malformed("report", path):
+            report = json.loads(path.read_text(encoding="utf-8"))
+            rows.extend(evalpipe.flatten_report(report))
         merged["reports"].append(report)
-        rows.extend(evalpipe.flatten_report(report))
     evalpipe.write_report_json(report_dir / "all.json", merged)
     evalpipe.write_report_csv(report_dir / "all.csv", rows, config_hash(config))
     print(f"report: merged {len(paths)} reports -> {report_dir / 'all.json'}")

@@ -105,22 +105,24 @@ def _load_snapshot(base_dir: Path, sel: SplitSelector) -> ProjectSnapshot:
         raise ManifestError(f"snapshot directory does not exist: {root}")
     sidecar = root / "snapshot.json"
     if sidecar.is_file():
-        meta = json.loads(sidecar.read_text(encoding="utf-8"))
-        release = str(meta.get("release_time", "1970-01-01"))
-        entries = meta.get("files", [])
-        files = []
-        seen = set()
-        for entry in entries:
-            rel = entry["path"]
-            author = str(entry.get("author", "unknown"))
-            if not author:
-                raise ManifestError(f"{sidecar}: empty author for {rel!r}")
-            if rel in seen:
-                raise ManifestError(f"{sidecar}: duplicate file path {rel!r}")
-            seen.add(rel)
-            if not (root / rel).is_file():
-                raise ManifestError(f"dangling file reference: {root / rel}")
-            files.append(SnapshotFile(rel_path=rel, author=author))
+        try:
+            meta = json.loads(sidecar.read_text(encoding="utf-8"))
+            release = str(meta.get("release_time", "1970-01-01"))
+            files = []
+            seen = set()
+            for entry in meta.get("files", []):
+                rel = entry["path"]
+                author = str(entry.get("author", "unknown"))
+                if not author:
+                    raise ManifestError(f"{sidecar}: empty author for {rel!r}")
+                if rel in seen:
+                    raise ManifestError(f"{sidecar}: duplicate file path {rel!r}")
+                seen.add(rel)
+                if not (root / rel).is_file():
+                    raise ManifestError(f"dangling file reference: {root / rel}")
+                files.append(SnapshotFile(rel_path=rel, author=author))
+        except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
+            raise ManifestError(f"cannot parse snapshot sidecar {sidecar}: {type(exc).__name__}: {exc}") from exc
     else:
         release = "1970-01-01"
         files = [
@@ -141,7 +143,7 @@ def load_manifest(path) -> ShiftManifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_no_duplicate_keys)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"cannot parse manifest {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")
@@ -241,5 +243,8 @@ def iterate_samples(assignment: SplitAssignment, split: str, seed: int):
     rng = np.random.default_rng(seed)
     for i in rng.permutation(len(files)):
         rel = files[i]
-        text = (assignment.base_dir / rel).read_text(encoding="utf-8")
+        try:
+            text = (assignment.base_dir / rel).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{assignment.base_dir / rel}: not UTF-8 text: {exc}") from exc
         yield rel, text

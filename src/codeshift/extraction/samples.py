@@ -183,6 +183,18 @@ class ContextFormatError(ValueError):
     pass
 
 
+def _numbered_lines(path):
+    """Yield (line number, text) of each non-empty line; bytes that are not UTF-8 raise ContextFormatError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                line = line.rstrip("\n")
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise ContextFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def write_cs_contexts(path, samples: list[MethodSample]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for s in samples:
@@ -192,19 +204,15 @@ def write_cs_contexts(path, samples: list[MethodSample]) -> None:
 
 def read_cs_contexts(path) -> list[MethodSample]:
     samples = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            contexts = []
-            for chunk in parts[1:]:
-                fields = chunk.split(",")
-                if len(fields) != 3:
-                    raise ContextFormatError(f"{path}:{lineno}: bad context triple {chunk!r}")
-                contexts.append(PathContext(*fields))
-            samples.append(MethodSample(label=parts[0], contexts=contexts, origin=f"{path}:{lineno}"))
+    for lineno, line in _numbered_lines(path):
+        parts = line.split(" ")
+        contexts = []
+        for chunk in parts[1:]:
+            fields = chunk.split(",")
+            if len(fields) != 3:
+                raise ContextFormatError(f"{path}:{lineno}: bad context triple {chunk!r}")
+            contexts.append(PathContext(*fields))
+        samples.append(MethodSample(label=parts[0], contexts=contexts, origin=f"{path}:{lineno}"))
     return samples
 
 
@@ -217,19 +225,15 @@ def write_cc_contexts(path, samples: list[CbowSample]) -> None:
 def read_cc_contexts(path) -> list[CbowSample]:
     samples = []
     first = None  # (line number, field count) of the first sample
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) < 3 or len(parts) % 2 == 0:
-                raise ContextFormatError(f"{path}:{lineno}: expected target plus 2*w context tokens")
-            if first is None:
-                first = (lineno, len(parts))
-            elif len(parts) != first[1]:
-                raise ContextFormatError(
-                    f"{path}:{lineno}: {len(parts) - 1} context tokens, but line {first[0]} has {first[1] - 1}"
-                )
-            samples.append(CbowSample(target=parts[0], context=parts[1:]))
+    for lineno, line in _numbered_lines(path):
+        parts = line.split(" ")
+        if len(parts) < 3 or len(parts) % 2 == 0:
+            raise ContextFormatError(f"{path}:{lineno}: expected target plus 2*w context tokens")
+        if first is None:
+            first = (lineno, len(parts))
+        elif len(parts) != first[1]:
+            raise ContextFormatError(
+                f"{path}:{lineno}: {len(parts) - 1} context tokens, but line {first[0]} has {first[1] - 1}"
+            )
+        samples.append(CbowSample(target=parts[0], context=parts[1:]))
     return samples

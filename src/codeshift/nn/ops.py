@@ -113,15 +113,40 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of `table` (V, d); output shape ids.shape + (d,)."""
+    """Gather rows of `table` (V, d); output shape ids.shape + (d,).
+
+    The backward sums the gradient rows of each id in row order, starting
+    from zero, exactly as `np.add.at` would, bit for bit: the ids are
+    sorted stably, ids that occur once are added in one vectorised step,
+    and each repeated id's rows are summed as one contiguous block.
+    """
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(f"embedding id out of range [0, {table.data.shape[0]})")
     out = table.data[ids]
 
     def backward_fn(g):
+        d = table.data.shape[1]
+        flat = ids.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        keys = flat[order]
+        # A spare zero column keeps each block two-dimensional: numpy then
+        # adds a block's rows one after another, where a single column
+        # would be summed pairwise. ("clip" lets take write into the
+        # strided view without a buffer; every index is in range.)
+        rows = np.zeros((flat.size, d + 1), dtype=g.dtype)
+        np.take(g.reshape(-1, d), order, axis=0, out=rows[:, :d], mode="clip")
+        first = np.ones(flat.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(first)
+        counts = np.diff(np.r_[starts, flat.size])
+        once = counts == 1
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        # These keys are unique, so one fancy += is exact: 0.0 + x is x, and
+        # -0.0 becomes +0.0, as under np.add.at.
+        gt[keys[starts[once]]] += rows[starts[once], :d]
+        for a, n in zip(starts[~once].tolist(), counts[~once].tolist()):
+            gt[keys[a]] += rows[a : a + n].sum(axis=0)[:d]
         accumulate(table, gt)
 
     return make_node(out, (table,), backward_fn)

@@ -486,22 +486,25 @@ def write_scores_csv(path, table: ScoreTable, config_hash: str | None = None) ->
 def read_scores_csv(path) -> ScoreTable:
     """Read one score file; any malformed row raises ScoresFileError naming its line."""
     rows, line_numbers = [], []
-    with open(path, encoding="utf-8") as f:
-        lines = enumerate(f, 1)
-        for number, line in lines:  # "#" comment lines, then the header
-            if line.rstrip("\n") == SCORES_HEADER:
-                break
-            if not line.startswith("#"):
-                raise ScoresFileError(f"{path}, line {number}: expected the header {SCORES_HEADER!r}")
-        for number, line in lines:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != _SCORES_FIELDS:
-                raise ScoresFileError(f"{path}, line {number}: expected {_SCORES_FIELDS} fields, got {len(fields)}")
-            rows.append(fields)
-            line_numbers.append(number)
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = enumerate(f, 1)
+            for number, line in lines:  # "#" comment lines, then the header
+                if line.rstrip("\n") == SCORES_HEADER:
+                    break
+                if not line.startswith("#"):
+                    raise ScoresFileError(f"{path}, line {number}: expected the header {SCORES_HEADER!r}")
+            for number, line in lines:
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split(",")
+                if len(fields) != _SCORES_FIELDS:
+                    raise ScoresFileError(f"{path}, line {number}: expected {_SCORES_FIELDS} fields, got {len(fields)}")
+                rows.append(fields)
+                line_numbers.append(number)
+    except UnicodeDecodeError as exc:
+        raise ScoresFileError(f"{path}: not UTF-8 text: {exc}") from exc
     if not rows:
         raise ScoresFileError(f"{path}: no score rows")
     sample_ids, methods, variants, raw, conf, predicted, true, splits = zip(*rows)

@@ -324,7 +324,10 @@ def contexts_bucket(tmp_path, task):
     return config_path, contexts
 
 
-CONTEXT_CORRUPTIONS = {  # (task, file, text after the corruption, named line)
+NOT_UTF8 = b"b a \xff c a\n"
+CONTEXT_CORRUPTIONS = {  # (task, file, text or bytes after the corruption, named line)
+    "cc_not_utf8": ("cc", "train.txt", NOT_UTF8, ""),
+    "cs_not_utf8": ("cs", "train.txt", NOT_UTF8, ""),
     "cc_ragged_width": ("cc", "validation.txt", "b a <PAD> c a\nc b a\n", ":2"),
     "cc_even_field_count": ("cc", "train.txt", "b a <PAD> c a\nc b a <PAD>\n", ":2"),
     "cs_bad_triple": ("cs", "validation.txt", "addPair a,Name↑Call↓Name,b\nsubPair b,c\n", ":2"),
@@ -341,12 +344,90 @@ def test_corrupt_contexts_or_vocabs_exit_2_naming_file(tmp_path, capsys, corrupt
     flags = ["--task", task, "--shift", "project", "--config", str(config_path)]
     assert main(["train", *flags]) == 0  # the uncorrupted bucket trains
     target = contexts / f"{task}-project-{name}"
-    target.write_text(text, encoding="utf-8")
+    target.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     capsys.readouterr()
     assert main(["train", *flags]) == 2
     err = capsys.readouterr().err
     assert f"{target}{line}" in err
     assert "runtime error" not in err
+
+
+def assert_exit_2_naming(argv, config_path, target, capsys):
+    capsys.readouterr()
+    assert main([*argv, "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err
+    assert "runtime error" not in err
+
+
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_score_csv_not_utf8_exits_2_naming_file(tmp_path, capsys, command):
+    config_path, target = scores_only_bucket(tmp_path)
+    target.write_bytes(target.read_bytes() + NOT_UTF8)
+    argv = [READERS[command][0], "--task", "cs", "--shift", "project", *READERS[command][1:]]
+    assert_exit_2_naming(argv, config_path, target, capsys)
+
+
+def synth_bucket(tmp_path):
+    """A tiny synthetic corpus with its manifests; nothing else run."""
+    config_path = tmp_path / "config.json"
+    synth = {"timeline_files": 2, "project_files": 6, "author_files": {"alice": 2, "adam": 1, "mira": 1, "bogdan": 1}}
+    config_path.write_text(json.dumps({"synth": synth}), encoding="utf-8")
+    assert main(["synth-corpus", "--config", str(config_path)]) == 0
+    return config_path, tmp_path / "corpus"
+
+
+def truncate(path):
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) // 2], encoding="utf-8")
+
+
+def test_manifest_not_utf8_exits_2_naming_file(tmp_path, capsys):
+    config_path, corpus_root = synth_bucket(tmp_path)
+    target = corpus_root / "manifest_timeline.json"
+    target.write_bytes(target.read_bytes().replace(b'"timeline"', b'"time\xffline"', 1))
+    assert_exit_2_naming(["make-splits", "--shift", "timeline"], config_path, target, capsys)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not_an_object", "entry_without_path"])
+def test_corrupt_snapshot_sidecar_exits_2_naming_file(tmp_path, capsys, damage):
+    config_path, corpus_root = synth_bucket(tmp_path)
+    target = corpus_root / "timeline" / "v1" / "snapshot.json"
+    if damage == "truncated":
+        truncate(target)
+    else:
+        target.write_text("[]" if damage == "not_an_object" else '{"files": [{"author": "x"}]}', encoding="utf-8")
+    assert_exit_2_naming(["make-splits", "--shift", "timeline"], config_path, target, capsys)
+
+
+def test_java_source_not_utf8_exits_2_naming_file(tmp_path, capsys):
+    config_path, corpus_root = synth_bucket(tmp_path)
+    assert main(["make-splits", "--shift", "project", "--config", str(config_path)]) == 0
+    target = sorted((corpus_root / "project").rglob("*.java"))[0]
+    target.write_bytes(target.read_bytes() + NOT_UTF8)
+    assert_exit_2_naming(["extract", "--task", "cc", "--shift", "project"], config_path, target, capsys)
+
+
+def test_truncated_splits_file_exits_2_naming_file(tmp_path, capsys):
+    config_path, _ = synth_bucket(tmp_path)
+    assert main(["make-splits", "--shift", "project", "--config", str(config_path)]) == 0
+    target = bucket_of(config_path) / "splits" / "project.json"
+    truncate(target)
+    assert_exit_2_naming(["extract", "--task", "cc", "--shift", "project"], config_path, target, capsys)
+
+
+def test_truncated_report_exits_2_naming_file(tmp_path, capsys, workspace):
+    _, workspace_config, _ = workspace
+    config_path = tmp_path / "config.json"
+    config_path.write_text("{}", encoding="utf-8")
+    reports = bucket_of(config_path) / "reports"
+    reports.mkdir(parents=True)
+    source = bucket_of(workspace_config) / "reports" / "cs-project.json"
+    target = reports / source.name
+    target.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
+    assert main(["report", "--config", str(config_path)]) == 0  # the intact copy merges
+    truncate(target)
+    assert_exit_2_naming(["report"], config_path, target, capsys)
 
 
 def test_cli_import_leaves_scipy_unloaded():

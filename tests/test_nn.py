@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codeshift import nn
 
@@ -161,6 +163,110 @@ def test_grad_full_attention_classifier():
         return nn.mean(nn.cross_entropy(probs, labels))
 
     finite_diff_check(build, [table, w_comb, b_comb, attn, w_out, b_out])
+
+
+def loop_embedding_grad(vocab, ids, g):
+    """Reference backward: add each gradient row to its id's row, in order."""
+    ids = np.asarray(ids).reshape(-1)
+    g = np.asarray(g)
+    g = g.reshape(ids.size, g.shape[-1])
+    gt = np.zeros((vocab, g.shape[1]), dtype=g.dtype)
+    for i in range(ids.size):
+        gt[ids[i]] += g[i]
+    return gt
+
+
+def lookup_grad(vocab, ids, g):
+    table = nn.Tensor(np.zeros((vocab, g.shape[-1]), dtype=g.dtype), requires_grad=True)
+    nn.backward(nn.embedding_lookup(table, ids), seed=g)
+    return table.grad
+
+
+def assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim", [1, 5])  # one column is where numpy would sum pairwise
+@pytest.mark.parametrize(
+    "ids_shape", [(37,), (4, 9), (3, 5, 4)], ids=["n", "batch-n", "batch-n-k"]
+)
+def test_embedding_backward_matches_loop_bitwise(dtype, dim, ids_shape):
+    rng = np.random.default_rng(17)
+    ids = rng.integers(0, 3, size=ids_shape)
+    # Magnitudes over ten decades make the summation order show in the bits.
+    shape = ids_shape + (dim,)
+    g = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, shape)).astype(dtype)
+    assert_bitwise(lookup_grad(3, ids, g), loop_embedding_grad(3, ids, g))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embedding_backward_edge_ids(dtype):
+    rng = np.random.default_rng(18)
+    empty = np.zeros((0, 3), dtype=np.int64)
+    grad = lookup_grad(4, empty, np.zeros((0, 3, 2), dtype=dtype))
+    assert_bitwise(grad, np.zeros((4, 2), dtype=dtype))
+
+    singletons = rng.permutation(9).reshape(3, 3)
+    g = rng.standard_normal((3, 3, 4)).astype(dtype)
+    assert_bitwise(lookup_grad(9, singletons, g), loop_embedding_grad(9, singletons, g))
+
+    one_id = np.full((6, 20), 2)
+    g = (rng.standard_normal((6, 20, 4)) * 10.0 ** rng.uniform(-6, 6, (6, 20, 4))).astype(dtype)
+    assert_bitwise(lookup_grad(3, one_id, g), loop_embedding_grad(3, one_id, g))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embedding_backward_signed_zeros_and_nan(dtype):
+    ids = np.array([0, 1, 1, 2, 3, 3, 3])
+    g = np.array(
+        [
+            [-0.0, 1.0],  # a lone -0.0 lands as +0.0, as 0.0 + -0.0 does
+            [-0.0, -0.0],
+            [-0.0, 2.0],
+            [np.nan, 1.0],  # a NaN row poisons its id only
+            [1.0, -0.0],
+            [-1.0, -0.0],
+            [0.0, -0.0],
+        ],
+        dtype=dtype,
+    )
+    grad = lookup_grad(5, ids, g)
+    assert_bitwise(grad, loop_embedding_grad(5, ids, g))
+    assert not np.signbit(grad[[0, 1, 3]]).any()
+    assert np.isnan(grad[2, 0]) and not np.isnan(grad[[0, 1, 3, 4]]).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embedding_backward_two_lookups_share_a_table(dtype):
+    # CS looks up the left and the right terminal of a path in one table.
+    rng = np.random.default_rng(19)
+    table = nn.Tensor(np.zeros((7, 3), dtype=dtype), requires_grad=True)
+    left, right = rng.integers(0, 7, size=(2, 4, 10))
+    cat = nn.concat_last([nn.embedding_lookup(table, left), nn.embedding_lookup(table, right)])
+    g = rng.standard_normal((4, 10, 6)).astype(dtype)
+    nn.backward(cat, seed=g)
+    expected = loop_embedding_grad(7, left, g[..., :3]) + loop_embedding_grad(7, right, g[..., 3:])
+    assert_bitwise(table.grad, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vocab=st.integers(1, 12),
+    dim=st.integers(1, 5),
+    ids_shape=st.lists(st.integers(0, 6), min_size=1, max_size=3).map(tuple),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    data=st.data(),
+)
+def test_embedding_backward_property(vocab, dim, ids_shape, dtype, data):
+    size = int(np.prod(ids_shape))
+    ids = np.array(data.draw(st.lists(st.integers(0, vocab - 1), min_size=size, max_size=size)), dtype=np.int64)
+    values = st.floats(width=np.finfo(dtype).bits, allow_nan=True, allow_infinity=False)
+    g = np.array(data.draw(st.lists(values, min_size=size * dim, max_size=size * dim)), dtype=dtype)
+    ids, g = ids.reshape(ids_shape), g.reshape(ids_shape + (dim,))
+    with np.errstate(all="ignore"):
+        assert_bitwise(lookup_grad(vocab, ids, g), loop_embedding_grad(vocab, ids, g))
 
 
 def test_softmax_symmetry_and_stability():
