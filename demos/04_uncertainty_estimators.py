@@ -5,7 +5,8 @@ higher means "more likely within the model's competence": max softmax
 (vanilla), temperature-scaled softmax, MC-Dropout averaging, mutation
 label-change rate (1 - LCR), and probe-based PV scores. The registry
 `uq.ESTIMATORS` fits each one and scores an encoded split into one column
-table per variant, the same path the `codeshift score` command takes.
+table per variant, the same path the `codeshift score` command takes: one
+deterministic forward pass (`uq.base_outputs`) feeds every estimator.
 """
 
 from codeshift import extraction as ex
@@ -32,25 +33,26 @@ model = tasks.train_cs(encoded, terminals, paths, labels,
 # the config's estimator parameters, with a smaller mutant ensemble
 settings = {**DEFAULT_CONFIG["uncertainty"], "mutant_count": 20, "seed": 0}
 states = {name: e.fit(model, encoded, encoded, settings) for name, e in uq.ESTIMATORS.items()}
+base = uq.base_outputs(model, encoded)
 
-vanilla = uq.ESTIMATORS["vanilla"].table(model, states["vanilla"], "", encoded)
+vanilla = uq.ESTIMATORS["vanilla"].table(model, states["vanilla"], "", encoded, base)
 print("vanilla (max softmax):")
 for sample_id, confidence, predicted in zip(vanilla.sample_ids, vanilla.confidence, vanilla.predicted):
     print(f"  {sample_id}: confidence={confidence:.3f} predicted={labels.decode(int(predicted))}")
 
 print(f"\ntemperature scaling: T*={states['temp_scale']:.3f}")
 for name in ("temp_scale", "mc_dropout"):
-    table = uq.ESTIMATORS[name].table(model, states[name], "", encoded)
+    table = uq.ESTIMATORS[name].table(model, states[name], "", encoded, base)
     print(f"{name}: confidences {[round(c, 3) for c in table.confidence.tolist()]}")
 
 print("\nmMutant label-change rates at degree 0.05 (confidence = 1 - LCR):")
 for operator in uq.MUTATION_OPERATORS:
-    table = uq.ESTIMATORS["mmutant"].table(model, states["mmutant"], operator, encoded)
+    table = uq.ESTIMATORS["mmutant"].table(model, states["mmutant"], operator, encoded, base)
     print(f"  {operator}: LCR {[round(r, 2) for r in table.raw.tolist()]}")
 
 print("\ndissector PV scores per growth type:")
 for growth in uq.GROWTH_TYPES:
     weights = uq.growth_weights(growth, len(states["dissector"].probes))
-    table = uq.ESTIMATORS["dissector"].table(model, states["dissector"], growth, encoded)
+    table = uq.ESTIMATORS["dissector"].table(model, states["dissector"], growth, encoded, base)
     print(f"  {growth:<6} layer weights {[round(float(w), 3) for w in weights]}, "
           f"PV {[round(c, 3) for c in table.confidence.tolist()]}")

@@ -336,9 +336,10 @@ def cmd_score(config: dict, args) -> int:
     hash_hex = config_hash(config)
     written = 0
     for split, samples in encoded.items():
+        base = uq.base_outputs(model, samples)
         for estimator, state in fitted:
             for variant in estimator.variants:
-                table = estimator.table(model, state, variant, samples, split)
+                table = estimator.table(model, state, variant, samples, base, split)
                 uq.write_scores_csv(_scores_path(bucket, args.task, args.shift, table.method, variant, split), table, hash_hex)
                 written += 1
     print(f"score[{args.task}/{args.shift}] wrote {written} score files over splits {eval_splits}")

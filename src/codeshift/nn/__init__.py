@@ -20,14 +20,13 @@ from .ops import (
     mean,
     mul,
     reshape,
-    scale,
     softmax,
     sum_axis,
     tanh,
     weighted_sum,
 )
 from .optim import AdamState, adam_step
-from .tensor import Tensor, backward, grad_enabled, no_grad, zero_grads
+from .tensor import Tensor, backward, no_grad, zero_grads
 
 __all__ = [
     "AdamState",
@@ -45,14 +44,12 @@ __all__ = [
     "cross_entropy",
     "dropout",
     "embedding_lookup",
-    "grad_enabled",
     "linear",
     "mean",
     "mul",
     "no_grad",
     "read_checkpoint",
     "reshape",
-    "scale",
     "softmax",
     "sum_axis",
     "tanh",

@@ -19,6 +19,7 @@ Parameters are stored as 32-bit floats regardless of in-memory dtype.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -65,6 +66,21 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def text(self, n: int) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"text before offset {self.pos} is not UTF-8: {exc}") from exc
+
+    def json_object(self) -> dict:
+        try:
+            value = json.loads(self.text(self.u32()))
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"JSON before offset {self.pos} is malformed: {exc}") from exc
+        if not isinstance(value, dict):
+            raise CheckpointError(f"JSON before offset {self.pos} is not an object")
+        return value
+
 
 def write_checkpoint(kind: str, config: dict, vocabs: dict[str, list[str]], arrays: dict[str, np.ndarray]) -> bytes:
     out = [MAGIC, struct.pack("<I", VERSION)]
@@ -88,25 +104,28 @@ def write_checkpoint(kind: str, config: dict, vocabs: dict[str, list[str]], arra
 
 
 def read_checkpoint(data: bytes, expect_kind: str | None = None) -> Checkpoint:
+    """Parse a checkpoint; malformed data of any kind raises CheckpointError."""
     r = _Reader(data)
     if r.take(4) != MAGIC:
         raise CheckpointError("not a checkpoint: bad magic")
     version = r.u32()
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    kind = r.take(r.u16()).decode("utf-8")
+    kind = r.text(r.u16())
     if expect_kind is not None and kind != expect_kind:
         raise CheckpointKindError(f"checkpoint holds a {kind!r} model, expected {expect_kind!r}")
-    config = json.loads(r.take(r.u32()).decode("utf-8"))
-    vocabs = json.loads(r.take(r.u32()).decode("utf-8"))
+    config = r.json_object()
+    vocabs = r.json_object()
     arrays: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
-        name = r.take(r.u16()).decode("utf-8")
+        name = r.text(r.u16())
         ndim = r.u8()
         shape = tuple(r.u32() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = r.take(4 * count)
-        arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        raw = r.take(4 * math.prod(shape))  # exact: np.prod would wrap on a corrupt shape
+        try:
+            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        except ValueError as exc:  # an empty shape numpy cannot hold: too many or too large dims
+            raise CheckpointError(f"parameter {name!r} has an unsupported shape: {exc}") from exc
     if r.pos != len(data):
         raise CheckpointError(f"trailing bytes after checkpoint payload ({len(data) - r.pos})")
     return Checkpoint(kind=kind, config=config, vocabs=vocabs, arrays=arrays)

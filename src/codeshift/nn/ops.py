@@ -49,15 +49,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return make_node(out, (a, b), backward_fn)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    out = a.data * c
-
-    def backward_fn(g):
-        accumulate(a, g * c)
-
-    return make_node(out, (a,), backward_fn)
-
-
 def linear(x: Tensor, w: Tensor) -> Tensor:
     """x (..., k) @ w (k, m) -> (..., m)."""
     if x.data.shape[-1] != w.data.shape[0]:
@@ -147,6 +138,10 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
         gt[keys[starts[once]]] += rows[starts[once], :d]
         for a, n in zip(starts[~once].tolist(), counts[~once].tolist()):
             gt[keys[a]] += rows[a : a + n].sum(axis=0)[:d]
+        if np.isnan(gt).any():  # which of two NaNs a sum keeps depends on numpy's loop
+            gt = np.zeros_like(table.data)
+            for i, row in zip(flat.tolist(), g.reshape(-1, d)):
+                gt[i] += row
         accumulate(table, gt)
 
     return make_node(out, (table,), backward_fn)

@@ -151,6 +151,7 @@ class _TaskModel:
 
 class PathAttentionModel(_TaskModel):
     kind = CS
+    probe_layers = ("embed_mean", "pooled")  # Dissector's taps, shallow to deep
 
     def __init__(
         self,
@@ -225,6 +226,7 @@ class PathAttentionModel(_TaskModel):
 
 class MlpCompletionModel(_TaskModel):
     kind = CC
+    probe_layers = ("embed_mean",)  # Dissector's taps, shallow to deep
 
     def __init__(self, tokens: Vocabulary, dim: int = 100, seed: int = 0, dtype=np.float32):
         self.tokens = tokens
@@ -388,36 +390,37 @@ def write_epoch_log(history: list[dict], path, config_hash: str | None = None) -
 # -- model checkpoints -------------------------------------------------------
 
 
+# each kind's vocabularies, under their model attribute and constructor names
+_VOCAB_NAMES = {CS: ("terminals", "paths", "labels"), CC: ("tokens",)}
+
+
 def save_checkpoint(model: Model, train_config: dict | None = None) -> bytes:
     config = {"dim": model.dim, "dropout_p": model.dropout_p}
     if train_config:
         config["train"] = train_config
-    if model.kind == CS:
-        vocabs = {
-            "terminals": model.terminals.tokens,
-            "paths": model.paths.tokens,
-            "labels": model.labels.tokens,
-        }
-    else:
-        vocabs = {"tokens": model.tokens.tokens}
+    vocabs = {name: getattr(model, name).tokens for name in _VOCAB_NAMES[model.kind]}
     arrays = {name: p.data for name, p in model.params().items()}
     return nn.write_checkpoint(model.kind, config, vocabs, arrays)
 
 
 def load_checkpoint(data: bytes, expect_kind: str | None = None) -> Model:
+    """Rebuild a saved model; malformed data of any kind raises nn.CheckpointError."""
     ck = nn.read_checkpoint(data, expect_kind=expect_kind)
-    if ck.kind == CS:
-        model = PathAttentionModel(
-            Vocabulary.from_tokens(ck.vocabs["terminals"]),
-            Vocabulary.from_tokens(ck.vocabs["paths"]),
-            Vocabulary.from_tokens(ck.vocabs["labels"]),
-            dim=ck.config["dim"],
-            dropout_p=ck.config["dropout_p"],
-        )
-    elif ck.kind == CC:
-        model = MlpCompletionModel(Vocabulary.from_tokens(ck.vocabs["tokens"]), dim=ck.config["dim"])
-    else:
+    dim, dropout_p = ck.config.get("dim"), ck.config.get("dropout_p")
+    if type(dim) is not int or dim < 1:
+        raise nn.CheckpointError(f"config dim {dim!r} is not a positive integer")
+    if type(dropout_p) not in (int, float) or not 0.0 <= dropout_p < 1.0:
+        raise nn.CheckpointError(f"config dropout_p {dropout_p!r} is not a probability below 1")
+    if ck.kind not in (CS, CC):
         raise nn.CheckpointError(f"unknown model kind {ck.kind!r}")
+    try:
+        vocabs = {name: Vocabulary.from_tokens(ck.vocabs[name]) for name in _VOCAB_NAMES[ck.kind]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise nn.CheckpointError(f"vocabulary missing or malformed: {exc!r}") from exc
+    if ck.kind == CS:
+        model = PathAttentionModel(**vocabs, dim=dim, dropout_p=dropout_p)
+    else:
+        model = MlpCompletionModel(**vocabs, dim=dim)
     for name, p in model.params().items():
         if name not in ck.arrays:
             raise nn.CheckpointError(f"checkpoint missing parameter {name!r}")
@@ -425,6 +428,8 @@ def load_checkpoint(data: bytes, expect_kind: str | None = None) -> Model:
             raise nn.CheckpointError(
                 f"parameter {name!r} has shape {ck.arrays[name].shape}, expected {p.data.shape}"
             )
+        if not np.isfinite(ck.arrays[name]).all():
+            raise nn.CheckpointError(f"parameter {name!r} holds non-finite values")
         p.data = ck.arrays[name]
     model.config_echo = ck.config
     return model

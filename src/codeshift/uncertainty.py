@@ -7,6 +7,11 @@ operators, probe growth curves), fits its state, and scores samples into a
 `ScoreTable`, one per (method, variant, split), so reports can select the
 best-scoring variant per metric.
 
+Every estimator is defined against the model's deterministic forward pass.
+`base_outputs` runs it once per split; the scorers read its probabilities,
+logits, predicted labels and probe taps instead of running it again. Only
+MC-Dropout's stochastic passes and mMutant's mutants run the network.
+
 - vanilla: max softmax probability.
 - temp_scale: max softmax(logits / T), T fitted on validation NLL (BFGS).
 - mc_dropout: mean softmax over K stochastic passes; the CC model has no
@@ -61,12 +66,16 @@ class ScoreTable:
         return len(self.sample_ids)
 
 
-# -- vanilla ---------------------------------------------------------------
+# -- the shared forward and vanilla ------------------------------------------
 
 
-def score_vanilla(model, samples):
+def base_outputs(model, samples) -> dict[str, np.ndarray]:
+    """The deterministic forward every scorer reads: probs, logits and the probe taps."""
+    return tasks.infer(model, samples, keys=("probs", "logits", *model.probe_layers))
+
+
+def score_vanilla(probs: np.ndarray):
     """(raw, confidence, predicted) arrays; raw and confidence are the max softmax."""
-    probs = tasks.infer(model, samples)["probs"]
     conf = probs.max(axis=-1)
     return conf, conf, probs.argmax(axis=-1)
 
@@ -118,16 +127,16 @@ def fit_temperature(model, val_samples) -> float:
     return temperature
 
 
-def score_temp_scale(model, temperature: float, samples):
+def score_temp_scale(logits: np.ndarray, temperature: float):
     from scipy.special import logsumexp
 
     if temperature is None or temperature <= 0:
         raise EstimatorStateError(f"temperature must be positive, got {temperature}")
-    logits = tasks.infer(model, samples, keys=("logits",))["logits"].astype(np.float64)
-    scaled = logits / temperature
-    log_probs = scaled - logsumexp(scaled, axis=-1, keepdims=True)
-    probs = np.exp(log_probs)
-    conf = probs.max(axis=-1)
+    # in place: the split's shared outputs are alive too, so hold one float64 copy
+    scaled = logits.astype(np.float64)
+    scaled /= temperature
+    scaled -= logsumexp(scaled, axis=-1, keepdims=True)
+    conf = np.exp(scaled, out=scaled).max(axis=-1)
     preds = logits.argmax(axis=-1)  # monotone scaling cannot move the argmax
     return conf, conf, preds
 
@@ -138,17 +147,14 @@ def score_temp_scale(model, temperature: float, samples):
 def score_mc_dropout(model, samples, passes: int = 30, p: float = 0.5, seed: int = 0):
     if passes < 1:
         raise ValueError(f"MC-Dropout needs passes >= 1, got {passes}")
-    if p == 0.0:
-        # every pass is the deterministic forward; short-circuit so the
-        # p=0 == vanilla contract holds bitwise
-        mean_probs = tasks.infer(model, samples)["probs"]
-    else:
-        rng = np.random.default_rng([int(s) for s in np.atleast_1d(seed)] + [0xD0])
-        total = None
-        for _ in range(passes):
-            probs = tasks.infer(model, samples, training=True, rng=rng, dropout_p=p)["probs"]
-            total = probs.astype(np.float64) if total is None else total + probs
-        mean_probs = total / passes
+    rng = np.random.default_rng([int(s) for s in np.atleast_1d(seed)] + [0xD0])
+    total = None
+    for _ in range(passes):
+        probs = tasks.infer(model, samples, training=True, rng=rng, dropout_p=p)["probs"]
+        total = probs.astype(np.float64) if total is None else total + probs
+    # at p = 0 every pass is the deterministic forward, and K equal float32
+    # rows summed in float64 and divided by K give those rows back exactly
+    mean_probs = total / passes
     conf = mean_probs.max(axis=-1)
     return conf, conf, mean_probs.argmax(axis=-1)
 
@@ -236,12 +242,10 @@ def build_mutant_ensemble(model, operator: str, degree: float = 0.05, count: int
     return ensemble
 
 
-def score_mmutant(model, ensemble: MutantEnsemble | None, samples):
-    """Raw score is the label change rate (LCR); confidence is 1 - LCR."""
+def score_mmutant(ensemble: MutantEnsemble | None, samples, base_preds: np.ndarray):
+    """Raw score is the label change rate (LCR) from `base_preds`; confidence is 1 - LCR."""
     if ensemble is None or not ensemble.mutants:
         raise EstimatorStateError("mMutant scoring needs a built ensemble")
-    base_probs = tasks.infer(model, samples)["probs"]
-    base_preds = base_probs.argmax(axis=-1)
     changed = np.zeros(len(samples), dtype=np.int64)
     for mutant in ensemble.mutants:
         preds = tasks.infer(mutant, samples)["probs"].argmax(axis=-1)
@@ -251,15 +255,6 @@ def score_mmutant(model, ensemble: MutantEnsemble | None, samples):
 
 
 # -- Dissector ------------------------------------------------------------------
-
-# Probe taps in shallow-to-deep order; growth weights grow with depth.
-CS_PROBE_LAYERS = ("embed_mean", "pooled")
-CC_PROBE_LAYERS = ("embed_mean",)
-
-
-def probe_layer_tags(model) -> tuple[str, ...]:
-    return CS_PROBE_LAYERS if model.kind == tasks.CS else CC_PROBE_LAYERS
-
 
 @dataclass
 class Probe:
@@ -278,11 +273,6 @@ class ProbeSet:
     n_classes: int
 
 
-def collect_activations(model, samples, batch_size: int = 512) -> dict[str, np.ndarray]:
-    tags = probe_layer_tags(model)
-    return tasks.infer(model, samples, batch_size=batch_size, keys=tags)
-
-
 def train_probes(
     model,
     train_samples,
@@ -291,14 +281,14 @@ def train_probes(
     seed: int = 0,
     batch_size: int = 512,
 ) -> ProbeSet:
-    """Fit one linear probe per tapped layer on frozen training activations."""
+    """Fit one linear probe per tap in `model.probe_layers` on frozen training activations."""
     if not train_samples:
         raise EstimatorStateError("probe training needs training-split samples")
-    acts = collect_activations(model, train_samples, batch_size=batch_size)
+    acts = tasks.infer(model, train_samples, batch_size=batch_size, keys=model.probe_layers)
     labels = train_samples.labels
     n_classes = model.n_classes()
     probes = []
-    for layer_index, tag in enumerate(probe_layer_tags(model)):
+    for layer_index, tag in enumerate(model.probe_layers):
         features = acts[tag]
         dim = features.shape[1]
         rng = np.random.default_rng([seed, layer_index, 0xDE])
@@ -346,19 +336,18 @@ def _snapshot_validity(q: np.ndarray, base_pred: np.ndarray) -> np.ndarray:
     return ql / denom
 
 
-def score_dissector(model, probes: ProbeSet | None, growth: str, samples):
+def score_dissector(probes: ProbeSet | None, growth: str, base: dict[str, np.ndarray]):
+    """PV scores from the probes over `base`'s probe taps, against its predicted labels."""
     if probes is None or not probes.probes:
         raise EstimatorStateError("dissector scoring needs trained probes")
-    if probes.n_classes != model.n_classes():
-        raise EstimatorStateError(
-            f"probe label space ({probes.n_classes}) does not match model ({model.n_classes()})"
-        )
+    n_classes = base["probs"].shape[-1]
+    if probes.n_classes != n_classes:
+        raise EstimatorStateError(f"probe label space ({probes.n_classes}) does not match model ({n_classes})")
     weights = growth_weights(growth, len(probes.probes))
-    acts = collect_activations(model, samples)
-    base_preds = tasks.infer(model, samples)["probs"].argmax(axis=-1)
-    pv = np.zeros(len(samples), dtype=np.float64)
+    base_preds = base["probs"].argmax(axis=-1)
+    pv = np.zeros(len(base_preds), dtype=np.float64)
     for weight, probe in zip(weights, probes.probes):
-        q = probe.predict(acts[probe.tag])
+        q = probe.predict(base[probe.tag])
         pv += weight * _snapshot_validity(q, base_preds)
     return pv, pv, base_preds
 
@@ -373,9 +362,11 @@ class Estimator:
     `fit(model, train, validation, settings)` returns the fitted state: the
     temperature, the MC-Dropout settings, one mutant ensemble per operator,
     the probes, or None. `settings` holds the `uncertainty` config keys plus
-    `seed`. `score(model, state, variant, samples, split)` returns
-    (raw, confidence, predicted) arrays; `split` keys the random stream of
-    stochastic passes. A method without variants has the one variant "".
+    `seed`. `score(model, state, variant, samples, base, split)` returns
+    (raw, confidence, predicted) arrays, where `base` is `base_outputs(model,
+    samples)`, computed once per split and shared by every estimator;
+    `split` keys the random stream of stochastic passes. A method without
+    variants has the one variant "".
     """
 
     name: str
@@ -384,8 +375,8 @@ class Estimator:
     fit: Callable
     score: Callable
 
-    def table(self, model, state, variant: str, samples, split: str = "") -> ScoreTable:
-        raw, confidence, predicted = self.score(model, state, variant, samples, split)
+    def table(self, model, state, variant: str, samples, base: dict[str, np.ndarray], split: str = "") -> ScoreTable:
+        raw, confidence, predicted = self.score(model, state, variant, samples, base, split)
         confidence = np.asarray(confidence, dtype=np.float64)
         outside = ~((confidence >= 0.0) & (confidence <= 1.0))
         if outside.any():
@@ -419,7 +410,7 @@ def _fit_probes(model, train, validation, settings) -> ProbeSet:
     )
 
 
-def _score_mc_dropout(model, settings, variant, samples, split):
+def _score_mc_dropout(model, settings, variant, samples, base, split):
     seed = [settings["seed"], zlib.crc32(split.encode())]
     return score_mc_dropout(model, samples, passes=settings["mc_passes"], p=settings["mc_dropout_p"], seed=seed)
 
@@ -433,12 +424,12 @@ ESTIMATORS: dict[str, Estimator] = {
         Estimator(
             "vanilla", "vanilla", ("",),
             fit=lambda model, train, validation, settings: None,
-            score=lambda model, state, variant, samples, split: score_vanilla(model, samples),
+            score=lambda model, state, variant, samples, base, split: score_vanilla(base["probs"]),
         ),
         Estimator(
             "temp_scale", "temp", ("",),
             fit=lambda model, train, validation, settings: fit_temperature(model, validation),
-            score=lambda model, temperature, variant, samples, split: score_temp_scale(model, temperature, samples),
+            score=lambda model, temperature, variant, samples, base, split: score_temp_scale(base["logits"], temperature),
         ),
         Estimator(
             "mc_dropout", "mcdropout", ("",),
@@ -448,14 +439,14 @@ ESTIMATORS: dict[str, Estimator] = {
         Estimator(
             "mmutant", "mmutant", MUTATION_OPERATORS,
             fit=_fit_mutant_ensembles,
-            score=lambda model, ensembles, operator, samples, split: score_mmutant(
-                model, (ensembles or {}).get(operator), samples
+            score=lambda model, ensembles, operator, samples, base, split: score_mmutant(
+                (ensembles or {}).get(operator), samples, base["probs"].argmax(axis=-1)
             ),
         ),
         Estimator(
             "dissector", "dissector", GROWTH_TYPES,
             fit=_fit_probes,
-            score=lambda model, probes, growth, samples, split: score_dissector(model, probes, growth, samples),
+            score=lambda model, probes, growth, samples, base, split: score_dissector(probes, growth, base),
         ),
     )
 }

@@ -191,8 +191,9 @@ def test_criterion_3_estimator_invariants(small_models):
     cc_model, cc_encoded, cs_model, cs_encoded = small_models
 
     t_star = uq.fit_temperature(cc_model, cc_encoded)
-    _, vanilla_conf, vanilla_pred = uq.score_vanilla(cc_model, cc_encoded)
-    _, _, scaled_pred = uq.score_temp_scale(cc_model, t_star, cc_encoded)
+    cc_base = uq.base_outputs(cc_model, cc_encoded)
+    _, vanilla_conf, vanilla_pred = uq.score_vanilla(cc_base["probs"])
+    _, _, scaled_pred = uq.score_temp_scale(cc_base["logits"], t_star)
     argmax_preserved = bool(np.array_equal(vanilla_pred, scaled_pred))
     logits = tasks.infer(cc_model, cc_encoded, keys=("logits",))["logits"].astype(np.float64)
     labels = cc_encoded.labels
@@ -204,13 +205,14 @@ def test_criterion_3_estimator_invariants(small_models):
     lcr_zero = True
     for op in uq.MUTATION_OPERATORS:
         ensemble = uq.build_mutant_ensemble(cc_model, op, degree=0.0, count=4, seed=2)
-        lcr_zero &= bool(np.all(uq.score_mmutant(cc_model, ensemble, cc_encoded)[0] == 0.0))
+        lcr_zero &= bool(np.all(uq.score_mmutant(ensemble, cc_encoded, vanilla_pred)[0] == 0.0))
 
     probes = uq.train_probes(cs_model, cs_encoded, epochs=5, seed=1)
+    cs_base = uq.base_outputs(cs_model, cs_encoded)
     pv_in_bounds = all(
         0.0 <= c <= 1.0
         for growth in uq.GROWTH_TYPES
-        for c in uq.score_dissector(cs_model, probes, growth, cs_encoded)[1]
+        for c in uq.score_dissector(probes, growth, cs_base)[1]
     )
     exp_weights = uq.growth_weights("exp", len(probes.probes))
     exp_increasing = bool(np.all(np.diff(exp_weights) > 0))

@@ -264,22 +264,44 @@ def test_corrupt_score_csv_exits_2_naming_file_and_line(tmp_path, capsys, comman
     assert "runtime error" not in err
 
 
-@pytest.mark.parametrize("damage", ["truncated", "wrong_kind"])
+@pytest.mark.parametrize("damage", ["truncated", "wrong_kind", "config_not_json", "zero_dim"])
 def test_corrupt_checkpoint_exits_2_naming_file(tmp_path, capsys, damage):
     config_path = tmp_path / "config.json"
     config_path.write_text("{}", encoding="utf-8")
     ckpt = bucket_of(config_path) / "checkpoints" / "cs-project.ckpt"
     ckpt.parent.mkdir(parents=True)
     vocab = Vocabulary.from_tokens([UNK_TOKEN, PAD_TOKEN, "a", "b"])
+    blob = tasks.save_checkpoint(tasks.PathAttentionModel(vocab, vocab, vocab, dim=4))
     if damage == "truncated":
-        blob = tasks.save_checkpoint(tasks.PathAttentionModel(vocab, vocab, vocab, dim=4))
         ckpt.write_bytes(blob[: len(blob) // 2])
-    else:
+    elif damage == "wrong_kind":
         ckpt.write_bytes(tasks.save_checkpoint(tasks.MlpCompletionModel(vocab, dim=4)))
+    else:  # one byte changed in the config JSON, so every length prefix still holds
+        old, new = (b'{"dim"', b'["dim"') if damage == "config_not_json" else (b'"dim": 4', b'"dim": 0')
+        ckpt.write_bytes(blob.replace(old, new, 1))
     assert main(["score", "--task", "cs", "--shift", "project", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err
     assert "runtime error" not in err
+
+
+def test_score_runs_the_deterministic_forward_once_per_split(workspace, monkeypatch):
+    root, config_path, flags = workspace
+    calls = []
+    infer = tasks.infer
+
+    def counting_infer(model, samples, *args, **kwargs):
+        if not kwargs.get("training", False):
+            calls.append(len(samples))
+        return infer(model, samples, *args, **kwargs)
+
+    monkeypatch.setattr(tasks, "infer", counting_infer)
+    assert main(["score", "--task", "cs", "--shift", "project", *flags]) == 0
+    mutant_count = load_config(config_path)["uncertainty"]["mutant_count"]
+    splits = ("validation", "test1")
+    # fit: the temperature on validation, the probes on train; then per split
+    # one shared forward plus one pass per mutant of each of the 4 operators
+    assert len(calls) == 2 + len(splits) * (1 + 4 * mutant_count)
 
 
 def test_sweep_and_filter_read_only_their_method(tmp_path, capsys):

@@ -237,3 +237,32 @@ def test_checkpoint_kind_mismatch():
     blob = tasks.save_checkpoint(model)
     with pytest.raises(nn.CheckpointKindError):
         tasks.load_checkpoint(blob, expect_kind="cc")
+
+
+def small_checkpoints():
+    vocab = ex.Vocabulary.from_tokens([ex.UNK_TOKEN, ex.PAD_TOKEN, "a", "b"])
+    return {
+        "cc": tasks.save_checkpoint(tasks.MlpCompletionModel(vocab, dim=4)),
+        "cs": tasks.save_checkpoint(tasks.PathAttentionModel(vocab, vocab, vocab, dim=2)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["cc", "cs"])
+def test_damaged_checkpoint_raises_only_checkpoint_error(kind):
+    """Every single-bit flip and every truncation either loads or raises CheckpointError."""
+    blob = small_checkpoints()[kind]
+    damaged = [blob[:end] for end in range(len(blob))]
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        damaged.append(bytes(flipped))
+    rejected = 0
+    for data in damaged:
+        try:
+            model = tasks.load_checkpoint(data)
+        except nn.CheckpointError:
+            rejected += 1
+            continue
+        for p in model.params().values():
+            assert np.isfinite(p.data).all()
+    assert rejected >= len(blob)  # at least every truncation

@@ -68,7 +68,8 @@ def assert_same_scores(a, b):
 
 def test_vanilla_is_max_softmax():
     model, vocab = forced_prob_model([0.7, 0.2, 0.1])
-    rec = uq.ESTIMATORS["vanilla"].table(model, None, "", sample_for(vocab))
+    sample = sample_for(vocab)
+    rec = uq.ESTIMATORS["vanilla"].table(model, None, "", sample, uq.base_outputs(model, sample))
     assert abs(rec.confidence[0] - 0.7) < 1e-6
     assert rec.predicted[0] == 0
     assert rec.method == "vanilla" and rec.variant == ""
@@ -76,8 +77,8 @@ def test_vanilla_is_max_softmax():
 
 def test_vanilla_uniform_and_purity():
     model, vocab = forced_prob_model([0.25, 0.25, 0.25, 0.25])
-    a = uq.score_vanilla(model, sample_for(vocab))
-    b = uq.score_vanilla(model, sample_for(vocab))
+    a = uq.score_vanilla(uq.base_outputs(model, sample_for(vocab))["probs"])
+    b = uq.score_vanilla(uq.base_outputs(model, sample_for(vocab))["probs"])
     assert abs(a[1][0] - 0.25) < 1e-6
     assert_same_scores(a, b)
 
@@ -87,15 +88,16 @@ def test_vanilla_uniform_and_purity():
 
 def test_temperature_one_equals_vanilla(cc_setup):
     model, encoded, _ = cc_setup
-    _, v_conf, v_pred = uq.score_vanilla(model, encoded)
-    _, t_conf, t_pred = uq.score_temp_scale(model, 1.0, encoded)
+    base = uq.base_outputs(model, encoded)
+    _, v_conf, v_pred = uq.score_vanilla(base["probs"])
+    _, t_conf, t_pred = uq.score_temp_scale(base["logits"], 1.0)
     assert np.array_equal(v_pred, t_pred)
     assert np.all(np.abs(v_conf - t_conf) < 1e-6)
 
 
 def test_large_temperature_flattens():
     model, vocab = forced_prob_model([0.88, 0.04, 0.04, 0.04])
-    _, conf, _ = uq.score_temp_scale(model, 1e6, sample_for(vocab))
+    _, conf, _ = uq.score_temp_scale(uq.base_outputs(model, sample_for(vocab))["logits"], 1e6)
     assert abs(conf[0] - 0.25) < 1e-3
 
 
@@ -111,7 +113,8 @@ def test_fit_temperature_improves_nll(cc_setup):
 def test_temp_scaling_preserves_argmax(cc_setup):
     model, encoded, _ = cc_setup
     t_star = uq.fit_temperature(model, encoded)
-    assert np.array_equal(uq.score_vanilla(model, encoded)[2], uq.score_temp_scale(model, t_star, encoded)[2])
+    base = uq.base_outputs(model, encoded)
+    assert np.array_equal(uq.score_vanilla(base["probs"])[2], uq.score_temp_scale(base["logits"], t_star)[2])
 
 
 def test_fit_temperature_degenerate_clamps_and_warns():
@@ -135,7 +138,7 @@ def test_fit_temperature_empty_validation():
 
 def test_mc_dropout_p_zero_is_vanilla_bitwise(cc_setup):
     model, encoded, _ = cc_setup
-    _, v_conf, v_pred = uq.score_vanilla(model, encoded)
+    _, v_conf, v_pred = uq.score_vanilla(uq.base_outputs(model, encoded)["probs"])
     for passes in (1, 7):
         _, m_conf, m_pred = uq.score_mc_dropout(model, encoded, passes=passes, p=0.0, seed=3)
         assert np.array_equal(v_conf, m_conf)  # bitwise
@@ -169,7 +172,7 @@ def test_mmutant_degree_zero_lcr_zero(cc_setup):
     model, encoded, _ = cc_setup
     for op in uq.MUTATION_OPERATORS:
         ensemble = uq.build_mutant_ensemble(model, op, degree=0.0, count=5, seed=1)
-        rec = uq.ESTIMATORS["mmutant"].table(model, {op: ensemble}, op, encoded[:10])
+        rec = uq.ESTIMATORS["mmutant"].table(model, {op: ensemble}, op, encoded[:10], uq.base_outputs(model, encoded[:10]))
         assert np.all(rec.raw == 0.0)
         assert np.all(rec.confidence == 1.0)
         assert rec.variant == op
@@ -184,7 +187,8 @@ def test_mmutant_tied_logits_flip_under_gf():
     model.params()["w_out"].data[:] = np.repeat(rows, model.n_classes(), axis=1)
     model.params()["token_emb"].data[2:, :] = 1.0
     ensemble = uq.build_mutant_ensemble(model, "GF", degree=1.0, count=40, seed=7)
-    lcr, _, _ = uq.score_mmutant(model, ensemble, sample_for(vocab))
+    sample = sample_for(vocab)
+    lcr, _, _ = uq.score_mmutant(ensemble, sample, uq.base_outputs(model, sample)["probs"].argmax(axis=-1))
     assert lcr[0] > 0.5
 
 
@@ -220,8 +224,9 @@ def test_mutation_deterministic(cc_setup):
     model, encoded, _ = cc_setup
     e1 = uq.build_mutant_ensemble(model, "GF", degree=0.05, count=6, seed=21)
     e2 = uq.build_mutant_ensemble(model, "GF", degree=0.05, count=6, seed=21)
-    r1 = uq.score_mmutant(model, e1, encoded[:12])
-    r2 = uq.score_mmutant(model, e2, encoded[:12])
+    base_preds = uq.base_outputs(model, encoded[:12])["probs"].argmax(axis=-1)
+    r1 = uq.score_mmutant(e1, encoded[:12], base_preds)
+    r2 = uq.score_mmutant(e2, encoded[:12], base_preds)
     assert_same_scores(r1, r2)
 
 
@@ -263,7 +268,7 @@ def test_dissector_unanimous_probe_gives_pv_one(cc_setup):
     preds = tasks.infer(model, encoded[:1])["probs"].argmax(-1)
     probe = unanimous_probe(model, agree_with=int(preds[0]))
     probes = uq.ProbeSet(probes=[probe], n_classes=model.n_classes())
-    _, conf, _ = uq.score_dissector(model, probes, "linear", encoded[:1])
+    _, conf, _ = uq.score_dissector(probes, "linear", uq.base_outputs(model, encoded[:1]))
     assert conf[0] == 1.0
 
 
@@ -273,16 +278,17 @@ def test_dissector_zero_probability_on_label_pulls_pv_down(cc_setup):
     wrong = (int(preds[0]) + 1) % model.n_classes()
     probe = unanimous_probe(model, agree_with=wrong)
     probes = uq.ProbeSet(probes=[probe], n_classes=model.n_classes())
-    _, conf, _ = uq.score_dissector(model, probes, "linear", encoded[:1])
+    _, conf, _ = uq.score_dissector(probes, "linear", uq.base_outputs(model, encoded[:1]))
     assert conf[0] == 0.0
 
 
 def test_dissector_trained_probes_in_bounds(cs_setup):
     model, encoded = cs_setup
     probes = uq.train_probes(model, encoded, epochs=5, seed=0)
-    assert [p.tag for p in probes.probes] == list(uq.CS_PROBE_LAYERS)
+    assert [p.tag for p in probes.probes] == ["embed_mean", "pooled"]
+    base = uq.base_outputs(model, encoded)
     for growth in uq.GROWTH_TYPES:
-        rec = uq.ESTIMATORS["dissector"].table(model, probes, growth, encoded)
+        rec = uq.ESTIMATORS["dissector"].table(model, probes, growth, encoded, base)
         assert np.all((0.0 <= rec.confidence) & (rec.confidence <= 1.0))
         assert rec.variant == growth
 
@@ -292,7 +298,7 @@ def test_dissector_label_space_mismatch(cc_setup, cs_setup):
     cs_model, _ = cs_setup
     probes = uq.train_probes(cs_model, cs_setup[1], epochs=1, seed=0)
     with pytest.raises(uq.EstimatorStateError):
-        uq.score_dissector(cc_model, probes, "linear", cc_encoded[:2])
+        uq.score_dissector(probes, "linear", uq.base_outputs(cc_model, cc_encoded[:2]))
 
 
 # -- registry and score tables ------------------------------------------------------
@@ -305,10 +311,11 @@ SETTINGS = {
 
 def test_all_confidences_in_unit_interval(cc_setup):
     model, encoded, _ = cc_setup
+    base = uq.base_outputs(model, encoded)
     for estimator in uq.ESTIMATORS.values():
         state = estimator.fit(model, encoded, encoded, SETTINGS)
         for variant in estimator.variants:
-            rec = estimator.table(model, state, variant, encoded, "validation")
+            rec = estimator.table(model, state, variant, encoded, base, "validation")
             assert len(rec) == len(encoded)
             assert np.all((0.0 <= rec.confidence) & (rec.confidence <= 1.0))
 
@@ -328,11 +335,12 @@ def test_mmutant_registry_scores_every_operator_with_its_own_ensemble(cc_setup):
     estimator = uq.ESTIMATORS["mmutant"]
     ensembles = estimator.fit(model, encoded, encoded, SETTINGS)
     assert sorted(ensembles) == sorted(uq.MUTATION_OPERATORS)
-    tables = [estimator.table(model, ensembles, op, encoded, "test1") for op in estimator.variants]
+    base = uq.base_outputs(model, encoded)
+    tables = [estimator.table(model, ensembles, op, encoded, base, "test1") for op in estimator.variants]
     assert [t.variant for t in tables] == ["GF", "WS", "NS", "NAI"]
     for op, t in zip(estimator.variants, tables):
         assert ensembles[op].operator == op
-        lcr, conf, pred = uq.score_mmutant(model, ensembles[op], encoded)
+        lcr, conf, pred = uq.score_mmutant(ensembles[op], encoded, base["probs"].argmax(axis=-1))
         assert np.array_equal(t.raw, lcr) and np.array_equal(t.confidence, conf)
         assert np.array_equal(t.predicted, pred)
     # each operator is scored with its own ensemble, not the first one
@@ -343,20 +351,22 @@ def test_mc_dropout_stream_is_keyed_by_split(cc_setup):
     model, encoded, _ = cc_setup
     estimator = uq.ESTIMATORS["mc_dropout"]
     state = estimator.fit(model, encoded, encoded, SETTINGS)
-    test1 = estimator.table(model, state, "", encoded, "test1")
-    again = estimator.table(model, state, "", encoded, "test1")
-    other = estimator.table(model, state, "", encoded, "test2")
+    base = uq.base_outputs(model, encoded)
+    test1 = estimator.table(model, state, "", encoded, base, "test1")
+    again = estimator.table(model, state, "", encoded, base, "test1")
+    other = estimator.table(model, state, "", encoded, base, "test2")
     assert np.array_equal(test1.confidence, again.confidence)
     assert not np.array_equal(test1.confidence, other.confidence)
 
 
 def test_registry_missing_state():
+    base = {"probs": np.zeros((0, 2), dtype=np.float32), "logits": np.zeros((0, 2), dtype=np.float32)}
     with pytest.raises(uq.EstimatorStateError):
-        uq.ESTIMATORS["temp_scale"].score(None, None, "", [], "")
+        uq.ESTIMATORS["temp_scale"].score(None, None, "", [], base, "")
     with pytest.raises(uq.EstimatorStateError):
-        uq.ESTIMATORS["mmutant"].score(None, None, "GF", [], "")
+        uq.ESTIMATORS["mmutant"].score(None, None, "GF", [], base, "")
     with pytest.raises(uq.EstimatorStateError):
-        uq.ESTIMATORS["dissector"].score(None, None, "linear", [], "")
+        uq.ESTIMATORS["dissector"].score(None, None, "linear", [], base, "")
     with pytest.raises(KeyError):
         uq.ESTIMATORS["unknown"]
 
@@ -365,10 +375,12 @@ def test_table_rejects_confidence_outside_unit_interval(cc_setup):
     model, encoded, _ = cc_setup
     broken = uq.Estimator(
         "broken", "broken", ("",), fit=lambda *a: None,
-        score=lambda model, state, variant, samples, split: (np.ones(len(samples)), np.full(len(samples), 1.5), np.zeros(len(samples))),
+        score=lambda model, state, variant, samples, base, split: (
+            np.ones(len(samples)), np.full(len(samples), 1.5), np.zeros(len(samples))
+        ),
     )
     with pytest.raises(ValueError, match=encoded.sample_ids[0]):
-        broken.table(model, None, "", encoded)
+        broken.table(model, None, "", encoded, uq.base_outputs(model, encoded))
 
 
 # -- score files ----------------------------------------------------------------------
