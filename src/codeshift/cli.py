@@ -45,7 +45,6 @@ from .extraction import (
 )
 
 TASKS = ("cs", "cc")
-VOCAB_NAMES = {"cs": ("labels", "paths", "terminals"), "cc": ("tokens",)}
 SHIFTS = ("timeline", "project", "author")
 
 
@@ -246,8 +245,9 @@ def _load_vocabs(bucket: Path, task: str, shift: str) -> dict[str, Vocabulary]:
     path = _require(_vocabs_path(bucket, task, shift), f"extract --task {task} --shift {shift}")
     with _malformed("vocab", path):
         vocabs = json.loads(path.read_text(encoding="utf-8"))["vocabs"]
-        if sorted(vocabs) != list(VOCAB_NAMES[task]):
-            raise ValueError(f"expected vocabularies {list(VOCAB_NAMES[task])}, got {sorted(vocabs)}")
+        expected = sorted(tasks.VOCAB_NAMES[task])
+        if sorted(vocabs) != expected:
+            raise ValueError(f"expected vocabularies {expected}, got {sorted(vocabs)}")
         return {name: Vocabulary.from_tokens(tokens) for name, tokens in vocabs.items()}
 
 

@@ -135,23 +135,38 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
 
 
 class _TaskModel:
-    """What both task models share: named parameters and their copies."""
+    """What both task models share: named parameters and their copies.
+
+    Each forward splits at the input of the first affine layer:
+    `features(**inputs)` computes it from the parameters `feature_params`
+    names, and `head(features, ...)`, given the inputs `head_inputs` names,
+    does the rest. So a model whose `feature_params` hold the same arrays
+    can run `head` on features another model's forward computed.
+    """
 
     _params: dict[str, nn.Tensor]
+    replaced: frozenset[str] = frozenset()  # parameters `with_params` swapped in since build or load
 
     def params(self) -> dict[str, nn.Tensor]:
         return self._params
 
+    def with_params(self, arrays: dict[str, np.ndarray]):
+        """A copy whose parameters named in `arrays` hold those arrays; it shares the others with this model."""
+        twin = copy.copy(self)
+        twin._params = {**self._params, **{name: nn.Tensor(a, requires_grad=True) for name, a in arrays.items()}}
+        twin.replaced = self.replaced | frozenset(arrays)
+        return twin
+
     def clone(self):
         """A copy with its own parameter arrays; vocabularies and settings are shared."""
-        twin = copy.copy(self)
-        twin._params = {name: nn.Tensor(p.data.copy(), requires_grad=True) for name, p in self._params.items()}
-        return twin
+        return self.with_params({name: p.data.copy() for name, p in self._params.items()})
 
 
 class PathAttentionModel(_TaskModel):
     kind = CS
     probe_layers = ("embed_mean", "pooled")  # Dissector's taps, shallow to deep
+    feature_params = ("term_emb", "path_emb")
+    head_inputs = ("mask",)
 
     def __init__(
         self,
@@ -197,14 +212,28 @@ class PathAttentionModel(_TaskModel):
         dropout_p: float | None = None,
     ) -> dict[str, nn.Tensor]:
         """left/path/right (B, n) int ids, mask (B, n) bool; True = real context."""
+        return self.head(self.features(left, path, right, mask), mask, training, rng, dropout_p)
+
+    def features(self, left: np.ndarray, path: np.ndarray, right: np.ndarray, mask: np.ndarray) -> nn.Tensor:
+        """The concatenated left/path/right embeddings, (B, n, 3d)."""
         if not mask.any(axis=-1).all():
             raise ValueError("empty context bag in batch")
         p = self._params
         e_left = nn.embedding_lookup(p["term_emb"], left)
         e_path = nn.embedding_lookup(p["path_emb"], path)
         e_right = nn.embedding_lookup(p["term_emb"], right)
-        cat = nn.concat_last([e_left, e_path, e_right])
-        combined = nn.tanh(nn.affine(cat, p["w_comb"], p["b_comb"]))
+        return nn.concat_last([e_left, e_path, e_right])
+
+    def head(
+        self,
+        features: nn.Tensor,
+        mask: np.ndarray,
+        training: bool = False,
+        rng: np.random.Generator | None = None,
+        dropout_p: float | None = None,
+    ) -> dict[str, nn.Tensor]:
+        p = self._params
+        combined = nn.tanh(nn.affine(features, p["w_comb"], p["b_comb"]))
         dropped = nn.dropout(
             combined, self.dropout_p if dropout_p is None else dropout_p, training, rng
         )
@@ -217,6 +246,7 @@ class PathAttentionModel(_TaskModel):
         return {
             "probs": probs,
             "logits": logits,
+            "features": features,
             "contexts": combined,
             "weights": weights,
             "pooled": pooled,
@@ -227,6 +257,8 @@ class PathAttentionModel(_TaskModel):
 class MlpCompletionModel(_TaskModel):
     kind = CC
     probe_layers = ("embed_mean",)  # Dissector's taps, shallow to deep
+    feature_params = ("token_emb",)
+    head_inputs = ()
 
     def __init__(self, tokens: Vocabulary, dim: int = 100, seed: int = 0, dtype=np.float32):
         self.tokens = tokens
@@ -252,12 +284,11 @@ class MlpCompletionModel(_TaskModel):
         rng: np.random.Generator | None = None,
         dropout_p: float | None = None,
     ) -> dict[str, nn.Tensor]:
-        """context (B, 2w) int ids; PAD slots are masked out of the mean.
+        """context (B, 2w) int ids; PAD slots are masked out of the mean."""
+        return self.head(self.features(context), training, rng, dropout_p)
 
-        `dropout_p` (None: the model's own 0.0) exists only so MC-Dropout can
-        inject a stochastic site after the embedding mean at score time;
-        training never uses it.
-        """
+    def features(self, context: np.ndarray) -> nn.Tensor:
+        """The mean of the real context slots' embeddings, (B, d)."""
         p = self._params
         real = context != PAD_ID
         counts = real.sum(axis=-1)
@@ -266,11 +297,24 @@ class MlpCompletionModel(_TaskModel):
         emb = nn.embedding_lookup(p["token_emb"], context)
         maskf = nn.Tensor(real.astype(emb.data.dtype)[..., None])
         summed = nn.sum_axis(nn.mul(emb, maskf), axis=-2)
-        embed_mean = nn.mul(summed, nn.Tensor((1.0 / counts).astype(emb.data.dtype)[:, None]))
-        h = nn.dropout(embed_mean, self.dropout_p if dropout_p is None else dropout_p, training, rng)
+        return nn.mul(summed, nn.Tensor((1.0 / counts).astype(emb.data.dtype)[:, None]))
+
+    def head(
+        self,
+        features: nn.Tensor,
+        training: bool = False,
+        rng: np.random.Generator | None = None,
+        dropout_p: float | None = None,
+    ) -> dict[str, nn.Tensor]:
+        """`dropout_p` (None: the model's own 0.0) exists only so MC-Dropout can
+        inject a stochastic site after the embedding mean at score time;
+        training never uses it.
+        """
+        p = self._params
+        h = nn.dropout(features, self.dropout_p if dropout_p is None else dropout_p, training, rng)
         logits = nn.affine(h, p["w_out"], p["b_out"])
         probs = nn.softmax(logits)
-        return {"probs": probs, "logits": logits, "embed_mean": embed_mean}
+        return {"probs": probs, "logits": logits, "features": features, "embed_mean": features}
 
 
 Model = PathAttentionModel | MlpCompletionModel
@@ -287,16 +331,45 @@ def infer(
     training: bool = False,
     rng: np.random.Generator | None = None,
     dropout_p: float | None = None,
+    features: list[np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Batched no-grad forward over a split; concatenates `keys`."""
+    """Batched no-grad forward over a split; concatenates `keys`.
+
+    The key "features" stays a list of one array per batch, because CS
+    batches differ in width. Passed back as `features` to a call over the
+    same split and `batch_size`, those arrays resume every batch at
+    `model.head`; the model must share the `feature_params` of the one that
+    computed them.
+    """
+    starts = range(0, len(samples), batch_size)
+    if features is not None and len(features) != len(starts):
+        raise ValueError(f"{len(features)} feature batches for a split of {len(starts)} batches")
     chunks: dict[str, list[np.ndarray]] = {k: [] for k in keys}
     with nn.no_grad():
-        for start in range(0, len(samples), batch_size):
+        for i, start in enumerate(starts):
             batch = samples[start:start + batch_size]
-            out = model.forward_batch(**batch.inputs, training=training, rng=rng, dropout_p=dropout_p)
+            if features is None:
+                out = model.forward_batch(**batch.inputs, training=training, rng=rng, dropout_p=dropout_p)
+            elif len(features[i]) != len(batch):
+                raise ValueError(f"feature batch {i} holds {len(features[i])} rows, not {len(batch)}")
+            else:
+                head_inputs = {name: batch.inputs[name] for name in model.head_inputs}
+                out = model.head(nn.Tensor(features[i]), **head_inputs, training=training, rng=rng, dropout_p=dropout_p)
             for k in keys:
                 chunks[k].append(out[k].data)
-    return {k: np.concatenate(v, axis=0) for k, v in chunks.items()}
+    return {k: _one_block(v) if k == "features" else np.concatenate(v, axis=0) for k, v in chunks.items()}
+
+
+def _one_block(batches: list[np.ndarray]) -> list[np.ndarray]:
+    """`batches` as views into one array, when there are several of one row shape.
+
+    Kept for a whole `score` run, many batch-sized arrays fragment the heap:
+    on the README study, CC `score`'s peak RSS rose by 2.6 MB with them and
+    not with one block.
+    """
+    if len(batches) < 2 or len({b.shape[1:] for b in batches}) > 1:
+        return batches
+    return np.split(np.concatenate(batches), np.cumsum([len(b) for b in batches[:-1]]))
 
 
 def evaluate_accuracy(model: Model, samples: EncodedSplit, batch_size: int = 512) -> float:
@@ -391,14 +464,14 @@ def write_epoch_log(history: list[dict], path, config_hash: str | None = None) -
 
 
 # each kind's vocabularies, under their model attribute and constructor names
-_VOCAB_NAMES = {CS: ("terminals", "paths", "labels"), CC: ("tokens",)}
+VOCAB_NAMES = {CS: ("terminals", "paths", "labels"), CC: ("tokens",)}
 
 
 def save_checkpoint(model: Model, train_config: dict | None = None) -> bytes:
     config = {"dim": model.dim, "dropout_p": model.dropout_p}
     if train_config:
         config["train"] = train_config
-    vocabs = {name: getattr(model, name).tokens for name in _VOCAB_NAMES[model.kind]}
+    vocabs = {name: getattr(model, name).tokens for name in VOCAB_NAMES[model.kind]}
     arrays = {name: p.data for name, p in model.params().items()}
     return nn.write_checkpoint(model.kind, config, vocabs, arrays)
 
@@ -414,7 +487,7 @@ def load_checkpoint(data: bytes, expect_kind: str | None = None) -> Model:
     if ck.kind not in (CS, CC):
         raise nn.CheckpointError(f"unknown model kind {ck.kind!r}")
     try:
-        vocabs = {name: Vocabulary.from_tokens(ck.vocabs[name]) for name in _VOCAB_NAMES[ck.kind]}
+        vocabs = {name: Vocabulary.from_tokens(ck.vocabs[name]) for name in VOCAB_NAMES[ck.kind]}
     except (KeyError, TypeError, ValueError) as exc:
         raise nn.CheckpointError(f"vocabulary missing or malformed: {exc!r}") from exc
     if ck.kind == CS:

@@ -9,8 +9,12 @@ best-scoring variant per metric.
 
 Every estimator is defined against the model's deterministic forward pass.
 `base_outputs` runs it once per split; the scorers read its probabilities,
-logits, predicted labels and probe taps instead of running it again. Only
-MC-Dropout's stochastic passes and mMutant's mutants run the network.
+logits, predicted labels and probe taps instead of running it again. It
+also keeps each batch's features, the input of the model's first affine
+layer. Only the Monte-Carlo scorers run the network again: GF mutants,
+which perturb the embeddings, run it in full, while WS/NS/NAI mutants and
+MC-Dropout's stochastic passes, whose changes all sit after the features,
+run only the model's head on the kept features.
 
 - vanilla: max softmax probability.
 - temp_scale: max softmax(logits / T), T fitted on validation NLL (BFGS).
@@ -70,8 +74,9 @@ class ScoreTable:
 
 
 def base_outputs(model, samples) -> dict[str, np.ndarray]:
-    """The deterministic forward every scorer reads: probs, logits and the probe taps."""
-    return tasks.infer(model, samples, keys=("probs", "logits", *model.probe_layers))
+    """The deterministic forward every scorer reads: probs, logits, the probe
+    taps, and the per-batch features the Monte-Carlo scorers resume from."""
+    return tasks.infer(model, samples, keys=("probs", "logits", *model.probe_layers, "features"))
 
 
 def score_vanilla(probs: np.ndarray):
@@ -144,13 +149,19 @@ def score_temp_scale(logits: np.ndarray, temperature: float):
 # -- MC-Dropout ---------------------------------------------------------------
 
 
-def score_mc_dropout(model, samples, passes: int = 30, p: float = 0.5, seed: int = 0):
+def score_mc_dropout(model, samples, passes: int = 30, p: float = 0.5, seed: int = 0, features=None):
+    """Mean softmax over `passes` stochastic passes.
+
+    The dropout site sits after the features, so with the split's
+    `features` (from `base_outputs`) each pass runs only the model's head,
+    drawing the same random numbers in the same order as a full pass.
+    """
     if passes < 1:
         raise ValueError(f"MC-Dropout needs passes >= 1, got {passes}")
     rng = np.random.default_rng([int(s) for s in np.atleast_1d(seed)] + [0xD0])
     total = None
     for _ in range(passes):
-        probs = tasks.infer(model, samples, training=True, rng=rng, dropout_p=p)["probs"]
+        probs = tasks.infer(model, samples, training=True, rng=rng, dropout_p=p, features=features)["probs"]
         total = probs.astype(np.float64) if total is None else total + probs
     # at p = 0 every pass is the deterministic forward, and K equal float32
     # rows summed in float64 and divided by K give those rows back exactly
@@ -177,8 +188,10 @@ def mutate_model(model, operator: str, degree: float, seed: int):
     NAI act on output neurons of the affine layers: WS shuffles a neuron's
     incoming weights, NS swaps the incoming weights (and bias) of randomly
     paired neurons, NAI negates incoming weights and bias so the neuron's
-    pre-activation flips sign. Returns (mutant, notes) where notes lists
-    layers skipped because they were too small to pair.
+    pre-activation flips sign. The mutant copies only the arrays it changes,
+    shares the rest with the base, and names the copies in its `replaced`.
+    Returns (mutant, notes) where notes lists layers skipped because they
+    were too small to pair.
     """
     if operator not in MUTATION_OPERATORS:
         raise ValueError(f"unknown mutation operator {operator!r}")
@@ -186,24 +199,29 @@ def mutate_model(model, operator: str, degree: float, seed: int):
         raise ValueError(f"mutation degree must lie in [0, 1], got {degree}")
     seed_key = [int(s) for s in np.atleast_1d(seed)] + [MUTATION_OPERATORS.index(operator)]
     rng = np.random.default_rng(seed_key)
-    mutant = model.clone()
-    params = mutant.params()
+    params = model.params()
+    changed: dict[str, np.ndarray] = {}
+
+    def own(name: str) -> np.ndarray:
+        """The mutant's copy of parameter `name`, made on its first write."""
+        if name not in changed:
+            changed[name] = params[name].data.copy()
+        return changed[name]
+
     notes: list[str] = []
     if operator == "GF":
         for name, p in params.items():
-            flat = p.data.reshape(-1)
-            idx = _pick(rng, flat.size, degree)
+            idx = _pick(rng, p.data.size, degree)
             if idx.size:
                 sigma = float(p.data.std())
-                flat[idx] += rng.normal(0.0, sigma, size=idx.size).astype(p.data.dtype)
-        return mutant, notes
-    for w_name, b_name in mutant.affine_layers():
-        w = params[w_name].data
-        b = params[b_name].data
-        n_out = w.shape[1]
+                own(name).reshape(-1)[idx] += rng.normal(0.0, sigma, size=idx.size).astype(p.data.dtype)
+        return model.with_params(changed), notes
+    for w_name, b_name in model.affine_layers():
+        n_out = params[w_name].data.shape[1]
         cols = _pick(rng, n_out, degree)
         if operator == "WS":
             for j in cols:
+                w = own(w_name)
                 w[:, j] = w[rng.permutation(w.shape[0]), j]
         elif operator == "NS":
             if cols.size < 2:
@@ -211,14 +229,15 @@ def mutate_model(model, operator: str, degree: float, seed: int):
                 continue
             if cols.size % 2:
                 cols = cols[:-1]
+            w, b = own(w_name), own(b_name)
             for a, bcol in cols.reshape(-1, 2):
                 w[:, [a, bcol]] = w[:, [bcol, a]]
                 b[[a, bcol]] = b[[bcol, a]]
         elif operator == "NAI":
             if cols.size:
-                w[:, cols] *= -1.0
-                b[cols] *= -1.0
-    return mutant, notes
+                own(w_name)[:, cols] *= -1.0
+                own(b_name)[cols] *= -1.0
+    return model.with_params(changed), notes
 
 
 @dataclass
@@ -242,13 +261,18 @@ def build_mutant_ensemble(model, operator: str, degree: float = 0.05, count: int
     return ensemble
 
 
-def score_mmutant(ensemble: MutantEnsemble | None, samples, base_preds: np.ndarray):
-    """Raw score is the label change rate (LCR) from `base_preds`; confidence is 1 - LCR."""
+def score_mmutant(ensemble: MutantEnsemble | None, samples, base_preds: np.ndarray, features=None):
+    """Raw score is the label change rate (LCR) from `base_preds`; confidence is 1 - LCR.
+
+    With the split's `features` (from `base_outputs`), a mutant that
+    replaced none of the model's `feature_params` runs only its head on them.
+    """
     if ensemble is None or not ensemble.mutants:
         raise EstimatorStateError("mMutant scoring needs a built ensemble")
     changed = np.zeros(len(samples), dtype=np.int64)
     for mutant in ensemble.mutants:
-        preds = tasks.infer(mutant, samples)["probs"].argmax(axis=-1)
+        resumes = features is not None and mutant.replaced.isdisjoint(mutant.feature_params)
+        preds = tasks.infer(mutant, samples, features=features if resumes else None)["probs"].argmax(axis=-1)
         changed += preds != base_preds
     lcr = changed / ensemble.count
     return lcr, 1.0 - lcr, base_preds
@@ -364,7 +388,8 @@ class Estimator:
     the probes, or None. `settings` holds the `uncertainty` config keys plus
     `seed`. `score(model, state, variant, samples, base, split)` returns
     (raw, confidence, predicted) arrays, where `base` is `base_outputs(model,
-    samples)`, computed once per split and shared by every estimator;
+    samples)`, computed once per split and shared by every estimator; the
+    Monte-Carlo scorers resume from its "features" where it has them.
     `split` keys the random stream of stochastic passes. A method without
     variants has the one variant "".
     """
@@ -412,7 +437,10 @@ def _fit_probes(model, train, validation, settings) -> ProbeSet:
 
 def _score_mc_dropout(model, settings, variant, samples, base, split):
     seed = [settings["seed"], zlib.crc32(split.encode())]
-    return score_mc_dropout(model, samples, passes=settings["mc_passes"], p=settings["mc_dropout_p"], seed=seed)
+    return score_mc_dropout(
+        model, samples, passes=settings["mc_passes"], p=settings["mc_dropout_p"], seed=seed,
+        features=base.get("features"),
+    )
 
 
 # Entries call the public functions above through their module-level names
@@ -440,7 +468,7 @@ ESTIMATORS: dict[str, Estimator] = {
             "mmutant", "mmutant", MUTATION_OPERATORS,
             fit=_fit_mutant_ensembles,
             score=lambda model, ensembles, operator, samples, base, split: score_mmutant(
-                (ensembles or {}).get(operator), samples, base["probs"].argmax(axis=-1)
+                (ensembles or {}).get(operator), samples, base["probs"].argmax(axis=-1), base.get("features")
             ),
         ),
         Estimator(

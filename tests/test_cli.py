@@ -287,12 +287,12 @@ def test_corrupt_checkpoint_exits_2_naming_file(tmp_path, capsys, damage):
 
 def test_score_runs_the_deterministic_forward_once_per_split(workspace, monkeypatch):
     root, config_path, flags = workspace
-    calls = []
+    calls, head_calls = [], []
     infer = tasks.infer
 
     def counting_infer(model, samples, *args, **kwargs):
         if not kwargs.get("training", False):
-            calls.append(len(samples))
+            (calls if kwargs.get("features") is None else head_calls).append(len(samples))
         return infer(model, samples, *args, **kwargs)
 
     monkeypatch.setattr(tasks, "infer", counting_infer)
@@ -300,8 +300,11 @@ def test_score_runs_the_deterministic_forward_once_per_split(workspace, monkeypa
     mutant_count = load_config(config_path)["uncertainty"]["mutant_count"]
     splits = ("validation", "test1")
     # fit: the temperature on validation, the probes on train; then per split
-    # one shared forward plus one pass per mutant of each of the 4 operators
-    assert len(calls) == 2 + len(splits) * (1 + 4 * mutant_count)
+    # one shared forward plus one full pass per GF mutant, which perturbs the
+    # embeddings; WS, NS and NAI mutants run only the head on the shared
+    # forward's features
+    assert len(calls) == 2 + len(splits) * (1 + mutant_count)
+    assert len(head_calls) == len(splits) * 3 * mutant_count
 
 
 def test_sweep_and_filter_read_only_their_method(tmp_path, capsys):

@@ -234,9 +234,105 @@ def test_mutation_does_not_touch_base(cc_setup):
     model, _, _ = cc_setup
     before = {k: v.data.copy() for k, v in model.params().items()}
     uq.build_mutant_ensemble(model, "GF", degree=0.5, count=3, seed=2)
+    uq.build_mutant_ensemble(model, "WS", degree=0.5, count=3, seed=2)
+    uq.build_mutant_ensemble(model, "NS", degree=0.5, count=3, seed=2)
     uq.build_mutant_ensemble(model, "NAI", degree=1.0, count=1, seed=2)
     for k, v in model.params().items():
         assert np.array_equal(before[k], v.data)
+
+
+# -- resuming at the head from the base forward's features -------------------------
+
+RESUME_BATCH = 3  # CS fixture widths 15/15/28/6: batches of width 28 and 6
+
+
+def setup_of(request, name):
+    model, encoded = request.getfixturevalue(name)[:2]
+    return model, encoded
+
+
+@pytest.mark.parametrize("setup", ["cc_setup", "cs_setup"])
+def test_mutants_share_feature_arrays_unless_gf(request, setup):
+    model, _ = setup_of(request, setup)
+    for op in uq.MUTATION_OPERATORS:
+        mutant, _ = uq.mutate_model(model, op, degree=0.5, seed=3)
+        for name in model.feature_params:
+            shared = np.shares_memory(mutant.params()[name].data, model.params()[name].data)
+            assert shared == (op != "GF"), (op, name)
+        assert mutant.replaced.isdisjoint(model.feature_params) == (op != "GF")
+        for name in set(model.params()) - mutant.replaced:
+            assert mutant.params()[name] is model.params()[name]
+
+
+@pytest.mark.parametrize("setup", ["cc_setup", "cs_setup"])
+@pytest.mark.parametrize("op", ["WS", "NS", "NAI"])
+def test_resumed_mutant_matches_full_forward_bitwise(request, setup, op):
+    model, encoded = setup_of(request, setup)
+    features = tasks.infer(model, encoded, batch_size=RESUME_BATCH, keys=("features",))["features"]
+    assert len(features) > 1
+    for seed in range(3):
+        mutant, _ = uq.mutate_model(model, op, degree=0.5, seed=seed)
+        full = tasks.infer(mutant, encoded, batch_size=RESUME_BATCH, keys=("probs", "logits"))
+        resumed = tasks.infer(mutant, encoded, batch_size=RESUME_BATCH, keys=("probs", "logits"), features=features)
+        assert np.array_equal(full["probs"], resumed["probs"])
+        assert np.array_equal(full["logits"], resumed["logits"])
+
+
+@pytest.mark.parametrize("setup", ["cc_setup", "cs_setup"])
+def test_resumed_mc_dropout_pass_matches_full_forward_bitwise(request, setup):
+    model, encoded = setup_of(request, setup)
+    features = tasks.infer(model, encoded, batch_size=RESUME_BATCH, keys=("features",))["features"]
+    full_rng, resumed_rng = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(3):  # successive passes keep drawing from one stream
+        full = tasks.infer(model, encoded, batch_size=RESUME_BATCH, training=True, rng=full_rng, dropout_p=0.5)
+        resumed = tasks.infer(
+            model, encoded, batch_size=RESUME_BATCH, training=True, rng=resumed_rng, dropout_p=0.5, features=features
+        )
+        assert np.array_equal(full["probs"], resumed["probs"])
+
+
+@pytest.mark.parametrize("setup", ["cc_setup", "cs_setup"])
+def test_scorers_resumed_from_base_features_match_full_forward(request, setup):
+    model, encoded = setup_of(request, setup)
+    base = uq.base_outputs(model, encoded)
+    base_preds = base["probs"].argmax(axis=-1)
+    for op in uq.MUTATION_OPERATORS:
+        ensemble = uq.build_mutant_ensemble(model, op, degree=0.5, count=4, seed=5)
+        assert_same_scores(
+            uq.score_mmutant(ensemble, encoded, base_preds, base["features"]),
+            uq.score_mmutant(ensemble, encoded, base_preds),
+        )
+    assert_same_scores(
+        uq.score_mc_dropout(model, encoded, passes=3, p=0.5, seed=4, features=base["features"]),
+        uq.score_mc_dropout(model, encoded, passes=3, p=0.5, seed=4),
+    )
+
+
+def test_gf_mutant_takes_the_full_forward(cs_setup, monkeypatch):
+    model, encoded = cs_setup
+    base = uq.base_outputs(model, encoded)
+    resumed = []
+    infer = tasks.infer
+
+    def recording_infer(*args, **kwargs):
+        resumed.append(kwargs.get("features") is not None)
+        return infer(*args, **kwargs)
+
+    monkeypatch.setattr(tasks, "infer", recording_infer)
+    for op in uq.MUTATION_OPERATORS:
+        ensemble = uq.build_mutant_ensemble(model, op, degree=0.05, count=2, seed=1)
+        resumed.clear()
+        uq.score_mmutant(ensemble, encoded, base["probs"].argmax(axis=-1), base["features"])
+        assert resumed == [op != "GF"] * 2, op
+
+
+def test_features_must_match_the_splits_batches(cs_setup):
+    model, encoded = cs_setup
+    features = tasks.infer(model, encoded, batch_size=RESUME_BATCH, keys=("features",))["features"]
+    with pytest.raises(ValueError, match="feature batches"):
+        tasks.infer(model, encoded, batch_size=1, features=features)
+    with pytest.raises(ValueError, match="rows"):
+        tasks.infer(model, encoded, batch_size=RESUME_BATCH, features=features[::-1])
 
 
 # -- Dissector ---------------------------------------------------------------------
@@ -357,6 +453,23 @@ def test_mc_dropout_stream_is_keyed_by_split(cc_setup):
     other = estimator.table(model, state, "", encoded, base, "test2")
     assert np.array_equal(test1.confidence, again.confidence)
     assert not np.array_equal(test1.confidence, other.confidence)
+
+
+def test_mc_dropout_registry_passes_resume_at_the_head(cs_setup, monkeypatch):
+    model, encoded = cs_setup
+    base = uq.base_outputs(model, encoded)
+    estimator = uq.ESTIMATORS["mc_dropout"]
+    state = estimator.fit(model, encoded, encoded, SETTINGS)
+    resumed = []
+    infer = tasks.infer
+
+    def recording_infer(*args, **kwargs):
+        resumed.append(kwargs.get("features") is base["features"])
+        return infer(*args, **kwargs)
+
+    monkeypatch.setattr(tasks, "infer", recording_infer)
+    estimator.table(model, state, "", encoded, base, "test1")
+    assert resumed == [True] * SETTINGS["mc_passes"]
 
 
 def test_registry_missing_state():
