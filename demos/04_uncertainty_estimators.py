@@ -32,8 +32,8 @@ model = tasks.train_cs(encoded, terminals, paths, labels,
 
 # the config's estimator parameters, with a smaller mutant ensemble
 settings = {**DEFAULT_CONFIG["uncertainty"], "mutant_count": 20, "seed": 0}
-states = {name: e.fit(model, encoded, encoded, settings) for name, e in uq.ESTIMATORS.items()}
 base = uq.base_outputs(model, encoded)
+states = {name: e.fit(model, encoded, encoded, base, settings) for name, e in uq.ESTIMATORS.items()}
 
 vanilla = uq.ESTIMATORS["vanilla"].table(model, states["vanilla"], "", encoded, base)
 print("vanilla (max softmax):")

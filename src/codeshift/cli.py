@@ -251,12 +251,17 @@ def _load_vocabs(bucket: Path, task: str, shift: str) -> dict[str, Vocabulary]:
         return {name: Vocabulary.from_tokens(tokens) for name, tokens in vocabs.items()}
 
 
-def _load_encoded(bucket: Path, task: str, shift: str, split: str, vocabs: dict) -> tasks.EncodedSplit:
+def _load_encoded(
+    bucket: Path, task: str, shift: str, split: str, vocabs: dict, allow_empty: bool = False
+) -> tasks.EncodedSplit:
     path = _require(
         _contexts_path(bucket, task, shift, split), f"extract --task {task} --shift {shift}"
     )
     raw = read_cs_contexts(path) if task == "cs" else read_cc_contexts(path)
-    return tasks.encode_split(raw, vocabs, id_prefix=split)
+    encoded = tasks.encode_split(raw, vocabs, id_prefix=split)
+    if not encoded and not allow_empty:
+        raise ValidationFailure(f"contexts file {path} holds no {task} samples; re-run `extract`")
+    return encoded
 
 
 def _split_names(bucket: Path, task: str, shift: str) -> list[str]:
@@ -272,7 +277,7 @@ def cmd_train(config: dict, args) -> int:
     bucket = bucket_dir(config)
     vocabs = _load_vocabs(bucket, args.task, args.shift)
     train_enc = _load_encoded(bucket, args.task, args.shift, "train", vocabs)
-    val_enc = _load_encoded(bucket, args.task, args.shift, "validation", vocabs)
+    val_enc = _load_encoded(bucket, args.task, args.shift, "validation", vocabs, allow_empty=True)
     t = config["train"]
     train_config = tasks.TrainConfig(
         learning_rate=t["learning_rate"],
@@ -296,9 +301,10 @@ def cmd_train(config: dict, args) -> int:
     log_dir.mkdir(parents=True, exist_ok=True)
     tasks.write_epoch_log(result.history, log_dir / f"{args.task}-{args.shift}-epochs.csv", echo["config_hash"])
     last = result.history[-1]
+    val_acc = "n/a" if last["val_acc"] is None else f"{last['val_acc']:.2f}"
     print(
         f"train[{args.task}/{args.shift}] epochs={len(result.history)} "
-        f"train_acc={last['train_acc']:.2f} val_acc={last['val_acc']:.2f} -> {ckpt}"
+        f"train_acc={last['train_acc']:.2f} val_acc={val_acc} -> {ckpt}"
     )
     return 0
 
@@ -329,19 +335,24 @@ def cmd_score(config: dict, args) -> int:
     train = _load_encoded(bucket, args.task, args.shift, "train", vocabs)
 
     settings = {**config["uncertainty"], "seed": config["seed"]}
-    fitted = [(e, e.fit(model, train, encoded["validation"], settings)) for e in _estimators(args.method)]
+    # the validation forward feeds the fits and then scores that split
+    base = uq.base_outputs(model, encoded["validation"])
+    fitted = [(e, e.fit(model, train, encoded["validation"], base, settings)) for e in _estimators(args.method)]
 
     out_dir = bucket / "scores"
     out_dir.mkdir(parents=True, exist_ok=True)
     hash_hex = config_hash(config)
     written = 0
-    for split, samples in encoded.items():
-        base = uq.base_outputs(model, samples)
+    for split in sorted(encoded, key=lambda s: s != "validation"):  # validation's outputs first
+        samples = encoded[split]
+        if base is None:
+            base = uq.base_outputs(model, samples)
         for estimator, state in fitted:
             for variant in estimator.variants:
                 table = estimator.table(model, state, variant, samples, base, split)
                 uq.write_scores_csv(_scores_path(bucket, args.task, args.shift, table.method, variant, split), table, hash_hex)
                 written += 1
+        base = None  # one split's outputs, features included, are alive at a time
     print(f"score[{args.task}/{args.shift}] wrote {written} score files over splits {eval_splits}")
     return 0
 

@@ -17,7 +17,8 @@ MC-Dropout's stochastic passes, whose changes all sit after the features,
 run only the model's head on the kept features.
 
 - vanilla: max softmax probability.
-- temp_scale: max softmax(logits / T), T fitted on validation NLL (BFGS).
+- temp_scale: max softmax(logits / T), T fitted on validation NLL by Newton's
+  method on 1/T, over the validation split's shared forward.
 - mc_dropout: mean softmax over K stochastic passes; the CC model has no
   dropout layer, so a dropout site is injected after its embedding mean at
   score time only.
@@ -30,6 +31,7 @@ run only the model's head on the kept features.
 
 from __future__ import annotations
 
+import math
 import warnings
 import zlib
 from dataclasses import dataclass, field
@@ -89,35 +91,68 @@ def score_vanilla(probs: np.ndarray):
 
 
 def _nll_at_temperature(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
-    from scipy.special import logsumexp
-
     scaled = logits / temperature
-    log_probs = scaled - logsumexp(scaled, axis=-1, keepdims=True)
-    return float(-log_probs[np.arange(len(labels)), labels].mean())
+    top = scaled.max(axis=-1)  # the max-shifted log-sum-exp cannot overflow
+    log_norm = top + np.log(np.exp(scaled - top[:, None]).sum(axis=-1))
+    return float((log_norm - scaled[np.arange(len(labels)), labels]).mean())
 
 
-def fit_temperature(model, val_samples) -> float:
-    """T > 0 minimizing validation NLL of softmax(logits / T).
+def _nll_newton_terms(z: np.ndarray, z_true: np.ndarray, beta: float) -> tuple[float, float, float]:
+    """Validation NLL of softmax(beta * z) and its first two derivatives in beta.
 
-    Optimized over log T with BFGS; the result is clamped into
+    With p = softmax(beta * z) per row, dNLL/dbeta = mean(E_p[z] - z_true)
+    and d2NLL/dbeta2 = mean(Var_p[z]) >= 0, so the NLL is convex in beta.
+    """
+    p = beta * z
+    top = p.max(axis=-1)
+    p -= top[:, None]
+    np.exp(p, out=p)
+    total = p.sum(axis=-1)
+    p /= total[:, None]
+    mean_z = np.einsum("ij,ij->i", p, z)
+    spread = z - mean_z[:, None]
+    spread *= spread
+    nll = float((top + np.log(total) - beta * z_true).mean())
+    return nll, float((mean_z - z_true).mean()), float(np.einsum("ij,ij->i", p, spread).mean())
+
+
+def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> float:
+    """T > 0 minimizing the NLL of softmax(logits / T) over validation `labels`.
+
+    Newton's method on the inverse temperature beta = 1/T, from beta = 1,
+    for at most 100 steps, each halved until the NLL does not rise. It stops
+    once beta leaves 1/TEMPERATURE_BOUNDS; the result is clamped into
     TEMPERATURE_BOUNDS (a degenerate validation set can push T to the
     boundary) and never allowed to be worse than T = 1.
     """
-    # scipy is imported where it is used: it is most of the CLI's start-up time
-    from scipy.optimize import minimize
-
-    if not val_samples:
+    if not len(labels):
         raise EstimatorStateError("temperature fitting needs a non-empty validation set")
-    logits = tasks.infer(model, val_samples, keys=("logits",))["logits"].astype(np.float64)
-    labels = val_samples.labels
-
-    result = minimize(
-        lambda x: _nll_at_temperature(logits, labels, float(np.exp(x[0]))),
-        x0=np.zeros(1),
-        method="BFGS",
-    )
-    temperature = float(np.exp(result.x[0]))
+    z = np.asarray(logits, dtype=np.float64)
+    z_true = z[np.arange(len(labels)), labels]
     lo, hi = TEMPERATURE_BOUNDS
+    beta = 1.0
+    nll, grad, curv = _nll_newton_terms(z, z_true, beta)
+    for _ in range(100):
+        if not 1.0 / hi <= beta <= 1.0 / lo:
+            break
+        if curv > 0.0:
+            step = -grad / curv
+        else:  # a saturated softmax: the NLL is flat or linear in beta
+            step = -math.copysign(beta, grad) if grad else 0.0
+        # move beta by at most half itself, so a vanishing curvature cannot run off
+        step = min(max(step, -beta / 2), beta / 2)
+        if not abs(step) > 1e-12 * beta:  # converged, or a NaN step
+            break
+        for _ in range(60):  # halve the step until the NLL does not rise
+            trial = _nll_newton_terms(z, z_true, beta + step)
+            if trial[0] <= nll:
+                break
+            step /= 2
+        else:
+            break
+        beta += step
+        nll, grad, curv = trial
+    temperature = 1.0 / beta
     if not lo <= temperature <= hi:
         clamped = float(np.clip(temperature, lo, hi))
         warnings.warn(
@@ -127,21 +162,20 @@ def fit_temperature(model, val_samples) -> float:
             stacklevel=2,
         )
         temperature = clamped
-    if _nll_at_temperature(logits, labels, temperature) > _nll_at_temperature(logits, labels, 1.0):
+    if _nll_at_temperature(z, labels, temperature) > _nll_at_temperature(z, labels, 1.0):
         temperature = 1.0
     return temperature
 
 
 def score_temp_scale(logits: np.ndarray, temperature: float):
-    from scipy.special import logsumexp
-
     if temperature is None or temperature <= 0:
         raise EstimatorStateError(f"temperature must be positive, got {temperature}")
     # in place: the split's shared outputs are alive too, so hold one float64 copy
     scaled = logits.astype(np.float64)
     scaled /= temperature
-    scaled -= logsumexp(scaled, axis=-1, keepdims=True)
-    conf = np.exp(scaled, out=scaled).max(axis=-1)
+    scaled -= scaled.max(axis=-1, keepdims=True)
+    # the largest softmax probability is exp(0) over the row's sum of exps
+    conf = 1.0 / np.exp(scaled, out=scaled).sum(axis=-1)
     preds = logits.argmax(axis=-1)  # monotone scaling cannot move the argmax
     return conf, conf, preds
 
@@ -383,11 +417,13 @@ def score_dissector(probes: ProbeSet | None, growth: str, base: dict[str, np.nda
 class Estimator:
     """One uncertainty method of the study.
 
-    `fit(model, train, validation, settings)` returns the fitted state: the
-    temperature, the MC-Dropout settings, one mutant ensemble per operator,
-    the probes, or None. `settings` holds the `uncertainty` config keys plus
-    `seed`. `score(model, state, variant, samples, base, split)` returns
-    (raw, confidence, predicted) arrays, where `base` is `base_outputs(model,
+    `fit(model, train, validation, val_base, settings)` returns the fitted
+    state: the temperature, the MC-Dropout settings, one mutant ensemble per
+    operator, the probes, or None. `val_base` is `base_outputs(model,
+    validation)`, the same outputs that score the validation split.
+    `settings` holds the `uncertainty` config keys plus `seed`.
+    `score(model, state, variant, samples, base, split)` returns (raw,
+    confidence, predicted) arrays, where `base` is `base_outputs(model,
     samples)`, computed once per split and shared by every estimator; the
     Monte-Carlo scorers resume from its "features" where it has them.
     `split` keys the random stream of stochastic passes. A method without
@@ -419,7 +455,7 @@ class Estimator:
         )
 
 
-def _fit_mutant_ensembles(model, train, validation, settings) -> dict[str, MutantEnsemble]:
+def _fit_mutant_ensembles(model, train, validation, val_base, settings) -> dict[str, MutantEnsemble]:
     return {
         op: build_mutant_ensemble(
             model, op, degree=settings["mutation_degree"], count=settings["mutant_count"], seed=settings["seed"]
@@ -428,7 +464,7 @@ def _fit_mutant_ensembles(model, train, validation, settings) -> dict[str, Mutan
     }
 
 
-def _fit_probes(model, train, validation, settings) -> ProbeSet:
+def _fit_probes(model, train, validation, val_base, settings) -> ProbeSet:
     return train_probes(
         model, train, epochs=settings["probe_epochs"],
         learning_rate=settings["probe_learning_rate"], seed=settings["seed"],
@@ -451,17 +487,17 @@ ESTIMATORS: dict[str, Estimator] = {
     for e in (
         Estimator(
             "vanilla", "vanilla", ("",),
-            fit=lambda model, train, validation, settings: None,
+            fit=lambda model, train, validation, val_base, settings: None,
             score=lambda model, state, variant, samples, base, split: score_vanilla(base["probs"]),
         ),
         Estimator(
             "temp_scale", "temp", ("",),
-            fit=lambda model, train, validation, settings: fit_temperature(model, validation),
+            fit=lambda model, train, validation, val_base, settings: fit_temperature(val_base["logits"], validation.labels),
             score=lambda model, temperature, variant, samples, base, split: score_temp_scale(base["logits"], temperature),
         ),
         Estimator(
             "mc_dropout", "mcdropout", ("",),
-            fit=lambda model, train, validation, settings: settings,
+            fit=lambda model, train, validation, val_base, settings: settings,
             score=_score_mc_dropout,
         ),
         Estimator(

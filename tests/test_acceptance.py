@@ -190,8 +190,8 @@ def small_models():
 def test_criterion_3_estimator_invariants(small_models):
     cc_model, cc_encoded, cs_model, cs_encoded = small_models
 
-    t_star = uq.fit_temperature(cc_model, cc_encoded)
     cc_base = uq.base_outputs(cc_model, cc_encoded)
+    t_star = uq.fit_temperature(cc_base["logits"], cc_encoded.labels)
     _, vanilla_conf, vanilla_pred = uq.score_vanilla(cc_base["probs"])
     _, _, scaled_pred = uq.score_temp_scale(cc_base["logits"], t_star)
     argmax_preserved = bool(np.array_equal(vanilla_pred, scaled_pred))

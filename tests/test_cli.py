@@ -299,11 +299,11 @@ def test_score_runs_the_deterministic_forward_once_per_split(workspace, monkeypa
     assert main(["score", "--task", "cs", "--shift", "project", *flags]) == 0
     mutant_count = load_config(config_path)["uncertainty"]["mutant_count"]
     splits = ("validation", "test1")
-    # fit: the temperature on validation, the probes on train; then per split
-    # one shared forward plus one full pass per GF mutant, which perturbs the
-    # embeddings; WS, NS and NAI mutants run only the head on the shared
-    # forward's features
-    assert len(calls) == 2 + len(splits) * (1 + mutant_count)
+    # fit: the probes on train (the temperature reads the validation split's
+    # shared forward); then per split one shared forward plus one full pass
+    # per GF mutant, which perturbs the embeddings; WS, NS and NAI mutants run
+    # only the head on the shared forward's features
+    assert len(calls) == 1 + len(splits) * (1 + mutant_count)
     assert len(head_calls) == len(splits) * 3 * mutant_count
 
 
@@ -375,6 +375,36 @@ def test_corrupt_contexts_or_vocabs_exit_2_naming_file(tmp_path, capsys, corrupt
     err = capsys.readouterr().err
     assert f"{target}{line}" in err
     assert "runtime error" not in err
+
+
+@pytest.mark.parametrize("task", ["cs", "cc"])
+@pytest.mark.parametrize("split", ["validation", "test1"])
+def test_score_on_an_empty_split_exits_2_naming_file(tmp_path, capsys, task, split):
+    config_path, contexts = contexts_bucket(tmp_path, task)
+    flags = ["--task", task, "--shift", "project", "--config", str(config_path)]
+    assert main(["train", *flags]) == 0
+    target = contexts / f"{task}-project-{split}.txt"
+    target.write_text("", encoding="utf-8")
+    assert_exit_2_naming(["score", *flags[:4]], config_path, target, capsys)
+
+
+@pytest.mark.parametrize("task", ["cs", "cc"])
+def test_train_with_an_empty_validation_split_reports_no_val_acc(tmp_path, capsys, task):
+    config_path, contexts = contexts_bucket(tmp_path, task)
+    (contexts / f"{task}-project-validation.txt").write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--task", task, "--shift", "project", "--config", str(config_path)]) == 0
+    assert "val_acc=n/a" in capsys.readouterr().out
+    log = bucket_of(config_path) / "logs" / f"{task}-project-epochs.csv"
+    assert log.read_text(encoding="utf-8").splitlines()[-1].split(",")[2] == ""
+
+
+@pytest.mark.parametrize("task", ["cs", "cc"])
+def test_train_on_an_empty_training_split_exits_2_naming_file(tmp_path, capsys, task):
+    config_path, contexts = contexts_bucket(tmp_path, task)
+    target = contexts / f"{task}-project-train.txt"
+    target.write_text("", encoding="utf-8")
+    assert_exit_2_naming(["train", "--task", task, "--shift", "project"], config_path, target, capsys)
 
 
 def assert_exit_2_naming(argv, config_path, target, capsys):
@@ -455,9 +485,20 @@ def test_truncated_report_exits_2_naming_file(tmp_path, capsys, workspace):
     assert_exit_2_naming(["report"], config_path, target, capsys)
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def scipy_modules_after(statements: str) -> str:
+    """The scipy modules a fresh interpreter holds after running `statements`."""
     src = str(Path(codeshift.__file__).resolve().parents[1])
-    probe = "import sys, codeshift.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = f"import sys\n{statements}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert scipy_modules_after("import codeshift.cli") == "[]"
+
+
+def test_score_run_leaves_scipy_unloaded(workspace):
+    _, _, flags = workspace
+    run = f"from codeshift.cli import main\nassert main({['score', '--task', 'cs', '--shift', 'project', *flags]!r}) == 0"
+    assert scipy_modules_after(run) == "[]"

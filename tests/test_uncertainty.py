@@ -1,5 +1,7 @@
 """Estimator contracts: all five methods, the registry, and score files."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -105,15 +107,15 @@ def test_fit_temperature_improves_nll(cc_setup):
     model, encoded, _ = cc_setup
     logits = tasks.infer(model, encoded, keys=("logits",))["logits"].astype(np.float64)
     labels = encoded.labels
-    t_star = uq.fit_temperature(model, encoded)
+    t_star = uq.fit_temperature(uq.base_outputs(model, encoded)["logits"], labels)
     assert t_star > 0
     assert uq._nll_at_temperature(logits, labels, t_star) <= uq._nll_at_temperature(logits, labels, 1.0) + 1e-9
 
 
 def test_temp_scaling_preserves_argmax(cc_setup):
     model, encoded, _ = cc_setup
-    t_star = uq.fit_temperature(model, encoded)
     base = uq.base_outputs(model, encoded)
+    t_star = uq.fit_temperature(base["logits"], encoded.labels)
     assert np.array_equal(uq.score_vanilla(base["probs"])[2], uq.score_temp_scale(base["logits"], t_star)[2])
 
 
@@ -123,14 +125,65 @@ def test_fit_temperature_degenerate_clamps_and_warns():
     # optimum runs toward T -> 0 and must be clamped
     val = tasks.pack([f"v{i}" for i in range(8)], [0] * 8, {"context": [[2, 3, ex.PAD_ID, ex.PAD_ID]] * 8})
     with pytest.warns(RuntimeWarning):
-        t = uq.fit_temperature(model, val)
+        t = uq.fit_temperature(uq.base_outputs(model, val)["logits"], val.labels)
     assert uq.TEMPERATURE_BOUNDS[0] <= t <= uq.TEMPERATURE_BOUNDS[1]
 
 
 def test_fit_temperature_empty_validation():
-    model, _ = forced_prob_model([0.5, 0.5])
     with pytest.raises(uq.EstimatorStateError):
-        uq.fit_temperature(model, [])
+        uq.fit_temperature(np.zeros((0, 2), dtype=np.float32), np.zeros(0, dtype=np.int64))
+
+
+def nll_slope_in_inverse_temperature(logits, labels, temperature):
+    """dNLL/dbeta of softmax(beta * logits) at beta = 1/temperature: mean(E_p[z] - z_label)."""
+    z = np.asarray(logits, dtype=np.float64)
+    scaled = z / temperature
+    p = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    return float(((p * z).sum(axis=-1) - z[np.arange(len(labels)), labels]).mean())
+
+
+# rows of well-spread logits with labels drawn from softmax(logits / 2), and
+# float32 rows whose logit gaps of 100 saturate the softmax, one of them wrong
+SPREAD_RNG = np.random.default_rng(7)
+SPREAD_LOGITS = SPREAD_RNG.normal(0.0, 3.0, size=(400, 6)).astype(np.float32)
+SPREAD_LABELS = np.array([
+    SPREAD_RNG.choice(6, p=np.exp(row / 2) / np.exp(row / 2).sum()) for row in SPREAD_LOGITS.astype(np.float64)
+])
+WIDE_GAP_LOGITS = np.float32(100.0) * np.eye(3, dtype=np.float32)[[0, 1, 2, 0]]
+WIDE_GAP_LABELS = np.array([0, 1, 2, 1])
+
+
+@pytest.mark.parametrize("logits, labels", [(SPREAD_LOGITS, SPREAD_LABELS), (WIDE_GAP_LOGITS, WIDE_GAP_LABELS)])
+def test_fitted_temperature_is_a_stationary_point(logits, labels):
+    t_star = uq.fit_temperature(logits, labels)
+    lo, hi = uq.TEMPERATURE_BOUNDS
+    assert lo < t_star < hi  # unclamped, so the NLL's slope must vanish there
+    assert abs(nll_slope_in_inverse_temperature(logits, labels, t_star)) < 1e-9
+
+
+SATURATED = {
+    # logit gaps above 87 underflow a float32 softmax
+    "gap_above_87": (np.array([[120.0, 0.0, -5.0], [0.0, 95.0, 1.0], [3.0, 0.0, 200.0]], dtype=np.float32), [0, 0, 2]),
+    # the largest finite float32 magnitudes
+    "extreme": (np.array([[3e38, -3e38, 0.0], [-3e38, 3e38, 0.0], [0.0, -3e38, 3e38]], dtype=np.float32), [0, 0, 2]),
+    "extreme_all_right": (np.array([[3e38, -3e38, 0.0], [0.0, -3e38, 3e38]], dtype=np.float32), [0, 2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SATURATED))
+def test_temperature_scaling_of_saturated_float32_logits(case):
+    logits, labels = SATURATED[case]
+    with np.errstate(over="raise", invalid="raise", divide="raise"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the fit may clamp T
+        t_star = uq.fit_temperature(logits, np.array(labels))
+        assert np.isfinite(t_star)
+        assert uq.TEMPERATURE_BOUNDS[0] <= t_star <= uq.TEMPERATURE_BOUNDS[1]
+        for temperature in (t_star, *uq.TEMPERATURE_BOUNDS, 1.0):
+            raw, conf, pred = uq.score_temp_scale(logits, temperature)
+            assert np.all(np.isfinite(raw)) and np.all(np.isfinite(conf))
+            assert np.all((conf >= 0.0) & (conf <= 1.0))
+            assert np.array_equal(pred, logits.argmax(axis=-1))
 
 
 # -- MC-Dropout ---------------------------------------------------------------
@@ -409,7 +462,7 @@ def test_all_confidences_in_unit_interval(cc_setup):
     model, encoded, _ = cc_setup
     base = uq.base_outputs(model, encoded)
     for estimator in uq.ESTIMATORS.values():
-        state = estimator.fit(model, encoded, encoded, SETTINGS)
+        state = estimator.fit(model, encoded, encoded, base, SETTINGS)
         for variant in estimator.variants:
             rec = estimator.table(model, state, variant, encoded, base, "validation")
             assert len(rec) == len(encoded)
@@ -429,9 +482,9 @@ def test_registry_flags_and_variants():
 def test_mmutant_registry_scores_every_operator_with_its_own_ensemble(cc_setup):
     model, encoded, _ = cc_setup
     estimator = uq.ESTIMATORS["mmutant"]
-    ensembles = estimator.fit(model, encoded, encoded, SETTINGS)
-    assert sorted(ensembles) == sorted(uq.MUTATION_OPERATORS)
     base = uq.base_outputs(model, encoded)
+    ensembles = estimator.fit(model, encoded, encoded, base, SETTINGS)
+    assert sorted(ensembles) == sorted(uq.MUTATION_OPERATORS)
     tables = [estimator.table(model, ensembles, op, encoded, base, "test1") for op in estimator.variants]
     assert [t.variant for t in tables] == ["GF", "WS", "NS", "NAI"]
     for op, t in zip(estimator.variants, tables):
@@ -446,8 +499,8 @@ def test_mmutant_registry_scores_every_operator_with_its_own_ensemble(cc_setup):
 def test_mc_dropout_stream_is_keyed_by_split(cc_setup):
     model, encoded, _ = cc_setup
     estimator = uq.ESTIMATORS["mc_dropout"]
-    state = estimator.fit(model, encoded, encoded, SETTINGS)
     base = uq.base_outputs(model, encoded)
+    state = estimator.fit(model, encoded, encoded, base, SETTINGS)
     test1 = estimator.table(model, state, "", encoded, base, "test1")
     again = estimator.table(model, state, "", encoded, base, "test1")
     other = estimator.table(model, state, "", encoded, base, "test2")
@@ -459,7 +512,7 @@ def test_mc_dropout_registry_passes_resume_at_the_head(cs_setup, monkeypatch):
     model, encoded = cs_setup
     base = uq.base_outputs(model, encoded)
     estimator = uq.ESTIMATORS["mc_dropout"]
-    state = estimator.fit(model, encoded, encoded, SETTINGS)
+    state = estimator.fit(model, encoded, encoded, base, SETTINGS)
     resumed = []
     infer = tasks.infer
 
