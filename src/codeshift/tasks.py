@@ -388,6 +388,12 @@ def evaluate_accuracy(model: Model, samples: EncodedSplit, batch_size: int = 512
 
 @dataclass
 class TrainResult:
+    """The trained model and one row per epoch: epoch, train_acc, val_acc, loss.
+
+    train_acc is measured on the final epoch only and is None on earlier rows;
+    val_acc is measured every epoch, or None without a validation split.
+    """
+
     model: Model
     history: list[dict] = field(default_factory=list)
 
@@ -414,9 +420,11 @@ def _train_loop(
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}
             nn.adam_step(params, grads, state)
             losses.append(float(loss.data))
+        # train accuracy is a full eval-mode pass over the training split, so
+        # only the final model's is measured; earlier rows log None
         row = {
             "epoch": epoch + 1,
-            "train_acc": evaluate_accuracy(model, samples, config.batch_size),
+            "train_acc": evaluate_accuracy(model, samples, config.batch_size) if epoch + 1 == config.epochs else None,
             "val_acc": evaluate_accuracy(model, val_samples, config.batch_size) if val_samples else None,
             "loss": float(np.mean(losses)),
         }
@@ -450,14 +458,20 @@ def train_cc(
 
 
 def write_epoch_log(history: list[dict], path, config_hash: str | None = None) -> None:
-    """Per-epoch CSV: epoch,train_acc,val_acc,loss."""
+    """Per-epoch CSV: epoch,train_acc,val_acc,loss.
+
+    A None accuracy is written as an empty cell: train_acc is filled on the
+    final epoch only, and val_acc is empty when there is no validation split.
+    """
+    def cell(acc):
+        return "" if acc is None else repr(acc)
+
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         if config_hash:
             f.write(f"# config_hash={config_hash}\n")
         f.write("epoch,train_acc,val_acc,loss\n")
         for row in history:
-            val = "" if row["val_acc"] is None else repr(row["val_acc"])
-            f.write(f"{row['epoch']},{row['train_acc']!r},{val},{row['loss']!r}\n")
+            f.write(f"{row['epoch']},{cell(row['train_acc'])},{cell(row['val_acc'])},{row['loss']!r}\n")
 
 
 # -- model checkpoints -------------------------------------------------------

@@ -103,6 +103,10 @@ def test_artifact_layout_and_hash_embedding(workspace):
     log = (bucket / "logs" / "cs-project-epochs.csv").read_text().splitlines()
     assert log[0] == f"# config_hash={hash_hex}"
     assert log[1] == "epoch,train_acc,val_acc,loss"
+    rows = [line.split(",") for line in log[2:]]
+    assert [int(row[0]) for row in rows] == list(range(1, 9))  # the workspace trains 8 epochs
+    assert [bool(row[1]) for row in rows] == [False] * 7 + [True]  # train_acc: final epoch only
+    assert all(row[2] and row[3] for row in rows)  # val_acc and loss: every epoch
     report = json.loads((bucket / "reports" / "cs-project.json").read_text())
     assert report["config_hash"] == hash_hex
 

@@ -205,6 +205,7 @@ def test_epoch_log_csv(tmp_path):
     history = [
         {"epoch": 1, "train_acc": 50.0, "val_acc": 40.0, "loss": 1.5},
         {"epoch": 2, "train_acc": 75.0, "val_acc": None, "loss": 0.5},
+        {"epoch": 3, "train_acc": None, "val_acc": 45.0, "loss": 0.25},
     ]
     path = tmp_path / "log.csv"
     tasks.write_epoch_log(history, path, config_hash="abc123")
@@ -213,6 +214,44 @@ def test_epoch_log_csv(tmp_path):
     assert lines[1] == "epoch,train_acc,val_acc,loss"
     assert lines[2] == "1,50.0,40.0,1.5"
     assert lines[3] == "2,75.0,,0.5"
+    assert lines[4] == "3,,45.0,0.25"
+
+
+@pytest.mark.parametrize("task", ["cs", "cc"])
+def test_train_acc_is_measured_at_the_final_epoch_only(task):
+    config = tasks.TrainConfig(epochs=4, seed=5, embedding_dim=16, batch_size=8)
+    if task == "cs":
+        encoded, terminals, paths, labels = cs_training_setup()
+        train, val = encoded[:6], encoded[6:]
+        result = tasks.train_cs(train, terminals, paths, labels, config, val_samples=val)
+    else:
+        encoded, vocab = cc_training_setup()
+        train, val = encoded[:15], encoded[15:]
+        result = tasks.train_cc(train, vocab, config, val_samples=val)
+    assert [row["epoch"] for row in result.history] == [1, 2, 3, 4]
+    assert all(row["train_acc"] is None for row in result.history[:-1])
+    assert result.history[-1]["train_acc"] == tasks.evaluate_accuracy(result.model, train, config.batch_size)
+    assert all(isinstance(row["val_acc"], float) for row in result.history)
+    assert result.history[-1]["val_acc"] == tasks.evaluate_accuracy(result.model, val, config.batch_size)
+
+
+@pytest.mark.parametrize("with_val", [True, False])
+def test_training_runs_one_train_split_accuracy_pass(monkeypatch, with_val):
+    # one eval pass over the training split in all, plus one validation pass per epoch
+    encoded, vocab = cc_training_setup()
+    calls = []
+    real = tasks.evaluate_accuracy
+
+    def counting(model, samples, batch_size=512):
+        calls.append(len(samples))
+        return real(model, samples, batch_size)
+
+    monkeypatch.setattr(tasks, "evaluate_accuracy", counting)
+    config = tasks.TrainConfig(epochs=5, seed=5, embedding_dim=16)
+    val = encoded[15:] if with_val else None
+    tasks.train_cc(encoded[:15], vocab, config, val_samples=val)
+    assert calls.count(15) == 1
+    assert len(calls) == (config.epochs + 1 if with_val else 1)
 
 
 def test_checkpoint_roundtrip_trained_model():

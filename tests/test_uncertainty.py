@@ -186,6 +186,41 @@ def test_temperature_scaling_of_saturated_float32_logits(case):
             assert np.array_equal(pred, logits.argmax(axis=-1))
 
 
+SATURATED_B_OUT = {
+    # logit gaps above 87 underflow a float32 softmax
+    "gap_above_87": [-5.0, -10.0, 120.0, 0.0, 30.0, 95.0],
+    # the largest finite float32 magnitudes, with a tie at the top
+    "extreme": [-3e38, -3e38, 3e38, 0.0, -3e38, 3e38],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SATURATED_B_OUT))
+@pytest.mark.parametrize("method", ["vanilla", "mc_dropout", "mmutant", "dissector"])
+def test_estimators_on_saturated_float32_logits(case, method):
+    # every weight is zero, so each sample's logits are exactly b_out
+    vocab = ex.Vocabulary.from_tokens([ex.UNK_TOKEN, ex.PAD_TOKEN] + [f"t{i}" for i in range(4)])
+    model = tasks.MlpCompletionModel(vocab, dim=4)
+    for p in model.params().values():
+        p.data[:] = 0.0
+    model.params()["b_out"].data[:] = np.array(SATURATED_B_OUT[case], dtype=np.float32)
+    samples = tasks.pack(
+        [f"s{i}" for i in range(8)], [2 + i % 4 for i in range(8)],
+        {"context": [[2 + i % 4, 3, ex.PAD_ID, ex.PAD_ID] for i in range(8)]},
+    )
+    # a mutation degree of 0.5 reaches b_out, so the mutants' logits saturate too
+    settings = {"seed": 1, "mc_passes": 3, "mc_dropout_p": 0.5, "mutation_degree": 0.5, "mutant_count": 5,
+                "probe_epochs": 3, "probe_learning_rate": 0.001}
+    estimator = uq.ESTIMATORS[method]
+    with np.errstate(over="ignore", invalid="ignore"):  # float32 overflow is the case under test
+        base = uq.base_outputs(model, samples)
+        state = estimator.fit(model, samples, samples, base, settings)
+        for variant in estimator.variants:
+            table = estimator.table(model, state, variant, samples, base, "test1")  # rejects conf outside [0, 1]
+            assert not np.isnan(table.confidence).any()
+            assert np.all((table.confidence >= 0.0) & (table.confidence <= 1.0))
+            assert np.array_equal(table.predicted, np.full(8, 2))  # the first largest logit
+
+
 # -- MC-Dropout ---------------------------------------------------------------
 
 
