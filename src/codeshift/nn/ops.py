@@ -1,17 +1,18 @@
 """Forward ops with hand-written backward rules.
 
-Everything the two task models need: affine maps, embedding lookup, tanh,
-stable softmax (optionally masked), inverted dropout, attention pooling,
-cross-entropy, and the small glue ops (add/mul/concat/sum/mean/reshape)
-they are composed from. Shapes broadcast over leading batch dimensions;
-reductions and softmax act on the last axis unless stated otherwise.
+Everything the two task models need: affine maps, embedding lookups (of
+one table, or summed over several), tanh, stable softmax (optionally
+masked), inverted dropout, attention pooling, cross-entropy, and the small
+glue ops (add/mul/concat/row slice/sum/mean/reshape) they are composed
+from. Shapes broadcast over leading batch dimensions; reductions and
+softmax act on the last axis unless stated otherwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, accumulate, make_node
+from .tensor import Tensor, accumulate, make_node, needs_grad
 
 
 class ShapeError(ValueError):
@@ -29,12 +30,18 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+# add, mul and linear skip the gradient of a constant operand (a mask, a
+# count, frozen activations): nothing reads it.
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backward_fn(g):
-        accumulate(a, _unbroadcast(g, a.data.shape))
-        accumulate(b, _unbroadcast(g, b.data.shape))
+        if needs_grad(a):
+            accumulate(a, _unbroadcast(g, a.data.shape))
+        if needs_grad(b):
+            accumulate(b, _unbroadcast(g, b.data.shape))
 
     return make_node(out, (a, b), backward_fn)
 
@@ -43,8 +50,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def backward_fn(g):
-        accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if needs_grad(a):
+            accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if needs_grad(b):
+            accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return make_node(out, (a, b), backward_fn)
 
@@ -56,9 +65,11 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     out = x.data @ w.data
 
     def backward_fn(g):
-        accumulate(x, g @ w.data.T)
-        k, m = w.data.shape
-        accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, m))
+        if needs_grad(x):
+            accumulate(x, g @ w.data.T)
+        if needs_grad(w):
+            k, m = w.data.shape
+            accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, m))
 
     return make_node(out, (x, w), backward_fn)
 
@@ -68,6 +79,20 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"affine: bias {b.data.shape} vs weight {w.data.shape}")
     return add(linear(x, w), b)
+
+
+def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start:stop of `x` along its first axis."""
+    if not 0 <= start <= stop <= x.data.shape[0]:
+        raise ShapeError(f"row_slice: rows {start}:{stop} of {x.data.shape}")
+    out = x.data[start:stop]
+
+    def backward_fn(g):
+        gx = np.zeros_like(x.data)
+        gx[start:stop] = g
+        accumulate(x, gx)
+
+    return make_node(out, (x,), backward_fn)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -104,47 +129,68 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of `table` (V, d); output shape ids.shape + (d,).
+    """Gather rows of `table` (V, d); output shape ids.shape + (d,)."""
+    return embedding_sum([(table, ids)])
 
-    The backward sums the gradient rows of each id in row order, starting
-    from zero, exactly as `np.add.at` would, bit for bit: the ids are
-    sorted stably, ids that occur once are added in one vectorised step,
-    and each repeated id's rows are summed as one contiguous block.
+
+def embedding_sum(lookups: list[tuple[Tensor, np.ndarray]]) -> Tensor:
+    """table_0[ids_0] + table_1[ids_1] + ..., added in that order.
+
+    Every table is (V_i, d) with one d, and every ids array has one shape;
+    the output is ids.shape + (d,). Each table's backward sums the gradient
+    rows of each id in row order, starting from zero, exactly as
+    `np.add.at` would, bit for bit: the ids are sorted stably, ids that
+    occur once are added in one vectorised step, and each repeated id's
+    rows are summed as one contiguous block.
     """
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise IndexError(f"embedding id out of range [0, {table.data.shape[0]})")
+    lookups = [(table, np.asarray(ids)) for table, ids in lookups]
+    for table, ids in lookups:
+        if ids.shape != lookups[0][1].shape or table.data.shape[1:] != lookups[0][0].data.shape[1:]:
+            raise ShapeError(f"embedding_sum: table {table.data.shape}, ids {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
+            raise IndexError(f"embedding id out of range [0, {table.data.shape[0]})")
+    (table, ids), *rest = lookups
     out = table.data[ids]
+    for table, ids in rest:
+        out += table.data[ids]
 
     def backward_fn(g):
-        d = table.data.shape[1]
-        flat = ids.reshape(-1)
-        order = np.argsort(flat, kind="stable")
-        keys = flat[order]
-        # A spare zero column keeps each block two-dimensional: numpy then
-        # adds a block's rows one after another, where a single column
-        # would be summed pairwise. ("clip" lets take write into the
-        # strided view without a buffer; every index is in range.)
-        rows = np.zeros((flat.size, d + 1), dtype=g.dtype)
-        np.take(g.reshape(-1, d), order, axis=0, out=rows[:, :d], mode="clip")
-        first = np.ones(flat.size, dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(first)
-        counts = np.diff(np.r_[starts, flat.size])
-        once = counts == 1
-        gt = np.zeros_like(table.data)
-        # These keys are unique, so one fancy += is exact: 0.0 + x is x, and
-        # -0.0 becomes +0.0, as under np.add.at.
-        gt[keys[starts[once]]] += rows[starts[once], :d]
-        for a, n in zip(starts[~once].tolist(), counts[~once].tolist()):
-            gt[keys[a]] += rows[a : a + n].sum(axis=0)[:d]
-        if np.isnan(gt).any():  # which of two NaNs a sum keeps depends on numpy's loop
-            gt = np.zeros_like(table.data)
-            for i, row in zip(flat.tolist(), g.reshape(-1, d)):
-                gt[i] += row
-        accumulate(table, gt)
+        for table, ids in lookups:
+            if needs_grad(table):
+                accumulate(table, _embedding_grad(table.data, ids, g))
 
-    return make_node(out, (table,), backward_fn)
+    return make_node(out, tuple(table for table, _ in lookups), backward_fn)
+
+
+def _embedding_grad(table: np.ndarray, ids: np.ndarray, g: np.ndarray) -> np.ndarray:
+    d = table.shape[1]
+    flat = ids.reshape(-1)
+    # a stable sort of int16 keys is a radix sort, with the same permutation
+    narrow = flat.astype(np.int16) if table.shape[0] <= 1 << 15 else flat
+    order = np.argsort(narrow, kind="stable")
+    keys = flat[order]
+    # A spare zero column keeps each block two-dimensional: numpy then
+    # adds a block's rows one after another, where a single column
+    # would be summed pairwise. ("clip" lets take write into the
+    # strided view without a buffer; every index is in range.)
+    rows = np.zeros((flat.size, d + 1), dtype=g.dtype)
+    np.take(g.reshape(-1, d), order, axis=0, out=rows[:, :d], mode="clip")
+    first = np.ones(flat.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.r_[starts, flat.size])
+    once = counts == 1
+    gt = np.zeros_like(table)
+    # These keys are unique, so one fancy += is exact: 0.0 + x is x, and
+    # -0.0 becomes +0.0, as under np.add.at.
+    gt[keys[starts[once]]] += rows[starts[once], :d]
+    for a, n in zip(starts[~once].tolist(), counts[~once].tolist()):
+        gt[keys[a]] += rows[a : a + n].sum(axis=0)[:d]
+    if np.isnan(gt).any():  # which of two NaNs a sum keeps depends on numpy's loop
+        gt = np.zeros_like(table)
+        for i, row in zip(flat.tolist(), g.reshape(-1, d)):
+            gt[i] += row
+    return gt
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:

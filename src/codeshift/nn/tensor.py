@@ -59,6 +59,11 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
+def needs_grad(t: Tensor) -> bool:
+    """Whether a gradient flowing into `t` reaches a tensor that requires one."""
+    return t.requires_grad or bool(t._parents)
+
+
 def make_node(data: np.ndarray, parents: Iterable[Tensor], backward_fn) -> Tensor:
     """Wrap an op result; drops the tape when no parent needs gradients."""
     out = Tensor.__new__(Tensor)
@@ -69,7 +74,7 @@ def make_node(data: np.ndarray, parents: Iterable[Tensor], backward_fn) -> Tenso
     out._backward = None
     if _GRAD_ENABLED:
         live = tuple(parents)
-        if any(p.requires_grad or p._parents for p in live):
+        if any(needs_grad(p) for p in live):
             out._parents = live
             out._backward = backward_fn
     return out

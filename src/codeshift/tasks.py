@@ -1,9 +1,13 @@
 """The two classifiers under study and their training loops.
 
 CS (code summarization): a path-attention network. Each context triple
-(left terminal, path, right terminal) is embedded, concatenated to 3d,
-squeezed through an affine+tanh combiner to d, dropped out, attention-
-pooled, and classified by one fully-connected layer over method names.
+(left terminal, path, right terminal) is combined into one d-wide vector,
+tanh(W·[e_left; e_path; e_right] + b), then dropped out, attention-pooled,
+and classified by one fully-connected layer over method names. The
+combiner is computed factorized: W's three d-row blocks project the
+terminal and path embedding tables once per forward, and each context
+gathers and sums three projected rows, so no (B, n, 3d) concatenation is
+built.
 
 CC (code completion): a CBOW-style MLP. Context token embeddings are
 averaged (PAD slots contribute nothing and are excluded from the divisor)
@@ -137,11 +141,12 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
 class _TaskModel:
     """What both task models share: named parameters and their copies.
 
-    Each forward splits at the input of the first affine layer:
-    `features(**inputs)` computes it from the parameters `feature_params`
-    names, and `head(features, ...)`, given the inputs `head_inputs` names,
-    does the rest. So a model whose `feature_params` hold the same arrays
-    can run `head` on features another model's forward computed.
+    Each forward splits at its dropout site: `features(**inputs)` computes
+    the dropout's input (CS: the combined contexts after the tanh; CC: the
+    embedding mean) from the parameters `feature_params` names, and
+    `head(features, ...)`, given the inputs `head_inputs` names, does the
+    rest. So a model whose `feature_params` hold the same arrays can run
+    `head` on features another model's forward computed.
     """
 
     _params: dict[str, nn.Tensor]
@@ -165,7 +170,7 @@ class _TaskModel:
 class PathAttentionModel(_TaskModel):
     kind = CS
     probe_layers = ("embed_mean", "pooled")  # Dissector's taps, shallow to deep
-    feature_params = ("term_emb", "path_emb")
+    feature_params = ("term_emb", "path_emb", "w_comb", "b_comb")
     head_inputs = ("mask",)
 
     def __init__(
@@ -210,19 +215,28 @@ class PathAttentionModel(_TaskModel):
         training: bool = False,
         rng: np.random.Generator | None = None,
         dropout_p: float | None = None,
+        probs: bool = True,
     ) -> dict[str, nn.Tensor]:
         """left/path/right (B, n) int ids, mask (B, n) bool; True = real context."""
-        return self.head(self.features(left, path, right, mask), mask, training, rng, dropout_p)
+        return self.head(self.features(left, path, right, mask), mask, training, rng, dropout_p, probs)
 
     def features(self, left: np.ndarray, path: np.ndarray, right: np.ndarray, mask: np.ndarray) -> nn.Tensor:
-        """The concatenated left/path/right embeddings, (B, n, 3d)."""
+        """The combined contexts tanh(W·[e_left; e_path; e_right] + b), (B, n, d).
+
+        W·[e_l; e_p; e_r] = W_l·e_l + W_p·e_p + W_r·e_r, so each d-row block
+        of `w_comb` projects its embedding table once, and every context
+        sums three gathered d-wide rows.
+        """
         if not mask.any(axis=-1).all():
             raise ValueError("empty context bag in batch")
         p = self._params
-        e_left = nn.embedding_lookup(p["term_emb"], left)
-        e_path = nn.embedding_lookup(p["path_emb"], path)
-        e_right = nn.embedding_lookup(p["term_emb"], right)
-        return nn.concat_last([e_left, e_path, e_right])
+        d = self.dim
+        w = p["w_comb"]
+        proj_left = nn.linear(p["term_emb"], nn.row_slice(w, 0, d))
+        proj_path = nn.linear(p["path_emb"], nn.row_slice(w, d, 2 * d))
+        proj_right = nn.linear(p["term_emb"], nn.row_slice(w, 2 * d, 3 * d))
+        pre = nn.embedding_sum([(proj_left, left), (proj_path, path), (proj_right, right)])
+        return nn.tanh(nn.add(pre, p["b_comb"]))
 
     def head(
         self,
@@ -231,27 +245,28 @@ class PathAttentionModel(_TaskModel):
         training: bool = False,
         rng: np.random.Generator | None = None,
         dropout_p: float | None = None,
+        probs: bool = True,
     ) -> dict[str, nn.Tensor]:
+        """Everything after the combiner; `probs=False` leaves out the softmax."""
         p = self._params
-        combined = nn.tanh(nn.affine(features, p["w_comb"], p["b_comb"]))
         dropped = nn.dropout(
-            combined, self.dropout_p if dropout_p is None else dropout_p, training, rng
+            features, self.dropout_p if dropout_p is None else dropout_p, training, rng
         )
         pooled, weights = nn.attention_pool(dropped, p["attn"], mask=mask)
         logits = nn.affine(pooled, p["w_out"], p["b_out"])
-        probs = nn.softmax(logits)
-        maskf = nn.Tensor(mask.astype(combined.data.dtype)[..., None])
-        counts = nn.Tensor((1.0 / mask.sum(axis=-1)).astype(combined.data.dtype)[:, None])
-        embed_mean = nn.mul(nn.sum_axis(nn.mul(combined, maskf), axis=-2), counts)
-        return {
-            "probs": probs,
+        maskf = nn.Tensor(mask.astype(features.data.dtype)[..., None])
+        counts = nn.Tensor((1.0 / mask.sum(axis=-1)).astype(features.data.dtype)[:, None])
+        embed_mean = nn.mul(nn.sum_axis(nn.mul(features, maskf), axis=-2), counts)
+        out = {
             "logits": logits,
             "features": features,
-            "contexts": combined,
             "weights": weights,
             "pooled": pooled,
             "embed_mean": embed_mean,
         }
+        if probs:
+            out["probs"] = nn.softmax(logits)
+        return out
 
 
 class MlpCompletionModel(_TaskModel):
@@ -283,9 +298,10 @@ class MlpCompletionModel(_TaskModel):
         training: bool = False,
         rng: np.random.Generator | None = None,
         dropout_p: float | None = None,
+        probs: bool = True,
     ) -> dict[str, nn.Tensor]:
         """context (B, 2w) int ids; PAD slots are masked out of the mean."""
-        return self.head(self.features(context), training, rng, dropout_p)
+        return self.head(self.features(context), training, rng, dropout_p, probs)
 
     def features(self, context: np.ndarray) -> nn.Tensor:
         """The mean of the real context slots' embeddings, (B, d)."""
@@ -305,16 +321,19 @@ class MlpCompletionModel(_TaskModel):
         training: bool = False,
         rng: np.random.Generator | None = None,
         dropout_p: float | None = None,
+        probs: bool = True,
     ) -> dict[str, nn.Tensor]:
         """`dropout_p` (None: the model's own 0.0) exists only so MC-Dropout can
         inject a stochastic site after the embedding mean at score time;
-        training never uses it.
+        training never uses it. `probs=False` leaves out the softmax.
         """
         p = self._params
         h = nn.dropout(features, self.dropout_p if dropout_p is None else dropout_p, training, rng)
         logits = nn.affine(h, p["w_out"], p["b_out"])
-        probs = nn.softmax(logits)
-        return {"probs": probs, "logits": logits, "features": features, "embed_mean": features}
+        out = {"logits": logits, "features": features, "embed_mean": features}
+        if probs:
+            out["probs"] = nn.softmax(logits)
+        return out
 
 
 Model = PathAttentionModel | MlpCompletionModel
@@ -335,26 +354,27 @@ def infer(
 ) -> dict[str, np.ndarray]:
     """Batched no-grad forward over a split; concatenates `keys`.
 
-    The key "features" stays a list of one array per batch, because CS
-    batches differ in width. Passed back as `features` to a call over the
-    same split and `batch_size`, those arrays resume every batch at
-    `model.head`; the model must share the `feature_params` of the one that
-    computed them.
+    The softmax runs only when "probs" is among `keys`. The key "features"
+    stays a list of one array per batch, because CS batches differ in
+    width. Passed back as `features` to a call over the same split and
+    `batch_size`, those arrays resume every batch at `model.head`; the
+    model must share the `feature_params` of the one that computed them.
     """
     starts = range(0, len(samples), batch_size)
     if features is not None and len(features) != len(starts):
         raise ValueError(f"{len(features)} feature batches for a split of {len(starts)} batches")
     chunks: dict[str, list[np.ndarray]] = {k: [] for k in keys}
+    settings = {"training": training, "rng": rng, "dropout_p": dropout_p, "probs": "probs" in keys}
     with nn.no_grad():
         for i, start in enumerate(starts):
             batch = samples[start:start + batch_size]
             if features is None:
-                out = model.forward_batch(**batch.inputs, training=training, rng=rng, dropout_p=dropout_p)
+                out = model.forward_batch(**batch.inputs, **settings)
             elif len(features[i]) != len(batch):
                 raise ValueError(f"feature batch {i} holds {len(features[i])} rows, not {len(batch)}")
             else:
                 head_inputs = {name: batch.inputs[name] for name in model.head_inputs}
-                out = model.head(nn.Tensor(features[i]), **head_inputs, training=training, rng=rng, dropout_p=dropout_p)
+                out = model.head(nn.Tensor(features[i]), **head_inputs, **settings)
             for k in keys:
                 chunks[k].append(out[k].data)
     return {k: _one_block(v) if k == "features" else np.concatenate(v, axis=0) for k, v in chunks.items()}
@@ -372,12 +392,32 @@ def _one_block(batches: list[np.ndarray]) -> list[np.ndarray]:
     return np.split(np.concatenate(batches), np.cumsum([len(b) for b in batches[:-1]]))
 
 
+def predicted_labels(logits: np.ndarray) -> np.ndarray:
+    """The argmax of each row of softmax(logits), read off the logits.
+
+    Where the top two logits differ by more than 1e-5·max(1, |top|), the
+    softmax gives every other class at most exp(-gap) < 1 - 1e-5 of the top
+    probability, a margin float32 rounding cannot close, so both argmaxes
+    agree. In rows closer than that the probabilities may round to a tie,
+    and a row holding a non-finite value turns to NaN; the softmax's argmax
+    can then pick another index, so those rows go through the softmax
+    itself.
+    """
+    preds = logits.argmax(axis=-1)
+    top = np.take_along_axis(logits, preds[:, None], axis=-1).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # an infinite top: its row is not finite anyway
+        near = (logits >= top - 1e-5 * np.maximum(1.0, np.abs(top))).sum(axis=-1) > 1
+    rows = np.flatnonzero(near | ~np.isfinite(logits).all(axis=-1))
+    if rows.size:
+        preds[rows] = nn.softmax(nn.Tensor(logits[rows])).data.argmax(axis=-1)
+    return preds
+
+
 def evaluate_accuracy(model: Model, samples: EncodedSplit, batch_size: int = 512) -> float:
     """Exact-match accuracy in percent; UNK true labels count as failures."""
     if not samples:
         raise ValueError("cannot evaluate accuracy on an empty split")
-    probs = infer(model, samples, batch_size=batch_size)["probs"]
-    preds = probs.argmax(axis=-1)
+    preds = predicted_labels(infer(model, samples, batch_size=batch_size, keys=("logits",))["logits"])
     labels = samples.labels
     correct = (preds == labels) & (labels != UNK_ID)
     return float(correct.mean() * 100.0)

@@ -10,11 +10,14 @@ best-scoring variant per metric.
 Every estimator is defined against the model's deterministic forward pass.
 `base_outputs` runs it once per split; the scorers read its probabilities,
 logits, predicted labels and probe taps instead of running it again. It
-also keeps each batch's features, the input of the model's first affine
-layer. Only the Monte-Carlo scorers run the network again: GF mutants,
-which perturb the embeddings, run it in full, while WS/NS/NAI mutants and
-MC-Dropout's stochastic passes, whose changes all sit after the features,
-run only the model's head on the kept features.
+also keeps each batch's features, the input of the model's dropout site
+(CS: the combined contexts after the combiner's tanh; CC: the embedding
+mean). Only the Monte-Carlo scorers run the network again. MC-Dropout's
+stochastic passes run only the model's head on the kept features. A
+mutant resumes there too when it changed none of the model's
+`feature_params`, as CC's WS/NS/NAI mutants, which change only the output
+layer. GF mutants, which perturb every array, and CS's WS/NS/NAI mutants,
+whose changes reach the combiner's `w_comb`/`b_comb`, run it in full.
 
 - vanilla: max softmax probability.
 - temp_scale: max softmax(logits / T), T fitted on validation NLL by Newton's
@@ -298,15 +301,18 @@ def build_mutant_ensemble(model, operator: str, degree: float = 0.05, count: int
 def score_mmutant(ensemble: MutantEnsemble | None, samples, base_preds: np.ndarray, features=None):
     """Raw score is the label change rate (LCR) from `base_preds`; confidence is 1 - LCR.
 
-    With the split's `features` (from `base_outputs`), a mutant that
-    replaced none of the model's `feature_params` runs only its head on them.
+    A mutant's labels are the argmax of its softmax, read off its logits
+    (`tasks.predicted_labels`), so no mutant pass runs the softmax. With the
+    split's `features` (from `base_outputs`), a mutant that replaced none of
+    the model's `feature_params` runs only its head on them.
     """
     if ensemble is None or not ensemble.mutants:
         raise EstimatorStateError("mMutant scoring needs a built ensemble")
     changed = np.zeros(len(samples), dtype=np.int64)
     for mutant in ensemble.mutants:
         resumes = features is not None and mutant.replaced.isdisjoint(mutant.feature_params)
-        preds = tasks.infer(mutant, samples, features=features if resumes else None)["probs"].argmax(axis=-1)
+        logits = tasks.infer(mutant, samples, keys=("logits",), features=features if resumes else None)["logits"]
+        preds = tasks.predicted_labels(logits)
         changed += preds != base_preds
     lcr = changed / ensemble.count
     return lcr, 1.0 - lcr, base_preds

@@ -87,6 +87,101 @@ def test_grad_embedding_lookup(seed):
 
 
 @pytest.mark.parametrize("seed", range(N_INSTANCES))
+def test_grad_row_slice(seed):
+    rng = np.random.default_rng(800 + seed)
+    w = t64(rng, 6, 3)
+    x = t64(rng, 4, 2)
+    start = int(rng.integers(0, 5))
+    finite_diff_check(lambda: nn.mean(nn.tanh(nn.linear(x, nn.row_slice(w, start, start + 2)))), [w, x])
+
+
+@pytest.mark.parametrize("seed", range(N_INSTANCES))
+def test_grad_embedding_lookup_of_a_projected_table(seed):
+    # the table is itself an op's output, as CS's projected vocabularies are
+    rng = np.random.default_rng(900 + seed)
+    table = t64(rng, 5, 3)
+    w = t64(rng, 3, 4)
+    ids = rng.integers(0, 5, size=(2, 6))
+    finite_diff_check(lambda: nn.mean(nn.tanh(nn.embedding_lookup(nn.linear(table, w), ids))), [table, w])
+
+
+@pytest.mark.parametrize("seed", range(N_INSTANCES))
+def test_grad_embedding_sum(seed):
+    rng = np.random.default_rng(1000 + seed)
+    first, second = t64(rng, 5, 3), t64(rng, 4, 3)
+    ids = [rng.integers(0, 5, size=(2, 6)), rng.integers(0, 4, size=(2, 6)), rng.integers(0, 5, size=(2, 6))]
+    w = t64(rng, 3, 2)
+
+    def build():
+        summed = nn.embedding_sum([(first, ids[0]), (second, ids[1]), (first, ids[2])])
+        return nn.mean(nn.tanh(nn.linear(summed, w)))
+
+    finite_diff_check(build, [first, second, w])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embedding_sum_equals_added_lookups_bitwise(dtype):
+    rng = np.random.default_rng(29)
+    shared = rng.standard_normal((6, 4)).astype(dtype)
+    other = rng.standard_normal((9, 4)).astype(dtype)
+    ids = [rng.integers(0, 6, size=(3, 20)), rng.integers(0, 9, size=(3, 20)), rng.integers(0, 6, size=(3, 20))]
+    g = (rng.standard_normal((3, 20, 4)) * 10.0 ** rng.uniform(-5, 5, (3, 20, 4))).astype(dtype)
+    results = []
+    for fused in (True, False):
+        a, b = nn.Tensor(shared.copy(), requires_grad=True), nn.Tensor(other.copy(), requires_grad=True)
+        if fused:
+            out = nn.embedding_sum([(a, ids[0]), (b, ids[1]), (a, ids[2])])
+        else:
+            out = nn.add(nn.add(nn.embedding_lookup(a, ids[0]), nn.embedding_lookup(b, ids[1])), nn.embedding_lookup(a, ids[2]))
+        nn.backward(out, seed=g)
+        results.append((out.data, a.grad, b.grad))
+    for fused, added in zip(*results):
+        assert_bitwise(fused, added)
+
+
+def test_embedding_sum_rejects_mismatched_lookups():
+    table = nn.Tensor(np.zeros((4, 2)))
+    with pytest.raises(nn.ShapeError):
+        nn.embedding_sum([(table, np.zeros((2, 3), dtype=int)), (table, np.zeros((2, 4), dtype=int))])
+    with pytest.raises(nn.ShapeError):
+        nn.embedding_sum([(table, np.zeros(3, dtype=int)), (nn.Tensor(np.zeros((4, 3))), np.zeros(3, dtype=int))])
+    with pytest.raises(IndexError):
+        nn.embedding_sum([(table, np.zeros(3, dtype=int)), (table, np.array([0, 4, 1]))])
+
+
+def test_row_slice_rejects_rows_out_of_range():
+    w = nn.Tensor(np.zeros((4, 2)))
+    assert nn.row_slice(w, 1, 3).data.shape == (2, 2)
+    for start, stop in ((-1, 2), (3, 2), (2, 5)):
+        with pytest.raises(nn.ShapeError):
+            nn.row_slice(w, start, stop)
+
+
+def test_backward_leaves_constant_operands_without_gradients():
+    rng = np.random.default_rng(21)
+    x = t64(rng, 3, 4)
+    w = t64(rng, 4, 2)
+    mask = nn.Tensor(rng.random((3, 4)) < 0.5, dtype=np.float64)
+    shift = nn.Tensor(rng.standard_normal(2), dtype=np.float64)
+    frozen = nn.Tensor(rng.standard_normal((3, 4)), dtype=np.float64)
+    loss = nn.mean(nn.add(nn.linear(nn.mul(x, mask), w), shift))
+    nn.backward(nn.add(loss, nn.mean(nn.linear(frozen, w))))
+    assert mask.grad is None and shift.grad is None and frozen.grad is None
+    assert x.grad is not None and w.grad is not None
+
+
+@pytest.mark.parametrize("vocab", [1 << 15, (1 << 16) + 1])
+def test_embedding_backward_on_either_side_of_the_int16_sort(vocab):
+    # ids sort as int16 up to 2^15 rows; above, ids 0 and 2^16 would collide
+    rng = np.random.default_rng(23)
+    ids = rng.integers(0, vocab, size=300)
+    ids[:40:2] = vocab - 1  # the largest id, repeated
+    ids[1:40:2] = 0
+    g = (rng.standard_normal((300, 2)) * 10.0 ** rng.uniform(-5, 5, (300, 2))).astype(np.float32)
+    assert_bitwise(lookup_grad(vocab, ids, g), loop_embedding_grad(vocab, ids, g))
+
+
+@pytest.mark.parametrize("seed", range(N_INSTANCES))
 def test_grad_attention_pool(seed):
     rng = np.random.default_rng(400 + seed)
     contexts = t64(rng, 2, 6, 4)

@@ -6,6 +6,8 @@ import pytest
 from codeshift import extraction as ex
 from codeshift import nn, tasks
 
+from test_nn import finite_diff_check
+
 # Eight separable methods: every method has its own identifier lexicon so a
 # correctly implemented model must be able to fit them.
 CS_FIXTURE = """
@@ -108,6 +110,86 @@ def test_clone_copies_parameters_without_initialising_new_ones(monkeypatch):
         assert not np.shares_memory(twin.params()[name].data, p.data)
     twin.params()["w_out"].data[:] = 0.0
     assert model.params()["w_out"].data.any()
+
+
+def test_grad_factorized_cs_features():
+    encoded, terminals, paths, labels = cs_training_setup()
+    model = tasks.PathAttentionModel(terminals, paths, labels, dim=3, dtype=np.float64)
+    p = model.params()
+    rng = np.random.default_rng(5)
+    p["b_comb"].data[:] = rng.standard_normal(3)
+    batch = encoded[:2]
+    # a fixed random cotangent, so no gradient cancels by symmetry
+    weights = nn.Tensor(rng.standard_normal(batch.inputs["mask"].shape + (3,)), dtype=np.float64)
+    params = [p[name] for name in model.feature_params]
+    assert len(params) == 4
+    finite_diff_check(lambda: nn.mean(nn.mul(model.features(**batch.inputs), weights)), params)
+
+
+@pytest.mark.parametrize("dtype, tolerance", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_factorized_combiner_matches_the_concatenated_affine(dtype, tolerance):
+    encoded, terminals, paths, labels = cs_training_setup()
+    model = tasks.PathAttentionModel(terminals, paths, labels, dim=16, seed=3, dtype=dtype)
+    p = model.params()
+    p["b_comb"].data[:] = np.random.default_rng(4).uniform(-0.5, 0.5, 16)
+    batch = encoded[:5]
+    combined = model.features(**batch.inputs)
+    pre = combined._parents[0].data  # the tanh's input on the tape
+    ids = batch.inputs
+    cat = nn.concat_last([
+        nn.embedding_lookup(p["term_emb"], ids["left"]),
+        nn.embedding_lookup(p["path_emb"], ids["path"]),
+        nn.embedding_lookup(p["term_emb"], ids["right"]),
+    ])
+    expected = nn.affine(cat, p["w_comb"], p["b_comb"]).data
+    assert pre.dtype == expected.dtype == dtype and pre.shape == expected.shape
+    np.testing.assert_allclose(pre, expected, rtol=tolerance, atol=tolerance * np.abs(expected).max())
+    assert np.array_equal(combined.data, np.tanh(pre))
+
+
+def tie_rows(dtype):
+    big = np.finfo(dtype).max / 2
+    x = dtype(1e-3)  # small enough that exp(-ulp) rounds to 1 and the probabilities tie
+    below = np.nextafter(x, dtype(-np.inf))
+    return np.array(
+        [
+            [0.1, 2.0, 2.0, -1.0],  # exact tie
+            [below, x, 0.0, 0.0],  # 1-ulp gap after the top's first rival
+            [x, below, 0.0, 0.0],
+            [0.0, np.nextafter(dtype(1e4), dtype(0)), dtype(1e4), 1.0],  # 1-ulp gap at a large logit
+            [3e38, -3e38, 0.0, 1.0],
+            [-3e38, -3e38, -3e38, -3e38],
+            [-3e38, 3e38, 3e38, 0.0],
+            [big, -big, 1.0, 0.0],
+            [1.0, np.nan, 2.0, 0.0],
+            [np.nan, np.nan, np.nan, np.nan],
+            [np.inf, 1.0, 0.0, 0.0],
+            [1.0, -np.inf, 0.0, 0.5],
+            [0.25, 0.5, 0.125, 0.0],  # a plain row
+        ],
+        dtype=dtype,
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_predicted_labels_match_the_softmax_argmax(dtype):
+    rng = np.random.default_rng(9)
+    logits = np.concatenate([tie_rows(dtype), (rng.standard_normal((200, 4)) * 5).astype(dtype)])
+    with np.errstate(all="ignore"):  # the huge and non-finite rows overflow in the softmax
+        expected = nn.softmax(nn.Tensor(logits)).data.argmax(axis=-1)
+        assert np.array_equal(tasks.predicted_labels(logits), expected)
+    # the guard matters: on a 1-ulp gap and on a NaN row the softmax picks another index
+    assert expected[1] == 0 and logits[1].argmax() == 1
+    assert expected[8] == 0 and logits[8].argmax() == 1
+
+
+def test_evaluate_accuracy_reads_the_logits(monkeypatch):
+    encoded, vocab = cc_training_setup()
+    model = tasks.MlpCompletionModel(vocab, dim=8, seed=2)
+    expected = tasks.infer(model, encoded)["probs"].argmax(axis=-1)
+    expected = float(((expected == encoded.labels) & (encoded.labels != ex.UNK_ID)).mean() * 100.0)
+    monkeypatch.setattr(nn, "softmax", lambda *a, **k: pytest.fail("softmax ran"))
+    assert tasks.evaluate_accuracy(model, encoded) == expected
 
 
 def test_empty_context_bag_raises():

@@ -342,12 +342,20 @@ def setup_of(request, name):
 @pytest.mark.parametrize("setup", ["cc_setup", "cs_setup"])
 def test_mutants_share_feature_arrays_unless_gf(request, setup):
     model, _ = setup_of(request, setup)
+    affine = {name for layer in model.affine_layers() for name in layer}
+    # WS/NS/NAI change affine layers only; CS's combiner is one, and its
+    # output is the features, so only CC's WS/NS/NAI mutants can resume
+    resumable = affine.isdisjoint(model.feature_params)
+    assert resumable == (model.kind == tasks.CC)
     for op in uq.MUTATION_OPERATORS:
         mutant, _ = uq.mutate_model(model, op, degree=0.5, seed=3)
+        assert (mutant.replaced == set(model.params())) if op == "GF" else (mutant.replaced <= affine)
         for name in model.feature_params:
             shared = np.shares_memory(mutant.params()[name].data, model.params()[name].data)
-            assert shared == (op != "GF"), (op, name)
-        assert mutant.replaced.isdisjoint(model.feature_params) == (op != "GF")
+            assert shared == (name not in mutant.replaced), (op, name)
+            if name not in affine:  # the embedding tables
+                assert shared == (op != "GF"), (op, name)
+        assert mutant.replaced.isdisjoint(model.feature_params) == (op != "GF" and resumable)
         for name in set(model.params()) - mutant.replaced:
             assert mutant.params()[name] is model.params()[name]
 
@@ -360,6 +368,11 @@ def test_resumed_mutant_matches_full_forward_bitwise(request, setup, op):
     assert len(features) > 1
     for seed in range(3):
         mutant, _ = uq.mutate_model(model, op, degree=0.5, seed=seed)
+        # the mutant's changes after the features: all of a CC mutant's, a CS
+        # mutant's output layer (its combiner changes make it run in full)
+        head_changes = mutant.replaced - set(model.feature_params)
+        assert head_changes
+        mutant = model.with_params({name: mutant.params()[name].data for name in head_changes})
         full = tasks.infer(mutant, encoded, batch_size=RESUME_BATCH, keys=("probs", "logits"))
         resumed = tasks.infer(mutant, encoded, batch_size=RESUME_BATCH, keys=("probs", "logits"), features=features)
         assert np.array_equal(full["probs"], resumed["probs"])
@@ -396,8 +409,8 @@ def test_scorers_resumed_from_base_features_match_full_forward(request, setup):
     )
 
 
-def test_gf_mutant_takes_the_full_forward(cs_setup, monkeypatch):
-    model, encoded = cs_setup
+def record_mutant_resumes(model, encoded, monkeypatch, degree=0.05) -> dict[str, list[bool]]:
+    """Per operator, whether each of two mutants' passes resumed from the base features."""
     base = uq.base_outputs(model, encoded)
     resumed = []
     infer = tasks.infer
@@ -407,11 +420,41 @@ def test_gf_mutant_takes_the_full_forward(cs_setup, monkeypatch):
         return infer(*args, **kwargs)
 
     monkeypatch.setattr(tasks, "infer", recording_infer)
+    by_op = {}
     for op in uq.MUTATION_OPERATORS:
-        ensemble = uq.build_mutant_ensemble(model, op, degree=0.05, count=2, seed=1)
+        ensemble = uq.build_mutant_ensemble(model, op, degree=degree, count=2, seed=1)
         resumed.clear()
         uq.score_mmutant(ensemble, encoded, base["probs"].argmax(axis=-1), base["features"])
-        assert resumed == [op != "GF"] * 2, op
+        by_op[op] = list(resumed)
+    return by_op
+
+
+def test_gf_mutant_takes_the_full_forward(cs_setup, monkeypatch):
+    # and so does every other CS mutant: WS/NS/NAI change the combiner,
+    # which sits before the features (at degree 0.1 NS picks two of its 24
+    # neurons, a pair to swap)
+    model, encoded = cs_setup
+    resumed = record_mutant_resumes(model, encoded, monkeypatch, degree=0.1)
+    assert resumed == {op: [False] * 2 for op in uq.MUTATION_OPERATORS}
+
+
+def test_cc_mutants_resume_at_the_head_unless_gf(cc_setup, monkeypatch):
+    model, encoded, _ = cc_setup
+    resumed = record_mutant_resumes(model, encoded, monkeypatch)
+    assert resumed == {op: [op != "GF"] * 2 for op in uq.MUTATION_OPERATORS}
+
+
+def test_mmutant_labels_skip_the_softmax(cc_setup, monkeypatch):
+    model, encoded, _ = cc_setup
+    base = uq.base_outputs(model, encoded)
+    ensemble = uq.build_mutant_ensemble(model, "GF", degree=0.5, count=3, seed=2)
+    expected = uq.score_mmutant(ensemble, encoded, base["probs"].argmax(axis=-1), base["features"])
+    changed = np.zeros(len(encoded), dtype=np.int64)
+    for mutant in ensemble.mutants:
+        changed += tasks.infer(mutant, encoded)["probs"].argmax(axis=-1) != expected[2]
+    assert np.array_equal(expected[0], changed / 3)
+    monkeypatch.setattr(tasks.nn, "softmax", lambda *a, **k: pytest.fail("softmax ran"))
+    assert_same_scores(uq.score_mmutant(ensemble, encoded, base["probs"].argmax(axis=-1), base["features"]), expected)
 
 
 def test_features_must_match_the_splits_batches(cs_setup):
