@@ -32,7 +32,7 @@ print(f"\ncbow samples ({len(cbow)} positions), first three:")
 for s in cbow[:3]:
     print(f"  target={s.target!r:<14} context={s.context}")
 
-# vocabularies are frozen after construction; unseen tokens encode to UNK
+# vocabularies are fixed once built; unseen tokens encode to UNK
 terminals, paths, labels = ex.build_cs_vocabs(samples, min_count=1)
 print(f"\nvocab sizes: terminals={len(terminals)}, paths={len(paths)}, labels={len(labels)}")
 print(f"unseen token encodes to UNK id: {terminals.encode('neverSeenBefore')}")

@@ -5,6 +5,8 @@ path contexts; the CBOW MLP predicts a masked token from its neighbors.
 Both run the published setup (Adam, lr 0.001) scaled down for a demo.
 """
 
+import dataclasses
+
 from codeshift import extraction as ex
 from codeshift import tasks
 
@@ -34,7 +36,7 @@ predicted = labels.decode(int(out["probs"][0].argmax()))
 print(f"  sample 0 predicted {predicted!r}, attention weights sum to {out['weights'][0].sum():.4f}")
 
 # round-trip through the binary checkpoint container
-blob = tasks.save_checkpoint(result.model, train_config=config.to_dict())
+blob = tasks.save_checkpoint(result.model, train_config=dataclasses.asdict(config))
 loaded = tasks.load_checkpoint(blob)
 print(f"  checkpoint round-trip: {len(blob)} bytes, accuracy after reload "
       f"{tasks.evaluate_accuracy(loaded, cs_encoded):.1f}%")

@@ -52,7 +52,7 @@ for operator in uq.MUTATION_OPERATORS:
 
 print("\ndissector PV scores per growth type:")
 for growth in uq.GROWTH_TYPES:
-    weights = uq.growth_weights(growth, len(states["dissector"].probes))
+    weights = uq.growth_weights(growth, len(states["dissector"]))
     table = uq.ESTIMATORS["dissector"].table(model, states["dissector"], growth, encoded, base)
     print(f"  {growth:<6} layer weights {[round(float(w), 3) for w in weights]}, "
           f"PV {[round(c, 3) for c in table.confidence.tolist()]}")

@@ -13,6 +13,7 @@ Exit codes: 1 usage, 2 validation (missing/invalid inputs or artifacts),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from contextlib import contextmanager
@@ -34,6 +35,8 @@ from .extraction import (
     LexicalError,
     ParseError,
     Vocabulary,
+    build_cc_vocab,
+    build_cs_vocabs,
     extract_cbow_samples,
     extract_method_samples,
     parse_java_lite,
@@ -44,7 +47,7 @@ from .extraction import (
     write_cs_contexts,
 )
 
-TASKS = ("cs", "cc")
+TASKS = tuple(tasks.MODELS)
 SHIFTS = ("timeline", "project", "author")
 
 
@@ -114,9 +117,13 @@ def _checkpoint_path(bucket: Path, task: str, shift: str) -> Path:
     return bucket / "checkpoints" / f"{task}-{shift}.ckpt"
 
 
+def _method_stem(task: str, shift: str, method: str, variant: str, split: str) -> str:
+    """`<task>-<shift>-<method>[-<variant>]-<split>`, the stem of a method's per-split artifacts."""
+    return "-".join(part for part in (task, shift, method, variant, split) if part)
+
+
 def _scores_path(bucket: Path, task: str, shift: str, method: str, variant: str, split: str) -> Path:
-    variant_part = f"-{variant}" if variant else ""
-    return bucket / "scores" / f"{task}-{shift}-{method}{variant_part}-{split}.csv"
+    return bucket / "scores" / f"{_method_stem(task, shift, method, variant, split)}.csv"
 
 
 def _require(path: Path, hint: str) -> Path:
@@ -223,15 +230,12 @@ def cmd_extract(config: dict, args) -> int:
         print(f"extract[{args.task}/{args.shift}/{split}] {len(samples)} samples")
     if train_samples is None:
         raise ValidationFailure("assignment has no 'train' split")
+    min_count = config["corpus"]["min_count"]
     if args.task == "cs":
-        from .extraction import build_cs_vocabs
-
-        terminals, paths, labels = build_cs_vocabs(train_samples, min_count=config["corpus"]["min_count"])
-        vocabs = {"terminals": terminals.tokens, "paths": paths.tokens, "labels": labels.tokens}
+        built = build_cs_vocabs(train_samples, min_count=min_count)
     else:
-        from .extraction import build_cc_vocab
-
-        vocabs = {"tokens": build_cc_vocab(train_samples, min_count=config["corpus"]["min_count"]).tokens}
+        built = (build_cc_vocab(train_samples, min_count=min_count),)
+    vocabs = {name: vocab.tokens for name, vocab in zip(tasks.MODELS[args.task].vocab_names, built)}
     payload = {"config": echo_config(config), "vocabs": vocabs}
     _vocabs_path(bucket, args.task, args.shift).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -245,7 +249,7 @@ def _load_vocabs(bucket: Path, task: str, shift: str) -> dict[str, Vocabulary]:
     path = _require(_vocabs_path(bucket, task, shift), f"extract --task {task} --shift {shift}")
     with _malformed("vocab", path):
         vocabs = json.loads(path.read_text(encoding="utf-8"))["vocabs"]
-        expected = sorted(tasks.VOCAB_NAMES[task])
+        expected = sorted(tasks.MODELS[task].vocab_names)
         if sorted(vocabs) != expected:
             raise ValueError(f"expected vocabularies {expected}, got {sorted(vocabs)}")
         return {name: Vocabulary.from_tokens(tokens) for name, tokens in vocabs.items()}
@@ -287,16 +291,14 @@ def cmd_train(config: dict, args) -> int:
         epochs=t["epochs"],
         seed=config["seed"],
     )
-    if args.task == "cs":
-        result = tasks.train_cs(
-            train_enc, vocabs["terminals"], vocabs["paths"], vocabs["labels"], train_config, val_enc
-        )
-    else:
-        result = tasks.train_cc(train_enc, vocabs["tokens"], train_config, val_enc)
+    trainer = tasks.train_cs if args.task == "cs" else tasks.train_cc
+    result = trainer(train_enc, **vocabs, config=train_config, val_samples=val_enc)
     ckpt = _checkpoint_path(bucket, args.task, args.shift)
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     echo = echo_config(config)
-    ckpt.write_bytes(tasks.save_checkpoint(result.model, train_config={**train_config.to_dict(), "config_hash": echo["config_hash"]}))
+    ckpt.write_bytes(tasks.save_checkpoint(
+        result.model, train_config={**dataclasses.asdict(train_config), "config_hash": echo["config_hash"]}
+    ))
     log_dir = bucket / "logs"
     log_dir.mkdir(parents=True, exist_ok=True)
     tasks.write_epoch_log(result.history, log_dir / f"{args.task}-{args.shift}-epochs.csv", echo["config_hash"])
@@ -325,7 +327,7 @@ def _estimators(flag: str) -> list[uq.Estimator]:
 def cmd_score(config: dict, args) -> int:
     bucket = bucket_dir(config)
     model = _load_model(bucket, args.task, args.shift)
-    vocabs = _load_vocabs(bucket, args.task, args.shift)
+    vocabs = model.vocabs()  # every split is encoded as the model was trained
 
     split_names = _split_names(bucket, args.task, args.shift)
     eval_splits = [s for s in split_names if s == "validation" or s.startswith("test")]
@@ -370,7 +372,7 @@ def cmd_eval(config: dict, args) -> int:
     if not vanilla:
         raise ValidationFailure("eval needs vanilla scores for the accuracy table; run `score` with vanilla or all")
     accuracies = {
-        t.split: 100.0 * int(evalpipe.is_correct(t.predicted, t.true).sum()) / len(t) for t in vanilla
+        t.split: 100.0 * int(tasks.is_correct(t.predicted, t.true).sum()) / len(t) for t in vanilla
     }
     report = evalpipe.build_report(
         args.task, args.shift, tables, accuracies, config_hash=config_hash(config)
@@ -424,9 +426,8 @@ def cmd_sweep(config: dict, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for split in splits:
         table = tables[split]
-        rows = evalpipe.threshold_sweep(table.confidence, evalpipe.is_correct(table.predicted, table.true))
-        variant_part = f"-{variant}" if variant else ""
-        path = out_dir / f"{args.task}-{args.shift}-{estimator.name}{variant_part}-{split}.csv"
+        rows = evalpipe.threshold_sweep(table.confidence, tasks.is_correct(table.predicted, table.true))
+        path = out_dir / f"{_method_stem(args.task, args.shift, estimator.name, variant, split)}.csv"
         evalpipe.write_sweep_csv(path, rows, config_hash(config))
         print(f"sweep[{args.task}/{args.shift}/{split}] -> {path}")
     return 0
@@ -448,8 +449,7 @@ def cmd_filter(config: dict, args) -> int:
         table = tables[split]
         accepted = evalpipe.input_filter(table.confidence, args.threshold).tolist()
         rows = list(zip(table.sample_ids, table.confidence.tolist(), table.predicted.tolist(), accepted))
-        variant_part = f"-{variant}" if variant else ""
-        stem = f"{args.task}-{args.shift}-{estimator.name}{variant_part}-{split}"
+        stem = _method_stem(args.task, args.shift, estimator.name, variant, split)
         with open(out_dir / f"{stem}-accepted.csv", "w", encoding="utf-8", newline="\n") as f:
             f.write(f"# config_hash={config_hash(config)}\n")
             f.write("sample_id,confidence,predicted\n")

@@ -13,18 +13,11 @@ import json
 
 import numpy as np
 
-from .extraction import UNK_ID
 from .metrics import MetricUndefinedError, aupr, brier, roc_auc
+from .tasks import is_correct
 from .uncertainty import ScoreTable
 
 SWEEP_THRESHOLDS = np.linspace(0.0, 1.0, 21)  # [0, 1] in steps of 0.05
-
-
-def is_correct(predicted, true) -> np.ndarray:
-    """Exact-match correctness per sample; UNK true labels can never be correct."""
-    predicted = np.asarray(predicted)
-    true = np.asarray(true)
-    return (predicted == true) & (true != UNK_ID)
 
 
 def _metric_block(scores: np.ndarray, labels: np.ndarray) -> dict:
@@ -97,8 +90,9 @@ def drop_ratio(val_acc: float, test_acc: float) -> float:
 
 
 def format_accuracy_drop(val_acc: float, test_acc: float) -> str:
-    """Render like `29.14(-2.74%)` from (29.96, 29.14)."""
-    return f"{test_acc:.2f}({drop_ratio(val_acc, test_acc):.2f}%)"
+    """Render like `29.14(-2.74%)` from (29.96, 29.14), or `29.14(n/a)` when val_acc is zero,
+    as `accuracy_drop_report` does."""
+    return accuracy_drop_report({"validation": val_acc, "test": test_acc})["test"]["formatted"]
 
 
 def accuracy_drop_report(accuracies: dict[str, float], validation_split: str = "validation") -> dict:
@@ -122,11 +116,8 @@ def accuracy_drop_report(accuracies: dict[str, float], validation_split: str = "
                 "note": "validation accuracy is zero; drop ratio undefined",
             }
         else:
-            rows[split] = {
-                "accuracy": acc,
-                "drop_ratio": drop_ratio(val_acc, acc),
-                "formatted": format_accuracy_drop(val_acc, acc),
-            }
+            ratio = drop_ratio(val_acc, acc)
+            rows[split] = {"accuracy": acc, "drop_ratio": ratio, "formatted": f"{acc:.2f}({ratio:.2f}%)"}
     return rows
 
 
@@ -244,20 +235,8 @@ def flatten_report(report: dict) -> list[dict]:
                     for variant, sub in block["variants"].items():
                         emit(eval_kind, split, method, variant, sub)
                     for metric, chosen in block["best"].items():
-                        rows.append(
-                            {
-                                "task": report["task"],
-                                "shift": report["shift"],
-                                "eval": eval_kind,
-                                "split": split,
-                                "method": method,
-                                "variant": f"best[{metric}]={chosen['variant']}",
-                                "auc": chosen["value"] if metric == "auc" else None,
-                                "aupr": chosen["value"] if metric == "aupr" else None,
-                                "brier": chosen["value"] if metric == "brier" else None,
-                                "note": None,
-                            }
-                        )
+                        only = {"auc": None, "aupr": None, "brier": None, "note": None, metric: chosen["value"]}
+                        emit(eval_kind, split, method, f"best[{metric}]={chosen['variant']}", only)
                 else:
                     emit(eval_kind, split, method, "", block)
     return rows

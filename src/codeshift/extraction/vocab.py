@@ -1,9 +1,10 @@
-"""Frozen vocabularies with reserved UNK/PAD ids.
+"""Immutable vocabularies with reserved UNK/PAD ids.
 
-Ids are dense, with UNK=0 and PAD=1; remaining ids are assigned by
-descending frequency, ties broken lexicographically, so merging per-file
-counts in any order yields the same mapping. A frozen vocabulary rejects
-insertions and encodes unseen tokens as UNK.
+A vocabulary is its id-ordered token list, fixed once built: UNK=0 and
+PAD=1 lead it, and unseen tokens encode as UNK. `from_counts` orders the
+remaining tokens by descending frequency, ties broken lexicographically, so
+merging per-file counts in any order yields the same mapping.
+`from_tokens` rebuilds one from a list read back from a file or checkpoint.
 """
 
 from __future__ import annotations
@@ -21,50 +22,31 @@ PAD_ID = 1
 _RESERVED = (UNK_TOKEN, PAD_TOKEN)
 
 
-class VocabularyFrozenError(RuntimeError):
-    pass
-
-
 class Vocabulary:
-    def __init__(self, min_count: int = 1):
-        self.min_count = min_count
-        self.frozen = False
-        self._ids: dict[str, int] = {UNK_TOKEN: UNK_ID, PAD_TOKEN: PAD_ID}
-        self._tokens: list[str] = list(_RESERVED)
+    def __init__(self, tokens: list[str]):
+        """`tokens` in id order, the reserved UNK/PAD first and no token twice."""
+        self._tokens = tokens
+        self._ids = {tok: i for i, tok in enumerate(tokens)}
 
     @classmethod
     def from_counts(cls, counts: Counter, min_count: int = 1) -> "Vocabulary":
-        vocab = cls(min_count=min_count)
         kept = [(tok, c) for tok, c in counts.items() if c >= min_count and tok not in _RESERVED]
         kept.sort(key=lambda item: (-item[1], item[0]))
-        for tok, _ in kept:
-            vocab.add(tok)
-        vocab.freeze()
-        return vocab
+        return cls([*_RESERVED, *(tok for tok, _ in kept)])
 
     @classmethod
     def from_tokens(cls, tokens: list[str]) -> "Vocabulary":
-        """Rebuild from a checkpointed id-ordered token list."""
+        """Rebuild from an id-ordered token list read from outside the program."""
         if tokens[:2] != list(_RESERVED):
             raise ValueError("token list must start with the reserved UNK/PAD entries")
-        vocab = cls()
-        for tok in tokens[2:]:
-            vocab.add(tok)
-        vocab.freeze()
+        strange = [tok for tok in tokens if not isinstance(tok, str)]
+        if strange:
+            raise ValueError(f"token {strange[0]!r} is not a string")
+        vocab = cls(list(tokens))
+        if len(vocab._ids) != len(tokens):
+            repeated = next(tok for i, tok in enumerate(tokens) if vocab._ids[tok] != i)
+            raise ValueError(f"token {repeated!r} appears more than once")
         return vocab
-
-    def add(self, token: str) -> int:
-        if self.frozen:
-            raise VocabularyFrozenError("vocabulary is frozen")
-        if token in self._ids:
-            return self._ids[token]
-        idx = len(self._tokens)
-        self._ids[token] = idx
-        self._tokens.append(token)
-        return idx
-
-    def freeze(self) -> None:
-        self.frozen = True
 
     def encode(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)

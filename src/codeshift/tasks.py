@@ -13,10 +13,14 @@ CC (code completion): a CBOW-style MLP. Context token embeddings are
 averaged (PAD slots contribute nothing and are excluded from the divisor)
 and classified by one fully-connected layer over the token vocabulary.
 
+Each model carries its task: the vocabularies it was built over, which
+`encode_split` encodes every split against and checkpoints store, and its
+parameters. `MODELS` maps each task kind to its model class.
+
 Both train with Adam on mean cross-entropy over seeded, shuffled batches.
 Accuracy is exact-match argmax, reported as a percentage; samples whose
-true label fell out of the frozen vocabulary (UNK) count as failures since
-the model can never legitimately produce UNK.
+true label fell out of the training vocabulary (UNK) count as failures
+since the model can never legitimately produce UNK (`is_correct`).
 """
 
 from __future__ import annotations
@@ -43,16 +47,6 @@ class TrainConfig:
     batch_size: int = 512
     epochs: int = 300
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "embedding_dim": self.embedding_dim,
-            "dropout": self.dropout,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,11 +100,11 @@ def pack(sample_ids, labels, rows: dict[str, Sequence], masked: bool = False) ->
 
 
 def encode_split(samples: list, vocabs: dict[str, Vocabulary], id_prefix: str = "") -> EncodedSplit:
-    """Encode a split's samples against frozen vocabularies and pack them.
+    """Encode a split's samples against a model's vocabularies and pack them.
 
     `vocabs` holds the CS `terminals`/`paths`/`labels` vocabularies or the
-    CC `tokens` one, under the names a checkpoint stores them. CS methods
-    without contexts are dropped; a sample's id is `<id_prefix>#<index>`.
+    CC `tokens` one, as `model.vocabs()` returns them. CS methods without
+    contexts are dropped; a sample's id is `<id_prefix>#<index>`.
     """
     if "tokens" in vocabs:
         tokens = vocabs["tokens"]
@@ -139,21 +133,36 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
 
 
 class _TaskModel:
-    """What both task models share: named parameters and their copies.
+    """What both task models share: their task's data, named parameters, and one forward.
 
+    A model holds the vocabularies its attributes `vocab_names` name, which
+    `vocabs()` returns, and parameters whose output layer is `w_out`/`b_out`.
     Each forward splits at its dropout site: `features(**inputs)` computes
     the dropout's input (CS: the combined contexts after the tanh; CC: the
     embedding mean) from the parameters `feature_params` names, and
     `head(features, ...)`, given the inputs `head_inputs` names, does the
     rest. So a model whose `feature_params` hold the same arrays can run
-    `head` on features another model's forward computed.
+    `head` on features another model's forward computed. `affine_layers`
+    names each (weight, bias) pair whose output neurons mutation acts on.
     """
 
+    kind: str
+    vocab_names: tuple[str, ...]
+    probe_layers: tuple[str, ...]  # Dissector's taps, shallow to deep
+    feature_params: tuple[str, ...]
+    head_inputs: tuple[str, ...]
+    affine_layers: tuple[tuple[str, str], ...]
     _params: dict[str, nn.Tensor]
     replaced: frozenset[str] = frozenset()  # parameters `with_params` swapped in since build or load
 
     def params(self) -> dict[str, nn.Tensor]:
         return self._params
+
+    def vocabs(self) -> dict[str, Vocabulary]:
+        return {name: getattr(self, name) for name in self.vocab_names}
+
+    def n_classes(self) -> int:
+        return len(self._params["b_out"].data)
 
     def with_params(self, arrays: dict[str, np.ndarray]):
         """A copy whose parameters named in `arrays` hold those arrays; it shares the others with this model."""
@@ -162,16 +171,28 @@ class _TaskModel:
         twin.replaced = self.replaced | frozenset(arrays)
         return twin
 
-    def clone(self):
-        """A copy with its own parameter arrays; vocabularies and settings are shared."""
-        return self.with_params({name: p.data.copy() for name, p in self._params.items()})
+    def forward_batch(
+        self,
+        training: bool = False,
+        rng: np.random.Generator | None = None,
+        dropout_p: float | None = None,
+        probs: bool = True,
+        **inputs: np.ndarray,
+    ) -> dict[str, nn.Tensor]:
+        """`head` on `features(**inputs)`, where `inputs` are an EncodedSplit's; `probs=False` leaves out the softmax."""
+        head_inputs = {name: inputs[name] for name in self.head_inputs}
+        return self.head(
+            self.features(**inputs), **head_inputs, training=training, rng=rng, dropout_p=dropout_p, probs=probs
+        )
 
 
 class PathAttentionModel(_TaskModel):
     kind = CS
-    probe_layers = ("embed_mean", "pooled")  # Dissector's taps, shallow to deep
+    vocab_names = ("terminals", "paths", "labels")
+    probe_layers = ("embed_mean", "pooled")
     feature_params = ("term_emb", "path_emb", "w_comb", "b_comb")
     head_inputs = ("mask",)
+    affine_layers = (("w_comb", "b_comb"), ("w_out", "b_out"))
 
     def __init__(
         self,
@@ -200,28 +221,10 @@ class PathAttentionModel(_TaskModel):
             "b_out": zeros(len(labels)),
         }
 
-    def affine_layers(self) -> list[tuple[str, str]]:
-        return [("w_comb", "b_comb"), ("w_out", "b_out")]
-
-    def n_classes(self) -> int:
-        return len(self.labels)
-
-    def forward_batch(
-        self,
-        left: np.ndarray,
-        path: np.ndarray,
-        right: np.ndarray,
-        mask: np.ndarray,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        dropout_p: float | None = None,
-        probs: bool = True,
-    ) -> dict[str, nn.Tensor]:
-        """left/path/right (B, n) int ids, mask (B, n) bool; True = real context."""
-        return self.head(self.features(left, path, right, mask), mask, training, rng, dropout_p, probs)
-
     def features(self, left: np.ndarray, path: np.ndarray, right: np.ndarray, mask: np.ndarray) -> nn.Tensor:
         """The combined contexts tanh(W·[e_left; e_path; e_right] + b), (B, n, d).
+
+        left/path/right are (B, n) int ids, mask (B, n) bool, True on real contexts.
 
         W·[e_l; e_p; e_r] = W_l·e_l + W_p·e_p + W_r·e_r, so each d-row block
         of `w_comb` projects its embedding table once, and every context
@@ -271,9 +274,11 @@ class PathAttentionModel(_TaskModel):
 
 class MlpCompletionModel(_TaskModel):
     kind = CC
-    probe_layers = ("embed_mean",)  # Dissector's taps, shallow to deep
+    vocab_names = ("tokens",)
+    probe_layers = ("embed_mean",)
     feature_params = ("token_emb",)
     head_inputs = ()
+    affine_layers = (("w_out", "b_out"),)
 
     def __init__(self, tokens: Vocabulary, dim: int = 100, seed: int = 0, dtype=np.float32):
         self.tokens = tokens
@@ -286,25 +291,8 @@ class MlpCompletionModel(_TaskModel):
             "b_out": nn.Tensor(np.zeros(len(tokens)), requires_grad=True, dtype=dtype),
         }
 
-    def affine_layers(self) -> list[tuple[str, str]]:
-        return [("w_out", "b_out")]
-
-    def n_classes(self) -> int:
-        return len(self.tokens)
-
-    def forward_batch(
-        self,
-        context: np.ndarray,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        dropout_p: float | None = None,
-        probs: bool = True,
-    ) -> dict[str, nn.Tensor]:
-        """context (B, 2w) int ids; PAD slots are masked out of the mean."""
-        return self.head(self.features(context), training, rng, dropout_p, probs)
-
     def features(self, context: np.ndarray) -> nn.Tensor:
-        """The mean of the real context slots' embeddings, (B, d)."""
+        """The mean of the real context slots' embeddings, (B, d); context is (B, 2w) int ids."""
         p = self._params
         real = context != PAD_ID
         counts = real.sum(axis=-1)
@@ -337,6 +325,7 @@ class MlpCompletionModel(_TaskModel):
 
 
 Model = PathAttentionModel | MlpCompletionModel
+MODELS: dict[str, type[Model]] = {model.kind: model for model in (PathAttentionModel, MlpCompletionModel)}
 
 
 # -- inference over a split ----------------------------------------------
@@ -413,14 +402,19 @@ def predicted_labels(logits: np.ndarray) -> np.ndarray:
     return preds
 
 
+def is_correct(predicted, true) -> np.ndarray:
+    """Exact-match correctness per sample; UNK true labels can never be correct."""
+    predicted = np.asarray(predicted)
+    true = np.asarray(true)
+    return (predicted == true) & (true != UNK_ID)
+
+
 def evaluate_accuracy(model: Model, samples: EncodedSplit, batch_size: int = 512) -> float:
     """Exact-match accuracy in percent; UNK true labels count as failures."""
     if not samples:
         raise ValueError("cannot evaluate accuracy on an empty split")
     preds = predicted_labels(infer(model, samples, batch_size=batch_size, keys=("logits",))["logits"])
-    labels = samples.labels
-    correct = (preds == labels) & (labels != UNK_ID)
-    return float(correct.mean() * 100.0)
+    return float(is_correct(preds, samples.labels).mean() * 100.0)
 
 
 # -- training --------------------------------------------------------------
@@ -517,15 +511,11 @@ def write_epoch_log(history: list[dict], path, config_hash: str | None = None) -
 # -- model checkpoints -------------------------------------------------------
 
 
-# each kind's vocabularies, under their model attribute and constructor names
-VOCAB_NAMES = {CS: ("terminals", "paths", "labels"), CC: ("tokens",)}
-
-
 def save_checkpoint(model: Model, train_config: dict | None = None) -> bytes:
     config = {"dim": model.dim, "dropout_p": model.dropout_p}
     if train_config:
         config["train"] = train_config
-    vocabs = {name: getattr(model, name).tokens for name in VOCAB_NAMES[model.kind]}
+    vocabs = {name: vocab.tokens for name, vocab in model.vocabs().items()}
     arrays = {name: p.data for name, p in model.params().items()}
     return nn.write_checkpoint(model.kind, config, vocabs, arrays)
 
@@ -538,16 +528,14 @@ def load_checkpoint(data: bytes, expect_kind: str | None = None) -> Model:
         raise nn.CheckpointError(f"config dim {dim!r} is not a positive integer")
     if type(dropout_p) not in (int, float) or not 0.0 <= dropout_p < 1.0:
         raise nn.CheckpointError(f"config dropout_p {dropout_p!r} is not a probability below 1")
-    if ck.kind not in (CS, CC):
+    if ck.kind not in MODELS:
         raise nn.CheckpointError(f"unknown model kind {ck.kind!r}")
     try:
-        vocabs = {name: Vocabulary.from_tokens(ck.vocabs[name]) for name in VOCAB_NAMES[ck.kind]}
+        vocabs = {name: Vocabulary.from_tokens(ck.vocabs[name]) for name in MODELS[ck.kind].vocab_names}
     except (KeyError, TypeError, ValueError) as exc:
         raise nn.CheckpointError(f"vocabulary missing or malformed: {exc!r}") from exc
-    if ck.kind == CS:
-        model = PathAttentionModel(**vocabs, dim=dim, dropout_p=dropout_p)
-    else:
-        model = MlpCompletionModel(**vocabs, dim=dim)
+    model = MODELS[ck.kind](**vocabs, dim=dim)
+    model.dropout_p = dropout_p
     for name, p in model.params().items():
         if name not in ck.arrays:
             raise nn.CheckpointError(f"checkpoint missing parameter {name!r}")

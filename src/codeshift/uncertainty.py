@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -227,8 +227,7 @@ def mutate_model(model, operator: str, degree: float, seed: int):
     paired neurons, NAI negates incoming weights and bias so the neuron's
     pre-activation flips sign. The mutant copies only the arrays it changes,
     shares the rest with the base, and names the copies in its `replaced`.
-    Returns (mutant, notes) where notes lists layers skipped because they
-    were too small to pair.
+    NS leaves a layer as it is when fewer than two of its neurons are picked.
     """
     if operator not in MUTATION_OPERATORS:
         raise ValueError(f"unknown mutation operator {operator!r}")
@@ -245,15 +244,14 @@ def mutate_model(model, operator: str, degree: float, seed: int):
             changed[name] = params[name].data.copy()
         return changed[name]
 
-    notes: list[str] = []
     if operator == "GF":
         for name, p in params.items():
             idx = _pick(rng, p.data.size, degree)
             if idx.size:
                 sigma = float(p.data.std())
                 own(name).reshape(-1)[idx] += rng.normal(0.0, sigma, size=idx.size).astype(p.data.dtype)
-        return model.with_params(changed), notes
-    for w_name, b_name in model.affine_layers():
+        return model.with_params(changed)
+    for w_name, b_name in model.affine_layers:
         n_out = params[w_name].data.shape[1]
         cols = _pick(rng, n_out, degree)
         if operator == "WS":
@@ -262,7 +260,6 @@ def mutate_model(model, operator: str, degree: float, seed: int):
                 w[:, j] = w[rng.permutation(w.shape[0]), j]
         elif operator == "NS":
             if cols.size < 2:
-                notes.append(f"{w_name}: too few neurons selected for NS pairing, layer skipped")
                 continue
             if cols.size % 2:
                 cols = cols[:-1]
@@ -274,31 +271,17 @@ def mutate_model(model, operator: str, degree: float, seed: int):
             if cols.size:
                 own(w_name)[:, cols] *= -1.0
                 own(b_name)[cols] *= -1.0
-    return model.with_params(changed), notes
+    return model.with_params(changed)
 
 
-@dataclass
-class MutantEnsemble:
-    operator: str
-    degree: float
-    count: int
-    seed: int
-    mutants: list = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-
-def build_mutant_ensemble(model, operator: str, degree: float = 0.05, count: int = 50, seed: int = 0) -> MutantEnsemble:
+def build_mutant_ensemble(model, operator: str, degree: float = 0.05, count: int = 50, seed: int = 0) -> list:
+    """`count` mutants of `model` under `operator`, each from its own seed."""
     if count < 1:
         raise ValueError(f"ensemble needs count >= 1, got {count}")
-    ensemble = MutantEnsemble(operator=operator, degree=degree, count=count, seed=seed)
-    for i in range(count):
-        mutant, notes = mutate_model(model, operator, degree, seed=[seed, i, 0xEA])
-        ensemble.mutants.append(mutant)
-        ensemble.notes.extend(f"mutant {i}: {n}" for n in notes)
-    return ensemble
+    return [mutate_model(model, operator, degree, seed=[seed, i, 0xEA]) for i in range(count)]
 
 
-def score_mmutant(ensemble: MutantEnsemble | None, samples, base_preds: np.ndarray, features=None):
+def score_mmutant(ensemble: list | None, samples, base_preds: np.ndarray, features=None):
     """Raw score is the label change rate (LCR) from `base_preds`; confidence is 1 - LCR.
 
     A mutant's labels are the argmax of its softmax, read off its logits
@@ -306,15 +289,15 @@ def score_mmutant(ensemble: MutantEnsemble | None, samples, base_preds: np.ndarr
     split's `features` (from `base_outputs`), a mutant that replaced none of
     the model's `feature_params` runs only its head on them.
     """
-    if ensemble is None or not ensemble.mutants:
+    if not ensemble:
         raise EstimatorStateError("mMutant scoring needs a built ensemble")
     changed = np.zeros(len(samples), dtype=np.int64)
-    for mutant in ensemble.mutants:
+    for mutant in ensemble:
         resumes = features is not None and mutant.replaced.isdisjoint(mutant.feature_params)
         logits = tasks.infer(mutant, samples, keys=("logits",), features=features if resumes else None)["logits"]
         preds = tasks.predicted_labels(logits)
         changed += preds != base_preds
-    lcr = changed / ensemble.count
+    lcr = changed / len(ensemble)
     return lcr, 1.0 - lcr, base_preds
 
 
@@ -331,12 +314,6 @@ class Probe:
             return nn.softmax(nn.affine(nn.Tensor(acts), self.w, self.b)).data
 
 
-@dataclass
-class ProbeSet:
-    probes: list[Probe]
-    n_classes: int
-
-
 def train_probes(
     model,
     train_samples,
@@ -344,7 +321,7 @@ def train_probes(
     learning_rate: float = 0.001,
     seed: int = 0,
     batch_size: int = 512,
-) -> ProbeSet:
+) -> list[Probe]:
     """Fit one linear probe per tap in `model.probe_layers` on frozen training activations."""
     if not train_samples:
         raise EstimatorStateError("probe training needs training-split samples")
@@ -370,7 +347,7 @@ def train_probes(
                 nn.backward(loss)
                 nn.adam_step({"w": w, "b": b}, {"w": w.grad, "b": b.grad}, state)
         probes.append(Probe(tag=tag, w=w, b=b))
-    return ProbeSet(probes=probes, n_classes=n_classes)
+    return probes
 
 
 def growth_weights(growth: str, n_layers: int) -> np.ndarray:
@@ -400,17 +377,17 @@ def _snapshot_validity(q: np.ndarray, base_pred: np.ndarray) -> np.ndarray:
     return ql / denom
 
 
-def score_dissector(probes: ProbeSet | None, growth: str, base: dict[str, np.ndarray]):
+def score_dissector(probes: list[Probe] | None, growth: str, base: dict[str, np.ndarray]):
     """PV scores from the probes over `base`'s probe taps, against its predicted labels."""
-    if probes is None or not probes.probes:
+    if not probes:
         raise EstimatorStateError("dissector scoring needs trained probes")
     n_classes = base["probs"].shape[-1]
-    if probes.n_classes != n_classes:
-        raise EstimatorStateError(f"probe label space ({probes.n_classes}) does not match model ({n_classes})")
-    weights = growth_weights(growth, len(probes.probes))
+    weights = growth_weights(growth, len(probes))
     base_preds = base["probs"].argmax(axis=-1)
     pv = np.zeros(len(base_preds), dtype=np.float64)
-    for weight, probe in zip(weights, probes.probes):
+    for weight, probe in zip(weights, probes):
+        if probe.w.data.shape[-1] != n_classes:
+            raise EstimatorStateError(f"probe label space ({probe.w.data.shape[-1]}) does not match model ({n_classes})")
         q = probe.predict(base[probe.tag])
         pv += weight * _snapshot_validity(q, base_preds)
     return pv, pv, base_preds
@@ -461,7 +438,7 @@ class Estimator:
         )
 
 
-def _fit_mutant_ensembles(model, train, validation, val_base, settings) -> dict[str, MutantEnsemble]:
+def _fit_mutant_ensembles(model, train, validation, val_base, settings) -> dict[str, list]:
     return {
         op: build_mutant_ensemble(
             model, op, degree=settings["mutation_degree"], count=settings["mutant_count"], seed=settings["seed"]
@@ -470,7 +447,7 @@ def _fit_mutant_ensembles(model, train, validation, val_base, settings) -> dict[
     }
 
 
-def _fit_probes(model, train, validation, val_base, settings) -> ProbeSet:
+def _fit_probes(model, train, validation, val_base, settings) -> list[Probe]:
     return train_probes(
         model, train, epochs=settings["probe_epochs"],
         learning_rate=settings["probe_learning_rate"], seed=settings["seed"],

@@ -214,7 +214,7 @@ def test_criterion_3_estimator_invariants(small_models):
         for growth in uq.GROWTH_TYPES
         for c in uq.score_dissector(probes, growth, cs_base)[1]
     )
-    exp_weights = uq.growth_weights("exp", len(probes.probes))
+    exp_weights = uq.growth_weights("exp", len(probes))
     exp_increasing = bool(np.all(np.diff(exp_weights) > 0))
 
     announce(

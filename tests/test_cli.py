@@ -365,6 +365,8 @@ CONTEXT_CORRUPTIONS = {  # (task, file, text or bytes after the corruption, name
     "vocab_not_json": ("cc", "vocabs.json", '{"vocabs": ', ""),
     "vocab_missing_reserved": ("cs", "vocabs.json", '{"vocabs": {"terminals": ["a"], "paths": [], "labels": []}}', ""),
     "vocab_of_other_task": ("cs", "vocabs.json", '{"vocabs": {"tokens": ["<UNK>", "<PAD>"]}}', ""),
+    "vocab_duplicated_token": ("cc", "vocabs.json", '{"vocabs": {"tokens": ["<UNK>", "<PAD>", "a", "b", "a"]}}', ""),
+    "vocab_number_token": ("cc", "vocabs.json", '{"vocabs": {"tokens": ["<UNK>", "<PAD>", "a", 5]}}', ""),
 }
 
 
@@ -381,6 +383,36 @@ def test_corrupt_contexts_or_vocabs_exit_2_naming_file(tmp_path, capsys, corrupt
     err = capsys.readouterr().err
     assert f"{target}{line}" in err
     assert "runtime error" not in err
+
+
+def score_bytes(config_path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted((bucket_of(config_path) / "scores").glob("*.csv"))}
+
+
+@pytest.mark.parametrize("rewrite", ["reordered", "extra_tokens"])
+@pytest.mark.parametrize("task", ["cs", "cc"])
+def test_score_encodes_with_the_checkpoints_vocabularies(tmp_path, capsys, task, rewrite):
+    config_path, contexts = contexts_bucket(tmp_path, task)
+    # the validation split holds tokens the training split lacks, which encode as UNK
+    unseen = "zeroPair z,Name↑Call↓Name,z" if task == "cs" else "z a <PAD> c z"
+    with open(contexts / f"{task}-project-validation.txt", "a", encoding="utf-8") as f:
+        f.write(unseen + "\n")
+    flags = ["--task", task, "--shift", "project", "--config", str(config_path)]
+    assert main(["train", *flags]) == 0
+    assert main(["score", *flags]) == 0
+    clean = score_bytes(config_path)
+    assert clean
+    target = contexts / f"{task}-project-vocabs.json"
+    vocabs = json.loads(target.read_text(encoding="utf-8"))["vocabs"]
+    for name, tokens in vocabs.items():
+        reserved, rest = tokens[:2], tokens[2:]
+        vocabs[name] = reserved + (rest[::-1] if rewrite == "reordered" else rest + ["z", "zeroPair"])
+    target.write_text(json.dumps({"vocabs": vocabs}), encoding="utf-8")
+    for path in (bucket_of(config_path) / "scores").glob("*.csv"):
+        path.unlink()
+    capsys.readouterr()
+    assert main(["score", *flags]) == 0, capsys.readouterr().err
+    assert score_bytes(config_path) == clean
 
 
 @pytest.mark.parametrize("task", ["cs", "cc"])

@@ -348,13 +348,30 @@ def test_vocab_min_count_one_keeps_all():
     assert "x" in vocab and "y" in vocab
 
 
-def test_vocab_frozen_rejects_and_unknown_maps_to_unk():
+def test_vocab_encodes_unseen_tokens_to_unk():
     from collections import Counter
 
     vocab = ex.Vocabulary.from_counts(Counter({"x": 2}), min_count=1)
     assert vocab.encode("baz") == ex.UNK_ID
-    with pytest.raises(ex.VocabularyFrozenError):
-        vocab.add("new")
+    assert vocab.encode_all(["x", "baz", "x"]).tolist() == [2, ex.UNK_ID, 2]
+    assert "baz" not in vocab and len(vocab) == 3
+    rebuilt = ex.Vocabulary.from_tokens([ex.UNK_TOKEN, ex.PAD_TOKEN, "x"])
+    assert rebuilt.encode("baz") == ex.UNK_ID
+
+
+def test_vocab_from_tokens_rejects_a_duplicated_token():
+    with pytest.raises(ValueError, match="'x' appears more than once"):
+        ex.Vocabulary.from_tokens([ex.UNK_TOKEN, ex.PAD_TOKEN, "x", "y", "x"])
+    with pytest.raises(ValueError, match="appears more than once"):
+        ex.Vocabulary.from_tokens([ex.UNK_TOKEN, ex.PAD_TOKEN, ex.UNK_TOKEN])
+    with pytest.raises(ValueError, match="reserved"):
+        ex.Vocabulary.from_tokens(["x", ex.UNK_TOKEN, ex.PAD_TOKEN])
+
+
+@pytest.mark.parametrize("token", [5, None, 2.5, ["x"]])
+def test_vocab_from_tokens_rejects_a_token_that_is_not_a_string(token):
+    with pytest.raises(ValueError, match="is not a string"):
+        ex.Vocabulary.from_tokens([ex.UNK_TOKEN, ex.PAD_TOKEN, "x", token])
 
 
 def test_vocab_ids_dense_and_frequency_ordered():

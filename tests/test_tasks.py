@@ -1,5 +1,7 @@
 """Model forward contracts, memorization oracles, and checkpoint round-trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -94,22 +96,23 @@ def test_split_rows_are_padded_and_trimmed_to_their_longest_row():
         tasks.pack(["a"], [5], {"left": [[2, 3]], "path": [[6]], "right": [[3, 2]]}, masked=True)
 
 
-def test_clone_copies_parameters_without_initialising_new_ones(monkeypatch):
+def test_with_params_replaces_only_the_named_arrays_without_initialising_new_ones(monkeypatch):
     encoded, vocab = cc_training_setup()
     model = tasks.MlpCompletionModel(vocab, dim=8, seed=4)
 
     def fail(*args, **kwargs):
-        raise AssertionError("clone must not draw fresh parameters")
+        raise AssertionError("with_params must not draw fresh parameters")
 
     monkeypatch.setattr(tasks, "_uniform_init", fail)
-    twin = model.clone()
+    w_out = np.zeros_like(model.params()["w_out"].data)
+    twin = model.with_params({"w_out": w_out})
     assert type(twin) is type(model) and twin.tokens is model.tokens
-    for name, p in model.params().items():
-        assert np.array_equal(twin.params()[name].data, p.data)
-        assert twin.params()[name].data.dtype == p.data.dtype
-        assert not np.shares_memory(twin.params()[name].data, p.data)
-    twin.params()["w_out"].data[:] = 0.0
+    assert twin.replaced == {"w_out"} and model.replaced == frozenset()
+    assert twin.params()["w_out"].data is w_out
+    assert twin.params()["token_emb"] is model.params()["token_emb"]
+    assert twin.params()["b_out"] is model.params()["b_out"]
     assert model.params()["w_out"].data.any()
+    assert twin.with_params({"b_out": np.ones(len(vocab))}).replaced == {"w_out", "b_out"}
 
 
 def test_grad_factorized_cs_features():
@@ -340,7 +343,7 @@ def test_checkpoint_roundtrip_trained_model():
     encoded, vocab = cc_training_setup()
     config = tasks.TrainConfig(epochs=3, seed=2, embedding_dim=16)
     result = tasks.train_cc(encoded, vocab, config)
-    blob = tasks.save_checkpoint(result.model, train_config=config.to_dict())
+    blob = tasks.save_checkpoint(result.model, train_config=dataclasses.asdict(config))
     loaded = tasks.load_checkpoint(blob)
     assert loaded.kind == tasks.CC
     for name, p in result.model.params().items():

@@ -282,24 +282,24 @@ def test_mmutant_tied_logits_flip_under_gf():
 
 def test_nai_flips_preactivation_sign_exactly(cc_setup):
     model, encoded, _ = cc_setup
-    mutant, notes = uq.mutate_model(model, "NAI", degree=1.0, seed=4)
-    assert notes == []
+    mutant = uq.mutate_model(model, "NAI", degree=1.0, seed=4)
     base = tasks.infer(model, encoded[:8], keys=("logits",))["logits"]
     flipped = tasks.infer(mutant, encoded[:8], keys=("logits",))["logits"]
     assert np.array_equal(flipped, -base)
 
 
-def test_ns_small_layer_skipped_with_note():
+def test_ns_small_layer_skipped():
     model, _ = forced_prob_model([0.5, 0.5])
     # degree selects < 2 of the 4 output neurons: the layer must be skipped
-    mutant, notes = uq.mutate_model(model, "NS", degree=0.25, seed=0)
-    assert any("NS" in n for n in notes)
-    assert np.array_equal(mutant.params()["w_out"].data, model.params()["w_out"].data)
+    mutant = uq.mutate_model(model, "NS", degree=0.25, seed=0)
+    assert mutant.replaced == frozenset()
+    assert mutant.params()["w_out"] is model.params()["w_out"]
+    assert mutant.params()["b_out"] is model.params()["b_out"]
 
 
 def test_ws_shuffles_only_selected_columns(cc_setup):
     model, _, _ = cc_setup
-    mutant, _ = uq.mutate_model(model, "WS", degree=0.3, seed=11)
+    mutant = uq.mutate_model(model, "WS", degree=0.3, seed=11)
     w_base = model.params()["w_out"].data
     w_mut = mutant.params()["w_out"].data
     changed = [j for j in range(w_base.shape[1]) if not np.array_equal(w_base[:, j], w_mut[:, j])]
@@ -342,13 +342,13 @@ def setup_of(request, name):
 @pytest.mark.parametrize("setup", ["cc_setup", "cs_setup"])
 def test_mutants_share_feature_arrays_unless_gf(request, setup):
     model, _ = setup_of(request, setup)
-    affine = {name for layer in model.affine_layers() for name in layer}
+    affine = {name for layer in model.affine_layers for name in layer}
     # WS/NS/NAI change affine layers only; CS's combiner is one, and its
     # output is the features, so only CC's WS/NS/NAI mutants can resume
     resumable = affine.isdisjoint(model.feature_params)
     assert resumable == (model.kind == tasks.CC)
     for op in uq.MUTATION_OPERATORS:
-        mutant, _ = uq.mutate_model(model, op, degree=0.5, seed=3)
+        mutant = uq.mutate_model(model, op, degree=0.5, seed=3)
         assert (mutant.replaced == set(model.params())) if op == "GF" else (mutant.replaced <= affine)
         for name in model.feature_params:
             shared = np.shares_memory(mutant.params()[name].data, model.params()[name].data)
@@ -367,7 +367,7 @@ def test_resumed_mutant_matches_full_forward_bitwise(request, setup, op):
     features = tasks.infer(model, encoded, batch_size=RESUME_BATCH, keys=("features",))["features"]
     assert len(features) > 1
     for seed in range(3):
-        mutant, _ = uq.mutate_model(model, op, degree=0.5, seed=seed)
+        mutant = uq.mutate_model(model, op, degree=0.5, seed=seed)
         # the mutant's changes after the features: all of a CC mutant's, a CS
         # mutant's output layer (its combiner changes make it run in full)
         head_changes = mutant.replaced - set(model.feature_params)
@@ -450,7 +450,7 @@ def test_mmutant_labels_skip_the_softmax(cc_setup, monkeypatch):
     ensemble = uq.build_mutant_ensemble(model, "GF", degree=0.5, count=3, seed=2)
     expected = uq.score_mmutant(ensemble, encoded, base["probs"].argmax(axis=-1), base["features"])
     changed = np.zeros(len(encoded), dtype=np.int64)
-    for mutant in ensemble.mutants:
+    for mutant in ensemble:
         changed += tasks.infer(mutant, encoded)["probs"].argmax(axis=-1) != expected[2]
     assert np.array_equal(expected[0], changed / 3)
     monkeypatch.setattr(tasks.nn, "softmax", lambda *a, **k: pytest.fail("softmax ran"))
@@ -494,7 +494,7 @@ def test_dissector_unanimous_probe_gives_pv_one(cc_setup):
     model, encoded, _ = cc_setup
     preds = tasks.infer(model, encoded[:1])["probs"].argmax(-1)
     probe = unanimous_probe(model, agree_with=int(preds[0]))
-    probes = uq.ProbeSet(probes=[probe], n_classes=model.n_classes())
+    probes = [probe]
     _, conf, _ = uq.score_dissector(probes, "linear", uq.base_outputs(model, encoded[:1]))
     assert conf[0] == 1.0
 
@@ -504,7 +504,7 @@ def test_dissector_zero_probability_on_label_pulls_pv_down(cc_setup):
     preds = tasks.infer(model, encoded[:1])["probs"].argmax(-1)
     wrong = (int(preds[0]) + 1) % model.n_classes()
     probe = unanimous_probe(model, agree_with=wrong)
-    probes = uq.ProbeSet(probes=[probe], n_classes=model.n_classes())
+    probes = [probe]
     _, conf, _ = uq.score_dissector(probes, "linear", uq.base_outputs(model, encoded[:1]))
     assert conf[0] == 0.0
 
@@ -512,7 +512,7 @@ def test_dissector_zero_probability_on_label_pulls_pv_down(cc_setup):
 def test_dissector_trained_probes_in_bounds(cs_setup):
     model, encoded = cs_setup
     probes = uq.train_probes(model, encoded, epochs=5, seed=0)
-    assert [p.tag for p in probes.probes] == ["embed_mean", "pooled"]
+    assert [p.tag for p in probes] == ["embed_mean", "pooled"]
     base = uq.base_outputs(model, encoded)
     for growth in uq.GROWTH_TYPES:
         rec = uq.ESTIMATORS["dissector"].table(model, probes, growth, encoded, base)
@@ -566,8 +566,10 @@ def test_mmutant_registry_scores_every_operator_with_its_own_ensemble(cc_setup):
     tables = [estimator.table(model, ensembles, op, encoded, base, "test1") for op in estimator.variants]
     assert [t.variant for t in tables] == ["GF", "WS", "NS", "NAI"]
     for op, t in zip(estimator.variants, tables):
-        assert ensembles[op].operator == op
-        lcr, conf, pred = uq.score_mmutant(ensembles[op], encoded, base["probs"].argmax(axis=-1))
+        own = uq.build_mutant_ensemble(
+            model, op, degree=SETTINGS["mutation_degree"], count=SETTINGS["mutant_count"], seed=SETTINGS["seed"]
+        )
+        lcr, conf, pred = uq.score_mmutant(own, encoded, base["probs"].argmax(axis=-1))
         assert np.array_equal(t.raw, lcr) and np.array_equal(t.confidence, conf)
         assert np.array_equal(t.predicted, pred)
     # each operator is scored with its own ensemble, not the first one
