@@ -334,12 +334,15 @@ def cmd_score(config: dict, args) -> int:
     if "validation" not in eval_splits:
         raise ValidationFailure("no validation contexts found; run `extract` first")
     encoded = {s: _load_encoded(bucket, args.task, args.shift, s, vocabs) for s in eval_splits}
-    train = _load_encoded(bucket, args.task, args.shift, "train", vocabs)
+    estimators = _estimators(args.method)
+    train = None  # read only for an estimator whose fit uses it
+    if any(e.needs_train for e in estimators):
+        train = _load_encoded(bucket, args.task, args.shift, "train", vocabs)
 
     settings = {**config["uncertainty"], "seed": config["seed"]}
     # the validation forward feeds the fits and then scores that split
     base = uq.base_outputs(model, encoded["validation"])
-    fitted = [(e, e.fit(model, train, encoded["validation"], base, settings)) for e in _estimators(args.method)]
+    fitted = [(e, e.fit(model, train, encoded["validation"], base, settings)) for e in estimators]
 
     out_dir = bucket / "scores"
     out_dir.mkdir(parents=True, exist_ok=True)

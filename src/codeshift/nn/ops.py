@@ -3,9 +3,9 @@
 Everything the two task models need: affine maps, embedding lookups (of
 one table, or summed over several), tanh, stable softmax (optionally
 masked), inverted dropout, attention pooling, cross-entropy, and the small
-glue ops (add/mul/concat/row slice/sum/mean/reshape) they are composed
-from. Shapes broadcast over leading batch dimensions; reductions and
-softmax act on the last axis unless stated otherwise.
+glue ops (add/mul/concat/row slice/row scatter/sum/mean/reshape) they are
+composed from. Shapes broadcast over leading batch dimensions; reductions
+and softmax act on the last axis unless stated otherwise.
 """
 
 from __future__ import annotations
@@ -91,6 +91,24 @@ def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
         gx = np.zeros_like(x.data)
         gx[start:stop] = g
         accumulate(x, gx)
+
+    return make_node(out, (x,), backward_fn)
+
+
+def scatter_rows(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Place the rows of `x` (R, d) at the True slots of `mask`, in C order, over zeros.
+
+    The output is mask.shape + (d,), +0.0 wherever `mask` is False; `mask`
+    must hold exactly R True slots. The inverse gather is `out[mask]`.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if x.data.ndim != 2 or int(mask.sum()) != x.data.shape[0]:
+        raise ShapeError(f"scatter_rows: rows {x.data.shape} into {int(mask.sum())} slots of {mask.shape}")
+    out = np.zeros(mask.shape + x.data.shape[1:], dtype=x.data.dtype)
+    out[mask] = x.data
+
+    def backward_fn(g):
+        accumulate(x, g[mask])
 
     return make_node(out, (x,), backward_fn)
 

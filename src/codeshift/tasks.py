@@ -7,7 +7,9 @@ and classified by one fully-connected layer over method names. The
 combiner is computed factorized: W's three d-row blocks project the
 terminal and path embedding tables once per forward, and each context
 gathers and sums three projected rows, so no (B, n, 3d) concatenation is
-built.
+built. It runs on the real context slots only, as (R, d) rows that are
+then scattered into the padded (B, n, d) layout, so every PAD slot's
+feature row is zero.
 
 CC (code completion): a CBOW-style MLP. Context token embeddings are
 averaged (PAD slots contribute nothing and are excluded from the divisor)
@@ -142,7 +144,9 @@ class _TaskModel:
     embedding mean) from the parameters `feature_params` names, and
     `head(features, ...)`, given the inputs `head_inputs` names, does the
     rest. So a model whose `feature_params` hold the same arrays can run
-    `head` on features another model's forward computed. `affine_layers`
+    `head` on features another model's forward computed. A head returns
+    "logits" and "features" (CS also "weights" and "pooled"); it computes
+    "probs" and "embed_mean" only when its `keys` name them. `affine_layers`
     names each (weight, bias) pair whose output neurons mutation acts on.
     """
 
@@ -176,13 +180,13 @@ class _TaskModel:
         training: bool = False,
         rng: np.random.Generator | None = None,
         dropout_p: float | None = None,
-        probs: bool = True,
+        keys: tuple[str, ...] = ("probs",),
         **inputs: np.ndarray,
     ) -> dict[str, nn.Tensor]:
-        """`head` on `features(**inputs)`, where `inputs` are an EncodedSplit's; `probs=False` leaves out the softmax."""
+        """`head` on `features(**inputs)`, where `inputs` are an EncodedSplit's."""
         head_inputs = {name: inputs[name] for name in self.head_inputs}
         return self.head(
-            self.features(**inputs), **head_inputs, training=training, rng=rng, dropout_p=dropout_p, probs=probs
+            self.features(**inputs), **head_inputs, training=training, rng=rng, dropout_p=dropout_p, keys=keys
         )
 
 
@@ -228,7 +232,10 @@ class PathAttentionModel(_TaskModel):
 
         W·[e_l; e_p; e_r] = W_l·e_l + W_p·e_p + W_r·e_r, so each d-row block
         of `w_comb` projects its embedding table once, and every context
-        sums three gathered d-wide rows.
+        sums three gathered d-wide rows. Only the real slots are combined,
+        as (R, d) rows scattered into a zeroed (B, n, d): PAD slots' rows
+        are +0.0. A PAD slot's attention weight is 0, so its gradient is
+        ±0 and leaving it out of the backward's sums changes no bit.
         """
         if not mask.any(axis=-1).all():
             raise ValueError("empty context bag in batch")
@@ -238,8 +245,8 @@ class PathAttentionModel(_TaskModel):
         proj_left = nn.linear(p["term_emb"], nn.row_slice(w, 0, d))
         proj_path = nn.linear(p["path_emb"], nn.row_slice(w, d, 2 * d))
         proj_right = nn.linear(p["term_emb"], nn.row_slice(w, 2 * d, 3 * d))
-        pre = nn.embedding_sum([(proj_left, left), (proj_path, path), (proj_right, right)])
-        return nn.tanh(nn.add(pre, p["b_comb"]))
+        pre = nn.embedding_sum([(proj_left, left[mask]), (proj_path, path[mask]), (proj_right, right[mask])])
+        return nn.scatter_rows(nn.tanh(nn.add(pre, p["b_comb"])), mask)
 
     def head(
         self,
@@ -248,26 +255,20 @@ class PathAttentionModel(_TaskModel):
         training: bool = False,
         rng: np.random.Generator | None = None,
         dropout_p: float | None = None,
-        probs: bool = True,
+        keys: tuple[str, ...] = ("probs",),
     ) -> dict[str, nn.Tensor]:
-        """Everything after the combiner; `probs=False` leaves out the softmax."""
+        """Everything after the combiner; PAD feature rows must be zero, as `features` makes them."""
         p = self._params
         dropped = nn.dropout(
             features, self.dropout_p if dropout_p is None else dropout_p, training, rng
         )
         pooled, weights = nn.attention_pool(dropped, p["attn"], mask=mask)
         logits = nn.affine(pooled, p["w_out"], p["b_out"])
-        maskf = nn.Tensor(mask.astype(features.data.dtype)[..., None])
-        counts = nn.Tensor((1.0 / mask.sum(axis=-1)).astype(features.data.dtype)[:, None])
-        embed_mean = nn.mul(nn.sum_axis(nn.mul(features, maskf), axis=-2), counts)
-        out = {
-            "logits": logits,
-            "features": features,
-            "weights": weights,
-            "pooled": pooled,
-            "embed_mean": embed_mean,
-        }
-        if probs:
+        out = {"logits": logits, "features": features, "weights": weights, "pooled": pooled}
+        if "embed_mean" in keys:
+            counts = nn.Tensor((1.0 / mask.sum(axis=-1)).astype(features.data.dtype)[:, None])
+            out["embed_mean"] = nn.mul(nn.sum_axis(features, axis=-2), counts)
+        if "probs" in keys:
             out["probs"] = nn.softmax(logits)
         return out
 
@@ -309,17 +310,19 @@ class MlpCompletionModel(_TaskModel):
         training: bool = False,
         rng: np.random.Generator | None = None,
         dropout_p: float | None = None,
-        probs: bool = True,
+        keys: tuple[str, ...] = ("probs",),
     ) -> dict[str, nn.Tensor]:
         """`dropout_p` (None: the model's own 0.0) exists only so MC-Dropout can
         inject a stochastic site after the embedding mean at score time;
-        training never uses it. `probs=False` leaves out the softmax.
+        training never uses it.
         """
         p = self._params
         h = nn.dropout(features, self.dropout_p if dropout_p is None else dropout_p, training, rng)
         logits = nn.affine(h, p["w_out"], p["b_out"])
-        out = {"logits": logits, "features": features, "embed_mean": features}
-        if probs:
+        out = {"logits": logits, "features": features}
+        if "embed_mean" in keys:
+            out["embed_mean"] = features
+        if "probs" in keys:
             out["probs"] = nn.softmax(logits)
         return out
 
@@ -343,9 +346,9 @@ def infer(
 ) -> dict[str, np.ndarray]:
     """Batched no-grad forward over a split; concatenates `keys`.
 
-    The softmax runs only when "probs" is among `keys`. The key "features"
-    stays a list of one array per batch, because CS batches differ in
-    width. Passed back as `features` to a call over the same split and
+    The model's head computes "probs" and "embed_mean" only when `keys`
+    name them. The key "features" stays a list of one array per batch,
+    because CS batches differ in width. Passed back as `features` to a call over the same split and
     `batch_size`, those arrays resume every batch at `model.head`; the
     model must share the `feature_params` of the one that computed them.
     """
@@ -353,7 +356,7 @@ def infer(
     if features is not None and len(features) != len(starts):
         raise ValueError(f"{len(features)} feature batches for a split of {len(starts)} batches")
     chunks: dict[str, list[np.ndarray]] = {k: [] for k in keys}
-    settings = {"training": training, "rng": rng, "dropout_p": dropout_p, "probs": "probs" in keys}
+    settings = {"training": training, "rng": rng, "dropout_p": dropout_p, "keys": keys}
     with nn.no_grad():
         for i, start in enumerate(starts):
             batch = samples[start:start + batch_size]
@@ -448,7 +451,7 @@ def _train_loop(
         for start in range(0, len(samples), config.batch_size):
             batch = samples[order[start:start + config.batch_size]]
             nn.zero_grads(params.values())
-            out = model.forward_batch(**batch.inputs, training=True, rng=drop_rng)
+            out = model.forward_batch(**batch.inputs, training=True, rng=drop_rng, keys=("probs",))
             loss = nn.mean(nn.cross_entropy(out["probs"], batch.labels))
             nn.backward(loss)
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}

@@ -410,7 +410,8 @@ class Estimator:
     samples)`, computed once per split and shared by every estimator; the
     Monte-Carlo scorers resume from its "features" where it has them.
     `split` keys the random stream of stochastic passes. A method without
-    variants has the one variant "".
+    variants has the one variant "". `fit` reads `train`, the training
+    split, only when `needs_train` is set; otherwise it is given None.
     """
 
     name: str
@@ -418,6 +419,7 @@ class Estimator:
     variants: tuple[str, ...]
     fit: Callable
     score: Callable
+    needs_train: bool = False
 
     def table(self, model, state, variant: str, samples, base: dict[str, np.ndarray], split: str = "") -> ScoreTable:
         raw, confidence, predicted = self.score(model, state, variant, samples, base, split)
@@ -494,6 +496,7 @@ ESTIMATORS: dict[str, Estimator] = {
             "dissector", "dissector", GROWTH_TYPES,
             fit=_fit_probes,
             score=lambda model, probes, growth, samples, base, split: score_dissector(probes, growth, base),
+            needs_train=True,
         ),
     )
 }

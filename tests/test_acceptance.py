@@ -14,7 +14,7 @@ import pytest
 from codeshift import evalpipe, nn, tasks
 from codeshift import extraction as ex
 from codeshift import uncertainty as uq
-from codeshift.cli import _load_encoded, _load_vocabs, main
+from codeshift.cli import _load_encoded, main
 from codeshift.config import bucket_dir, config_hash, load_config
 from codeshift.metrics import aupr, brier, roc_auc
 
@@ -85,6 +85,14 @@ def test_criterion_1_gradient_suite():
             return nn.mean(pooled)
 
         worst = max(worst, _finite_diff(pool_loss, [contexts, attn]))
+
+        rows = t(rng, int(mask.sum()), 3)
+
+        def scatter_pool_loss():
+            pooled, _ = nn.attention_pool(nn.scatter_rows(nn.tanh(rows), mask), attn, mask=mask)
+            return nn.mean(pooled)
+
+        worst = max(worst, _finite_diff(scatter_pool_loss, [rows, attn]))
 
         dx = t(rng, 3, 4)
 
@@ -305,8 +313,8 @@ def study(tmp_path_factory):
 
 
 def _accuracy_pair(config, bucket, task, shift, cross_split):
-    vocabs = _load_vocabs(bucket, task, shift)
     model = tasks.load_checkpoint((bucket / "checkpoints" / f"{task}-{shift}.ckpt").read_bytes())
+    vocabs = model.vocabs()  # encoded as `score` encodes: with the checkpoint's vocabularies
     val = tasks.evaluate_accuracy(model, _load_encoded(bucket, task, shift, "validation", vocabs))
     test = tasks.evaluate_accuracy(model, _load_encoded(bucket, task, shift, cross_split, vocabs))
     return val, test

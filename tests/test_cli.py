@@ -427,6 +427,19 @@ def test_score_on_an_empty_split_exits_2_naming_file(tmp_path, capsys, task, spl
 
 
 @pytest.mark.parametrize("task", ["cs", "cc"])
+def test_score_reads_the_training_split_only_for_an_estimator_fit_on_it(tmp_path, capsys, task):
+    config_path, contexts = contexts_bucket(tmp_path, task)
+    flags = ["--task", task, "--shift", "project", "--config", str(config_path)]
+    assert main(["train", *flags]) == 0
+    target = contexts / f"{task}-project-train.txt"
+    target.unlink()
+    capsys.readouterr()
+    assert main(["score", *flags, "--method", "vanilla"]) == 0, capsys.readouterr().err
+    assert sorted(score_bytes(config_path)) == [f"{task}-project-vanilla-validation.csv"]
+    assert_exit_2_naming(["score", *flags[:4], "--method", "dissector"], config_path, target, capsys)
+
+
+@pytest.mark.parametrize("task", ["cs", "cc"])
 def test_train_with_an_empty_validation_split_reports_no_val_acc(tmp_path, capsys, task):
     config_path, contexts = contexts_bucket(tmp_path, task)
     (contexts / f"{task}-project-validation.txt").write_text("", encoding="utf-8")

@@ -96,6 +96,32 @@ def test_grad_row_slice(seed):
 
 
 @pytest.mark.parametrize("seed", range(N_INSTANCES))
+def test_grad_scatter_rows(seed):
+    rng = np.random.default_rng(1100 + seed)
+    mask = rng.random((3, 5)) < 0.6
+    mask[:, 0] = True  # every row keeps a real slot, as CS context bags do
+    x = t64(rng, int(mask.sum()), 2)
+    weights = nn.Tensor(rng.standard_normal((3, 5, 2)), dtype=np.float64)
+    # tanh after the scatter gives the PAD slots a nonzero slope: their gradient must still stay out of x
+    finite_diff_check(lambda: nn.mean(nn.mul(nn.tanh(nn.scatter_rows(x, mask)), weights)), [x])
+
+
+def test_scatter_rows_places_rows_over_zeros():
+    mask = np.array([[True, False, True], [False, False, True]])
+    x = nn.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True, dtype=np.float32)
+    out = nn.scatter_rows(x, mask)
+    assert out.data.dtype == np.float32 and out.data.shape == (2, 3, 2)
+    assert np.array_equal(out.data[mask], x.data)
+    assert (out.data[~mask] == 0.0).all() and not np.signbit(out.data[~mask]).any()
+    g = np.arange(12.0, dtype=np.float32).reshape(2, 3, 2) - 5.0
+    nn.backward(out, seed=g)
+    assert np.array_equal(x.grad, g[mask])
+    for bad in (np.ones((2, 3), dtype=bool), np.zeros((3, 2), dtype=bool)):
+        with pytest.raises(nn.ShapeError):
+            nn.scatter_rows(x, bad)
+
+
+@pytest.mark.parametrize("seed", range(N_INSTANCES))
 def test_grad_embedding_lookup_of_a_projected_table(seed):
     # the table is itself an op's output, as CS's projected vocabularies are
     rng = np.random.default_rng(900 + seed)

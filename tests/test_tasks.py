@@ -77,6 +77,37 @@ def test_attention_weights_sum_to_one_per_sample():
         assert abs(weights.sum() - 1.0) < 1e-5
 
 
+@pytest.mark.parametrize("task", ["cs", "cc"])
+def test_forward_computes_probs_and_embed_mean_only_when_asked(task):
+    if task == "cs":
+        encoded, terminals, paths, labels = cs_training_setup()
+        model = tasks.PathAttentionModel(terminals, paths, labels, dim=8, seed=2)
+    else:
+        encoded, vocab = cc_training_setup()
+        model = tasks.MlpCompletionModel(vocab, dim=8, seed=2)
+    batch = encoded[:4]
+    assert model.forward_batch(**batch.inputs, keys=("logits",)).keys().isdisjoint({"probs", "embed_mean"})
+    assert "embed_mean" not in model.forward_batch(**batch.inputs, keys=("probs",))
+    out = model.forward_batch(**batch.inputs, keys=("probs", "embed_mean"))
+    assert np.array_equal(out["probs"].data, nn.softmax(out["logits"]).data)
+    assert out["embed_mean"].data.shape == (4, 8)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cs_embed_mean_equals_the_masked_mean_bitwise(dtype):
+    encoded, terminals, paths, labels = cs_training_setup()
+    model = tasks.PathAttentionModel(terminals, paths, labels, dim=16, seed=6, dtype=dtype)
+    mask = encoded.inputs["mask"]
+    assert not mask.all()
+    out = tasks.infer(model, encoded, keys=("embed_mean", "features"))
+    (features,) = out["features"]
+    maskf = mask.astype(dtype)[..., None]
+    expected = (features * maskf).sum(axis=-2) * (1.0 / mask.sum(axis=-1)).astype(dtype)[:, None]
+    assert out["embed_mean"].dtype == expected.dtype == dtype
+    assert np.array_equal(out["embed_mean"], expected)
+    assert np.array_equal(np.signbit(out["embed_mean"]), np.signbit(expected))
+
+
 def test_split_rows_are_padded_and_trimmed_to_their_longest_row():
     split = tasks.pack(
         ["a", "b", "c"], [5, 6, 7],
@@ -136,18 +167,21 @@ def test_factorized_combiner_matches_the_concatenated_affine(dtype, tolerance):
     p = model.params()
     p["b_comb"].data[:] = np.random.default_rng(4).uniform(-0.5, 0.5, 16)
     batch = encoded[:5]
-    combined = model.features(**batch.inputs)
-    pre = combined._parents[0].data  # the tanh's input on the tape
     ids = batch.inputs
-    cat = nn.concat_last([
-        nn.embedding_lookup(p["term_emb"], ids["left"]),
-        nn.embedding_lookup(p["path_emb"], ids["path"]),
-        nn.embedding_lookup(p["term_emb"], ids["right"]),
-    ])
-    expected = nn.affine(cat, p["w_comb"], p["b_comb"]).data
+    mask = ids["mask"]
+    assert not mask.all()  # the batch holds PAD slots
+    combined = model.features(**ids)
+    squashed = combined._parents[0]  # the tape: scatter_rows(tanh(pre)), pre on the real slots only
+    pre = squashed._parents[0].data
+    term, path = p["term_emb"].data, p["path_emb"].data
+    cat = np.concatenate([term[ids["left"]], path[ids["path"]], term[ids["right"]]], axis=-1)
+    expected = (cat @ p["w_comb"].data + p["b_comb"].data)[mask]
     assert pre.dtype == expected.dtype == dtype and pre.shape == expected.shape
     np.testing.assert_allclose(pre, expected, rtol=tolerance, atol=tolerance * np.abs(expected).max())
-    assert np.array_equal(combined.data, np.tanh(pre))
+    assert combined.data.shape == mask.shape + (16,)
+    assert np.array_equal(combined.data[mask], np.tanh(pre))
+    pad = combined.data[~mask]
+    assert (pad == 0.0).all() and not np.signbit(pad).any()  # exactly +0.0
 
 
 def tie_rows(dtype):
