@@ -174,7 +174,7 @@ def cmd_make_splits(config: dict, args) -> int:
     bucket = bucket_dir(config)
     out = _splits_path(bucket, args.shift)
     out.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"config": echo_config(config), "shift": args.shift, "assignment": assignment.to_json()}
+    payload = {"config": echo_config(config), "shift": args.shift, "assignment": assignment.to_json(out.parent)}
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     sizes = {name: len(files) for name, files in assignment.splits.items()}
     print(f"splits[{args.shift}] -> {out} {sizes}")
@@ -185,7 +185,7 @@ def _load_assignment(bucket: Path, shift: str) -> corpus.SplitAssignment:
     path = _require(_splits_path(bucket, shift), f"make-splits --shift {shift}")
     with _malformed("splits", path):
         payload = json.loads(path.read_text(encoding="utf-8"))
-        return corpus.SplitAssignment.from_json(payload["assignment"])
+        return corpus.SplitAssignment.from_json(payload["assignment"], path.parent)
 
 
 def cmd_extract(config: dict, args) -> int:

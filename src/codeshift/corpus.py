@@ -26,6 +26,7 @@ the file's split.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -84,12 +85,14 @@ class SplitAssignment:
     splits: dict[str, list[str]]  # split name -> file paths relative to base_dir
     base_dir: Path
 
-    def to_json(self) -> dict:
-        return {"base_dir": str(self.base_dir), "splits": self.splits}
+    def to_json(self, root: Path) -> dict:
+        """`base_dir` is written relative to `root`, the directory the document goes in."""
+        return {"base_dir": os.path.relpath(self.base_dir, root), "splits": self.splits}
 
     @classmethod
-    def from_json(cls, payload: dict) -> "SplitAssignment":
-        return cls(splits=dict(payload["splits"]), base_dir=Path(payload["base_dir"]))
+    def from_json(cls, payload: dict, root: Path) -> "SplitAssignment":
+        """A relative `base_dir` resolves against `root`; an absolute one is kept."""
+        return cls(splits=dict(payload["splits"]), base_dir=(root / payload["base_dir"]).resolve())
 
 
 def _no_duplicate_keys(pairs):

@@ -89,12 +89,6 @@ def drop_ratio(val_acc: float, test_acc: float) -> float:
     return (test_acc - val_acc) / val_acc * 100.0
 
 
-def format_accuracy_drop(val_acc: float, test_acc: float) -> str:
-    """Render like `29.14(-2.74%)` from (29.96, 29.14), or `29.14(n/a)` when val_acc is zero,
-    as `accuracy_drop_report` does."""
-    return accuracy_drop_report({"validation": val_acc, "test": test_acc})["test"]["formatted"]
-
-
 def accuracy_drop_report(accuracies: dict[str, float], validation_split: str = "validation") -> dict:
     """Rows of accuracy plus signed drop ratio against the validation split.
 

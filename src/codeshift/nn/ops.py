@@ -1,11 +1,11 @@
 """Forward ops with hand-written backward rules.
 
 Everything the two task models need: affine maps, embedding lookups (of
-one table, or summed over several), tanh, stable softmax (optionally
-masked), inverted dropout, attention pooling, cross-entropy, and the small
-glue ops (add/mul/concat/row slice/row scatter/sum/mean/reshape) they are
-composed from. Shapes broadcast over leading batch dimensions; reductions
-and softmax act on the last axis unless stated otherwise.
+one table, or summed over several), tanh, stable softmax, inverted dropout,
+masked attention pooling, cross-entropy, and the small glue ops
+(add/mul/concat/row slice/row scatter/sum/mean) they are composed from.
+Shapes broadcast over leading batch dimensions; reductions and softmax act
+on the last axis unless stated otherwise.
 """
 
 from __future__ import annotations
@@ -122,19 +122,9 @@ def tanh(x: Tensor) -> Tensor:
     return make_node(out, (x,), backward_fn)
 
 
-def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row-stable softmax over the last axis.
-
-    `mask` (same shape, boolean) pins masked positions to probability zero;
-    each row must keep at least one unmasked entry.
-    """
+def softmax(x: Tensor) -> Tensor:
+    """Row-stable softmax over the last axis."""
     z = x.data
-    if mask is not None:
-        if mask.shape != z.shape:
-            raise ShapeError(f"softmax mask {mask.shape} vs input {z.shape}")
-        if not mask.any(axis=-1).all():
-            raise ValueError("softmax: a row is fully masked")
-        z = np.where(mask, z, -np.inf)
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
@@ -228,29 +218,44 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     return make_node(out, (x,), backward_fn)
 
 
-def weighted_sum(weights: Tensor, values: Tensor) -> Tensor:
-    """sum_n weights[..., n] * values[..., n, d] -> (..., d)."""
-    if weights.data.shape != values.data.shape[:-1]:
-        raise ShapeError(f"weighted_sum: {weights.data.shape} vs {values.data.shape}")
-    out = (weights.data[..., None] * values.data).sum(axis=-2)
-
-    def backward_fn(g):
-        accumulate(weights, (values.data * g[..., None, :]).sum(axis=-1))
-        accumulate(values, weights.data[..., None] * g[..., None, :])
-
-    return make_node(out, (weights, values), backward_fn)
-
-
 def attention_pool(contexts: Tensor, a: Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Soft attention over rows: weights = softmax(contexts @ a), pooled = weights^T contexts.
 
-    contexts (..., n, d), a (d,). Returns (pooled (..., d), weights (..., n)).
+    contexts (..., n, d), a (d,); `mask` (..., n), boolean, pins masked rows
+    to weight zero and must keep at least one row of each bag. Returns
+    (pooled (..., d), weights (..., n)); only `pooled` is on the tape.
+
+    The gradient of `a` sums over every row of the batch. A BLAS GEMV would
+    split that sum across threads, which makes its bits depend on the
+    thread count, so it is an `np.einsum` reduction, which never calls BLAS.
     """
-    scores = linear(contexts, reshape(a, (a.data.shape[0], 1)))
-    scores = reshape(scores, scores.data.shape[:-1])
-    weights = softmax(scores, mask=mask)
-    pooled = weighted_sum(weights, contexts)
-    return pooled, weights
+    x = contexts.data
+    d = x.shape[-1]
+    if a.data.shape != (d,):
+        raise ShapeError(f"attention_pool: contexts {x.shape} vs a {a.data.shape}")
+    s = (x @ a.data.reshape(d, 1))[..., 0]
+    if mask is not None:
+        if mask.shape != s.shape:
+            raise ShapeError(f"attention_pool: mask {mask.shape} vs contexts {x.shape}")
+        if not mask.any(axis=-1).all():
+            raise ValueError("attention_pool: a row is fully masked")
+        s = np.where(mask, s, -np.inf)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    pooled = (w[..., None] * x).sum(axis=-2)
+
+    def backward_fn(g):
+        gw = (x * g[..., None, :]).sum(axis=-1)
+        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+        if needs_grad(contexts):
+            # einsum adds each product to +0.0, so zero products are +0.0, as linear's matmul makes them
+            gx = np.einsum("...n,d->...nd", gs, a.data)
+            gx += w[..., None] * g[..., None, :]
+            accumulate(contexts, gx)
+        if needs_grad(a):
+            accumulate(a, np.einsum("nd,n->d", x.reshape(-1, d), gs.reshape(-1)))
+
+    return make_node(pooled, (contexts, a), backward_fn), Tensor(w)
 
 
 def concat_last(parts: list[Tensor]) -> Tensor:
@@ -265,15 +270,6 @@ def concat_last(parts: list[Tensor]) -> Tensor:
             offset += n
 
     return make_node(out, tuple(parts), backward_fn)
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = x.data.reshape(shape)
-
-    def backward_fn(g):
-        accumulate(x, g.reshape(x.data.shape))
-
-    return make_node(out, (x,), backward_fn)
 
 
 def sum_axis(x: Tensor, axis: int) -> Tensor:

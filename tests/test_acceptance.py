@@ -107,12 +107,13 @@ def test_criterion_1_gradient_suite():
             _finite_diff(lambda: nn.mean(nn.sum_axis(nn.mul(nn.add(a, c), a), axis=0)), [a, c]),
         )
 
-        left, right, ws = t(rng, 2, 3, 2), t(rng, 2, 3, 2), t(rng, 2, 3)
+        left, right, wa = t(rng, 2, 3, 2), t(rng, 2, 3, 2), t(rng, 4)
 
         def concat_loss():
-            return nn.mean(nn.weighted_sum(nn.softmax(ws), nn.concat_last([left, right])))
+            pooled, _ = nn.attention_pool(nn.concat_last([left, right]), wa)
+            return nn.mean(pooled)
 
-        worst = max(worst, _finite_diff(concat_loss, [left, right, ws]))
+        worst = max(worst, _finite_diff(concat_loss, [left, right, wa]))
 
     elapsed = time.monotonic() - start
     announce(
@@ -424,5 +425,5 @@ def test_criterion_6_determinism(study):
 
 
 def test_criterion_7_drop_ratio_format():
-    rendered = evalpipe.format_accuracy_drop(29.96, 29.14)
-    announce(7, rendered == "29.14(-2.74%)", f"format_accuracy_drop(29.96, 29.14) = {rendered!r}")
+    rendered = evalpipe.accuracy_drop_report({"validation": 29.96, "test": 29.14})["test"]["formatted"]
+    announce(7, rendered == "29.14(-2.74%)", f"accuracy_drop_report 29.96 -> 29.14 renders {rendered!r}")

@@ -522,6 +522,33 @@ def test_truncated_splits_file_exits_2_naming_file(tmp_path, capsys):
     assert_exit_2_naming(["extract", "--task", "cc", "--shift", "project"], config_path, target, capsys)
 
 
+def test_splits_files_do_not_depend_on_where_the_study_runs(tmp_path):
+    splits = []
+    for root in (tmp_path / "a", tmp_path / "elsewhere" / "b"):
+        root.mkdir(parents=True)
+        config_path, _ = synth_bucket(root)
+        assert main(["make-splits", "--shift", "project", "--config", str(config_path)]) == 0
+        splits.append(bucket_of(config_path) / "splits" / "project.json")
+    assert splits[0].read_bytes() == splits[1].read_bytes()
+    assert json.loads(splits[0].read_text(encoding="utf-8"))["assignment"]["base_dir"] == "../../../corpus"
+    # the whole study directory moves (its old path is gone), and extract still finds the corpus
+    moved = tmp_path / "moved"
+    (tmp_path / "a").rename(moved)
+    assert main(["extract", "--task", "cc", "--shift", "project", "--config", str(moved / "config.json")]) == 0
+
+
+def test_splits_file_with_an_absolute_corpus_path_still_loads(tmp_path, monkeypatch):
+    config_path, corpus_root = synth_bucket(tmp_path)
+    assert main(["make-splits", "--shift", "project", "--config", str(config_path)]) == 0
+    target = bucket_of(config_path) / "splits" / "project.json"
+    payload = json.loads(target.read_text(encoding="utf-8"))
+    payload["assignment"]["base_dir"] = str(corpus_root.resolve())
+    target.write_text(json.dumps(payload), encoding="utf-8")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")  # an absolute path does not depend on the working directory
+    assert main(["extract", "--task", "cc", "--shift", "project", "--config", str(config_path)]) == 0
+
+
 def test_truncated_report_exits_2_naming_file(tmp_path, capsys, workspace):
     _, workspace_config, _ = workspace
     config_path = tmp_path / "config.json"

@@ -96,8 +96,8 @@ def test_input_filter_extremes():
 def test_drop_ratio_and_formatting():
     assert ep.drop_ratio(50.0, 45.0) == -10.0
     assert ep.drop_ratio(50.0, 50.0) == 0.0
-    assert ep.format_accuracy_drop(29.96, 29.14) == "29.14(-2.74%)"
-    assert ep.format_accuracy_drop(50.0, 50.0) == "50.00(0.00%)"
+    assert ep.accuracy_drop_report({"validation": 29.96, "test": 29.14})["test"]["formatted"] == "29.14(-2.74%)"
+    assert ep.accuracy_drop_report({"validation": 50.0, "test": 50.0})["test"]["formatted"] == "50.00(0.00%)"
 
 
 def test_accuracy_drop_report_rows():

@@ -1,5 +1,10 @@
 """Gradient checks (central finite differences, 64-bit) and op contracts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,16 +70,19 @@ def test_grad_softmax_cross_entropy(seed):
 
 @pytest.mark.parametrize("seed", range(N_INSTANCES))
 def test_grad_masked_softmax(seed):
+    # the masked softmax lives inside attention_pool; a fresh random mask per seed
     rng = np.random.default_rng(200 + seed)
-    x = t64(rng, 3, 5)
+    contexts = t64(rng, 3, 5, 2)
+    a = t64(rng, 2)
     mask = rng.random((3, 5)) < 0.7
     mask[:, 0] = True  # keep every row alive
-    weights = t64(rng, 5, 2)
+    weights = t64(rng, 2, 2)
 
     def build():
-        return nn.mean(nn.linear(nn.softmax(x, mask=mask), weights))
+        pooled, _ = nn.attention_pool(contexts, a, mask=mask)
+        return nn.mean(nn.linear(pooled, weights))
 
-    finite_diff_check(build, [x, weights])
+    finite_diff_check(build, [contexts, a, weights])
 
 
 @pytest.mark.parametrize("seed", range(N_INSTANCES))
@@ -253,37 +261,44 @@ def test_grad_concat_weighted_sum(seed):
     rng = np.random.default_rng(700 + seed)
     left = t64(rng, 2, 3, 2)
     right = t64(rng, 2, 3, 3)
-    weights = t64(rng, 2, 3, scale=0.5)
+    a = t64(rng, 5, scale=0.5)
 
     def build():
-        cat = nn.concat_last([left, right])
-        pooled = nn.weighted_sum(nn.softmax(weights), cat)
+        # attention_pool's weighted sum of the concatenated rows
+        pooled, _ = nn.attention_pool(nn.concat_last([left, right]), a)
         return nn.mean(pooled)
 
-    finite_diff_check(build, [left, right, weights])
+    finite_diff_check(build, [left, right, a])
 
 
 def test_grad_full_attention_classifier():
-    # One composite of everything the CS model uses, checked end to end.
+    # One composite of every op the CS model runs, in its order, checked end to end.
     rng = np.random.default_rng(42)
-    table = t64(rng, 9, 3)
-    w_comb = t64(rng, 9, 4)
-    b_comb = t64(rng, 4)
-    attn = t64(rng, 4)
-    w_out = t64(rng, 4, 5)
+    d = 3
+    term_emb = t64(rng, 6, d)
+    path_emb = t64(rng, 5, d)
+    w_comb = t64(rng, 3 * d, d)
+    b_comb = t64(rng, d)
+    attn = t64(rng, d)
+    w_out = t64(rng, d, 5)
     b_out = t64(rng, 5)
-    ids = rng.integers(0, 9, size=(2, 4, 3))
+    left, right = rng.integers(0, 6, size=(2, 2, 4))
+    path = rng.integers(0, 5, size=(2, 4))
+    mask = np.array([[True, True, True, False], [True, False, True, True]])
     labels = rng.integers(0, 5, size=2)
 
     def build():
-        emb = nn.embedding_lookup(table, ids)  # (2, 4, 3, 3)
-        cat = nn.reshape(emb, (2, 4, 9))
-        combined = nn.tanh(nn.affine(cat, w_comb, b_comb))
-        pooled, _ = nn.attention_pool(combined, attn)
+        proj_left = nn.linear(term_emb, nn.row_slice(w_comb, 0, d))
+        proj_path = nn.linear(path_emb, nn.row_slice(w_comb, d, 2 * d))
+        proj_right = nn.linear(term_emb, nn.row_slice(w_comb, 2 * d, 3 * d))
+        pre = nn.embedding_sum([(proj_left, left[mask]), (proj_path, path[mask]), (proj_right, right[mask])])
+        combined = nn.scatter_rows(nn.tanh(nn.add(pre, b_comb)), mask)
+        dropped = nn.dropout(combined, 0.3, training=True, rng=np.random.default_rng(5))
+        pooled, _ = nn.attention_pool(dropped, attn, mask=mask)
         probs = nn.softmax(nn.affine(pooled, w_out, b_out))
         return nn.mean(nn.cross_entropy(probs, labels))
 
-    finite_diff_check(build, [table, w_comb, b_comb, attn, w_out, b_out])
+    finite_diff_check(build, [term_emb, path_emb, w_comb, b_comb, attn, w_out, b_out])
 
 
 def loop_embedding_grad(vocab, ids, g):
@@ -414,6 +429,78 @@ def test_attention_pool_single_row():
     assert np.allclose(pooled.data, [3.0, -1.0])
 
 
+def pool_batch(dtype, shape=(75, 198, 48), seed=12):
+    """A seeded masked attention batch at the CS training shape: contexts, a, mask, cotangent."""
+    rng = np.random.default_rng(seed)
+    B, n, d = shape
+    mask = np.arange(n) < rng.integers(1, n + 1, size=(B, 1))
+    contexts = rng.standard_normal(shape).astype(dtype)
+    contexts[~mask] = 0.0  # PAD rows are zero, as the CS combiner makes them
+    return contexts, rng.standard_normal(d).astype(dtype), mask, rng.standard_normal((B, d)).astype(dtype)
+
+
+def composed_attention_pool(x, a, mask, g):
+    """Attention pooling composed of a linear map, two reshapes, a masked softmax and a
+    weighted sum, each with its own backward, in numpy: pooled, weights, contexts grad, a grad."""
+    d = x.shape[-1]
+    s = (x @ a.reshape(d, 1)).reshape(x.shape[:-1])
+    z = np.where(mask, s, -np.inf)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    pooled = (w[..., None] * x).sum(axis=-2)
+    gw = (x * g[..., None, :]).sum(axis=-1)
+    gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+    gx = w[..., None] * g[..., None, :]
+    gx += gs[..., None] @ a.reshape(d, 1).T
+    return pooled, w, gx, (x.reshape(-1, d).T @ gs.reshape(-1, 1)).reshape(d)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_pool_matches_the_composed_ops_bitwise(dtype):
+    x, a, mask, g = pool_batch(dtype)
+    contexts, at = nn.Tensor(x, requires_grad=True), nn.Tensor(a, requires_grad=True)
+    pooled, weights = nn.attention_pool(contexts, at, mask=mask)
+    assert weights._parents == ()  # the weights are off the tape
+    nn.backward(pooled, seed=g)
+    ref_pooled, ref_w, ref_gx, ref_ga = composed_attention_pool(x, a, mask, g)
+    assert_bitwise(pooled.data, ref_pooled)
+    assert_bitwise(weights.data, ref_w)
+    assert_bitwise(contexts.grad, ref_gx)
+    # only the gradient of a is summed in another order
+    assert a.dtype == at.grad.dtype and np.allclose(at.grad, ref_ga, rtol=1e-4 if dtype == np.float32 else 1e-10)
+    assert (weights.data[~mask] == 0.0).all() and not np.signbit(weights.data[~mask]).any()
+    assert (weights.data[mask] > 0.0).all()
+
+
+def test_attention_pool_rejects_a_fully_masked_row():
+    mask = np.array([[True, False], [False, False]])
+    with pytest.raises(ValueError, match="fully masked"):
+        nn.attention_pool(nn.Tensor(np.ones((2, 2, 3))), nn.Tensor(np.ones(3)), mask=mask)
+
+
+def test_attention_pool_gradient_bytes_do_not_depend_on_the_blas_thread_count():
+    # the thread count is read when numpy loads, so each count needs its own interpreter
+    src = str(Path(nn.__file__).resolve().parents[2])
+    probe = (
+        "import hashlib, numpy as np, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from codeshift import nn\n"
+        "from test_nn import pool_batch\n"
+        "x, a, mask, g = pool_batch(np.float32)\n"
+        "contexts, at = nn.Tensor(x, requires_grad=True), nn.Tensor(a, requires_grad=True)\n"
+        "nn.backward(nn.attention_pool(contexts, at, mask=mask)[0], seed=g)\n"
+        "print(hashlib.sha256(at.grad.tobytes()).hexdigest(), hashlib.sha256(contexts.grad.tobytes()).hexdigest())\n"
+    )
+    digests = {
+        threads: subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout.split()
+        for threads in ("1", "2")
+    }
+    assert len(digests["1"]) == 2 and digests["1"] == digests["2"]
+
+
 def test_dropout_identities():
     x = nn.Tensor(np.arange(12.0).reshape(3, 4))
     rng = np.random.default_rng(0)
@@ -448,7 +535,9 @@ def test_shape_mismatch_errors():
     with pytest.raises(nn.ShapeError):
         nn.affine(nn.Tensor(np.ones((2, 3))), nn.Tensor(np.ones((3, 5))), nn.Tensor(np.ones(4)))
     with pytest.raises(nn.ShapeError):
-        nn.weighted_sum(nn.Tensor(np.ones((2, 3))), nn.Tensor(np.ones((2, 4, 5))))
+        nn.attention_pool(nn.Tensor(np.ones((2, 4, 5))), nn.Tensor(np.ones(4)))
+    with pytest.raises(nn.ShapeError):
+        nn.attention_pool(nn.Tensor(np.ones((2, 4, 5))), nn.Tensor(np.ones(5)), mask=np.ones((2, 5), dtype=bool))
 
 
 def test_no_grad_skips_tape():
