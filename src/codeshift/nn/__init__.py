@@ -21,7 +21,6 @@ from .ops import (
     mean,
     mul,
     row_slice,
-    scatter_rows,
     softmax,
     sum_axis,
     tanh,
@@ -52,7 +51,6 @@ __all__ = [
     "no_grad",
     "read_checkpoint",
     "row_slice",
-    "scatter_rows",
     "softmax",
     "sum_axis",
     "tanh",

@@ -2,10 +2,15 @@
 
 Everything the two task models need: affine maps, embedding lookups (of
 one table, or summed over several), tanh, stable softmax, inverted dropout,
-masked attention pooling, cross-entropy, and the small glue ops
-(add/mul/concat/row slice/row scatter/sum/mean) they are composed from.
-Shapes broadcast over leading batch dimensions; reductions and softmax act
-on the last axis unless stated otherwise.
+attention pooling, cross-entropy, and the small glue ops
+(add/mul/concat/row slice/sum/mean) they are composed from. Shapes
+broadcast over leading batch dimensions; reductions and softmax act on the
+last axis unless stated otherwise.
+
+Bags of variable size (CS context bags) travel as the d-wide rows of their
+real slots, in C order of a boolean `mask` whose last axis spans a bag:
+`dropout` and `attention_pool` take that mask, and no op builds the padded
+layout.
 """
 
 from __future__ import annotations
@@ -91,24 +96,6 @@ def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
         gx = np.zeros_like(x.data)
         gx[start:stop] = g
         accumulate(x, gx)
-
-    return make_node(out, (x,), backward_fn)
-
-
-def scatter_rows(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Place the rows of `x` (R, d) at the True slots of `mask`, in C order, over zeros.
-
-    The output is mask.shape + (d,), +0.0 wherever `mask` is False; `mask`
-    must hold exactly R True slots. The inverse gather is `out[mask]`.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if x.data.ndim != 2 or int(mask.sum()) != x.data.shape[0]:
-        raise ShapeError(f"scatter_rows: rows {x.data.shape} into {int(mask.sum())} slots of {mask.shape}")
-    out = np.zeros(mask.shape + x.data.shape[1:], dtype=x.data.dtype)
-    out[mask] = x.data
-
-    def backward_fn(g):
-        accumulate(x, g[mask])
 
     return make_node(out, (x,), backward_fn)
 
@@ -201,15 +188,30 @@ def _embedding_grad(table: np.ndarray, ids: np.ndarray, g: np.ndarray) -> np.nda
     return gt
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-p) so inference is identity."""
+def dropout(
+    x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None, mask: np.ndarray | None = None
+) -> Tensor:
+    """Inverted dropout: survivors scaled by 1/(1-p) so inference is identity.
+
+    Given `mask`, boolean, `x` holds the d-wide rows of its True slots in C
+    order. The draw still covers every slot, mask.shape + (d,), so the keep
+    factors of the real rows and the generator's state are those of
+    dropout over the padded layout; the PAD slots' factors are dropped.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    if mask is None:
+        keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        d = x.data.shape[-1]
+        if x.data.size != int(mask.sum()) * d:
+            raise ShapeError(f"dropout: rows {x.data.shape} for {int(mask.sum())} real slots of {mask.shape}")
+        keep = (rng.random(mask.shape + (d,)) >= p)[mask].reshape(x.data.shape).astype(x.data.dtype) / (1.0 - p)
     out = x.data * keep
 
     def backward_fn(g):
@@ -219,43 +221,54 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
 
 
 def attention_pool(contexts: Tensor, a: Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Soft attention over rows: weights = softmax(contexts @ a), pooled = weights^T contexts.
+    """Soft attention within each bag: weights = softmax(rows @ a), pooled = the weighted sum of the rows.
 
-    contexts (..., n, d), a (d,); `mask` (..., n), boolean, pins masked rows
-    to weight zero and must keep at least one row of each bag. Returns
-    (pooled (..., d), weights (..., n)); only `pooled` is on the tape.
+    `mask` (..., n), boolean, marks each bag's real slots along its last
+    axis, and every bag needs at least one. `contexts` holds the d-wide rows
+    of the True slots in C order, in any shape that flattens to
+    (mask.sum(), d); mask=None makes every slot of contexts.shape[:-1] real.
+    `a` is (d,). Returns (pooled mask.shape[:-1] + (d,), weights mask.shape),
+    weights +0.0 at the PAD slots; only `pooled` is on the tape.
 
-    The gradient of `a` sums over every row of the batch. A BLAS GEMV would
-    split that sum across threads, which makes its bits depend on the
-    thread count, so it is an `np.einsum` reduction, which never calls BLAS.
+    Each bag's rows are contiguous, so its softmax max and sums are
+    `reduceat` segments starting at the bags' first rows. The scores
+    `rows @ a` are one d-long dot product per row, which a BLAS thread
+    split does not reorder. The gradient of `a` sums over every row of the
+    batch; a BLAS GEMV would split that sum across threads, which makes its
+    bits depend on the thread count, so it is an `np.einsum` reduction,
+    which never calls BLAS.
     """
     x = contexts.data
     d = x.shape[-1]
     if a.data.shape != (d,):
         raise ShapeError(f"attention_pool: contexts {x.shape} vs a {a.data.shape}")
-    s = (x @ a.data.reshape(d, 1))[..., 0]
-    if mask is not None:
-        if mask.shape != s.shape:
-            raise ShapeError(f"attention_pool: mask {mask.shape} vs contexts {x.shape}")
-        if not mask.any(axis=-1).all():
-            raise ValueError("attention_pool: a row is fully masked")
-        s = np.where(mask, s, -np.inf)
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    w = e / e.sum(axis=-1, keepdims=True)
-    pooled = (w[..., None] * x).sum(axis=-2)
+    mask = np.ones(x.shape[:-1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if x.size != int(mask.sum()) * d:
+        raise ShapeError(f"attention_pool: rows {x.shape} for {int(mask.sum())} real slots of {mask.shape}")
+    counts = mask.sum(axis=-1).reshape(-1)
+    if not counts.all():
+        raise ValueError("attention_pool: a bag is fully masked")
+    starts = np.cumsum(counts) - counts
+    rows = x.reshape(-1, d)
+    s = rows @ a.data
+    e = np.exp(s - np.repeat(np.maximum.reduceat(s, starts), counts))
+    w = e / np.repeat(np.add.reduceat(e, starts), counts)
+    pooled = np.add.reduceat(w[:, None] * rows, starts, axis=0).reshape(mask.shape[:-1] + (d,))
+    weights = np.zeros(mask.shape, dtype=w.dtype)
+    weights[mask] = w
 
     def backward_fn(g):
-        gw = (x * g[..., None, :]).sum(axis=-1)
-        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
-        if needs_grad(contexts):
-            # einsum adds each product to +0.0, so zero products are +0.0, as linear's matmul makes them
-            gx = np.einsum("...n,d->...nd", gs, a.data)
-            gx += w[..., None] * g[..., None, :]
-            accumulate(contexts, gx)
+        g_rows = np.repeat(g.reshape(-1, d), counts, axis=0)
+        gw = np.einsum("rd,rd->r", rows, g_rows)
+        gs = w * (gw - np.repeat(np.add.reduceat(gw * w, starts), counts))
         if needs_grad(a):
-            accumulate(a, np.einsum("nd,n->d", x.reshape(-1, d), gs.reshape(-1)))
+            accumulate(a, np.einsum("rd,r->d", rows, gs))
+        if needs_grad(contexts):
+            gx = np.multiply(g_rows, w[:, None], out=g_rows)
+            gx += gs[:, None] * a.data
+            accumulate(contexts, gx.reshape(x.shape))
 
-    return make_node(pooled, (contexts, a), backward_fn), Tensor(w)
+    return make_node(pooled, (contexts, a), backward_fn), Tensor(weights)
 
 
 def concat_last(parts: list[Tensor]) -> Tensor:

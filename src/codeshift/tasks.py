@@ -7,9 +7,10 @@ and classified by one fully-connected layer over method names. The
 combiner is computed factorized: W's three d-row blocks project the
 terminal and path embedding tables once per forward, and each context
 gathers and sums three projected rows, so no (B, n, 3d) concatenation is
-built. It runs on the real context slots only, as (R, d) rows that are
-then scattered into the padded (B, n, d) layout, so every PAD slot's
-feature row is zero.
+built. Everything after the embedding gathers runs on the real context
+slots only, as (R, d) rows in C order of the batch's mask: the combiner,
+dropout, attention pooling and their gradients. No padded (B, n, d)
+tensor is built.
 
 CC (code completion): a CBOW-style MLP. Context token embeddings are
 averaged (PAD slots contribute nothing and are excluded from the divisor)
@@ -140,11 +141,12 @@ class _TaskModel:
     A model holds the vocabularies its attributes `vocab_names` name, which
     `vocabs()` returns, and parameters whose output layer is `w_out`/`b_out`.
     Each forward splits at its dropout site: `features(**inputs)` computes
-    the dropout's input (CS: the combined contexts after the tanh; CC: the
-    embedding mean) from the parameters `feature_params` names, and
-    `head(features, ...)`, given the inputs `head_inputs` names, does the
-    rest. So a model whose `feature_params` hold the same arrays can run
-    `head` on features another model's forward computed. A head returns
+    the dropout's input (CS: the combined contexts after the tanh, one row
+    per real context; CC: the embedding mean, one row per sample) from the
+    parameters `feature_params` names, and `head(features, ...)`, given the
+    inputs `head_inputs` names, does the rest. `feature_rows(batch)` counts
+    a batch's feature rows. So a model whose `feature_params` hold the same
+    arrays can run `head` on features another model's forward computed. A head returns
     "logits" and "features" (CS also "weights" and "pooled"); it computes
     "probs" and "embed_mean" only when its `keys` name them. `affine_layers`
     names each (weight, bias) pair whose output neurons mutation acts on.
@@ -167,6 +169,9 @@ class _TaskModel:
 
     def n_classes(self) -> int:
         return len(self._params["b_out"].data)
+
+    def feature_rows(self, batch: "EncodedSplit") -> int:
+        return len(batch)
 
     def with_params(self, arrays: dict[str, np.ndarray]):
         """A copy whose parameters named in `arrays` hold those arrays; it shares the others with this model."""
@@ -225,17 +230,18 @@ class PathAttentionModel(_TaskModel):
             "b_out": zeros(len(labels)),
         }
 
-    def features(self, left: np.ndarray, path: np.ndarray, right: np.ndarray, mask: np.ndarray) -> nn.Tensor:
-        """The combined contexts tanh(W·[e_left; e_path; e_right] + b), (B, n, d).
+    def feature_rows(self, batch: "EncodedSplit") -> int:
+        return int(batch.lengths.sum())
 
-        left/path/right are (B, n) int ids, mask (B, n) bool, True on real contexts.
+    def features(self, left: np.ndarray, path: np.ndarray, right: np.ndarray, mask: np.ndarray) -> nn.Tensor:
+        """The combined contexts tanh(W·[e_left; e_path; e_right] + b), (R, d).
+
+        left/path/right are (B, n) int ids, mask (B, n) bool, True on real
+        contexts; the R = mask.sum() rows are the real contexts in C order.
 
         W·[e_l; e_p; e_r] = W_l·e_l + W_p·e_p + W_r·e_r, so each d-row block
         of `w_comb` projects its embedding table once, and every context
-        sums three gathered d-wide rows. Only the real slots are combined,
-        as (R, d) rows scattered into a zeroed (B, n, d): PAD slots' rows
-        are +0.0. A PAD slot's attention weight is 0, so its gradient is
-        ±0 and leaving it out of the backward's sums changes no bit.
+        sums three gathered d-wide rows.
         """
         if not mask.any(axis=-1).all():
             raise ValueError("empty context bag in batch")
@@ -246,7 +252,7 @@ class PathAttentionModel(_TaskModel):
         proj_path = nn.linear(p["path_emb"], nn.row_slice(w, d, 2 * d))
         proj_right = nn.linear(p["term_emb"], nn.row_slice(w, 2 * d, 3 * d))
         pre = nn.embedding_sum([(proj_left, left[mask]), (proj_path, path[mask]), (proj_right, right[mask])])
-        return nn.scatter_rows(nn.tanh(nn.add(pre, p["b_comb"])), mask)
+        return nn.tanh(nn.add(pre, p["b_comb"]))
 
     def head(
         self,
@@ -257,17 +263,22 @@ class PathAttentionModel(_TaskModel):
         dropout_p: float | None = None,
         keys: tuple[str, ...] = ("probs",),
     ) -> dict[str, nn.Tensor]:
-        """Everything after the combiner; PAD feature rows must be zero, as `features` makes them."""
+        """Everything after the combiner, on the (R, d) rows `features` returns.
+
+        "weights" is (B, n), +0.0 at PAD slots; it and "embed_mean", each
+        bag's mean row, are off the tape.
+        """
         p = self._params
         dropped = nn.dropout(
-            features, self.dropout_p if dropout_p is None else dropout_p, training, rng
+            features, self.dropout_p if dropout_p is None else dropout_p, training, rng, mask=mask
         )
         pooled, weights = nn.attention_pool(dropped, p["attn"], mask=mask)
         logits = nn.affine(pooled, p["w_out"], p["b_out"])
         out = {"logits": logits, "features": features, "weights": weights, "pooled": pooled}
         if "embed_mean" in keys:
-            counts = nn.Tensor((1.0 / mask.sum(axis=-1)).astype(features.data.dtype)[:, None])
-            out["embed_mean"] = nn.mul(nn.sum_axis(features, axis=-2), counts)
+            counts = mask.sum(axis=-1)
+            sums = np.add.reduceat(features.data, np.cumsum(counts) - counts, axis=0)
+            out["embed_mean"] = nn.Tensor(sums * (1.0 / counts).astype(sums.dtype)[:, None])
         if "probs" in keys:
             out["probs"] = nn.softmax(logits)
         return out
@@ -347,10 +358,12 @@ def infer(
     """Batched no-grad forward over a split; concatenates `keys`.
 
     The model's head computes "probs" and "embed_mean" only when `keys`
-    name them. The key "features" stays a list of one array per batch,
-    because CS batches differ in width. Passed back as `features` to a call over the same split and
-    `batch_size`, those arrays resume every batch at `model.head`; the
-    model must share the `feature_params` of the one that computed them.
+    name them. The key "features" stays a list of one (rows, d) array per
+    batch, views into one block: `model.feature_rows(batch)` rows, one per
+    real context for CS and one per sample for CC. Passed back as
+    `features` to a call over the same split and `batch_size`, those arrays
+    resume every batch at `model.head`; the model must share the
+    `feature_params` of the one that computed them.
     """
     starts = range(0, len(samples), batch_size)
     if features is not None and len(features) != len(starts):
@@ -362,8 +375,8 @@ def infer(
             batch = samples[start:start + batch_size]
             if features is None:
                 out = model.forward_batch(**batch.inputs, **settings)
-            elif len(features[i]) != len(batch):
-                raise ValueError(f"feature batch {i} holds {len(features[i])} rows, not {len(batch)}")
+            elif len(features[i]) != model.feature_rows(batch):
+                raise ValueError(f"feature batch {i} holds {len(features[i])} rows, not {model.feature_rows(batch)}")
             else:
                 head_inputs = {name: batch.inputs[name] for name in model.head_inputs}
                 out = model.head(nn.Tensor(features[i]), **head_inputs, **settings)
@@ -373,13 +386,13 @@ def infer(
 
 
 def _one_block(batches: list[np.ndarray]) -> list[np.ndarray]:
-    """`batches` as views into one array, when there are several of one row shape.
+    """`batches` as views into one array, when there are several.
 
     Kept for a whole `score` run, many batch-sized arrays fragment the heap:
     on the README study, CC `score`'s peak RSS rose by 2.6 MB with them and
     not with one block.
     """
-    if len(batches) < 2 or len({b.shape[1:] for b in batches}) > 1:
+    if len(batches) < 2:
         return batches
     return np.split(np.concatenate(batches), np.cumsum([len(b) for b in batches[:-1]]))
 

@@ -11,8 +11,8 @@ Every estimator is defined against the model's deterministic forward pass.
 `base_outputs` runs it once per split; the scorers read its probabilities,
 logits, predicted labels and probe taps instead of running it again. It
 also keeps each batch's features, the input of the model's dropout site
-(CS: the combined contexts after the combiner's tanh; CC: the embedding
-mean). Only the Monte-Carlo scorers run the network again. MC-Dropout's
+(CS: the combined contexts after the combiner's tanh, one row per real
+context; CC: the embedding mean, one row per sample). Only the Monte-Carlo scorers run the network again. MC-Dropout's
 stochastic passes run only the model's head on the kept features. A
 mutant resumes there too when it changed none of the model's
 `feature_params`, as CC's WS/NS/NAI mutants, which change only the output

@@ -76,9 +76,9 @@ def test_criterion_1_gradient_suite():
             _finite_diff(lambda: nn.mean(nn.linear(nn.embedding_lookup(table, ids), w2)), [table, w2]),
         )
 
-        contexts, attn = t(rng, 2, 5, 3), t(rng, 3)
         mask = np.ones((2, 5), dtype=bool)
         mask[1, 3:] = False
+        contexts, attn = t(rng, int(mask.sum()), 3), t(rng, 3)
 
         def pool_loss():
             pooled, _ = nn.attention_pool(contexts, attn, mask=mask)
@@ -86,13 +86,16 @@ def test_criterion_1_gradient_suite():
 
         worst = max(worst, _finite_diff(pool_loss, [contexts, attn]))
 
-        rows = t(rng, int(mask.sum()), 3)
+        ragged = np.arange(4) < np.array([[4], [1], [2]])  # a bag of one row
+        rows = t(rng, int(ragged.sum()), 3)
 
-        def scatter_pool_loss():
-            pooled, _ = nn.attention_pool(nn.scatter_rows(nn.tanh(rows), mask), attn, mask=mask)
-            return nn.mean(pooled)
+        def row_pool_loss():
+            # the CS head on real rows: masked dropout, then pooling
+            dropped = nn.dropout(nn.tanh(rows), 0.4, training=True, rng=np.random.default_rng(seed), mask=ragged)
+            pooled, _ = nn.attention_pool(dropped, attn, mask=ragged)
+            return nn.mean(nn.tanh(pooled))
 
-        worst = max(worst, _finite_diff(scatter_pool_loss, [rows, attn]))
+        worst = max(worst, _finite_diff(row_pool_loss, [rows, attn]))
 
         dx = t(rng, 3, 4)
 

@@ -72,10 +72,10 @@ def test_grad_softmax_cross_entropy(seed):
 def test_grad_masked_softmax(seed):
     # the masked softmax lives inside attention_pool; a fresh random mask per seed
     rng = np.random.default_rng(200 + seed)
-    contexts = t64(rng, 3, 5, 2)
-    a = t64(rng, 2)
     mask = rng.random((3, 5)) < 0.7
     mask[:, 0] = True  # keep every row alive
+    contexts = t64(rng, int(mask.sum()), 2)
+    a = t64(rng, 2)
     weights = t64(rng, 2, 2)
 
     def build():
@@ -101,32 +101,6 @@ def test_grad_row_slice(seed):
     x = t64(rng, 4, 2)
     start = int(rng.integers(0, 5))
     finite_diff_check(lambda: nn.mean(nn.tanh(nn.linear(x, nn.row_slice(w, start, start + 2)))), [w, x])
-
-
-@pytest.mark.parametrize("seed", range(N_INSTANCES))
-def test_grad_scatter_rows(seed):
-    rng = np.random.default_rng(1100 + seed)
-    mask = rng.random((3, 5)) < 0.6
-    mask[:, 0] = True  # every row keeps a real slot, as CS context bags do
-    x = t64(rng, int(mask.sum()), 2)
-    weights = nn.Tensor(rng.standard_normal((3, 5, 2)), dtype=np.float64)
-    # tanh after the scatter gives the PAD slots a nonzero slope: their gradient must still stay out of x
-    finite_diff_check(lambda: nn.mean(nn.mul(nn.tanh(nn.scatter_rows(x, mask)), weights)), [x])
-
-
-def test_scatter_rows_places_rows_over_zeros():
-    mask = np.array([[True, False, True], [False, False, True]])
-    x = nn.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True, dtype=np.float32)
-    out = nn.scatter_rows(x, mask)
-    assert out.data.dtype == np.float32 and out.data.shape == (2, 3, 2)
-    assert np.array_equal(out.data[mask], x.data)
-    assert (out.data[~mask] == 0.0).all() and not np.signbit(out.data[~mask]).any()
-    g = np.arange(12.0, dtype=np.float32).reshape(2, 3, 2) - 5.0
-    nn.backward(out, seed=g)
-    assert np.array_equal(x.grad, g[mask])
-    for bad in (np.ones((2, 3), dtype=bool), np.zeros((3, 2), dtype=bool)):
-        with pytest.raises(nn.ShapeError):
-            nn.scatter_rows(x, bad)
 
 
 @pytest.mark.parametrize("seed", range(N_INSTANCES))
@@ -218,10 +192,10 @@ def test_embedding_backward_on_either_side_of_the_int16_sort(vocab):
 @pytest.mark.parametrize("seed", range(N_INSTANCES))
 def test_grad_attention_pool(seed):
     rng = np.random.default_rng(400 + seed)
-    contexts = t64(rng, 2, 6, 4)
-    a = t64(rng, 4)
     mask = np.ones((2, 6), dtype=bool)
     mask[0, 4:] = False
+    contexts = t64(rng, int(mask.sum()), 4)
+    a = t64(rng, 4)
 
     def build():
         pooled, _ = nn.attention_pool(contexts, a, mask=mask)
@@ -254,6 +228,43 @@ def test_grad_elementwise_and_reductions(seed):
         return nn.mean(nn.sum_axis(s, axis=0))
 
     finite_diff_check(build, [a, b, c])
+
+
+def ragged_mask(rng, max_bags=4, max_width=6):
+    """A random (bags, width) mask of left-aligned real slots; one bag holds a single slot."""
+    lengths = rng.integers(1, max_width + 1, size=int(rng.integers(1, max_bags + 1)))
+    lengths[rng.integers(0, len(lengths))] = 1
+    return np.arange(lengths.max()) < lengths[:, None]
+
+
+@pytest.mark.parametrize("seed", range(N_INSTANCES))
+def test_grad_attention_pool_over_ragged_bags(seed):
+    rng = np.random.default_rng(1100 + seed)
+    mask = ragged_mask(rng)
+    contexts = t64(rng, int(mask.sum()), 3)
+    a = t64(rng, 3)
+    head = t64(rng, 3, 2)  # a fixed random cotangent, so no gradient cancels by symmetry
+
+    def build():
+        pooled, _ = nn.attention_pool(nn.tanh(contexts), a, mask=mask)
+        return nn.mean(nn.tanh(nn.linear(pooled, head)))
+
+    finite_diff_check(build, [contexts, a, head])
+
+
+@pytest.mark.parametrize("seed", range(N_INSTANCES))
+def test_grad_masked_dropout(seed):
+    rng = np.random.default_rng(1200 + seed)
+    mask = ragged_mask(rng)
+    x = t64(rng, int(mask.sum()), 3)
+    a = t64(rng, 3)
+
+    def build():
+        drop_rng = np.random.default_rng(seed)  # same factors on every re-evaluation
+        pooled, _ = nn.attention_pool(nn.dropout(x, 0.4, training=True, rng=drop_rng, mask=mask), a, mask=mask)
+        return nn.mean(nn.tanh(pooled))
+
+    finite_diff_check(build, [x, a])
 
 
 @pytest.mark.parametrize("seed", range(N_INSTANCES))
@@ -292,8 +303,8 @@ def test_grad_full_attention_classifier():
         proj_path = nn.linear(path_emb, nn.row_slice(w_comb, d, 2 * d))
         proj_right = nn.linear(term_emb, nn.row_slice(w_comb, 2 * d, 3 * d))
         pre = nn.embedding_sum([(proj_left, left[mask]), (proj_path, path[mask]), (proj_right, right[mask])])
-        combined = nn.scatter_rows(nn.tanh(nn.add(pre, b_comb)), mask)
-        dropped = nn.dropout(combined, 0.3, training=True, rng=np.random.default_rng(5))
+        combined = nn.tanh(nn.add(pre, b_comb))
+        dropped = nn.dropout(combined, 0.3, training=True, rng=np.random.default_rng(5), mask=mask)
         pooled, _ = nn.attention_pool(dropped, attn, mask=mask)
         probs = nn.softmax(nn.affine(pooled, w_out, b_out))
         return nn.mean(nn.cross_entropy(probs, labels))
@@ -430,18 +441,22 @@ def test_attention_pool_single_row():
 
 
 def pool_batch(dtype, shape=(75, 198, 48), seed=12):
-    """A seeded masked attention batch at the CS training shape: contexts, a, mask, cotangent."""
+    """A seeded masked attention batch at the CS training shape: padded contexts, a, mask, cotangent.
+
+    PAD rows are zero; `contexts[mask]` are the real rows the CS head pools.
+    """
     rng = np.random.default_rng(seed)
     B, n, d = shape
     mask = np.arange(n) < rng.integers(1, n + 1, size=(B, 1))
     contexts = rng.standard_normal(shape).astype(dtype)
-    contexts[~mask] = 0.0  # PAD rows are zero, as the CS combiner makes them
+    contexts[~mask] = 0.0
     return contexts, rng.standard_normal(d).astype(dtype), mask, rng.standard_normal((B, d)).astype(dtype)
 
 
 def composed_attention_pool(x, a, mask, g):
-    """Attention pooling composed of a linear map, two reshapes, a masked softmax and a
-    weighted sum, each with its own backward, in numpy: pooled, weights, contexts grad, a grad."""
+    """Attention pooling over the padded layout, composed of a linear map, two reshapes, a masked
+    softmax and a weighted sum, each with its own backward, in numpy: pooled, weights, contexts grad
+    (padded), a grad."""
     d = x.shape[-1]
     s = (x @ a.reshape(d, 1)).reshape(x.shape[:-1])
     z = np.where(mask, s, -np.inf)
@@ -457,25 +472,49 @@ def composed_attention_pool(x, a, mask, g):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_attention_pool_matches_the_composed_ops_bitwise(dtype):
+    # the row layout sums in another order than the padded ops, so values agree to rounding;
+    # the PAD weights stay exactly +0.0
     x, a, mask, g = pool_batch(dtype)
-    contexts, at = nn.Tensor(x, requires_grad=True), nn.Tensor(a, requires_grad=True)
+    contexts, at = nn.Tensor(x[mask], requires_grad=True), nn.Tensor(a, requires_grad=True)
     pooled, weights = nn.attention_pool(contexts, at, mask=mask)
     assert weights._parents == ()  # the weights are off the tape
     nn.backward(pooled, seed=g)
     ref_pooled, ref_w, ref_gx, ref_ga = composed_attention_pool(x, a, mask, g)
-    assert_bitwise(pooled.data, ref_pooled)
-    assert_bitwise(weights.data, ref_w)
-    assert_bitwise(contexts.grad, ref_gx)
-    # only the gradient of a is summed in another order
-    assert a.dtype == at.grad.dtype and np.allclose(at.grad, ref_ga, rtol=1e-4 if dtype == np.float32 else 1e-10)
+    tolerance = 1e-12 if dtype == np.float64 else 1e-5
+    for actual, expected in ((pooled.data, ref_pooled), (weights.data, ref_w), (contexts.grad, ref_gx[mask])):
+        assert actual.dtype == expected.dtype == dtype and actual.shape == expected.shape
+        np.testing.assert_allclose(actual, expected, rtol=tolerance, atol=tolerance * np.abs(expected).max())
+    assert at.grad.dtype == dtype and np.allclose(at.grad, ref_ga, rtol=1e-4 if dtype == np.float32 else 1e-10)
     assert (weights.data[~mask] == 0.0).all() and not np.signbit(weights.data[~mask]).any()
     assert (weights.data[mask] > 0.0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 7), min_size=1, max_size=6),
+    d=st.integers(1, 5),
+    scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attention_pool_equals_the_padded_reference(lengths, d, scale, seed):
+    rng = np.random.default_rng(seed)
+    lengths = np.array(lengths)
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    mask = rng.permuted(mask, axis=-1)  # real slots anywhere in their bag, not only at its front
+    x = np.zeros(mask.shape + (d,))
+    x[mask] = rng.standard_normal((int(mask.sum()), d)) * scale
+    a, g = rng.standard_normal(d), rng.standard_normal((len(mask), d))
+    pooled, weights = nn.attention_pool(nn.Tensor(x[mask], dtype=np.float64), nn.Tensor(a, dtype=np.float64), mask=mask)
+    ref_pooled, ref_w, _, _ = composed_attention_pool(x, a, mask, g)
+    np.testing.assert_allclose(pooled.data, ref_pooled, rtol=1e-10, atol=1e-10 * scale)
+    np.testing.assert_allclose(weights.data, ref_w, rtol=1e-10, atol=1e-10)
+    assert (weights.data[~mask] == 0.0).all() and not np.signbit(weights.data[~mask]).any()
 
 
 def test_attention_pool_rejects_a_fully_masked_row():
     mask = np.array([[True, False], [False, False]])
     with pytest.raises(ValueError, match="fully masked"):
-        nn.attention_pool(nn.Tensor(np.ones((2, 2, 3))), nn.Tensor(np.ones(3)), mask=mask)
+        nn.attention_pool(nn.Tensor(np.ones((1, 3))), nn.Tensor(np.ones(3)), mask=mask)
 
 
 def test_attention_pool_gradient_bytes_do_not_depend_on_the_blas_thread_count():
@@ -487,9 +526,11 @@ def test_attention_pool_gradient_bytes_do_not_depend_on_the_blas_thread_count():
         "from codeshift import nn\n"
         "from test_nn import pool_batch\n"
         "x, a, mask, g = pool_batch(np.float32)\n"
-        "contexts, at = nn.Tensor(x, requires_grad=True), nn.Tensor(a, requires_grad=True)\n"
-        "nn.backward(nn.attention_pool(contexts, at, mask=mask)[0], seed=g)\n"
-        "print(hashlib.sha256(at.grad.tobytes()).hexdigest(), hashlib.sha256(contexts.grad.tobytes()).hexdigest())\n"
+        "contexts, at = nn.Tensor(x[mask], requires_grad=True), nn.Tensor(a, requires_grad=True)\n"
+        "pooled, weights = nn.attention_pool(contexts, at, mask=mask)\n"
+        "nn.backward(pooled, seed=g)\n"
+        "for out in (pooled.data, weights.data, at.grad, contexts.grad):\n"
+        "    print(hashlib.sha256(out.tobytes()).hexdigest())\n"
     )
     digests = {
         threads: subprocess.run(
@@ -498,7 +539,7 @@ def test_attention_pool_gradient_bytes_do_not_depend_on_the_blas_thread_count():
         ).stdout.split()
         for threads in ("1", "2")
     }
-    assert len(digests["1"]) == 2 and digests["1"] == digests["2"]
+    assert len(digests["1"]) == 4 and digests["1"] == digests["2"]
 
 
 def test_dropout_identities():
@@ -510,6 +551,23 @@ def test_dropout_identities():
         nn.dropout(x, 1.0, training=True, rng=rng)
     with pytest.raises(ValueError):
         nn.dropout(x, -0.1, training=True, rng=rng)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_dropout_keeps_the_padded_draws_factors_bitwise(dtype):
+    x, _, mask, _ = pool_batch(dtype, shape=(9, 13, 5), seed=3)
+    padded_rng, rows_rng = np.random.default_rng(8), np.random.default_rng(8)
+    padded = nn.Tensor(x, requires_grad=True)
+    rows = nn.Tensor(x[mask], requires_grad=True)
+    for _ in range(2):  # successive draws keep one stream
+        nn.zero_grads([padded, rows])
+        padded_out = nn.dropout(padded, 0.5, training=True, rng=padded_rng)
+        rows_out = nn.dropout(rows, 0.5, training=True, rng=rows_rng, mask=mask)
+        assert_bitwise(rows_out.data, padded_out.data[mask])
+        nn.backward(padded_out, seed=np.ones_like(x))
+        nn.backward(rows_out, seed=np.ones_like(x[mask]))
+        assert_bitwise(rows.grad, padded.grad[mask])  # the keep factors themselves
+        assert padded_rng.bit_generator.state == rows_rng.bit_generator.state
 
 
 def test_dropout_scaling_preserves_mean():
@@ -538,6 +596,8 @@ def test_shape_mismatch_errors():
         nn.attention_pool(nn.Tensor(np.ones((2, 4, 5))), nn.Tensor(np.ones(4)))
     with pytest.raises(nn.ShapeError):
         nn.attention_pool(nn.Tensor(np.ones((2, 4, 5))), nn.Tensor(np.ones(5)), mask=np.ones((2, 5), dtype=bool))
+    with pytest.raises(nn.ShapeError):
+        nn.dropout(nn.Tensor(np.ones((7, 5))), 0.5, True, np.random.default_rng(0), mask=np.ones((2, 4), dtype=bool))
 
 
 def test_no_grad_skips_tape():

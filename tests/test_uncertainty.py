@@ -392,6 +392,32 @@ def test_resumed_mc_dropout_pass_matches_full_forward_bitwise(request, setup):
         assert np.array_equal(full["probs"], resumed["probs"])
 
 
+def test_cs_passes_resumed_from_row_features_match_the_full_forward_bitwise(cs_setup):
+    model, encoded = cs_setup
+    features = tasks.infer(model, encoded, batch_size=RESUME_BATCH, keys=("features",))["features"]
+    batches = [encoded[start:start + RESUME_BATCH] for start in range(0, len(encoded), RESUME_BATCH)]
+    # one d-wide row per real context: no PAD rows are kept
+    assert [f.shape for f in features] == [(int(b.inputs["mask"].sum()), model.dim) for b in batches]
+    assert any(not b.inputs["mask"].all() for b in batches)
+    rng = np.random.default_rng(9)
+    head_mutant = model.with_params(
+        {name: model.params()[name].data + rng.normal(0.0, 0.1, model.params()[name].data.shape).astype(np.float32)
+         for name in ("attn", "w_out")}
+    )
+    for m in (model, head_mutant):
+        full_rng, resumed_rng = np.random.default_rng(23), np.random.default_rng(23)
+        for _ in range(2):  # an MC-Dropout pass, then the next from the same stream
+            settings = {"batch_size": RESUME_BATCH, "keys": ("probs", "logits"), "training": True, "dropout_p": 0.5}
+            full = tasks.infer(m, encoded, rng=full_rng, **settings)
+            resumed = tasks.infer(m, encoded, rng=resumed_rng, features=features, **settings)
+            assert np.array_equal(full["probs"], resumed["probs"])
+            assert np.array_equal(full["logits"], resumed["logits"])
+            assert full_rng.bit_generator.state == resumed_rng.bit_generator.state
+        logits = tasks.infer(m, encoded, batch_size=RESUME_BATCH, keys=("logits",))["logits"]
+        resumed = tasks.infer(m, encoded, batch_size=RESUME_BATCH, keys=("logits",), features=features)["logits"]
+        assert np.array_equal(logits, resumed)
+
+
 @pytest.mark.parametrize("setup", ["cc_setup", "cs_setup"])
 def test_scorers_resumed_from_base_features_match_full_forward(request, setup):
     model, encoded = setup_of(request, setup)
