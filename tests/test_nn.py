@@ -253,6 +253,28 @@ def test_grad_attention_pool_over_ragged_bags(seed):
 
 
 @pytest.mark.parametrize("seed", range(N_INSTANCES))
+def test_grad_scatter_rows(seed):
+    # pooling the real rows must give the gradient of their scatter over zeros into the padded
+    # layout, gathered back at the mask; tanh after the scatter gives the PAD slots a nonzero
+    # slope, and their gradient must still be zero, since the rows never see it
+    rng = np.random.default_rng(1100 + seed)
+    mask = rng.random((3, 5)) < 0.6
+    mask[:, 0] = True  # every bag keeps a real slot, as CS context bags do
+    rows, a, g = rng.standard_normal((int(mask.sum()), 2)), rng.standard_normal(2), rng.standard_normal((3, 2))
+    x, at = nn.Tensor(rows, requires_grad=True, dtype=np.float64), nn.Tensor(a, requires_grad=True, dtype=np.float64)
+    pooled, _ = nn.attention_pool(nn.tanh(x), at, mask=mask)
+    nn.backward(pooled, seed=g)
+    padded = np.zeros(mask.shape + (2,))
+    padded[mask] = rows
+    squashed = np.tanh(padded)
+    _, _, ref_gx, ref_ga = composed_attention_pool(squashed, a, mask, g)
+    ref_gx *= 1.0 - squashed**2
+    assert (ref_gx[~mask] == 0.0).all()
+    np.testing.assert_allclose(x.grad, ref_gx[mask], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(at.grad, ref_ga, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(N_INSTANCES))
 def test_grad_masked_dropout(seed):
     rng = np.random.default_rng(1200 + seed)
     mask = ragged_mask(rng)
