@@ -33,7 +33,7 @@ print(f"  final train accuracy {result.history[-1]['train_acc']:.1f}%")  # measu
 
 out = tasks.infer(result.model, cs_encoded[:1], keys=("probs", "weights"))
 predicted = labels.decode(int(out["probs"][0].argmax()))
-print(f"  sample 0 predicted {predicted!r}, attention weights sum to {out['weights'][0].sum():.4f}")
+print(f"  sample 0 predicted {predicted!r}, attention weights sum to {out['weights'].sum():.4f}")
 
 # round-trip through the binary checkpoint container
 blob = tasks.save_checkpoint(result.model, train_config=dataclasses.asdict(config))

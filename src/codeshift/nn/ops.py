@@ -10,7 +10,8 @@ last axis unless stated otherwise.
 Bags of variable size (CS context bags) travel as the d-wide rows of their
 real slots, in C order of a boolean `mask` whose last axis spans a bag:
 `dropout` and `attention_pool` take that mask, and no op builds the padded
-layout.
+layout. The model derives the mask from its split's row lengths; splits
+store no mask and no padding.
 """
 
 from __future__ import annotations

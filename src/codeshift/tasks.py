@@ -7,10 +7,9 @@ and classified by one fully-connected layer over method names. The
 combiner is computed factorized: W's three d-row blocks project the
 terminal and path embedding tables once per forward, and each context
 gathers and sums three projected rows, so no (B, n, 3d) concatenation is
-built. Everything after the embedding gathers runs on the real context
-slots only, as (R, d) rows in C order of the batch's mask: the combiner,
-dropout, attention pooling and their gradients. No padded (B, n, d)
-tensor is built.
+built. Everything after the embedding gathers runs on the real contexts
+only, as (R, d) rows in the order of the batch's flat id columns: the
+combiner, dropout, attention pooling and their gradients.
 
 CC (code completion): a CBOW-style MLP. Context token embeddings are
 averaged (PAD slots contribute nothing and are excluded from the divisor)
@@ -18,7 +17,9 @@ and classified by one fully-connected layer over the token vocabulary.
 
 Each model carries its task: the vocabularies it was built over, which
 `encode_split` encodes every split against and checkpoints store, and its
-parameters. `MODELS` maps each task kind to its model class.
+parameters. `MODELS` maps each task kind to its model class. A split is
+encoded once into one ragged layout (`EncodedSplit`): flat id columns plus
+row lengths, with PAD stored only inside CC's fixed-width windows.
 
 Both train with Adam on mean cross-entropy over seeded, shuffled batches.
 Accuracy is exact-match argmax, reported as a percentage; samples whose
@@ -29,6 +30,7 @@ since the model can never legitimately produce UNK (`is_correct`).
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -54,12 +56,12 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class EncodedSplit:
-    """One split's model inputs as padded id columns, one row per sample.
+    """One split's model inputs in one ragged layout, one row per sample.
 
-    `inputs` holds the keyword arguments of the model's `forward_batch`,
-    each of shape (N, W) and right-padded with PAD_ID: CS `left`/`path`/
-    `right` ids plus the bool `mask` (True on real contexts), CC `context`
-    ids. `lengths` counts each row's real slots.
+    `inputs` holds one flat int64 id column per model input, the rows
+    concatenated; `lengths` counts each row's ids. CS has `left`/`path`/
+    `right`, one id per real context; CC has `context`, one 2w-wide window
+    per row, PAD at a file's edges.
     """
 
     sample_ids: np.ndarray  # str
@@ -70,35 +72,36 @@ class EncodedSplit:
     def __len__(self) -> int:
         return len(self.labels)
 
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:  # (N + 1,): each row's start in the id columns, then their length
+        return np.concatenate([[0], np.cumsum(self.lengths)])
+
     def __getitem__(self, rows) -> "EncodedSplit":
-        """The sub-split at `rows` (a slice or an index array), trimmed to its longest real row."""
+        """The sub-split at `rows`: a slice, whose id columns are views, or an index array."""
         lengths = self.lengths[rows]
-        width = int(lengths.max(initial=0))
-        return EncodedSplit(
-            sample_ids=self.sample_ids[rows],
-            labels=self.labels[rows],
-            inputs={name: ids[rows, :width] for name, ids in self.inputs.items()},
-            lengths=lengths,
-        )
+        if isinstance(rows, slice) and rows.step in (None, 1):
+            start = self.offsets[rows.indices(len(self))[0]]
+            at = slice(start, start + lengths.sum())
+        else:  # each picked row's ids: its old start, then counting up
+            shift = self.offsets[:-1][rows] - (np.cumsum(lengths) - lengths)
+            at = np.repeat(shift, lengths) + np.arange(lengths.sum())
+        inputs = {name: ids[at] for name, ids in self.inputs.items()}
+        return EncodedSplit(self.sample_ids[rows], self.labels[rows], inputs, lengths)
 
 
-def pack(sample_ids, labels, rows: dict[str, Sequence], masked: bool = False) -> EncodedSplit:
-    """Pad per-sample id rows into one EncodedSplit.
+def pack(sample_ids, labels, rows: dict[str, Sequence]) -> EncodedSplit:
+    """Concatenate per-sample id rows into one EncodedSplit.
 
     `rows` maps each input name to one id sequence per sample, and a
-    sample's sequences all have the same length. `masked` adds the `mask`
-    input the path-attention model pools with.
+    sample's sequences all have the same length.
     """
     sizes = {name: np.fromiter(map(len, column), dtype=np.int64, count=len(column)) for name, column in rows.items()}
     lengths = next(iter(sizes.values()))
-    real = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    inputs = {"mask": real} if masked else {}
+    inputs = {}
     for name, column in rows.items():
         if not np.array_equal(sizes[name], lengths):
             raise ValueError(f"input {name!r} rows differ in length from the first input's")
-        padded = np.full(real.shape, PAD_ID, dtype=np.int64)
-        padded[real] = np.fromiter(itertools.chain.from_iterable(column), dtype=np.int64, count=int(lengths.sum()))
-        inputs[name] = padded
+        inputs[name] = np.fromiter(itertools.chain.from_iterable(column), dtype=np.int64, count=int(lengths.sum()))
     return EncodedSplit(np.array(sample_ids, dtype=str), np.asarray(labels, dtype=np.int64), inputs, lengths)
 
 
@@ -126,7 +129,6 @@ def encode_split(samples: list, vocabs: dict[str, Vocabulary], id_prefix: str = 
             "path": [paths.encode_all(c.path for c in s.contexts) for _, s in kept],
             "right": [terminals.encode_all(c.right for c in s.contexts) for _, s in kept],
         },
-        masked=True,
     )
 
 
@@ -140,14 +142,15 @@ class _TaskModel:
 
     A model holds the vocabularies its attributes `vocab_names` name, which
     `vocabs()` returns, and parameters whose output layer is `w_out`/`b_out`.
-    Each forward splits at its dropout site: `features(**inputs)` computes
-    the dropout's input (CS: the combined contexts after the tanh, one row
-    per real context; CC: the embedding mean, one row per sample) from the
-    parameters `feature_params` names, and `head(features, ...)`, given the
-    inputs `head_inputs` names, does the rest. `feature_rows(batch)` counts
-    a batch's feature rows. So a model whose `feature_params` hold the same
-    arrays can run `head` on features another model's forward computed. A head returns
-    "logits" and "features" (CS also "weights" and "pooled"); it computes
+    Each forward of an EncodedSplit batch splits at its dropout site:
+    `features(batch)` computes the dropout's input (CS: the combined
+    contexts after the tanh, one row per real context; CC: the embedding
+    mean, one row per sample) from the parameters `feature_params` names,
+    and `head(features, batch, ...)` does the rest. `feature_rows(batch)`
+    counts a batch's feature rows. So a model whose `feature_params` hold
+    the same arrays can run `head` on features another model's forward
+    computed. A head returns "logits" and "features" (CS also "weights",
+    one attention weight per real context, and "pooled"); it computes
     "probs" and "embed_mean" only when its `keys` name them. `affine_layers`
     names each (weight, bias) pair whose output neurons mutation acts on.
     """
@@ -156,7 +159,6 @@ class _TaskModel:
     vocab_names: tuple[str, ...]
     probe_layers: tuple[str, ...]  # Dissector's taps, shallow to deep
     feature_params: tuple[str, ...]
-    head_inputs: tuple[str, ...]
     affine_layers: tuple[tuple[str, str], ...]
     _params: dict[str, nn.Tensor]
     replaced: frozenset[str] = frozenset()  # parameters `with_params` swapped in since build or load
@@ -182,17 +184,14 @@ class _TaskModel:
 
     def forward_batch(
         self,
+        batch: EncodedSplit,
         training: bool = False,
         rng: np.random.Generator | None = None,
         dropout_p: float | None = None,
         keys: tuple[str, ...] = ("probs",),
-        **inputs: np.ndarray,
     ) -> dict[str, nn.Tensor]:
-        """`head` on `features(**inputs)`, where `inputs` are an EncodedSplit's."""
-        head_inputs = {name: inputs[name] for name in self.head_inputs}
-        return self.head(
-            self.features(**inputs), **head_inputs, training=training, rng=rng, dropout_p=dropout_p, keys=keys
-        )
+        """`head` on `features(batch)`."""
+        return self.head(self.features(batch), batch, training=training, rng=rng, dropout_p=dropout_p, keys=keys)
 
 
 class PathAttentionModel(_TaskModel):
@@ -200,7 +199,6 @@ class PathAttentionModel(_TaskModel):
     vocab_names = ("terminals", "paths", "labels")
     probe_layers = ("embed_mean", "pooled")
     feature_params = ("term_emb", "path_emb", "w_comb", "b_comb")
-    head_inputs = ("mask",)
     affine_layers = (("w_comb", "b_comb"), ("w_out", "b_out"))
 
     def __init__(
@@ -230,20 +228,20 @@ class PathAttentionModel(_TaskModel):
             "b_out": zeros(len(labels)),
         }
 
-    def feature_rows(self, batch: "EncodedSplit") -> int:
+    def feature_rows(self, batch: EncodedSplit) -> int:
         return int(batch.lengths.sum())
 
-    def features(self, left: np.ndarray, path: np.ndarray, right: np.ndarray, mask: np.ndarray) -> nn.Tensor:
+    def features(self, batch: EncodedSplit) -> nn.Tensor:
         """The combined contexts tanh(W·[e_left; e_path; e_right] + b), (R, d).
 
-        left/path/right are (B, n) int ids, mask (B, n) bool, True on real
-        contexts; the R = mask.sum() rows are the real contexts in C order.
+        The R rows are the batch's contexts in the order of its flat
+        left/path/right id columns.
 
         W·[e_l; e_p; e_r] = W_l·e_l + W_p·e_p + W_r·e_r, so each d-row block
         of `w_comb` projects its embedding table once, and every context
         sums three gathered d-wide rows.
         """
-        if not mask.any(axis=-1).all():
+        if not batch.lengths.all():
             raise ValueError("empty context bag in batch")
         p = self._params
         d = self.dim
@@ -251,13 +249,14 @@ class PathAttentionModel(_TaskModel):
         proj_left = nn.linear(p["term_emb"], nn.row_slice(w, 0, d))
         proj_path = nn.linear(p["path_emb"], nn.row_slice(w, d, 2 * d))
         proj_right = nn.linear(p["term_emb"], nn.row_slice(w, 2 * d, 3 * d))
-        pre = nn.embedding_sum([(proj_left, left[mask]), (proj_path, path[mask]), (proj_right, right[mask])])
+        ids = batch.inputs
+        pre = nn.embedding_sum([(proj_left, ids["left"]), (proj_path, ids["path"]), (proj_right, ids["right"])])
         return nn.tanh(nn.add(pre, p["b_comb"]))
 
     def head(
         self,
         features: nn.Tensor,
-        mask: np.ndarray,
+        batch: EncodedSplit,
         training: bool = False,
         rng: np.random.Generator | None = None,
         dropout_p: float | None = None,
@@ -265,20 +264,22 @@ class PathAttentionModel(_TaskModel):
     ) -> dict[str, nn.Tensor]:
         """Everything after the combiner, on the (R, d) rows `features` returns.
 
-        "weights" is (B, n), +0.0 at PAD slots; it and "embed_mean", each
-        bag's mean row, are off the tape.
+        Dropout and pooling take the bag mask, (B, max length), derived from
+        the batch's lengths. "weights", one attention weight per context
+        (R,), and "embed_mean", each bag's mean row, are off the tape.
         """
         p = self._params
+        lengths = batch.lengths
+        mask = np.arange(lengths.max()) < lengths[:, None]
         dropped = nn.dropout(
             features, self.dropout_p if dropout_p is None else dropout_p, training, rng, mask=mask
         )
         pooled, weights = nn.attention_pool(dropped, p["attn"], mask=mask)
         logits = nn.affine(pooled, p["w_out"], p["b_out"])
-        out = {"logits": logits, "features": features, "weights": weights, "pooled": pooled}
+        out = {"logits": logits, "features": features, "weights": nn.Tensor(weights.data[mask]), "pooled": pooled}
         if "embed_mean" in keys:
-            counts = mask.sum(axis=-1)
-            sums = np.add.reduceat(features.data, np.cumsum(counts) - counts, axis=0)
-            out["embed_mean"] = nn.Tensor(sums * (1.0 / counts).astype(sums.dtype)[:, None])
+            sums = np.add.reduceat(features.data, np.cumsum(lengths) - lengths, axis=0)
+            out["embed_mean"] = nn.Tensor(sums * (1.0 / lengths).astype(sums.dtype)[:, None])
         if "probs" in keys:
             out["probs"] = nn.softmax(logits)
         return out
@@ -289,7 +290,6 @@ class MlpCompletionModel(_TaskModel):
     vocab_names = ("tokens",)
     probe_layers = ("embed_mean",)
     feature_params = ("token_emb",)
-    head_inputs = ()
     affine_layers = (("w_out", "b_out"),)
 
     def __init__(self, tokens: Vocabulary, dim: int = 100, seed: int = 0, dtype=np.float32):
@@ -303,9 +303,12 @@ class MlpCompletionModel(_TaskModel):
             "b_out": nn.Tensor(np.zeros(len(tokens)), requires_grad=True, dtype=dtype),
         }
 
-    def features(self, context: np.ndarray) -> nn.Tensor:
-        """The mean of the real context slots' embeddings, (B, d); context is (B, 2w) int ids."""
+    def features(self, batch: EncodedSplit) -> nn.Tensor:
+        """The mean of the real context slots' embeddings, (B, d), over the batch's (B, 2w) window ids."""
         p = self._params
+        if (batch.lengths != batch.lengths[0]).any():
+            raise ValueError("context windows differ in width within the batch")
+        context = batch.inputs["context"].reshape(len(batch), -1)
         real = context != PAD_ID
         counts = real.sum(axis=-1)
         if not counts.all():
@@ -318,6 +321,7 @@ class MlpCompletionModel(_TaskModel):
     def head(
         self,
         features: nn.Tensor,
+        batch: EncodedSplit,
         training: bool = False,
         rng: np.random.Generator | None = None,
         dropout_p: float | None = None,
@@ -353,48 +357,34 @@ def infer(
     training: bool = False,
     rng: np.random.Generator | None = None,
     dropout_p: float | None = None,
-    features: list[np.ndarray] | None = None,
+    features: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
-    """Batched no-grad forward over a split; concatenates `keys`.
+    """Batched no-grad forward over a split; concatenates `keys` over its batches.
 
     The model's head computes "probs" and "embed_mean" only when `keys`
-    name them. The key "features" stays a list of one (rows, d) array per
-    batch, views into one block: `model.feature_rows(batch)` rows, one per
-    real context for CS and one per sample for CC. Passed back as
-    `features` to a call over the same split and `batch_size`, those arrays
-    resume every batch at `model.head`; the model must share the
-    `feature_params` of the one that computed them.
+    name them. "features" is one (rows, d) array for the split,
+    `model.feature_rows(samples)` rows: one per real context for CS, one
+    per sample for CC. Passed back as `features` to a call over the same
+    split, at any `batch_size`, it resumes every batch at `model.head`; the
+    model must share the `feature_params` of the one that computed it.
     """
-    starts = range(0, len(samples), batch_size)
-    if features is not None and len(features) != len(starts):
-        raise ValueError(f"{len(features)} feature batches for a split of {len(starts)} batches")
+    if features is not None and len(features) != model.feature_rows(samples):
+        raise ValueError(f"features hold {len(features)} rows, but the split has {model.feature_rows(samples)}")
     chunks: dict[str, list[np.ndarray]] = {k: [] for k in keys}
     settings = {"training": training, "rng": rng, "dropout_p": dropout_p, "keys": keys}
+    row = 0
     with nn.no_grad():
-        for i, start in enumerate(starts):
+        for start in range(0, len(samples), batch_size):
             batch = samples[start:start + batch_size]
             if features is None:
-                out = model.forward_batch(**batch.inputs, **settings)
-            elif len(features[i]) != model.feature_rows(batch):
-                raise ValueError(f"feature batch {i} holds {len(features[i])} rows, not {model.feature_rows(batch)}")
+                out = model.forward_batch(batch, **settings)
             else:
-                head_inputs = {name: batch.inputs[name] for name in model.head_inputs}
-                out = model.head(nn.Tensor(features[i]), **head_inputs, **settings)
+                rows = model.feature_rows(batch)
+                out = model.head(nn.Tensor(features[row:row + rows]), batch, **settings)
+                row += rows
             for k in keys:
                 chunks[k].append(out[k].data)
-    return {k: _one_block(v) if k == "features" else np.concatenate(v, axis=0) for k, v in chunks.items()}
-
-
-def _one_block(batches: list[np.ndarray]) -> list[np.ndarray]:
-    """`batches` as views into one array, when there are several.
-
-    Kept for a whole `score` run, many batch-sized arrays fragment the heap:
-    on the README study, CC `score`'s peak RSS rose by 2.6 MB with them and
-    not with one block.
-    """
-    if len(batches) < 2:
-        return batches
-    return np.split(np.concatenate(batches), np.cumsum([len(b) for b in batches[:-1]]))
+    return {k: np.concatenate(v, axis=0) for k, v in chunks.items()}
 
 
 def predicted_labels(logits: np.ndarray) -> np.ndarray:
@@ -464,7 +454,7 @@ def _train_loop(
         for start in range(0, len(samples), config.batch_size):
             batch = samples[order[start:start + config.batch_size]]
             nn.zero_grads(params.values())
-            out = model.forward_batch(**batch.inputs, training=True, rng=drop_rng, keys=("probs",))
+            out = model.forward_batch(batch, training=True, rng=drop_rng, keys=("probs",))
             loss = nn.mean(nn.cross_entropy(out["probs"], batch.labels))
             nn.backward(loss)
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}

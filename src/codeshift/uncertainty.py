@@ -10,14 +10,15 @@ best-scoring variant per metric.
 Every estimator is defined against the model's deterministic forward pass.
 `base_outputs` runs it once per split; the scorers read its probabilities,
 logits, predicted labels and probe taps instead of running it again. It
-also keeps each batch's features, the input of the model's dropout site
-(CS: the combined contexts after the combiner's tanh, one row per real
-context; CC: the embedding mean, one row per sample). Only the Monte-Carlo scorers run the network again. MC-Dropout's
-stochastic passes run only the model's head on the kept features. A
-mutant resumes there too when it changed none of the model's
-`feature_params`, as CC's WS/NS/NAI mutants, which change only the output
-layer. GF mutants, which perturb every array, and CS's WS/NS/NAI mutants,
-whose changes reach the combiner's `w_comb`/`b_comb`, run it in full.
+also keeps the split's features, one array of the input of the model's
+dropout site (CS: the combined contexts after the combiner's tanh, one row
+per real context; CC: the embedding mean, one row per sample). Only the
+Monte-Carlo scorers run the network again. MC-Dropout's stochastic passes
+run only the model's head on the kept features. A mutant resumes there too
+when it changed none of the model's `feature_params`, as CC's WS/NS/NAI
+mutants, which change only the output layer. GF mutants, which perturb
+every array, and CS's WS/NS/NAI mutants, whose changes reach the combiner's
+`w_comb`/`b_comb`, run it in full.
 
 - vanilla: max softmax probability.
 - temp_scale: max softmax(logits / T), T fitted on validation NLL by Newton's
@@ -80,7 +81,7 @@ class ScoreTable:
 
 def base_outputs(model, samples) -> dict[str, np.ndarray]:
     """The deterministic forward every scorer reads: probs, logits, the probe
-    taps, and the per-batch features the Monte-Carlo scorers resume from."""
+    taps, and the split's features, one array the Monte-Carlo scorers resume from."""
     return tasks.infer(model, samples, keys=("probs", "logits", *model.probe_layers, "features"))
 
 

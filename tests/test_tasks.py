@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codeshift import extraction as ex
 from codeshift import nn, tasks
@@ -46,6 +48,11 @@ def cc_training_setup():
     return encoded, vocab
 
 
+def per_sample(flat, lengths):
+    """A flat per-context array cut into one array per sample."""
+    return np.split(flat, np.cumsum(lengths)[:-1])
+
+
 def zeroed(model):
     for p in model.params().values():
         p.data[:] = 0.0
@@ -57,24 +64,38 @@ def test_zero_cs_model_uniform_probs():
     model = zeroed(tasks.PathAttentionModel(terminals, paths, labels, dim=16))
     out = tasks.infer(model, encoded[:1], keys=("probs", "weights"))
     assert np.allclose(out["probs"][0], 1.0 / len(labels))
-    assert abs(out["weights"][0].sum() - 1.0) < 1e-6
+    (weights,) = per_sample(out["weights"], encoded.lengths[:1])
+    assert len(weights) == encoded.lengths[0] > 1
+    assert abs(weights.sum() - 1.0) < 1e-6
 
 
 def test_single_context_attention_weight_is_one():
     encoded, terminals, paths, labels = cs_training_setup()
-    first_context = {name: [encoded.inputs[name][0, :1]] for name in ("left", "path", "right")}
-    single = tasks.pack(["one"], encoded.labels[:1], first_context, masked=True)
+    first_context = {name: [encoded.inputs[name][:1]] for name in ("left", "path", "right")}
+    single = tasks.pack(["one"], encoded.labels[:1], first_context)
     model = tasks.PathAttentionModel(terminals, paths, labels, dim=16, seed=3)
-    weights = tasks.infer(model, single, keys=("weights",))["weights"][0]
+    (weights,) = per_sample(tasks.infer(model, single, keys=("weights",))["weights"], single.lengths)
     assert np.allclose(weights, [1.0])
 
 
 def test_attention_weights_sum_to_one_per_sample():
     encoded, terminals, paths, labels = cs_training_setup()
     model = tasks.PathAttentionModel(terminals, paths, labels, dim=16, seed=1)
-    for i in range(len(encoded)):
-        weights = tasks.infer(model, encoded[i:i + 1], keys=("weights",))["weights"][0]
-        assert abs(weights.sum() - 1.0) < 1e-5
+    weights = per_sample(tasks.infer(model, encoded, keys=("weights",))["weights"], encoded.lengths)
+    assert len(weights) == len(encoded)
+    for w in weights:
+        assert abs(w.sum() - 1.0) < 1e-5
+
+
+def test_attention_weights_concatenate_over_batches_of_different_widths():
+    encoded, terminals, paths, labels = cs_training_setup()
+    widths = [encoded[i:i + 3].lengths.max() for i in range(0, len(encoded), 3)]
+    assert len(set(widths)) > 1
+    model = tasks.PathAttentionModel(terminals, paths, labels, dim=16, seed=1)
+    weights = tasks.infer(model, encoded, batch_size=3, keys=("weights",))["weights"]
+    assert weights.shape == (encoded.lengths.sum(),)
+    one_batch = tasks.infer(model, encoded, keys=("weights",))["weights"]
+    np.testing.assert_allclose(weights, one_batch, rtol=1e-6)
 
 
 @pytest.mark.parametrize("task", ["cs", "cc"])
@@ -86,9 +107,9 @@ def test_forward_computes_probs_and_embed_mean_only_when_asked(task):
         encoded, vocab = cc_training_setup()
         model = tasks.MlpCompletionModel(vocab, dim=8, seed=2)
     batch = encoded[:4]
-    assert model.forward_batch(**batch.inputs, keys=("logits",)).keys().isdisjoint({"probs", "embed_mean"})
-    assert "embed_mean" not in model.forward_batch(**batch.inputs, keys=("probs",))
-    out = model.forward_batch(**batch.inputs, keys=("probs", "embed_mean"))
+    assert model.forward_batch(batch, keys=("logits",)).keys().isdisjoint({"probs", "embed_mean"})
+    assert "embed_mean" not in model.forward_batch(batch, keys=("probs",))
+    out = model.forward_batch(batch, keys=("probs", "embed_mean"))
     assert np.array_equal(out["probs"].data, nn.softmax(out["logits"]).data)
     assert out["embed_mean"].data.shape == (4, 8)
 
@@ -97,10 +118,10 @@ def test_forward_computes_probs_and_embed_mean_only_when_asked(task):
 def test_cs_embed_mean_equals_the_masked_mean_bitwise(dtype):
     encoded, terminals, paths, labels = cs_training_setup()
     model = tasks.PathAttentionModel(terminals, paths, labels, dim=16, seed=6, dtype=dtype)
-    mask = encoded.inputs["mask"]
+    mask = np.arange(encoded.lengths.max()) < encoded.lengths[:, None]
     assert not mask.all()
     out = tasks.infer(model, encoded, keys=("embed_mean", "features"))
-    (features,) = out["features"]
+    features = out["features"]
     assert features.shape == (mask.sum(), 16)  # one row per real context
     padded = np.zeros(mask.shape + (16,), dtype=dtype)
     padded[mask] = features
@@ -112,23 +133,51 @@ def test_cs_embed_mean_equals_the_masked_mean_bitwise(dtype):
     np.testing.assert_allclose(out["embed_mean"], expected, rtol=tolerance, atol=tolerance * np.abs(expected).max())
 
 
-def test_split_rows_are_padded_and_trimmed_to_their_longest_row():
-    split = tasks.pack(
-        ["a", "b", "c"], [5, 6, 7],
-        {"left": [[2, 3], [4], [2, 3, 4, 5]], "path": [[6, 7], [8], [6, 7, 8, 9]], "right": [[3, 2], [5], [5, 4, 3, 2]]},
-        masked=True,
+ragged_rows = st.lists(st.lists(st.integers(0, 50), max_size=5), max_size=8)
+
+
+@st.composite
+def splits_and_selections(draw):
+    rows = draw(ragged_rows)
+    n = len(rows)
+    selection = draw(st.one_of(
+        st.builds(slice, st.none() | st.integers(-n - 2, n + 2), st.none() | st.integers(-n - 2, n + 2),
+                  st.none() | st.sampled_from([-2, -1, 1, 2, 3])),
+        st.lists(st.integers(0, n - 1), max_size=12).map(lambda picks: np.array(picks, dtype=np.int64))
+        if n else st.just(np.zeros(0, dtype=np.int64)),
+    ))
+    return rows, selection
+
+
+def pack_rows(rows):
+    """A two-input split over `rows`; the second input is the first shifted, so the columns differ."""
+    return tasks.pack(
+        [f"s{i}" for i in range(len(rows))], list(range(100, 100 + len(rows))),
+        {"left": rows, "right": [[i + 1 for i in row] for row in rows]},
     )
-    assert len(split) == 3 and split.lengths.tolist() == [2, 1, 4]
-    assert split.inputs["left"].tolist() == [[2, 3, ex.PAD_ID, ex.PAD_ID], [4] + [ex.PAD_ID] * 3, [2, 3, 4, 5]]
-    assert split.inputs["mask"].dtype == bool
-    assert split.inputs["mask"].tolist() == [[True, True, False, False], [True, False, False, False], [True] * 4]
-    sub = split[np.array([1, 0])]
-    assert sub.sample_ids.tolist() == ["b", "a"] and sub.labels.tolist() == [6, 5]
-    assert sub.inputs["path"].tolist() == [[8, ex.PAD_ID], [6, 7]]
-    assert sub.inputs["mask"].tolist() == [[True, False], [True, True]]
-    assert split[1:2].inputs["right"].tolist() == [[5]]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(splits_and_selections())
+def test_selected_rows_equal_the_split_packed_from_those_rows(case):
+    rows, selection = case
+    split = pack_rows(rows)
+    assert split.lengths.tolist() == [len(row) for row in rows]
+    assert split.inputs["left"].tolist() == [i for row in rows for i in row]
+    picked = [rows[i] for i in np.arange(len(rows))[selection]]
+    sub, expected = split[selection], pack_rows(picked)
+    assert sub.sample_ids.tolist() == split.sample_ids[selection].tolist()
+    assert sub.labels.tolist() == split.labels[selection].tolist()
+    assert sub.lengths.dtype == np.int64 and sub.lengths.tolist() == expected.lengths.tolist()
+    for name, ids in expected.inputs.items():
+        assert sub.inputs[name].dtype == np.int64 and sub.inputs[name].tolist() == ids.tolist()
+        if isinstance(selection, slice) and selection.step in (None, 1) and ids.size:
+            assert np.shares_memory(sub.inputs[name], split.inputs[name])  # a slice's columns are views
+
+
+def test_pack_rejects_inputs_whose_rows_differ_in_length():
     with pytest.raises(ValueError, match="'path' rows differ"):
-        tasks.pack(["a"], [5], {"left": [[2, 3]], "path": [[6]], "right": [[3, 2]]}, masked=True)
+        tasks.pack(["a"], [5], {"left": [[2, 3]], "path": [[6]], "right": [[3, 2]]})
 
 
 def test_with_params_replaces_only_the_named_arrays_without_initialising_new_ones(monkeypatch):
@@ -158,10 +207,10 @@ def test_grad_factorized_cs_features():
     p["b_comb"].data[:] = rng.standard_normal(3)
     batch = encoded[:2]
     # a fixed random cotangent, so no gradient cancels by symmetry
-    weights = nn.Tensor(rng.standard_normal((int(batch.inputs["mask"].sum()), 3)), dtype=np.float64)
+    weights = nn.Tensor(rng.standard_normal((int(batch.lengths.sum()), 3)), dtype=np.float64)
     params = [p[name] for name in model.feature_params]
     assert len(params) == 4
-    finite_diff_check(lambda: nn.mean(nn.mul(model.features(**batch.inputs), weights)), params)
+    finite_diff_check(lambda: nn.mean(nn.mul(model.features(batch), weights)), params)
 
 
 @pytest.mark.parametrize("dtype, tolerance", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -172,16 +221,15 @@ def test_factorized_combiner_matches_the_concatenated_affine(dtype, tolerance):
     p["b_comb"].data[:] = np.random.default_rng(4).uniform(-0.5, 0.5, 16)
     batch = encoded[:5]
     ids = batch.inputs
-    mask = ids["mask"]
-    assert not mask.all()  # the batch holds PAD slots
-    combined = model.features(**ids)
-    pre = combined._parents[0].data  # the tape: tanh(pre), pre on the real slots only
+    assert len(set(batch.lengths.tolist())) > 1  # bags of different sizes
+    combined = model.features(batch)
+    pre = combined._parents[0].data  # the tape: tanh(pre), pre on the real contexts only
     term, path = p["term_emb"].data, p["path_emb"].data
     cat = np.concatenate([term[ids["left"]], path[ids["path"]], term[ids["right"]]], axis=-1)
-    expected = (cat @ p["w_comb"].data + p["b_comb"].data)[mask]
+    expected = cat @ p["w_comb"].data + p["b_comb"].data
     assert pre.dtype == expected.dtype == dtype and pre.shape == expected.shape
     np.testing.assert_allclose(pre, expected, rtol=tolerance, atol=tolerance * np.abs(expected).max())
-    assert combined.data.shape == (mask.sum(), 16)
+    assert combined.data.shape == (batch.lengths.sum(), 16)
     assert np.array_equal(combined.data, np.tanh(pre))
 
 
@@ -233,7 +281,7 @@ def test_evaluate_accuracy_reads_the_logits(monkeypatch):
 def test_empty_context_bag_raises():
     encoded, terminals, paths, labels = cs_training_setup()
     model = tasks.PathAttentionModel(terminals, paths, labels, dim=8)
-    empty = tasks.pack(["none"], [2], {"left": [[]], "path": [[]], "right": [[]]}, masked=True)
+    empty = tasks.pack(["none"], [2], {"left": [[]], "path": [[]], "right": [[]]})
     with pytest.raises(ValueError, match="empty context bag"):
         tasks.infer(model, empty)
 
@@ -260,6 +308,15 @@ def test_all_pad_context_raises():
     bad = tasks.pack(["bad"], [2], {"context": [np.full(8, ex.PAD_ID)]})
     with pytest.raises(ValueError, match="all-PAD"):
         tasks.infer(model, bad)
+
+
+def test_cc_windows_of_different_widths_raise():
+    # 4 + 2 ids would reshape into two rows of 3 without the check
+    encoded, vocab = cc_training_setup()
+    model = tasks.MlpCompletionModel(vocab, dim=8)
+    ragged = tasks.pack(["w4", "w2"], [2, 2], {"context": [[2, 3, 2, 3], [2, 3]]})
+    with pytest.raises(ValueError, match="differ in width"):
+        tasks.infer(model, ragged)
 
 
 def test_cs_memorization_oracle():
@@ -313,7 +370,7 @@ def test_training_deterministic_bitwise():
 def test_unk_true_label_counts_as_failure():
     encoded, vocab = cc_training_setup()
     model = tasks.MlpCompletionModel(vocab, dim=8, seed=0)
-    unk_sample = tasks.pack(["u"], [ex.UNK_ID], {"context": [encoded.inputs["context"][0]]})
+    unk_sample = tasks.pack(["u"], [ex.UNK_ID], {"context": [encoded[:1].inputs["context"]]})
     # even a model that predicts UNK gets no credit for it
     for p in model.params().values():
         p.data[:] = 0.0

@@ -365,7 +365,7 @@ def test_mutants_share_feature_arrays_unless_gf(request, setup):
 def test_resumed_mutant_matches_full_forward_bitwise(request, setup, op):
     model, encoded = setup_of(request, setup)
     features = tasks.infer(model, encoded, batch_size=RESUME_BATCH, keys=("features",))["features"]
-    assert len(features) > 1
+    assert len(encoded) > RESUME_BATCH  # the split spans several batches
     for seed in range(3):
         mutant = uq.mutate_model(model, op, degree=0.5, seed=seed)
         # the mutant's changes after the features: all of a CC mutant's, a CS
@@ -397,8 +397,9 @@ def test_cs_passes_resumed_from_row_features_match_the_full_forward_bitwise(cs_s
     features = tasks.infer(model, encoded, batch_size=RESUME_BATCH, keys=("features",))["features"]
     batches = [encoded[start:start + RESUME_BATCH] for start in range(0, len(encoded), RESUME_BATCH)]
     # one d-wide row per real context: no PAD rows are kept
-    assert [f.shape for f in features] == [(int(b.inputs["mask"].sum()), model.dim) for b in batches]
-    assert any(not b.inputs["mask"].all() for b in batches)
+    assert features.shape == (int(encoded.lengths.sum()), model.dim)
+    assert [model.feature_rows(b) for b in batches] == [int(b.lengths.sum()) for b in batches]
+    assert any(len(set(b.lengths.tolist())) > 1 for b in batches)  # a padded layout would hold PAD slots
     rng = np.random.default_rng(9)
     head_mutant = model.with_params(
         {name: model.params()[name].data + rng.normal(0.0, 0.1, model.params()[name].data.shape).astype(np.float32)
@@ -483,13 +484,33 @@ def test_mmutant_labels_skip_the_softmax(cc_setup, monkeypatch):
     assert_same_scores(uq.score_mmutant(ensemble, encoded, base["probs"].argmax(axis=-1), base["features"]), expected)
 
 
-def test_features_must_match_the_splits_batches(cs_setup):
-    model, encoded = cs_setup
+@pytest.mark.parametrize("setup", ["cc_setup", "cs_setup"])
+def test_features_of_another_split_are_rejected(request, setup):
+    model, encoded = setup_of(request, setup)
+    other = encoded[:2]
+    features = tasks.infer(model, other, batch_size=RESUME_BATCH, keys=("features",))["features"]
+    expected, held = model.feature_rows(encoded), model.feature_rows(other)
+    assert held != expected
+    with pytest.raises(ValueError, match=f"features hold {held} rows, but the split has {expected}"):
+        tasks.infer(model, encoded, batch_size=RESUME_BATCH, features=features)
+
+
+@pytest.mark.parametrize("setup", ["cc_setup", "cs_setup"])
+@pytest.mark.parametrize("batch_size", [1, 512])
+def test_features_resumed_at_another_batch_size_match_the_full_forward_bitwise(request, setup, batch_size):
+    model, encoded = setup_of(request, setup)
     features = tasks.infer(model, encoded, batch_size=RESUME_BATCH, keys=("features",))["features"]
-    with pytest.raises(ValueError, match="feature batches"):
-        tasks.infer(model, encoded, batch_size=1, features=features)
-    with pytest.raises(ValueError, match="rows"):
-        tasks.infer(model, encoded, batch_size=RESUME_BATCH, features=features[::-1])
+    assert np.array_equal(features, tasks.infer(model, encoded, batch_size=batch_size, keys=("features",))["features"])
+    keys = ("probs", "logits")
+    full = tasks.infer(model, encoded, batch_size=batch_size, keys=keys)
+    resumed = tasks.infer(model, encoded, batch_size=batch_size, keys=keys, features=features)
+    full_rng, resumed_rng = np.random.default_rng(31), np.random.default_rng(31)
+    passes = {"training": True, "dropout_p": 0.5, "batch_size": batch_size, "keys": keys}
+    full_pass = tasks.infer(model, encoded, rng=full_rng, **passes)
+    resumed_pass = tasks.infer(model, encoded, rng=resumed_rng, features=features, **passes)
+    for k in keys:
+        assert np.array_equal(full[k], resumed[k])
+        assert np.array_equal(full_pass[k], resumed_pass[k])
 
 
 # -- Dissector ---------------------------------------------------------------------
