@@ -14,6 +14,8 @@ combiner, dropout, attention pooling and their gradients.
 CC (code completion): a CBOW-style MLP. Context token embeddings are
 averaged (PAD slots contribute nothing and are excluded from the divisor)
 and classified by one fully-connected layer over the token vocabulary.
+The mean is one matrix product of the token table with a (B, V) bag of
+each row's token shares, so its gradient is one product too.
 
 Each model carries its task: the vocabularies it was built over, which
 `encode_split` encodes every split against and checkpoints store, and its
@@ -304,19 +306,22 @@ class MlpCompletionModel(_TaskModel):
         }
 
     def features(self, batch: EncodedSplit) -> nn.Tensor:
-        """The mean of the real context slots' embeddings, (B, d), over the batch's (B, 2w) window ids."""
-        p = self._params
+        """The mean of the real context slots' embeddings, (B, d), as one product `bag @ token_emb`:
+        `bag[b, t]` is the share of row b's real (non-PAD) window slots that hold token t."""
+        table = self._params["token_emb"]
+        n_tokens = table.data.shape[0]
         if (batch.lengths != batch.lengths[0]).any():
             raise ValueError("context windows differ in width within the batch")
         context = batch.inputs["context"].reshape(len(batch), -1)
+        if context.size and (context.min() < 0 or context.max() >= n_tokens):
+            raise IndexError(f"context id out of range [0, {n_tokens})")  # it would count in another row's bag
         real = context != PAD_ID
         counts = real.sum(axis=-1)
         if not counts.all():
             raise ValueError("all-PAD context in batch")
-        emb = nn.embedding_lookup(p["token_emb"], context)
-        maskf = nn.Tensor(real.astype(emb.data.dtype)[..., None])
-        summed = nn.sum_axis(nn.mul(emb, maskf), axis=-2)
-        return nn.mul(summed, nn.Tensor((1.0 / counts).astype(emb.data.dtype)[:, None]))
+        slots = (np.arange(len(batch))[:, None] * n_tokens + context)[real]
+        bag = np.bincount(slots, minlength=len(batch) * n_tokens).reshape(len(batch), n_tokens)
+        return nn.linear(nn.Tensor(bag / counts[:, None], dtype=table.data.dtype), table)
 
     def head(
         self,

@@ -125,7 +125,8 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> float:
 
     Newton's method on the inverse temperature beta = 1/T, from beta = 1,
     for at most 100 steps, each halved until the NLL does not rise. It stops
-    once beta leaves 1/TEMPERATURE_BOUNDS; the result is clamped into
+    once beta leaves 1/TEMPERATURE_BOUNDS, or once a step leaves beta as it
+    was: every later step would repeat that one. The result is clamped into
     TEMPERATURE_BOUNDS (a degenerate validation set can push T to the
     boundary) and never allowed to be worse than T = 1.
     """
@@ -153,6 +154,8 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> float:
                 break
             step /= 2
         else:
+            break
+        if beta + step == beta:  # rounding noise in the gradient, halved below beta's last bit
             break
         beta += step
         nll, grad, curv = trial

@@ -1,6 +1,10 @@
 """Model forward contracts, memorization oracles, and checkpoint round-trips."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,6 +321,86 @@ def test_cc_windows_of_different_widths_raise():
     ragged = tasks.pack(["w4", "w2"], [2, 2], {"context": [[2, 3, 2, 3], [2, 3]]})
     with pytest.raises(ValueError, match="differ in width"):
         tasks.infer(model, ragged)
+
+
+def test_cc_context_ids_outside_the_table_raise():
+    _, vocab = cc_training_setup()
+    model = tasks.MlpCompletionModel(vocab, dim=8)
+    V, pad = len(vocab), ex.PAD_ID
+    # row 0's id V would count as id 0 of row 1, and row 1's id -1 as id V - 1 of row 0
+    for rows in ([[2, V, 3, pad], [2, 3, pad, pad]], [[2, 3, 2, 3], [2, -1, pad, pad]]):
+        batch = tasks.pack(["r0", "r1"], [2, 2], {"context": rows})
+        with pytest.raises(IndexError, match="out of range"):
+            model.features(batch)
+
+
+def cc_bag_batch(dtype, shape=(128, 8, 88, 48), seed=21):
+    """A seeded CC model, batch and (B, d) cotangent at the CC training shape (B, 2w, V, d).
+
+    Windows repeat tokens and hold PAD slots; no window's first slot is PAD.
+    """
+    B, width, V, d = shape
+    rng = np.random.default_rng(seed)
+    vocab = ex.Vocabulary.from_tokens([ex.UNK_TOKEN, ex.PAD_TOKEN, *(f"t{i}" for i in range(V - 2))])
+    model = tasks.MlpCompletionModel(vocab, dim=d, seed=seed, dtype=dtype)
+    context = rng.integers(0, V, size=(B, width))
+    context[rng.random((B, width)) < 0.2] = ex.PAD_ID
+    context[:, 0] = rng.integers(2, V, size=B)  # no row is all PAD
+    batch = tasks.pack([f"s{i}" for i in range(B)], rng.integers(0, V, size=B), {"context": context})
+    return model, batch, rng.standard_normal((B, d)).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype, tolerance", [(np.float64, 1e-12), (np.float32, 1e-6)])
+def test_cc_bag_mean_equals_the_masked_mean(dtype, tolerance):
+    encoded, vocab = cc_training_setup()
+    model = tasks.MlpCompletionModel(vocab, dim=16, seed=5, dtype=dtype)
+    tok, other, pad = vocab.encode("a0"), vocab.encode("b0"), ex.PAD_ID
+    repeated = tasks.pack(["rep", "pad"], [2, 2], {"context": [[tok, other, tok, tok], [pad, other, pad, tok]]})
+    table = model.params()["token_emb"].data
+    for batch in (repeated, encoded):
+        ids = batch.inputs["context"].reshape(len(batch), -1)
+        real = ids != pad
+        expected = np.where(real[..., None], table[ids], 0).sum(1) / real.sum(1)[:, None]
+        got = model.features(batch).data
+        assert got.dtype == dtype and got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=tolerance, atol=tolerance * np.abs(expected).max())
+    assert not (encoded.inputs["context"] != pad).all()  # the fixture's windows hold PAD too
+
+
+def test_grad_cc_bag_features():
+    _, vocab = cc_training_setup()
+    model = tasks.MlpCompletionModel(vocab, dim=3, seed=6, dtype=np.float64)
+    tok, pad = vocab.encode("a0"), ex.PAD_ID
+    batch = tasks.pack(["rep", "pad"], [2, 2], {"context": [[tok, tok, 2, 3], [pad, 4, pad, tok]]})
+    # a fixed random cotangent, so no gradient cancels by symmetry
+    weights = nn.Tensor(np.random.default_rng(7).standard_normal((2, 3)), dtype=np.float64)
+    params = [model.params()[name] for name in model.feature_params]
+    assert len(params) == 1
+    finite_diff_check(lambda: nn.mean(nn.mul(model.features(batch), weights)), params)
+
+
+def test_cc_bag_features_and_gradient_bytes_do_not_depend_on_the_blas_thread_count():
+    # the thread count is read when numpy loads, so each count needs its own interpreter
+    src = str(Path(tasks.__file__).resolve().parents[1])
+    probe = (
+        "import hashlib, numpy as np, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from codeshift import nn\n"
+        "from test_tasks import cc_bag_batch\n"
+        "model, batch, g = cc_bag_batch(np.float32)\n"
+        "features = model.features(batch)\n"
+        "nn.backward(features, seed=g)\n"
+        "for out in (features.data, model.params()['token_emb'].grad):\n"
+        "    print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+    )
+    digests = {
+        threads: subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout.split()
+        for threads in ("1", "2")
+    }
+    assert len(digests["1"]) == 2 and digests["1"] == digests["2"]
 
 
 def test_cs_memorization_oracle():

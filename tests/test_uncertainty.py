@@ -162,6 +162,21 @@ def test_fitted_temperature_is_a_stationary_point(logits, labels):
     assert abs(nll_slope_in_inverse_temperature(logits, labels, t_star)) < 1e-9
 
 
+def test_fit_temperature_stops_once_a_step_leaves_beta_unchanged(monkeypatch):
+    # near this optimum the gradient's rounding noise keeps proposing steps that the
+    # halving shrinks below beta's last bit; the loop used to repeat that no-op step
+    # until its 100 steps ran out, 1621 NLL evaluations in all
+    rng = np.random.default_rng(0)
+    logits = (rng.standard_normal((500, 50)) * 3).astype(np.float32)
+    labels = np.where(rng.random(500) < 0.7, logits.argmax(1), rng.integers(0, 50, 500))
+    betas, terms = [], uq._nll_newton_terms
+    monkeypatch.setattr(uq, "_nll_newton_terms", lambda z, z_true, beta: betas.append(beta) or terms(z, z_true, beta))
+    t_star = uq.fit_temperature(logits, labels)
+    assert len(betas) < 100
+    assert betas[-1] in betas[:-1]  # the last trial was the no-op step, at a beta already reached
+    assert abs(nll_slope_in_inverse_temperature(logits, labels, t_star)) < 1e-9
+
+
 SATURATED = {
     # logit gaps above 87 underflow a float32 softmax
     "gap_above_87": (np.array([[120.0, 0.0, -5.0], [0.0, 95.0, 1.0], [3.0, 0.0, 200.0]], dtype=np.float32), [0, 0, 2]),
