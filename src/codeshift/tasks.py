@@ -134,6 +134,11 @@ def encode_split(samples: list, vocabs: dict[str, Vocabulary], id_prefix: str = 
     )
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    """`a`'s bit patterns, as unsigned integers of its item size."""
+    return a.view(f"u{a.itemsize}")
+
+
 def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype) -> nn.Tensor:
     bound = 1.0 / np.sqrt(fan_in)
     return nn.Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True, dtype=dtype)
@@ -151,10 +156,12 @@ class _TaskModel:
     and `head(features, batch, ...)` does the rest. `feature_rows(batch)`
     counts a batch's feature rows. So a model whose `feature_params` hold
     the same arrays can run `head` on features another model's forward
-    computed. A head returns "logits" and "features" (CS also "weights",
-    one attention weight per real context, and "pooled"); it computes
-    "probs" and "embed_mean" only when its `keys` name them. `affine_layers`
-    names each (weight, bias) pair whose output neurons mutation acts on.
+    computed, and `feature_changes(base, split)` says which feature columns
+    of a split differ from those `base` computes, and what they hold. A head
+    returns "logits" and "features" (CS also "weights", one attention
+    weight per real context, and "pooled"); it computes "probs" and
+    "embed_mean" only when its `keys` name them. `affine_layers` names each
+    (weight, bias) pair whose output neurons mutation acts on.
     """
 
     kind: str
@@ -176,6 +183,17 @@ class _TaskModel:
 
     def feature_rows(self, batch: "EncodedSplit") -> int:
         return len(batch)
+
+    def feature_changes(self, base: "_TaskModel", split: "EncodedSplit") -> tuple[np.ndarray, np.ndarray] | None:
+        """(columns, their values): where this model's features of `split` differ from `base`'s.
+
+        None means only a full forward gives them. A model whose
+        `feature_params` are `base`'s own arrays changes no column.
+        """
+        theirs = base.params()
+        if any(self._params[name].data is not theirs[name].data for name in self.feature_params):
+            return None
+        return np.empty(0, dtype=np.intp), np.empty((self.feature_rows(split), 0))
 
     def with_params(self, arrays: dict[str, np.ndarray]):
         """A copy whose parameters named in `arrays` hold those arrays; it shares the others with this model."""
@@ -254,6 +272,31 @@ class PathAttentionModel(_TaskModel):
         ids = batch.inputs
         pre = nn.embedding_sum([(proj_left, ids["left"]), (proj_path, ids["path"]), (proj_right, ids["right"])])
         return nn.tanh(nn.add(pre, p["b_comb"]))
+
+    def feature_changes(self, base: _TaskModel, split: EncodedSplit) -> tuple[np.ndarray, np.ndarray] | None:
+        """(columns, their values) where the combined contexts differ from `base`'s; see `_TaskModel`.
+
+        With `base`'s embedding tables, a context's column j depends only on
+        column j of `w_comb` and `b_comb`, so only the columns whose bits
+        differ are recomputed (-0.0 differs from +0.0). Each table is still
+        projected through the full weight block, as `features` does: a GEMM
+        over fewer columns can round differently.
+        """
+        same = super().feature_changes(base, split)
+        p, theirs = self._params, base.params()
+        if same is not None or any(p[name].data is not theirs[name].data for name in ("term_emb", "path_emb")):
+            return same
+        w, b = p["w_comb"].data, p["b_comb"].data
+        differs = (_bits(w) != _bits(theirs["w_comb"].data)).any(axis=0) | (_bits(b) != _bits(theirs["b_comb"].data))
+        cols = np.flatnonzero(differs)
+        d, ids = self.dim, split.inputs
+        terms, paths = p["term_emb"].data, p["path_emb"].data
+        # one column per row, so each gather is a 1-D take; summed as `features` sums: left, path, right, bias
+        pre = (terms @ w[:d])[:, cols].T.take(ids["left"], axis=1)
+        pre += (paths @ w[d:2 * d])[:, cols].T.take(ids["path"], axis=1)
+        pre += (terms @ w[2 * d:])[:, cols].T.take(ids["right"], axis=1)
+        pre += b[cols, None]
+        return cols, np.tanh(pre).T
 
     def head(
         self,
@@ -371,7 +414,8 @@ def infer(
     `model.feature_rows(samples)` rows: one per real context for CS, one
     per sample for CC. Passed back as `features` to a call over the same
     split, at any `batch_size`, it resumes every batch at `model.head`; the
-    model must share the `feature_params` of the one that computed it.
+    model must share the `feature_params` of the one that computed it, or
+    the columns `model.feature_changes` names must be written into them.
     """
     if features is not None and len(features) != model.feature_rows(samples):
         raise ValueError(f"features hold {len(features)} rows, but the split has {model.feature_rows(samples)}")
@@ -402,12 +446,27 @@ def predicted_labels(logits: np.ndarray) -> np.ndarray:
     and a row holding a non-finite value turns to NaN; the softmax's argmax
     can then pick another index, so those rows go through the softmax
     itself.
+
+    When every logit is finite, the test runs in the logits' dtype: a value
+    of that dtype is at least a row's float64 threshold exactly when it is
+    at least the threshold rounded up to the dtype. Each row's top passes
+    its own threshold, so rows are counted only when more values pass than
+    there are rows.
     """
     preds = logits.argmax(axis=-1)
     top = np.take_along_axis(logits, preds[:, None], axis=-1).astype(np.float64)
-    with np.errstate(invalid="ignore"):  # an infinite top: its row is not finite anyway
-        near = (logits >= top - 1e-5 * np.maximum(1.0, np.abs(top))).sum(axis=-1) > 1
-    rows = np.flatnonzero(near | ~np.isfinite(logits).all(axis=-1))
+    finite = np.isfinite(logits)
+    with np.errstate(invalid="ignore", over="ignore"):  # an infinite top: its row is not finite anyway
+        threshold = top - 1e-5 * np.maximum(1.0, np.abs(top))
+        if finite.all():
+            rounded = threshold.astype(logits.dtype)  # may overflow to -inf, which rounds up to the lowest value
+            passes = logits >= np.where(rounded < threshold, np.nextafter(rounded, np.inf), rounded)
+            near = np.zeros(len(logits), dtype=bool)
+            if np.count_nonzero(passes) > len(logits):
+                near = np.count_nonzero(passes, axis=-1) > 1
+        else:
+            near = ((logits >= threshold).sum(axis=-1) > 1) | ~finite.all(axis=-1)
+    rows = np.flatnonzero(near)
     if rows.size:
         preds[rows] = nn.softmax(nn.Tensor(logits[rows])).data.argmax(axis=-1)
     return preds

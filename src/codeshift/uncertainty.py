@@ -14,11 +14,11 @@ also keeps the split's features, one array of the input of the model's
 dropout site (CS: the combined contexts after the combiner's tanh, one row
 per real context; CC: the embedding mean, one row per sample). Only the
 Monte-Carlo scorers run the network again. MC-Dropout's stochastic passes
-run only the model's head on the kept features. A mutant resumes there too
-when it changed none of the model's `feature_params`, as CC's WS/NS/NAI
-mutants, which change only the output layer. GF mutants, which perturb
-every array, and CS's WS/NS/NAI mutants, whose changes reach the combiner's
-`w_comb`/`b_comb`, run it in full.
+run only the model's head on the kept features. A WS/NS/NAI mutant resumes
+there too: CC's change only the output layer, and CS's recompute only the
+feature columns whose `w_comb`/`b_comb` bits they changed, from the base's
+embedding tables. Only GF mutants, which perturb every array, run the
+network in full. Every resumed pass gives the full forward's bytes.
 
 - vanilla: max softmax probability.
 - temp_scale: max softmax(logits / T), T fitted on validation NLL by Newton's
@@ -285,20 +285,32 @@ def build_mutant_ensemble(model, operator: str, degree: float = 0.05, count: int
     return [mutate_model(model, operator, degree, seed=[seed, i, 0xEA]) for i in range(count)]
 
 
-def score_mmutant(ensemble: list | None, samples, base_preds: np.ndarray, features=None):
+def score_mmutant(ensemble: list | None, samples, base_preds: np.ndarray, features=None, model=None):
     """Raw score is the label change rate (LCR) from `base_preds`; confidence is 1 - LCR.
 
     A mutant's labels are the argmax of its softmax, read off its logits
-    (`tasks.predicted_labels`), so no mutant pass runs the softmax. With the
-    split's `features` (from `base_outputs`), a mutant that replaced none of
-    the model's `feature_params` runs only its head on them.
+    (`tasks.predicted_labels`), so no mutant pass runs the softmax. Given
+    the split's `features` and the `model` that computed them (from
+    `base_outputs`), a mutant runs only its head, on those features with
+    the columns it changed recomputed (`feature_changes`). They are
+    written into one copy of `features`, which each pass restores. A
+    mutant whose changes reach the embedding tables (GF) runs in full.
     """
     if not ensemble:
         raise EstimatorStateError("mMutant scoring needs a built ensemble")
+    if features is not None and model is None:
+        raise ValueError("resuming mutants needs the model that computed the base features")
+    resumed = None if features is None else features.copy()
     changed = np.zeros(len(samples), dtype=np.int64)
     for mutant in ensemble:
-        resumes = features is not None and mutant.replaced.isdisjoint(mutant.feature_params)
-        logits = tasks.infer(mutant, samples, keys=("logits",), features=features if resumes else None)["logits"]
+        change = None if features is None else mutant.feature_changes(model, samples)
+        if change is None:
+            logits = tasks.infer(mutant, samples, keys=("logits",))["logits"]
+        else:
+            cols, values = change
+            resumed[:, cols] = values
+            logits = tasks.infer(mutant, samples, keys=("logits",), features=resumed)["logits"]
+            resumed[:, cols] = features[:, cols]
         preds = tasks.predicted_labels(logits)
         changed += preds != base_preds
     lcr = changed / len(ensemble)
@@ -493,7 +505,7 @@ ESTIMATORS: dict[str, Estimator] = {
             "mmutant", "mmutant", MUTATION_OPERATORS,
             fit=_fit_mutant_ensembles,
             score=lambda model, ensembles, operator, samples, base, split: score_mmutant(
-                (ensembles or {}).get(operator), samples, base["probs"].argmax(axis=-1), base.get("features")
+                (ensembles or {}).get(operator), samples, base["probs"].argmax(axis=-1), base.get("features"), model
             ),
         ),
         Estimator(

@@ -305,12 +305,11 @@ def test_score_runs_the_deterministic_forward_once_per_split(workspace, monkeypa
     splits = ("validation", "test1")
     # fit: the probes on train (the temperature reads the validation split's
     # shared forward); then per split one shared forward plus one full pass
-    # per GF, WS and NAI mutant: GF perturbs the embeddings, WS and NAI the
-    # combiner, whose output is the features. At degree 0.05 of 16 neurons NS
-    # picks one combiner neuron, too few to pair, so it changes only the
-    # output layer and runs only the head on the shared forward's features.
-    assert len(calls) == 1 + len(splits) * (1 + 3 * mutant_count)
-    assert len(head_calls) == len(splits) * mutant_count
+    # per GF mutant, which perturbs the embeddings. WS, NS and NAI mutants
+    # run only the head, on the shared forward's features with the combiner
+    # columns they changed recomputed.
+    assert len(calls) == 1 + len(splits) * (1 + mutant_count)
+    assert len(head_calls) == len(splits) * 3 * mutant_count
 
 
 def test_sweep_and_filter_read_only_their_method(tmp_path, capsys):

@@ -262,7 +262,7 @@ def tie_rows(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_predicted_labels_match_the_softmax_argmax(dtype):
+def test_predicted_labels_match_the_softmax_argmax(dtype, monkeypatch):
     rng = np.random.default_rng(9)
     logits = np.concatenate([tie_rows(dtype), (rng.standard_normal((200, 4)) * 5).astype(dtype)])
     with np.errstate(all="ignore"):  # the huge and non-finite rows overflow in the softmax
@@ -271,6 +271,48 @@ def test_predicted_labels_match_the_softmax_argmax(dtype):
     # the guard matters: on a 1-ulp gap and on a NaN row the softmax picks another index
     assert expected[1] == 0 and logits[1].argmax() == 1
     assert expected[8] == 0 and logits[8].argmax() == 1
+
+    # finite logits take the test in their own dtype; it sends exactly the
+    # rows the float64 test names near through the softmax
+    sent = []
+    softmax = nn.softmax
+    monkeypatch.setattr(nn, "softmax", lambda x: sent.append(x.data.copy()) or softmax(x))
+    rivals = threshold_rivals(dtype)
+    cases = {
+        "rivals just below and just above the threshold": rivals,
+        "empty": np.zeros((0, 4), dtype=dtype),
+        "no near tie": np.arange(40, dtype=dtype).reshape(10, 4) * dtype(0.5),
+        "random": logits[len(tie_rows(dtype)):],
+    }
+    for name, case in cases.items():
+        expected = softmax(nn.Tensor(case)).data.argmax(axis=-1)
+        sent.clear()
+        assert np.array_equal(tasks.predicted_labels(case), expected), name
+        near = float64_near_rows(case)
+        assert np.array_equal(np.concatenate(sent or [case[:0]]), case[near]), name
+    assert float64_near_rows(rivals).tolist() == [False, True] * (len(rivals) // 2)
+
+
+def threshold_rivals(dtype):
+    """Row pairs whose rival of the top sits on the float32 value just below, then just above, its threshold."""
+    rows = []
+    for top in (0.3, 1.0, -2.5, 123.456, -7e3, 1e4):
+        top = np.float32(top)
+        threshold = float(top) - 1e-5 * max(1.0, abs(float(top)))
+        below = np.float32(threshold)
+        if float(below) >= threshold:  # compared in float64: a Python float beside a float32 is cast to float32
+            below = np.nextafter(below, np.float32(-np.inf))
+        above = np.nextafter(below, np.float32(np.inf))
+        assert float(below) < threshold < float(above)  # the threshold falls between two adjacent float32 values
+        rows += [[below, top, top - 50, top - 60], [above, top, top - 50, top - 60]]
+    return np.array(rows, dtype=dtype)
+
+
+def float64_near_rows(logits):
+    """The rows whose top has a rival within 1e-5 * max(1, |top|), tested in float64."""
+    z = logits.astype(np.float64)
+    top = z.max(axis=-1, keepdims=True)
+    return (z >= top - 1e-5 * np.maximum(1.0, np.abs(top))).sum(axis=-1) > 1
 
 
 def test_evaluate_accuracy_reads_the_logits(monkeypatch):

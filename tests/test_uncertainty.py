@@ -358,8 +358,10 @@ def setup_of(request, name):
 def test_mutants_share_feature_arrays_unless_gf(request, setup):
     model, _ = setup_of(request, setup)
     affine = {name for layer in model.affine_layers for name in layer}
-    # WS/NS/NAI change affine layers only; CS's combiner is one, and its
-    # output is the features, so only CC's WS/NS/NAI mutants can resume
+    # WS/NS/NAI change affine layers only. CS's combiner is one, so its
+    # WS/NS/NAI mutants replace feature params, yet share the embedding
+    # tables: they resume with their changed feature columns recomputed
+    # (test_column_resumed_cs_mutants_match_the_full_forward_bitwise)
     resumable = affine.isdisjoint(model.feature_params)
     assert resumable == (model.kind == tasks.CC)
     for op in uq.MUTATION_OPERATORS:
@@ -442,7 +444,7 @@ def test_scorers_resumed_from_base_features_match_full_forward(request, setup):
     for op in uq.MUTATION_OPERATORS:
         ensemble = uq.build_mutant_ensemble(model, op, degree=0.5, count=4, seed=5)
         assert_same_scores(
-            uq.score_mmutant(ensemble, encoded, base_preds, base["features"]),
+            uq.score_mmutant(ensemble, encoded, base_preds, base["features"], model),
             uq.score_mmutant(ensemble, encoded, base_preds),
         )
     assert_same_scores(
@@ -466,18 +468,18 @@ def record_mutant_resumes(model, encoded, monkeypatch, degree=0.05) -> dict[str,
     for op in uq.MUTATION_OPERATORS:
         ensemble = uq.build_mutant_ensemble(model, op, degree=degree, count=2, seed=1)
         resumed.clear()
-        uq.score_mmutant(ensemble, encoded, base["probs"].argmax(axis=-1), base["features"])
+        uq.score_mmutant(ensemble, encoded, base["probs"].argmax(axis=-1), base["features"], model)
         by_op[op] = list(resumed)
     return by_op
 
 
 def test_gf_mutant_takes_the_full_forward(cs_setup, monkeypatch):
-    # and so does every other CS mutant: WS/NS/NAI change the combiner,
-    # which sits before the features (at degree 0.1 NS picks two of its 24
-    # neurons, a pair to swap)
+    # and only GF: WS/NS/NAI change the combiner's columns, not the embedding
+    # tables, so they resume with those columns recomputed (at degree 0.1 NS
+    # picks two of its 24 neurons, a pair to swap)
     model, encoded = cs_setup
     resumed = record_mutant_resumes(model, encoded, monkeypatch, degree=0.1)
-    assert resumed == {op: [False] * 2 for op in uq.MUTATION_OPERATORS}
+    assert resumed == {op: [op != "GF"] * 2 for op in uq.MUTATION_OPERATORS}
 
 
 def test_cc_mutants_resume_at_the_head_unless_gf(cc_setup, monkeypatch):
@@ -486,17 +488,99 @@ def test_cc_mutants_resume_at_the_head_unless_gf(cc_setup, monkeypatch):
     assert resumed == {op: [op != "GF"] * 2 for op in uq.MUTATION_OPERATORS}
 
 
+def column_resumed_features(mutant, model, encoded, features):
+    """The mutant's features of `encoded`, from the base `features` and its changed columns."""
+    change = mutant.feature_changes(model, encoded)
+    assert change is not None
+    cols, values = change
+    resumed = features.copy()
+    resumed[:, cols] = values
+    return cols, resumed
+
+
+@pytest.mark.parametrize("degree", [0.05, 0.5])
+@pytest.mark.parametrize("op", ["WS", "NS", "NAI"])
+def test_column_resumed_cs_mutants_match_the_full_forward_bitwise(cs_setup, op, degree):
+    model, encoded = cs_setup
+    features = tasks.infer(model, encoded, batch_size=RESUME_BATCH, keys=("features",))["features"]
+    base = uq.base_outputs(model, encoded)
+    changed_any = False
+    for seed in range(4):
+        mutant = uq.mutate_model(model, op, degree=degree, seed=seed)
+        full = tasks.infer(mutant, encoded, batch_size=RESUME_BATCH, keys=("features", "logits"))
+        cols, resumed = column_resumed_features(mutant, model, encoded, features)
+        assert resumed.tobytes() == full["features"].tobytes()
+        # exactly the columns whose combiner weights or bias changed
+        w, b = (mutant.params()[name].data != model.params()[name].data for name in ("w_comb", "b_comb"))
+        assert cols.tolist() == np.flatnonzero(w.any(axis=0) | b).tolist()
+        changed_any |= bool(cols.size)
+        logits = tasks.infer(mutant, encoded, batch_size=RESUME_BATCH, keys=("logits",), features=resumed)["logits"]
+        assert logits.tobytes() == full["logits"].tobytes()
+    assert changed_any or (op, degree) == ("NS", 0.05)  # NS needs two of the 24 neurons to swap
+    ensemble = uq.build_mutant_ensemble(model, op, degree=degree, count=3, seed=7)
+    base_preds = base["probs"].argmax(axis=-1)
+    resumed_scores = uq.score_mmutant(ensemble, encoded, base_preds, base["features"], model)
+    assert_same_scores(resumed_scores, uq.score_mmutant(ensemble, encoded, base_preds))
+    assert np.array_equal(base["features"], features)  # each pass restored the copy, not the base
+
+
+def test_column_resumed_mutant_recomputes_a_weight_flipped_to_negative_zero(cs_setup):
+    model, encoded = cs_setup
+    w = model.params()["w_comb"].data.copy()
+    w[3, 5] = 0.0
+    base = model.with_params({"w_comb": w})
+    flipped = w.copy()
+    flipped[3, 5] = -0.0
+    assert np.array_equal(flipped, w)  # equal as numbers, not as bits
+    mutant = base.with_params({"w_comb": flipped})
+    features = tasks.infer(base, encoded, batch_size=RESUME_BATCH, keys=("features",))["features"]
+    cols, resumed = column_resumed_features(mutant, base, encoded, features)
+    assert cols.tolist() == [5]
+    full = tasks.infer(mutant, encoded, batch_size=RESUME_BATCH, keys=("features",))["features"]
+    assert resumed.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("table", ["term_emb", "path_emb"])
+def test_mutant_with_a_replaced_embedding_table_is_not_resumed(cs_setup, monkeypatch, table):
+    model, encoded = cs_setup
+    # an equal copy still counts: only the base's own tables made its features
+    mutant = model.with_params({table: model.params()[table].data.copy(), "b_comb": -model.params()["b_comb"].data})
+    assert mutant.feature_changes(model, encoded) is None
+    base = uq.base_outputs(model, encoded)
+    full = uq.score_mmutant([mutant], encoded, base["probs"].argmax(axis=-1))
+    resumed = []
+    infer = tasks.infer
+
+    def recording_infer(*args, **kwargs):
+        resumed.append(kwargs.get("features") is not None)
+        return infer(*args, **kwargs)
+
+    monkeypatch.setattr(tasks, "infer", recording_infer)
+    resumed_scores = uq.score_mmutant([mutant], encoded, base["probs"].argmax(axis=-1), base["features"], model)
+    assert_same_scores(resumed_scores, full)
+    assert resumed == [False]
+
+
+def test_resuming_mutants_needs_the_model_of_the_features(cs_setup):
+    model, encoded = cs_setup
+    base = uq.base_outputs(model, encoded)
+    ensemble = uq.build_mutant_ensemble(model, "WS", degree=0.5, count=1, seed=0)
+    with pytest.raises(ValueError, match="the model that computed the base features"):
+        uq.score_mmutant(ensemble, encoded, base["probs"].argmax(axis=-1), base["features"])
+
+
 def test_mmutant_labels_skip_the_softmax(cc_setup, monkeypatch):
     model, encoded, _ = cc_setup
     base = uq.base_outputs(model, encoded)
     ensemble = uq.build_mutant_ensemble(model, "GF", degree=0.5, count=3, seed=2)
-    expected = uq.score_mmutant(ensemble, encoded, base["probs"].argmax(axis=-1), base["features"])
+    expected = uq.score_mmutant(ensemble, encoded, base["probs"].argmax(axis=-1), base["features"], model)
     changed = np.zeros(len(encoded), dtype=np.int64)
     for mutant in ensemble:
         changed += tasks.infer(mutant, encoded)["probs"].argmax(axis=-1) != expected[2]
     assert np.array_equal(expected[0], changed / 3)
     monkeypatch.setattr(tasks.nn, "softmax", lambda *a, **k: pytest.fail("softmax ran"))
-    assert_same_scores(uq.score_mmutant(ensemble, encoded, base["probs"].argmax(axis=-1), base["features"]), expected)
+    base_preds = base["probs"].argmax(axis=-1)
+    assert_same_scores(uq.score_mmutant(ensemble, encoded, base_preds, base["features"], model), expected)
 
 
 @pytest.mark.parametrize("setup", ["cc_setup", "cs_setup"])
@@ -713,7 +797,9 @@ def score_tables(draw):
     )
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(
+    max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(table=score_tables())
 def test_scores_csv_roundtrip(tmp_path, table):
     path = tmp_path / "scores.csv"
