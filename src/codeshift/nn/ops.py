@@ -236,7 +236,7 @@ def _draw_real_slots(rng: np.random.Generator, slots: np.ndarray, d: int) -> np.
         return out
     starts = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])  # runs of real or of PAD slots
     sizes = np.diff(np.r_[starts, slots.size]) * d
-    # advancing drops a buffered 32-bit half output, which a float64 draw would keep
+    # advancing clears the buffered 32-bit half output, which a float64 draw keeps
     buffered = bits.state
     at = 0
     for real, size in zip(slots[starts].tolist(), sizes.tolist()):
@@ -245,10 +245,9 @@ def _draw_real_slots(rng: np.random.Generator, slots: np.ndarray, d: int) -> np.
             at += size
         else:
             bits.advance(size)
-    if buffered["has_uint32"]:
-        state = bits.state
-        state["has_uint32"], state["uinteger"] = buffered["has_uint32"], buffered["uinteger"]
-        bits.state = state
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = buffered["has_uint32"], buffered["uinteger"]
+    bits.state = state
     return out
 
 

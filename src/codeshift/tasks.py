@@ -170,7 +170,6 @@ class _TaskModel:
     feature_params: tuple[str, ...]
     affine_layers: tuple[tuple[str, str], ...]
     _params: dict[str, nn.Tensor]
-    replaced: frozenset[str] = frozenset()  # parameters `with_params` swapped in since build or load
 
     def params(self) -> dict[str, nn.Tensor]:
         return self._params
@@ -199,7 +198,6 @@ class _TaskModel:
         """A copy whose parameters named in `arrays` hold those arrays; it shares the others with this model."""
         twin = copy.copy(self)
         twin._params = {**self._params, **{name: nn.Tensor(a, requires_grad=True) for name, a in arrays.items()}}
-        twin.replaced = self.replaced | frozenset(arrays)
         return twin
 
     def forward_batch(
@@ -443,29 +441,24 @@ def predicted_labels(logits: np.ndarray) -> np.ndarray:
     softmax gives every other class at most exp(-gap) < 1 - 1e-5 of the top
     probability, a margin float32 rounding cannot close, so both argmaxes
     agree. In rows closer than that the probabilities may round to a tie,
-    and a row holding a non-finite value turns to NaN; the softmax's argmax
+    and a row whose top is NaN or +inf turns to NaN; the softmax's argmax
     can then pick another index, so those rows go through the softmax
-    itself.
+    itself. (A -inf below a finite top only gives a zero probability.)
 
-    When every logit is finite, the test runs in the logits' dtype: a value
-    of that dtype is at least a row's float64 threshold exactly when it is
-    at least the threshold rounded up to the dtype. Each row's top passes
-    its own threshold, so rows are counted only when more values pass than
-    there are rows.
+    The test runs in the logits' dtype: a value of that dtype is at least a
+    row's float64 threshold exactly when it is at least the threshold
+    rounded up to the dtype. Each finite top passes its own threshold, so
+    rows are counted only when more values pass than there are such tops.
     """
     preds = logits.argmax(axis=-1)
     top = np.take_along_axis(logits, preds[:, None], axis=-1).astype(np.float64)
-    finite = np.isfinite(logits)
-    with np.errstate(invalid="ignore", over="ignore"):  # an infinite top: its row is not finite anyway
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite top: its threshold is NaN or -inf
         threshold = top - 1e-5 * np.maximum(1.0, np.abs(top))
-        if finite.all():
-            rounded = threshold.astype(logits.dtype)  # may overflow to -inf, which rounds up to the lowest value
-            passes = logits >= np.where(rounded < threshold, np.nextafter(rounded, np.inf), rounded)
-            near = np.zeros(len(logits), dtype=bool)
-            if np.count_nonzero(passes) > len(logits):
-                near = np.count_nonzero(passes, axis=-1) > 1
-        else:
-            near = ((logits >= threshold).sum(axis=-1) > 1) | ~finite.all(axis=-1)
+        rounded = threshold.astype(logits.dtype)  # may overflow to -inf, which rounds up to the lowest value
+        passes = logits >= np.where(rounded < threshold, np.nextafter(rounded, np.inf), rounded)
+    near = ~np.isfinite(top[:, 0])
+    if np.count_nonzero(passes) > len(logits) - np.count_nonzero(near):
+        near |= np.count_nonzero(passes, axis=-1) > 1
     rows = np.flatnonzero(near)
     if rows.size:
         preds[rows] = nn.softmax(nn.Tensor(logits[rows])).data.argmax(axis=-1)

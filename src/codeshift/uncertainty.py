@@ -229,8 +229,8 @@ def mutate_model(model, operator: str, degree: float, seed: int):
     NAI act on output neurons of the affine layers: WS shuffles a neuron's
     incoming weights, NS swaps the incoming weights (and bias) of randomly
     paired neurons, NAI negates incoming weights and bias so the neuron's
-    pre-activation flips sign. The mutant copies only the arrays it changes,
-    shares the rest with the base, and names the copies in its `replaced`.
+    pre-activation flips sign. The mutant copies only the arrays it changes
+    and shares the rest with the base.
     NS leaves a layer as it is when fewer than two of its neurons are picked.
     """
     if operator not in MUTATION_OPERATORS:

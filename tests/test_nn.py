@@ -616,12 +616,14 @@ def test_dropout_resumed_past_pad_slots_equals_the_padded_draw(dtype, lengths):
         assert padded_rng.bit_generator.state == rows_rng.bit_generator.state
 
 
-def test_dropout_over_bags_keeps_a_buffered_half_output():
-    # a 32-bit draw leaves half of a 64-bit output buffered; a float64 draw keeps it
+@pytest.mark.parametrize("int32_draws", [1, 2])
+def test_dropout_over_bags_keeps_a_buffered_half_output(int32_draws):
+    # one 32-bit draw leaves half of a 64-bit output buffered, and a second
+    # uses it up but leaves its bits behind; a float64 draw keeps both
     mask = np.array([[True, True, False], [True, False, False]])
     padded_rng, rows_rng = np.random.default_rng(2), np.random.default_rng(2)
     for rng in (padded_rng, rows_rng):
-        rng.integers(0, 10, dtype=np.int32)
+        rng.integers(0, 10, size=int32_draws, dtype=np.int32)
     padded_rng.random(mask.shape + (2,))
     nn.dropout(nn.Tensor(np.ones((3, 2))), 0.5, training=True, rng=rows_rng, mask=mask)
     assert padded_rng.bit_generator.state == rows_rng.bit_generator.state  # the buffer included
