@@ -10,9 +10,8 @@ last axis unless stated otherwise.
 Bags of variable size (CS context bags) travel as the d-wide rows of their
 real slots, in C order of a boolean `mask` whose last axis spans a bag:
 `dropout` and `attention_pool` take that mask, and no op builds the padded
-layout. Dropout draws no random number for a PAD slot, yet leaves its
-generator where a draw over the padded layout would. The model derives the
-mask from its split's row lengths; splits store no mask and no padding.
+layout. The model derives the mask from its split's row lengths; splits
+store no mask and no padding.
 """
 
 from __future__ import annotations
@@ -196,12 +195,9 @@ def dropout(
     """Inverted dropout: survivors scaled by 1/(1-p) so inference is identity.
 
     Given `mask`, boolean, `x` holds the d-wide rows of its True slots in C
-    order, and the keep factors and the generator's end state are those of
-    dropout over the padded layout, mask.shape + (d,), without drawing for
-    the PAD slots: each run of real slots draws its uniforms in place, and
-    each run of PAD slots advances the generator past its share. A PCG64
-    generator spends one 64-bit output per float64 uniform, so advancing by
-    the count skips exactly the numbers the padded draw would have made.
+    order. The draw still covers every slot, mask.shape + (d,), so the keep
+    factors of the real rows and the generator's state are those of
+    dropout over the padded layout; the PAD slots' factors are dropped.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
@@ -210,45 +206,19 @@ def dropout(
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
     if mask is None:
-        uniforms = rng.random(x.data.shape)
+        keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
     else:
         mask = np.asarray(mask, dtype=bool)
         d = x.data.shape[-1]
         if x.data.size != int(mask.sum()) * d:
             raise ShapeError(f"dropout: rows {x.data.shape} for {int(mask.sum())} real slots of {mask.shape}")
-        uniforms = _draw_real_slots(rng, mask.reshape(-1), d).reshape(x.data.shape)
-    keep = (uniforms >= p).astype(x.data.dtype) / (1.0 - p)
+        keep = (rng.random(mask.shape + (d,)) >= p)[mask].reshape(x.data.shape).astype(x.data.dtype) / (1.0 - p)
     out = x.data * keep
 
     def backward_fn(g):
         accumulate(x, g * keep)
 
     return make_node(out, (x,), backward_fn)
-
-
-def _draw_real_slots(rng: np.random.Generator, slots: np.ndarray, d: int) -> np.ndarray:
-    """The float64 uniforms rng.random((slots.size, d))[slots] holds, drawn only for the True slots."""
-    bits = rng.bit_generator
-    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise TypeError(f"dropout over bags needs a PCG64 generator, got {type(bits).__name__}")
-    out = np.empty(int(slots.sum()) * d)
-    if not slots.size:
-        return out
-    starts = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])  # runs of real or of PAD slots
-    sizes = np.diff(np.r_[starts, slots.size]) * d
-    # advancing clears the buffered 32-bit half output, which a float64 draw keeps
-    buffered = bits.state
-    at = 0
-    for real, size in zip(slots[starts].tolist(), sizes.tolist()):
-        if real:
-            rng.random(out=out[at:at + size])
-            at += size
-        else:
-            bits.advance(size)
-    state = bits.state
-    state["has_uint32"], state["uinteger"] = buffered["has_uint32"], buffered["uinteger"]
-    bits.state = state
-    return out
 
 
 def attention_pool(contexts: Tensor, a: Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:

@@ -592,49 +592,6 @@ def test_masked_dropout_keeps_the_padded_draws_factors_bitwise(dtype):
         assert padded_rng.bit_generator.state == rows_rng.bit_generator.state
 
 
-BAG_LENGTHS = {
-    "full-length": [6, 6, 6],
-    "1-slot": [1, 5, 1, 1, 3, 1],
-    "all-1-slot": [1, 1, 1, 1],
-    "one-bag": [4],
-    "pad-last": [5, 2, 5, 1],
-}
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("lengths", BAG_LENGTHS.values(), ids=BAG_LENGTHS.keys())
-def test_dropout_resumed_past_pad_slots_equals_the_padded_draw(dtype, lengths):
-    lengths = np.array(lengths)
-    mask = np.arange(lengths.max()) < lengths[:, None]
-    d, p = 3, 0.4
-    rows = np.random.default_rng(1).standard_normal((int(mask.sum()), d)).astype(dtype)
-    padded_rng, rows_rng = np.random.default_rng(6), np.random.default_rng(6)
-    for _ in range(3):  # successive draws keep one stream
-        padded_keep = (padded_rng.random(mask.shape + (d,)) >= p)[mask].astype(dtype) / (1.0 - p)
-        out = nn.dropout(nn.Tensor(rows), p, training=True, rng=rows_rng, mask=mask)
-        assert_bitwise(out.data, rows * padded_keep)
-        assert padded_rng.bit_generator.state == rows_rng.bit_generator.state
-
-
-@pytest.mark.parametrize("int32_draws", [1, 2])
-def test_dropout_over_bags_keeps_a_buffered_half_output(int32_draws):
-    # one 32-bit draw leaves half of a 64-bit output buffered, and a second
-    # uses it up but leaves its bits behind; a float64 draw keeps both
-    mask = np.array([[True, True, False], [True, False, False]])
-    padded_rng, rows_rng = np.random.default_rng(2), np.random.default_rng(2)
-    for rng in (padded_rng, rows_rng):
-        rng.integers(0, 10, size=int32_draws, dtype=np.int32)
-    padded_rng.random(mask.shape + (2,))
-    nn.dropout(nn.Tensor(np.ones((3, 2))), 0.5, training=True, rng=rows_rng, mask=mask)
-    assert padded_rng.bit_generator.state == rows_rng.bit_generator.state  # the buffer included
-
-
-def test_dropout_over_bags_needs_a_pcg64_generator():
-    mask = np.array([[True, False]])
-    with pytest.raises(TypeError, match="PCG64"):
-        nn.dropout(nn.Tensor(np.ones((1, 2))), 0.5, True, np.random.Generator(np.random.MT19937(0)), mask=mask)
-
-
 def test_dropout_scaling_preserves_mean():
     # Monte-Carlo check of the 1/(1-p) inverted-dropout scaling.
     rng = np.random.default_rng(123)
