@@ -29,6 +29,8 @@ from .config import (
     echo_config,
     load_config,
     manifest_path,
+    write_csv,
+    write_json,
 )
 from .extraction import (
     ContextFormatError,
@@ -48,7 +50,6 @@ from .extraction import (
 )
 
 TASKS = tuple(tasks.MODELS)
-SHIFTS = ("timeline", "project", "author")
 
 
 class ValidationFailure(Exception):
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         if flags.get("task"):
             p.add_argument("--task", choices=TASKS, required=True)
         if flags.get("shift"):
-            p.add_argument("--shift", choices=SHIFTS, required=True)
+            p.add_argument("--shift", choices=corpus.SHIFT_KINDS, required=True)
         if flags.get("method"):
             p.add_argument("--method", choices=[e.flag for e in uq.ESTIMATORS.values()] + ["all"], default="all")
         if flags.get("variant"):
@@ -175,7 +176,7 @@ def cmd_make_splits(config: dict, args) -> int:
     out = _splits_path(bucket, args.shift)
     out.parent.mkdir(parents=True, exist_ok=True)
     payload = {"config": echo_config(config), "shift": args.shift, "assignment": assignment.to_json(out.parent)}
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out, payload)
     sizes = {name: len(files) for name, files in assignment.splits.items()}
     print(f"splits[{args.shift}] -> {out} {sizes}")
     return 0
@@ -237,9 +238,7 @@ def cmd_extract(config: dict, args) -> int:
         built = (build_cc_vocab(train_samples, min_count=min_count),)
     vocabs = {name: vocab.tokens for name, vocab in zip(tasks.MODELS[args.task].vocab_names, built)}
     payload = {"config": echo_config(config), "vocabs": vocabs}
-    _vocabs_path(bucket, args.task, args.shift).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(_vocabs_path(bucket, args.task, args.shift), payload)
     if recoveries:
         print(f"note: parser recovered {recoveries} unrecognized statements")
     return 0
@@ -281,7 +280,7 @@ def cmd_train(config: dict, args) -> int:
     bucket = bucket_dir(config)
     vocabs = _load_vocabs(bucket, args.task, args.shift)
     train_enc = _load_encoded(bucket, args.task, args.shift, "train", vocabs)
-    val_enc = _load_encoded(bucket, args.task, args.shift, "validation", vocabs, allow_empty=True)
+    val_enc = _load_encoded(bucket, args.task, args.shift, corpus.VALIDATION_SPLIT, vocabs, allow_empty=True)
     t = config["train"]
     train_config = tasks.TrainConfig(
         learning_rate=t["learning_rate"],
@@ -330,8 +329,8 @@ def cmd_score(config: dict, args) -> int:
     vocabs = model.vocabs()  # every split is encoded as the model was trained
 
     split_names = _split_names(bucket, args.task, args.shift)
-    eval_splits = [s for s in split_names if s == "validation" or s.startswith("test")]
-    if "validation" not in eval_splits:
+    eval_splits = [s for s in split_names if s == corpus.VALIDATION_SPLIT or s.startswith("test")]
+    if corpus.VALIDATION_SPLIT not in eval_splits:
         raise ValidationFailure("no validation contexts found; run `extract` first")
     encoded = {s: _load_encoded(bucket, args.task, args.shift, s, vocabs) for s in eval_splits}
     estimators = _estimators(args.method)
@@ -341,14 +340,15 @@ def cmd_score(config: dict, args) -> int:
 
     settings = {**config["uncertainty"], "seed": config["seed"]}
     # the validation forward feeds the fits and then scores that split
-    base = uq.base_outputs(model, encoded["validation"])
-    fitted = [(e, e.fit(model, train, encoded["validation"], base, settings)) for e in estimators]
+    validation = encoded[corpus.VALIDATION_SPLIT]
+    base = uq.base_outputs(model, validation)
+    fitted = [(e, e.fit(model, train, validation, base, settings)) for e in estimators]
 
     out_dir = bucket / "scores"
     out_dir.mkdir(parents=True, exist_ok=True)
     hash_hex = config_hash(config)
     written = 0
-    for split in sorted(encoded, key=lambda s: s != "validation"):  # validation's outputs first
+    for split in sorted(encoded, key=lambda s: s != corpus.VALIDATION_SPLIT):  # validation's outputs first
         samples = encoded[split]
         if base is None:
             base = uq.base_outputs(model, samples)
@@ -377,14 +377,13 @@ def cmd_eval(config: dict, args) -> int:
     accuracies = {
         t.split: 100.0 * int(tasks.is_correct(t.predicted, t.true).sum()) / len(t) for t in vanilla
     }
-    report = evalpipe.build_report(
-        args.task, args.shift, tables, accuracies, config_hash=config_hash(config)
-    )
+    hash_hex = config_hash(config)
+    report = evalpipe.build_report(args.task, args.shift, tables, accuracies, config_hash=hash_hex)
     out_dir = bucket / "reports"
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / f"{args.task}-{args.shift}.json"
-    evalpipe.write_report_json(json_path, report)
-    evalpipe.write_report_csv(out_dir / f"{args.task}-{args.shift}.csv", evalpipe.flatten_report(report), config_hash(config))
+    write_json(json_path, report)
+    evalpipe.write_report_csv(out_dir / f"{args.task}-{args.shift}.csv", evalpipe.flatten_report(report), hash_hex)
     print(f"eval[{args.task}/{args.shift}] -> {json_path}")
     for split, row in report["accuracy"].items():
         shown = row.get("formatted", f"{row['accuracy']:.2f}")
@@ -446,6 +445,7 @@ def cmd_filter(config: dict, args) -> int:
         raise ValidationFailure("no test splits to filter")
     out_dir = bucket / "filtered"
     out_dir.mkdir(parents=True, exist_ok=True)
+    hash_hex = config_hash(config)
     for split in splits:
         if split not in tables:
             raise ValidationFailure(f"no records for split {split!r}")
@@ -453,14 +453,10 @@ def cmd_filter(config: dict, args) -> int:
         accepted = evalpipe.input_filter(table.confidence, args.threshold).tolist()
         rows = list(zip(table.sample_ids, table.confidence.tolist(), table.predicted.tolist(), accepted))
         stem = _method_stem(args.task, args.shift, estimator.name, variant, split)
-        with open(out_dir / f"{stem}-accepted.csv", "w", encoding="utf-8", newline="\n") as f:
-            f.write(f"# config_hash={config_hash(config)}\n")
-            f.write("sample_id,confidence,predicted\n")
-            f.writelines(f"{sample_id},{conf!r},{pred}\n" for sample_id, conf, pred, ok in rows if ok)
-        with open(out_dir / f"{stem}-rejected.csv", "w", encoding="utf-8", newline="\n") as f:
-            f.write(f"# config_hash={config_hash(config)}\n")
-            f.write("sample_id,confidence\n")
-            f.writelines(f"{sample_id},{conf!r}\n" for sample_id, conf, _, ok in rows if not ok)
+        write_csv(out_dir / f"{stem}-accepted.csv", hash_hex, "sample_id,confidence,predicted",
+                  (f"{sample_id},{conf!r},{pred}\n" for sample_id, conf, pred, ok in rows if ok))
+        write_csv(out_dir / f"{stem}-rejected.csv", hash_hex, "sample_id,confidence",
+                  (f"{sample_id},{conf!r}\n" for sample_id, conf, _, ok in rows if not ok))
         print(
             f"filter[{args.task}/{args.shift}/{split}] threshold={args.threshold} "
             f"accepted={sum(accepted)} rejected={len(accepted) - sum(accepted)}"
@@ -474,15 +470,16 @@ def cmd_report(config: dict, args) -> int:
     paths = sorted(p for p in report_dir.glob("*.json") if p.name != "all.json")
     if not paths:
         raise ValidationFailure(f"no reports under {report_dir}; run `eval` first")
-    merged = {"config_hash": config_hash(config), "reports": []}
+    hash_hex = config_hash(config)
+    merged = {"config_hash": hash_hex, "reports": []}
     rows = []
     for path in paths:
         with _malformed("report", path):
             report = json.loads(path.read_text(encoding="utf-8"))
             rows.extend(evalpipe.flatten_report(report))
         merged["reports"].append(report)
-    evalpipe.write_report_json(report_dir / "all.json", merged)
-    evalpipe.write_report_csv(report_dir / "all.csv", rows, config_hash(config))
+    write_json(report_dir / "all.json", merged)
+    evalpipe.write_report_csv(report_dir / "all.csv", rows, hash_hex)
     print(f"report: merged {len(paths)} reports -> {report_dir / 'all.json'}")
     return 0
 

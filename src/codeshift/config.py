@@ -1,11 +1,13 @@
-"""Run configuration: defaults, file loading, flag overrides, hashing.
+"""Run configuration: defaults, file loading, flag overrides, hashing, artifact writers.
 
 The config is one JSON document. Defaults carry the published training
 setup (Adam, lr 0.001, embedding dim 100, dropout 0.5, batch 512, epochs
 300) plus estimator parameters (mutation degree 0.05, MC dropout 0.5).
 Artifacts land in `work_dir/<first 12 hex of the config hash>/`, so
 rerunning with an identical effective config overwrites byte-identically
-while changed configs get their own bucket.
+while changed configs get their own bucket. Every config-stamped CSV goes
+through `write_csv`, and every JSON document the package writes (config
+echoes, vocabularies, reports, corpus manifests) through `write_json`.
 """
 
 from __future__ import annotations
@@ -74,33 +76,56 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     return merged
 
 
-def _validate(config: dict) -> None:
-    def positive(path: str, value, kind=(int, float)):
-        if not isinstance(value, kind) or isinstance(value, bool) or value <= 0:
-            raise ConfigError(f"config {path!r} must be positive, got {value!r}")
+_NUMBER = (int, float)
+_POSITIVE_INT = (int, lambda v: v > 0, "a positive integer")
+_TEXT = (str, None, "a string")
+# dotted key: (its type, a test its value passes, what the test asks for); a bool is no number
+_RULES = {
+    "paths.corpus_dir": _TEXT,
+    "paths.work_dir": _TEXT,
+    "corpus.val_fraction": (_NUMBER, lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "corpus.min_count": _POSITIVE_INT,
+    "extraction.max_contexts": _POSITIVE_INT,
+    "extraction.max_path_len": _POSITIVE_INT,
+    "extraction.window": _POSITIVE_INT,
+    "train.optimizer": (str, lambda v: v == "adam", "'adam', the only optimizer supported"),
+    "train.learning_rate": (_NUMBER, lambda v: v > 0, "a positive number"),
+    "train.embedding_dim": _POSITIVE_INT,
+    "train.dropout": (_NUMBER, lambda v: 0 <= v < 1, "a number in [0, 1)"),
+    "train.batch_size": _POSITIVE_INT,
+    "train.epochs": _POSITIVE_INT,
+    "uncertainty.mc_passes": _POSITIVE_INT,
+    "uncertainty.mc_dropout_p": (_NUMBER, lambda v: 0 <= v < 1, "a number in [0, 1)"),
+    "uncertainty.mutant_count": _POSITIVE_INT,
+    "uncertainty.mutation_degree": (_NUMBER, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+    "uncertainty.probe_epochs": _POSITIVE_INT,
+    "uncertainty.probe_learning_rate": (_NUMBER, lambda v: v > 0, "a positive number"),
+    "synth.timeline_files": _POSITIVE_INT,
+    "synth.project_files": _POSITIVE_INT,
+    "seed": (int, lambda v: v >= 0, "an unsigned integer"),
+}
+_ENTRY_RULES = {"paths.manifests": _TEXT, "synth.author_files": _POSITIVE_INT}  # objects: a rule per entry
 
-    if config["train"]["optimizer"] != "adam":
-        raise ConfigError(f"only the adam optimizer is supported, got {config['train']['optimizer']!r}")
-    positive("train.learning_rate", config["train"]["learning_rate"])
-    positive("train.embedding_dim", config["train"]["embedding_dim"], int)
-    positive("train.batch_size", config["train"]["batch_size"], int)
-    positive("train.epochs", config["train"]["epochs"], int)
-    if not 0.0 <= config["train"]["dropout"] < 1.0:
-        raise ConfigError(f"train.dropout must lie in [0, 1), got {config['train']['dropout']!r}")
-    if not 0.0 < config["corpus"]["val_fraction"] < 1.0:
-        raise ConfigError(f"corpus.val_fraction must lie in (0, 1), got {config['corpus']['val_fraction']!r}")
-    positive("corpus.min_count", config["corpus"]["min_count"], int)
-    positive("extraction.max_contexts", config["extraction"]["max_contexts"], int)
-    positive("extraction.max_path_len", config["extraction"]["max_path_len"], int)
-    positive("extraction.window", config["extraction"]["window"], int)
-    positive("uncertainty.mc_passes", config["uncertainty"]["mc_passes"], int)
-    positive("uncertainty.mutant_count", config["uncertainty"]["mutant_count"], int)
-    if not 0.0 <= config["uncertainty"]["mutation_degree"] <= 1.0:
-        raise ConfigError("uncertainty.mutation_degree must lie in [0, 1]")
-    if not 0.0 <= config["uncertainty"]["mc_dropout_p"] < 1.0:
-        raise ConfigError("uncertainty.mc_dropout_p must lie in [0, 1)")
-    if not isinstance(config["seed"], int) or config["seed"] < 0:
-        raise ConfigError(f"seed must be an unsigned integer, got {config['seed']!r}")
+
+def _check(path: str, value, rule) -> None:
+    kind, test, expected = rule
+    if not isinstance(value, kind) or isinstance(value, bool) or (test is not None and not test(value)):
+        raise ConfigError(f"config {path!r} must be {expected}, got {value!r}")
+
+
+def _validate(config: dict) -> None:
+    def at(path: str):
+        section, _, key = path.rpartition(".")
+        return (config[section] if section else config)[key]
+
+    for path, rule in _RULES.items():
+        _check(path, at(path), rule)
+    for path, rule in _ENTRY_RULES.items():
+        entries = at(path)
+        if not isinstance(entries, dict):
+            raise ConfigError(f"config {path!r} must be an object, got {entries!r}")
+        for name, value in entries.items():
+            _check(f"{path}.{name}", value, rule)
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> dict:
@@ -140,6 +165,20 @@ def echo_config(config: dict) -> dict:
     echoed.get("paths", {}).pop("_base_dir", None)
     echoed["config_hash"] = config_hash(config)
     return echoed
+
+
+def write_csv(path, config_hash: str, header: str, lines) -> None:
+    """A UTF-8 CSV with LF line ends: `# config_hash=<hash>`, the header, then `lines`, each ending in LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(f"# config_hash={config_hash}\n{header}\n")
+        f.writelines(lines)
+
+
+def write_json(path, doc: dict) -> None:
+    """`doc` as UTF-8 JSON with sorted keys, indented 2, and one trailing LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def resolve_path(config: dict, key: str) -> Path:

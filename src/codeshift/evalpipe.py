@@ -9,10 +9,10 @@ explicit nulls with a reason, never as zeros or crashes.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
+from .config import write_csv
+from .corpus import VALIDATION_SPLIT
 from .metrics import MetricUndefinedError, aupr, brier, roc_auc
 from .tasks import is_correct
 from .uncertainty import ScoreTable
@@ -69,14 +69,10 @@ def threshold_sweep(confidence, correct) -> list[dict]:
     return rows
 
 
-def write_sweep_csv(path, rows: list[dict], config_hash: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        if config_hash:
-            f.write(f"# config_hash={config_hash}\n")
-        f.write("threshold,count,auc\n")
-        for row in rows:
-            auc = "" if row["auc"] is None else repr(row["auc"])
-            f.write(f"{row['threshold']!r},{row['count']},{auc}\n")
+def write_sweep_csv(path, rows: list[dict], config_hash: str) -> None:
+    write_csv(path, config_hash, "threshold,count,auc", (
+        f"{row['threshold']!r},{row['count']},{'' if row['auc'] is None else repr(row['auc'])}\n" for row in rows
+    ))
 
 
 # -- accuracy table -------------------------------------------------------
@@ -89,18 +85,18 @@ def drop_ratio(val_acc: float, test_acc: float) -> float:
     return (test_acc - val_acc) / val_acc * 100.0
 
 
-def accuracy_drop_report(accuracies: dict[str, float], validation_split: str = "validation") -> dict:
+def accuracy_drop_report(accuracies: dict[str, float]) -> dict:
     """Rows of accuracy plus signed drop ratio against the validation split.
 
     A zero validation accuracy makes the ratio undefined; those rows carry
     a null ratio and a reason instead of crashing the report.
     """
-    if validation_split not in accuracies:
-        raise ValueError(f"missing {validation_split!r} accuracy")
-    val_acc = accuracies[validation_split]
-    rows: dict[str, dict] = {validation_split: {"accuracy": val_acc}}
+    if VALIDATION_SPLIT not in accuracies:
+        raise ValueError(f"missing {VALIDATION_SPLIT!r} accuracy")
+    val_acc = accuracies[VALIDATION_SPLIT]
+    rows: dict[str, dict] = {VALIDATION_SPLIT: {"accuracy": val_acc}}
     for split, acc in accuracies.items():
-        if split == validation_split:
+        if split == VALIDATION_SPLIT:
             continue
         if val_acc == 0:
             rows[split] = {
@@ -150,53 +146,49 @@ def _method_block(variant_blocks: dict[str, dict]) -> dict:
 
 
 def build_report(
-    task: str,
-    shift: str,
-    tables: list[ScoreTable],
-    accuracies: dict[str, float],
-    validation_split: str = "validation",
-    config_hash: str | None = None,
+    task: str, shift: str, tables: list[ScoreTable], accuracies: dict[str, float], config_hash: str
 ) -> dict:
     """Assemble the full report for one (task, shift): accuracy rows,
-    error/success per split, and in-/OOD detection per (validation, test)."""
-    grouped = {(t.method, t.variant, t.split): t for t in tables}
-    methods = sorted({m for m, _, _ in grouped})
-    splits = sorted({s for _, _, s in grouped})
-    test_splits = [s for s in splits if s != validation_split]
+    error/success per split, and in-/OOD detection per (validation, test).
 
-    error_success: dict[str, dict] = {}
-    for split in splits:
-        per_method: dict[str, dict] = {}
-        for method in methods:
-            variants = {v: t for (m, v, s), t in grouped.items() if m == method and s == split}
-            if variants:
-                per_method[method] = _method_block({
-                    v: error_success_eval(t.confidence, is_correct(t.predicted, t.true))
-                    for v, t in sorted(variants.items())
-                })
-        error_success[split] = per_method
+    The tables are grouped once, by split, then method, then variant; both
+    sections walk that map in sorted order. A (method, variant) enters the
+    OOD section of a test split only when the validation split has it too.
+    """
+    grouped: dict[str, dict[str, dict[str, ScoreTable]]] = {}
+    for t in tables:
+        grouped.setdefault(t.split, {}).setdefault(t.method, {})[t.variant] = t
+    splits = sorted(grouped)
 
+    error_success = {
+        split: {
+            method: _method_block({
+                v: error_success_eval(t.confidence, is_correct(t.predicted, t.true))
+                for v, t in sorted(variants.items())
+            })
+            for method, variants in sorted(grouped[split].items())
+        }
+        for split in splits
+    }
+
+    validation = grouped.get(VALIDATION_SPLIT, {})
     ood: dict[str, dict] = {}
-    for test_split in test_splits:
+    for split in splits:
+        if split == VALIDATION_SPLIT:
+            continue
         per_method = {}
-        for method in methods:
-            variants = {
-                v: (grouped.get((method, v, validation_split)), grouped.get((method, v, test_split)))
-                for (m, v, s) in grouped
-                if m == method and s == test_split
-            }
-            variants = {v: pair for v, pair in variants.items() if pair[0] and pair[1]}
-            if variants:
-                per_method[method] = _method_block({
-                    v: ood_eval(val.confidence, test.confidence) for v, (val, test) in sorted(variants.items())
-                })
-        ood[f"{validation_split}|{test_split}"] = per_method
+        for method, variants in sorted(grouped[split].items()):
+            val = validation.get(method, {})
+            blocks = {v: ood_eval(val[v].confidence, t.confidence) for v, t in sorted(variants.items()) if v in val}
+            if blocks:
+                per_method[method] = _method_block(blocks)
+        ood[f"{VALIDATION_SPLIT}|{split}"] = per_method
 
     return {
         "task": task,
         "shift": shift,
         "config_hash": config_hash,
-        "accuracy": accuracy_drop_report(accuracies, validation_split),
+        "accuracy": accuracy_drop_report(accuracies),
         "error_success": error_success,
         "ood": ood,
     }
@@ -236,26 +228,14 @@ def flatten_report(report: dict) -> list[dict]:
     return rows
 
 
-def write_report_json(path, report: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def write_report_csv(path, rows: list[dict], config_hash: str | None = None) -> None:
+def write_report_csv(path, rows: list[dict], config_hash: str) -> None:
     columns = ("task", "shift", "eval", "split", "method", "variant", "auc", "aupr", "brier", "note")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        if config_hash:
-            f.write(f"# config_hash={config_hash}\n")
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = []
-            for c in columns:
-                value = row[c]
-                if value is None:
-                    cells.append("")
-                elif isinstance(value, float):
-                    cells.append(repr(value))
-                else:
-                    cells.append(str(value).replace(",", ";"))
-            f.write(",".join(cells) + "\n")
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return repr(value)
+        return str(value).replace(",", ";")
+
+    write_csv(path, config_hash, ",".join(columns), (",".join(cell(row[c]) for c in columns) + "\n" for row in rows))

@@ -22,7 +22,6 @@ from .ops import (
     mul,
     row_slice,
     softmax,
-    sum_axis,
     tanh,
 )
 from .optim import AdamState, adam_step
@@ -52,7 +51,6 @@ __all__ = [
     "read_checkpoint",
     "row_slice",
     "softmax",
-    "sum_axis",
     "tanh",
     "write_checkpoint",
     "zero_grads",

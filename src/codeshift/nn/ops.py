@@ -3,7 +3,7 @@
 Everything the two task models need: affine maps, embedding lookups (of
 one table, or summed over several), tanh, stable softmax, inverted dropout,
 attention pooling, cross-entropy, and the small glue ops
-(add/mul/concat/row slice/sum/mean) they are composed from. Shapes
+(add/mul/concat/row slice/mean) they are composed from. Shapes
 broadcast over leading batch dimensions; reductions and softmax act on the
 last axis unless stated otherwise.
 
@@ -228,8 +228,9 @@ def attention_pool(contexts: Tensor, a: Tensor, mask: np.ndarray | None = None) 
     axis, and every bag needs at least one. `contexts` holds the d-wide rows
     of the True slots in C order, in any shape that flattens to
     (mask.sum(), d); mask=None makes every slot of contexts.shape[:-1] real.
-    `a` is (d,). Returns (pooled mask.shape[:-1] + (d,), weights mask.shape),
-    weights +0.0 at the PAD slots; only `pooled` is on the tape.
+    `a` is (d,). Returns (pooled mask.shape[:-1] + (d,), weights
+    (mask.sum(),)): one weight per real slot, in the order of the rows. Only
+    `pooled` is on the tape.
 
     Each bag's rows are contiguous, so its softmax max and sums are
     `reduceat` segments starting at the bags' first rows. The scores
@@ -255,8 +256,6 @@ def attention_pool(contexts: Tensor, a: Tensor, mask: np.ndarray | None = None) 
     e = np.exp(s - np.repeat(np.maximum.reduceat(s, starts), counts))
     w = e / np.repeat(np.add.reduceat(e, starts), counts)
     pooled = np.add.reduceat(w[:, None] * rows, starts, axis=0).reshape(mask.shape[:-1] + (d,))
-    weights = np.zeros(mask.shape, dtype=w.dtype)
-    weights[mask] = w
 
     def backward_fn(g):
         g_rows = np.repeat(g.reshape(-1, d), counts, axis=0)
@@ -269,7 +268,7 @@ def attention_pool(contexts: Tensor, a: Tensor, mask: np.ndarray | None = None) 
             gx += gs[:, None] * a.data
             accumulate(contexts, gx.reshape(x.shape))
 
-    return make_node(pooled, (contexts, a), backward_fn), Tensor(weights)
+    return make_node(pooled, (contexts, a), backward_fn), Tensor(w)
 
 
 def concat_last(parts: list[Tensor]) -> Tensor:
@@ -284,15 +283,6 @@ def concat_last(parts: list[Tensor]) -> Tensor:
             offset += n
 
     return make_node(out, tuple(parts), backward_fn)
-
-
-def sum_axis(x: Tensor, axis: int) -> Tensor:
-    out = x.data.sum(axis=axis)
-
-    def backward_fn(g):
-        accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
-
-    return make_node(out, (x,), backward_fn)
 
 
 def mean(x: Tensor) -> Tensor:

@@ -20,11 +20,12 @@ Shift layout:
 
 from __future__ import annotations
 
-import json
 import zlib
 from pathlib import Path
 
 import numpy as np
+
+from .config import write_json
 
 
 def _stable_key(text: str) -> int:
@@ -280,7 +281,7 @@ def _write_snapshot(root: Path, project: str, version: str, release_time: str,
         (root / name).write_text(render_file(style, rng, f"{version.replace('.', '')}x{i}"), encoding="utf-8")
         files.append({"path": name, "author": author})
     meta = {"project": project, "version": version, "release_time": release_time, "files": files}
-    (root / "snapshot.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(root / "snapshot.json", meta)
     return len(files)
 
 
@@ -363,6 +364,6 @@ def generate_corpus(
     manifests = {}
     for shift, doc in (("timeline", timeline_manifest), ("project", project_manifest), ("author", author_manifest)):
         path = root / f"manifest_{shift}.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(path, doc)
         manifests[shift] = str(path)
     return {"files": total, "manifests": manifests}

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
+from .config import write_csv
 from .extraction import PAD_ID, UNK_ID, Vocabulary
 
 CS = "cs"
@@ -160,8 +161,10 @@ class _TaskModel:
     of a split differ from those `base` computes, and what they hold. A head
     returns "logits" and "features" (CS also "weights", one attention
     weight per real context, and "pooled"); it computes "probs" and
-    "embed_mean" only when its `keys` name them. `affine_layers` names each
-    (weight, bias) pair whose output neurons mutation acts on.
+    "embed_mean" only when its `keys` name them. Dropout is live exactly
+    when the forward is given a generator `rng`, at the model's
+    `dropout_p`. `affine_layers` names each (weight, bias) pair whose
+    output neurons mutation acts on.
     """
 
     kind: str
@@ -201,15 +204,10 @@ class _TaskModel:
         return twin
 
     def forward_batch(
-        self,
-        batch: EncodedSplit,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        dropout_p: float | None = None,
-        keys: tuple[str, ...] = ("probs",),
+        self, batch: EncodedSplit, rng: np.random.Generator | None = None, keys: tuple[str, ...] = ("probs",)
     ) -> dict[str, nn.Tensor]:
         """`head` on `features(batch)`."""
-        return self.head(self.features(batch), batch, training=training, rng=rng, dropout_p=dropout_p, keys=keys)
+        return self.head(self.features(batch), batch, rng=rng, keys=keys)
 
 
 class PathAttentionModel(_TaskModel):
@@ -300,26 +298,23 @@ class PathAttentionModel(_TaskModel):
         self,
         features: nn.Tensor,
         batch: EncodedSplit,
-        training: bool = False,
         rng: np.random.Generator | None = None,
-        dropout_p: float | None = None,
         keys: tuple[str, ...] = ("probs",),
     ) -> dict[str, nn.Tensor]:
         """Everything after the combiner, on the (R, d) rows `features` returns.
 
-        Dropout and pooling take the bag mask, (B, max length), derived from
-        the batch's lengths. "weights", one attention weight per context
-        (R,), and "embed_mean", each bag's mean row, are off the tape.
+        Dropout at `dropout_p`, live when `rng` is given, and pooling take
+        the bag mask, (B, max length), derived from the batch's lengths.
+        "weights", one attention weight per context (R,), and "embed_mean",
+        each bag's mean row, are off the tape.
         """
         p = self._params
         lengths = batch.lengths
         mask = np.arange(lengths.max()) < lengths[:, None]
-        dropped = nn.dropout(
-            features, self.dropout_p if dropout_p is None else dropout_p, training, rng, mask=mask
-        )
+        dropped = nn.dropout(features, self.dropout_p, rng is not None, rng, mask=mask)
         pooled, weights = nn.attention_pool(dropped, p["attn"], mask=mask)
         logits = nn.affine(pooled, p["w_out"], p["b_out"])
-        out = {"logits": logits, "features": features, "weights": nn.Tensor(weights.data[mask]), "pooled": pooled}
+        out = {"logits": logits, "features": features, "weights": weights, "pooled": pooled}
         if "embed_mean" in keys:
             sums = np.add.reduceat(features.data, np.cumsum(lengths) - lengths, axis=0)
             out["embed_mean"] = nn.Tensor(sums * (1.0 / lengths).astype(sums.dtype)[:, None])
@@ -338,7 +333,7 @@ class MlpCompletionModel(_TaskModel):
     def __init__(self, tokens: Vocabulary, dim: int = 100, seed: int = 0, dtype=np.float32):
         self.tokens = tokens
         self.dim = dim
-        self.dropout_p = 0.0  # no dropout layer in this architecture
+        self.dropout_p = 0.0  # no dropout in training; MC-Dropout scores a copy at its own rate
         rng = np.random.default_rng([seed, 0xCC])
         self._params = {
             "token_emb": _uniform_init(rng, (len(tokens), dim), dim, dtype),
@@ -368,17 +363,16 @@ class MlpCompletionModel(_TaskModel):
         self,
         features: nn.Tensor,
         batch: EncodedSplit,
-        training: bool = False,
         rng: np.random.Generator | None = None,
-        dropout_p: float | None = None,
         keys: tuple[str, ...] = ("probs",),
     ) -> dict[str, nn.Tensor]:
-        """`dropout_p` (None: the model's own 0.0) exists only so MC-Dropout can
-        inject a stochastic site after the embedding mean at score time;
-        training never uses it.
+        """Dropout at `dropout_p`, live when `rng` is given, then the output layer.
+
+        The model trains at 0.0, so only MC-Dropout's copy at its own rate
+        drops anything after the embedding mean.
         """
         p = self._params
-        h = nn.dropout(features, self.dropout_p if dropout_p is None else dropout_p, training, rng)
+        h = nn.dropout(features, self.dropout_p, rng is not None, rng)
         logits = nn.affine(h, p["w_out"], p["b_out"])
         out = {"logits": logits, "features": features}
         if "embed_mean" in keys:
@@ -400,25 +394,25 @@ def infer(
     samples: EncodedSplit,
     batch_size: int = 512,
     keys: tuple[str, ...] = ("probs",),
-    training: bool = False,
     rng: np.random.Generator | None = None,
-    dropout_p: float | None = None,
     features: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Batched no-grad forward over a split; concatenates `keys` over its batches.
 
-    The model's head computes "probs" and "embed_mean" only when `keys`
-    name them. "features" is one (rows, d) array for the split,
-    `model.feature_rows(samples)` rows: one per real context for CS, one
-    per sample for CC. Passed back as `features` to a call over the same
-    split, at any `batch_size`, it resumes every batch at `model.head`; the
-    model must share the `feature_params` of the one that computed it, or
-    the columns `model.feature_changes` names must be written into them.
+    Given `rng`, dropout is live at the model's `dropout_p` and draws from
+    it batch after batch. The model's head computes "probs" and
+    "embed_mean" only when `keys` name them. "features" is one (rows, d)
+    array for the split, `model.feature_rows(samples)` rows: one per real
+    context for CS, one per sample for CC. Passed back as `features` to a
+    call over the same split, at any `batch_size`, it resumes every batch
+    at `model.head`; the model must share the `feature_params` of the one
+    that computed it, or the columns `model.feature_changes` names must be
+    written into them.
     """
     if features is not None and len(features) != model.feature_rows(samples):
         raise ValueError(f"features hold {len(features)} rows, but the split has {model.feature_rows(samples)}")
     chunks: dict[str, list[np.ndarray]] = {k: [] for k in keys}
-    settings = {"training": training, "rng": rng, "dropout_p": dropout_p, "keys": keys}
+    settings = {"rng": rng, "keys": keys}
     row = 0
     with nn.no_grad():
         for start in range(0, len(samples), batch_size):
@@ -511,7 +505,7 @@ def _train_loop(
         for start in range(0, len(samples), config.batch_size):
             batch = samples[order[start:start + config.batch_size]]
             nn.zero_grads(params.values())
-            out = model.forward_batch(batch, training=True, rng=drop_rng, keys=("probs",))
+            out = model.forward_batch(batch, rng=drop_rng, keys=("probs",))
             loss = nn.mean(nn.cross_entropy(out["probs"], batch.labels))
             nn.backward(loss)
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}
@@ -554,7 +548,7 @@ def train_cc(
     return _train_loop(model, samples, config, val_samples)
 
 
-def write_epoch_log(history: list[dict], path, config_hash: str | None = None) -> None:
+def write_epoch_log(history: list[dict], path, config_hash: str) -> None:
     """Per-epoch CSV: epoch,train_acc,val_acc,loss.
 
     A None accuracy is written as an empty cell: train_acc is filled on the
@@ -563,12 +557,9 @@ def write_epoch_log(history: list[dict], path, config_hash: str | None = None) -
     def cell(acc):
         return "" if acc is None else repr(acc)
 
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        if config_hash:
-            f.write(f"# config_hash={config_hash}\n")
-        f.write("epoch,train_acc,val_acc,loss\n")
-        for row in history:
-            f.write(f"{row['epoch']},{cell(row['train_acc'])},{cell(row['val_acc'])},{row['loss']!r}\n")
+    write_csv(path, config_hash, "epoch,train_acc,val_acc,loss", (
+        f"{row['epoch']},{cell(row['train_acc'])},{cell(row['val_acc'])},{row['loss']!r}\n" for row in history
+    ))
 
 
 # -- model checkpoints -------------------------------------------------------

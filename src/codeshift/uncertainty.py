@@ -23,9 +23,9 @@ network in full. Every resumed pass gives the full forward's bytes.
 - vanilla: max softmax probability.
 - temp_scale: max softmax(logits / T), T fitted on validation NLL by Newton's
   method on 1/T, over the validation split's shared forward.
-- mc_dropout: mean softmax over K stochastic passes; the CC model has no
-  dropout layer, so a dropout site is injected after its embedding mean at
-  score time only.
+- mc_dropout: mean softmax over K stochastic passes of a copy of the model
+  whose dropout rate is the configured one; the CC model trains without
+  dropout, so only these passes drop its embedding mean.
 - mmutant: label change rate (LCR) across an ensemble of mutated models
   (GF / WS / NS / NAI at a fixed mutation degree); confidence = 1 - LCR
   over a fixed-size ensemble.
@@ -35,6 +35,7 @@ network in full. Every resumed pass gives the full forward's bytes.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 import zlib
@@ -44,6 +45,7 @@ from typing import Callable
 import numpy as np
 
 from . import nn, tasks
+from .config import write_csv
 
 MUTATION_OPERATORS = ("GF", "WS", "NS", "NAI")
 GROWTH_TYPES = ("linear", "log", "exp")
@@ -193,16 +195,21 @@ def score_temp_scale(logits: np.ndarray, temperature: float):
 def score_mc_dropout(model, samples, passes: int = 30, p: float = 0.5, seed: int = 0, features=None):
     """Mean softmax over `passes` stochastic passes.
 
-    The dropout site sits after the features, so with the split's
-    `features` (from `base_outputs`) each pass runs only the model's head,
-    drawing the same random numbers in the same order as a full pass.
+    The passes run a shallow copy of `model` whose `dropout_p` is `p`, so
+    `model` itself is left as it is; CC, which trains without dropout,
+    drops its embedding mean here. The dropout site sits after the
+    features, so with the split's `features` (from `base_outputs`) each
+    pass runs only the copy's head, drawing the same random numbers in the
+    same order as a full pass.
     """
     if passes < 1:
         raise ValueError(f"MC-Dropout needs passes >= 1, got {passes}")
     rng = np.random.default_rng([int(s) for s in np.atleast_1d(seed)] + [0xD0])
+    stochastic = copy.copy(model)
+    stochastic.dropout_p = p
     total = None
     for _ in range(passes):
-        probs = tasks.infer(model, samples, training=True, rng=rng, dropout_p=p, features=features)["probs"]
+        probs = tasks.infer(stochastic, samples, rng=rng, features=features)["probs"]
         total = probs.astype(np.float64) if total is None else total + probs
     # at p = 0 every pass is the deterministic forward, and K equal float32
     # rows summed in float64 and divided by K give those rows back exactly
@@ -525,19 +532,15 @@ SCORES_HEADER = "sample_id,method,variant,raw_score,confidence,predicted,true,sp
 _SCORES_FIELDS = SCORES_HEADER.count(",") + 1
 
 
-def write_scores_csv(path, table: ScoreTable, config_hash: str | None = None) -> None:
+def write_scores_csv(path, table: ScoreTable, config_hash: str) -> None:
     rows = zip(
         table.sample_ids, table.raw.tolist(), table.confidence.tolist(),
         table.predicted.tolist(), table.true.tolist(),
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        if config_hash:
-            f.write(f"# config_hash={config_hash}\n")
-        f.write(SCORES_HEADER + "\n")
-        f.writelines(
-            f"{sample_id},{table.method},{table.variant},{raw!r},{conf!r},{pred},{true},{table.split}\n"
-            for sample_id, raw, conf, pred, true in rows
-        )
+    write_csv(path, config_hash, SCORES_HEADER, (
+        f"{sample_id},{table.method},{table.variant},{raw!r},{conf!r},{pred},{true},{table.split}\n"
+        for sample_id, raw, conf, pred, true in rows
+    ))
 
 
 def read_scores_csv(path) -> ScoreTable:

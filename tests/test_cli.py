@@ -90,6 +90,26 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"paths": {"manifests": []}}, "paths.manifests"),
+    ({"paths": {"manifests": {"timeline": 5}}}, "paths.manifests.timeline"),
+    ({"paths": {"corpus_dir": 5}}, "paths.corpus_dir"),
+    ({"synth": {"timeline_files": "x"}}, "synth.timeline_files"),
+    ({"synth": {"author_files": {"alice": "x"}}}, "synth.author_files.alice"),
+    ({"uncertainty": {"probe_epochs": 0}}, "uncertainty.probe_epochs"),
+    ({"uncertainty": {"probe_learning_rate": -0.1}}, "uncertainty.probe_learning_rate"),
+    ({"corpus": {"val_fraction": "x"}}, "corpus.val_fraction"),
+    ({"seed": True}, "seed"),
+])
+def test_ill_typed_config_values_exit_2_naming_the_key(tmp_path, capsys, doc, key):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in (["synth-corpus"], ["make-splits", "--shift", "timeline"]):
+        assert main([*command, "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and repr(key) in err
+
+
 def test_artifact_layout_and_hash_embedding(workspace):
     root, config_path, flags = workspace
     bucket = bucket_of(config_path)
@@ -109,6 +129,22 @@ def test_artifact_layout_and_hash_embedding(workspace):
     assert all(row[2] and row[3] for row in rows)  # val_acc and loss: every epoch
     report = json.loads((bucket / "reports" / "cs-project.json").read_text())
     assert report["config_hash"] == hash_hex
+
+    for command in (["sweep", "--method", "vanilla"], ["filter", "--method", "vanilla", "--threshold", "0.5"]):
+        assert main([*command, "--task", "cs", "--shift", "project", *flags]) == 0
+    assert main(["report", *flags]) == 0
+    csvs = sorted(bucket.rglob("*.csv"))
+    assert {p.parent.name for p in csvs} == {"logs", "scores", "reports", "sweeps", "filtered"}
+    for path in csvs:
+        assert path.read_bytes().startswith(f"# config_hash={hash_hex}\n".encode()), path
+    jsons = sorted(bucket.rglob("*.json"))
+    assert {p.parent.name for p in jsons} == {"splits", "contexts", "reports"}
+    for path in jsons:
+        text = path.read_bytes().decode("utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path  # one LF, sorted keys
+    for path in bucket.rglob("*"):
+        if path.is_file() and path.suffix != ".ckpt":
+            assert b"\r" not in path.read_bytes(), path
 
 
 def test_score_writes_one_csv_per_method_variant_split(workspace):
@@ -295,7 +331,7 @@ def test_score_runs_the_deterministic_forward_once_per_split(workspace, monkeypa
     infer = tasks.infer
 
     def counting_infer(model, samples, *args, **kwargs):
-        if not kwargs.get("training", False):
+        if kwargs.get("rng") is None:
             (calls if kwargs.get("features") is None else head_calls).append(len(samples))
         return infer(model, samples, *args, **kwargs)
 

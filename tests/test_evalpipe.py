@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from codeshift import config
 from codeshift import evalpipe as ep
 from codeshift.uncertainty import ScoreTable
 
@@ -151,10 +152,10 @@ def test_build_report_structure_and_flatten():
 
 def test_report_roundtrip_files(tmp_path):
     tables = make_tables()
-    report = ep.build_report("cc", "author", tables, {"validation": 70.0, "test1": 60.0})
+    report = ep.build_report("cc", "author", tables, {"validation": 70.0, "test1": 60.0}, config_hash="cafe")
     json_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
-    ep.write_report_json(json_path, report)
+    config.write_json(json_path, report)
     ep.write_report_csv(csv_path, ep.flatten_report(report), config_hash="cafe")
     assert json_path.read_text().startswith("{")
     lines = csv_path.read_text().splitlines()

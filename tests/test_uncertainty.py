@@ -1,5 +1,6 @@
 """Estimator contracts: all five methods, the registry, and score files."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -253,6 +254,22 @@ def test_mc_dropout_p_zero_is_vanilla_bitwise(cc_setup):
         assert np.array_equal(v_pred, m_pred)
 
 
+@pytest.mark.parametrize("setup", ["cc_setup", "cs_setup"])
+def test_mc_dropout_leaves_the_scored_model_untouched(request, setup):
+    model, encoded = setup_of(request, setup)
+    rate = model.dropout_p
+    params = dict(model.params())
+    arrays = {name: (p.data, p.data.copy()) for name, p in params.items()}
+    features = uq.base_outputs(model, encoded)["features"]
+    for with_features in (None, features):
+        uq.score_mc_dropout(model, encoded, passes=2, p=0.3, seed=4, features=with_features)
+    assert model.dropout_p == rate
+    assert model.params() == params  # the same Tensor objects
+    for name, (data, before) in arrays.items():
+        assert model.params()[name].data is data
+        assert np.array_equal(data, before)
+
+
 def test_mc_dropout_deterministic_per_seed(cc_setup):
     model, encoded, _ = cc_setup
     one = uq.score_mc_dropout(model, encoded, passes=1, p=0.5, seed=9)
@@ -359,6 +376,13 @@ def setup_of(request, name):
     return model, encoded
 
 
+def at_rate(model, p):
+    """A shallow copy of `model` whose forward drops out at rate `p` when given a generator."""
+    twin = copy.copy(model)
+    twin.dropout_p = p
+    return twin
+
+
 @pytest.mark.parametrize("setup", ["cc_setup", "cs_setup"])
 def test_mutants_share_feature_arrays_unless_gf(request, setup):
     model, _ = setup_of(request, setup)
@@ -406,12 +430,11 @@ def test_resumed_mutant_matches_full_forward_bitwise(request, setup, op):
 def test_resumed_mc_dropout_pass_matches_full_forward_bitwise(request, setup):
     model, encoded = setup_of(request, setup)
     features = tasks.infer(model, encoded, batch_size=RESUME_BATCH, keys=("features",))["features"]
+    stochastic = at_rate(model, 0.5)
     full_rng, resumed_rng = np.random.default_rng(17), np.random.default_rng(17)
     for _ in range(3):  # successive passes keep drawing from one stream
-        full = tasks.infer(model, encoded, batch_size=RESUME_BATCH, training=True, rng=full_rng, dropout_p=0.5)
-        resumed = tasks.infer(
-            model, encoded, batch_size=RESUME_BATCH, training=True, rng=resumed_rng, dropout_p=0.5, features=features
-        )
+        full = tasks.infer(stochastic, encoded, batch_size=RESUME_BATCH, rng=full_rng)
+        resumed = tasks.infer(stochastic, encoded, batch_size=RESUME_BATCH, rng=resumed_rng, features=features)
         assert np.array_equal(full["probs"], resumed["probs"])
 
 
@@ -431,9 +454,9 @@ def test_cs_passes_resumed_from_row_features_match_the_full_forward_bitwise(cs_s
     for m in (model, head_mutant):
         full_rng, resumed_rng = np.random.default_rng(23), np.random.default_rng(23)
         for _ in range(2):  # an MC-Dropout pass, then the next from the same stream
-            settings = {"batch_size": RESUME_BATCH, "keys": ("probs", "logits"), "training": True, "dropout_p": 0.5}
-            full = tasks.infer(m, encoded, rng=full_rng, **settings)
-            resumed = tasks.infer(m, encoded, rng=resumed_rng, features=features, **settings)
+            settings = {"batch_size": RESUME_BATCH, "keys": ("probs", "logits")}
+            full = tasks.infer(at_rate(m, 0.5), encoded, rng=full_rng, **settings)
+            resumed = tasks.infer(at_rate(m, 0.5), encoded, rng=resumed_rng, features=features, **settings)
             assert np.array_equal(full["probs"], resumed["probs"])
             assert np.array_equal(full["logits"], resumed["logits"])
             assert full_rng.bit_generator.state == resumed_rng.bit_generator.state
@@ -610,9 +633,9 @@ def test_features_resumed_at_another_batch_size_match_the_full_forward_bitwise(r
     full = tasks.infer(model, encoded, batch_size=batch_size, keys=keys)
     resumed = tasks.infer(model, encoded, batch_size=batch_size, keys=keys, features=features)
     full_rng, resumed_rng = np.random.default_rng(31), np.random.default_rng(31)
-    passes = {"training": True, "dropout_p": 0.5, "batch_size": batch_size, "keys": keys}
-    full_pass = tasks.infer(model, encoded, rng=full_rng, **passes)
-    resumed_pass = tasks.infer(model, encoded, rng=resumed_rng, features=features, **passes)
+    passes = {"batch_size": batch_size, "keys": keys}
+    full_pass = tasks.infer(at_rate(model, 0.5), encoded, rng=full_rng, **passes)
+    resumed_pass = tasks.infer(at_rate(model, 0.5), encoded, rng=resumed_rng, features=features, **passes)
     for k in keys:
         assert np.array_equal(full[k], resumed[k])
         assert np.array_equal(full_pass[k], resumed_pass[k])
