@@ -35,24 +35,24 @@ settings = {**DEFAULT_CONFIG["uncertainty"], "mutant_count": 20, "seed": 0}
 base = uq.base_outputs(model, encoded)
 states = {name: e.fit(model, encoded, encoded, base, settings) for name, e in uq.ESTIMATORS.items()}
 
-vanilla = uq.ESTIMATORS["vanilla"].table(model, states["vanilla"], "", encoded, base)
+# one score call per estimator returns a table for each of its variants
+tables = {name: e.tables(model, states[name], encoded, base) for name, e in uq.ESTIMATORS.items()}
+(vanilla,) = tables["vanilla"]
 print("vanilla (max softmax):")
 for sample_id, confidence, predicted in zip(vanilla.sample_ids, vanilla.confidence, vanilla.predicted):
     print(f"  {sample_id}: confidence={confidence:.3f} predicted={labels.decode(int(predicted))}")
 
 print(f"\ntemperature scaling: T*={states['temp_scale']:.3f}")
 for name in ("temp_scale", "mc_dropout"):
-    table = uq.ESTIMATORS[name].table(model, states[name], "", encoded, base)
+    (table,) = tables[name]
     print(f"{name}: confidences {[round(c, 3) for c in table.confidence.tolist()]}")
 
 print("\nmMutant label-change rates at degree 0.05 (confidence = 1 - LCR):")
-for operator in uq.MUTATION_OPERATORS:
-    table = uq.ESTIMATORS["mmutant"].table(model, states["mmutant"], operator, encoded, base)
-    print(f"  {operator}: LCR {[round(r, 2) for r in table.raw.tolist()]}")
+for table in tables["mmutant"]:
+    print(f"  {table.variant}: LCR {[round(r, 2) for r in table.raw.tolist()]}")
 
 print("\ndissector PV scores per growth type:")
-for growth in uq.GROWTH_TYPES:
-    weights = uq.growth_weights(growth, len(states["dissector"]))
-    table = uq.ESTIMATORS["dissector"].table(model, states["dissector"], growth, encoded, base)
-    print(f"  {growth:<6} layer weights {[round(float(w), 3) for w in weights]}, "
+for table in tables["dissector"]:
+    weights = uq.growth_weights(table.variant, len(states["dissector"]))
+    print(f"  {table.variant:<6} layer weights {[round(float(w), 3) for w in weights]}, "
           f"PV {[round(c, 3) for c in table.confidence.tolist()]}")

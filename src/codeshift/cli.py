@@ -353,9 +353,10 @@ def cmd_score(config: dict, args) -> int:
         if base is None:
             base = uq.base_outputs(model, samples)
         for estimator, state in fitted:
-            for variant in estimator.variants:
-                table = estimator.table(model, state, variant, samples, base, split)
-                uq.write_scores_csv(_scores_path(bucket, args.task, args.shift, table.method, variant, split), table, hash_hex)
+            for table in estimator.tables(model, state, samples, base, split):
+                uq.write_scores_csv(
+                    _scores_path(bucket, args.task, args.shift, table.method, table.variant, split), table, hash_hex
+                )
                 written += 1
         base = None  # one split's outputs, features included, are alive at a time
     print(f"score[{args.task}/{args.shift}] wrote {written} score files over splits {eval_splits}")
@@ -436,6 +437,8 @@ def cmd_sweep(config: dict, args) -> int:
 
 
 def cmd_filter(config: dict, args) -> int:
+    if not 0.0 <= args.threshold <= 1.0:  # NaN fails too
+        raise ValidationFailure(f"--threshold must be a number in [0, 1], got {args.threshold}")
     bucket = bucket_dir(config)
     estimator, variant, tables = _variant_tables(bucket, args)
     splits = sorted(s for s in tables if s.startswith("test"))
@@ -451,12 +454,14 @@ def cmd_filter(config: dict, args) -> int:
             raise ValidationFailure(f"no records for split {split!r}")
         table = tables[split]
         accepted = evalpipe.input_filter(table.confidence, args.threshold).tolist()
-        rows = list(zip(table.sample_ids, table.confidence.tolist(), table.predicted.tolist(), accepted))
+        rows = list(zip(
+            table.sample_ids, uq.column_texts(table.confidence), uq.column_texts(table.predicted), accepted
+        ))
         stem = _method_stem(args.task, args.shift, estimator.name, variant, split)
         write_csv(out_dir / f"{stem}-accepted.csv", hash_hex, "sample_id,confidence,predicted",
-                  (f"{sample_id},{conf!r},{pred}\n" for sample_id, conf, pred, ok in rows if ok))
+                  (f"{sample_id},{conf},{pred}\n" for sample_id, conf, pred, ok in rows if ok))
         write_csv(out_dir / f"{stem}-rejected.csv", hash_hex, "sample_id,confidence",
-                  (f"{sample_id},{conf!r}\n" for sample_id, conf, _, ok in rows if not ok))
+                  (f"{sample_id},{conf}\n" for sample_id, conf, _, ok in rows if not ok))
         print(
             f"filter[{args.task}/{args.shift}/{split}] threshold={args.threshold} "
             f"accepted={sum(accepted)} rejected={len(accepted) - sum(accepted)}"

@@ -105,6 +105,7 @@ _RULES = {
     "seed": (int, lambda v: v >= 0, "an unsigned integer"),
 }
 _ENTRY_RULES = {"paths.manifests": _TEXT, "synth.author_files": _POSITIVE_INT}  # objects: a rule per entry
+_NON_EMPTY = {"synth.author_files"}  # objects that need at least one entry
 
 
 def _check(path: str, value, rule) -> None:
@@ -124,6 +125,8 @@ def _validate(config: dict) -> None:
         entries = at(path)
         if not isinstance(entries, dict):
             raise ConfigError(f"config {path!r} must be an object, got {entries!r}")
+        if path in _NON_EMPTY and not entries:
+            raise ConfigError(f"config {path!r} must name at least one entry, got {{}}")
         for name, value in entries.items():
             _check(f"{path}.{name}", value, rule)
 

@@ -10,6 +10,7 @@ merging per-file counts in any order yields the same mapping.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -52,7 +53,7 @@ class Vocabulary:
         return self._ids.get(token, UNK_ID)
 
     def encode_all(self, tokens: Iterable[str]) -> np.ndarray:
-        return np.array([self.encode(t) for t in tokens], dtype=np.int64)
+        return np.fromiter(map(self._ids.get, tokens, repeat(UNK_ID)), dtype=np.int64)
 
     def decode(self, idx: int) -> str:
         return self._tokens[idx]

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import write_json
+from .config import DEFAULT_CONFIG, write_json
 
 
 def _stable_key(text: str) -> int:
@@ -343,7 +343,8 @@ def generate_corpus(
     }
 
     # author: one snapshot, authors of increasingly different habits
-    author_files = author_files or {"alice": 30, "adam": 10, "mira": 10, "bogdan": 12}
+    if author_files is None:
+        author_files = DEFAULT_CONFIG["synth"]["author_files"]
     author_styles = {"alice": 0.0, "adam": 0.0, "mira": 0.5, "bogdan": 1.0}
     plan = []
     for author, count in author_files.items():

@@ -3,9 +3,9 @@
 All estimators share one convention: `confidence` lies in [0, 1] and higher
 means "more likely within the model's competence". `ESTIMATORS` is the one
 registry of them: each entry names its CLI flag and its variants (mutation
-operators, probe growth curves), fits its state, and scores samples into a
-`ScoreTable`, one per (method, variant, split), so reports can select the
-best-scoring variant per metric.
+operators, probe growth curves), fits its state, and scores a split's
+samples for every variant in one call, into one `ScoreTable` per (method,
+variant, split), so reports can select the best-scoring variant per metric.
 
 Every estimator is defined against the model's deterministic forward pass.
 `base_outputs` runs it once per split; the scorers read its probabilities,
@@ -40,6 +40,7 @@ import math
 import warnings
 import zlib
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -210,7 +211,10 @@ def score_mc_dropout(model, samples, passes: int = 30, p: float = 0.5, seed: int
     total = None
     for _ in range(passes):
         probs = tasks.infer(stochastic, samples, rng=rng, features=features)["probs"]
-        total = probs.astype(np.float64) if total is None else total + probs
+        if total is None:
+            total = probs.astype(np.float64)
+        else:
+            total += probs
     # at p = 0 every pass is the deterministic forward, and K equal float32
     # rows summed in float64 and divided by K give those rows back exactly
     mean_probs = total / passes
@@ -400,20 +404,29 @@ def _snapshot_validity(q: np.ndarray, base_pred: np.ndarray) -> np.ndarray:
     return ql / denom
 
 
-def score_dissector(probes: list[Probe] | None, growth: str, base: dict[str, np.ndarray]):
-    """PV scores from the probes over `base`'s probe taps, against its predicted labels."""
+def score_dissector(probes: list[Probe] | None, base: dict[str, np.ndarray]):
+    """PV scores from the probes over `base`'s probe taps, against its predicted labels.
+
+    Returns {growth: (raw, confidence, predicted)} over GROWTH_TYPES. Each
+    probe runs once; every growth type sums the same snapshot validities,
+    shallowest first, under its own depth weights.
+    """
     if not probes:
         raise EstimatorStateError("dissector scoring needs trained probes")
     n_classes = base["probs"].shape[-1]
-    weights = growth_weights(growth, len(probes))
     base_preds = base["probs"].argmax(axis=-1)
-    pv = np.zeros(len(base_preds), dtype=np.float64)
-    for weight, probe in zip(weights, probes):
+    validities = []
+    for probe in probes:
         if probe.w.data.shape[-1] != n_classes:
             raise EstimatorStateError(f"probe label space ({probe.w.data.shape[-1]}) does not match model ({n_classes})")
-        q = probe.predict(base[probe.tag])
-        pv += weight * _snapshot_validity(q, base_preds)
-    return pv, pv, base_preds
+        validities.append(_snapshot_validity(probe.predict(base[probe.tag]), base_preds))
+    scores = {}
+    for growth in GROWTH_TYPES:
+        pv = np.zeros(len(base_preds), dtype=np.float64)
+        for weight, sv in zip(growth_weights(growth, len(probes)), validities):
+            pv += weight * sv
+        scores[growth] = (pv, pv, base_preds)
+    return scores
 
 
 # -- registry --------------------------------------------------------------------
@@ -428,13 +441,14 @@ class Estimator:
     operator, the probes, or None. `val_base` is `base_outputs(model,
     validation)`, the same outputs that score the validation split.
     `settings` holds the `uncertainty` config keys plus `seed`.
-    `score(model, state, variant, samples, base, split)` returns (raw,
-    confidence, predicted) arrays, where `base` is `base_outputs(model,
-    samples)`, computed once per split and shared by every estimator; the
-    Monte-Carlo scorers resume from its "features" where it has them.
-    `split` keys the random stream of stochastic passes. A method without
-    variants has the one variant "". `fit` reads `train`, the training
-    split, only when `needs_train` is set; otherwise it is given None.
+    `score(model, state, samples, base, split)` scores every variant at
+    once and returns {variant: (raw, confidence, predicted)} in `variants`
+    order, where `base` is `base_outputs(model, samples)`, computed once
+    per split and shared by every estimator; the Monte-Carlo scorers resume
+    from its "features" where it has them. `split` keys the random stream
+    of stochastic passes. A method without variants has the one variant "".
+    `fit` reads `train`, the training split, only when `needs_train` is
+    set; otherwise it is given None.
     """
 
     name: str
@@ -444,23 +458,29 @@ class Estimator:
     score: Callable
     needs_train: bool = False
 
-    def table(self, model, state, variant: str, samples, base: dict[str, np.ndarray], split: str = "") -> ScoreTable:
-        raw, confidence, predicted = self.score(model, state, variant, samples, base, split)
-        confidence = np.asarray(confidence, dtype=np.float64)
-        outside = ~((confidence >= 0.0) & (confidence <= 1.0))
-        if outside.any():
-            i = int(outside.argmax())
-            raise ValueError(f"confidence {confidence[i]} outside [0, 1] for {samples.sample_ids[i]}")
-        return ScoreTable(
-            method=self.name,
-            variant=variant,
-            split=split,
-            sample_ids=samples.sample_ids.tolist(),
-            raw=np.asarray(raw, dtype=np.float64),
-            confidence=confidence,
-            predicted=np.asarray(predicted, dtype=np.int64),
-            true=samples.labels,
-        )
+    def tables(self, model, state, samples, base: dict[str, np.ndarray], split: str = "") -> list[ScoreTable]:
+        """One ScoreTable per variant, in `variants` order, from one `score` call."""
+        scores = self.score(model, state, samples, base, split)
+        sample_ids = samples.sample_ids.tolist()
+        tables = []
+        for variant in self.variants:
+            raw, confidence, predicted = scores[variant]
+            confidence = np.asarray(confidence, dtype=np.float64)
+            outside = ~((confidence >= 0.0) & (confidence <= 1.0))
+            if outside.any():
+                i = int(outside.argmax())
+                raise ValueError(f"confidence {confidence[i]} outside [0, 1] for {sample_ids[i]}")
+            tables.append(ScoreTable(
+                method=self.name,
+                variant=variant,
+                split=split,
+                sample_ids=sample_ids,
+                raw=np.asarray(raw, dtype=np.float64),
+                confidence=confidence,
+                predicted=np.asarray(predicted, dtype=np.int64),
+                true=samples.labels,
+            ))
+        return tables
 
 
 def _fit_mutant_ensembles(model, train, validation, val_base, settings) -> dict[str, list]:
@@ -479,12 +499,20 @@ def _fit_probes(model, train, validation, val_base, settings) -> list[Probe]:
     )
 
 
-def _score_mc_dropout(model, settings, variant, samples, base, split):
+def _score_mc_dropout(model, settings, samples, base, split):
     seed = [settings["seed"], zlib.crc32(split.encode())]
-    return score_mc_dropout(
+    return {"": score_mc_dropout(
         model, samples, passes=settings["mc_passes"], p=settings["mc_dropout_p"], seed=seed,
         features=base.get("features"),
-    )
+    )}
+
+
+def _score_mmutant(model, ensembles, samples, base, split):
+    base_preds = base["probs"].argmax(axis=-1)
+    return {
+        op: score_mmutant((ensembles or {}).get(op), samples, base_preds, base.get("features"), model)
+        for op in MUTATION_OPERATORS
+    }
 
 
 # Entries call the public functions above through their module-level names
@@ -496,12 +524,12 @@ ESTIMATORS: dict[str, Estimator] = {
         Estimator(
             "vanilla", "vanilla", ("",),
             fit=lambda model, train, validation, val_base, settings: None,
-            score=lambda model, state, variant, samples, base, split: score_vanilla(base["probs"]),
+            score=lambda model, state, samples, base, split: {"": score_vanilla(base["probs"])},
         ),
         Estimator(
             "temp_scale", "temp", ("",),
             fit=lambda model, train, validation, val_base, settings: fit_temperature(val_base["logits"], validation.labels),
-            score=lambda model, temperature, variant, samples, base, split: score_temp_scale(base["logits"], temperature),
+            score=lambda model, temperature, samples, base, split: {"": score_temp_scale(base["logits"], temperature)},
         ),
         Estimator(
             "mc_dropout", "mcdropout", ("",),
@@ -511,14 +539,12 @@ ESTIMATORS: dict[str, Estimator] = {
         Estimator(
             "mmutant", "mmutant", MUTATION_OPERATORS,
             fit=_fit_mutant_ensembles,
-            score=lambda model, ensembles, operator, samples, base, split: score_mmutant(
-                (ensembles or {}).get(operator), samples, base["probs"].argmax(axis=-1), base.get("features"), model
-            ),
+            score=_score_mmutant,
         ),
         Estimator(
             "dissector", "dissector", GROWTH_TYPES,
             fit=_fit_probes,
-            score=lambda model, probes, growth, samples, base, split: score_dissector(probes, growth, base),
+            score=lambda model, probes, samples, base, split: score_dissector(probes, base),
             needs_train=True,
         ),
     )
@@ -532,55 +558,77 @@ SCORES_HEADER = "sample_id,method,variant,raw_score,confidence,predicted,true,sp
 _SCORES_FIELDS = SCORES_HEADER.count(",") + 1
 
 
+def column_texts(values: np.ndarray) -> list[str]:
+    """The `repr` of each value of a float64 or int64 column, as score files
+    write it, called once per distinct bit pattern (so -0.0 stays -0.0)."""
+    keys, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map(repr, keys.view(values.dtype).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def write_scores_csv(path, table: ScoreTable, config_hash: str) -> None:
-    rows = zip(
-        table.sample_ids, table.raw.tolist(), table.confidence.tolist(),
-        table.predicted.tolist(), table.true.tolist(),
-    )
+    raw = column_texts(table.raw)
+    same = np.array_equal(table.confidence.view(np.uint64), table.raw.view(np.uint64))
+    confidence = raw if same else column_texts(table.confidence)
+    rows = zip(table.sample_ids, raw, confidence, column_texts(table.predicted), column_texts(table.true))
+    middle, end = f",{table.method},{table.variant},", f",{table.split}\n"
     write_csv(path, config_hash, SCORES_HEADER, (
-        f"{sample_id},{table.method},{table.variant},{raw!r},{conf!r},{pred},{true},{table.split}\n"
-        for sample_id, raw, conf, pred, true in rows
+        f"{sample_id}{middle}{r},{c},{p},{t}{end}" for sample_id, r, c, p, t in rows
     ))
 
 
 def read_scores_csv(path) -> ScoreTable:
-    """Read one score file; any malformed row raises ScoresFileError naming its line."""
-    rows, line_numbers = [], []
+    """Read one score file; any malformed row raises ScoresFileError naming its line.
+
+    The rows are split in bulk, and each column converts each distinct text
+    once, with the same `float` or `int` a row-by-row parse would call, so
+    the same files are accepted; a check that fails walks its column row by
+    row to name the first bad line.
+    """
     try:
         with open(path, encoding="utf-8") as f:
-            lines = enumerate(f, 1)
-            for number, line in lines:  # "#" comment lines, then the header
-                if line.rstrip("\n") == SCORES_HEADER:
-                    break
-                if not line.startswith("#"):
-                    raise ScoresFileError(f"{path}, line {number}: expected the header {SCORES_HEADER!r}")
-            for number, line in lines:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split(",")
-                if len(fields) != _SCORES_FIELDS:
-                    raise ScoresFileError(f"{path}, line {number}: expected {_SCORES_FIELDS} fields, got {len(fields)}")
-                rows.append(fields)
-                line_numbers.append(number)
+            lines = f.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ScoresFileError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not lines[-1]:
+        lines.pop()  # what follows the last line end
+    header = len(lines)
+    for number, line in enumerate(lines):  # "#" comment lines, then the header
+        if line == SCORES_HEADER:
+            header = number
+            break
+        if not line.startswith("#"):
+            raise ScoresFileError(f"{path}, line {number + 1}: expected the header {SCORES_HEADER!r}")
+    rows = list(filter(None, lines[header + 1:]))  # blank lines are skipped
     if not rows:
         raise ScoresFileError(f"{path}: no score rows")
-    sample_ids, methods, variants, raw, conf, predicted, true, splits = zip(*rows)
 
     def reject(index: int, problem: str):
-        raise ScoresFileError(f"{path}, line {line_numbers[index]}: {problem}")
+        numbers = [number for number, line in enumerate(lines[header + 1:], header + 2) if line]
+        raise ScoresFileError(f"{path}, line {numbers[index]}: {problem}")
+
+    commas = list(map(str.count, rows, repeat(",")))
+    if commas.count(_SCORES_FIELDS - 1) != len(rows):
+        i = next(i for i, count in enumerate(commas) if count != _SCORES_FIELDS - 1)
+        reject(i, f"expected {_SCORES_FIELDS} fields, got {commas[i] + 1}")
+    fields = ",".join(rows).split(",")
+    sample_ids, methods, variants, raw, conf, predicted, true, splits = (
+        fields[i::_SCORES_FIELDS] for i in range(_SCORES_FIELDS)
+    )
 
     for name, column in (("method", methods), ("variant", variants), ("split", splits)):
         if column.count(column[0]) != len(column):
             i = next(i for i, value in enumerate(column) if value != column[0])
             reject(i, f"{name} {column[i]!r} differs from {column[0]!r} of the first row")
 
-    def parse(name: str, texts: tuple[str, ...], dtype, expected: str, valid=None) -> np.ndarray:
+    def parse(name: str, texts: list[str], dtype, expected: str, valid=None, values=None) -> np.ndarray:
+        """`texts` converted, or `values` when given, once they pass `valid`."""
         convert = float if dtype is np.float64 else int
         try:
-            values = np.fromiter(map(convert, texts), dtype=dtype, count=len(texts))
+            if values is None:
+                distinct = set(texts)
+                known = dict(zip(distinct, map(convert, distinct)))
+                values = np.fromiter(map(known.__getitem__, texts), dtype=dtype, count=len(texts))
             if valid is None or valid(values).all():
                 return values
         except (ValueError, OverflowError):
@@ -593,13 +641,17 @@ def read_scores_csv(path) -> ScoreTable:
             if value is None or (valid is not None and not valid(value)[0]):
                 reject(i, f"{name} {text!r} is not {expected}")
 
+    raw_values = parse("raw_score", raw, np.float64, "a finite number", np.isfinite)
     return ScoreTable(
         method=methods[0],
         variant=variants[0],
         split=splits[0],
-        sample_ids=list(sample_ids),
-        raw=parse("raw_score", raw, np.float64, "a finite number", np.isfinite),
-        confidence=parse("confidence", conf, np.float64, "a number in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
+        sample_ids=sample_ids,
+        raw=raw_values,
+        confidence=parse(
+            "confidence", conf, np.float64, "a number in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0),
+            raw_values.copy() if conf == raw else None,
+        ),
         predicted=parse("predicted", predicted, np.int64, "an integer"),
         true=parse("true", true, np.int64, "an integer"),
     )

@@ -221,7 +221,7 @@ def test_criterion_3_estimator_invariants(small_models):
     pv_in_bounds = all(
         0.0 <= c <= 1.0
         for growth in uq.GROWTH_TYPES
-        for c in uq.score_dissector(probes, growth, cs_base)[1]
+        for c in uq.score_dissector(probes, cs_base)[growth][1]
     )
     exp_weights = uq.growth_weights("exp", len(probes))
     exp_increasing = bool(np.all(np.diff(exp_weights) > 0))

@@ -100,6 +100,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
     ({"uncertainty": {"probe_learning_rate": -0.1}}, "uncertainty.probe_learning_rate"),
     ({"corpus": {"val_fraction": "x"}}, "corpus.val_fraction"),
     ({"seed": True}, "seed"),
+    ({"synth": {"author_files": {}}}, "synth.author_files"),
 ])
 def test_ill_typed_config_values_exit_2_naming_the_key(tmp_path, capsys, doc, key):
     config_path = tmp_path / "c.json"
@@ -244,7 +245,7 @@ def test_filter_rejected_inputs_carry_no_prediction(workspace):
     root, config_path, flags = workspace
     bucket = bucket_of(config_path)
     assert main(["filter", "--task", "cs", "--shift", "project", "--method", "vanilla",
-                 "--threshold", "1.01", *flags]) == 0
+                 "--threshold", "1.0", *flags]) == 0
     accepted = (bucket / "filtered" / "cs-project-vanilla-test1-accepted.csv").read_text().splitlines()
     rejected = (bucket / "filtered" / "cs-project-vanilla-test1-rejected.csv").read_text().splitlines()
     assert accepted[1:] == ["sample_id,confidence,predicted"]
@@ -302,6 +303,35 @@ def test_corrupt_score_csv_exits_2_naming_file_and_line(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert f"{target}, line 4" in err
     assert "runtime error" not in err
+
+
+def test_score_csv_rows_whose_comma_errors_cancel_name_the_first_line(tmp_path, capsys):
+    config_path, target = scores_only_bucket(tmp_path)
+    lines = target.read_text().splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:-1])  # line 4: 6 commas
+    lines[4] += ",extra"  # line 5: 8 commas, so the file's comma total is right
+    target.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--task", "cs", "--shift", "project", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{target}, line 4: expected 8 fields, got 7" in err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-0.1", "1.5"])
+def test_filter_threshold_outside_unit_interval_exits_2(tmp_path, capsys, threshold):
+    config_path, _ = scores_only_bucket(tmp_path)
+    argv = ["filter", "--task", "cs", "--shift", "project", "--method", "vanilla", "--threshold", threshold]
+    assert main([*argv, "--config", str(config_path)]) == 2
+    assert "--threshold" in capsys.readouterr().err
+    assert not (bucket_of(config_path) / "filtered").exists()
+
+
+@pytest.mark.parametrize("threshold, accepted", [("0", 6), ("1", 0)])
+def test_filter_threshold_bounds_are_accepted(tmp_path, threshold, accepted):
+    config_path, _ = scores_only_bucket(tmp_path)
+    argv = ["filter", "--task", "cs", "--shift", "project", "--method", "vanilla", "--threshold", threshold]
+    assert main([*argv, "--config", str(config_path)]) == 0
+    rows = (bucket_of(config_path) / "filtered" / "cs-project-vanilla-test1-accepted.csv").read_text().splitlines()
+    assert len(rows) - 2 == accepted
 
 
 @pytest.mark.parametrize("damage", ["truncated", "wrong_kind", "config_not_json", "zero_dim"])

@@ -4,6 +4,7 @@ The expected path-context sets are produced by an independent brute-force
 tree walk in this file, never by the library's own enumeration.
 """
 
+import numpy as np
 import pytest
 
 from codeshift import extraction as ex
@@ -357,6 +358,18 @@ def test_vocab_encodes_unseen_tokens_to_unk():
     assert "baz" not in vocab and len(vocab) == 3
     rebuilt = ex.Vocabulary.from_tokens([ex.UNK_TOKEN, ex.PAD_TOKEN, "x"])
     assert rebuilt.encode("baz") == ex.UNK_ID
+
+
+def test_vocab_encode_all_matches_encode_on_any_stream():
+    from collections import Counter
+
+    vocab = ex.Vocabulary.from_counts(Counter({"x": 3, "y": 1}), min_count=1)
+    stream = ["y", "zz", "x", ex.PAD_TOKEN, "", ex.UNK_TOKEN, "x"]
+    ids = vocab.encode_all(iter(stream))
+    assert ids.dtype == np.int64
+    assert ids.tolist() == [vocab.encode(t) for t in stream] == [3, ex.UNK_ID, 2, ex.PAD_ID, ex.UNK_ID, ex.UNK_ID, 2]
+    empty = vocab.encode_all(t for t in ())
+    assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
 def test_vocab_from_tokens_rejects_a_duplicated_token():

@@ -77,7 +77,7 @@ def assert_same_scores(a, b):
 def test_vanilla_is_max_softmax():
     model, vocab = forced_prob_model([0.7, 0.2, 0.1])
     sample = sample_for(vocab)
-    rec = uq.ESTIMATORS["vanilla"].table(model, None, "", sample, uq.base_outputs(model, sample))
+    (rec,) = uq.ESTIMATORS["vanilla"].tables(model, None, sample, uq.base_outputs(model, sample))
     assert abs(rec.confidence[0] - 0.7) < 1e-6
     assert rec.predicted[0] == 0
     assert rec.method == "vanilla" and rec.variant == ""
@@ -235,8 +235,7 @@ def test_estimators_on_saturated_float32_logits(case, method):
     with np.errstate(over="ignore", invalid="ignore"):  # float32 overflow is the case under test
         base = uq.base_outputs(model, samples)
         state = estimator.fit(model, samples, samples, base, settings)
-        for variant in estimator.variants:
-            table = estimator.table(model, state, variant, samples, base, "test1")  # rejects conf outside [0, 1]
+        for table in estimator.tables(model, state, samples, base, "test1"):  # rejects conf outside [0, 1]
             assert not np.isnan(table.confidence).any()
             assert np.all((table.confidence >= 0.0) & (table.confidence <= 1.0))
             assert np.array_equal(table.predicted, np.full(8, 2))  # the first largest logit
@@ -295,9 +294,9 @@ def test_mc_dropout_zero_passes_rejected(cc_setup):
 
 def test_mmutant_degree_zero_lcr_zero(cc_setup):
     model, encoded, _ = cc_setup
-    for op in uq.MUTATION_OPERATORS:
-        ensemble = uq.build_mutant_ensemble(model, op, degree=0.0, count=5, seed=1)
-        rec = uq.ESTIMATORS["mmutant"].table(model, {op: ensemble}, op, encoded[:10], uq.base_outputs(model, encoded[:10]))
+    ensembles = {op: uq.build_mutant_ensemble(model, op, degree=0.0, count=5, seed=1) for op in uq.MUTATION_OPERATORS}
+    tables = uq.ESTIMATORS["mmutant"].tables(model, ensembles, encoded[:10], uq.base_outputs(model, encoded[:10]))
+    for op, rec in zip(uq.MUTATION_OPERATORS, tables, strict=True):
         assert np.all(rec.raw == 0.0)
         assert np.all(rec.confidence == 1.0)
         assert rec.variant == op
@@ -670,7 +669,7 @@ def test_dissector_unanimous_probe_gives_pv_one(cc_setup):
     preds = tasks.infer(model, encoded[:1])["probs"].argmax(-1)
     probe = unanimous_probe(model, agree_with=int(preds[0]))
     probes = [probe]
-    _, conf, _ = uq.score_dissector(probes, "linear", uq.base_outputs(model, encoded[:1]))
+    _, conf, _ = uq.score_dissector(probes, uq.base_outputs(model, encoded[:1]))["linear"]
     assert conf[0] == 1.0
 
 
@@ -680,7 +679,7 @@ def test_dissector_zero_probability_on_label_pulls_pv_down(cc_setup):
     wrong = (int(preds[0]) + 1) % model.n_classes()
     probe = unanimous_probe(model, agree_with=wrong)
     probes = [probe]
-    _, conf, _ = uq.score_dissector(probes, "linear", uq.base_outputs(model, encoded[:1]))
+    _, conf, _ = uq.score_dissector(probes, uq.base_outputs(model, encoded[:1]))["linear"]
     assert conf[0] == 0.0
 
 
@@ -689,8 +688,8 @@ def test_dissector_trained_probes_in_bounds(cs_setup):
     probes = uq.train_probes(model, encoded, epochs=5, seed=0)
     assert [p.tag for p in probes] == ["embed_mean", "pooled"]
     base = uq.base_outputs(model, encoded)
-    for growth in uq.GROWTH_TYPES:
-        rec = uq.ESTIMATORS["dissector"].table(model, probes, growth, encoded, base)
+    tables = uq.ESTIMATORS["dissector"].tables(model, probes, encoded, base)
+    for growth, rec in zip(uq.GROWTH_TYPES, tables, strict=True):
         assert np.all((0.0 <= rec.confidence) & (rec.confidence <= 1.0))
         assert rec.variant == growth
 
@@ -700,7 +699,30 @@ def test_dissector_label_space_mismatch(cc_setup, cs_setup):
     cs_model, _ = cs_setup
     probes = uq.train_probes(cs_model, cs_setup[1], epochs=1, seed=0)
     with pytest.raises(uq.EstimatorStateError):
-        uq.score_dissector(probes, "linear", uq.base_outputs(cc_model, cc_encoded[:2]))
+        uq.score_dissector(probes, uq.base_outputs(cc_model, cc_encoded[:2]))
+
+
+def test_dissector_runs_each_probe_once_for_every_growth_type(cs_setup, monkeypatch):
+    model, encoded = cs_setup
+    probes = uq.train_probes(model, encoded, epochs=3, seed=0)
+    base = uq.base_outputs(model, encoded)
+    base_preds = base["probs"].argmax(axis=-1)
+    expected = {}
+    for growth in uq.GROWTH_TYPES:  # the reference runs every probe again for each growth type
+        pv = np.zeros(len(encoded), dtype=np.float64)
+        for weight, probe in zip(uq.growth_weights(growth, len(probes)), probes):
+            pv += weight * uq._snapshot_validity(probe.predict(base[probe.tag]), base_preds)
+        expected[growth] = pv
+    assert not np.array_equal(expected["linear"], expected["exp"])  # two probes: the weights matter
+    predicted = []
+    predict = uq.Probe.predict
+    monkeypatch.setattr(uq.Probe, "predict", lambda self, acts: predicted.append(self.tag) or predict(self, acts))
+    tables = uq.ESTIMATORS["dissector"].tables(model, probes, encoded, base, "test1")
+    assert predicted == [p.tag for p in probes]
+    assert [t.variant for t in tables] == list(uq.GROWTH_TYPES)
+    for table in tables:
+        assert table.confidence.tobytes() == expected[table.variant].tobytes()  # bitwise
+        assert table.raw.tobytes() == expected[table.variant].tobytes()
 
 
 # -- registry and score tables ------------------------------------------------------
@@ -716,8 +738,9 @@ def test_all_confidences_in_unit_interval(cc_setup):
     base = uq.base_outputs(model, encoded)
     for estimator in uq.ESTIMATORS.values():
         state = estimator.fit(model, encoded, encoded, base, SETTINGS)
-        for variant in estimator.variants:
-            rec = estimator.table(model, state, variant, encoded, base, "validation")
+        tables = estimator.tables(model, state, encoded, base, "validation")
+        assert [rec.variant for rec in tables] == list(estimator.variants)
+        for rec in tables:
             assert len(rec) == len(encoded)
             assert np.all((0.0 <= rec.confidence) & (rec.confidence <= 1.0))
 
@@ -738,7 +761,7 @@ def test_mmutant_registry_scores_every_operator_with_its_own_ensemble(cc_setup):
     base = uq.base_outputs(model, encoded)
     ensembles = estimator.fit(model, encoded, encoded, base, SETTINGS)
     assert sorted(ensembles) == sorted(uq.MUTATION_OPERATORS)
-    tables = [estimator.table(model, ensembles, op, encoded, base, "test1") for op in estimator.variants]
+    tables = estimator.tables(model, ensembles, encoded, base, "test1")
     assert [t.variant for t in tables] == ["GF", "WS", "NS", "NAI"]
     for op, t in zip(estimator.variants, tables):
         own = uq.build_mutant_ensemble(
@@ -756,9 +779,9 @@ def test_mc_dropout_stream_is_keyed_by_split(cc_setup):
     estimator = uq.ESTIMATORS["mc_dropout"]
     base = uq.base_outputs(model, encoded)
     state = estimator.fit(model, encoded, encoded, base, SETTINGS)
-    test1 = estimator.table(model, state, "", encoded, base, "test1")
-    again = estimator.table(model, state, "", encoded, base, "test1")
-    other = estimator.table(model, state, "", encoded, base, "test2")
+    (test1,) = estimator.tables(model, state, encoded, base, "test1")
+    (again,) = estimator.tables(model, state, encoded, base, "test1")
+    (other,) = estimator.tables(model, state, encoded, base, "test2")
     assert np.array_equal(test1.confidence, again.confidence)
     assert not np.array_equal(test1.confidence, other.confidence)
 
@@ -776,18 +799,18 @@ def test_mc_dropout_registry_passes_resume_at_the_head(cs_setup, monkeypatch):
         return infer(*args, **kwargs)
 
     monkeypatch.setattr(tasks, "infer", recording_infer)
-    estimator.table(model, state, "", encoded, base, "test1")
+    estimator.tables(model, state, encoded, base, "test1")
     assert resumed == [True] * SETTINGS["mc_passes"]
 
 
 def test_registry_missing_state():
     base = {"probs": np.zeros((0, 2), dtype=np.float32), "logits": np.zeros((0, 2), dtype=np.float32)}
     with pytest.raises(uq.EstimatorStateError):
-        uq.ESTIMATORS["temp_scale"].score(None, None, "", [], base, "")
+        uq.ESTIMATORS["temp_scale"].score(None, None, [], base, "")
     with pytest.raises(uq.EstimatorStateError):
-        uq.ESTIMATORS["mmutant"].score(None, None, "GF", [], base, "")
+        uq.ESTIMATORS["mmutant"].score(None, None, [], base, "")
     with pytest.raises(uq.EstimatorStateError):
-        uq.ESTIMATORS["dissector"].score(None, None, "linear", [], base, "")
+        uq.ESTIMATORS["dissector"].score(None, None, [], base, "")
     with pytest.raises(KeyError):
         uq.ESTIMATORS["unknown"]
 
@@ -796,12 +819,12 @@ def test_table_rejects_confidence_outside_unit_interval(cc_setup):
     model, encoded, _ = cc_setup
     broken = uq.Estimator(
         "broken", "broken", ("",), fit=lambda *a: None,
-        score=lambda model, state, variant, samples, base, split: (
+        score=lambda model, state, samples, base, split: {"": (
             np.ones(len(samples)), np.full(len(samples), 1.5), np.zeros(len(samples))
-        ),
+        )},
     )
     with pytest.raises(ValueError, match=encoded.sample_ids[0]):
-        broken.table(model, None, "", encoded, uq.base_outputs(model, encoded))
+        broken.tables(model, None, encoded, uq.base_outputs(model, encoded))
 
 
 # -- score files ----------------------------------------------------------------------
@@ -841,3 +864,83 @@ def test_scores_csv_roundtrip(tmp_path, table):
         assert getattr(back, column).tobytes() == getattr(table, column).tobytes()  # bit-identical
     assert np.array_equal(back.predicted, table.predicted)
     assert np.array_equal(back.true, table.true)
+
+
+def row_by_row_scores_csv(table, config_hash: str) -> bytes:
+    """A score file written one f-string per row, the reference for the column-wise writer."""
+    rows = zip(table.sample_ids, table.raw.tolist(), table.confidence.tolist(), table.predicted.tolist(), table.true.tolist())
+    return "".join([
+        f"# config_hash={config_hash}\n{uq.SCORES_HEADER}\n",
+        *(f"{sample_id},{table.method},{table.variant},{raw!r},{conf!r},{pred},{true},{table.split}\n"
+          for sample_id, raw, conf, pred, true in rows),
+    ]).encode("utf-8")
+
+
+@st.composite
+def repetitive_score_tables(draw):
+    """Tables of 50-500 rows over a few distinct values; raw holds 0.0 and -0.0, and
+    NaN and +-inf unless `finite`. Confidence is raw, raw with each zero's sign
+    flipped, or its own column."""
+    n = draw(st.integers(min_value=50, max_value=500))
+    finite = draw(st.booleans())
+    pool = np.array([0.0, -0.0, *draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = pool[rng.integers(len(pool), size=n)]
+    raw[:2] = 0.0, -0.0
+    if not finite:
+        raw[2:5] = np.nan, np.inf, -np.inf
+    kind = draw(st.sampled_from(["same", "zero_sign", "own"]))
+    if kind == "same":
+        confidence = raw.copy()
+    elif kind == "zero_sign":
+        confidence = np.where(raw == 0.0, -raw, raw)
+    else:
+        confidence = pool[rng.integers(len(pool), size=n)]
+    ints = np.array([0, 2, 87, -(2**63), 2**63 - 1], dtype=np.int64)
+    return uq.ScoreTable(
+        method=draw(_name),
+        variant=draw(_name),
+        split=draw(_name),
+        sample_ids=[f"s{i}" for i in range(n)],
+        raw=raw,
+        confidence=confidence,
+        predicted=ints[rng.integers(len(ints), size=n)],
+        true=ints[rng.integers(len(ints), size=n)],
+    )
+
+
+@settings(
+    max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(table=repetitive_score_tables())
+def test_scores_csv_bytes_equal_a_row_by_row_writer(tmp_path, table):
+    path = tmp_path / "scores.csv"
+    uq.write_scores_csv(path, table, config_hash="abc")
+    assert path.read_bytes() == row_by_row_scores_csv(table, "abc")
+    if np.isfinite(table.raw).all():
+        back = uq.read_scores_csv(path)
+        assert back.sample_ids == table.sample_ids
+        for column in ("raw", "confidence", "predicted", "true"):
+            assert getattr(back, column).tobytes() == getattr(table, column).tobytes()  # bit-identical
+
+
+def test_read_scores_csv_skips_blank_lines_between_rows(tmp_path):
+    n = 5
+    table = uq.ScoreTable(
+        method="vanilla", variant="", split="test1", sample_ids=[f"test1#{i}" for i in range(n)],
+        raw=np.linspace(0.1, 0.5, n), confidence=np.linspace(0.1, 0.5, n),
+        predicted=np.arange(n, dtype=np.int64), true=np.full(n, 3, dtype=np.int64),
+    )
+    path = tmp_path / "scores.csv"
+    uq.write_scores_csv(path, table, config_hash="abc")
+    comment, header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([comment, header, rows[0], "", "", *rows[1:3], "", *rows[3:]]) + "\n\n")
+    back = uq.read_scores_csv(path)
+    assert back.sample_ids == table.sample_ids
+    for column in ("raw", "confidence", "predicted", "true"):
+        assert getattr(back, column).tobytes() == getattr(table, column).tobytes()
+    # a bad row after the blank lines is still named by its own line number
+    text = path.read_text().replace("test1#4,vanilla", "test1#4,temp_scale")
+    path.write_text(text)
+    with pytest.raises(uq.ScoresFileError, match=r"scores\.csv, line 10: method 'temp_scale'"):
+        uq.read_scores_csv(path)
