@@ -17,6 +17,8 @@ import hashlib
 import json
 from pathlib import Path
 
+from .corpus import SHIFT_KINDS
+
 DEFAULT_CONFIG: dict = {
     "paths": {
         "corpus_dir": "corpus",
@@ -106,6 +108,7 @@ _RULES = {
 }
 _ENTRY_RULES = {"paths.manifests": _TEXT, "synth.author_files": _POSITIVE_INT}  # objects: a rule per entry
 _NON_EMPTY = {"synth.author_files"}  # objects that need at least one entry
+_ENTRY_NAMES = {"paths.manifests": SHIFT_KINDS}  # objects whose entries must be named from a fixed set
 
 
 def _check(path: str, value, rule) -> None:
@@ -128,6 +131,8 @@ def _validate(config: dict) -> None:
         if path in _NON_EMPTY and not entries:
             raise ConfigError(f"config {path!r} must name at least one entry, got {{}}")
         for name, value in entries.items():
+            if path in _ENTRY_NAMES and name not in _ENTRY_NAMES[path]:
+                raise ConfigError(f"config key {f'{path}.{name}'!r} is not one of {_ENTRY_NAMES[path]}")
             _check(f"{path}.{name}", value, rule)
 
 

@@ -68,10 +68,11 @@ def build_parent_map(tree: AstNode) -> dict[int, AstNode]:
     return parents
 
 
-def _ancestors(parents: dict[int, AstNode], n: AstNode) -> list[AstNode]:
+def _ancestors(parents: dict[int, AstNode], n: AstNode, limit: int | None = None) -> list[AstNode]:
+    """`n`'s ancestors, nearest first: all of them, or the nearest `limit`."""
     chain = []
     cur = parents.get(id(n))
-    while cur is not None:
+    while cur is not None and (limit is None or len(chain) < limit):
         chain.append(cur)
         cur = parents.get(id(cur))
     return chain
@@ -140,12 +141,29 @@ def extract_method_samples(
             METHOD_NAME_SENTINEL if leaf.token.text == name else normalize_text(leaf.token.text)
             for leaf in leaves
         ]
+        # A path of at most max_path_len nodes climbs at most that many
+        # ancestors on either side, so each leaf keeps its nearest ones: their
+        # ids, with each one's index, and the path text up to (↑) and down
+        # from (↓) each. A pair's LCA is the first of the left chain found in
+        # the right one's index; missing, or too deep, the path is too long.
+        # Text is built only for kept pairs, in leaf_path's order, so the
+        # contexts (and the max_contexts thinning) are leaf_path's exactly.
+        index, ups, downs = [], [], []
+        for leaf in leaves:
+            chain = _ancestors(parents, leaf, max_path_len)
+            index.append({id(n): k for k, n in enumerate(chain)})  # in chain order
+            ups.append([UP.join(n.kind for n in chain[:k + 1]) for k in range(len(chain))])
+            downs.append(["".join(DOWN + n.kind for n in reversed(chain[:k])) for k in range(len(chain))])
         contexts: list[PathContext] = []
         for i in range(len(leaves)):
             for j in range(i + 1, len(leaves)):
-                path, length = leaf_path(parents, leaves[i], leaves[j])
-                if length <= max_path_len:
-                    contexts.append(PathContext(terminals[i], path, terminals[j]))
+                right = index[j]
+                for up, node in enumerate(index[i]):
+                    down = right.get(node)
+                    if down is not None:
+                        if up + 1 + down <= max_path_len:
+                            contexts.append(PathContext(terminals[i], ups[i][up] + downs[j][down], terminals[j]))
+                        break
         if not contexts:
             continue
         if len(contexts) > max_contexts:

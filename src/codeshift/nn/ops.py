@@ -309,14 +309,16 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise IndexError(f"label out of range [0, {n_classes})")
     tiny = np.finfo(probs.data.dtype).tiny
-    picked = np.take_along_axis(probs.data, labels[..., None], axis=-1)[..., 0]
+    # the true-label column of each row of the (rows, C) view, by plain row indexing
+    at = (np.arange(labels.size), labels.reshape(-1))
+    picked = probs.data.reshape(-1, n_classes)[at].reshape(labels.shape)
     clipped = np.maximum(picked, tiny)
     out = -np.log(clipped)
 
     def backward_fn(g):
-        gp = np.zeros_like(probs.data)
+        gp = np.zeros(probs.data.shape, dtype=probs.data.dtype)
         live = (picked >= tiny).astype(probs.data.dtype)  # zero slope in the clip region
-        np.put_along_axis(gp, labels[..., None], (-g * live / clipped)[..., None], axis=-1)
+        gp.reshape(-1, n_classes)[at] = (-g * live / clipped).reshape(-1)
         accumulate(probs, gp)
 
     return make_node(out, (probs,), backward_fn)

@@ -14,14 +14,17 @@ combiner, dropout, attention pooling and their gradients.
 CC (code completion): a CBOW-style MLP. Context token embeddings are
 averaged (PAD slots contribute nothing and are excluded from the divisor)
 and classified by one fully-connected layer over the token vocabulary.
-The mean is one matrix product of the token table with a (B, V) bag of
-each row's token shares, so its gradient is one product too.
+Each window is encoded once as its bag: its distinct non-PAD tokens and
+the share of its real slots each holds. The mean is one matrix product of
+the token table with the (B, V) bag the batch's shares scatter into, so
+its gradient is one product too.
 
 Each model carries its task: the vocabularies it was built over, which
 `encode_split` encodes every split against and checkpoints store, and its
 parameters. `MODELS` maps each task kind to its model class. A split is
-encoded once into one ragged layout (`EncodedSplit`): flat id columns plus
-row lengths, with PAD stored only inside CC's fixed-width windows.
+encoded once into one ragged layout (`EncodedSplit`): flat columns plus
+row lengths, one entry per CS context or per distinct CC window token, and
+no PAD stored.
 
 Both train with Adam on mean cross-entropy over seeded, shuffled batches.
 Accuracy is exact-match argmax, reported as a percentage; samples whose
@@ -61,10 +64,11 @@ class TrainConfig:
 class EncodedSplit:
     """One split's model inputs in one ragged layout, one row per sample.
 
-    `inputs` holds one flat int64 id column per model input, the rows
-    concatenated; `lengths` counts each row's ids. CS has `left`/`path`/
-    `right`, one id per real context; CC has `context`, one 2w-wide window
-    per row, PAD at a file's edges.
+    `inputs` holds one flat column per model input, the rows concatenated;
+    `lengths` counts each row's entries. CS has int64 `left`/`path`/`right`
+    ids, one per real context. CC has each window's bag (`pack_windows`):
+    int64 `token`, its distinct non-PAD ids, and float64 `share`, the share
+    of the window's real slots that hold each.
     """
 
     sample_ids: np.ndarray  # str
@@ -108,6 +112,31 @@ def pack(sample_ids, labels, rows: dict[str, Sequence]) -> EncodedSplit:
     return EncodedSplit(np.array(sample_ids, dtype=str), np.asarray(labels, dtype=np.int64), inputs, lengths)
 
 
+def pack_windows(sample_ids, labels, windows: Sequence[Sequence[int]]) -> EncodedSplit:
+    """Pack CC context windows as bags: the `token` and `share` columns of EncodedSplit.
+
+    A row's `token` entries are its window's distinct non-PAD ids in
+    ascending order, and each `share` is that id's slot count over the
+    window's real (non-PAD) slot count, in float64. An all-PAD window gets
+    an empty row. Windows may differ in width; each row averages its own.
+    """
+    sizes = np.fromiter(map(len, windows), dtype=np.int64, count=len(windows))
+    ids = np.fromiter(itertools.chain.from_iterable(windows), dtype=np.int64, count=int(sizes.sum()))
+    rows = np.repeat(np.arange(len(windows)), sizes)
+    real = ids != PAD_ID
+    ids, rows = ids[real], rows[real]
+    order = np.lexsort((ids, rows))  # rows ascending, each row's ids ascending
+    ids, rows = ids[order], rows[order]
+    first = np.ones(ids.size, dtype=bool)
+    first[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, ids.size))
+    n_real = np.bincount(rows, minlength=len(windows))
+    inputs = {"token": ids[starts], "share": counts / n_real[rows[starts]]}
+    lengths = np.bincount(rows[starts], minlength=len(windows))
+    return EncodedSplit(np.array(sample_ids, dtype=str), np.asarray(labels, dtype=np.int64), inputs, lengths)
+
+
 def encode_split(samples: list, vocabs: dict[str, Vocabulary], id_prefix: str = "") -> EncodedSplit:
     """Encode a split's samples against a model's vocabularies and pack them.
 
@@ -117,10 +146,10 @@ def encode_split(samples: list, vocabs: dict[str, Vocabulary], id_prefix: str = 
     """
     if "tokens" in vocabs:
         tokens = vocabs["tokens"]
-        return pack(
+        return pack_windows(
             [f"{id_prefix}#{i}" for i in range(len(samples))],
             tokens.encode_all(s.target for s in samples),
-            {"context": [tokens.encode_all(s.context) for s in samples]},
+            [tokens.encode_all(s.context) for s in samples],
         )
     kept = [(i, s) for i, s in enumerate(samples) if s.contexts]
     terminals, paths = vocabs["terminals"], vocabs["paths"]
@@ -343,21 +372,18 @@ class MlpCompletionModel(_TaskModel):
 
     def features(self, batch: EncodedSplit) -> nn.Tensor:
         """The mean of the real context slots' embeddings, (B, d), as one product `bag @ token_emb`:
-        `bag[b, t]` is the share of row b's real (non-PAD) window slots that hold token t."""
+        `bag[b, t]` is the share of row b's real (non-PAD) window slots that hold token t, scattered
+        from the batch's `token`/`share` columns in the table's dtype."""
         table = self._params["token_emb"]
         n_tokens = table.data.shape[0]
-        if (batch.lengths != batch.lengths[0]).any():
-            raise ValueError("context windows differ in width within the batch")
-        context = batch.inputs["context"].reshape(len(batch), -1)
-        if context.size and (context.min() < 0 or context.max() >= n_tokens):
-            raise IndexError(f"context id out of range [0, {n_tokens})")  # it would count in another row's bag
-        real = context != PAD_ID
-        counts = real.sum(axis=-1)
-        if not counts.all():
+        if not batch.lengths.all():
             raise ValueError("all-PAD context in batch")
-        slots = (np.arange(len(batch))[:, None] * n_tokens + context)[real]
-        bag = np.bincount(slots, minlength=len(batch) * n_tokens).reshape(len(batch), n_tokens)
-        return nn.linear(nn.Tensor(bag / counts[:, None], dtype=table.data.dtype), table)
+        tokens = batch.inputs["token"]
+        if tokens.size and (tokens.min() < 0 or tokens.max() >= n_tokens):
+            raise IndexError(f"context id out of range [0, {n_tokens})")  # a negative one would wrap
+        bag = np.zeros((len(batch), n_tokens), dtype=table.data.dtype)
+        bag[np.repeat(np.arange(len(batch)), batch.lengths), tokens] = batch.inputs["share"]
+        return nn.linear(nn.Tensor(bag), table)
 
     def head(
         self,
@@ -508,8 +534,7 @@ def _train_loop(
             out = model.forward_batch(batch, rng=drop_rng, keys=("probs",))
             loss = nn.mean(nn.cross_entropy(out["probs"], batch.labels))
             nn.backward(loss)
-            grads = {name: p.grad for name, p in params.items() if p.grad is not None}
-            nn.adam_step(params, grads, state)
+            nn.adam_step(params, {name: p.grad for name, p in params.items()}, state)
             losses.append(float(loss.data))
         # train accuracy is a full eval-mode pass over the training split, so
         # only the final model's is measured; earlier rows log None

@@ -93,6 +93,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("doc, key", [
     ({"paths": {"manifests": []}}, "paths.manifests"),
     ({"paths": {"manifests": {"timeline": 5}}}, "paths.manifests.timeline"),
+    ({"paths": {"manifests": {"timelime": "m.json"}}}, "paths.manifests.timelime"),  # names no shift
     ({"paths": {"corpus_dir": 5}}, "paths.corpus_dir"),
     ({"synth": {"timeline_files": "x"}}, "synth.timeline_files"),
     ({"synth": {"author_files": {"alice": "x"}}}, "synth.author_files.alice"),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from codeshift import extraction as ex
+from codeshift import synth
 
 FIXTURE_METHOD = "int id(int a){return a;}"
 FIXTURE_CLASS = "class A { void f() { return; } }"
@@ -253,6 +254,42 @@ def test_method_samples_match_brute_force_larger():
     for s in ex.extract_method_samples(tree, max_contexts=10_000, max_path_len=9):
         got = {(c.left, c.path, c.right) for c in s.contexts}
         assert got == expected[s.label]
+
+
+@pytest.fixture(scope="module")
+def synth_trees(tmp_path_factory):
+    """Every file of a small synthetic corpus (both code styles), parsed."""
+    root = tmp_path_factory.mktemp("corpus")
+    synth.generate_corpus(root, seed=4, timeline_files=6, project_files=6,
+                          author_files={"alice": 6, "adam": 3, "mira": 3, "bogdan": 3})
+    return [parse(path.read_text(encoding="utf-8")) for path in sorted(root.rglob("*.java"))]
+
+
+@pytest.mark.parametrize("max_path_len", [1, 3, 9, 30])
+def test_method_contexts_equal_the_leaf_path_reference_in_order(synth_trees, max_path_len):
+    # the ordered context list, duplicates included, before any thinning
+    methods = 0
+    for tree in synth_trees:
+        parents = ex.build_parent_map(tree)
+        expected = []
+        for m in ex.iter_method_nodes(tree):
+            name, leaves = ex.method_name(m), ex.method_context_leaves(m)
+            if not name or len(leaves) < 2:
+                continue
+            terms = [ex.METHOD_NAME_SENTINEL if n.token.text == name else ex.normalize_text(n.token.text)
+                     for n in leaves]
+            contexts = []
+            for i in range(len(leaves)):
+                for j in range(i + 1, len(leaves)):
+                    path, length = ex.leaf_path(parents, leaves[i], leaves[j])
+                    if length <= max_path_len:
+                        contexts.append((terms[i], path, terms[j]))
+            if contexts:
+                expected.append((name, contexts))
+        samples = ex.extract_method_samples(tree, max_contexts=10**9, max_path_len=max_path_len)
+        assert [(s.label, [(c.left, c.path, c.right) for c in s.contexts]) for s in samples] == expected
+        methods += len(expected)
+    assert methods > 100
 
 
 def test_method_sample_path_length_pruning():

@@ -650,6 +650,73 @@ def test_adam_deterministic():
     assert np.array_equal(first, second)
 
 
+def test_adam_one_pass_per_dtype_equals_the_per_parameter_update_bit_for_bit():
+    # float32 model parameters next to float64 probe parameters, of several shapes
+    rng = np.random.default_rng(17)
+    shapes = {"emb": ((13, 5), np.float32), "w": ((5, 7), np.float64), "b": ((7,), np.float32),
+              "attn": ((5,), np.float64), "w_out": ((5, 13), np.float32)}
+    start = {name: rng.standard_normal(shape).astype(dtype) for name, (shape, dtype) in shapes.items()}
+    params = {name: nn.Tensor(a.copy(), requires_grad=True, dtype=a.dtype) for name, a in start.items()}
+    expected = {name: a.copy() for name, a in start.items()}
+    m = {name: np.zeros_like(a) for name, a in start.items()}
+    v = {name: np.zeros_like(a) for name, a in start.items()}
+    state = nn.AdamState(learning_rate=0.01)
+    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
+    for t in range(1, 51):
+        grads = {name: (rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3)).astype(a.dtype)
+                 for name, a in start.items()}
+        nn.adam_step(params, grads, state)
+        for name, g in grads.items():  # the per-parameter update, operation by operation
+            m[name] *= b1
+            m[name] += (1.0 - b1) * g
+            v[name] *= b2
+            v[name] += (1.0 - b2) * (g * g)
+            m_hat = m[name] / (1.0 - b1 ** t)
+            v_hat = v[name] / (1.0 - b2 ** t)
+            expected[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for name, a in expected.items():
+            got = params[name].data
+            assert got.dtype == a.dtype and got.tobytes() == a.tobytes(), (t, name)
+
+
+def test_adam_needs_every_parameters_gradient():
+    params = {"w": nn.Tensor(np.ones((2, 3)), requires_grad=True), "b": nn.Tensor(np.ones(3), requires_grad=True)}
+    state = nn.AdamState()
+    for grads in ({"w": np.ones((2, 3))}, {"w": np.ones((2, 3)), "b": None}):
+        with pytest.raises(ValueError, match="'b'"):
+            nn.adam_step(params, grads, state)
+    with pytest.raises(ValueError, match="'b'"):
+        nn.adam_step(params, {"w": np.ones((2, 3)), "b": np.ones(4)}, state)
+    assert state.step == 0 and all(p.data.sum() == p.data.size for p in params.values())  # nothing moved
+    nn.adam_step(params, {"w": np.ones((2, 3)), "b": np.ones(3)}, state)
+    with pytest.raises(ValueError, match="first step"):
+        nn.adam_step({"w": params["w"]}, {"w": np.ones((2, 3))}, state)
+
+
+@pytest.mark.parametrize("label_shape", [(6,), (6, 4)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_equals_the_along_axis_reference_bit_for_bit(label_shape, dtype):
+    rng = np.random.default_rng(31)
+    n_classes = 9
+    probs = rng.random(label_shape + (n_classes,)).astype(dtype)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    labels = rng.integers(0, n_classes, size=label_shape)
+    tiny = np.finfo(dtype).tiny
+    probs[(0,) * len(label_shape) + (int(labels.flat[0]),)] = tiny / 4  # below tiny: clipped, zero slope
+    g = rng.standard_normal(label_shape).astype(dtype)
+    x = nn.Tensor(probs, requires_grad=True, dtype=dtype)
+    out = nn.cross_entropy(x, labels)
+    nn.backward(out, seed=g)
+    picked = np.take_along_axis(probs, labels[..., None], axis=-1)[..., 0]
+    clipped = np.maximum(picked, tiny)
+    grad = np.zeros_like(probs)
+    live = (picked >= tiny).astype(dtype)
+    np.put_along_axis(grad, labels[..., None], (-g * live / clipped)[..., None], axis=-1)
+    assert out.data.tobytes() == (-np.log(clipped)).tobytes()
+    assert x.grad.dtype == dtype and x.grad.tobytes() == grad.tobytes()
+    assert x.grad[(0,) * len(label_shape)].tolist() == [0.0] * n_classes
+
+
 def test_checkpoint_roundtrip_bitwise():
     rng = np.random.default_rng(11)
     arrays = {

@@ -43,9 +43,17 @@ def cs_training_setup(config=None):
     return encoded, terminals, paths, labels
 
 
+def cc_fixture_samples():
+    return ex.extract_cbow_samples(ex.tokenize_java(CC_FIXTURE), window=4)[:20]
+
+
+def cc_fixture_windows(vocab):
+    """The fixture's context windows as ids, one (2w,) row per sample, PAD at the file's edges."""
+    return np.array([vocab.encode_all(s.context) for s in cc_fixture_samples()])
+
+
 def cc_training_setup():
-    tokens = ex.tokenize_java(CC_FIXTURE)
-    samples = ex.extract_cbow_samples(tokens, window=4)[:20]
+    samples = cc_fixture_samples()
     vocab = ex.build_cc_vocab(samples, min_count=1)
     encoded = tasks.encode_split(samples, {"tokens": vocab}, id_prefix="fix")
     assert len(encoded) == 20
@@ -352,8 +360,8 @@ def test_zero_cc_model_uniform_and_mean_idempotence():
     model = tasks.MlpCompletionModel(vocab, dim=16, seed=9)
     tok = vocab.encode("a0")
     pad = ex.PAD_ID
-    once = tasks.pack(["s1"], [2], {"context": [[tok, pad, pad, pad]]})
-    twice = tasks.pack(["s2"], [2], {"context": [[tok, tok, pad, pad]]})
+    once = tasks.pack_windows(["s1"], [2], [[tok, pad, pad, pad]])
+    twice = tasks.pack_windows(["s2"], [2], [[tok, tok, pad, pad]])
     p_once = tasks.infer(model, once)["probs"][0]
     p_twice = tasks.infer(model, twice)["probs"][0]
     assert np.allclose(p_once, p_twice, atol=1e-6)
@@ -362,27 +370,31 @@ def test_zero_cc_model_uniform_and_mean_idempotence():
 def test_all_pad_context_raises():
     encoded, vocab = cc_training_setup()
     model = tasks.MlpCompletionModel(vocab, dim=8)
-    bad = tasks.pack(["bad"], [2], {"context": [np.full(8, ex.PAD_ID)]})
+    pad = ex.PAD_ID
+    bad = tasks.pack_windows(["ok", "bad"], [2, 2], [[2, 3, pad, pad], np.full(4, pad)])
+    assert bad.lengths.tolist() == [2, 0]  # an all-PAD window packs as an empty bag
     with pytest.raises(ValueError, match="all-PAD"):
         tasks.infer(model, bad)
 
 
-def test_cc_windows_of_different_widths_raise():
-    # 4 + 2 ids would reshape into two rows of 3 without the check
-    encoded, vocab = cc_training_setup()
-    model = tasks.MlpCompletionModel(vocab, dim=8)
-    ragged = tasks.pack(["w4", "w2"], [2, 2], {"context": [[2, 3, 2, 3], [2, 3]]})
-    with pytest.raises(ValueError, match="differ in width"):
-        tasks.infer(model, ragged)
+def test_cc_bag_rows_of_different_widths_average_their_own_windows():
+    _, vocab = cc_training_setup()
+    model = tasks.MlpCompletionModel(vocab, dim=8, seed=4, dtype=np.float64)
+    pad = ex.PAD_ID
+    windows = [[2, 3, 2, 3, 4, pad], [2, 3], [pad, 5, 5, pad]]
+    ragged = tasks.pack_windows(["w6", "w2", "w4"], [2, 2, 2], windows)
+    table = model.params()["token_emb"].data
+    expected = [table[[i for i in window if i != pad]].mean(axis=0) for window in windows]
+    np.testing.assert_allclose(model.features(ragged).data, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_cc_context_ids_outside_the_table_raise():
     _, vocab = cc_training_setup()
     model = tasks.MlpCompletionModel(vocab, dim=8)
     V, pad = len(vocab), ex.PAD_ID
-    # row 0's id V would count as id 0 of row 1, and row 1's id -1 as id V - 1 of row 0
+    # the bag's scatter would write id -1 into column V - 1 without the check
     for rows in ([[2, V, 3, pad], [2, 3, pad, pad]], [[2, 3, 2, 3], [2, -1, pad, pad]]):
-        batch = tasks.pack(["r0", "r1"], [2, 2], {"context": rows})
+        batch = tasks.pack_windows(["r0", "r1"], [2, 2], rows)
         with pytest.raises(IndexError, match="out of range"):
             model.features(batch)
 
@@ -399,8 +411,36 @@ def cc_bag_batch(dtype, shape=(128, 8, 88, 48), seed=21):
     context = rng.integers(0, V, size=(B, width))
     context[rng.random((B, width)) < 0.2] = ex.PAD_ID
     context[:, 0] = rng.integers(2, V, size=B)  # no row is all PAD
-    batch = tasks.pack([f"s{i}" for i in range(B)], rng.integers(0, V, size=B), {"context": context})
+    batch = tasks.pack_windows([f"s{i}" for i in range(B)], rng.integers(0, V, size=B), context)
     return model, batch, rng.standard_normal((B, d)).astype(dtype)
+
+
+def bincount_bag(windows: np.ndarray, n_tokens: int, dtype) -> np.ndarray:
+    """The (B, V) bag of token shares built per batch, as `features` did before windows were packed as bags."""
+    real = windows != ex.PAD_ID
+    counts = real.sum(axis=-1)
+    slots = (np.arange(len(windows))[:, None] * n_tokens + windows)[real]
+    bag = np.bincount(slots, minlength=len(windows) * n_tokens).reshape(len(windows), n_tokens)
+    return (bag / counts[:, None]).astype(dtype)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_tokens=st.integers(3, 300), dtype=st.sampled_from([np.float32, np.float64]))
+def test_cc_share_bag_equals_the_bincount_bag_bit_for_bit(data, n_tokens, dtype):
+    # windows of several widths, with PAD slots and repeated tokens; each is
+    # padded to the widest with PAD, which the per-batch bag does not count
+    slot = st.one_of(st.just(ex.PAD_ID), st.integers(0, n_tokens - 1), st.sampled_from([ex.UNK_ID, n_tokens - 1]))
+    window = st.integers(1, 5).flatmap(lambda w: st.lists(slot, min_size=2 * w, max_size=2 * w))
+    rows = data.draw(st.lists(window.filter(lambda row: set(row) != {ex.PAD_ID}), min_size=1, max_size=12))
+    width = max(map(len, rows))
+    windows = np.array([row + [ex.PAD_ID] * (width - len(row)) for row in rows])
+    vocab = ex.Vocabulary.from_tokens([ex.UNK_TOKEN, ex.PAD_TOKEN, *(f"t{i}" for i in range(n_tokens - 2))])
+    model = tasks.MlpCompletionModel(vocab, dim=3, dtype=dtype)
+    batch = tasks.pack_windows([f"s{i}" for i in range(len(rows))], [2] * len(rows), rows)
+    assert batch.inputs["share"].dtype == np.float64
+    bag = model.features(batch)._parents[0].data  # the tape: bag @ token_emb
+    expected = bincount_bag(windows, n_tokens, dtype)
+    assert bag.dtype == expected.dtype and np.array_equal(tasks._bits(bag), tasks._bits(expected))
 
 
 @pytest.mark.parametrize("dtype, tolerance", [(np.float64, 1e-12), (np.float32, 1e-6)])
@@ -408,23 +448,24 @@ def test_cc_bag_mean_equals_the_masked_mean(dtype, tolerance):
     encoded, vocab = cc_training_setup()
     model = tasks.MlpCompletionModel(vocab, dim=16, seed=5, dtype=dtype)
     tok, other, pad = vocab.encode("a0"), vocab.encode("b0"), ex.PAD_ID
-    repeated = tasks.pack(["rep", "pad"], [2, 2], {"context": [[tok, other, tok, tok], [pad, other, pad, tok]]})
+    windows = np.array([[tok, other, tok, tok], [pad, other, pad, tok]])
+    repeated = tasks.pack_windows(["rep", "pad"], [2, 2], windows)
     table = model.params()["token_emb"].data
-    for batch in (repeated, encoded):
-        ids = batch.inputs["context"].reshape(len(batch), -1)
+    fixture = cc_fixture_windows(vocab)
+    for ids, batch in ((windows, repeated), (fixture, encoded)):
         real = ids != pad
         expected = np.where(real[..., None], table[ids], 0).sum(1) / real.sum(1)[:, None]
         got = model.features(batch).data
         assert got.dtype == dtype and got.shape == expected.shape
         np.testing.assert_allclose(got, expected, rtol=tolerance, atol=tolerance * np.abs(expected).max())
-    assert not (encoded.inputs["context"] != pad).all()  # the fixture's windows hold PAD too
+    assert (fixture == pad).any()  # the fixture's windows hold PAD too
 
 
 def test_grad_cc_bag_features():
     _, vocab = cc_training_setup()
     model = tasks.MlpCompletionModel(vocab, dim=3, seed=6, dtype=np.float64)
     tok, pad = vocab.encode("a0"), ex.PAD_ID
-    batch = tasks.pack(["rep", "pad"], [2, 2], {"context": [[tok, tok, 2, 3], [pad, 4, pad, tok]]})
+    batch = tasks.pack_windows(["rep", "pad"], [2, 2], [[tok, tok, 2, 3], [pad, 4, pad, tok]])
     # a fixed random cotangent, so no gradient cancels by symmetry
     weights = nn.Tensor(np.random.default_rng(7).standard_normal((2, 3)), dtype=np.float64)
     params = [model.params()[name] for name in model.feature_params]
@@ -479,10 +520,10 @@ def test_untrained_model_near_chance_on_balanced_data():
     model = tasks.MlpCompletionModel(vocab, dim=32, seed=123)
     rng = np.random.default_rng(0)
     n_classes = len(vocab)
-    balanced = tasks.pack(
+    balanced = tasks.pack_windows(
         [f"b{i}" for i in range(400)],
         [i % n_classes for i in range(400)],
-        {"context": [rng.integers(2, n_classes, size=8) for i in range(400)]},
+        [rng.integers(2, n_classes, size=8) for i in range(400)],
     )
     acc = tasks.evaluate_accuracy(model, balanced)
     assert acc < 3 * 100.0 / n_classes  # chance is 100/C percent
@@ -507,7 +548,7 @@ def test_training_deterministic_bitwise():
 def test_unk_true_label_counts_as_failure():
     encoded, vocab = cc_training_setup()
     model = tasks.MlpCompletionModel(vocab, dim=8, seed=0)
-    unk_sample = tasks.pack(["u"], [ex.UNK_ID], {"context": [encoded[:1].inputs["context"]]})
+    unk_sample = tasks.pack_windows(["u"], [ex.UNK_ID], cc_fixture_windows(vocab)[:1])
     # even a model that predicts UNK gets no credit for it
     for p in model.params().values():
         p.data[:] = 0.0
