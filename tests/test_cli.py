@@ -93,7 +93,6 @@ def test_bad_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("doc, key", [
     ({"paths": {"manifests": []}}, "paths.manifests"),
     ({"paths": {"manifests": {"timeline": 5}}}, "paths.manifests.timeline"),
-    ({"paths": {"manifests": {"timelime": "m.json"}}}, "paths.manifests.timelime"),  # names no shift
     ({"paths": {"corpus_dir": 5}}, "paths.corpus_dir"),
     ({"synth": {"timeline_files": "x"}}, "synth.timeline_files"),
     ({"synth": {"author_files": {"alice": "x"}}}, "synth.author_files.alice"),
@@ -102,6 +101,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
     ({"corpus": {"val_fraction": "x"}}, "corpus.val_fraction"),
     ({"seed": True}, "seed"),
     ({"synth": {"author_files": {}}}, "synth.author_files"),
+    ({"paths": {"manifests": {"timelime": "m.json"}}}, "paths.manifests.timelime"),  # names no shift
 ])
 def test_ill_typed_config_values_exit_2_naming_the_key(tmp_path, capsys, doc, key):
     config_path = tmp_path / "c.json"
