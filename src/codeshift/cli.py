@@ -165,10 +165,7 @@ def cmd_make_splits(config: dict, args) -> int:
     source = manifest_path(config, args.shift)
     if not source.is_file():
         raise ValidationFailure(f"manifest not found: {source}; run `synth-corpus` or point paths.manifests at one")
-    try:
-        manifest = corpus.load_manifest(source)
-    except corpus.ManifestError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    manifest = corpus.load_manifest(source)
     if manifest.shift_kind != args.shift:
         raise ValidationFailure(f"manifest {source} has shift_kind {manifest.shift_kind!r}, expected {args.shift!r}")
     assignment = corpus.assign_splits(manifest, val_fraction=config["corpus"]["val_fraction"])
@@ -513,10 +510,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return COMMANDS[args.command](config, args)
-    except ValidationFailure as exc:
-        print(f"codeshift: {exc}", file=sys.stderr)
-        return 2
-    except (corpus.ManifestError, ContextFormatError, uq.EstimatorStateError, uq.ScoresFileError) as exc:
+    except (ValidationFailure, corpus.ManifestError, ContextFormatError, uq.EstimatorStateError,
+            uq.ScoresFileError) as exc:
         print(f"codeshift: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # anything else is a runtime failure

@@ -69,7 +69,7 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in merged:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(merged[key], dict) and key != "manifests" and key != "author_files":
+        if isinstance(merged[key], dict) and where not in _ENTRY_RULES:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {where!r} must be an object")
             merged[key] = _deep_merge(merged[key], value, where)
@@ -106,9 +106,11 @@ _RULES = {
     "synth.project_files": _POSITIVE_INT,
     "seed": (int, lambda v: v >= 0, "an unsigned integer"),
 }
-_ENTRY_RULES = {"paths.manifests": _TEXT, "synth.author_files": _POSITIVE_INT}  # objects: a rule per entry
-_NON_EMPTY = {"synth.author_files"}  # objects that need at least one entry
-_ENTRY_NAMES = {"paths.manifests": SHIFT_KINDS}  # objects whose entries must be named from a fixed set
+# free-form objects, merged whole: (a rule per entry, the names an entry may have, whether each is needed)
+_ENTRY_RULES = {
+    "paths.manifests": (_TEXT, SHIFT_KINDS, False),
+    "synth.author_files": (_POSITIVE_INT, tuple(DEFAULT_CONFIG["synth"]["author_files"]), True),
+}
 
 
 def _check(path: str, value, rule) -> None:
@@ -124,16 +126,16 @@ def _validate(config: dict) -> None:
 
     for path, rule in _RULES.items():
         _check(path, at(path), rule)
-    for path, rule in _ENTRY_RULES.items():
+    for path, (rule, names, all_required) in _ENTRY_RULES.items():
         entries = at(path)
         if not isinstance(entries, dict):
             raise ConfigError(f"config {path!r} must be an object, got {entries!r}")
-        if path in _NON_EMPTY and not entries:
-            raise ConfigError(f"config {path!r} must name at least one entry, got {{}}")
         for name, value in entries.items():
-            if path in _ENTRY_NAMES and name not in _ENTRY_NAMES[path]:
-                raise ConfigError(f"config key {f'{path}.{name}'!r} is not one of {_ENTRY_NAMES[path]}")
             _check(f"{path}.{name}", value, rule)
+            if name not in names:
+                raise ConfigError(f"config key {f'{path}.{name}'!r} is not one of {names}")
+        if all_required and len(entries) < len(names):
+            raise ConfigError(f"config {path!r} must name each of {names}, got {sorted(entries)}")
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> dict:

@@ -13,7 +13,6 @@ KIND_KEYWORD = "keyword"
 KIND_LITERAL = "literal"
 KIND_OPERATOR = "operator"
 KIND_SEPARATOR = "separator"
-KIND_COMMENT = "comment"
 
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue

@@ -2,16 +2,18 @@
 
 Generates ~300 small Java files in two programmatically distinct styles and
 writes timeline/project/author manifests over them, so the full three-shift
-study runs hermetically without network access.
+study runs hermetically without network access. Two tables define it.
 
-Style "a" leans on descriptive camelCase identifiers, for-loops, compound
-assignment, and guard-style ifs. Style "b" uses a disjoint terse identifier
-lexicon, while-loops with manual index arithmetic, ternaries, and
-try/finally blocks. Both styles implement the same method-name label set,
-so shifted test splits stay inside the training label space while their
-input distribution moves.
+`STYLES` has one row per style: file-name prefix, identifier pools, class
+names, and a method template per label. Style "a" leans on descriptive
+camelCase identifiers, for-loops, compound assignment, and guard-style ifs.
+Style "b" uses a disjoint terse identifier lexicon, while-loops with manual
+index arithmetic, ternaries, and try/finally blocks. Both implement every
+label in `LABELS`, so shifted test splits stay inside the training label
+space while their input distribution moves.
 
-Shift layout:
+`SNAPSHOTS` has one row per snapshot; the writer and the manifests both read
+it, so no manifest names a root that was not written.
 - timeline: four snapshots whose style-"b" fraction grows (0, 10, 40, 80%).
 - project: project "alpha" is pure style a (train), "beta" pure style b.
 - author: one snapshot whose files carry authors alice (a), adam (a),
@@ -31,10 +33,7 @@ from .config import DEFAULT_CONFIG, write_json
 def _stable_key(text: str) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
-STYLE_A = "a"
-STYLE_B = "b"
-
-# shared label space: every generator emits methods drawn from these names
+# shared label space: every style has a method template for each of these names
 LABELS = (
     "computeSum",
     "findMax",
@@ -46,15 +45,178 @@ LABELS = (
     "scaleValues",
 )
 
-A_ARRAYS = ("values", "items", "entries", "records", "samples")
-A_INTS = ("total", "result", "count", "limit", "target", "bound")
-A_INDEX = ("index", "position", "cursor")
-A_CLASS = ("Handler", "Batch", "Worker", "Catalog", "Ledger")
+# Method templates are `str.format` text over the names `_names` draws:
+# arr (an int array), acc and lim (ints), idx (an index) and lit (a literal).
+STYLES = {
+    "a": {
+        "prefix": "A",
+        "arrays": ("values", "items", "entries", "records", "samples"),
+        "ints": ("total", "result", "count", "limit", "target", "bound"),
+        "index": ("index", "position", "cursor"),
+        "classes": ("Handler", "Batch", "Worker", "Catalog", "Ledger"),
+        "methods": {
+            "computeSum": """\
+    int computeSum(int[] {arr}, int {lim}) {{
+        int {acc} = 0;
+        for (int {idx} = 0; {idx} < {lim}; {idx}++) {{
+            {acc} += {arr}[{idx}];
+        }}
+        return {acc};
+    }}""",
+            "findMax": """\
+    int findMax(int[] {arr}, int {lim}) {{
+        int {acc} = {arr}[0];
+        for (int {idx} = 1; {idx} < {lim}; {idx}++) {{
+            if ({arr}[{idx}] > {acc}) {{
+                {acc} = {arr}[{idx}];
+            }}
+        }}
+        return {acc};
+    }}""",
+            "countItems": """\
+    int countItems(int[] {arr}, int {lim}, int target) {{
+        int {acc} = 0;
+        for (int {idx} = 0; {idx} < {lim}; {idx}++) {{
+            if ({arr}[{idx}] == target) {{
+                {acc}++;
+            }}
+        }}
+        return {acc};
+    }}""",
+            "isEmpty": """\
+    boolean isEmpty(int {acc}) {{
+        if ({acc} == 0) {{
+            return true;
+        }}
+        return false;
+    }}""",
+            "getFirst": """\
+    int getFirst(int[] {arr}) {{
+        int {acc} = {arr}[0];
+        return {acc};
+    }}""",
+            "containsValue": """\
+    boolean containsValue(int[] {arr}, int {lim}, int target) {{
+        for (int {idx} = 0; {idx} < {lim}; {idx}++) {{
+            if ({arr}[{idx}] == target) {{
+                return true;
+            }}
+        }}
+        return false;
+    }}""",
+            "resetAll": """\
+    void resetAll(int[] {arr}, int {lim}) {{
+        for (int {idx} = 0; {idx} < {lim}; {idx}++) {{
+            {arr}[{idx}] = 0;
+        }}
+    }}""",
+            "scaleValues": """\
+    void scaleValues(int[] {arr}, int {lim}) {{
+        for (int {idx} = 0; {idx} < {lim}; {idx}++) {{
+            {arr}[{idx}] *= {lit};
+        }}
+    }}""",
+        },
+    },
+    "b": {
+        "prefix": "B",
+        "arrays": ("arr", "buf", "reg", "vec", "mem"),
+        "ints": ("acc", "n", "m", "t", "q", "z"),
+        "index": ("k", "p", "j"),
+        "classes": ("P", "U", "X", "Z"),
+        "methods": {
+            "computeSum": """\
+    int computeSum(int[] {arr}, int {lim}) {{
+        int {acc} = 0;
+        int {idx} = {lim};
+        while ({idx} > 0) {{
+            {idx} = {idx} - 1;
+            {acc} = {acc} + {arr}[{idx}];
+        }}
+        return {acc};
+    }}""",
+            "findMax": """\
+    int findMax(int[] {arr}, int {lim}) {{
+        int {acc} = {arr}[0];
+        int {idx} = 1;
+        while ({idx} != {lim}) {{
+            {acc} = {arr}[{idx}] > {acc} ? {arr}[{idx}] : {acc};
+            {idx} = {idx} + 1;
+        }}
+        return {acc};
+    }}""",
+            "countItems": """\
+    int countItems(int[] {arr}, int {lim}, int t) {{
+        int {acc} = 0;
+        int {idx} = {lim};
+        while ({idx} != 0) {{
+            {idx} = {idx} - 1;
+            {acc} = {arr}[{idx}] != t ? {acc} : {acc} + 1;
+        }}
+        return {acc};
+    }}""",
+            "isEmpty": """\
+    boolean isEmpty(int {acc}) {{
+        return {acc} != 0 ? false : true;
+    }}""",
+            "getFirst": """\
+    int getFirst(int[] {arr}) {{
+        return {arr}[0];
+    }}""",
+            "containsValue": """\
+    boolean containsValue(int[] {arr}, int {lim}, int t) {{
+        int {idx} = 0;
+        while ({idx} != {lim}) {{
+            if ({arr}[{idx}] != t) {{
+                {idx} = {idx} + 1;
+            }} else {{
+                return true;
+            }}
+        }}
+        return false;
+    }}""",
+            "resetAll": """\
+    void resetAll(int[] {arr}, int {lim}) {{
+        int {idx} = {lim};
+        try {{
+            while ({idx} > 0) {{
+                {idx} = {idx} - 1;
+                {arr}[{idx}] = 0;
+            }}
+        }} finally {{
+            {idx} = 0;
+        }}
+    }}""",
+            "scaleValues": """\
+    void scaleValues(int[] {arr}, int {lim}) {{
+        int {idx} = {lim};
+        while ({idx} > 0) {{
+            {idx} = {idx} - 1;
+            {arr}[{idx}] = {arr}[{idx}] * {lit};
+        }}
+    }}""",
+        },
+    },
+}
 
-B_ARRAYS = ("arr", "buf", "reg", "vec", "mem")
-B_INTS = ("acc", "n", "m", "t", "q", "z")
-B_INDEX = ("k", "p", "j")
-B_CLASS = ("P", "U", "X", "Z")
+# One row per snapshot: (shift, root, project, version, release time, groups). A group
+# is the files of one split: (split, author filter, style-"b" fraction, plan seed key).
+# Its files carry the filter's author, or the project name where there is no filter;
+# the author shift's groups follow this order whatever order `author_files` has.
+SNAPSHOTS = (
+    ("timeline", "timeline/v1", "synth", "v1", "2013-11-01", [("train", None, 0.0, (1, 0))]),
+    ("timeline", "timeline/v2", "synth", "v2", "2016-04-01", [("test1", None, 0.1, (1, 1))]),
+    ("timeline", "timeline/v3", "synth", "v3", "2019-04-01", [("test2", None, 0.4, (1, 4))]),
+    ("timeline", "timeline/v4", "synth", "v4", "2021-02-01", [("test3", None, 0.8, (1, 8))]),
+    ("project", "project/alpha", "alpha", "v1", "2021-02-01", [("train", None, 0.0, (2, 0))]),
+    ("project", "project/beta", "beta", "v1", "2021-02-01", [("test1", None, 1.0, (2, 1))]),
+    ("author", "author/main", "synth", "v4", "2021-02-01", [
+        ("train", "alice", 0.0, (3, _stable_key("alice"))),
+        ("test1", "adam", 0.0, (3, _stable_key("adam"))),
+        ("test2", "mira", 0.5, (3, _stable_key("mira"))),
+        ("test3", "bogdan", 1.0, (3, _stable_key("bogdan"))),
+    ]),
+)
 
 
 def _slot(pool: tuple, label: str, rng, offset: int = 0) -> str:
@@ -64,210 +226,25 @@ def _slot(pool: tuple, label: str, rng, offset: int = 0) -> str:
     return pool[(base + int(rng.integers(2))) % len(pool)]
 
 
-def _a_names(label: str, rng):
+def _names(style: dict, label: str, rng) -> dict:
+    # every style draws in this order, so a file's draws do not depend on its style
     return {
-        "arr": _slot(A_ARRAYS, label, rng),
-        "acc": _slot(A_INTS, label, rng),
-        "lim": _slot(A_INTS, label, rng, offset=3),
-        "idx": _slot(A_INDEX, label, rng),
+        "arr": _slot(style["arrays"], label, rng),
+        "acc": _slot(style["ints"], label, rng),
+        "lim": _slot(style["ints"], label, rng, offset=3),
+        "idx": _slot(style["index"], label, rng),
         "lit": int(rng.integers(2, 40)),
     }
-
-
-def _b_names(label: str, rng):
-    return {
-        "arr": _slot(B_ARRAYS, label, rng),
-        "acc": _slot(B_INTS, label, rng),
-        "lim": _slot(B_INTS, label, rng, offset=3),
-        "idx": _slot(B_INDEX, label, rng),
-        "lit": int(rng.integers(2, 40)),
-    }
-
-
-def _method_a(label: str, rng) -> str:
-    n = _a_names(label, rng)
-    if label == "computeSum":
-        return (
-            f"    int computeSum(int[] {n['arr']}, int {n['lim']}) {{\n"
-            f"        int {n['acc']} = 0;\n"
-            f"        for (int {n['idx']} = 0; {n['idx']} < {n['lim']}; {n['idx']}++) {{\n"
-            f"            {n['acc']} += {n['arr']}[{n['idx']}];\n"
-            f"        }}\n"
-            f"        return {n['acc']};\n"
-            f"    }}\n"
-        )
-    if label == "findMax":
-        return (
-            f"    int findMax(int[] {n['arr']}, int {n['lim']}) {{\n"
-            f"        int {n['acc']} = {n['arr']}[0];\n"
-            f"        for (int {n['idx']} = 1; {n['idx']} < {n['lim']}; {n['idx']}++) {{\n"
-            f"            if ({n['arr']}[{n['idx']}] > {n['acc']}) {{\n"
-            f"                {n['acc']} = {n['arr']}[{n['idx']}];\n"
-            f"            }}\n"
-            f"        }}\n"
-            f"        return {n['acc']};\n"
-            f"    }}\n"
-        )
-    if label == "countItems":
-        return (
-            f"    int countItems(int[] {n['arr']}, int {n['lim']}, int target) {{\n"
-            f"        int {n['acc']} = 0;\n"
-            f"        for (int {n['idx']} = 0; {n['idx']} < {n['lim']}; {n['idx']}++) {{\n"
-            f"            if ({n['arr']}[{n['idx']}] == target) {{\n"
-            f"                {n['acc']}++;\n"
-            f"            }}\n"
-            f"        }}\n"
-            f"        return {n['acc']};\n"
-            f"    }}\n"
-        )
-    if label == "isEmpty":
-        return (
-            f"    boolean isEmpty(int {n['acc']}) {{\n"
-            f"        if ({n['acc']} == 0) {{\n"
-            f"            return true;\n"
-            f"        }}\n"
-            f"        return false;\n"
-            f"    }}\n"
-        )
-    if label == "getFirst":
-        return (
-            f"    int getFirst(int[] {n['arr']}) {{\n"
-            f"        int {n['acc']} = {n['arr']}[0];\n"
-            f"        return {n['acc']};\n"
-            f"    }}\n"
-        )
-    if label == "containsValue":
-        return (
-            f"    boolean containsValue(int[] {n['arr']}, int {n['lim']}, int target) {{\n"
-            f"        for (int {n['idx']} = 0; {n['idx']} < {n['lim']}; {n['idx']}++) {{\n"
-            f"            if ({n['arr']}[{n['idx']}] == target) {{\n"
-            f"                return true;\n"
-            f"            }}\n"
-            f"        }}\n"
-            f"        return false;\n"
-            f"    }}\n"
-        )
-    if label == "resetAll":
-        return (
-            f"    void resetAll(int[] {n['arr']}, int {n['lim']}) {{\n"
-            f"        for (int {n['idx']} = 0; {n['idx']} < {n['lim']}; {n['idx']}++) {{\n"
-            f"            {n['arr']}[{n['idx']}] = 0;\n"
-            f"        }}\n"
-            f"    }}\n"
-        )
-    if label == "scaleValues":
-        return (
-            f"    void scaleValues(int[] {n['arr']}, int {n['lim']}) {{\n"
-            f"        for (int {n['idx']} = 0; {n['idx']} < {n['lim']}; {n['idx']}++) {{\n"
-            f"            {n['arr']}[{n['idx']}] *= {n['lit']};\n"
-            f"        }}\n"
-            f"    }}\n"
-        )
-    raise ValueError(f"no style-a template for {label!r}")
-
-
-def _method_b(label: str, rng) -> str:
-    n = _b_names(label, rng)
-    if label == "computeSum":
-        return (
-            f"    int computeSum(int[] {n['arr']}, int {n['lim']}) {{\n"
-            f"        int {n['acc']} = 0;\n"
-            f"        int {n['idx']} = {n['lim']};\n"
-            f"        while ({n['idx']} > 0) {{\n"
-            f"            {n['idx']} = {n['idx']} - 1;\n"
-            f"            {n['acc']} = {n['acc']} + {n['arr']}[{n['idx']}];\n"
-            f"        }}\n"
-            f"        return {n['acc']};\n"
-            f"    }}\n"
-        )
-    if label == "findMax":
-        return (
-            f"    int findMax(int[] {n['arr']}, int {n['lim']}) {{\n"
-            f"        int {n['acc']} = {n['arr']}[0];\n"
-            f"        int {n['idx']} = 1;\n"
-            f"        while ({n['idx']} != {n['lim']}) {{\n"
-            f"            {n['acc']} = {n['arr']}[{n['idx']}] > {n['acc']} ? {n['arr']}[{n['idx']}] : {n['acc']};\n"
-            f"            {n['idx']} = {n['idx']} + 1;\n"
-            f"        }}\n"
-            f"        return {n['acc']};\n"
-            f"    }}\n"
-        )
-    if label == "countItems":
-        return (
-            f"    int countItems(int[] {n['arr']}, int {n['lim']}, int t) {{\n"
-            f"        int {n['acc']} = 0;\n"
-            f"        int {n['idx']} = {n['lim']};\n"
-            f"        while ({n['idx']} != 0) {{\n"
-            f"            {n['idx']} = {n['idx']} - 1;\n"
-            f"            {n['acc']} = {n['arr']}[{n['idx']}] != t ? {n['acc']} : {n['acc']} + 1;\n"
-            f"        }}\n"
-            f"        return {n['acc']};\n"
-            f"    }}\n"
-        )
-    if label == "isEmpty":
-        return (
-            f"    boolean isEmpty(int {n['acc']}) {{\n"
-            f"        return {n['acc']} != 0 ? false : true;\n"
-            f"    }}\n"
-        )
-    if label == "getFirst":
-        return (
-            f"    int getFirst(int[] {n['arr']}) {{\n"
-            f"        return {n['arr']}[0];\n"
-            f"    }}\n"
-        )
-    if label == "containsValue":
-        return (
-            f"    boolean containsValue(int[] {n['arr']}, int {n['lim']}, int t) {{\n"
-            f"        int {n['idx']} = 0;\n"
-            f"        while ({n['idx']} != {n['lim']}) {{\n"
-            f"            if ({n['arr']}[{n['idx']}] != t) {{\n"
-            f"                {n['idx']} = {n['idx']} + 1;\n"
-            f"            }} else {{\n"
-            f"                return true;\n"
-            f"            }}\n"
-            f"        }}\n"
-            f"        return false;\n"
-            f"    }}\n"
-        )
-    if label == "resetAll":
-        return (
-            f"    void resetAll(int[] {n['arr']}, int {n['lim']}) {{\n"
-            f"        int {n['idx']} = {n['lim']};\n"
-            f"        try {{\n"
-            f"            while ({n['idx']} > 0) {{\n"
-            f"                {n['idx']} = {n['idx']} - 1;\n"
-            f"                {n['arr']}[{n['idx']}] = 0;\n"
-            f"            }}\n"
-            f"        }} finally {{\n"
-            f"            {n['idx']} = 0;\n"
-            f"        }}\n"
-            f"    }}\n"
-        )
-    if label == "scaleValues":
-        return (
-            f"    void scaleValues(int[] {n['arr']}, int {n['lim']}) {{\n"
-            f"        int {n['idx']} = {n['lim']};\n"
-            f"        while ({n['idx']} > 0) {{\n"
-            f"            {n['idx']} = {n['idx']} - 1;\n"
-            f"            {n['arr']}[{n['idx']}] = {n['arr']}[{n['idx']}] * {n['lit']};\n"
-            f"        }}\n"
-            f"    }}\n"
-        )
-    raise ValueError(f"no style-b template for {label!r}")
 
 
 def render_file(style: str, rng, class_tag: str) -> str:
     """One class with 2-3 methods drawn without repetition from LABELS."""
+    row = STYLES[style]
     n_methods = int(rng.integers(2, 4))
     labels = [LABELS[i] for i in rng.choice(len(LABELS), size=n_methods, replace=False)]
-    if style == STYLE_A:
-        class_name = f"{A_CLASS[rng.integers(len(A_CLASS))]}{class_tag}"
-        bodies = [_method_a(label, rng) for label in labels]
-    else:
-        class_name = f"{B_CLASS[rng.integers(len(B_CLASS))]}{class_tag}"
-        bodies = [_method_b(label, rng) for label in labels]
-    return f"class {class_name} {{\n" + "\n".join(bodies) + "}\n"
+    class_name = f"{row['classes'][rng.integers(len(row['classes']))]}{class_tag}"
+    bodies = [row["methods"][label].format_map(_names(row, label, rng)) for label in labels]
+    return f"class {class_name} {{\n" + "\n\n".join(bodies) + "\n}\n"
 
 
 def _write_snapshot(root: Path, project: str, version: str, release_time: str,
@@ -277,7 +254,7 @@ def _write_snapshot(root: Path, project: str, version: str, release_time: str,
     files = []
     for i, (style, author) in enumerate(plan):
         rng = np.random.default_rng([seed, _stable_key(version), i])
-        name = f"{'A' if style == STYLE_A else 'B'}{i:03d}.java"
+        name = f"{STYLES[style]['prefix']}{i:03d}.java"
         (root / name).write_text(render_file(style, rng, f"{version.replace('.', '')}x{i}"), encoding="utf-8")
         files.append({"path": name, "author": author})
     meta = {"project": project, "version": version, "release_time": release_time, "files": files}
@@ -287,7 +264,7 @@ def _write_snapshot(root: Path, project: str, version: str, release_time: str,
 
 def _style_plan(count: int, b_fraction: float, author: str, rng) -> list[tuple[str, str]]:
     n_b = int(round(count * b_fraction))
-    styles = [STYLE_B] * n_b + [STYLE_A] * (count - n_b)
+    styles = ["b"] * n_b + ["a"] * (count - n_b)
     rng.shuffle(styles)
     return [(s, author) for s in styles]
 
@@ -295,76 +272,38 @@ def _style_plan(count: int, b_fraction: float, author: str, rng) -> list[tuple[s
 def generate_corpus(
     root,
     seed: int = 0,
-    timeline_files: int = 40,
-    project_files: int = 45,
+    timeline_files: int = DEFAULT_CONFIG["synth"]["timeline_files"],
+    project_files: int = DEFAULT_CONFIG["synth"]["project_files"],
     author_files: dict[str, int] | None = None,
 ) -> dict:
     """Write corpus directories plus the three shift manifests under `root`.
 
-    Returns a summary {"files": total, "manifests": {shift: path}}.
+    `author_files` gives each author of the author shift its file count; an
+    author it leaves out gets no files and no split. Returns a summary
+    {"files": total, "manifests": {shift: path}}.
     """
     root = Path(root)
-    total = 0
-
-    # timeline: style-b fraction grows with release time
-    versions = (
-        ("v1", "2013-11-01", 0.0),
-        ("v2", "2016-04-01", 0.1),
-        ("v3", "2019-04-01", 0.4),
-        ("v4", "2021-02-01", 0.8),
-    )
-    for version, release, b_fraction in versions:
-        rng = np.random.default_rng([seed, 1, int(b_fraction * 10)])
-        plan = _style_plan(timeline_files, b_fraction, "synth", rng)
-        total += _write_snapshot(root / "timeline" / version, "synth", version, release, plan, seed)
-    timeline_manifest = {
-        "shift_kind": "timeline",
-        "seed": seed,
-        "splits": {
-            "train": [{"project": "synth", "version": "v1", "root": "timeline/v1"}],
-            "test1": [{"project": "synth", "version": "v2", "root": "timeline/v2"}],
-            "test2": [{"project": "synth", "version": "v3", "root": "timeline/v3"}],
-            "test3": [{"project": "synth", "version": "v4", "root": "timeline/v4"}],
-        },
-    }
-
-    # project: alpha trains, beta (the other style) tests
-    for project, style in (("alpha", STYLE_A), ("beta", STYLE_B)):
-        rng = np.random.default_rng([seed, 2, 0 if style == STYLE_A else 1])
-        plan = _style_plan(project_files, 1.0 if style == STYLE_B else 0.0, project, rng)
-        total += _write_snapshot(root / "project" / project, project, "v1", "2021-02-01", plan, seed)
-    project_manifest = {
-        "shift_kind": "project",
-        "seed": seed,
-        "splits": {
-            "train": [{"project": "alpha", "version": "v1", "root": "project/alpha"}],
-            "test1": [{"project": "beta", "version": "v1", "root": "project/beta"}],
-        },
-    }
-
-    # author: one snapshot, authors of increasingly different habits
     if author_files is None:
         author_files = DEFAULT_CONFIG["synth"]["author_files"]
-    author_styles = {"alice": 0.0, "adam": 0.0, "mira": 0.5, "bogdan": 1.0}
-    plan = []
-    for author, count in author_files.items():
-        rng = np.random.default_rng([seed, 3, _stable_key(author)])
-        plan.extend(_style_plan(count, author_styles.get(author, 0.0), author, rng))
-    total += _write_snapshot(root / "author" / "main", "synth", "v4", "2021-02-01", plan, seed)
-    author_manifest = {
-        "shift_kind": "author",
-        "seed": seed,
-        "splits": {
-            "train": [{"project": "synth", "version": "v4", "root": "author/main", "author": "alice"}],
-            "test1": [{"project": "synth", "version": "v4", "root": "author/main", "author": "adam"}],
-            "test2": [{"project": "synth", "version": "v4", "root": "author/main", "author": "mira"}],
-            "test3": [{"project": "synth", "version": "v4", "root": "author/main", "author": "bogdan"}],
-        },
-    }
+    strangers = set(author_files).difference(group[1] for *_, groups in SNAPSHOTS for group in groups)
+    if strangers:
+        raise ValueError(f"author_files names authors no split uses: {sorted(strangers)}")
+    counts = {"timeline": timeline_files, "project": project_files}
+    docs, total = {}, 0
+    for shift, rel, project, version, release_time, groups in SNAPSHOTS:
+        splits = docs.setdefault(shift, {"shift_kind": shift, "seed": seed, "splits": {}})["splits"]
+        plan = []
+        for split, author, b_fraction, key in groups:
+            if author is None:
+                count, selector = counts[shift], {}
+            elif author in author_files:
+                count, selector = author_files[author], {"author": author}
+            else:
+                continue
+            plan.extend(_style_plan(count, b_fraction, author or project, np.random.default_rng([seed, *key])))
+            splits[split] = [{"project": project, "version": version, "root": rel, **selector}]
+        total += _write_snapshot(root / rel, project, version, release_time, plan, seed)
 
-    manifests = {}
-    for shift, doc in (("timeline", timeline_manifest), ("project", project_manifest), ("author", author_manifest)):
-        path = root / f"manifest_{shift}.json"
-        write_json(path, doc)
-        manifests[shift] = str(path)
-    return {"files": total, "manifests": manifests}
+    for shift, doc in docs.items():
+        write_json(root / f"manifest_{shift}.json", doc)
+    return {"files": total, "manifests": {shift: str(root / f"manifest_{shift}.json") for shift in docs}}

@@ -102,6 +102,8 @@ def test_bad_config_exits_2(tmp_path, capsys):
     ({"seed": True}, "seed"),
     ({"synth": {"author_files": {}}}, "synth.author_files"),
     ({"paths": {"manifests": {"timelime": "m.json"}}}, "paths.manifests.timelime"),  # names no shift
+    ({"synth": {"author_files": {"alice": 6, "adam": 3, "zed": 4}}}, "synth.author_files.zed"),  # names no author
+    ({"synth": {"author_files": {"alice": 6, "adam": 3, "mira": 3}}}, "synth.author_files"),  # leaves bogdan out
 ])
 def test_ill_typed_config_values_exit_2_naming_the_key(tmp_path, capsys, doc, key):
     config_path = tmp_path / "c.json"
@@ -110,6 +112,22 @@ def test_ill_typed_config_values_exit_2_naming_the_key(tmp_path, capsys, doc, ke
         assert main([*command, "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and repr(key) in err
+
+
+def test_author_files_key_order_changes_neither_hash_nor_corpus(tmp_path):
+    orders = ({"alice": 3, "adam": 2, "mira": 2, "bogdan": 2}, {"bogdan": 2, "mira": 2, "adam": 2, "alice": 3})
+    hashes, trees = [], []
+    for where, author_files in zip(("one", "two"), orders):
+        config_path = tmp_path / where / "config.json"
+        config_path.parent.mkdir()
+        doc = {"synth": {"timeline_files": 2, "project_files": 2, "author_files": author_files}}
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["synth-corpus", "--config", str(config_path)]) == 0
+        hashes.append(config_hash(load_config(config_path)))
+        root = config_path.parent / "corpus"
+        trees.append({p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()})
+    assert hashes[0] == hashes[1]
+    assert trees[0] == trees[1]
 
 
 def test_artifact_layout_and_hash_embedding(workspace):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from codeshift import corpus, synth
+from codeshift.config import DEFAULT_CONFIG
 from codeshift import extraction as ex
 
 
@@ -91,3 +92,15 @@ def test_generation_is_deterministic_across_processes(tmp_path):
     for a, b in zip(ones, twos):
         if a.is_file():
             assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_author_outside_the_author_table_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="zed"):
+        synth.generate_corpus(tmp_path, timeline_files=1, project_files=1, author_files={"alice": 2, "zed": 1})
+    assert not any(tmp_path.iterdir())
+
+
+def test_config_authors_are_the_author_shift_table_in_order():
+    # config validates author_files against its defaults' names, since it cannot import synth
+    table = [group[1] for shift, *_, groups in synth.SNAPSHOTS if shift == "author" for group in groups]
+    assert list(DEFAULT_CONFIG["synth"]["author_files"]) == table
