@@ -85,7 +85,6 @@ def tokenize_java(source: str) -> list[Token]:
             i = end + 2
             continue
         if c == '"' or c == "'":
-            start_line = line
             j = i + 1
             while j < n:
                 if source[j] == "\\" and j + 1 < n:
@@ -94,11 +93,12 @@ def tokenize_java(source: str) -> list[Token]:
                 if source[j] == c:
                     break
                 if source[j] == "\n":
-                    raise LexicalError(f"unterminated {'string' if c == chr(34) else 'char'} literal", start_line)
+                    raise LexicalError(f"unterminated {'string' if c == chr(34) else 'char'} literal", line)
                 j += 1
             else:
-                raise LexicalError(f"unterminated {'string' if c == chr(34) else 'char'} literal", start_line)
-            tokens.append(Token(KIND_LITERAL, source[i:j + 1], start_line))
+                raise LexicalError(f"unterminated {'string' if c == chr(34) else 'char'} literal", line)
+            tokens.append(Token(KIND_LITERAL, source[i:j + 1], line))
+            line += source.count("\n", i, j)  # escaped newlines inside the literal
             i = j + 1
             continue
         if c.isdigit():

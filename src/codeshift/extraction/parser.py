@@ -2,10 +2,13 @@
 
 Recognizes class/interface/enum bodies, method declarations, blocks,
 if/for/while/do/try, return/throw/break/continue, local declarations,
-assignments, calls, field access, and binary/unary expressions. Anything
-else is consumed with brace-balanced recovery and wrapped in an ExprStmt
-node instead of rejecting the file; only unbalanced braces at end of input
-are a hard error.
+assignments, calls, field access, and binary/unary expressions. Binary
+operators come from one precedence table (BINARY_TIER), parsed by
+precedence climbing. Anything else is consumed with brace-balanced
+recovery and wrapped in an ExprStmt node instead of rejecting the file.
+Only two inputs are a hard error (ParseError): unbalanced braces at end of
+input, and nesting deeper than Python's recursion limit, which names the
+line the parser reached.
 
 Tree shape: leaves carry tokens (Name, Literal, Type, This, Super, and
 childless Return/Break/Continue); internal nodes have at least one child.
@@ -33,19 +36,23 @@ MODIFIERS = frozenset(
 )
 ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="})
 
-# binary precedence tiers, loosest first
-BINARY_TIERS = (
-    ("||",),
-    ("&&",),
-    ("|",),
-    ("^",),
-    ("&",),
-    ("==", "!="),
-    ("<", ">", "<=", ">=", "instanceof"),
-    ("<<", ">>", ">>>"),
-    ("+", "-"),
-    ("*", "/", "%"),
-)
+# binary operator -> precedence tier, loosest first
+BINARY_TIER = {
+    op: tier
+    for tier, ops in enumerate((
+        ("||",),
+        ("&&",),
+        ("|",),
+        ("^",),
+        ("&",),
+        ("==", "!="),
+        ("<", ">", "<=", ">=", "instanceof"),
+        ("<<", ">>", ">>>"),
+        ("+", "-"),
+        ("*", "/", "%"),
+    ))
+    for op in ops
+}
 UNARY_OPS = frozenset({"!", "~", "+", "-", "++", "--"})
 
 
@@ -106,12 +113,12 @@ class _Parser:
         i = self.pos + offset
         return self.tokens[i] if i < len(self.tokens) else None
 
-    def check(self, text: str) -> bool:
-        t = self.peek()
+    def check(self, text: str, offset: int = 0) -> bool:
+        t = self.peek(offset)
         return t is not None and t.text == text
 
-    def check_kind(self, kind: str) -> bool:
-        t = self.peek()
+    def check_kind(self, kind: str, offset: int = 0) -> bool:
+        t = self.peek(offset)
         return t is not None and t.kind == kind
 
     def advance(self) -> Token:
@@ -127,9 +134,23 @@ class _Parser:
     def expect(self, text: str) -> Token:
         if self.check(text):
             return self.advance()
-        if text == "}" and self.at_end():
-            raise ParseError("unbalanced braces at end of input")
         raise _Recover()
+
+    def name(self) -> AstNode:
+        if not self.check_kind(KIND_IDENTIFIER):
+            raise _Recover()
+        return leaf("Name", self.advance())
+
+    def skip_dims(self) -> None:
+        while self.check("[") and self.check("]", 1):
+            self.pos += 2
+
+    def skip_modifiers(self) -> None:
+        while self.check("@") or self.check_kind(KIND_KEYWORD) and self.peek().text in MODIFIERS:
+            if self.check("@"):
+                self.skip_annotation()
+            else:
+                self.advance()
 
     # -- recovery ------------------------------------------------------
 
@@ -140,8 +161,7 @@ class _Parser:
         collected: list[AstNode] = []
         depth = 0
         while not self.at_end():
-            t = self.peek()
-            if depth == 0 and t.text == "}":
+            if depth == 0 and self.check("}"):
                 break
             tok = self.advance()
             if tok.text in "([{":
@@ -191,10 +211,10 @@ class _Parser:
         if self.check("("):
             self.skip_balanced("(", ")")
 
-    def skip_generics(self) -> bool:
+    def skip_generics(self) -> None:
         """Skip a balanced <...> if one plausibly starts here; else no-op."""
         if not self.check("<"):
-            return False
+            return
         save = self.pos
         depth = 0
         while not self.at_end():
@@ -204,75 +224,65 @@ class _Parser:
             elif t.text == ">":
                 depth -= 1
                 if depth == 0:
-                    return True
+                    return
             elif t.text == ">>":
                 depth -= 2
                 if depth <= 0:
-                    return True
+                    return
             elif t.text in (";", "{", "}", ")") or t.kind == KIND_OPERATOR and t.text in ("&&", "||", "=="):
                 break
         self.pos = save
-        return False
 
     # -- types ---------------------------------------------------------
 
     def try_typeref(self) -> AstNode | None:
         """Parse a type reference, returning a Type leaf for its base name."""
-        save = self.pos
         t = self.peek()
-        if t is None:
+        if t is None or not (t.kind == KIND_IDENTIFIER or t.kind == KIND_KEYWORD and t.text in PRIMITIVES):
             return None
-        if t.kind == KIND_KEYWORD and t.text in PRIMITIVES:
-            base = self.advance()
-        elif t.kind == KIND_IDENTIFIER:
-            base = self.advance()
+        base = self.advance()
+        if base.kind == KIND_IDENTIFIER:
             self.skip_generics()
-            while self.check(".") and self.peek(1) is not None and self.peek(1).kind == KIND_IDENTIFIER:
+            while self.check(".") and self.check_kind(KIND_IDENTIFIER, 1):
                 self.advance()
                 base = self.advance()
                 self.skip_generics()
-        else:
-            return None
-        while self.check("[") and self.peek(1) is not None and self.peek(1).text == "]":
-            self.advance()
-            self.advance()
-        if self.pos == save:
-            return None
+        self.skip_dims()
         return leaf("Type", base)
+
+    def typeref(self) -> AstNode:
+        ref = self.try_typeref()
+        if ref is None:
+            raise _Recover()
+        return ref
 
     def looks_like_declaration(self) -> bool:
         save = self.pos
-        ok = False
-        ref = self.try_typeref()
-        if ref is not None and self.check_kind(KIND_IDENTIFIER):
-            after = self.peek(1)
-            if after is not None and after.text in ("=", ";", ",", ":", ")"):
-                ok = True
-            elif after is not None and after.text == "[":
-                third = self.peek(2)
-                ok = third is not None and third.text == "]"
+        ok = self.try_typeref() is not None and self.check_kind(KIND_IDENTIFIER) and (
+            self.peek(1) is not None and self.peek(1).text in ("=", ";", ",", ":", ")")
+            or self.check("[", 1) and self.check("]", 2)
+        )
         self.pos = save
         return ok
 
     # -- toplevel ------------------------------------------------------
 
     def parse_compilation_unit(self) -> AstNode:
-        root = AstNode("CompilationUnit", [])
+        items: list[AstNode | None] = []
         while not self.at_end():
-            start = self.pos
-            t = self.peek()
+            start, text = self.pos, self.peek().text
             try:
-                if t.text == "package" or t.text == "import":
-                    root.children.extend(filter(None, [self.parse_package_or_import()]))
-                elif t.text == "@":
+                if text == "package" or text == "import":
+                    items.append(self.parse_package_or_import())
+                elif text == "@":
                     self.skip_annotation()
-                elif t.text == ";":
+                elif text == ";":
                     self.advance()
                 else:
-                    root.children.extend(filter(None, [self.parse_type_decl()]))
+                    items.append(self.parse_type_decl())
             except _Recover:
-                root.children.extend(filter(None, [self.recover_wrapped(start)]))
-        return root
+                items.append(self.recover_wrapped(start))
+        return AstNode("CompilationUnit", [item for item in items if item is not None])
 
     def parse_package_or_import(self) -> AstNode | None:
         kind = "PackageDecl" if self.advance().text == "package" else "ImportDecl"
@@ -285,31 +295,20 @@ class _Parser:
         return node(kind, names)
 
     def parse_type_decl(self) -> AstNode | None:
-        while self.check_kind(KIND_KEYWORD) and self.peek().text in MODIFIERS or self.check("@"):
-            if self.check("@"):
-                self.skip_annotation()
-            else:
-                self.advance()
+        self.skip_modifiers()
         t = self.peek()
         if t is None or t.text not in ("class", "interface", "enum"):
             raise _Recover()
-        kw = self.advance().text
-        kind = {"class": "ClassDecl", "interface": "InterfaceDecl", "enum": "EnumDecl"}[kw]
-        if not self.check_kind(KIND_IDENTIFIER):
-            raise _Recover()
-        name = leaf("Name", self.advance())
+        kind = {"class": "ClassDecl", "interface": "InterfaceDecl", "enum": "EnumDecl"}[self.advance().text]
+        children: list[AstNode | None] = [self.name()]
         self.skip_generics()
         while not self.at_end() and not self.check("{"):
             self.advance()  # extends/implements clause
         self.expect("{")
-        children: list[AstNode | None] = [name]
         if kind == "EnumDecl":
             children.extend(self.parse_enum_constants())
-        while not self.check("}"):
-            if self.at_end():
-                raise ParseError("unbalanced braces at end of input")
-            children.append(self.parse_member())
-        self.advance()  # '}'
+        while not self.match("}"):
+            children.append(self.parse_member())  # raises ParseError at end of input
         return node(kind, children)
 
     def parse_enum_constants(self) -> list[AstNode]:
@@ -318,12 +317,9 @@ class _Parser:
             t = self.advance()
             if t.kind == KIND_IDENTIFIER:
                 constants.append(leaf("Name", t))
-            elif t.text == "(":
+            elif t.text == "(" or t.text == "{":
                 self.pos -= 1
-                self.skip_balanced("(", ")")
-            elif t.text == "{":
-                self.pos -= 1
-                self.skip_balanced("{", "}")
+                self.skip_balanced(t.text, ")" if t.text == "(" else "}")
         self.match(";")
         return constants
 
@@ -334,13 +330,9 @@ class _Parser:
         try:
             while self.check("@"):
                 self.skip_annotation()
-            if self.check(";"):
-                self.advance()
+            if self.match(";"):
                 return None
-            while self.check_kind(KIND_KEYWORD) and self.peek().text in MODIFIERS:
-                self.advance()
-                while self.check("@"):
-                    self.skip_annotation()
+            self.skip_modifiers()
             t = self.peek()
             if t is None:
                 raise ParseError("unbalanced braces at end of input")
@@ -349,32 +341,24 @@ class _Parser:
             if t.text == "{":
                 return self.parse_block()
             self.skip_generics()  # generic method type parameters
-            # constructor: Name '('
-            if self.check_kind(KIND_IDENTIFIER) and self.peek(1) is not None and self.peek(1).text == "(":
-                name = leaf("Name", self.advance())
-                return self.finish_method([name])
-            ret = self.try_typeref()
-            if ret is None or not self.check_kind(KIND_IDENTIFIER):
-                raise _Recover()
-            name = leaf("Name", self.advance())
+            if self.check_kind(KIND_IDENTIFIER) and self.check("(", 1):  # constructor
+                return self.finish_method([self.name()])
+            head = [self.typeref(), self.name()]
             if self.check("("):
-                return self.finish_method([ret, name])
-            return self.finish_field(ret, name)
+                return self.finish_method(head)
+            self.declarators(head)
+            self.expect(";")
+            return node("FieldDecl", head)
         except _Recover:
             return self.recover_wrapped(start)
 
     def finish_method(self, head: list[AstNode]) -> AstNode | None:
         children: list[AstNode | None] = list(head)
         self.expect("(")
-        while not self.check(")"):
-            if self.at_end():
-                raise _Recover()
-            if self.match(","):
-                continue
-            children.append(self.parse_param())
-        self.advance()  # ')'
-        if self.check("throws"):
-            self.advance()
+        while not self.match(")"):
+            if not self.match(","):
+                children.append(self.parse_param())  # raises _Recover at end of input
+        if self.match("throws"):
             while not self.at_end() and not self.check("{") and not self.check(";"):
                 self.advance()
         if self.check("{"):
@@ -386,119 +370,90 @@ class _Parser:
     def parse_param(self) -> AstNode:
         while self.check("@"):
             self.skip_annotation()
-        while self.check_kind(KIND_KEYWORD) and self.peek().text == "final":
-            self.advance()
-        ref = self.try_typeref()
-        if ref is None:
-            raise _Recover()
-        if self.check(".") :  # varargs '...'
-            while self.match("."):
-                pass
-        if not self.check_kind(KIND_IDENTIFIER):
-            raise _Recover()
-        name = leaf("Name", self.advance())
-        while self.check("[") and self.peek(1) is not None and self.peek(1).text == "]":
-            self.advance()
-            self.advance()
+        while self.match("final"):
+            pass
+        ref = self.typeref()
+        while self.match("."):  # varargs '...'
+            pass
+        name = self.name()
+        self.skip_dims()
         return AstNode("Param", [ref, name])
 
-    def finish_field(self, ref: AstNode, name: AstNode) -> AstNode | None:
-        children: list[AstNode | None] = [ref, name]
+    def declarators(self, children: list[AstNode | None]) -> None:
+        """Append the `= init` and `, name = init` tail shared by fields and locals."""
         if self.match("="):
             children.append(self.parse_expr())
         while self.match(","):
-            if not self.check_kind(KIND_IDENTIFIER):
-                raise _Recover()
-            children.append(leaf("Name", self.advance()))
+            children.append(self.name())
             if self.match("="):
                 children.append(self.parse_expr())
-        self.expect(";")
-        return node("FieldDecl", children)
 
     # -- statements ----------------------------------------------------
 
     def parse_block(self) -> AstNode | None:
         self.expect("{")
         stmts: list[AstNode | None] = []
-        while not self.check("}"):
-            if self.at_end():
-                raise ParseError("unbalanced braces at end of input")
-            stmts.append(self.parse_statement())
-        self.advance()
+        while not self.match("}"):
+            stmts.append(self.parse_statement())  # raises ParseError at end of input
         return node("Block", stmts)
 
     def parse_statement(self) -> AstNode | None:
         start = self.pos
         try:
-            return self.parse_statement_inner()
+            t = self.peek()
+            if t is None:
+                raise ParseError("unbalanced braces at end of input")
+            text = t.text
+            if text == "{":
+                return self.parse_block()
+            if text == ";":
+                self.advance()
+                return None
+            if text == "if":
+                self.advance()
+                cond, then = self.paren_expr(), self.parse_statement()
+                return node("If", [cond, then, self.parse_statement() if self.match("else") else None])
+            if text == "while":
+                self.advance()
+                return node("While", [self.paren_expr(), self.parse_statement()])
+            if text == "do":
+                self.advance()
+                body = self.parse_statement()
+                self.expect("while")
+                cond = self.paren_expr()
+                self.match(";")
+                return node("DoWhile", [body, cond])
+            if text == "for":
+                return self.parse_for()
+            if text == "try":
+                return self.parse_try()
+            if text == "return" or text == "throw":
+                tok = self.advance()
+                if text == "return" and self.match(";"):
+                    return leaf("Return", tok)
+                return self.expr_statement(text.capitalize())
+            if text == "break" or text == "continue":
+                tok = self.advance()
+                if self.check_kind(KIND_IDENTIFIER):
+                    self.advance()  # label
+                self.expect(";")
+                return leaf(text.capitalize(), tok)
+            if text == "final" or self.looks_like_declaration():
+                return self.parse_local_decl()
+            return self.expr_statement("ExprStmt")
         except _Recover:
             return self.recover_wrapped(start)
 
-    def parse_statement_inner(self) -> AstNode | None:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unbalanced braces at end of input")
-        text = t.text
-        if text == "{":
-            return self.parse_block()
-        if text == ";":
-            self.advance()
-            return None
-        if text == "if":
-            return self.parse_if()
-        if text == "while":
-            self.advance()
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
-            return node("While", [cond, self.parse_statement()])
-        if text == "do":
-            self.advance()
-            body = self.parse_statement()
-            self.expect("while")
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
-            self.match(";")
-            return node("DoWhile", [body, cond])
-        if text == "for":
-            return self.parse_for()
-        if text == "try":
-            return self.parse_try()
-        if text == "return":
-            tok = self.advance()
-            if self.match(";"):
-                return leaf("Return", tok)
-            expr = self.parse_expr()
-            self.expect(";")
-            return node("Return", [expr])
-        if text == "throw":
-            self.advance()
-            expr = self.parse_expr()
-            self.expect(";")
-            return node("Throw", [expr])
-        if text in ("break", "continue"):
-            tok = self.advance()
-            if self.check_kind(KIND_IDENTIFIER):
-                self.advance()  # label
-            self.expect(";")
-            return leaf(text.capitalize(), tok)
-        if text == "final" or self.looks_like_declaration():
-            return self.parse_local_decl()
+    def paren_expr(self) -> AstNode:
+        self.expect("(")
+        expr = self.parse_expr()
+        self.expect(")")
+        return expr
+
+    def expr_statement(self, kind: str) -> AstNode:
         expr = self.parse_expr()
         self.expect(";")
-        return node("ExprStmt", [expr])
-
-    def parse_if(self) -> AstNode | None:
-        self.advance()
-        self.expect("(")
-        cond = self.parse_expr()
-        self.expect(")")
-        then = self.parse_statement()
-        otherwise = None
-        if self.match("else"):
-            otherwise = self.parse_statement()
-        return node("If", [cond, then, otherwise])
+        return AstNode(kind, [expr])
 
     def parse_for(self) -> AstNode | None:
         self.advance()
@@ -506,28 +461,25 @@ class _Parser:
         # for-each: Type name : iterable
         save = self.pos
         ref = self.try_typeref()
-        if ref is not None and self.check_kind(KIND_IDENTIFIER) and self.peek(1) is not None and self.peek(1).text == ":":
-            name = leaf("Name", self.advance())
+        if ref is not None and self.check_kind(KIND_IDENTIFIER) and self.check(":", 1):
+            param = AstNode("Param", [ref, self.name()])
             self.advance()  # ':'
             iterable = self.parse_expr()
             self.expect(")")
-            return node("ForEach", [AstNode("Param", [ref, name]), iterable, self.parse_statement()])
+            return node("ForEach", [param, iterable, self.parse_statement()])
         self.pos = save
         init = None
-        if not self.check(";"):
-            if self.looks_like_declaration() or self.check("final"):
-                init = self.parse_local_decl_no_semi()
-            else:
-                init = node("ExprStmt", [self.parse_expr()])
-        self.expect(";")
+        if self.check("final") or self.looks_like_declaration():
+            init = self.parse_local_decl()
+        elif not self.match(";"):
+            init = self.expr_statement("ExprStmt")
         cond = None if self.check(";") else self.parse_expr()
         self.expect(";")
         update = None
         if not self.check(")"):
-            update = node("ExprStmt", [self.parse_expr()])
+            update = AstNode("ExprStmt", [self.parse_expr()])
             while self.match(","):
-                extra = node("ExprStmt", [self.parse_expr()])
-                update = node("ExprStmt", [update, extra])
+                update = AstNode("ExprStmt", [update, AstNode("ExprStmt", [self.parse_expr()])])
         self.expect(")")
         return node("For", [init, cond, update, self.parse_statement()])
 
@@ -536,15 +488,14 @@ class _Parser:
         if self.check("("):
             self.skip_balanced("(", ")")  # try-with-resources header
         children: list[AstNode | None] = [self.parse_block()]
-        while self.check("catch"):
-            self.advance()
+        while self.match("catch"):
             self.expect("(")
             ref = self.try_typeref()
             while self.match("|"):
                 self.try_typeref()
             param = None
             if ref is not None and self.check_kind(KIND_IDENTIFIER):
-                param = AstNode("Param", [ref, leaf("Name", self.advance())])
+                param = AstNode("Param", [ref, self.name()])
             self.expect(")")
             children.append(node("Catch", [param, self.parse_block()]))
         if self.match("finally"):
@@ -552,28 +503,12 @@ class _Parser:
         return node("Try", children)
 
     def parse_local_decl(self) -> AstNode | None:
-        decl = self.parse_local_decl_no_semi()
-        self.expect(";")
-        return decl
-
-    def parse_local_decl_no_semi(self) -> AstNode | None:
         while self.match("final"):
             pass
-        ref = self.try_typeref()
-        if ref is None or not self.check_kind(KIND_IDENTIFIER):
-            raise _Recover()
-        children: list[AstNode | None] = [ref, leaf("Name", self.advance())]
-        while self.check("[") and self.peek(1) is not None and self.peek(1).text == "]":
-            self.advance()
-            self.advance()
-        if self.match("="):
-            children.append(self.parse_expr())
-        while self.match(","):
-            if not self.check_kind(KIND_IDENTIFIER):
-                raise _Recover()
-            children.append(leaf("Name", self.advance()))
-            if self.match("="):
-                children.append(self.parse_expr())
+        children: list[AstNode | None] = [self.typeref(), self.name()]
+        self.skip_dims()
+        self.declarators(children)
+        self.expect(";")
         return node("LocalVarDecl", children)
 
     # -- expressions ---------------------------------------------------
@@ -583,38 +518,33 @@ class _Parser:
         t = self.peek()
         if t is not None and t.text in ASSIGN_OPS:
             op = self.advance().text
-            right = self.parse_expr()
-            return AstNode(f"Assign{op}", [left, right])
+            return AstNode(f"Assign{op}", [left, self.parse_expr()])
         return left
 
     def parse_ternary(self) -> AstNode:
-        cond = self.parse_binary(0)
+        cond = self.parse_binary()
         if self.match("?"):
             then = self.parse_expr()
             self.expect(":")
-            otherwise = self.parse_ternary()
-            return AstNode("Ternary", [cond, then, otherwise])
+            return AstNode("Ternary", [cond, then, self.parse_ternary()])
         return cond
 
-    def parse_binary(self, tier: int) -> AstNode:
-        if tier >= len(BINARY_TIERS):
-            return self.parse_unary()
-        ops = BINARY_TIERS[tier]
-        left = self.parse_binary(tier + 1)
+    def parse_binary(self, min_tier: int = 0) -> AstNode:
+        """Precedence climbing over BINARY_TIER. After an operator of tier k
+        only tiers <= k may follow at this level: tighter ones belong to its
+        right operand, or, after `instanceof T`, end the expression."""
+        left = self.parse_unary()
+        ceiling = len(BINARY_TIER)  # above every tier
         while True:
             t = self.peek()
-            if t is None or t.text not in ops:
+            tier = BINARY_TIER.get(t.text, -1) if t is not None else -1
+            if not min_tier <= tier <= ceiling:
                 return left
-            if t.text == "instanceof":
-                self.advance()
-                ref = self.try_typeref()
-                if ref is None:
-                    raise _Recover()
-                left = AstNode("InstanceOf", [left, ref])
-                continue
-            op = self.advance().text
-            right = self.parse_binary(tier + 1)
-            left = AstNode(f"Binary{op}", [left, right])
+            ceiling = tier
+            if self.advance().text == "instanceof":
+                left = AstNode("InstanceOf", [left, self.typeref()])
+            else:
+                left = AstNode(f"Binary{t.text}", [left, self.parse_binary(tier + 1)])
 
     def parse_unary(self) -> AstNode:
         t = self.peek()
@@ -622,15 +552,8 @@ class _Parser:
             op = self.advance().text
             return AstNode(f"Unary{op}", [self.parse_unary()])
         # primitive cast: '(' primitive ')' operand
-        if (
-            t is not None
-            and t.text == "("
-            and self.peek(1) is not None
-            and self.peek(1).kind == KIND_KEYWORD
-            and self.peek(1).text in PRIMITIVES
-            and self.peek(2) is not None
-            and self.peek(2).text == ")"
-        ):
+        if (self.check("(") and self.check_kind(KIND_KEYWORD, 1) and self.peek(1).text in PRIMITIVES
+                and self.check(")", 2)):
             self.advance()
             ref = leaf("Type", self.advance())
             self.advance()
@@ -644,16 +567,12 @@ class _Parser:
             if t is None:
                 return expr
             if t.text == ".":
-                nxt = self.peek(1)
-                if nxt is None or nxt.kind not in (KIND_IDENTIFIER, KIND_KEYWORD):
+                if not (self.check_kind(KIND_IDENTIFIER, 1) or self.check_kind(KIND_KEYWORD, 1)):
                     return expr
                 self.advance()
-                name = leaf("Name", self.advance())
-                expr = AstNode("FieldAccess", [expr, name])
-                if self.check("("):
-                    expr = self.finish_call(expr)
+                expr = AstNode("FieldAccess", [expr, leaf("Name", self.advance())])
             elif t.text == "(":
-                expr = self.finish_call(expr)
+                expr = AstNode("Call", [expr, *self.call_args()])
             elif t.text == "[":
                 self.advance()
                 index = self.parse_expr()
@@ -665,17 +584,15 @@ class _Parser:
             else:
                 return expr
 
-    def finish_call(self, callee: AstNode) -> AstNode:
+    def call_args(self) -> list[AstNode]:
         self.expect("(")
-        args: list[AstNode] = [callee]
+        args: list[AstNode] = []
         while not self.check(")"):
-            if self.at_end():
-                raise _Recover()
-            args.append(self.parse_expr())
+            args.append(self.parse_expr())  # raises _Recover at end of input
             if not self.match(","):
                 break
         self.expect(")")
-        return AstNode("Call", args)
+        return args
 
     def parse_primary(self) -> AstNode:
         t = self.peek()
@@ -685,27 +602,17 @@ class _Parser:
             return leaf("Literal", self.advance())
         if t.kind == KIND_IDENTIFIER:
             return leaf("Name", self.advance())
-        if t.text == "this":
-            return leaf("This", self.advance())
-        if t.text == "super":
-            return leaf("Super", self.advance())
+        if t.text == "this" or t.text == "super":
+            return leaf(t.text.capitalize(), self.advance())
         if t.text == "(":
-            self.advance()
-            expr = self.parse_expr()
-            self.expect(")")
-            return expr
+            return self.paren_expr()
         if t.text == "new":
             self.advance()
-            ref = self.try_typeref()
-            if ref is None:
-                raise _Recover()
-            children: list[AstNode] = [ref]
+            children = [self.typeref()]
             if self.check("("):
-                call = self.finish_call(ref)
-                children = list(call.children)
-            elif self.check("["):
-                while self.check("["):
-                    self.advance()
+                children.extend(self.call_args())
+            else:
+                while self.match("["):
                     if not self.check("]"):
                         children.append(self.parse_expr())
                     self.expect("]")
@@ -719,6 +626,12 @@ def parse_java_lite(tokens: list[Token], diagnostics: list[str] | None = None) -
     """Parse a token list into a CompilationUnit tree.
 
     Pass a list as `diagnostics` to collect one message per brace-balanced
-    recovery the parser had to perform.
+    recovery the parser had to perform. Nesting too deep for Python's
+    recursion limit raises ParseError naming the line the parser reached.
     """
-    return _Parser(tokens, diagnostics).parse_compilation_unit()
+    parser = _Parser(tokens, diagnostics)
+    try:
+        return parser.parse_compilation_unit()
+    except RecursionError:
+        line = tokens[min(parser.pos, len(tokens) - 1)].line
+        raise ParseError(f"line {line}: nesting too deep to parse") from None

@@ -68,31 +68,14 @@ def build_parent_map(tree: AstNode) -> dict[int, AstNode]:
     return parents
 
 
-def _ancestors(parents: dict[int, AstNode], n: AstNode, limit: int | None = None) -> list[AstNode]:
-    """`n`'s ancestors, nearest first: all of them, or the nearest `limit`."""
+def _ancestors(parents: dict[int, AstNode], n: AstNode, limit: int) -> list[AstNode]:
+    """`n`'s nearest `limit` ancestors, nearest first."""
     chain = []
     cur = parents.get(id(n))
-    while cur is not None and (limit is None or len(chain) < limit):
+    while cur is not None and len(chain) < limit:
         chain.append(cur)
         cur = parents.get(id(cur))
     return chain
-
-
-def leaf_path(parents: dict[int, AstNode], left: AstNode, right: AstNode) -> tuple[str, int]:
-    """Path string between two leaves and its length in nodes."""
-    la = _ancestors(parents, left)
-    ra = _ancestors(parents, right)
-    rindex = {id(n): i for i, n in enumerate(ra)}
-    for i, n in enumerate(la):
-        j = rindex.get(id(n))
-        if j is not None:
-            up = la[: i + 1]          # left parent .. LCA
-            down = ra[:j][::-1]       # LCA-1 .. right parent
-            text = UP.join(k.kind for k in up)
-            for k in down:
-                text += DOWN + k.kind
-            return text, len(up) + len(down)
-    raise ValueError("leaves do not share a root")
 
 
 def iter_method_nodes(tree: AstNode):
@@ -146,8 +129,9 @@ def extract_method_samples(
         # ids, with each one's index, and the path text up to (↑) and down
         # from (↓) each. A pair's LCA is the first of the left chain found in
         # the right one's index; missing, or too deep, the path is too long.
-        # Text is built only for kept pairs, in leaf_path's order, so the
-        # contexts (and the max_contexts thinning) are leaf_path's exactly.
+        # Text is built only for kept pairs, in pair order, so the contexts
+        # (and the max_contexts thinning) are exactly those of a walk that
+        # joins each pair's full ancestor chains at their LCA.
         index, ups, downs = [], [], []
         for leaf in leaves:
             chain = _ancestors(parents, leaf, max_path_len)

@@ -598,6 +598,23 @@ def test_java_source_not_utf8_exits_2_naming_file(tmp_path, capsys):
     assert_exit_2_naming(["extract", "--task", "cc", "--shift", "project"], config_path, target, capsys)
 
 
+def test_java_nested_past_the_recursion_limit_exits_2_naming_file_and_line(tmp_path, capsys):
+    config_path, corpus_root = synth_bucket(tmp_path)
+    assert main(["make-splits", "--shift", "project", "--config", str(config_path)]) == 0
+    splits = json.loads((bucket_of(config_path) / "splits" / "project.json").read_text(encoding="utf-8"))
+    rel = splits["assignment"]["splits"]["train"][0]
+    target = corpus_root / rel
+    text = target.read_text(encoding="utf-8")
+    end = text.rindex("}")
+    deep = "\n    int deep() { return " + "(" * 1000 + "1" + ")" * 1000 + "; }\n"
+    target.write_text(text[:end] + deep + text[end:], encoding="utf-8")
+    line = text[:end].count("\n") + 2
+    capsys.readouterr()
+    assert main(["extract", "--task", "cs", "--shift", "project", "--config", str(config_path)]) == 2
+    assert f"{rel}: line {line}: nesting too deep to parse" in capsys.readouterr().err
+    assert main(["extract", "--task", "cc", "--shift", "project", "--config", str(config_path)]) == 0
+
+
 def test_truncated_splits_file_exits_2_naming_file(tmp_path, capsys):
     config_path, _ = synth_bucket(tmp_path)
     assert main(["make-splits", "--shift", "project", "--config", str(config_path)]) == 0

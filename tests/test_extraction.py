@@ -4,12 +4,18 @@ The expected path-context sets are produced by an independent brute-force
 tree walk in this file, never by the library's own enumeration.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codeshift import extraction as ex
 from codeshift import synth
+from codeshift.extraction.lexer import KEYWORDS, OPERATORS, SEPARATORS, WORD_LITERALS
 
+DATA = Path(__file__).parent / "data"
 FIXTURE_METHOD = "int id(int a){return a;}"
 FIXTURE_CLASS = "class A { void f() { return; } }"
 
@@ -61,6 +67,61 @@ def test_tokenize_literals_and_operators():
 def test_tokenize_word_literals():
     tokens = ex.tokenize_java("flag = true;")
     assert ("literal", "true") in kinds_and_texts(tokens)
+
+
+def test_tokenize_counts_escaped_newlines_inside_literals():
+    source = 'String s = "a\\' + "\n" + 'b";\nchar c = \'\\' + "\n" + "';\nint x;"
+    lines = {t.text: t.line for t in ex.tokenize_java(source)}
+    assert lines["s"] == 1 and lines["c"] == 3 and lines["x"] == 5
+
+
+# A source is drawn as fragments, each with the tokens it must lex to, joined
+# by gaps (whitespace or comments) that lex to nothing; a fragment that
+# cannot lex makes LexicalError the only acceptable outcome.
+_WORD = st.one_of(
+    st.sampled_from(sorted(KEYWORDS | WORD_LITERALS)),
+    st.text("abzXYZ_$éλжß中", min_size=1, max_size=5).flatmap(
+        lambda head: st.text("az09_$λ", max_size=3).map(lambda tail: head + tail)),
+)
+_STRING_PART = st.sampled_from(["a", " ", "λ", "//", "/*", "'", "\\n", '\\"', "\\\\", "\\u0041", "\\\n"])
+
+
+def _word_kind(word):
+    if word in WORD_LITERALS:
+        return "literal"
+    return "keyword" if word in KEYWORDS else "identifier"
+
+
+_FRAGMENTS = st.one_of(
+    _WORD.map(lambda w: (w, [(_word_kind(w), w)])),
+    st.sampled_from(["0", "42", "0x1F", "2.5e-3", "1_000L", "3.14f", "7E+2"]).map(lambda n: (n, [("literal", n)])),
+    st.lists(_STRING_PART, max_size=4).map(lambda parts: '"' + "".join(parts) + '"')
+    .map(lambda s: (s, [("literal", s)])),
+    st.sampled_from(["'a'", "'\\n'", "'\\''", "'λ'", "'\"'"]).map(lambda c: (c, [("literal", c)])),
+    st.sampled_from(OPERATORS).map(lambda op: (op, [("operator", op)])),
+    st.sampled_from(sorted(SEPARATORS)).map(lambda sep: (sep, [("separator", sep)])),
+)
+_BAD_FRAGMENTS = st.sampled_from(["#", "`", "\\", '"open\n', "'x\n'"]).map(lambda b: (b, None))
+_GAPS = st.sampled_from([" ", "\n", "\t", " \r\n", " // note\n", " /* a\nb */ ", "\n\n "])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.one_of(_FRAGMENTS, _FRAGMENTS, _FRAGMENTS, _BAD_FRAGMENTS), _GAPS), max_size=25))
+def test_tokenize_returns_each_fragments_tokens_on_its_line(pieces):
+    source, expected, valid = "", [], True
+    for (text, tokens), gap in pieces:
+        if tokens is None:
+            valid = False
+        else:
+            line = source.count("\n") + 1
+            expected.extend((kind, tok, line) for kind, tok in tokens)
+        source += text + gap
+    try:
+        got = [(t.kind, t.text, t.line) for t in ex.tokenize_java(source)]
+    except ex.LexicalError:
+        assert not valid
+        return
+    assert valid and got == expected
 
 
 # -- parser ------------------------------------------------------------
@@ -148,14 +209,8 @@ def test_parse_invariants_hold():
         }
     }
     """
-    tree = parse(source)
-    for n in tree.walk():
-        if n is tree:
-            continue
-        if n.token is not None:
-            assert n.children == [], f"leaf {n.kind} has children"
-        else:
-            assert len(n.children) >= 1, f"internal {n.kind} is empty"
+    tokens = ex.tokenize_java(source)
+    assert_tree_invariants(ex.parse_java_lite(tokens), tokens)
 
 
 def test_parse_recovery_wraps_unknown_material():
@@ -171,6 +226,90 @@ def test_parse_recovery_wraps_unknown_material():
 def test_parse_is_deterministic():
     source = FIXTURE_CLASS + " class B { int g(int v) { return v + 1; } }"
     assert shape(parse(source)) == shape(parse(source))
+
+
+def test_parse_grammar_fixture_pins_every_construct():
+    # every statement kind, binary tier, cast, `new` form and declaration the
+    # grammar covers, plus one `switch` the recovery wraps
+    diagnostics = []
+    tokens = ex.tokenize_java((DATA / "grammar.java").read_text(encoding="utf-8"))
+    tree = ex.parse_java_lite(tokens, diagnostics)
+    assert tree.pretty() + "\n" == (DATA / "grammar.pretty").read_text(encoding="utf-8")
+    assert diagnostics == ["line 50: wrapped 12 unrecognized tokens in an ExprStmt"]
+
+
+@pytest.mark.parametrize("nested", [
+    "return " + "(" * 1000 + "1" + ")" * 1000 + ";",
+    "{" * 1000 + "}" * 1000,
+    "if (x) " * 1000 + "y();",
+], ids=["parens", "blocks", "ifs"])
+def test_parse_nesting_past_the_recursion_limit_is_a_parse_error(nested):
+    source = "class A {\n  int f() {\n    " + nested + "\n  }\n}\n"
+    with pytest.raises(ex.ParseError, match=r"^line 3: nesting too deep to parse$"):
+        parse(source)
+
+
+def assert_tree_invariants(tree, tokens):
+    """Leaves hold a token and no children, every other non-root node has
+    children, and the leaves' tokens are input tokens (by identity) at
+    strictly increasing positions in pre-order."""
+    assert tree.kind == "CompilationUnit" and tree.token is None
+    position = {id(t): i for i, t in enumerate(tokens)}
+    last, stack = -1, list(reversed(tree.children))
+    while stack:
+        n = stack.pop()
+        if n.token is not None:
+            assert n.children == [], f"leaf {n.kind} has children"
+            assert position.get(id(n.token), -1) > last, f"leaf {n.kind} out of order"
+            last = position[id(n.token)]
+        else:
+            assert n.children, f"internal {n.kind} is empty"
+            stack.extend(reversed(n.children))
+
+
+def assert_parses_or_raises_parse_error(tokens):
+    try:
+        tree = ex.parse_java_lite(tokens, [])
+    except ex.ParseError:
+        return
+    assert_tree_invariants(tree, tokens)
+
+
+_GRAMMAR_TOKENS = ex.tokenize_java(
+    " ".join(sorted(KEYWORDS | WORD_LITERALS)) + " " + " ".join(OPERATORS) + " " + " ".join(sorted(SEPARATORS))
+    + " x y T List 0 2.5 'c' \"s\""
+)
+_TOKEN = st.sampled_from([(t.kind, t.text) for t in _GRAMMAR_TOKENS]).map(lambda kt: ex.Token(*kt, 1))
+_WRAPPERS = [("", ""), ("class A {", "}"), ("class A { void f() {", "} }"), ("enum E {", "}")]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(_WRAPPERS), st.lists(_TOKEN, max_size=40))
+def test_parse_any_token_list_raises_parse_error_or_keeps_the_invariants(wrapper, body):
+    assert_parses_or_raises_parse_error(ex.tokenize_java(wrapper[0]) + body + ex.tokenize_java(wrapper[1]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_FRAGMENTS, _GAPS), max_size=40))
+def test_parse_any_lexed_source_raises_parse_error_or_keeps_the_invariants(pieces):
+    source = "class A { int f(int a) { " + "".join(text + gap for (text, _), gap in pieces) + " } }"
+    assert_parses_or_raises_parse_error(ex.tokenize_java(source))
+
+
+_NESTINGS = {
+    "parens": ("x = ", "(", "a + 1", ")", ";"),
+    "blocks": ("", "{", "x();", "}", ""),
+    "calls": ("f(", "g(", "1", ")", ");"),
+    "ifs": ("", "if (y) ", "z();", "", ""),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_NESTINGS)), st.integers(50, 400))
+def test_parse_deep_nesting_raises_parse_error_or_keeps_the_invariants(kind, depth):
+    head, opener, core, closer, tail = _NESTINGS[kind]
+    source = "class A { void f() { " + head + opener * depth + core + closer * depth + tail + " } }"
+    assert_parses_or_raises_parse_error(ex.tokenize_java(source))
 
 
 # -- path contexts -------------------------------------------------------
@@ -256,6 +395,30 @@ def test_method_samples_match_brute_force_larger():
         assert got == expected[s.label]
 
 
+def leaf_path(parents, left, right):
+    """Reference path string between two leaves and its length in nodes:
+    both full ancestor chains, joined at their lowest common ancestor."""
+    def ancestors(n):
+        chain, cur = [], parents.get(id(n))
+        while cur is not None:
+            chain.append(cur)
+            cur = parents.get(id(cur))
+        return chain
+
+    la, ra = ancestors(left), ancestors(right)
+    rindex = {id(n): i for i, n in enumerate(ra)}
+    for i, n in enumerate(la):
+        j = rindex.get(id(n))
+        if j is not None:
+            up = la[: i + 1]          # left parent .. LCA
+            down = ra[:j][::-1]       # LCA-1 .. right parent
+            text = "↑".join(k.kind for k in up)
+            for k in down:
+                text += "↓" + k.kind
+            return text, len(up) + len(down)
+    raise ValueError("leaves do not share a root")
+
+
 @pytest.fixture(scope="module")
 def synth_trees(tmp_path_factory):
     """Every file of a small synthetic corpus (both code styles), parsed."""
@@ -281,7 +444,7 @@ def test_method_contexts_equal_the_leaf_path_reference_in_order(synth_trees, max
             contexts = []
             for i in range(len(leaves)):
                 for j in range(i + 1, len(leaves)):
-                    path, length = ex.leaf_path(parents, leaves[i], leaves[j])
+                    path, length = leaf_path(parents, leaves[i], leaves[j])
                     if length <= max_path_len:
                         contexts.append((terms[i], path, terms[j]))
             if contexts:
@@ -334,8 +497,8 @@ def test_path_symmetry():
         leaves = ex.method_context_leaves(m)
         for i in range(len(leaves)):
             for j in range(i + 1, len(leaves)):
-                fwd, flen = ex.leaf_path(parents, leaves[i], leaves[j])
-                rev, rlen = ex.leaf_path(parents, leaves[j], leaves[i])
+                fwd, flen = leaf_path(parents, leaves[i], leaves[j])
+                rev, rlen = leaf_path(parents, leaves[j], leaves[i])
                 assert flen == rlen
                 # reversing the walk swaps the arrows and the node order
                 swapped = rev.replace("↑", "#").replace("↓", "↑").replace("#", "↓")
