@@ -1,8 +1,9 @@
 """Recursive-descent parser for a pragmatic Java subset.
 
 Recognizes class/interface/enum bodies, method declarations, blocks,
-if/for/while/do/try, return/throw/break/continue, local declarations,
-assignments, calls, field access, and binary/unary expressions. Binary
+if/for/while/do/try, return/throw/break/continue, labelled statements,
+local declarations, assignments, calls (explicit type arguments skipped),
+field access, casts, and binary/unary expressions. Binary
 operators come from one precedence table (BINARY_TIER), parsed by
 precedence climbing. Anything else is consumed with brace-balanced
 recovery and wrapped in an ExprStmt node instead of rejecting the file.
@@ -54,6 +55,8 @@ BINARY_TIER = {
     for op in ops
 }
 UNARY_OPS = frozenset({"!", "~", "+", "-", "++", "--"})
+# the tokens besides identifiers and literals that can start a cast's operand: a unary expression not led by + or -
+CAST_OPERAND_STARTS = frozenset({"(", "!", "~", "this", "super", "new"})
 
 
 class ParseError(ValueError):
@@ -346,6 +349,7 @@ class _Parser:
             head = [self.typeref(), self.name()]
             if self.check("("):
                 return self.finish_method(head)
+            self.skip_dims()
             self.declarators(head)
             self.expect(";")
             return node("FieldDecl", head)
@@ -438,6 +442,10 @@ class _Parser:
                     self.advance()  # label
                 self.expect(";")
                 return leaf(text.capitalize(), tok)
+            if self.check_kind(KIND_IDENTIFIER) and self.check(":", 1):
+                label = leaf("Name", self.advance())
+                self.advance()  # ':'
+                return node("Labeled", [label, self.parse_statement()])
             if text == "final" or self.looks_like_declaration():
                 return self.parse_local_decl()
             return self.expr_statement("ExprStmt")
@@ -551,14 +559,31 @@ class _Parser:
         if t is not None and t.kind == KIND_OPERATOR and t.text in UNARY_OPS:
             op = self.advance().text
             return AstNode(f"Unary{op}", [self.parse_unary()])
-        # primitive cast: '(' primitive ')' operand
-        if (self.check("(") and self.check_kind(KIND_KEYWORD, 1) and self.peek(1).text in PRIMITIVES
-                and self.check(")", 2)):
-            self.advance()
-            ref = leaf("Type", self.advance())
-            self.advance()
-            return AstNode("Cast", [ref, self.parse_unary()])
+        if self.check("("):
+            ref = self.cast_type()
+            if ref is not None:
+                return AstNode("Cast", [ref, self.parse_unary()])
         return self.parse_postfix()
+
+    def cast_type(self) -> AstNode | None:
+        """At `(`, consume a cast's `( type )` and return the type; else consume nothing.
+
+        As in Java, `( primitive )` always casts, and any other parenthesized
+        type only when the next token can start a unary expression other
+        than + or -: `(a) - b` subtracts, `(a) !b` casts.
+        """
+        save = self.pos
+        primitive = self.check_kind(KIND_KEYWORD, 1) and self.peek(1).text in PRIMITIVES and self.check(")", 2)
+        self.advance()
+        ref = self.try_typeref()
+        if ref is not None and self.match(")"):
+            t = self.peek()
+            if primitive or t is not None and (
+                t.kind in (KIND_IDENTIFIER, KIND_LITERAL) or t.text in CAST_OPERAND_STARTS
+            ):
+                return ref
+        self.pos = save
+        return None
 
     def parse_postfix(self) -> AstNode:
         expr = self.parse_primary()
@@ -567,9 +592,12 @@ class _Parser:
             if t is None:
                 return expr
             if t.text == ".":
-                if not (self.check_kind(KIND_IDENTIFIER, 1) or self.check_kind(KIND_KEYWORD, 1)):
-                    return expr
+                save = self.pos
                 self.advance()
+                self.skip_generics()  # explicit type arguments: a.<T>call()
+                if not (self.check_kind(KIND_IDENTIFIER) or self.check_kind(KIND_KEYWORD)):
+                    self.pos = save
+                    return expr
                 expr = AstNode("FieldAccess", [expr, leaf("Name", self.advance())])
             elif t.text == "(":
                 expr = AstNode("Call", [expr, *self.call_args()])

@@ -1,7 +1,8 @@
 """Forward ops with hand-written backward rules.
 
 Everything the two task models need: affine maps, embedding lookups (of
-one table, or summed over several), tanh, stable softmax, inverted dropout,
+one table, or summed over several, also fused with a bias and a tanh that
+run once per distinct row), tanh, stable softmax, inverted dropout,
 attention pooling, cross-entropy, and the small glue ops
 (add/mul/concat/row slice/mean) they are composed from. Shapes
 broadcast over leading batch dimensions; reductions and softmax act on the
@@ -9,9 +10,12 @@ last axis unless stated otherwise.
 
 Bags of variable size (CS context bags) travel as the d-wide rows of their
 real slots, in C order of a boolean `mask` whose last axis spans a bag:
-`dropout` and `attention_pool` take that mask, and no op builds the padded
-layout. The model derives the mask from its split's row lengths; splits
-store no mask and no padding.
+`dropout` and `attention_pool` take that mask, and no op builds or draws
+over the padded layout. The model derives the mask from its split's row
+lengths; splits store no mask and no padding.
+
+A backward rule that builds a fresh gradient array hands it to
+`accumulate` (`fresh=True`), which keeps it without a copy.
 """
 
 from __future__ import annotations
@@ -44,10 +48,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backward_fn(g):
-        if needs_grad(a):
-            accumulate(a, _unbroadcast(g, a.data.shape))
-        if needs_grad(b):
-            accumulate(b, _unbroadcast(g, b.data.shape))
+        for t in (a, b):
+            if needs_grad(t):
+                gt = _unbroadcast(g, t.data.shape)
+                accumulate(t, gt, fresh=gt is not g)
 
     return make_node(out, (a, b), backward_fn)
 
@@ -57,9 +61,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if needs_grad(a):
-            accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+            accumulate(a, _unbroadcast(g * b.data, a.data.shape), fresh=True)
         if needs_grad(b):
-            accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+            accumulate(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
 
     return make_node(out, (a, b), backward_fn)
 
@@ -72,10 +76,10 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
 
     def backward_fn(g):
         if needs_grad(x):
-            accumulate(x, g @ w.data.T)
+            accumulate(x, g @ w.data.T, fresh=True)
         if needs_grad(w):
             k, m = w.data.shape
-            accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, m))
+            accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, m), fresh=True)
 
     return make_node(out, (x, w), backward_fn)
 
@@ -96,7 +100,7 @@ def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
     def backward_fn(g):
         gx = np.zeros_like(x.data)
         gx[start:stop] = g
-        accumulate(x, gx)
+        accumulate(x, gx, fresh=True)
 
     return make_node(out, (x,), backward_fn)
 
@@ -105,9 +109,17 @@ def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
 
     def backward_fn(g):
-        accumulate(x, g * (1.0 - out * out))
+        accumulate(x, _tanh_grad(g, out), fresh=True)
 
     return make_node(out, (x,), backward_fn)
+
+
+def _tanh_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """g * (1 - out²), the bits of `g * (1.0 - out * out)`, in one fresh buffer."""
+    gx = np.multiply(out, out)
+    np.subtract(1.0, gx, out=gx)
+    gx *= g
+    return gx
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -119,7 +131,9 @@ def softmax(x: Tensor) -> Tensor:
 
     def backward_fn(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
-        accumulate(x, out * (g - inner))
+        gx = g - inner
+        gx *= out
+        accumulate(x, gx, fresh=True)
 
     return make_node(out, (x,), backward_fn)
 
@@ -139,12 +153,7 @@ def embedding_sum(lookups: list[tuple[Tensor, np.ndarray]]) -> Tensor:
     occur once are added in one vectorised step, and each repeated id's
     rows are summed as one contiguous block.
     """
-    lookups = [(table, np.asarray(ids)) for table, ids in lookups]
-    for table, ids in lookups:
-        if ids.shape != lookups[0][1].shape or table.data.shape[1:] != lookups[0][0].data.shape[1:]:
-            raise ShapeError(f"embedding_sum: table {table.data.shape}, ids {ids.shape}")
-        if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-            raise IndexError(f"embedding id out of range [0, {table.data.shape[0]})")
+    lookups = _checked_lookups(lookups, "embedding_sum")
     (table, ids), *rest = lookups
     out = table.data[ids]
     for table, ids in rest:
@@ -153,9 +162,82 @@ def embedding_sum(lookups: list[tuple[Tensor, np.ndarray]]) -> Tensor:
     def backward_fn(g):
         for table, ids in lookups:
             if needs_grad(table):
-                accumulate(table, _embedding_grad(table.data, ids, g))
+                accumulate(table, _embedding_grad(table.data, ids, g), fresh=True)
 
     return make_node(out, tuple(table for table, _ in lookups), backward_fn)
+
+
+def _checked_lookups(lookups, op: str) -> list[tuple[Tensor, np.ndarray]]:
+    """`lookups` with array ids, after the shape and range checks of `embedding_sum`."""
+    lookups = [(table, np.asarray(ids)) for table, ids in lookups]
+    for table, ids in lookups:
+        if ids.shape != lookups[0][1].shape or table.data.shape[1:] != lookups[0][0].data.shape[1:]:
+            raise ShapeError(f"{op}: table {table.data.shape}, ids {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
+            raise IndexError(f"embedding id out of range [0, {table.data.shape[0]})")
+    return lookups
+
+
+def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of the (R,) non-negative int `keys`.
+
+    `first` holds one row of each distinct key, in ascending key order, and
+    `inverse` each row's index into `first`, so `keys[first][inverse]` is
+    `keys`. One pass over a boolean table of max(keys) + 1 entries, not a
+    sort.
+    """
+    keys = np.asarray(keys)
+    if keys.ndim != 1:
+        raise ShapeError(f"distinct_rows: keys {keys.shape} are not one column")
+    if keys.size and keys.min() < 0:
+        raise IndexError("distinct_rows: a key is negative")
+    present = np.zeros(int(keys.max()) + 1 if keys.size else 0, dtype=bool)
+    present[keys] = True
+    first = np.empty(present.size, dtype=np.intp)
+    first[keys] = np.arange(keys.size)  # any row of a key will do
+    return first[present], (np.cumsum(present) - 1)[keys]
+
+
+def embedding_sum_tanh(lookups: list[tuple[Tensor, np.ndarray]], bias: Tensor, distinct: np.ndarray) -> Tensor:
+    """tanh(table_0[ids_0] + table_1[ids_1] + ... + bias), computed once per distinct row.
+
+    The lookups are `embedding_sum`'s, over (R,) ids each, with its checks;
+    `bias` is (d,). `distinct` (R,) names each row's id tuple with a
+    non-negative int: rows that share one must look up the same ids in
+    every table (ValueError otherwise). The sum, the bias and the tanh run
+    on one row per distinct value (`distinct_rows`), which are then
+    gathered into the R rows. Each op is elementwise per row, so the output
+    is `tanh(add(embedding_sum(lookups), bias))` bit for bit. So is every
+    gradient: the backward runs on all R rows, with the tanh's rule, the
+    bias's sum over rows and `embedding_sum`'s per-id sums in row order.
+    """
+    lookups = _checked_lookups(lookups, "embedding_sum_tanh")
+    distinct = np.asarray(distinct)
+    d = lookups[0][0].data.shape[1]
+    if lookups[0][1].ndim != 1 or distinct.shape != lookups[0][1].shape or bias.data.shape != (d,):
+        raise ShapeError(
+            f"embedding_sum_tanh: ids {lookups[0][1].shape}, distinct {distinct.shape}, bias {bias.data.shape}"
+        )
+    first, inverse = distinct_rows(distinct)
+    picked = [(table, ids[first]) for table, ids in lookups]
+    if any(not np.array_equal(ids[inverse], full) for (_, ids), (_, full) in zip(picked, lookups)):
+        raise ValueError("embedding_sum_tanh: rows with one distinct value look up different ids")
+    (table, ids), *rest = picked
+    pre = table.data[ids]
+    for table, ids in rest:
+        pre += table.data[ids]
+    act = pre + bias.data
+    out = np.tanh(act, out=act)[inverse]
+
+    def backward_fn(g):
+        gpre = _tanh_grad(g, out)
+        if needs_grad(bias):
+            accumulate(bias, _unbroadcast(gpre, bias.data.shape), fresh=True)
+        for table, ids in lookups:
+            if needs_grad(table):
+                accumulate(table, _embedding_grad(table.data, ids, gpre), fresh=True)
+
+    return make_node(out, (*(table for table, _ in lookups), bias), backward_fn)
 
 
 def _embedding_grad(table: np.ndarray, ids: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -167,10 +249,10 @@ def _embedding_grad(table: np.ndarray, ids: np.ndarray, g: np.ndarray) -> np.nda
     keys = flat[order]
     # A spare zero column keeps each block two-dimensional: numpy then
     # adds a block's rows one after another, where a single column
-    # would be summed pairwise. ("clip" lets take write into the
-    # strided view without a buffer; every index is in range.)
-    rows = np.zeros((flat.size, d + 1), dtype=g.dtype)
-    np.take(g.reshape(-1, d), order, axis=0, out=rows[:, :d], mode="clip")
+    # would be summed pairwise.
+    rows = np.empty((flat.size, d + 1), dtype=g.dtype)
+    rows[:, d] = 0
+    rows[:, :d] = g.reshape(-1, d)[order]
     first = np.ones(flat.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(first)
@@ -195,9 +277,14 @@ def dropout(
     """Inverted dropout: survivors scaled by 1/(1-p) so inference is identity.
 
     Given `mask`, boolean, `x` holds the d-wide rows of its True slots in C
-    order. The draw still covers every slot, mask.shape + (d,), so the keep
-    factors of the real rows and the generator's state are those of
-    dropout over the padded layout; the PAD slots' factors are dropped.
+    order. Only those rows are drawn, yet their keep factors and the
+    generator's end state are those of dropout over the padded layout,
+    `rng.random(mask.shape + (d,))`: each run of real slots draws its
+    doubles into place, and each PAD run skips its n·d doubles with the bit
+    generator's `advance` (`_draw_real_slots`). That needs a PCG64 bit
+    generator, whose `advance` counts doubles, as every generator the
+    program creates is; with any other a masked call raises TypeError
+    before it draws.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
@@ -212,13 +299,42 @@ def dropout(
         d = x.data.shape[-1]
         if x.data.size != int(mask.sum()) * d:
             raise ShapeError(f"dropout: rows {x.data.shape} for {int(mask.sum())} real slots of {mask.shape}")
-        keep = (rng.random(mask.shape + (d,)) >= p)[mask].reshape(x.data.shape).astype(x.data.dtype) / (1.0 - p)
+        keep = (_draw_real_slots(rng, mask, d) >= p).reshape(x.data.shape).astype(x.data.dtype) / (1.0 - p)
     out = x.data * keep
 
     def backward_fn(g):
-        accumulate(x, g * keep)
+        accumulate(x, g * keep, fresh=True)
 
     return make_node(out, (x,), backward_fn)
+
+
+def _draw_real_slots(rng: np.random.Generator, mask: np.ndarray, d: int) -> np.ndarray:
+    """`rng.random(mask.shape + (d,))[mask].reshape(-1)`, without drawing the PAD slots.
+
+    A PCG64 double is one step of the generator, so `advance(n * d)` leaves
+    it where drawing a PAD run of n slots would. `advance` also drops a
+    buffered 32-bit value, which a draw of doubles keeps; it is put back.
+    """
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise TypeError(f"masked dropout needs a PCG64 bit generator, got {type(bits).__name__}")
+    flat = mask.reshape(-1)
+    bounds = [0, *(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(), flat.size]
+    drawn = np.empty(np.count_nonzero(flat) * d)
+    start = bits.state
+    pos, real = 0, bool(flat.size) and bool(flat[0])
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        n = (b - a) * d
+        if real:
+            rng.random(out=drawn[pos:pos + n])
+            pos += n
+        else:
+            bits.advance(n)
+        real = not real
+    if start["has_uint32"]:
+        end = bits.state
+        bits.state = {**end, "has_uint32": start["has_uint32"], "uinteger": start["uinteger"]}
+    return drawn
 
 
 def attention_pool(contexts: Tensor, a: Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
@@ -262,11 +378,11 @@ def attention_pool(contexts: Tensor, a: Tensor, mask: np.ndarray | None = None) 
         gw = np.einsum("rd,rd->r", rows, g_rows)
         gs = w * (gw - np.repeat(np.add.reduceat(gw * w, starts), counts))
         if needs_grad(a):
-            accumulate(a, np.einsum("rd,r->d", rows, gs))
+            accumulate(a, np.einsum("rd,r->d", rows, gs), fresh=True)
         if needs_grad(contexts):
             gx = np.multiply(g_rows, w[:, None], out=g_rows)
             gx += gs[:, None] * a.data
-            accumulate(contexts, gx.reshape(x.shape))
+            accumulate(contexts, gx.reshape(x.shape), fresh=True)
 
     return make_node(pooled, (contexts, a), backward_fn), Tensor(w)
 
@@ -291,7 +407,7 @@ def mean(x: Tensor) -> Tensor:
     n = x.data.size
 
     def backward_fn(g):
-        accumulate(x, np.broadcast_to(g / n, x.data.shape).astype(x.data.dtype))
+        accumulate(x, np.broadcast_to(g / n, x.data.shape).astype(x.data.dtype), fresh=True)
 
     return make_node(out, (x,), backward_fn)
 
@@ -319,6 +435,6 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
         gp = np.zeros(probs.data.shape, dtype=probs.data.dtype)
         live = (picked >= tiny).astype(probs.data.dtype)  # zero slope in the clip region
         gp.reshape(-1, n_classes)[at] = (-g * live / clipped).reshape(-1)
-        accumulate(probs, gp)
+        accumulate(probs, gp, fresh=True)
 
     return make_node(out, (probs,), backward_fn)

@@ -80,9 +80,17 @@ def make_node(data: np.ndarray, parents: Iterable[Tensor], backward_fn) -> Tenso
     return out
 
 
-def accumulate(t: Tensor, g: np.ndarray) -> None:
+def accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add `g` into `t.grad`.
+
+    `fresh` hands `g` over: the backward rule built it and nothing else
+    holds it, so when `t` has no gradient yet and `g` is in `t`'s dtype it
+    becomes `t.grad` itself. Otherwise the first gradient is copied, so a
+    `g` shared with another operand (`add`), returned unchanged from
+    `_unbroadcast`, or a view of an upstream gradient is never aliased.
+    """
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+        t.grad = g if fresh and g.dtype == t.data.dtype else g.astype(t.data.dtype, copy=True)
     else:
         t.grad += g
 

@@ -7,9 +7,11 @@ and classified by one fully-connected layer over method names. The
 combiner is computed factorized: W's three d-row blocks project the
 terminal and path embedding tables once per forward, and each context
 gathers and sums three projected rows, so no (B, n, 3d) concatenation is
-built. Everything after the embedding gathers runs on the real contexts
-only, as (R, d) rows in the order of the batch's flat id columns: the
-combiner, dropout, attention pooling and their gradients.
+built. A split repeats most of its triples, so the sum and the tanh run
+once per distinct triple of a batch and are gathered back. Everything
+after that runs on the real contexts only, as (R, d) rows in the order of
+the batch's flat id columns: dropout, whose draw skips the PAD slots,
+attention pooling and their gradients.
 
 CC (code completion): a CBOW-style MLP. Context token embeddings are
 averaged (PAD slots contribute nothing and are excluded from the divisor)
@@ -23,8 +25,8 @@ Each model carries its task: the vocabularies it was built over, which
 `encode_split` encodes every split against and checkpoints store, and its
 parameters. `MODELS` maps each task kind to its model class. A split is
 encoded once into one ragged layout (`EncodedSplit`): flat columns plus
-row lengths, one entry per CS context or per distinct CC window token, and
-no PAD stored.
+row lengths, one entry per CS context (with its index among the split's
+distinct triples) or per distinct CC window token, and no PAD stored.
 
 Both train with Adam on mean cross-entropy over seeded, shuffled batches.
 Accuracy is exact-match argmax, reported as a percentage; samples whose
@@ -66,7 +68,9 @@ class EncodedSplit:
 
     `inputs` holds one flat column per model input, the rows concatenated;
     `lengths` counts each row's entries. CS has int64 `left`/`path`/`right`
-    ids, one per real context. CC has each window's bag (`pack_windows`):
+    ids, one per real context, and `triple`, each context's index among
+    the split's distinct (left, path, right) triples in ascending order;
+    a batch keeps the split's indices. CC has each window's bag (`pack_windows`):
     int64 `token`, its distinct non-PAD ids, and float64 `share`, the share
     of the window's real slots that hold each.
     """
@@ -112,17 +116,21 @@ def pack(sample_ids, labels, rows: dict[str, Sequence]) -> EncodedSplit:
     return EncodedSplit(np.array(sample_ids, dtype=str), np.asarray(labels, dtype=np.int64), inputs, lengths)
 
 
-def pack_windows(sample_ids, labels, windows: Sequence[Sequence[int]]) -> EncodedSplit:
+def pack_windows(sample_ids, labels, ids: np.ndarray, sizes: Sequence[int]) -> EncodedSplit:
     """Pack CC context windows as bags: the `token` and `share` columns of EncodedSplit.
 
-    A row's `token` entries are its window's distinct non-PAD ids in
-    ascending order, and each `share` is that id's slot count over the
-    window's real (non-PAD) slot count, in float64. An all-PAD window gets
-    an empty row. Windows may differ in width; each row averages its own.
+    `ids` holds the windows' ids one window after another, and `sizes`
+    each window's width. A row's `token` entries are its window's distinct
+    non-PAD ids in ascending order, and each `share` is that id's slot
+    count over the window's real (non-PAD) slot count, in float64. An
+    all-PAD window gets an empty row. Windows may differ in width; each row
+    averages its own.
     """
-    sizes = np.fromiter(map(len, windows), dtype=np.int64, count=len(windows))
-    ids = np.fromiter(itertools.chain.from_iterable(windows), dtype=np.int64, count=int(sizes.sum()))
-    rows = np.repeat(np.arange(len(windows)), sizes)
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    if ids.size != sizes.sum():
+        raise ValueError(f"{ids.size} window ids for window sizes summing to {sizes.sum()}")
+    rows = np.repeat(np.arange(len(sizes)), sizes)
     real = ids != PAD_ID
     ids, rows = ids[real], rows[real]
     order = np.lexsort((ids, rows))  # rows ascending, each row's ids ascending
@@ -131,9 +139,9 @@ def pack_windows(sample_ids, labels, windows: Sequence[Sequence[int]]) -> Encode
     first[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
     starts = np.flatnonzero(first)
     counts = np.diff(np.append(starts, ids.size))
-    n_real = np.bincount(rows, minlength=len(windows))
+    n_real = np.bincount(rows, minlength=len(sizes))
     inputs = {"token": ids[starts], "share": counts / n_real[rows[starts]]}
-    lengths = np.bincount(rows[starts], minlength=len(windows))
+    lengths = np.bincount(rows[starts], minlength=len(sizes))
     return EncodedSplit(np.array(sample_ids, dtype=str), np.asarray(labels, dtype=np.int64), inputs, lengths)
 
 
@@ -149,11 +157,12 @@ def encode_split(samples: list, vocabs: dict[str, Vocabulary], id_prefix: str = 
         return pack_windows(
             [f"{id_prefix}#{i}" for i in range(len(samples))],
             tokens.encode_all(s.target for s in samples),
-            [tokens.encode_all(s.context) for s in samples],
+            tokens.encode_all(itertools.chain.from_iterable(s.context for s in samples)),
+            [len(s.context) for s in samples],
         )
     kept = [(i, s) for i, s in enumerate(samples) if s.contexts]
     terminals, paths = vocabs["terminals"], vocabs["paths"]
-    return pack(
+    split = pack(
         [f"{id_prefix}#{i}" for i, _ in kept],
         vocabs["labels"].encode_all(s.label for _, s in kept),
         {
@@ -162,6 +171,10 @@ def encode_split(samples: list, vocabs: dict[str, Vocabulary], id_prefix: str = 
             "right": [terminals.encode_all(c.right for c in s.contexts) for _, s in kept],
         },
     )
+    ids = split.inputs
+    key = (ids["left"] * len(paths) + ids["path"]) * len(terminals) + ids["right"]
+    ids["triple"] = np.unique(key, return_inverse=True)[1].astype(np.int64)
+    return split
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -283,8 +296,9 @@ class PathAttentionModel(_TaskModel):
         left/path/right id columns.
 
         W·[e_l; e_p; e_r] = W_l·e_l + W_p·e_p + W_r·e_r, so each d-row block
-        of `w_comb` projects its embedding table once, and every context
-        sums three gathered d-wide rows.
+        of `w_comb` projects its embedding table once, and each distinct
+        triple of the batch (its `triple` column) sums three gathered d-wide
+        rows and takes the tanh once (`nn.embedding_sum_tanh`).
         """
         if not batch.lengths.all():
             raise ValueError("empty context bag in batch")
@@ -295,17 +309,17 @@ class PathAttentionModel(_TaskModel):
         proj_path = nn.linear(p["path_emb"], nn.row_slice(w, d, 2 * d))
         proj_right = nn.linear(p["term_emb"], nn.row_slice(w, 2 * d, 3 * d))
         ids = batch.inputs
-        pre = nn.embedding_sum([(proj_left, ids["left"]), (proj_path, ids["path"]), (proj_right, ids["right"])])
-        return nn.tanh(nn.add(pre, p["b_comb"]))
+        lookups = [(proj_left, ids["left"]), (proj_path, ids["path"]), (proj_right, ids["right"])]
+        return nn.embedding_sum_tanh(lookups, p["b_comb"], ids["triple"])
 
     def feature_changes(self, base: _TaskModel, split: EncodedSplit) -> tuple[np.ndarray, np.ndarray] | None:
         """(columns, their values) where the combined contexts differ from `base`'s; see `_TaskModel`.
 
         With `base`'s embedding tables, a context's column j depends only on
         column j of `w_comb` and `b_comb`, so only the columns whose bits
-        differ are recomputed (-0.0 differs from +0.0). Each table is still
-        projected through the full weight block, as `features` does: a GEMM
-        over fewer columns can round differently.
+        differ are recomputed (-0.0 differs from +0.0), once per distinct
+        triple. Each table is still projected through the full weight block,
+        as `features` does: a GEMM over fewer columns can round differently.
         """
         same = super().feature_changes(base, split)
         p, theirs = self._params, base.params()
@@ -315,13 +329,14 @@ class PathAttentionModel(_TaskModel):
         differs = (_bits(w) != _bits(theirs["w_comb"].data)).any(axis=0) | (_bits(b) != _bits(theirs["b_comb"].data))
         cols = np.flatnonzero(differs)
         d, ids = self.dim, split.inputs
+        first, inverse = nn.distinct_rows(ids["triple"])
         terms, paths = p["term_emb"].data, p["path_emb"].data
         # one column per row, so each gather is a 1-D take; summed as `features` sums: left, path, right, bias
-        pre = (terms @ w[:d])[:, cols].T.take(ids["left"], axis=1)
-        pre += (paths @ w[d:2 * d])[:, cols].T.take(ids["path"], axis=1)
-        pre += (terms @ w[2 * d:])[:, cols].T.take(ids["right"], axis=1)
+        pre = (terms @ w[:d])[:, cols].T.take(ids["left"][first], axis=1)
+        pre += (paths @ w[d:2 * d])[:, cols].T.take(ids["path"][first], axis=1)
+        pre += (terms @ w[2 * d:])[:, cols].T.take(ids["right"][first], axis=1)
         pre += b[cols, None]
-        return cols, np.tanh(pre).T
+        return cols, np.tanh(pre).T[inverse]
 
     def head(
         self,

@@ -104,6 +104,17 @@ def test_criterion_1_gradient_suite():
 
         worst = max(worst, _finite_diff(drop_loss, [dx]))
 
+        terms, paths, wc, bc = t(rng, 4, 3), t(rng, 3, 3), t(rng, 3, 3), t(rng, 3)
+        lp, pp, rp = rng.integers(0, 4, size=8), rng.integers(0, 3, size=8), rng.integers(0, 4, size=8)
+        lp[4:], pp[4:], rp[4:] = lp[:4], pp[:4], rp[:4]  # each triple of the first half repeats
+        _, distinct = np.unique(np.stack([lp, pp, rp], axis=1), axis=0, return_inverse=True)
+
+        def combine_loss():
+            lookups = [(nn.linear(terms, wc), lp), (nn.linear(paths, wc), pp), (terms, rp)]
+            return nn.mean(nn.mul(nn.embedding_sum_tanh(lookups, bc, distinct.reshape(-1)), attn))
+
+        worst = max(worst, _finite_diff(combine_loss, [terms, paths, wc, bc]))
+
         a, c = t(rng, 2, 3), t(rng, 3)
         worst = max(worst, _finite_diff(lambda: nn.mean(nn.mul(nn.add(a, c), a)), [a, c]))
 

@@ -238,6 +238,61 @@ def test_parse_grammar_fixture_pins_every_construct():
     assert diagnostics == ["line 50: wrapped 12 unrecognized tokens in an ExprStmt"]
 
 
+def parse_method_body(body, members=""):
+    """The statements of `void f() { body }` in a class that also declares `members`, parsed without recovery."""
+    diagnostics = []
+    tree = ex.parse_java_lite(ex.tokenize_java(f"class A {{ {members} void f() {{ {body} }} }}"), diagnostics)
+    assert diagnostics == []
+    (method,) = ex.iter_method_nodes(tree)
+    return tree, method.children[-1].children
+
+
+def test_parse_labelled_statement_is_its_own_node():
+    _, (stmt,) = parse_method_body("outer: for (int i = 0; i < n; i++) { if (i > 2) break outer; }")
+    label, loop = stmt.children
+    assert stmt.kind == "Labeled" and shape(label) == ("Name", "outer", [])
+    assert loop.kind == "For" and [n.kind for n in loop.walk()].count("Break") == 1
+    _, (stmt,) = parse_method_body("done: { x = 1; }")
+    _, (assign,) = parse_method_body("x = 1;")
+    assert shape(stmt) == ("Labeled", None, [("Name", "done", []), ("Block", None, [shape(assign)])])
+
+
+def test_parse_field_with_dimensions_after_its_name():
+    tree, _ = parse_method_body("", members="int[] grid[] = new int[3][], flat = null;")
+    (field,) = [n for n in tree.walk() if n.kind == "FieldDecl"]
+    assert shape(field) == ("FieldDecl", None, [
+        ("Type", "int", []), ("Name", "grid", []), ("New", None, [("Type", "int", []), ("Literal", "3", [])]),
+        ("Name", "flat", []), ("Literal", "null", []),
+    ])
+
+
+@pytest.mark.parametrize("expr, expected", [
+    ("(Object) first", ("Cast", None, [("Type", "Object", []), ("Name", "first", [])])),
+    ("(java.util.List<String>) items", ("Cast", None, [("Type", "List", []), ("Name", "items", [])])),
+    ("(int[]) copy", ("Cast", None, [("Type", "int", []), ("Name", "copy", [])])),
+    ("(R) result(n)", ("Cast", None, [("Type", "R", []), ("Call", None, [("Name", "result", []), ("Name", "n", [])])])),
+    ("(A) !flag", ("Cast", None, [("Type", "A", []), ("Unary!", None, [("Name", "flag", [])])])),
+    ("(A) (b)", ("Cast", None, [("Type", "A", []), ("Name", "b", [])])),
+    ("(int) -n", ("Cast", None, [("Type", "int", []), ("Unary-", None, [("Name", "n", [])])])),
+    ("(a) - b", ("Binary-", None, [("Name", "a", []), ("Name", "b", [])])),
+    ("(a) + b", ("Binary+", None, [("Name", "a", []), ("Name", "b", [])])),
+    ("(a) < b", ("Binary<", None, [("Name", "a", []), ("Name", "b", [])])),
+    ("(a).size()", ("Call", None, [("FieldAccess", None, [("Name", "a", []), ("Name", "size", [])])])),
+    ("java.util.Collections.<String>emptyList()", ("Call", None, [("FieldAccess", None, [
+        ("FieldAccess", None, [("FieldAccess", None, [("Name", "java", []), ("Name", "util", [])]),
+                               ("Name", "Collections", [])]),
+        ("Name", "emptyList", []),
+    ])])),
+    ("this.<K, V>pair(k, v)", ("Call", None, [
+        ("FieldAccess", None, [("This", "this", []), ("Name", "pair", [])]), ("Name", "k", []), ("Name", "v", []),
+    ])),
+], ids=["ref", "generic", "array", "call", "not", "paren", "primitive_minus", "minus", "plus", "less", "member",
+        "generic_call", "two_type_args"])
+def test_parse_casts_and_explicit_type_arguments(expr, expected):
+    _, (stmt,) = parse_method_body(f"x = {expr};")
+    assert shape(stmt) == ("ExprStmt", None, [("Assign=", None, [("Name", "x", []), expected])])
+
+
 @pytest.mark.parametrize("nested", [
     "return " + "(" * 1000 + "1" + ")" * 1000 + ";",
     "{" * 1000 + "}" * 1000,

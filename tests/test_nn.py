@@ -588,6 +588,185 @@ def test_masked_dropout_keeps_the_padded_draws_factors_bitwise(dtype):
         assert padded_rng.bit_generator.state == rows_rng.bit_generator.state
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    p=st.sampled_from([0.1, 0.5, 0.9]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    buffered=st.booleans(),
+)
+def test_masked_dropout_equals_the_padded_reference_on_any_mask(data, p, dtype, buffered):
+    # any mask: real slots anywhere in a row, rows with none, all real, all PAD
+    shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 7)), label="shape")
+    flat = data.draw(st.lists(st.booleans(), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    mask = np.array(flat).reshape(shape)
+    d = data.draw(st.integers(1, 4), label="d")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    values = np.random.default_rng(seed + 1)
+    x, g = (values.standard_normal((int(mask.sum()), d)).astype(dtype) for _ in range(2))
+    ref_rng, rng, ones_rng = (np.random.default_rng(seed) for _ in range(3))
+    if buffered:  # a 32-bit draw leaves half a 64-bit output waiting in the bit generator
+        for r in (ref_rng, rng, ones_rng):
+            r.integers(0, 10, dtype=np.int32)
+    keep = (ref_rng.random(mask.shape + (d,)) >= p)[mask].astype(dtype) / (1.0 - p)
+    t = nn.Tensor(x, requires_grad=True)
+    out = nn.dropout(t, p, training=True, rng=rng, mask=mask)
+    nn.backward(out, seed=g)
+    assert_bitwise(out.data, x * keep)
+    assert_bitwise(t.grad, g * keep)
+    assert_bitwise(nn.dropout(nn.Tensor(np.ones_like(x)), p, training=True, rng=ones_rng, mask=mask).data, keep)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state == ones_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bits", [np.random.MT19937, np.random.SFC64, np.random.Philox, np.random.PCG64DXSM])
+def test_masked_dropout_needs_a_pcg64_bit_generator_and_draws_nothing_without_one(bits):
+    mask = np.array([[True, False, True], [False, False, False]])
+    x = nn.Tensor(np.ones((2, 4)))
+    rng = np.random.Generator(bits(5))
+    with pytest.raises(TypeError, match="PCG64"):
+        nn.dropout(x, 0.5, training=True, rng=rng, mask=mask)
+    assert np.array_equal(rng.random(4), np.random.Generator(bits(5)).random(4))  # nothing was drawn
+    assert nn.dropout(x, 0.5, training=True, rng=rng).data.shape == (2, 4)  # an unmasked draw takes any
+
+
+def random_triples(rng, n_rows, n_terms, n_paths):
+    """(left, path, right, distinct) rows: repeated triples, triples that occur once, and UNK (id 0) ones.
+
+    `distinct` numbers the triples sparsely and out of order, as a batch of
+    a split holds only some of the split's triple indices.
+    """
+    pool = rng.integers(0, [n_terms, n_paths, n_terms], size=(max(1, n_rows // 3), 3))
+    pool[0] = 0  # the all-UNK triple
+    pool[-1, 1] = 0  # an UNK path between known terminals
+    rows = np.concatenate([pool[rng.integers(0, len(pool), size=n_rows)],
+                           rng.integers(0, [n_terms, n_paths, n_terms], size=(n_rows // 4, 3))])
+    rows = rows[rng.permutation(len(rows))]
+    _, index = np.unique(rows, axis=0, return_inverse=True)
+    names = rng.permutation(3 * len(rows))  # an injective, unordered renaming
+    return rows[:, 0], rows[:, 1], rows[:, 2], names[index.reshape(-1)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_rows=st.integers(1, 120), n_terms=st.integers(1, 40), n_paths=st.integers(1, 40), d=st.integers(1, 9),
+    dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1),
+)
+def test_embedding_sum_tanh_equals_the_composed_ops_bit_for_bit(n_rows, n_terms, n_paths, d, dtype, seed):
+    rng = np.random.default_rng(seed)
+    left, path, right, distinct = random_triples(rng, n_rows, n_terms, n_paths)
+    arrays = [rng.standard_normal(shape).astype(dtype) for shape in ((n_terms, d), (n_paths, d), (d, d), (d,))]
+    g = rng.standard_normal((len(left), d)).astype(dtype)
+    results = []
+    for fused in (True, False):
+        terms, paths, w, b = (nn.Tensor(a.copy(), requires_grad=True) for a in arrays)
+        # projected tables, so the gradients reach the leaves through `linear`, as in the CS model
+        lookups = [(nn.linear(terms, w), left), (nn.linear(paths, w), path), (nn.linear(terms, w), right)]
+        if fused:
+            out = nn.embedding_sum_tanh(lookups, b, distinct)
+        else:
+            out = nn.tanh(nn.add(nn.embedding_sum(lookups), b))
+        nn.backward(out, seed=g)
+        results.append([out.data, terms.grad, paths.grad, w.grad, b.grad])
+    for fused, composed in zip(*results):
+        assert_bitwise(fused, composed)
+
+
+def test_embedding_sum_tanh_checks_its_rows():
+    rng = np.random.default_rng(3)
+    table, bias = nn.Tensor(rng.standard_normal((4, 2))), nn.Tensor(np.zeros(2))
+    ids = np.array([0, 1, 1, 3])
+    with pytest.raises(ValueError, match="different ids"):
+        nn.embedding_sum_tanh([(table, ids)], bias, np.array([0, 1, 0, 2]))
+    with pytest.raises(IndexError, match="out of range"):
+        nn.embedding_sum_tanh([(table, np.array([0, 4]))], bias, np.array([0, 1]))
+    with pytest.raises(IndexError, match="negative"):
+        nn.embedding_sum_tanh([(table, ids)], bias, np.array([0, -1, -1, 2]))
+    with pytest.raises(nn.ShapeError):
+        nn.embedding_sum_tanh([(table, ids)], bias, np.array([0, 1, 1]))
+    with pytest.raises(nn.ShapeError):
+        nn.embedding_sum_tanh([(table, ids)], nn.Tensor(np.zeros(3)), np.array([0, 1, 1, 2]))
+    out = nn.embedding_sum_tanh([(table, ids)], bias, np.array([7, 1, 1, 2]))
+    assert_bitwise(out.data, np.tanh(table.data[ids] + bias.data))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 50), max_size=60))
+def test_distinct_rows_picks_one_row_per_key_in_ascending_order(keys):
+    keys = np.array(keys, dtype=np.int64)
+    first, inverse = nn.distinct_rows(keys)
+    assert keys[first].tolist() == sorted(set(keys.tolist()))
+    assert np.array_equal(keys[first][inverse], keys)
+
+
+@pytest.mark.parametrize("seed", range(N_INSTANCES))
+def test_grad_embedding_sum_tanh(seed):
+    rng = np.random.default_rng(1300 + seed)
+    terms, paths, w, b = t64(rng, 4, 3), t64(rng, 3, 3), t64(rng, 3, 3), t64(rng, 3)
+    left, path, right, distinct = random_triples(rng, 9, 4, 3)
+    head = t64(rng, 3, 2)
+
+    def build():
+        lookups = [(nn.linear(terms, w), left), (nn.linear(paths, w), path), (terms, right)]
+        return nn.mean(nn.linear(nn.embedding_sum_tanh(lookups, b, distinct), head))
+
+    finite_diff_check(build, [terms, paths, w, b, head])
+
+
+def assert_gradients_apart(tensors):
+    """No two gradients share memory: a handed-over gradient is never another tensor's too."""
+    grads = [t.grad for t in tensors if t.grad is not None]
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_gradient_hand_over_keeps_shared_gradients_apart():
+    rng = np.random.default_rng(17)
+    x = nn.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    c = nn.Tensor(rng.standard_normal(4), requires_grad=True)
+    g = rng.standard_normal((3, 4))
+    # add(x, x): one g reaches x twice, and the node keeps its own
+    twice = nn.add(x, x)
+    nn.backward(twice, seed=g)
+    assert_bitwise(x.grad, g + g)
+    assert_bitwise(twice.grad, g)
+    assert_gradients_apart([x, twice])
+    # one node feeding two consumers: h -> mul(h, c) and h -> add(., h)
+    nn.zero_grads([x, c])
+    h = nn.tanh(x)
+    scaled = nn.mul(h, c)
+    out = nn.add(scaled, h)
+    nn.backward(out, seed=g)
+    gh = g * c.data + g
+    assert_bitwise(h.grad, gh)
+    assert_bitwise(x.grad, gh * (1.0 - h.data * h.data))
+    assert_bitwise(c.grad, (g * h.data).sum(axis=0))
+    assert_gradients_apart([x, c, h, scaled, out])
+
+
+def test_gradient_hand_over_keeps_view_gradients_apart():
+    rng = np.random.default_rng(19)
+    w = nn.Tensor(rng.standard_normal((6, 2)), requires_grad=True)
+    # two row slices of one weight, then their columns side by side: concat_last hands views of g
+    top, bottom = nn.row_slice(w, 0, 3), nn.row_slice(w, 3, 6)
+    side = nn.concat_last([top, bottom])
+    g = rng.standard_normal((3, 4))
+    nn.backward(side, seed=g)
+    assert_bitwise(top.grad, g[:, :2])
+    assert_bitwise(bottom.grad, g[:, 2:])
+    assert_bitwise(w.grad, np.concatenate([g[:, :2], g[:, 2:]]))
+    assert_gradients_apart([w, top, bottom, side])
+    # attention_pool hands over a reshaped view of its own buffer
+    nn.zero_grads([w])
+    rows = nn.row_slice(w, 1, 5)
+    pooled, _ = nn.attention_pool(rows, nn.Tensor(np.ones(2)), mask=np.array([[True, True], [True, True]]))
+    nn.backward(pooled, seed=np.ones((2, 2)))
+    expected = np.zeros((6, 2))
+    expected[1:5] = rows.grad
+    assert_bitwise(w.grad, expected)
+    assert_gradients_apart([w, rows, pooled])
+
+
 def test_dropout_scaling_preserves_mean():
     # Monte-Carlo check of the 1/(1-p) inverted-dropout scaling.
     rng = np.random.default_rng(123)

@@ -52,6 +52,12 @@ def cc_fixture_windows(vocab):
     return np.array([vocab.encode_all(s.context) for s in cc_fixture_samples()])
 
 
+def pack_window_rows(sample_ids, labels, windows):
+    """`tasks.pack_windows` over one id row per window."""
+    ids = [i for window in windows for i in window]
+    return tasks.pack_windows(sample_ids, labels, np.array(ids, dtype=np.int64), [len(window) for window in windows])
+
+
 def cc_training_setup():
     samples = cc_fixture_samples()
     vocab = ex.build_cc_vocab(samples, min_count=1)
@@ -84,7 +90,7 @@ def test_zero_cs_model_uniform_probs():
 def test_single_context_attention_weight_is_one():
     encoded, terminals, paths, labels = cs_training_setup()
     first_context = {name: [encoded.inputs[name][:1]] for name in ("left", "path", "right")}
-    single = tasks.pack(["one"], encoded.labels[:1], first_context)
+    single = tasks.pack(["one"], encoded.labels[:1], {**first_context, "triple": [[0]]})
     model = tasks.PathAttentionModel(terminals, paths, labels, dim=16, seed=3)
     (weights,) = per_sample(tasks.infer(model, single, keys=("weights",))["weights"], single.lengths)
     assert np.allclose(weights, [1.0])
@@ -187,6 +193,23 @@ def test_selected_rows_equal_the_split_packed_from_those_rows(case):
             assert np.shares_memory(sub.inputs[name], split.inputs[name])  # a slice's columns are views
 
 
+def test_cs_triple_column_numbers_the_splits_distinct_triples_in_order():
+    encoded, *_ = cs_training_setup()
+    ids = encoded.inputs
+    triples = list(zip(ids["left"].tolist(), ids["path"].tolist(), ids["right"].tolist()))
+    distinct = sorted(set(triples))
+    assert len(distinct) < len(triples)  # the fixture repeats triples
+    assert ids["triple"].dtype == np.int64 and ids["triple"].tolist() == [distinct.index(t) for t in triples]
+    batch = encoded[np.array([5, 1])].inputs  # a batch keeps the split's indices
+    batch_triples = zip(batch["left"].tolist(), batch["path"].tolist(), batch["right"].tolist())
+    assert batch["triple"].tolist() == [distinct.index(t) for t in batch_triples]
+
+
+def test_pack_windows_rejects_sizes_that_do_not_cover_the_ids():
+    with pytest.raises(ValueError, match="3 window ids"):
+        tasks.pack_windows(["a", "b"], [2, 2], np.array([2, 3, 4]), [2, 2])
+
+
 def test_pack_rejects_inputs_whose_rows_differ_in_length():
     with pytest.raises(ValueError, match="'path' rows differ"):
         tasks.pack(["a"], [5], {"left": [[2, 3]], "path": [[6]], "right": [[3, 2]]})
@@ -227,6 +250,9 @@ def test_grad_factorized_cs_features():
     finite_diff_check(lambda: nn.mean(nn.mul(model.features(batch), weights)), params)
 
 
+TABLES = ("term_emb", "path_emb", "term_emb")  # the left, path and right blocks of w_comb
+
+
 @pytest.mark.parametrize("dtype, tolerance", [(np.float64, 1e-12), (np.float32, 1e-5)])
 def test_factorized_combiner_matches_the_concatenated_affine(dtype, tolerance):
     encoded, terminals, paths, labels = cs_training_setup()
@@ -237,7 +263,10 @@ def test_factorized_combiner_matches_the_concatenated_affine(dtype, tolerance):
     ids = batch.inputs
     assert len(set(batch.lengths.tolist())) > 1  # bags of different sizes
     combined = model.features(batch)
-    pre = combined._parents[0].data  # the tape: tanh(pre), pre on the real contexts only
+    d, w = 16, p["w_comb"]
+    projected = [nn.linear(p[table], nn.row_slice(w, k * d, (k + 1) * d)) for k, table in enumerate(TABLES)]
+    # the composed ops on the real contexts only, which the fused op equals bit for bit
+    pre = nn.add(nn.embedding_sum(list(zip(projected, (ids["left"], ids["path"], ids["right"])))), p["b_comb"]).data
     term, path = p["term_emb"].data, p["path_emb"].data
     cat = np.concatenate([term[ids["left"]], path[ids["path"]], term[ids["right"]]], axis=-1)
     expected = cat @ p["w_comb"].data + p["b_comb"].data
@@ -360,8 +389,8 @@ def test_zero_cc_model_uniform_and_mean_idempotence():
     model = tasks.MlpCompletionModel(vocab, dim=16, seed=9)
     tok = vocab.encode("a0")
     pad = ex.PAD_ID
-    once = tasks.pack_windows(["s1"], [2], [[tok, pad, pad, pad]])
-    twice = tasks.pack_windows(["s2"], [2], [[tok, tok, pad, pad]])
+    once = pack_window_rows(["s1"], [2], [[tok, pad, pad, pad]])
+    twice = pack_window_rows(["s2"], [2], [[tok, tok, pad, pad]])
     p_once = tasks.infer(model, once)["probs"][0]
     p_twice = tasks.infer(model, twice)["probs"][0]
     assert np.allclose(p_once, p_twice, atol=1e-6)
@@ -371,7 +400,7 @@ def test_all_pad_context_raises():
     encoded, vocab = cc_training_setup()
     model = tasks.MlpCompletionModel(vocab, dim=8)
     pad = ex.PAD_ID
-    bad = tasks.pack_windows(["ok", "bad"], [2, 2], [[2, 3, pad, pad], np.full(4, pad)])
+    bad = pack_window_rows(["ok", "bad"], [2, 2], [[2, 3, pad, pad], np.full(4, pad)])
     assert bad.lengths.tolist() == [2, 0]  # an all-PAD window packs as an empty bag
     with pytest.raises(ValueError, match="all-PAD"):
         tasks.infer(model, bad)
@@ -382,7 +411,7 @@ def test_cc_bag_rows_of_different_widths_average_their_own_windows():
     model = tasks.MlpCompletionModel(vocab, dim=8, seed=4, dtype=np.float64)
     pad = ex.PAD_ID
     windows = [[2, 3, 2, 3, 4, pad], [2, 3], [pad, 5, 5, pad]]
-    ragged = tasks.pack_windows(["w6", "w2", "w4"], [2, 2, 2], windows)
+    ragged = pack_window_rows(["w6", "w2", "w4"], [2, 2, 2], windows)
     table = model.params()["token_emb"].data
     expected = [table[[i for i in window if i != pad]].mean(axis=0) for window in windows]
     np.testing.assert_allclose(model.features(ragged).data, expected, rtol=1e-12, atol=1e-15)
@@ -394,7 +423,7 @@ def test_cc_context_ids_outside_the_table_raise():
     V, pad = len(vocab), ex.PAD_ID
     # the bag's scatter would write id -1 into column V - 1 without the check
     for rows in ([[2, V, 3, pad], [2, 3, pad, pad]], [[2, 3, 2, 3], [2, -1, pad, pad]]):
-        batch = tasks.pack_windows(["r0", "r1"], [2, 2], rows)
+        batch = pack_window_rows(["r0", "r1"], [2, 2], rows)
         with pytest.raises(IndexError, match="out of range"):
             model.features(batch)
 
@@ -411,7 +440,7 @@ def cc_bag_batch(dtype, shape=(128, 8, 88, 48), seed=21):
     context = rng.integers(0, V, size=(B, width))
     context[rng.random((B, width)) < 0.2] = ex.PAD_ID
     context[:, 0] = rng.integers(2, V, size=B)  # no row is all PAD
-    batch = tasks.pack_windows([f"s{i}" for i in range(B)], rng.integers(0, V, size=B), context)
+    batch = pack_window_rows([f"s{i}" for i in range(B)], rng.integers(0, V, size=B), context)
     return model, batch, rng.standard_normal((B, d)).astype(dtype)
 
 
@@ -436,7 +465,7 @@ def test_cc_share_bag_equals_the_bincount_bag_bit_for_bit(data, n_tokens, dtype)
     windows = np.array([row + [ex.PAD_ID] * (width - len(row)) for row in rows])
     vocab = ex.Vocabulary.from_tokens([ex.UNK_TOKEN, ex.PAD_TOKEN, *(f"t{i}" for i in range(n_tokens - 2))])
     model = tasks.MlpCompletionModel(vocab, dim=3, dtype=dtype)
-    batch = tasks.pack_windows([f"s{i}" for i in range(len(rows))], [2] * len(rows), rows)
+    batch = pack_window_rows([f"s{i}" for i in range(len(rows))], [2] * len(rows), rows)
     assert batch.inputs["share"].dtype == np.float64
     bag = model.features(batch)._parents[0].data  # the tape: bag @ token_emb
     expected = bincount_bag(windows, n_tokens, dtype)
@@ -449,7 +478,7 @@ def test_cc_bag_mean_equals_the_masked_mean(dtype, tolerance):
     model = tasks.MlpCompletionModel(vocab, dim=16, seed=5, dtype=dtype)
     tok, other, pad = vocab.encode("a0"), vocab.encode("b0"), ex.PAD_ID
     windows = np.array([[tok, other, tok, tok], [pad, other, pad, tok]])
-    repeated = tasks.pack_windows(["rep", "pad"], [2, 2], windows)
+    repeated = pack_window_rows(["rep", "pad"], [2, 2], windows)
     table = model.params()["token_emb"].data
     fixture = cc_fixture_windows(vocab)
     for ids, batch in ((windows, repeated), (fixture, encoded)):
@@ -465,7 +494,7 @@ def test_grad_cc_bag_features():
     _, vocab = cc_training_setup()
     model = tasks.MlpCompletionModel(vocab, dim=3, seed=6, dtype=np.float64)
     tok, pad = vocab.encode("a0"), ex.PAD_ID
-    batch = tasks.pack_windows(["rep", "pad"], [2, 2], [[tok, tok, 2, 3], [pad, 4, pad, tok]])
+    batch = pack_window_rows(["rep", "pad"], [2, 2], [[tok, tok, 2, 3], [pad, 4, pad, tok]])
     # a fixed random cotangent, so no gradient cancels by symmetry
     weights = nn.Tensor(np.random.default_rng(7).standard_normal((2, 3)), dtype=np.float64)
     params = [model.params()[name] for name in model.feature_params]
@@ -520,7 +549,7 @@ def test_untrained_model_near_chance_on_balanced_data():
     model = tasks.MlpCompletionModel(vocab, dim=32, seed=123)
     rng = np.random.default_rng(0)
     n_classes = len(vocab)
-    balanced = tasks.pack_windows(
+    balanced = pack_window_rows(
         [f"b{i}" for i in range(400)],
         [i % n_classes for i in range(400)],
         [rng.integers(2, n_classes, size=8) for i in range(400)],
@@ -548,7 +577,7 @@ def test_training_deterministic_bitwise():
 def test_unk_true_label_counts_as_failure():
     encoded, vocab = cc_training_setup()
     model = tasks.MlpCompletionModel(vocab, dim=8, seed=0)
-    unk_sample = tasks.pack_windows(["u"], [ex.UNK_ID], cc_fixture_windows(vocab)[:1])
+    unk_sample = pack_window_rows(["u"], [ex.UNK_ID], cc_fixture_windows(vocab)[:1])
     # even a model that predicts UNK gets no credit for it
     for p in model.params().values():
         p.data[:] = 0.0

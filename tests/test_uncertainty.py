@@ -12,6 +12,8 @@ from codeshift import extraction as ex
 from codeshift import tasks
 from codeshift import uncertainty as uq
 
+from test_tasks import pack_window_rows
+
 CC_SOURCE = "int a0 = b0; int a1 = b1; int a2 = b2; int a3 = b3; long c0 = d0;"
 CS_SOURCE = """
 class Pair {
@@ -58,7 +60,7 @@ def forced_prob_model(probs):
 
 
 def sample_for(vocab, target="t0"):
-    return tasks.pack_windows(["s0"], [vocab.encode(target)], [[2, 2, ex.PAD_ID, ex.PAD_ID]])
+    return pack_window_rows(["s0"], [vocab.encode(target)], [[2, 2, ex.PAD_ID, ex.PAD_ID]])
 
 
 def copied(mutant, model):
@@ -129,7 +131,7 @@ def test_fit_temperature_degenerate_clamps_and_warns():
     model, vocab = forced_prob_model([0.4, 0.3, 0.2, 0.1])
     # single-class validation, all labeled with the argmax class: the
     # optimum runs toward T -> 0 and must be clamped
-    val = tasks.pack_windows([f"v{i}" for i in range(8)], [0] * 8, [[2, 3, ex.PAD_ID, ex.PAD_ID]] * 8)
+    val = pack_window_rows([f"v{i}" for i in range(8)], [0] * 8, [[2, 3, ex.PAD_ID, ex.PAD_ID]] * 8)
     with pytest.warns(RuntimeWarning):
         t = uq.fit_temperature(uq.base_outputs(model, val)["logits"], val.labels)
     assert uq.TEMPERATURE_BOUNDS[0] <= t <= uq.TEMPERATURE_BOUNDS[1]
@@ -224,7 +226,7 @@ def test_estimators_on_saturated_float32_logits(case, method):
     for p in model.params().values():
         p.data[:] = 0.0
     model.params()["b_out"].data[:] = np.array(SATURATED_B_OUT[case], dtype=np.float32)
-    samples = tasks.pack_windows(
+    samples = pack_window_rows(
         [f"s{i}" for i in range(8)], [2 + i % 4 for i in range(8)],
         [[2 + i % 4, 3, ex.PAD_ID, ex.PAD_ID] for i in range(8)],
     )
