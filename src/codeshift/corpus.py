@@ -91,8 +91,17 @@ class SplitAssignment:
 
     @classmethod
     def from_json(cls, payload: dict, root: Path) -> "SplitAssignment":
-        """A relative `base_dir` resolves against `root`; an absolute one is kept."""
-        return cls(splits=dict(payload["splits"]), base_dir=(root / payload["base_dir"]).resolve())
+        """A relative `base_dir` resolves against `root`; an absolute one is kept.
+
+        A `splits` that does not map each name to a list of path strings,
+        or a `base_dir` that is not a string, raises TypeError or
+        AttributeError.
+        """
+        splits = payload["splits"]
+        for name, files in splits.items():
+            if not isinstance(files, list) or not all(isinstance(rel, str) for rel in files):
+                raise TypeError(f"split {name!r} is not a list of file path strings")
+        return cls(splits=dict(splits), base_dir=(root / payload["base_dir"]).resolve())
 
 
 def _no_duplicate_keys(pairs):
@@ -246,8 +255,11 @@ def iterate_samples(assignment: SplitAssignment, split: str, seed: int):
     rng = np.random.default_rng(seed)
     for i in rng.permutation(len(files)):
         rel = files[i]
+        path = assignment.base_dir / rel
         try:
-            text = (assignment.base_dir / rel).read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
-            raise ManifestError(f"{assignment.base_dir / rel}: not UTF-8 text: {exc}") from exc
+            raise ManifestError(f"{path}: not UTF-8 text: {exc}") from exc
+        except OSError as exc:
+            raise ManifestError(f"{path}: cannot read split file: {type(exc).__name__}: {exc}") from exc
         yield rel, text

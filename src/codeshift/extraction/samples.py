@@ -159,11 +159,17 @@ def extract_method_samples(
 
 
 def extract_cbow_samples(tokens: list[Token], window: int = 4) -> list[CbowSample]:
-    """One sample per token position; boundary context slots hold <PAD>."""
+    """One sample per token position; boundary context slots hold <PAD>.
+
+    Every window needs a real slot, so a file of one token gives none: with
+    two or more, each position's neighbour is in its window.
+    """
     if window < 1:
         raise ValueError("window radius must be >= 1")
     texts = [normalize_text(t.text) for t in tokens]
     n = len(texts)
+    if n < 2:
+        return []
     samples = []
     for i in range(n):
         context = [

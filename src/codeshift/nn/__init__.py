@@ -17,7 +17,6 @@ from .ops import (
     distinct_rows,
     dropout,
     embedding_lookup,
-    embedding_sum,
     embedding_sum_tanh,
     linear,
     mean,
@@ -46,7 +45,6 @@ __all__ = [
     "distinct_rows",
     "dropout",
     "embedding_lookup",
-    "embedding_sum",
     "embedding_sum_tanh",
     "linear",
     "mean",

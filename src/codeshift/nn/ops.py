@@ -1,8 +1,8 @@
 """Forward ops with hand-written backward rules.
 
-Everything the two task models need: affine maps, embedding lookups (of
-one table, or summed over several, also fused with a bias and a tanh that
-run once per distinct row), tanh, stable softmax, inverted dropout,
+Everything the two task models need: affine maps, embedding lookups (a
+gather of one table, or a sum over several tables fused with a bias and a
+tanh that run once per distinct row), tanh, stable softmax, inverted dropout,
 attention pooling, cross-entropy, and the small glue ops
 (add/mul/concat/row slice/mean) they are composed from. Shapes
 broadcast over leading batch dimensions; reductions and softmax act on the
@@ -15,7 +15,9 @@ over the padded layout. The model derives the mask from its split's row
 lengths; splits store no mask and no padding.
 
 A backward rule that builds a fresh gradient array hands it to
-`accumulate` (`fresh=True`), which keeps it without a copy.
+`accumulate` (`fresh=True`), which keeps it without a copy. An embedding
+table's gradient is one `np.add.at`, which adds each id's rows in row
+order, as a loop would.
 """
 
 from __future__ import annotations
@@ -139,36 +141,17 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of `table` (V, d); output shape ids.shape + (d,)."""
-    return embedding_sum([(table, ids)])
-
-
-def embedding_sum(lookups: list[tuple[Tensor, np.ndarray]]) -> Tensor:
-    """table_0[ids_0] + table_1[ids_1] + ..., added in that order.
-
-    Every table is (V_i, d) with one d, and every ids array has one shape;
-    the output is ids.shape + (d,). Each table's backward sums the gradient
-    rows of each id in row order, starting from zero, exactly as
-    `np.add.at` would, bit for bit: the ids are sorted stably, ids that
-    occur once are added in one vectorised step, and each repeated id's
-    rows are summed as one contiguous block.
-    """
-    lookups = _checked_lookups(lookups, "embedding_sum")
-    (table, ids), *rest = lookups
-    out = table.data[ids]
-    for table, ids in rest:
-        out += table.data[ids]
+    """Gather rows of `table` (V, d); output shape ids.shape + (d,); backward `_embedding_grad`."""
+    ((table, ids),) = _checked_lookups([(table, ids)], "embedding_lookup")
 
     def backward_fn(g):
-        for table, ids in lookups:
-            if needs_grad(table):
-                accumulate(table, _embedding_grad(table.data, ids, g), fresh=True)
+        accumulate(table, _embedding_grad(table.data, ids, g), fresh=True)
 
-    return make_node(out, tuple(table for table, _ in lookups), backward_fn)
+    return make_node(table.data[ids], (table,), backward_fn)
 
 
 def _checked_lookups(lookups, op: str) -> list[tuple[Tensor, np.ndarray]]:
-    """`lookups` with array ids, after the shape and range checks of `embedding_sum`."""
+    """`lookups` with array ids, each of one shape, into (V_i, d) tables of one d, and in range."""
     lookups = [(table, np.asarray(ids)) for table, ids in lookups]
     for table, ids in lookups:
         if ids.shape != lookups[0][1].shape or table.data.shape[1:] != lookups[0][0].data.shape[1:]:
@@ -201,15 +184,16 @@ def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def embedding_sum_tanh(lookups: list[tuple[Tensor, np.ndarray]], bias: Tensor, distinct: np.ndarray) -> Tensor:
     """tanh(table_0[ids_0] + table_1[ids_1] + ... + bias), computed once per distinct row.
 
-    The lookups are `embedding_sum`'s, over (R,) ids each, with its checks;
-    `bias` is (d,). `distinct` (R,) names each row's id tuple with a
-    non-negative int: rows that share one must look up the same ids in
-    every table (ValueError otherwise). The sum, the bias and the tanh run
+    Each lookup is a (V_i, d) table with (R,) in-range ids; `bias` is (d,).
+    `distinct` (R,) names each row's id tuple with a non-negative int: rows
+    that share one must look up the same ids in every table (ValueError
+    otherwise). The sum, the bias and the tanh run
     on one row per distinct value (`distinct_rows`), which are then
     gathered into the R rows. Each op is elementwise per row, so the output
-    is `tanh(add(embedding_sum(lookups), bias))` bit for bit. So is every
-    gradient: the backward runs on all R rows, with the tanh's rule, the
-    bias's sum over rows and `embedding_sum`'s per-id sums in row order.
+    is the `embedding_lookup`s added in order, plus the bias, under a tanh,
+    bit for bit. So is every gradient: the backward runs on all R rows,
+    with the tanh's rule, the bias's sum over rows and each table's per-id
+    sums in row order.
     """
     lookups = _checked_lookups(lookups, "embedding_sum_tanh")
     distinct = np.asarray(distinct)
@@ -241,34 +225,18 @@ def embedding_sum_tanh(lookups: list[tuple[Tensor, np.ndarray]], bias: Tensor, d
 
 
 def _embedding_grad(table: np.ndarray, ids: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of `table[ids]` for the cotangent `g` (ids.shape + (d,)).
+
+    One `np.add.at` over the flat indices id·d + column sums each id's rows
+    in row order from zero, as a loop of `gt[id] += row` would. It rounds
+    each addition to the output dtype, so `g` must be in `table`'s.
+    """
+    if g.dtype != table.dtype:
+        raise ValueError(f"embedding gradient of dtype {g.dtype} for a {table.dtype} table")
     d = table.shape[1]
-    flat = ids.reshape(-1)
-    # a stable sort of int16 keys is a radix sort, with the same permutation
-    narrow = flat.astype(np.int16) if table.shape[0] <= 1 << 15 else flat
-    order = np.argsort(narrow, kind="stable")
-    keys = flat[order]
-    # A spare zero column keeps each block two-dimensional: numpy then
-    # adds a block's rows one after another, where a single column
-    # would be summed pairwise.
-    rows = np.empty((flat.size, d + 1), dtype=g.dtype)
-    rows[:, d] = 0
-    rows[:, :d] = g.reshape(-1, d)[order]
-    first = np.ones(flat.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.r_[starts, flat.size])
-    once = counts == 1
-    gt = np.zeros_like(table)
-    # These keys are unique, so one fancy += is exact: 0.0 + x is x, and
-    # -0.0 becomes +0.0, as under np.add.at.
-    gt[keys[starts[once]]] += rows[starts[once], :d]
-    for a, n in zip(starts[~once].tolist(), counts[~once].tolist()):
-        gt[keys[a]] += rows[a : a + n].sum(axis=0)[:d]
-    if np.isnan(gt).any():  # which of two NaNs a sum keeps depends on numpy's loop
-        gt = np.zeros_like(table)
-        for i, row in zip(flat.tolist(), g.reshape(-1, d)):
-            gt[i] += row
-    return gt
+    gt = np.zeros(table.size, dtype=table.dtype)
+    np.add.at(gt, (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1), g.reshape(-1))
+    return gt.reshape(table.shape)
 
 
 def dropout(

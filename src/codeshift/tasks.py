@@ -150,16 +150,18 @@ def encode_split(samples: list, vocabs: dict[str, Vocabulary], id_prefix: str = 
 
     `vocabs` holds the CS `terminals`/`paths`/`labels` vocabularies or the
     CC `tokens` one, as `model.vocabs()` returns them. CS methods without
-    contexts are dropped; a sample's id is `<id_prefix>#<index>`.
+    contexts and CC windows without a real (non-PAD) slot are dropped; a
+    sample's id is `<id_prefix>#<index>`, its index among `samples`.
     """
     if "tokens" in vocabs:
         tokens = vocabs["tokens"]
-        return pack_windows(
+        split = pack_windows(
             [f"{id_prefix}#{i}" for i in range(len(samples))],
             tokens.encode_all(s.target for s in samples),
             tokens.encode_all(itertools.chain.from_iterable(s.context for s in samples)),
             [len(s.context) for s in samples],
         )
+        return split if split.lengths.all() else split[np.flatnonzero(split.lengths)]
     kept = [(i, s) for i, s in enumerate(samples) if s.contexts]
     terminals, paths = vocabs["terminals"], vocabs["paths"]
     split = pack(

@@ -615,12 +615,18 @@ def test_java_nested_past_the_recursion_limit_exits_2_naming_file_and_line(tmp_p
     assert main(["extract", "--task", "cc", "--shift", "project", "--config", str(config_path)]) == 0
 
 
-def test_truncated_splits_file_exits_2_naming_file(tmp_path, capsys):
-    config_path, _ = synth_bucket(tmp_path)
+def test_a_one_token_source_file_trains_and_scores(tmp_path, capsys):
+    config_path, corpus_root = synth_bucket(tmp_path)
     assert main(["make-splits", "--shift", "project", "--config", str(config_path)]) == 0
     target = bucket_of(config_path) / "splits" / "project.json"
-    truncate(target)
-    assert_exit_2_naming(["extract", "--task", "cc", "--shift", "project"], config_path, target, capsys)
+    payload = json.loads(target.read_text(encoding="utf-8"))
+    payload["assignment"]["splits"]["train"].append("One.java")
+    target.write_text(json.dumps(payload), encoding="utf-8")
+    (corpus_root / "One.java").write_text("x\n", encoding="utf-8")
+    for command in ("extract", "train", "score"):
+        assert main([command, "--task", "cc", "--shift", "project", "--config", str(config_path)]) == 0, command
+    contexts = bucket_of(config_path) / "contexts" / "cc-project-train.txt"
+    assert not any(set(line.split()[1:]) == {PAD_TOKEN} for line in contexts.read_text(encoding="utf-8").splitlines())
 
 
 def test_splits_files_do_not_depend_on_where_the_study_runs(tmp_path):
@@ -650,18 +656,144 @@ def test_splits_file_with_an_absolute_corpus_path_still_loads(tmp_path, monkeypa
     assert main(["extract", "--task", "cc", "--shift", "project", "--config", str(config_path)]) == 0
 
 
-def test_truncated_report_exits_2_naming_file(tmp_path, capsys, workspace):
-    _, workspace_config, _ = workspace
+# -- one table of malformed artifacts -------------------------------------------------
+#
+# Each row names an artifact, a corruption and the command that reads it. The
+# intact artifact passes the command; the corrupted one exits 2 with a message
+# that names the file and no "runtime error".
+
+
+def splits_artifact(tmp_path, request):
+    config_path, _ = synth_bucket(tmp_path)
+    assert main(["make-splits", "--shift", "project", "--config", str(config_path)]) == 0
+    return config_path, bucket_of(config_path) / "splits" / "project.json"
+
+
+def contexts_artifact(task, name):
+    def build(tmp_path, request):
+        config_path, contexts = contexts_bucket(tmp_path, task)
+        return config_path, contexts / f"{task}-project-{name}"
+    return build
+
+
+def checkpoint_artifact(tmp_path, request):
+    config_path, _ = contexts_bucket(tmp_path, "cc")
+    assert main(["train", "--task", "cc", "--shift", "project", "--config", str(config_path)]) == 0
+    return config_path, bucket_of(config_path) / "checkpoints" / "cc-project.ckpt"
+
+
+def scores_artifact(tmp_path, request):
+    return scores_only_bucket(tmp_path)
+
+
+def report_artifact(tmp_path, request):
+    _, workspace_config, _ = request.getfixturevalue("workspace")
     config_path = tmp_path / "config.json"
     config_path.write_text("{}", encoding="utf-8")
-    reports = bucket_of(config_path) / "reports"
-    reports.mkdir(parents=True)
     source = bucket_of(workspace_config) / "reports" / "cs-project.json"
-    target = reports / source.name
-    target.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
-    assert main(["report", "--config", str(config_path)]) == 0  # the intact copy merges
-    truncate(target)
-    assert_exit_2_naming(["report"], config_path, target, capsys)
+    target = bucket_of(config_path) / "reports" / source.name
+    target.parent.mkdir(parents=True)
+    target.write_bytes(source.read_bytes())
+    return config_path, target
+
+
+def edit_json(edit):
+    """A corruption that rewrites the JSON document in place with `edit`."""
+    def corrupt(target):
+        payload = json.loads(target.read_text(encoding="utf-8"))
+        edit(payload)
+        target.write_text(json.dumps(payload), encoding="utf-8")
+        return target
+    return corrupt
+
+
+def write(content):
+    def corrupt(target):
+        target.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+        return target
+    return corrupt
+
+
+def set_train_split(files):
+    return edit_json(lambda payload: payload["assignment"]["splits"].__setitem__("train", files))
+
+
+def corpus_of(payload_path):
+    """The corpus directory a splits document points at, resolved as `extract` resolves it."""
+    payload = json.loads(payload_path.read_text(encoding="utf-8"))
+    return (payload_path.parent / payload["assignment"]["base_dir"]).resolve()
+
+
+def unreadable_train_entry(rel):
+    """The train split also lists `rel`, which names no readable file; the error names its path."""
+    def corrupt(target):
+        edit_json(lambda payload: payload["assignment"]["splits"]["train"].append(rel))(target)
+        return corpus_of(target) / rel
+    return corrupt
+
+
+def score_field(index, value):
+    def corrupt(target):
+        lines = target.read_text(encoding="utf-8").splitlines()
+        fields = lines[3].split(",")
+        fields[index] = value
+        lines[3] = ",".join(fields)
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return f"{target}, line 4"
+    return corrupt
+
+
+EXTRACT_CC = ["extract", "--task", "cc", "--shift", "project"]
+TRAIN_CS = ["train", "--task", "cs", "--shift", "project"]
+TRAIN_CC = ["train", "--task", "cc", "--shift", "project"]
+MALFORMED = {  # id: (artifact, corruption, command)
+    "splits_truncated": (splits_artifact, lambda target: truncate(target) or target, EXTRACT_CC),
+    "splits_missing_file": (splits_artifact, unreadable_train_entry("nope.java"), EXTRACT_CC),
+    "splits_directory_entry": (splits_artifact, unreadable_train_entry("."), EXTRACT_CC),
+    "splits_number_entry": (splits_artifact, set_train_split(["A.java", 7]), EXTRACT_CC),
+    "splits_split_not_a_list": (splits_artifact, set_train_split(3), EXTRACT_CC),
+    "splits_not_an_object": (
+        splits_artifact, edit_json(lambda payload: payload["assignment"].__setitem__("splits", [])), EXTRACT_CC
+    ),
+    "splits_base_dir_not_a_string": (
+        splits_artifact, edit_json(lambda payload: payload["assignment"].__setitem__("base_dir", 5)), EXTRACT_CC
+    ),
+    "vocab_empty": (contexts_artifact("cc", "vocabs.json"), write(""), TRAIN_CC),
+    "vocab_not_an_object": (contexts_artifact("cs", "vocabs.json"), write('{"vocabs": ["<UNK>", "<PAD>"]}'), TRAIN_CS),
+    "vocab_duplicated_label": (
+        contexts_artifact("cs", "vocabs.json"),
+        edit_json(lambda payload: payload["vocabs"]["labels"].append("addPair")),
+        TRAIN_CS,
+    ),
+    "cc_contexts_empty": (contexts_artifact("cc", "train.txt"), write(""), TRAIN_CC),
+    "cs_contexts_empty": (contexts_artifact("cs", "train.txt"), write(""), TRAIN_CS),
+    "cs_triple_of_four_fields": (
+        contexts_artifact("cs", "train.txt"), write("addPair a,Name↑Call↓Name,b,c\n"), TRAIN_CS
+    ),
+    "checkpoint_truncated": (
+        checkpoint_artifact, lambda target: write(target.read_bytes()[:-9])(target), ["score", "--task", "cc", "--shift", "project"]
+    ),
+    "checkpoint_empty": (checkpoint_artifact, write(b""), ["score", "--task", "cc", "--shift", "project"]),
+    "scores_empty": (scores_artifact, write(""), ["eval", "--task", "cs", "--shift", "project"]),
+    "scores_nan_confidence": (scores_artifact, score_field(4, "nan"), ["eval", "--task", "cs", "--shift", "project"]),
+    "report_truncated": (report_artifact, lambda target: truncate(target) or target, ["report"]),
+    "report_a_list": (report_artifact, write("[]"), ["report"]),
+    "report_without_error_success": (report_artifact, edit_json(lambda payload: payload.pop("error_success")), ["report"]),
+    "report_not_utf8": (report_artifact, lambda target: write(target.read_bytes() + NOT_UTF8)(target), ["report"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_artifact_exits_2_naming_file(tmp_path, capsys, request, case):
+    artifact, corrupt, command = MALFORMED[case]
+    config_path, target = artifact(tmp_path, request)
+    assert main([*command, "--config", str(config_path)]) == 0, capsys.readouterr().err  # intact, it passes
+    named = corrupt(target)
+    capsys.readouterr()
+    assert main([*command, "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(named) in err
+    assert "runtime error" not in err
 
 
 def scipy_modules_after(statements: str) -> str:

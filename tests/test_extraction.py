@@ -577,6 +577,7 @@ def test_cbow_window_one():
 
 def test_cbow_empty_and_middle():
     assert ex.extract_cbow_samples([], window=2) == []
+    assert ex.extract_cbow_samples(ex.tokenize_java("x"), window=2) == []  # its one window would be all PAD
     tokens = ex.tokenize_java("a b c d e")
     samples = ex.extract_cbow_samples(tokens, window=2)
     middle = samples[2]

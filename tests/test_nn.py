@@ -113,6 +113,15 @@ def test_grad_embedding_lookup_of_a_projected_table(seed):
     finite_diff_check(lambda: nn.mean(nn.tanh(nn.embedding_lookup(nn.linear(table, w), ids))), [table, w])
 
 
+def added_lookups(lookups):
+    """table_0[ids_0] + table_1[ids_1] + ..., composed from `embedding_lookup` and `add` in that order."""
+    (table, ids), *rest = lookups
+    out = nn.embedding_lookup(table, ids)
+    for table, ids in rest:
+        out = nn.add(out, nn.embedding_lookup(table, ids))
+    return out
+
+
 @pytest.mark.parametrize("seed", range(N_INSTANCES))
 def test_grad_embedding_sum(seed):
     rng = np.random.default_rng(1000 + seed)
@@ -121,7 +130,7 @@ def test_grad_embedding_sum(seed):
     w = t64(rng, 3, 2)
 
     def build():
-        summed = nn.embedding_sum([(first, ids[0]), (second, ids[1]), (first, ids[2])])
+        summed = added_lookups([(first, ids[0]), (second, ids[1]), (first, ids[2])])
         return nn.mean(nn.tanh(nn.linear(summed, w)))
 
     finite_diff_check(build, [first, second, w])
@@ -134,27 +143,29 @@ def test_embedding_sum_equals_added_lookups_bitwise(dtype):
     other = rng.standard_normal((9, 4)).astype(dtype)
     ids = [rng.integers(0, 6, size=(3, 20)), rng.integers(0, 9, size=(3, 20)), rng.integers(0, 6, size=(3, 20))]
     g = (rng.standard_normal((3, 20, 4)) * 10.0 ** rng.uniform(-5, 5, (3, 20, 4))).astype(dtype)
-    results = []
-    for fused in (True, False):
-        a, b = nn.Tensor(shared.copy(), requires_grad=True), nn.Tensor(other.copy(), requires_grad=True)
-        if fused:
-            out = nn.embedding_sum([(a, ids[0]), (b, ids[1]), (a, ids[2])])
-        else:
-            out = nn.add(nn.add(nn.embedding_lookup(a, ids[0]), nn.embedding_lookup(b, ids[1])), nn.embedding_lookup(a, ids[2]))
-        nn.backward(out, seed=g)
-        results.append((out.data, a.grad, b.grad))
-    for fused, added in zip(*results):
-        assert_bitwise(fused, added)
+    a, b = nn.Tensor(shared.copy(), requires_grad=True), nn.Tensor(other.copy(), requires_grad=True)
+    out = added_lookups([(a, ids[0]), (b, ids[1]), (a, ids[2])])
+    nn.backward(out, seed=g)
+    assert_bitwise(out.data, shared[ids[0]] + other[ids[1]] + shared[ids[2]])
+    # a shared table's gradient is the sum of its lookups' per-id sums
+    assert_bitwise(a.grad, loop_embedding_grad(6, ids[0], g) + loop_embedding_grad(6, ids[2], g))
+    assert_bitwise(b.grad, loop_embedding_grad(9, ids[1], g))
 
 
 def test_embedding_sum_rejects_mismatched_lookups():
-    table = nn.Tensor(np.zeros((4, 2)))
+    table, bias = nn.Tensor(np.zeros((4, 2))), nn.Tensor(np.zeros(2))
+    distinct = np.arange(3)
     with pytest.raises(nn.ShapeError):
-        nn.embedding_sum([(table, np.zeros((2, 3), dtype=int)), (table, np.zeros((2, 4), dtype=int))])
+        nn.embedding_sum_tanh([(table, np.zeros(3, dtype=int)), (table, np.zeros(4, dtype=int))], bias, distinct)
     with pytest.raises(nn.ShapeError):
-        nn.embedding_sum([(table, np.zeros(3, dtype=int)), (nn.Tensor(np.zeros((4, 3))), np.zeros(3, dtype=int))])
+        nn.embedding_sum_tanh(
+            [(table, np.zeros(3, dtype=int)), (nn.Tensor(np.zeros((4, 3))), np.zeros(3, dtype=int))], bias, distinct
+        )
     with pytest.raises(IndexError):
-        nn.embedding_sum([(table, np.zeros(3, dtype=int)), (table, np.array([0, 4, 1]))])
+        nn.embedding_sum_tanh([(table, np.zeros(3, dtype=int)), (table, np.array([0, 4, 1]))], bias, distinct)
+    for ids in (np.array([0, 4, 1]), np.array([[0, -1]])):
+        with pytest.raises(IndexError):
+            nn.embedding_lookup(table, ids)
 
 
 def test_row_slice_rejects_rows_out_of_range():
@@ -180,7 +191,7 @@ def test_backward_leaves_constant_operands_without_gradients():
 
 @pytest.mark.parametrize("vocab", [1 << 15, (1 << 16) + 1])
 def test_embedding_backward_on_either_side_of_the_int16_sort(vocab):
-    # ids sort as int16 up to 2^15 rows; above, ids 0 and 2^16 would collide
+    # ids 0 and 2^16 share their low 16 bits: a backward that keyed ids as int16 would merge them
     rng = np.random.default_rng(23)
     ids = rng.integers(0, vocab, size=300)
     ids[:40:2] = vocab - 1  # the largest id, repeated
@@ -323,7 +334,7 @@ def test_grad_full_attention_classifier():
         proj_left = nn.linear(term_emb, nn.row_slice(w_comb, 0, d))
         proj_path = nn.linear(path_emb, nn.row_slice(w_comb, d, 2 * d))
         proj_right = nn.linear(term_emb, nn.row_slice(w_comb, 2 * d, 3 * d))
-        pre = nn.embedding_sum([(proj_left, left[mask]), (proj_path, path[mask]), (proj_right, right[mask])])
+        pre = added_lookups([(proj_left, left[mask]), (proj_path, path[mask]), (proj_right, right[mask])])
         combined = nn.tanh(nn.add(pre, b_comb))
         dropped = nn.dropout(combined, 0.3, training=True, rng=np.random.default_rng(5), mask=mask)
         pooled, _ = nn.attention_pool(dropped, attn, mask=mask)
@@ -404,6 +415,15 @@ def test_embedding_backward_signed_zeros_and_nan(dtype):
     assert_bitwise(grad, loop_embedding_grad(5, ids, g))
     assert not np.signbit(grad[[0, 1, 3]]).any()
     assert np.isnan(grad[2, 0]) and not np.isnan(grad[[0, 1, 3, 4]]).any()
+
+
+def test_embedding_backward_needs_the_tables_dtype():
+    # np.add.at rounds each addition to the table's dtype, so a wider gradient is refused, not rounded per row
+    table = nn.Tensor(np.zeros((3, 2), dtype=np.float32), requires_grad=True)
+    bias = nn.Tensor(np.ones(2), dtype=np.float64)  # the sum, and so its gradient, is float64
+    out = nn.embedding_sum_tanh([(table, np.array([0, 2, 2]))], bias, np.array([0, 1, 1]))
+    with pytest.raises(ValueError, match="dtype float64 for a float32 table"):
+        nn.backward(out)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -664,7 +684,7 @@ def test_embedding_sum_tanh_equals_the_composed_ops_bit_for_bit(n_rows, n_terms,
         if fused:
             out = nn.embedding_sum_tanh(lookups, b, distinct)
         else:
-            out = nn.tanh(nn.add(nn.embedding_sum(lookups), b))
+            out = nn.tanh(nn.add(added_lookups(lookups), b))
         nn.backward(out, seed=g)
         results.append([out.data, terms.grad, paths.grad, w.grad, b.grad])
     for fused, composed in zip(*results):

@@ -266,7 +266,8 @@ def test_factorized_combiner_matches_the_concatenated_affine(dtype, tolerance):
     d, w = 16, p["w_comb"]
     projected = [nn.linear(p[table], nn.row_slice(w, k * d, (k + 1) * d)) for k, table in enumerate(TABLES)]
     # the composed ops on the real contexts only, which the fused op equals bit for bit
-    pre = nn.add(nn.embedding_sum(list(zip(projected, (ids["left"], ids["path"], ids["right"])))), p["b_comb"]).data
+    left, mid, right = (nn.embedding_lookup(t, ids[k]) for t, k in zip(projected, ("left", "path", "right")))
+    pre = nn.add(nn.add(nn.add(left, mid), right), p["b_comb"]).data
     term, path = p["term_emb"].data, p["path_emb"].data
     cat = np.concatenate([term[ids["left"]], path[ids["path"]], term[ids["right"]]], axis=-1)
     expected = cat @ p["w_comb"].data + p["b_comb"].data
@@ -404,6 +405,19 @@ def test_all_pad_context_raises():
     assert bad.lengths.tolist() == [2, 0]  # an all-PAD window packs as an empty bag
     with pytest.raises(ValueError, match="all-PAD"):
         tasks.infer(model, bad)
+
+
+def test_encode_split_drops_a_cc_window_without_a_real_slot():
+    # a contexts file written before extraction skipped one-token files may hold such a window
+    _, vocab = cc_training_setup()
+    samples = cc_fixture_samples()[:3]
+    samples.insert(1, ex.CbowSample(target="a0", context=[ex.PAD_TOKEN] * 8))
+    encoded = tasks.encode_split(samples, {"tokens": vocab}, id_prefix="old")
+    assert encoded.sample_ids.tolist() == ["old#0", "old#2", "old#3"]  # each window keeps its index
+    kept = tasks.encode_split([samples[i] for i in (0, 2, 3)], {"tokens": vocab})
+    assert encoded.labels.tolist() == kept.labels.tolist() and encoded.lengths.tolist() == kept.lengths.tolist()
+    for name, column in kept.inputs.items():
+        assert encoded.inputs[name].tobytes() == column.tobytes()
 
 
 def test_cc_bag_rows_of_different_widths_average_their_own_windows():
