@@ -203,11 +203,39 @@ def _numbered_lines(path):
         raise ContextFormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def write_cs_contexts(path, samples: list[MethodSample]) -> None:
+def _checked(sample: str, line: str, joins: dict[str, int]) -> str:
+    """`line`, unless a field it joins holds a separator or a line break: then ValueError naming `sample`.
+
+    `joins` counts each separator the line was joined with. A text-mode
+    read ends a line at a line feed and at a carriage return.
+    """
+    for c, n in {**joins, "\n": 0, "\r": 0}.items():
+        if line.count(c) != n:
+            raise ValueError(f"{sample}: a field holds {c!r}, at which the context file is split")
+    return line
+
+
+def _write_lines(path, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for s in samples:
-            parts = [s.label] + [f"{c.left},{c.path},{c.right}" for c in s.contexts]
-            f.write(" ".join(parts) + "\n")
+        f.writelines(line + "\n" for line in lines)
+
+
+def write_cs_contexts(path, samples: list[MethodSample]) -> None:
+    """Write one line per sample, which `read_cs_contexts` reads back as its label and contexts.
+
+    Before anything is written, ValueError names the first sample that would
+    not read back so: a label or context field holding a space, a comma or
+    a line break, or an empty label without contexts (an empty line, which
+    the reader skips).
+    """
+    lines = []
+    for i, s in enumerate(samples):
+        name = f"CS sample {i} {s.label!r}"
+        line = " ".join([s.label, *(f"{c.left},{c.path},{c.right}" for c in s.contexts)])
+        lines.append(_checked(name, line, {" ": len(s.contexts), ",": 2 * len(s.contexts)}))
+        if not line:
+            raise ValueError(f"{name}: an empty label without contexts writes an empty line, which the reader skips")
+    _write_lines(path, lines)
 
 
 def read_cs_contexts(path) -> list[MethodSample]:
@@ -225,9 +253,20 @@ def read_cs_contexts(path) -> list[MethodSample]:
 
 
 def write_cc_contexts(path, samples: list[CbowSample]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for s in samples:
-            f.write(" ".join([s.target] + s.context) + "\n")
+    """Write one line per sample, which `read_cc_contexts` reads back as its target and context.
+
+    Before anything is written, ValueError names the first sample that would
+    not read back so: a token holding a space or a line break, or a context
+    that is not 2*w tokens (w >= 1) as wide as the first sample's.
+    """
+    width = len(samples[0].context) if samples else 0
+    lines = []
+    for i, s in enumerate(samples):
+        name = f"CC sample {i} {s.target!r}"
+        if len(s.context) != width or width < 2 or width % 2:
+            raise ValueError(f"{name}: {len(s.context)} context tokens, the first sample's {width} are not 2*w, w >= 1")
+        lines.append(_checked(name, " ".join([s.target, *s.context]), {" ": width}))
+    _write_lines(path, lines)
 
 
 def read_cc_contexts(path) -> list[CbowSample]:

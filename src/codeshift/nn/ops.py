@@ -10,9 +10,10 @@ last axis unless stated otherwise.
 
 Bags of variable size (CS context bags) travel as the d-wide rows of their
 real slots, in C order of a boolean `mask` whose last axis spans a bag:
-`dropout` and `attention_pool` take that mask, and no op builds or draws
-over the padded layout. The model derives the mask from its split's row
-lengths; splits store no mask and no padding.
+`attention_pool` takes that mask, `dropout` draws over the rows as they
+are, and no op builds or draws over the padded layout. The model derives
+the mask from its split's row lengths; splits store no mask and no
+padding.
 
 A backward rule that builds a fresh gradient array hands it to
 `accumulate` (`fresh=True`), which keeps it without a copy. An embedding
@@ -239,20 +240,13 @@ def _embedding_grad(table: np.ndarray, ids: np.ndarray, g: np.ndarray) -> np.nda
     return gt.reshape(table.shape)
 
 
-def dropout(
-    x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None, mask: np.ndarray | None = None
-) -> Tensor:
+def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: survivors scaled by 1/(1-p) so inference is identity.
 
-    Given `mask`, boolean, `x` holds the d-wide rows of its True slots in C
-    order. Only those rows are drawn, yet their keep factors and the
-    generator's end state are those of dropout over the padded layout,
-    `rng.random(mask.shape + (d,))`: each run of real slots draws its
-    doubles into place, and each PAD run skips its n·d doubles with the bit
-    generator's `advance` (`_draw_real_slots`). That needs a PCG64 bit
-    generator, whose `advance` counts doubles, as every generator the
-    program creates is; with any other a masked call raises TypeError
-    before it draws.
+    One `rng.random(x.shape)` draw gives the keep factors of every element
+    `x` holds, so a row's factors depend only on the rows before it. The
+    CS head passes its (R, d) real context rows, the CC head its (B, d)
+    embedding means; no PAD slot is drawn.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
@@ -260,49 +254,13 @@ def dropout(
         return x
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    if mask is None:
-        keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        d = x.data.shape[-1]
-        if x.data.size != int(mask.sum()) * d:
-            raise ShapeError(f"dropout: rows {x.data.shape} for {int(mask.sum())} real slots of {mask.shape}")
-        keep = (_draw_real_slots(rng, mask, d) >= p).reshape(x.data.shape).astype(x.data.dtype) / (1.0 - p)
+    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
     out = x.data * keep
 
     def backward_fn(g):
         accumulate(x, g * keep, fresh=True)
 
     return make_node(out, (x,), backward_fn)
-
-
-def _draw_real_slots(rng: np.random.Generator, mask: np.ndarray, d: int) -> np.ndarray:
-    """`rng.random(mask.shape + (d,))[mask].reshape(-1)`, without drawing the PAD slots.
-
-    A PCG64 double is one step of the generator, so `advance(n * d)` leaves
-    it where drawing a PAD run of n slots would. `advance` also drops a
-    buffered 32-bit value, which a draw of doubles keeps; it is put back.
-    """
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.PCG64):
-        raise TypeError(f"masked dropout needs a PCG64 bit generator, got {type(bits).__name__}")
-    flat = mask.reshape(-1)
-    bounds = [0, *(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(), flat.size]
-    drawn = np.empty(np.count_nonzero(flat) * d)
-    start = bits.state
-    pos, real = 0, bool(flat.size) and bool(flat[0])
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        n = (b - a) * d
-        if real:
-            rng.random(out=drawn[pos:pos + n])
-            pos += n
-        else:
-            bits.advance(n)
-        real = not real
-    if start["has_uint32"]:
-        end = bits.state
-        bits.state = {**end, "has_uint32": start["has_uint32"], "uinteger": start["uinteger"]}
-    return drawn
 
 
 def attention_pool(contexts: Tensor, a: Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
@@ -318,11 +276,11 @@ def attention_pool(contexts: Tensor, a: Tensor, mask: np.ndarray | None = None) 
 
     Each bag's rows are contiguous, so its softmax max and sums are
     `reduceat` segments starting at the bags' first rows. The scores
-    `rows @ a` are one d-long dot product per row, which a BLAS thread
-    split does not reorder. The gradient of `a` sums over every row of the
-    batch; a BLAS GEMV would split that sum across threads, which makes its
-    bits depend on the thread count, so it is an `np.einsum` reduction,
-    which never calls BLAS.
+    (one d-long dot product per row) and the gradient of `a` (a sum over
+    every row of the batch) are `np.einsum` reductions, which never call
+    BLAS: a multi-threaded BLAS GEMV gives the rows near its thread split
+    other bits for the scores, and splits the gradient's sum, so either
+    would depend on the thread count.
     """
     x = contexts.data
     d = x.shape[-1]
@@ -336,7 +294,7 @@ def attention_pool(contexts: Tensor, a: Tensor, mask: np.ndarray | None = None) 
         raise ValueError("attention_pool: a bag is fully masked")
     starts = np.cumsum(counts) - counts
     rows = x.reshape(-1, d)
-    s = rows @ a.data
+    s = np.einsum("rd,d->r", rows, a.data)
     e = np.exp(s - np.repeat(np.maximum.reduceat(s, starts), counts))
     w = e / np.repeat(np.add.reduceat(e, starts), counts)
     pooled = np.add.reduceat(w[:, None] * rows, starts, axis=0).reshape(mask.shape[:-1] + (d,))

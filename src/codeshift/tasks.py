@@ -10,8 +10,8 @@ gathers and sums three projected rows, so no (B, n, 3d) concatenation is
 built. A split repeats most of its triples, so the sum and the tanh run
 once per distinct triple of a batch and are gathered back. Everything
 after that runs on the real contexts only, as (R, d) rows in the order of
-the batch's flat id columns: dropout, whose draw skips the PAD slots,
-attention pooling and their gradients.
+the batch's flat id columns: dropout, which draws one keep factor per
+element of those rows, attention pooling and their gradients.
 
 CC (code completion): a CBOW-style MLP. Context token embeddings are
 averaged (PAD slots contribute nothing and are excluded from the divisor)
@@ -349,15 +349,16 @@ class PathAttentionModel(_TaskModel):
     ) -> dict[str, nn.Tensor]:
         """Everything after the combiner, on the (R, d) rows `features` returns.
 
-        Dropout at `dropout_p`, live when `rng` is given, and pooling take
-        the bag mask, (B, max length), derived from the batch's lengths.
-        "weights", one attention weight per context (R,), and "embed_mean",
-        each bag's mean row, are off the tape.
+        Dropout at `dropout_p`, live when `rng` is given, draws over these
+        rows, so no context's keep factors depend on the widths of the
+        other bags; pooling takes the bag mask, (B, max length), derived
+        from the batch's lengths. "weights", one attention weight per
+        context (R,), and "embed_mean", each bag's mean row, are off the tape.
         """
         p = self._params
         lengths = batch.lengths
         mask = np.arange(lengths.max()) < lengths[:, None]
-        dropped = nn.dropout(features, self.dropout_p, rng is not None, rng, mask=mask)
+        dropped = nn.dropout(features, self.dropout_p, rng is not None, rng)
         pooled, weights = nn.attention_pool(dropped, p["attn"], mask=mask)
         logits = nn.affine(pooled, p["w_out"], p["b_out"])
         out = {"logits": logits, "features": features, "weights": weights, "pooled": pooled}

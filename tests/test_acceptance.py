@@ -90,8 +90,8 @@ def test_criterion_1_gradient_suite():
         rows = t(rng, int(ragged.sum()), 3)
 
         def row_pool_loss():
-            # the CS head on real rows: masked dropout, then pooling
-            dropped = nn.dropout(nn.tanh(rows), 0.4, training=True, rng=np.random.default_rng(seed), mask=ragged)
+            # the CS head on real rows: dropout over the rows, then pooling over the bags
+            dropped = nn.dropout(nn.tanh(rows), 0.4, training=True, rng=np.random.default_rng(seed))
             pooled, _ = nn.attention_pool(dropped, attn, mask=ragged)
             return nn.mean(nn.tanh(pooled))
 

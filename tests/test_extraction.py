@@ -4,6 +4,8 @@ The expected path-context sets are produced by an independent brute-force
 tree walk in this file, never by the library's own enumeration.
 """
 
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -691,6 +693,71 @@ def test_cc_contexts_roundtrip(tmp_path):
     ex.write_cc_contexts(path, samples)
     back = ex.read_cc_contexts(path)
     assert [(s.target, s.context) for s in back] == [(s.target, s.context) for s in samples]
+
+
+@pytest.mark.parametrize(
+    "write, samples, message",
+    [
+        (ex.write_cs_contexts, [ex.MethodSample("get x,y,z", [ex.PathContext("a", "p", "b")])],
+         "CS sample 0 'get x,y,z': a field holds ' '"),
+        (ex.write_cs_contexts, [ex.MethodSample("get", []), ex.MethodSample("", [])],
+         "CS sample 1 '': an empty label without contexts writes an empty line"),
+        (ex.write_cc_contexts, [ex.CbowSample("a", ["p", "q"]), ex.CbowSample("b", ["x y", "q"])],
+         "CC sample 1 'b': a field holds ' '"),
+        (ex.write_cc_contexts, [ex.CbowSample("a", ["p", "q"]), ex.CbowSample("b", list("pqrs"))],
+         "CC sample 1 'b': 4 context tokens, the first sample's 2"),
+    ],
+    ids=["cs_label_with_separators", "cs_empty_line", "cc_token_with_a_space", "cc_ragged_context"],
+)
+def test_context_writers_reject_a_sample_that_would_not_read_back(tmp_path, write, samples, message):
+    path = tmp_path / "contexts.txt"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write(path, samples)
+    assert not path.exists()  # nothing is written
+
+
+# any text: ASCII, non-ASCII, the separators and every character str.splitlines breaks at
+FIELD_TEXT = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from(" ,\n\r\x0b\x0c\x1c\x85\u2028\u2029\ufeff")), max_size=6
+)
+
+
+def written_back(write, read, samples):
+    """What `read` returns for the file `write` makes of `samples`, or None if `write` rejects them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "contexts.txt"
+        try:
+            write(path, samples)
+        except ValueError:
+            assert not path.exists()
+            return None
+        return read(path)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(FIELD_TEXT, st.lists(st.tuples(FIELD_TEXT, FIELD_TEXT, FIELD_TEXT), max_size=3)), max_size=4))
+def test_cs_contexts_are_rejected_at_write_time_or_read_back_equal(rows):
+    samples = [ex.MethodSample(label, [ex.PathContext(*c) for c in contexts]) for label, contexts in rows]
+    back = written_back(ex.write_cs_contexts, ex.read_cs_contexts, samples)
+    fields = [text for label, contexts in rows for text in (label, *(t for c in contexts for t in c))]
+    unreadable = any(set(text) & set(" ,\n\r") for text in fields) or any(not label and not c for label, c in rows)
+    assert (back is None) == unreadable
+    if back is not None:
+        assert [(s.label, s.contexts) for s in back] == [(s.label, s.contexts) for s in samples]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(FIELD_TEXT, st.lists(FIELD_TEXT, max_size=4)), max_size=4))
+def test_cc_contexts_are_rejected_at_write_time_or_read_back_equal(rows):
+    samples = [ex.CbowSample(target, context) for target, context in rows]
+    back = written_back(ex.write_cc_contexts, ex.read_cc_contexts, samples)
+    width = len(rows[0][1]) if rows else 2
+    unreadable = any(set(t) & set(" \n\r") for target, context in rows for t in (target, *context)) or any(
+        len(context) != width or width < 2 or width % 2 for _, context in rows
+    )
+    assert (back is None) == unreadable
+    if back is not None:
+        assert [(s.target, s.context) for s in back] == [(s.target, s.context) for s in samples]
 
 
 def test_cs_contexts_bad_line(tmp_path):

@@ -293,7 +293,7 @@ def test_grad_masked_dropout(seed):
 
     def build():
         drop_rng = np.random.default_rng(seed)  # same factors on every re-evaluation
-        pooled, _ = nn.attention_pool(nn.dropout(x, 0.4, training=True, rng=drop_rng, mask=mask), a, mask=mask)
+        pooled, _ = nn.attention_pool(nn.dropout(x, 0.4, training=True, rng=drop_rng), a, mask=mask)
         return nn.mean(nn.tanh(pooled))
 
     finite_diff_check(build, [x, a])
@@ -336,7 +336,7 @@ def test_grad_full_attention_classifier():
         proj_right = nn.linear(term_emb, nn.row_slice(w_comb, 2 * d, 3 * d))
         pre = added_lookups([(proj_left, left[mask]), (proj_path, path[mask]), (proj_right, right[mask])])
         combined = nn.tanh(nn.add(pre, b_comb))
-        dropped = nn.dropout(combined, 0.3, training=True, rng=np.random.default_rng(5), mask=mask)
+        dropped = nn.dropout(combined, 0.3, training=True, rng=np.random.default_rng(5))
         pooled, _ = nn.attention_pool(dropped, attn, mask=mask)
         probs = nn.softmax(nn.affine(pooled, w_out, b_out))
         return nn.mean(nn.cross_entropy(probs, labels))
@@ -563,12 +563,14 @@ def test_attention_pool_gradient_bytes_do_not_depend_on_the_blas_thread_count():
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
         "from codeshift import nn\n"
         "from test_nn import pool_batch\n"
-        "x, a, mask, g = pool_batch(np.float32)\n"
-        "contexts, at = nn.Tensor(x[mask], requires_grad=True), nn.Tensor(a, requires_grad=True)\n"
-        "pooled, weights = nn.attention_pool(contexts, at, mask=mask)\n"
-        "nn.backward(pooled, seed=g)\n"
-        "for out in (pooled.data, weights.data, at.grad, contexts.grad):\n"
-        "    print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+        # the training shape, and about 13k rows, where a GEMV for the scores splits across threads
+        "for shape in ((75, 198, 48), (133, 198, 48)):\n"
+        "    x, a, mask, g = pool_batch(np.float32, shape=shape)\n"
+        "    contexts, at = nn.Tensor(x[mask], requires_grad=True), nn.Tensor(a, requires_grad=True)\n"
+        "    pooled, weights = nn.attention_pool(contexts, at, mask=mask)\n"
+        "    nn.backward(pooled, seed=g)\n"
+        "    for out in (pooled.data, weights.data, at.grad, contexts.grad):\n"
+        "        print(hashlib.sha256(out.tobytes()).hexdigest())\n"
     )
     digests = {
         threads: subprocess.run(
@@ -577,7 +579,7 @@ def test_attention_pool_gradient_bytes_do_not_depend_on_the_blas_thread_count():
         ).stdout.split()
         for threads in ("1", "2")
     }
-    assert len(digests["1"]) == 4 and digests["1"] == digests["2"]
+    assert len(digests["1"]) == 8 and digests["1"] == digests["2"]
 
 
 def test_dropout_identities():
@@ -591,62 +593,28 @@ def test_dropout_identities():
         nn.dropout(x, -0.1, training=True, rng=rng)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_masked_dropout_keeps_the_padded_draws_factors_bitwise(dtype):
-    x, _, mask, _ = pool_batch(dtype, shape=(9, 13, 5), seed=3)
-    padded_rng, rows_rng = np.random.default_rng(8), np.random.default_rng(8)
-    padded = nn.Tensor(x, requires_grad=True)
-    rows = nn.Tensor(x[mask], requires_grad=True)
-    for _ in range(2):  # successive draws keep one stream
-        nn.zero_grads([padded, rows])
-        padded_out = nn.dropout(padded, 0.5, training=True, rng=padded_rng)
-        rows_out = nn.dropout(rows, 0.5, training=True, rng=rows_rng, mask=mask)
-        assert_bitwise(rows_out.data, padded_out.data[mask])
-        nn.backward(padded_out, seed=np.ones_like(x))
-        nn.backward(rows_out, seed=np.ones_like(x[mask]))
-        assert_bitwise(rows.grad, padded.grad[mask])  # the keep factors themselves
-        assert padded_rng.bit_generator.state == rows_rng.bit_generator.state
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
-    data=st.data(),
+    shape=st.lists(st.integers(0, 5), min_size=1, max_size=3).map(tuple),
     p=st.sampled_from([0.1, 0.5, 0.9]),
     dtype=st.sampled_from([np.float32, np.float64]),
     buffered=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_masked_dropout_equals_the_padded_reference_on_any_mask(data, p, dtype, buffered):
-    # any mask: real slots anywhere in a row, rows with none, all real, all PAD
-    shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 7)), label="shape")
-    flat = data.draw(st.lists(st.booleans(), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
-    mask = np.array(flat).reshape(shape)
-    d = data.draw(st.integers(1, 4), label="d")
-    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+def test_dropout_draws_one_keep_factor_per_element(shape, p, dtype, buffered, seed):
     values = np.random.default_rng(seed + 1)
-    x, g = (values.standard_normal((int(mask.sum()), d)).astype(dtype) for _ in range(2))
-    ref_rng, rng, ones_rng = (np.random.default_rng(seed) for _ in range(3))
+    x, g = (values.standard_normal(shape).astype(dtype) for _ in range(2))
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     if buffered:  # a 32-bit draw leaves half a 64-bit output waiting in the bit generator
-        for r in (ref_rng, rng, ones_rng):
+        for r in (ref_rng, rng):
             r.integers(0, 10, dtype=np.int32)
-    keep = (ref_rng.random(mask.shape + (d,)) >= p)[mask].astype(dtype) / (1.0 - p)
+    keep = (ref_rng.random(shape) >= p).astype(dtype) / (1.0 - p)
     t = nn.Tensor(x, requires_grad=True)
-    out = nn.dropout(t, p, training=True, rng=rng, mask=mask)
+    out = nn.dropout(t, p, training=True, rng=rng)
     nn.backward(out, seed=g)
     assert_bitwise(out.data, x * keep)
     assert_bitwise(t.grad, g * keep)
-    assert_bitwise(nn.dropout(nn.Tensor(np.ones_like(x)), p, training=True, rng=ones_rng, mask=mask).data, keep)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state == ones_rng.bit_generator.state
-
-
-@pytest.mark.parametrize("bits", [np.random.MT19937, np.random.SFC64, np.random.Philox, np.random.PCG64DXSM])
-def test_masked_dropout_needs_a_pcg64_bit_generator_and_draws_nothing_without_one(bits):
-    mask = np.array([[True, False, True], [False, False, False]])
-    x = nn.Tensor(np.ones((2, 4)))
-    rng = np.random.Generator(bits(5))
-    with pytest.raises(TypeError, match="PCG64"):
-        nn.dropout(x, 0.5, training=True, rng=rng, mask=mask)
-    assert np.array_equal(rng.random(4), np.random.Generator(bits(5)).random(4))  # nothing was drawn
-    assert nn.dropout(x, 0.5, training=True, rng=rng).data.shape == (2, 4)  # an unmasked draw takes any
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def random_triples(rng, n_rows, n_terms, n_paths):
@@ -813,8 +781,6 @@ def test_shape_mismatch_errors():
         nn.attention_pool(nn.Tensor(np.ones((2, 4, 5))), nn.Tensor(np.ones(4)))
     with pytest.raises(nn.ShapeError):
         nn.attention_pool(nn.Tensor(np.ones((2, 4, 5))), nn.Tensor(np.ones(5)), mask=np.ones((2, 5), dtype=bool))
-    with pytest.raises(nn.ShapeError):
-        nn.dropout(nn.Tensor(np.ones((7, 5))), 0.5, True, np.random.default_rng(0), mask=np.ones((2, 4), dtype=bool))
 
 
 def test_no_grad_skips_tape():

@@ -285,6 +285,18 @@ def test_mc_dropout_converges_with_passes(cs_setup):
     assert np.all(np.abs(a - b) < 0.05)
 
 
+def test_cs_mc_dropout_of_a_sample_does_not_depend_on_wider_bags_after_it(cs_setup):
+    # one pass draws one keep factor per real context row, in row order, so
+    # appending the widest bag leaves the earlier samples' draws unchanged
+    model, encoded = cs_setup
+    widest = int(np.argmax(encoded.lengths))
+    prefix = [row for row in range(len(encoded)) if row != widest]
+    assert encoded.lengths[widest] > encoded.lengths[prefix].max()  # the batch widens
+    alone = uq.score_mc_dropout(model, encoded[np.array(prefix)], passes=1, p=0.5, seed=6)
+    appended = uq.score_mc_dropout(model, encoded[np.array([*prefix, widest])], passes=1, p=0.5, seed=6)
+    assert_same_scores(alone, [scores[:len(prefix)] for scores in appended])
+
+
 def test_mc_dropout_zero_passes_rejected(cc_setup):
     model, encoded, _ = cc_setup
     with pytest.raises(ValueError):
