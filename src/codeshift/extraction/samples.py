@@ -264,7 +264,7 @@ def write_cc_contexts(path, samples: list[CbowSample]) -> None:
     for i, s in enumerate(samples):
         name = f"CC sample {i} {s.target!r}"
         if len(s.context) != width or width < 2 or width % 2:
-            raise ValueError(f"{name}: {len(s.context)} context tokens, the first sample's {width} are not 2*w, w >= 1")
+            raise ValueError(f"{name}: {len(s.context)} context tokens; each needs 2*w, w >= 1, as the first: {width}")
         lines.append(_checked(name, " ".join([s.target, *s.context]), {" ": width}))
     _write_lines(path, lines)
 

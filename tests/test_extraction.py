@@ -705,7 +705,7 @@ def test_cc_contexts_roundtrip(tmp_path):
         (ex.write_cc_contexts, [ex.CbowSample("a", ["p", "q"]), ex.CbowSample("b", ["x y", "q"])],
          "CC sample 1 'b': a field holds ' '"),
         (ex.write_cc_contexts, [ex.CbowSample("a", ["p", "q"]), ex.CbowSample("b", list("pqrs"))],
-         "CC sample 1 'b': 4 context tokens, the first sample's 2"),
+         "CC sample 1 'b': 4 context tokens; each needs 2*w, w >= 1, as the first: 2"),
     ],
     ids=["cs_label_with_separators", "cs_empty_line", "cc_token_with_a_space", "cc_ragged_context"],
 )
