@@ -8,52 +8,40 @@ byte-identical and different configs never collide.
 
 Exit codes: 1 usage, 2 validation (missing/invalid inputs or artifacts),
 3 runtime failure.
+
+Each command imports only the layers it runs, so a short command does not
+pay for the rest at start-up: `report` and `--help` load no numpy, and
+`synth-corpus`, `make-splits`, `eval`, `sweep` and `filter` load no model.
+Every error that exits 2 derives from `config.ValidationFailure`.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import corpus, evalpipe, nn, synth, tasks
-from . import uncertainty as uq
 from .config import (
+    METHODS,
+    SHIFT_KINDS,
+    VALIDATION_SPLIT,
     ConfigError,
+    ValidationFailure,
     bucket_dir,
     config_hash,
     corpus_dir,
     echo_config,
+    flatten_report,
     load_config,
     manifest_path,
     write_csv,
     write_json,
-)
-from .extraction import (
-    ContextFormatError,
-    LexicalError,
-    ParseError,
-    Vocabulary,
-    build_cc_vocab,
-    build_cs_vocabs,
-    extract_cbow_samples,
-    extract_method_samples,
-    parse_java_lite,
-    read_cc_contexts,
-    read_cs_contexts,
-    tokenize_java,
-    write_cc_contexts,
-    write_cs_contexts,
+    write_report_csv,
 )
 
-TASKS = tuple(tasks.MODELS)
-
-
-class ValidationFailure(Exception):
-    """Anything that should exit with code 2."""
+TASKS = ("cs", "cc")  # the keys of tasks.MODELS
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -74,9 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
         if flags.get("task"):
             p.add_argument("--task", choices=TASKS, required=True)
         if flags.get("shift"):
-            p.add_argument("--shift", choices=corpus.SHIFT_KINDS, required=True)
+            p.add_argument("--shift", choices=SHIFT_KINDS, required=True)
         if flags.get("method"):
-            p.add_argument("--method", choices=[e.flag for e in uq.ESTIMATORS.values()] + ["all"], default="all")
+            p.add_argument("--method", choices=[flag for flag, _ in METHODS.values()] + ["all"], default="all")
         if flags.get("variant"):
             p.add_argument("--variant", help="mutation operator or probe growth variant")
         if flags.get("threshold"):
@@ -146,6 +134,8 @@ def _malformed(kind: str, path: Path):
 
 
 def cmd_synth_corpus(config: dict, args) -> int:
+    from . import synth
+
     target = corpus_dir(config)
     params = config["synth"]
     summary = synth.generate_corpus(
@@ -162,13 +152,16 @@ def cmd_synth_corpus(config: dict, args) -> int:
 
 
 def cmd_make_splits(config: dict, args) -> int:
+    from . import corpus
+
     source = manifest_path(config, args.shift)
     if not source.is_file():
         raise ValidationFailure(f"manifest not found: {source}; run `synth-corpus` or point paths.manifests at one")
-    manifest = corpus.load_manifest(source)
+    with _malformed("manifest", source):
+        manifest = corpus.load_manifest(source)
+        assignment = corpus.assign_splits(manifest, val_fraction=config["corpus"]["val_fraction"])
     if manifest.shift_kind != args.shift:
         raise ValidationFailure(f"manifest {source} has shift_kind {manifest.shift_kind!r}, expected {args.shift!r}")
-    assignment = corpus.assign_splits(manifest, val_fraction=config["corpus"]["val_fraction"])
     bucket = bucket_dir(config)
     out = _splits_path(bucket, args.shift)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -179,7 +172,10 @@ def cmd_make_splits(config: dict, args) -> int:
     return 0
 
 
-def _load_assignment(bucket: Path, shift: str) -> corpus.SplitAssignment:
+def _load_assignment(bucket: Path, shift: str):
+    """The `corpus.SplitAssignment` that `make-splits` wrote for `shift`."""
+    from . import corpus
+
     path = _require(_splits_path(bucket, shift), f"make-splits --shift {shift}")
     with _malformed("splits", path):
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -187,6 +183,20 @@ def _load_assignment(bucket: Path, shift: str) -> corpus.SplitAssignment:
 
 
 def cmd_extract(config: dict, args) -> int:
+    from . import corpus, tasks
+    from .extraction import (
+        LexicalError,
+        ParseError,
+        build_cc_vocab,
+        build_cs_vocabs,
+        extract_cbow_samples,
+        extract_method_samples,
+        parse_java_lite,
+        tokenize_java,
+        write_cc_contexts,
+        write_cs_contexts,
+    )
+
     bucket = bucket_dir(config)
     assignment = _load_assignment(bucket, args.shift)
     ext = config["extraction"]
@@ -241,7 +251,11 @@ def cmd_extract(config: dict, args) -> int:
     return 0
 
 
-def _load_vocabs(bucket: Path, task: str, shift: str) -> dict[str, Vocabulary]:
+def _load_vocabs(bucket: Path, task: str, shift: str) -> dict:
+    """{name: extraction.Vocabulary} as `extract` wrote them for (task, shift)."""
+    from . import tasks
+    from .extraction import Vocabulary
+
     path = _require(_vocabs_path(bucket, task, shift), f"extract --task {task} --shift {shift}")
     with _malformed("vocab", path):
         vocabs = json.loads(path.read_text(encoding="utf-8"))["vocabs"]
@@ -251,9 +265,11 @@ def _load_vocabs(bucket: Path, task: str, shift: str) -> dict[str, Vocabulary]:
         return {name: Vocabulary.from_tokens(tokens) for name, tokens in vocabs.items()}
 
 
-def _load_encoded(
-    bucket: Path, task: str, shift: str, split: str, vocabs: dict, allow_empty: bool = False
-) -> tasks.EncodedSplit:
+def _load_encoded(bucket: Path, task: str, shift: str, split: str, vocabs: dict, allow_empty: bool = False):
+    """`split`'s contexts encoded against `vocabs`, as one `tasks.EncodedSplit`."""
+    from . import tasks
+    from .extraction import read_cc_contexts, read_cs_contexts
+
     path = _require(
         _contexts_path(bucket, task, shift, split), f"extract --task {task} --shift {shift}"
     )
@@ -274,10 +290,14 @@ def _split_names(bucket: Path, task: str, shift: str) -> list[str]:
 
 
 def cmd_train(config: dict, args) -> int:
+    import dataclasses
+
+    from . import tasks
+
     bucket = bucket_dir(config)
     vocabs = _load_vocabs(bucket, args.task, args.shift)
     train_enc = _load_encoded(bucket, args.task, args.shift, "train", vocabs)
-    val_enc = _load_encoded(bucket, args.task, args.shift, corpus.VALIDATION_SPLIT, vocabs, allow_empty=True)
+    val_enc = _load_encoded(bucket, args.task, args.shift, VALIDATION_SPLIT, vocabs, allow_empty=True)
     t = config["train"]
     train_config = tasks.TrainConfig(
         learning_rate=t["learning_rate"],
@@ -308,6 +328,8 @@ def cmd_train(config: dict, args) -> int:
 
 
 def _load_model(bucket: Path, task: str, shift: str):
+    from . import nn, tasks
+
     path = _require(_checkpoint_path(bucket, task, shift), f"train --task {task} --shift {shift}")
     try:
         return tasks.load_checkpoint(path.read_bytes(), expect_kind=task)
@@ -315,29 +337,26 @@ def _load_model(bucket: Path, task: str, shift: str):
         raise ValidationFailure(f"checkpoint {path}: {exc}") from exc
 
 
-def _estimators(flag: str) -> list[uq.Estimator]:
-    """The registry entries a `--method` value selects."""
-    return [e for e in uq.ESTIMATORS.values() if flag in ("all", e.flag)]
-
-
 def cmd_score(config: dict, args) -> int:
+    from . import uncertainty as uq
+
     bucket = bucket_dir(config)
     model = _load_model(bucket, args.task, args.shift)
     vocabs = model.vocabs()  # every split is encoded as the model was trained
 
     split_names = _split_names(bucket, args.task, args.shift)
-    eval_splits = [s for s in split_names if s == corpus.VALIDATION_SPLIT or s.startswith("test")]
-    if corpus.VALIDATION_SPLIT not in eval_splits:
+    eval_splits = [s for s in split_names if s == VALIDATION_SPLIT or s.startswith("test")]
+    if VALIDATION_SPLIT not in eval_splits:
         raise ValidationFailure("no validation contexts found; run `extract` first")
     encoded = {s: _load_encoded(bucket, args.task, args.shift, s, vocabs) for s in eval_splits}
-    estimators = _estimators(args.method)
+    estimators = [e for e in uq.ESTIMATORS.values() if args.method in ("all", e.flag)]
     train = None  # read only for an estimator whose fit uses it
     if any(e.needs_train for e in estimators):
         train = _load_encoded(bucket, args.task, args.shift, "train", vocabs)
 
     settings = {**config["uncertainty"], "seed": config["seed"]}
     # the validation forward feeds the fits and then scores that split
-    validation = encoded[corpus.VALIDATION_SPLIT]
+    validation = encoded[VALIDATION_SPLIT]
     base = uq.base_outputs(model, validation)
     fitted = [(e, e.fit(model, train, validation, base, settings)) for e in estimators]
 
@@ -345,7 +364,7 @@ def cmd_score(config: dict, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     hash_hex = config_hash(config)
     written = 0
-    for split in sorted(encoded, key=lambda s: s != corpus.VALIDATION_SPLIT):  # validation's outputs first
+    for split in sorted(encoded, key=lambda s: s != VALIDATION_SPLIT):  # validation's outputs first
         samples = encoded[split]
         if base is None:
             base = uq.base_outputs(model, samples)
@@ -361,6 +380,10 @@ def cmd_score(config: dict, args) -> int:
 
 
 def cmd_eval(config: dict, args) -> int:
+    from . import evalpipe
+    from .metrics import is_correct
+    from .uncertainty import read_scores_csv
+
     bucket = bucket_dir(config)
     paths = sorted((bucket / "scores").glob(f"{args.task}-{args.shift}-*.csv"))
     if not paths:
@@ -368,12 +391,12 @@ def cmd_eval(config: dict, args) -> int:
             f"no scores for {args.task}/{args.shift} under {bucket / 'scores'}; "
             f"run `score --task {args.task} --shift {args.shift}` first"
         )
-    tables = [uq.read_scores_csv(path) for path in paths]
+    tables = [read_scores_csv(path) for path in paths]
     vanilla = sorted((t for t in tables if t.method == "vanilla"), key=lambda t: t.split)
     if not vanilla:
         raise ValidationFailure("eval needs vanilla scores for the accuracy table; run `score` with vanilla or all")
     accuracies = {
-        t.split: 100.0 * int(tasks.is_correct(t.predicted, t.true).sum()) / len(t) for t in vanilla
+        t.split: 100.0 * int(is_correct(t.predicted, t.true).sum()) / len(t) for t in vanilla
     }
     hash_hex = config_hash(config)
     report = evalpipe.build_report(args.task, args.shift, tables, accuracies, config_hash=hash_hex)
@@ -381,7 +404,7 @@ def cmd_eval(config: dict, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / f"{args.task}-{args.shift}.json"
     write_json(json_path, report)
-    evalpipe.write_report_csv(out_dir / f"{args.task}-{args.shift}.csv", evalpipe.flatten_report(report), hash_hex)
+    write_report_csv(out_dir / f"{args.task}-{args.shift}.csv", flatten_report(report), hash_hex)
     print(f"eval[{args.task}/{args.shift}] -> {json_path}")
     for split, row in report["accuracy"].items():
         shown = row.get("formatted", f"{row['accuracy']:.2f}")
@@ -389,34 +412,40 @@ def cmd_eval(config: dict, args) -> int:
     return 0
 
 
-def _variant_tables(bucket: Path, args) -> tuple[uq.Estimator, str, dict[str, uq.ScoreTable]]:
-    """The estimator `--method` names, its chosen variant, and that variant's tables by split."""
+def _variant_tables(bucket: Path, args) -> tuple[str, str, dict]:
+    """The method `--method` names, its chosen variant, and that variant's score tables by split."""
+    from .uncertainty import read_scores_csv
+
     if args.method == "all":
         raise ValidationFailure(f"{args.command} needs a single --method")
-    (estimator,) = _estimators(args.method)
-    variant = args.variant or estimator.variants[0]
-    if variant not in estimator.variants:
-        if estimator.variants == ("",):
-            raise ValidationFailure(f"method {estimator.name} has no variants")
-        raise ValidationFailure(f"{estimator.name} has variants {estimator.variants}, not {variant!r}")
-    pattern = _scores_path(bucket, args.task, args.shift, estimator.name, variant, split="*")
+    method = next(name for name, (flag, _) in METHODS.items() if flag == args.method)
+    _, variants = METHODS[method]
+    variant = args.variant or variants[0]
+    if variant not in variants:
+        if variants == ("",):
+            raise ValidationFailure(f"method {method} has no variants")
+        raise ValidationFailure(f"{method} has variants {variants}, not {variant!r}")
+    pattern = _scores_path(bucket, args.task, args.shift, method, variant, split="*")
     tables = {}
     for path in sorted(pattern.parent.glob(pattern.name)):
-        table = uq.read_scores_csv(path)
-        if (table.method, table.variant) != (estimator.name, variant):
+        table = read_scores_csv(path)
+        if (table.method, table.variant) != (method, variant):
             raise ValidationFailure(
                 f"score file {path} holds method={table.method} variant={table.variant!r}, "
-                f"expected method={estimator.name} variant={variant!r}"
+                f"expected method={method} variant={variant!r}"
             )
         tables[table.split] = table
     if not tables:
-        raise ValidationFailure(f"no records for method={estimator.name} variant={variant!r}")
-    return estimator, variant, tables
+        raise ValidationFailure(f"no records for method={method} variant={variant!r}")
+    return method, variant, tables
 
 
 def cmd_sweep(config: dict, args) -> int:
+    from . import evalpipe
+    from .metrics import is_correct
+
     bucket = bucket_dir(config)
-    estimator, variant, tables = _variant_tables(bucket, args)
+    method, variant, tables = _variant_tables(bucket, args)
     splits = sorted(tables)
     if args.split:
         if args.split not in splits:
@@ -426,18 +455,21 @@ def cmd_sweep(config: dict, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for split in splits:
         table = tables[split]
-        rows = evalpipe.threshold_sweep(table.confidence, tasks.is_correct(table.predicted, table.true))
-        path = out_dir / f"{_method_stem(args.task, args.shift, estimator.name, variant, split)}.csv"
+        rows = evalpipe.threshold_sweep(table.confidence, is_correct(table.predicted, table.true))
+        path = out_dir / f"{_method_stem(args.task, args.shift, method, variant, split)}.csv"
         evalpipe.write_sweep_csv(path, rows, config_hash(config))
         print(f"sweep[{args.task}/{args.shift}/{split}] -> {path}")
     return 0
 
 
 def cmd_filter(config: dict, args) -> int:
+    from . import evalpipe
+    from .uncertainty import column_texts
+
     if not 0.0 <= args.threshold <= 1.0:  # NaN fails too
         raise ValidationFailure(f"--threshold must be a number in [0, 1], got {args.threshold}")
     bucket = bucket_dir(config)
-    estimator, variant, tables = _variant_tables(bucket, args)
+    method, variant, tables = _variant_tables(bucket, args)
     splits = sorted(s for s in tables if s.startswith("test"))
     if args.split:
         splits = [args.split]
@@ -452,9 +484,9 @@ def cmd_filter(config: dict, args) -> int:
         table = tables[split]
         accepted = evalpipe.input_filter(table.confidence, args.threshold).tolist()
         rows = list(zip(
-            table.sample_ids, uq.column_texts(table.confidence), uq.column_texts(table.predicted), accepted
+            table.sample_ids, column_texts(table.confidence), column_texts(table.predicted), accepted
         ))
-        stem = _method_stem(args.task, args.shift, estimator.name, variant, split)
+        stem = _method_stem(args.task, args.shift, method, variant, split)
         write_csv(out_dir / f"{stem}-accepted.csv", hash_hex, "sample_id,confidence,predicted",
                   (f"{sample_id},{conf},{pred}\n" for sample_id, conf, pred, ok in rows if ok))
         write_csv(out_dir / f"{stem}-rejected.csv", hash_hex, "sample_id,confidence",
@@ -478,10 +510,10 @@ def cmd_report(config: dict, args) -> int:
     for path in paths:
         with _malformed("report", path):
             report = json.loads(path.read_text(encoding="utf-8"))
-            rows.extend(evalpipe.flatten_report(report))
+            rows.extend(flatten_report(report))
         merged["reports"].append(report)
     write_json(report_dir / "all.json", merged)
-    evalpipe.write_report_csv(report_dir / "all.csv", rows, hash_hex)
+    write_report_csv(report_dir / "all.csv", rows, hash_hex)
     print(f"report: merged {len(paths)} reports -> {report_dir / 'all.json'}")
     return 0
 
@@ -510,8 +542,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return COMMANDS[args.command](config, args)
-    except (ValidationFailure, corpus.ManifestError, ContextFormatError, uq.EstimatorStateError,
-            uq.ScoresFileError) as exc:
+    except ValidationFailure as exc:
         print(f"codeshift: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # anything else is a runtime failure

@@ -8,6 +8,12 @@ rerunning with an identical effective config overwrites byte-identically
 while changed configs get their own bucket. Every config-stamped CSV goes
 through `write_csv`, and every JSON document the package writes (config
 echoes, vocabularies, reports, corpus manifests) through `write_json`.
+
+This module imports nothing but the standard library, so it also holds
+what every layer shares: the shift kinds, the validation split's name, the
+id of an unknown label, the method table, the one base class of every
+error that exits 2, and the report's flat rows. A command that needs no
+model or array (`report`, `--help`) loads only this module and the CLI.
 """
 
 from __future__ import annotations
@@ -17,7 +23,27 @@ import hashlib
 import json
 from pathlib import Path
 
-from .corpus import SHIFT_KINDS
+SHIFT_KINDS = ("timeline", "project", "author")
+VALIDATION_SPLIT = "validation"
+UNK_ID = 0  # the vocabulary id of an unknown token; a true label of UNK_ID is never predicted correctly
+
+MUTATION_OPERATORS = ("GF", "WS", "NS", "NAI")
+GROWTH_TYPES = ("linear", "log", "exp")
+# the study's uncertainty methods, in report order: each name's `--method`
+# flag and its variants (mutation operators, probe growth curves); a method
+# without variants has the one variant ""
+METHODS = {
+    "vanilla": ("vanilla", ("",)),
+    "temp_scale": ("temp", ("",)),
+    "mc_dropout": ("mcdropout", ("",)),
+    "mmutant": ("mmutant", MUTATION_OPERATORS),
+    "dissector": ("dissector", GROWTH_TYPES),
+}
+
+
+class ValidationFailure(Exception):
+    """Anything that should exit with code 2: a missing or malformed input or artifact."""
+
 
 DEFAULT_CONFIG: dict = {
     "paths": {
@@ -59,7 +85,7 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-class ConfigError(ValueError):
+class ConfigError(ValidationFailure, ValueError):
     pass
 
 
@@ -189,6 +215,53 @@ def write_json(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def flatten_report(report: dict) -> list[dict]:
+    """Flat rows (task, shift, eval, split, method, variant, auc, aupr, brier, note)."""
+    rows = []
+
+    def emit(eval_kind, split, method, variant, block):
+        rows.append(
+            {
+                "task": report["task"],
+                "shift": report["shift"],
+                "eval": eval_kind,
+                "split": split,
+                "method": method,
+                "variant": variant,
+                "auc": block["auc"],
+                "aupr": block["aupr"],
+                "brier": block["brier"],
+                "note": block["note"],
+            }
+        )
+
+    for eval_kind, section in (("error_success", report["error_success"]), ("ood", report["ood"])):
+        for split, per_method in section.items():
+            for method, block in per_method.items():
+                if "variants" in block:
+                    for variant, sub in block["variants"].items():
+                        emit(eval_kind, split, method, variant, sub)
+                    for metric, chosen in block["best"].items():
+                        only = {"auc": None, "aupr": None, "brier": None, "note": None, metric: chosen["value"]}
+                        emit(eval_kind, split, method, f"best[{metric}]={chosen['variant']}", only)
+                else:
+                    emit(eval_kind, split, method, "", block)
+    return rows
+
+
+def write_report_csv(path, rows: list[dict], config_hash: str) -> None:
+    columns = ("task", "shift", "eval", "split", "method", "variant", "auc", "aupr", "brier", "note")
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return repr(value)
+        return str(value).replace(",", ";")
+
+    write_csv(path, config_hash, ",".join(columns), (",".join(cell(row[c]) for c in columns) + "\n" for row in rows))
 
 
 def resolve_path(config: dict, key: str) -> Path:

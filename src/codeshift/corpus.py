@@ -33,11 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-VALIDATION_SPLIT = "validation"
-SHIFT_KINDS = ("timeline", "project", "author")
+from .config import SHIFT_KINDS, VALIDATION_SPLIT, ValidationFailure
 
 
-class ManifestError(ValueError):
+class ManifestError(ValidationFailure, ValueError):
     """Malformed or inconsistent manifest document."""
 
 
@@ -193,6 +192,9 @@ def load_manifest(path) -> ShiftManifest:
                 )
             except (TypeError, KeyError) as exc:
                 raise ManifestError(f"split {name!r}: selector needs project/version/root: {raw!r}") from exc
+            named = (sel.project, sel.version, sel.root) + (() if sel.author is None else (sel.author,))
+            if not all(isinstance(value, str) for value in named):
+                raise ManifestError(f"split {name!r}: selector project/version/root/author must be strings: {raw!r}")
             key = (sel.project, sel.version, sel.root)
             if key not in manifest.snapshots:
                 manifest.snapshots[key] = _load_snapshot(base_dir, sel)

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import write_csv
-from .corpus import VALIDATION_SPLIT
-from .metrics import MetricUndefinedError, aupr, brier, roc_auc
-from .tasks import is_correct
+from .config import VALIDATION_SPLIT, write_csv
+from .metrics import MetricUndefinedError, aupr, brier, is_correct, roc_auc
 from .uncertainty import ScoreTable
 
 SWEEP_THRESHOLDS = np.linspace(0.0, 1.0, 21)  # [0, 1] in steps of 0.05
@@ -192,50 +190,3 @@ def build_report(
         "error_success": error_success,
         "ood": ood,
     }
-
-
-def flatten_report(report: dict) -> list[dict]:
-    """Flat rows (task, shift, eval, split, method, variant, auc, aupr, brier, note)."""
-    rows = []
-
-    def emit(eval_kind, split, method, variant, block):
-        rows.append(
-            {
-                "task": report["task"],
-                "shift": report["shift"],
-                "eval": eval_kind,
-                "split": split,
-                "method": method,
-                "variant": variant,
-                "auc": block["auc"],
-                "aupr": block["aupr"],
-                "brier": block["brier"],
-                "note": block["note"],
-            }
-        )
-
-    for eval_kind, section in (("error_success", report["error_success"]), ("ood", report["ood"])):
-        for split, per_method in section.items():
-            for method, block in per_method.items():
-                if "variants" in block:
-                    for variant, sub in block["variants"].items():
-                        emit(eval_kind, split, method, variant, sub)
-                    for metric, chosen in block["best"].items():
-                        only = {"auc": None, "aupr": None, "brier": None, "note": None, metric: chosen["value"]}
-                        emit(eval_kind, split, method, f"best[{metric}]={chosen['variant']}", only)
-                else:
-                    emit(eval_kind, split, method, "", block)
-    return rows
-
-
-def write_report_csv(path, rows: list[dict], config_hash: str) -> None:
-    columns = ("task", "shift", "eval", "split", "method", "variant", "auc", "aupr", "brier", "note")
-
-    def cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, float):
-            return repr(value)
-        return str(value).replace(",", ";")
-
-    write_csv(path, config_hash, ",".join(columns), (",".join(cell(row[c]) for c in columns) + "\n" for row in rows))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import ValidationFailure
 from .lexer import Token
 from .parser import AstNode
 
@@ -187,7 +188,7 @@ def extract_cbow_samples(tokens: list[Token], window: int = 4) -> list[CbowSampl
 # UTF-8, LF line endings.
 
 
-class ContextFormatError(ValueError):
+class ContextFormatError(ValidationFailure, ValueError):
     pass
 
 

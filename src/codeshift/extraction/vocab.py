@@ -15,10 +15,10 @@ from typing import Iterable
 
 import numpy as np
 
+from ..config import UNK_ID
 from .samples import CbowSample, MethodSample, PAD_TOKEN
 
 UNK_TOKEN = "<UNK>"
-UNK_ID = 0
 PAD_ID = 1
 _RESERVED = (UNK_TOKEN, PAD_TOKEN)
 

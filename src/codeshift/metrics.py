@@ -5,15 +5,25 @@ and return a Python float on a 0-100 scale. AUC is the Mann-Whitney rank
 statistic (ties count 1/2), AUPR the non-interpolated step sum over a
 descending-score sweep with tied scores processed as one group, and Brier
 the mean squared error between a [0,1] confidence and the binary outcome.
+`is_correct` gives error/success prediction its labels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .config import UNK_ID
+
 
 class MetricUndefinedError(ValueError):
     """The metric is not defined for this label composition."""
+
+
+def is_correct(predicted, true) -> np.ndarray:
+    """Exact-match correctness per sample; UNK true labels can never be correct."""
+    predicted = np.asarray(predicted)
+    true = np.asarray(true)
+    return (predicted == true) & (true != UNK_ID)
 
 
 def _arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,7 @@ distinct triples) or per distinct CC window token, and no PAD stored.
 Both train with Adam on mean cross-entropy over seeded, shuffled batches.
 Accuracy is exact-match argmax, reported as a percentage; samples whose
 true label fell out of the training vocabulary (UNK) count as failures
-since the model can never legitimately produce UNK (`is_correct`).
+since the model can never legitimately produce UNK (`metrics.is_correct`).
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ import numpy as np
 
 from . import nn
 from .config import write_csv
-from .extraction import PAD_ID, UNK_ID, Vocabulary
+from .extraction import PAD_ID, Vocabulary
+from .metrics import is_correct
 
 CS = "cs"
 CC = "cc"
@@ -501,13 +502,6 @@ def predicted_labels(logits: np.ndarray) -> np.ndarray:
     if rows.size:
         preds[rows] = nn.softmax(nn.Tensor(logits[rows])).data.argmax(axis=-1)
     return preds
-
-
-def is_correct(predicted, true) -> np.ndarray:
-    """Exact-match correctness per sample; UNK true labels can never be correct."""
-    predicted = np.asarray(predicted)
-    true = np.asarray(true)
-    return (predicted == true) & (true != UNK_ID)
 
 
 def evaluate_accuracy(model: Model, samples: EncodedSplit, batch_size: int = 512) -> float:

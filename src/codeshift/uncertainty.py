@@ -31,6 +31,11 @@ network in full. Every resumed pass gives the full forward's bytes.
   over a fixed-size ensemble.
 - dissector: per-layer linear probes produce snapshot-validity scores that
   are aggregated with linear/log/exp depth weights into a PV score.
+
+The registry, `ScoreTable` and the score-file format load with numpy
+alone: the functions that run a model import `nn` and `tasks` when they
+are called, so `eval`, `sweep` and `filter` read score files without
+loading the model stack.
 """
 
 from __future__ import annotations
@@ -41,24 +46,23 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import nn, tasks
-from .config import write_csv
+from .config import GROWTH_TYPES, METHODS, MUTATION_OPERATORS, ValidationFailure, write_csv
 
-MUTATION_OPERATORS = ("GF", "WS", "NS", "NAI")
-GROWTH_TYPES = ("linear", "log", "exp")
+if TYPE_CHECKING:
+    from . import nn
 
 TEMPERATURE_BOUNDS = (0.05, 100.0)
 
 
-class EstimatorStateError(RuntimeError):
+class EstimatorStateError(ValidationFailure, RuntimeError):
     """A scorer was invoked without its fitted state (temperature, ensemble, probes)."""
 
 
-class ScoresFileError(ValueError):
+class ScoresFileError(ValidationFailure, ValueError):
     """A score CSV is malformed; the message names the file and the line."""
 
 
@@ -85,6 +89,8 @@ class ScoreTable:
 def base_outputs(model, samples) -> dict[str, np.ndarray]:
     """The deterministic forward every scorer reads: probs, logits, the probe
     taps, and the split's features, one array the Monte-Carlo scorers resume from."""
+    from . import tasks
+
     return tasks.infer(model, samples, keys=("probs", "logits", *model.probe_layers, "features"))
 
 
@@ -203,6 +209,8 @@ def score_mc_dropout(model, samples, passes: int = 30, p: float = 0.5, seed: int
     pass runs only the copy's head, drawing the same random numbers in the
     same order as a full pass.
     """
+    from . import tasks
+
     if passes < 1:
         raise ValueError(f"MC-Dropout needs passes >= 1, got {passes}")
     rng = np.random.default_rng([int(s) for s in np.atleast_1d(seed)] + [0xD0])
@@ -307,6 +315,8 @@ def score_mmutant(ensemble: list | None, samples, base_preds: np.ndarray, featur
     written into one copy of `features`, which each pass restores. A
     mutant whose changes reach the embedding tables (GF) runs in full.
     """
+    from . import tasks
+
     if not ensemble:
         raise EstimatorStateError("mMutant scoring needs a built ensemble")
     if features is not None and model is None:
@@ -337,6 +347,8 @@ class Probe:
     b: nn.Tensor
 
     def predict(self, acts: np.ndarray) -> np.ndarray:
+        from . import nn
+
         with nn.no_grad():
             return nn.softmax(nn.affine(nn.Tensor(acts), self.w, self.b)).data
 
@@ -350,6 +362,8 @@ def train_probes(
     batch_size: int = 512,
 ) -> list[Probe]:
     """Fit one linear probe per tap in `model.probe_layers` on frozen training activations."""
+    from . import nn, tasks
+
     if not train_samples:
         raise EstimatorStateError("probe training needs training-split samples")
     acts = tasks.infer(model, train_samples, batch_size=batch_size, keys=model.probe_layers)
@@ -434,7 +448,8 @@ def score_dissector(probes: list[Probe] | None, base: dict[str, np.ndarray]):
 
 @dataclass(frozen=True)
 class Estimator:
-    """One uncertainty method of the study.
+    """One uncertainty method of the study: its entry of `config.METHODS`
+    (name, `--method` flag, variants) with its fit and score.
 
     `fit(model, train, validation, val_base, settings)` returns the fitted
     state: the temperature, the MC-Dropout settings, one mutant ensemble per
@@ -515,34 +530,40 @@ def _score_mmutant(model, ensembles, samples, base, split):
     }
 
 
+def _estimator(name: str, fit: Callable, score: Callable, needs_train: bool = False) -> Estimator:
+    """The registry entry of method `name`, its flag and variants read from `METHODS`."""
+    flag, variants = METHODS[name]
+    return Estimator(name, flag, variants, fit, score, needs_train)
+
+
 # Entries call the public functions above through their module-level names
 # at call time, so tracing or patching one of them also covers the
 # registry's calls.
 ESTIMATORS: dict[str, Estimator] = {
     e.name: e
     for e in (
-        Estimator(
-            "vanilla", "vanilla", ("",),
+        _estimator(
+            "vanilla",
             fit=lambda model, train, validation, val_base, settings: None,
             score=lambda model, state, samples, base, split: {"": score_vanilla(base["probs"])},
         ),
-        Estimator(
-            "temp_scale", "temp", ("",),
+        _estimator(
+            "temp_scale",
             fit=lambda model, train, validation, val_base, settings: fit_temperature(val_base["logits"], validation.labels),
             score=lambda model, temperature, samples, base, split: {"": score_temp_scale(base["logits"], temperature)},
         ),
-        Estimator(
-            "mc_dropout", "mcdropout", ("",),
+        _estimator(
+            "mc_dropout",
             fit=lambda model, train, validation, val_base, settings: settings,
             score=_score_mc_dropout,
         ),
-        Estimator(
-            "mmutant", "mmutant", MUTATION_OPERATORS,
+        _estimator(
+            "mmutant",
             fit=_fit_mutant_ensembles,
             score=_score_mmutant,
         ),
-        Estimator(
-            "dissector", "dissector", GROWTH_TYPES,
+        _estimator(
+            "dissector",
             fit=_fit_probes,
             score=lambda model, probes, samples, base, split: score_dissector(probes, base),
             needs_train=True,

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import codeshift
-from codeshift import tasks
+from codeshift import corpus, tasks
 from codeshift import uncertainty as uq
-from codeshift.cli import main
-from codeshift.config import DEFAULT_CONFIG, bucket_dir, config_hash, load_config
-from codeshift.extraction import PAD_TOKEN, UNK_TOKEN, Vocabulary
+from codeshift.cli import TASKS, main
+from codeshift.config import DEFAULT_CONFIG, ConfigError, ValidationFailure, bucket_dir, config_hash, load_config
+from codeshift.extraction import PAD_TOKEN, UNK_TOKEN, ContextFormatError, Vocabulary
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +56,17 @@ def test_default_config_carries_published_values():
     assert train["epochs"] == 300
     assert DEFAULT_CONFIG["uncertainty"]["mutation_degree"] == 0.05
     assert DEFAULT_CONFIG["uncertainty"]["mc_dropout_p"] == 0.5
+
+
+def test_task_choices_are_the_models():
+    assert TASKS == tuple(tasks.MODELS)
+
+
+def test_every_exit_2_error_is_a_validation_failure_of_its_old_base():
+    for error, base in ((ConfigError, ValueError), (corpus.ManifestError, ValueError),
+                        (ContextFormatError, ValueError), (uq.EstimatorStateError, RuntimeError),
+                        (uq.ScoresFileError, ValueError)):
+        assert issubclass(error, ValidationFailure) and issubclass(error, base), error
 
 
 def test_usage_errors_exit_1(capsys):
@@ -663,6 +674,11 @@ def test_splits_file_with_an_absolute_corpus_path_still_loads(tmp_path, monkeypa
 # that names the file and no "runtime error".
 
 
+def manifest_artifact(tmp_path, request):
+    config_path, corpus_root = synth_bucket(tmp_path)
+    return config_path, corpus_root / "manifest_project.json"
+
+
 def splits_artifact(tmp_path, request):
     config_path, _ = synth_bucket(tmp_path)
     assert main(["make-splits", "--shift", "project", "--config", str(config_path)]) == 0
@@ -714,6 +730,10 @@ def write(content):
     return corrupt
 
 
+def set_train_selector(key, value):
+    return edit_json(lambda payload: payload["splits"]["train"][0].__setitem__(key, value))
+
+
 def set_train_split(files):
     return edit_json(lambda payload: payload["assignment"]["splits"].__setitem__("train", files))
 
@@ -743,10 +763,18 @@ def score_field(index, value):
     return corrupt
 
 
+MAKE_SPLITS = ["make-splits", "--shift", "project"]
 EXTRACT_CC = ["extract", "--task", "cc", "--shift", "project"]
 TRAIN_CS = ["train", "--task", "cs", "--shift", "project"]
 TRAIN_CC = ["train", "--task", "cc", "--shift", "project"]
+SWEEP_CS = ["sweep", "--task", "cs", "--shift", "project", "--method", "vanilla"]
+FILTER_CS = ["filter", "--task", "cs", "--shift", "project", "--method", "vanilla", "--threshold", "0.5"]
 MALFORMED = {  # id: (artifact, corruption, command)
+    "manifest_truncated": (manifest_artifact, lambda target: truncate(target) or target, MAKE_SPLITS),
+    "manifest_a_list": (manifest_artifact, write("[]"), MAKE_SPLITS),
+    "manifest_without_train": (manifest_artifact, edit_json(lambda payload: payload["splits"].pop("train")), MAKE_SPLITS),
+    "manifest_root_not_a_string": (manifest_artifact, set_train_selector("root", 5), MAKE_SPLITS),
+    "manifest_author_not_a_string": (manifest_artifact, set_train_selector("author", ["alice"]), MAKE_SPLITS),
     "splits_truncated": (splits_artifact, lambda target: truncate(target) or target, EXTRACT_CC),
     "splits_missing_file": (splits_artifact, unreadable_train_entry("nope.java"), EXTRACT_CC),
     "splits_directory_entry": (splits_artifact, unreadable_train_entry("."), EXTRACT_CC),
@@ -776,6 +804,12 @@ MALFORMED = {  # id: (artifact, corruption, command)
     "checkpoint_empty": (checkpoint_artifact, write(b""), ["score", "--task", "cc", "--shift", "project"]),
     "scores_empty": (scores_artifact, write(""), ["eval", "--task", "cs", "--shift", "project"]),
     "scores_nan_confidence": (scores_artifact, score_field(4, "nan"), ["eval", "--task", "cs", "--shift", "project"]),
+    "scores_float_predicted_sweep": (scores_artifact, score_field(5, "2.5"), SWEEP_CS),
+    "scores_empty_sweep": (scores_artifact, write(""), SWEEP_CS),
+    "scores_negative_confidence_filter": (scores_artifact, score_field(4, "-0.25"), FILTER_CS),
+    "scores_header_only_filter": (
+        scores_artifact, lambda target: write("".join(target.read_text().splitlines(True)[:2]))(target), FILTER_CS
+    ),
     "report_truncated": (report_artifact, lambda target: truncate(target) or target, ["report"]),
     "report_a_list": (report_artifact, write("[]"), ["report"]),
     "report_without_error_success": (report_artifact, edit_json(lambda payload: payload.pop("error_success")), ["report"]),
@@ -796,20 +830,53 @@ def test_malformed_artifact_exits_2_naming_file(tmp_path, capsys, request, case)
     assert "runtime error" not in err
 
 
-def scipy_modules_after(statements: str) -> str:
-    """The scipy modules a fresh interpreter holds after running `statements`."""
+LAYERS = ("corpus", "extraction", "nn", "tasks", "uncertainty", "metrics", "evalpipe", "synth")
+PROJECT_CS = ["--task", "cs", "--shift", "project"]
+# id: (argv, whether the workspace config is appended, the exit code, the
+# modules the command must not load). A row that forbids numpy runs where
+# `import numpy` fails, as `python -m codeshift.cli`.
+IMPORT_CONTRACT = {
+    "help": (["--help"], False, 0, ("numpy", *LAYERS)),
+    "config_error": (["report", "--config", "no-such-config.json"], False, 2, ("numpy", *LAYERS)),
+    "report": (["report"], True, 0, ("numpy", *LAYERS)),
+    "synth-corpus": (["synth-corpus"], True, 0, ("tasks", "nn", "extraction", "uncertainty", "evalpipe", "metrics")),
+    "make-splits": (["make-splits", "--shift", "project"], True, 0,
+                    ("tasks", "nn", "extraction", "uncertainty", "evalpipe", "metrics")),
+    "extract": (["extract", *PROJECT_CS], True, 0, ("uncertainty", "evalpipe", "synth")),
+    "train": (["train", *PROJECT_CS], True, 0, ("uncertainty", "evalpipe", "synth", "corpus")),
+    "score": (["score", *PROJECT_CS], True, 0, ("evalpipe", "synth", "corpus")),
+    "eval": (["eval", *PROJECT_CS], True, 0, ("tasks", "nn", "extraction", "synth", "corpus")),
+    "sweep": (["sweep", *PROJECT_CS, "--method", "vanilla"], True, 0, ("tasks", "nn", "extraction", "synth", "corpus")),
+    "filter": (["filter", *PROJECT_CS, "--method", "vanilla", "--threshold", "0.5"], True, 0,
+               ("tasks", "nn", "extraction", "synth", "corpus")),
+}
+PROBE = """\
+import json, runpy, sys
+if sys.argv[1] == "no-numpy":
+    sys.modules["numpy"] = None  # `import numpy` raises ImportError
+sys.argv = ["codeshift", *json.loads(sys.argv[2])]
+try:
+    runpy.run_module("codeshift.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(name for name, module in sys.modules.items() if module is not None)]))
+"""
+
+
+@pytest.mark.parametrize("case", sorted(IMPORT_CONTRACT))
+def test_command_loads_only_its_layers(workspace, case):
+    """A fresh `python -m codeshift.cli` run loads scipy never, and no layer its command does not run."""
+    root, _, flags = workspace
+    argv, with_config, expected_code, forbidden = IMPORT_CONTRACT[case]
     src = str(Path(codeshift.__file__).resolve().parents[1])
-    probe = f"import sys\n{statements}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-    return result.stdout.strip().splitlines()[-1]
-
-
-def test_cli_import_leaves_scipy_unloaded():
-    assert scipy_modules_after("import codeshift.cli") == "[]"
-
-
-def test_score_run_leaves_scipy_unloaded(workspace):
-    _, _, flags = workspace
-    run = f"from codeshift.cli import main\nassert main({['score', '--task', 'cs', '--shift', 'project', *flags]!r}) == 0"
-    assert scipy_modules_after(run) == "[]"
+    numpy = "no-numpy" if "numpy" in forbidden else "numpy"
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE, numpy, json.dumps(argv + flags if with_config else argv)],
+        capture_output=True, text=True, cwd=root, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    code, modules = json.loads(result.stdout.splitlines()[-1])
+    assert code == expected_code, result.stderr
+    loaded = {name.split(".")[0] if not name.startswith("codeshift.") else name.split(".")[1] for name in modules}
+    assert "scipy" not in loaded
+    assert sorted(loaded & set(forbidden)) == []

@@ -5,6 +5,7 @@ import pytest
 
 from codeshift import config
 from codeshift import evalpipe as ep
+from codeshift.metrics import is_correct
 from codeshift.uncertainty import ScoreTable
 
 
@@ -23,7 +24,7 @@ def table(confidences, predicted, true, method="vanilla", variant="", split="val
 
 
 def correct(t):
-    return ep.is_correct(t.predicted, t.true)
+    return is_correct(t.predicted, t.true)
 
 
 def test_error_success_oracle_confidences():
@@ -51,8 +52,8 @@ def test_error_success_single_class_diagnostic():
 
 
 def test_unk_true_label_is_never_correct():
-    assert not ep.is_correct([0], [0])[0]
-    assert ep.is_correct([4], [4])[0]
+    assert not is_correct([0], [0])[0]
+    assert is_correct([4], [4])[0]
 
 
 def test_ood_eval_directions():
@@ -145,7 +146,7 @@ def test_build_report_structure_and_flatten():
     assert "vanilla" in ood and "dissector" in ood
     assert ood["dissector"]["best"]["brier"]["variant"] in {"linear", "exp"}
 
-    rows = ep.flatten_report(report)
+    rows = config.flatten_report(report)
     assert any(r["eval"] == "ood" and r["method"] == "vanilla" for r in rows)
     assert any(r["variant"].startswith("best[auc]") for r in rows)
 
@@ -156,7 +157,7 @@ def test_report_roundtrip_files(tmp_path):
     json_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
     config.write_json(json_path, report)
-    ep.write_report_csv(csv_path, ep.flatten_report(report), config_hash="cafe")
+    config.write_report_csv(csv_path, config.flatten_report(report), config_hash="cafe")
     assert json_path.read_text().startswith("{")
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "# config_hash=cafe"

@@ -9,8 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from codeshift import extraction as ex
-from codeshift import tasks
+from codeshift import nn, tasks
 from codeshift import uncertainty as uq
+from codeshift.config import METHODS
 
 from test_tasks import pack_window_rows
 
@@ -664,7 +665,7 @@ def unanimous_probe(model, big=800.0, agree_with=None):
     w = np.zeros((dim, n))
     b = np.full(n, -big)
     b[agree_with] = big
-    probe = uq.Probe(tag="embed_mean", w=uq.nn.Tensor(w), b=uq.nn.Tensor(b))
+    probe = uq.Probe(tag="embed_mean", w=nn.Tensor(w), b=nn.Tensor(b))
     return probe
 
 
@@ -767,6 +768,8 @@ def test_registry_flags_and_variants():
     assert uq.ESTIMATORS["mmutant"].variants == ("GF", "WS", "NS", "NAI")
     assert uq.ESTIMATORS["dissector"].variants == ("linear", "log", "exp")
     assert all(uq.ESTIMATORS[m].variants == ("",) for m in ("vanilla", "temp_scale", "mc_dropout"))
+    # one entry per row of the method table, in its order, with its flag and variants
+    assert [(e.name, (e.flag, e.variants)) for e in uq.ESTIMATORS.values()] == list(METHODS.items())
 
 
 def test_mmutant_registry_scores_every_operator_with_its_own_ensemble(cc_setup):
