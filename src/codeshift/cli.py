@@ -210,13 +210,13 @@ def cmd_extract(config: dict, args) -> int:
             try:
                 tokens = tokenize_java(text)
             except LexicalError as exc:
-                raise ValidationFailure(f"{rel}: {exc}") from exc
+                raise ValidationFailure(f"{assignment.base_dir / rel}: {exc}") from exc
             if args.task == "cs":
                 diagnostics: list[str] = []
                 try:
                     tree = parse_java_lite(tokens, diagnostics)
                 except ParseError as exc:
-                    raise ValidationFailure(f"{rel}: {exc}") from exc
+                    raise ValidationFailure(f"{assignment.base_dir / rel}: {exc}") from exc
                 recoveries += len(diagnostics)
                 samples.extend(
                     extract_method_samples(
@@ -359,13 +359,14 @@ def cmd_score(config: dict, args) -> int:
     validation = encoded[VALIDATION_SPLIT]
     base = uq.base_outputs(model, validation)
     fitted = [(e, e.fit(model, train, validation, base, settings)) for e in estimators]
+    del train, validation  # held by the fits only; each split scored below is freed once its files are written
 
     out_dir = bucket / "scores"
     out_dir.mkdir(parents=True, exist_ok=True)
     hash_hex = config_hash(config)
     written = 0
     for split in sorted(encoded, key=lambda s: s != VALIDATION_SPLIT):  # validation's outputs first
-        samples = encoded[split]
+        samples = encoded.pop(split)
         if base is None:
             base = uq.base_outputs(model, samples)
         for estimator, state in fitted:

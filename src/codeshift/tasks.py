@@ -39,7 +39,8 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
-from collections.abc import Sequence
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +88,10 @@ class EncodedSplit:
     @functools.cached_property
     def offsets(self) -> np.ndarray:  # (N + 1,): each row's start in the id columns, then their length
         return np.concatenate([[0], np.cumsum(self.lengths)])
+
+    @functools.cached_property
+    def id_list(self) -> list[str]:  # `sample_ids` as Python strings, built once for every score table of the split
+        return self.sample_ids.tolist()
 
     def __getitem__(self, rows) -> "EncodedSplit":
         """The sub-split at `rows`: a slice, whose id columns are views, or an index array."""
@@ -434,6 +439,47 @@ MODELS: dict[str, type[Model]] = {model.kind: model for model in (PathAttentionM
 # -- inference over a split ----------------------------------------------
 
 
+def row_batches(n: int, batch_size: int = 512) -> list[slice]:
+    """Consecutive `batch_size`-row slices of `range(n)`, the last one shorter."""
+    return [slice(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
+
+
+def infer_batches(
+    model: Model,
+    samples: EncodedSplit,
+    batch_size: int = 512,
+    keys: tuple[str, ...] = ("probs",),
+    rng: np.random.Generator | None = None,
+    features: np.ndarray | None = None,
+) -> Iterator[tuple[slice, dict[str, np.ndarray]]]:
+    """Batched no-grad forward over a split: yields (rows, {key: array}) per batch, in order.
+
+    `rows` slices the batch's samples out of the split. Given `rng`, dropout
+    is live at the model's `dropout_p` and draws from it batch after batch.
+    The model's head computes "probs" and "embed_mean" only when `keys` name
+    them. "features" holds the batch's `model.feature_rows(batch)` rows: one
+    per real context for CS, one per sample for CC. The split's features,
+    concatenated (`infer`) and passed back as `features` to a call over the
+    same split, at any `batch_size`, resume every batch at `model.head`; the
+    model must share the `feature_params` of the one that computed them, or
+    the columns `model.feature_changes` names must be written into them.
+    """
+    if features is not None and len(features) != model.feature_rows(samples):
+        raise ValueError(f"features hold {len(features)} rows, but the split has {model.feature_rows(samples)}")
+    settings = {"rng": rng, "keys": keys}
+    row = 0
+    for rows in row_batches(len(samples), batch_size):
+        batch = samples[rows]
+        with nn.no_grad():
+            if features is None:
+                out = model.forward_batch(batch, **settings)
+            else:
+                n_rows = model.feature_rows(batch)
+                out = model.head(nn.Tensor(features[row:row + n_rows]), batch, **settings)
+                row += n_rows
+        yield rows, {k: out[k].data for k in keys}
+
+
 def infer(
     model: Model,
     samples: EncodedSplit,
@@ -442,35 +488,20 @@ def infer(
     rng: np.random.Generator | None = None,
     features: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
-    """Batched no-grad forward over a split; concatenates `keys` over its batches.
+    """`infer_batches`, each of `keys` concatenated over the split's batches.
 
-    Given `rng`, dropout is live at the model's `dropout_p` and draws from
-    it batch after batch. The model's head computes "probs" and
-    "embed_mean" only when `keys` name them. "features" is one (rows, d)
-    array for the split, `model.feature_rows(samples)` rows: one per real
-    context for CS, one per sample for CC. Passed back as `features` to a
-    call over the same split, at any `batch_size`, it resumes every batch
-    at `model.head`; the model must share the `feature_params` of the one
-    that computed it, or the columns `model.feature_changes` names must be
-    written into them.
+    A key whose batch arrays are another key's (CC's "embed_mean" is its
+    "features") shares that key's array rather than a second copy.
     """
-    if features is not None and len(features) != model.feature_rows(samples):
-        raise ValueError(f"features hold {len(features)} rows, but the split has {model.feature_rows(samples)}")
     chunks: dict[str, list[np.ndarray]] = {k: [] for k in keys}
-    settings = {"rng": rng, "keys": keys}
-    row = 0
-    with nn.no_grad():
-        for start in range(0, len(samples), batch_size):
-            batch = samples[start:start + batch_size]
-            if features is None:
-                out = model.forward_batch(batch, **settings)
-            else:
-                rows = model.feature_rows(batch)
-                out = model.head(nn.Tensor(features[row:row + rows]), batch, **settings)
-                row += rows
-            for k in keys:
-                chunks[k].append(out[k].data)
-    return {k: np.concatenate(v, axis=0) for k, v in chunks.items()}
+    for _, out in infer_batches(model, samples, batch_size=batch_size, keys=keys, rng=rng, features=features):
+        for k in keys:
+            chunks[k].append(out[k])
+    joined: dict[str, np.ndarray] = {}
+    for k, parts in chunks.items():
+        twin = next((j for j in joined if all(map(operator.is_, chunks[j], parts))), None)
+        joined[k] = np.concatenate(parts, axis=0) if twin is None else joined[twin]
+    return joined
 
 
 def predicted_labels(logits: np.ndarray) -> np.ndarray:

@@ -20,6 +20,13 @@ feature columns whose `w_comb`/`b_comb` bits they changed, from the base's
 embedding tables. Only GF mutants, which perturb every array, run the
 network in full. Every resumed pass gives the full forward's bytes.
 
+Each scorer reduces the split 512 rows at a time, as `tasks.infer_batches`
+yields a pass's batches or as it slices the base's arrays. Only two hold a
+split-wide (N, V) array beyond the base, each because its bits need it
+whole: MC-Dropout's float64 sum (each pass draws after the last from one
+stream) and a Dissector probe's float64 product (a GEMM over fewer rows can
+round differently), whose softmax is taken in place. Streaming changes no bit.
+
 - vanilla: max softmax probability.
 - temp_scale: max softmax(logits / T), T fitted on validation NLL by Newton's
   method on 1/T, over the validation split's shared forward.
@@ -88,7 +95,8 @@ class ScoreTable:
 
 def base_outputs(model, samples) -> dict[str, np.ndarray]:
     """The deterministic forward every scorer reads: probs, logits, the probe
-    taps, and the split's features, one array the Monte-Carlo scorers resume from."""
+    taps, and the split's features, one array the Monte-Carlo scorers resume from
+    (CC's "embed_mean" tap is that same array)."""
     from . import tasks
 
     return tasks.infer(model, samples, keys=("probs", "logits", *model.probe_layers, "features"))
@@ -184,14 +192,17 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def score_temp_scale(logits: np.ndarray, temperature: float):
+    from . import tasks
+
     if temperature is None or temperature <= 0:
         raise EstimatorStateError(f"temperature must be positive, got {temperature}")
-    # in place: the split's shared outputs are alive too, so hold one float64 copy
-    scaled = logits.astype(np.float64)
-    scaled /= temperature
-    scaled -= scaled.max(axis=-1, keepdims=True)
-    # the largest softmax probability is exp(0) over the row's sum of exps
-    conf = 1.0 / np.exp(scaled, out=scaled).sum(axis=-1)
+    conf = np.empty(len(logits))
+    for rows in tasks.row_batches(len(logits)):  # one float64 copy of a batch at a time
+        scaled = logits[rows].astype(np.float64)
+        scaled /= temperature
+        scaled -= scaled.max(axis=-1, keepdims=True)
+        # the largest softmax probability is exp(0) over the row's sum of exps
+        conf[rows] = 1.0 / np.exp(scaled, out=scaled).sum(axis=-1)
     preds = logits.argmax(axis=-1)  # monotone scaling cannot move the argmax
     return conf, conf, preds
 
@@ -207,7 +218,8 @@ def score_mc_dropout(model, samples, passes: int = 30, p: float = 0.5, seed: int
     drops its embedding mean here. The dropout site sits after the
     features, so with the split's `features` (from `base_outputs`) each
     pass runs only the copy's head, drawing the same random numbers in the
-    same order as a full pass.
+    same order as a full pass. Each batch's probabilities are added into one
+    float64 (N, V) sum as it arrives, which is divided in place.
     """
     from . import tasks
 
@@ -216,18 +228,18 @@ def score_mc_dropout(model, samples, passes: int = 30, p: float = 0.5, seed: int
     rng = np.random.default_rng([int(s) for s in np.atleast_1d(seed)] + [0xD0])
     stochastic = copy.copy(model)
     stochastic.dropout_p = p
-    total = None
-    for _ in range(passes):
-        probs = tasks.infer(stochastic, samples, rng=rng, features=features)["probs"]
-        if total is None:
-            total = probs.astype(np.float64)
-        else:
-            total += probs
+    total = np.empty((len(samples), model.n_classes()))
+    for k in range(passes):
+        for rows, out in tasks.infer_batches(stochastic, samples, rng=rng, features=features):
+            if k:
+                total[rows] += out["probs"]
+            else:
+                total[rows] = out["probs"]
     # at p = 0 every pass is the deterministic forward, and K equal float32
     # rows summed in float64 and divided by K give those rows back exactly
-    mean_probs = total / passes
-    conf = mean_probs.max(axis=-1)
-    return conf, conf, mean_probs.argmax(axis=-1)
+    total /= passes
+    conf = total.max(axis=-1)
+    return conf, conf, total.argmax(axis=-1)
 
 
 # -- mMutant -------------------------------------------------------------------
@@ -308,7 +320,8 @@ def score_mmutant(ensemble: list | None, samples, base_preds: np.ndarray, featur
     """Raw score is the label change rate (LCR) from `base_preds`; confidence is 1 - LCR.
 
     A mutant's labels are the argmax of its softmax, read off its logits
-    (`tasks.predicted_labels`), so no mutant pass runs the softmax. Given
+    (`tasks.predicted_labels`), batch by batch, so no mutant pass runs the
+    softmax or holds the split's logits. Given
     the split's `features` and the `model` that computed them (from
     `base_outputs`), a mutant runs only its head, on those features with
     the columns it changed recomputed (`feature_changes`). They are
@@ -326,14 +339,15 @@ def score_mmutant(ensemble: list | None, samples, base_preds: np.ndarray, featur
     for mutant in ensemble:
         change = None if features is None else mutant.feature_changes(model, samples)
         if change is None:
-            logits = tasks.infer(mutant, samples, keys=("logits",))["logits"]
+            batches = tasks.infer_batches(mutant, samples, keys=("logits",))
         else:
             cols, values = change
             resumed[:, cols] = values
-            logits = tasks.infer(mutant, samples, keys=("logits",), features=resumed)["logits"]
+            batches = tasks.infer_batches(mutant, samples, keys=("logits",), features=resumed)
+        for rows, out in batches:
+            changed[rows] += tasks.predicted_labels(out["logits"]) != base_preds[rows]
+        if change is not None:
             resumed[:, cols] = features[:, cols]
-        preds = tasks.predicted_labels(logits)
-        changed += preds != base_preds
     lcr = changed / len(ensemble)
     return lcr, 1.0 - lcr, base_preds
 
@@ -347,10 +361,20 @@ class Probe:
     b: nn.Tensor
 
     def predict(self, acts: np.ndarray) -> np.ndarray:
+        """softmax(acts @ w + b) over the rows of `acts`, with `nn.affine`'s and
+        `nn.softmax`'s bits, computed in place in the product's one float64 array
+        (`train_probes` fits w and b in float64)."""
         from . import nn
 
-        with nn.no_grad():
-            return nn.softmax(nn.affine(nn.Tensor(acts), self.w, self.b)).data
+        w, b = self.w.data, self.b.data
+        if b.shape != (w.shape[1],):
+            raise nn.ShapeError(f"probe bias {b.shape} vs weight {w.shape}")
+        q = acts @ w  # over the whole split: a GEMM over fewer rows can round differently
+        q += b
+        q -= q.max(axis=-1, keepdims=True)
+        np.exp(q, out=q)
+        q /= q.sum(axis=-1, keepdims=True)
+        return q
 
 
 def train_probes(
@@ -407,7 +431,7 @@ def growth_weights(growth: str, n_layers: int) -> np.ndarray:
 
 def _snapshot_validity(q: np.ndarray, base_pred: np.ndarray) -> np.ndarray:
     """sv = q[l]/(q[l]+second) when the probe agrees with the base label l,
-    else q[l]/(q[l]+max)."""
+    else q[l]/(q[l]+max); `np.sort` puts NaN last, so a row holding NaN has it as its max."""
     rows = np.arange(len(base_pred))
     ql = q[rows, base_pred]
     part = np.sort(q, axis=-1)
@@ -425,6 +449,8 @@ def score_dissector(probes: list[Probe] | None, base: dict[str, np.ndarray]):
     probe runs once; every growth type sums the same snapshot validities,
     shallowest first, under its own depth weights.
     """
+    from . import tasks
+
     if not probes:
         raise EstimatorStateError("dissector scoring needs trained probes")
     n_classes = base["probs"].shape[-1]
@@ -433,7 +459,12 @@ def score_dissector(probes: list[Probe] | None, base: dict[str, np.ndarray]):
     for probe in probes:
         if probe.w.data.shape[-1] != n_classes:
             raise EstimatorStateError(f"probe label space ({probe.w.data.shape[-1]}) does not match model ({n_classes})")
-        validities.append(_snapshot_validity(probe.predict(base[probe.tag]), base_preds))
+        q = probe.predict(base[probe.tag])
+        sv = np.empty(len(base_preds))
+        for rows in tasks.row_batches(len(sv)):  # sorted a batch at a time
+            sv[rows] = _snapshot_validity(q[rows], base_preds[rows])
+        validities.append(sv)
+        del q  # one probe's (N, V) array alive at a time
     scores = {}
     for growth in GROWTH_TYPES:
         pv = np.zeros(len(base_preds), dtype=np.float64)
@@ -476,7 +507,7 @@ class Estimator:
     def tables(self, model, state, samples, base: dict[str, np.ndarray], split: str = "") -> list[ScoreTable]:
         """One ScoreTable per variant, in `variants` order, from one `score` call."""
         scores = self.score(model, state, samples, base, split)
-        sample_ids = samples.sample_ids.tolist()
+        sample_ids = samples.id_list
         tables = []
         for variant in self.variants:
             raw, confidence, predicted = scores[variant]

@@ -388,14 +388,14 @@ def test_corrupt_checkpoint_exits_2_naming_file(tmp_path, capsys, damage):
 def test_score_runs_the_deterministic_forward_once_per_split(workspace, monkeypatch):
     root, config_path, flags = workspace
     calls, head_calls = [], []
-    infer = tasks.infer
+    infer_batches = tasks.infer_batches
 
-    def counting_infer(model, samples, *args, **kwargs):
+    def counting_infer_batches(model, samples, *args, **kwargs):
         if kwargs.get("rng") is None:
             (calls if kwargs.get("features") is None else head_calls).append(len(samples))
-        return infer(model, samples, *args, **kwargs)
+        return infer_batches(model, samples, *args, **kwargs)
 
-    monkeypatch.setattr(tasks, "infer", counting_infer)
+    monkeypatch.setattr(tasks, "infer_batches", counting_infer_batches)
     assert main(["score", "--task", "cs", "--shift", "project", *flags]) == 0
     mutant_count = load_config(config_path)["uncertainty"]["mutant_count"]
     splits = ("validation", "test1")
@@ -590,17 +590,6 @@ def test_manifest_not_utf8_exits_2_naming_file(tmp_path, capsys):
     assert_exit_2_naming(["make-splits", "--shift", "timeline"], config_path, target, capsys)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "not_an_object", "entry_without_path"])
-def test_corrupt_snapshot_sidecar_exits_2_naming_file(tmp_path, capsys, damage):
-    config_path, corpus_root = synth_bucket(tmp_path)
-    target = corpus_root / "timeline" / "v1" / "snapshot.json"
-    if damage == "truncated":
-        truncate(target)
-    else:
-        target.write_text("[]" if damage == "not_an_object" else '{"files": [{"author": "x"}]}', encoding="utf-8")
-    assert_exit_2_naming(["make-splits", "--shift", "timeline"], config_path, target, capsys)
-
-
 def test_java_source_not_utf8_exits_2_naming_file(tmp_path, capsys):
     config_path, corpus_root = synth_bucket(tmp_path)
     assert main(["make-splits", "--shift", "project", "--config", str(config_path)]) == 0
@@ -679,10 +668,24 @@ def manifest_artifact(tmp_path, request):
     return config_path, corpus_root / "manifest_project.json"
 
 
+def snapshot_artifact(tmp_path, request):
+    """The timeline shift's first snapshot sidecar; validation takes one of its two train files."""
+    config_path, corpus_root = synth_bucket(tmp_path)
+    edit_json(lambda config: config.__setitem__("corpus", {"val_fraction": 0.5}))(config_path)
+    return config_path, corpus_root / "timeline" / "v1" / "snapshot.json"
+
+
 def splits_artifact(tmp_path, request):
     config_path, _ = synth_bucket(tmp_path)
     assert main(["make-splits", "--shift", "project", "--config", str(config_path)]) == 0
     return config_path, bucket_of(config_path) / "splits" / "project.json"
+
+
+def source_artifact(tmp_path, request):
+    """The first Java source of the project shift's train split."""
+    config_path, splits = splits_artifact(tmp_path, request)
+    rel = json.loads(splits.read_text(encoding="utf-8"))["assignment"]["splits"]["train"][0]
+    return config_path, corpus_of(splits) / rel
 
 
 def contexts_artifact(task, name):
@@ -752,6 +755,19 @@ def unreadable_train_entry(rel):
     return corrupt
 
 
+def edit_source(edit):
+    """A corruption that rewrites the Java source text in place with `edit`."""
+    def corrupt(target):
+        target.write_text(edit(target.read_text(encoding="utf-8")), encoding="utf-8")
+        return target
+    return corrupt
+
+
+def before_last_brace(text: str, inserted: str) -> str:
+    end = text.rindex("}")
+    return text[:end] + inserted + text[end:]
+
+
 def score_field(index, value):
     def corrupt(target):
         lines = target.read_text(encoding="utf-8").splitlines()
@@ -764,7 +780,9 @@ def score_field(index, value):
 
 
 MAKE_SPLITS = ["make-splits", "--shift", "project"]
+MAKE_TIMELINE_SPLITS = ["make-splits", "--shift", "timeline"]
 EXTRACT_CC = ["extract", "--task", "cc", "--shift", "project"]
+EXTRACT_CS = ["extract", "--task", "cs", "--shift", "project"]
 TRAIN_CS = ["train", "--task", "cs", "--shift", "project"]
 TRAIN_CC = ["train", "--task", "cc", "--shift", "project"]
 SWEEP_CS = ["sweep", "--task", "cs", "--shift", "project", "--method", "vanilla"]
@@ -775,6 +793,9 @@ MALFORMED = {  # id: (artifact, corruption, command)
     "manifest_without_train": (manifest_artifact, edit_json(lambda payload: payload["splits"].pop("train")), MAKE_SPLITS),
     "manifest_root_not_a_string": (manifest_artifact, set_train_selector("root", 5), MAKE_SPLITS),
     "manifest_author_not_a_string": (manifest_artifact, set_train_selector("author", ["alice"]), MAKE_SPLITS),
+    "snapshot_truncated": (snapshot_artifact, lambda target: truncate(target) or target, MAKE_TIMELINE_SPLITS),
+    "snapshot_not_an_object": (snapshot_artifact, write("[]"), MAKE_TIMELINE_SPLITS),
+    "snapshot_entry_without_path": (snapshot_artifact, write('{"files": [{"author": "x"}]}'), MAKE_TIMELINE_SPLITS),
     "splits_truncated": (splits_artifact, lambda target: truncate(target) or target, EXTRACT_CC),
     "splits_missing_file": (splits_artifact, unreadable_train_entry("nope.java"), EXTRACT_CC),
     "splits_directory_entry": (splits_artifact, unreadable_train_entry("."), EXTRACT_CC),
@@ -785,6 +806,18 @@ MALFORMED = {  # id: (artifact, corruption, command)
     ),
     "splits_base_dir_not_a_string": (
         splits_artifact, edit_json(lambda payload: payload["assignment"].__setitem__("base_dir", 5)), EXTRACT_CC
+    ),
+    "source_not_utf8_cc": (source_artifact, lambda target: write(target.read_bytes() + NOT_UTF8)(target), EXTRACT_CC),
+    "source_not_utf8_cs": (source_artifact, lambda target: write(target.read_bytes() + NOT_UTF8)(target), EXTRACT_CS),
+    "source_missing": (source_artifact, lambda target: target.unlink() or target, EXTRACT_CC),
+    "source_a_directory": (source_artifact, lambda target: target.unlink() or target.mkdir() or target, EXTRACT_CC),
+    "source_nul_byte_cc": (source_artifact, edit_source(lambda text: before_last_brace(text, "\0")), EXTRACT_CC),
+    "source_nul_byte_cs": (source_artifact, edit_source(lambda text: before_last_brace(text, "\0")), EXTRACT_CS),
+    "source_unbalanced_braces": (source_artifact, edit_source(lambda text: text[:text.rindex("}")]), EXTRACT_CS),
+    "source_nested_too_deep": (
+        source_artifact,
+        edit_source(lambda text: before_last_brace(text, "int deep() { return " + "(" * 1000 + "1" + ")" * 1000 + "; }\n")),
+        EXTRACT_CS,
     ),
     "vocab_empty": (contexts_artifact("cc", "vocabs.json"), write(""), TRAIN_CC),
     "vocab_not_an_object": (contexts_artifact("cs", "vocabs.json"), write('{"vocabs": ["<UNK>", "<PAD>"]}'), TRAIN_CS),

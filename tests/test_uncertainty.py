@@ -500,13 +500,13 @@ def record_mutant_resumes(model, encoded, monkeypatch, degree=0.05) -> dict[str,
     """Per operator, whether each of two mutants' passes resumed from the base features."""
     base = uq.base_outputs(model, encoded)
     resumed = []
-    infer = tasks.infer
+    infer_batches = tasks.infer_batches
 
-    def recording_infer(*args, **kwargs):
+    def recording_infer_batches(*args, **kwargs):
         resumed.append(kwargs.get("features") is not None)
-        return infer(*args, **kwargs)
+        return infer_batches(*args, **kwargs)
 
-    monkeypatch.setattr(tasks, "infer", recording_infer)
+    monkeypatch.setattr(tasks, "infer_batches", recording_infer_batches)
     by_op = {}
     for op in uq.MUTATION_OPERATORS:
         ensemble = uq.build_mutant_ensemble(model, op, degree=degree, count=2, seed=1)
@@ -592,13 +592,13 @@ def test_mutant_with_a_replaced_embedding_table_is_not_resumed(cs_setup, monkeyp
     base = uq.base_outputs(model, encoded)
     full = uq.score_mmutant([mutant], encoded, base["probs"].argmax(axis=-1))
     resumed = []
-    infer = tasks.infer
+    infer_batches = tasks.infer_batches
 
-    def recording_infer(*args, **kwargs):
+    def recording_infer_batches(*args, **kwargs):
         resumed.append(kwargs.get("features") is not None)
-        return infer(*args, **kwargs)
+        return infer_batches(*args, **kwargs)
 
-    monkeypatch.setattr(tasks, "infer", recording_infer)
+    monkeypatch.setattr(tasks, "infer_batches", recording_infer_batches)
     resumed_scores = uq.score_mmutant([mutant], encoded, base["probs"].argmax(axis=-1), base["features"], model)
     assert_same_scores(resumed_scores, full)
     assert resumed == [False]
@@ -740,6 +740,213 @@ def test_dissector_runs_each_probe_once_for_every_growth_type(cs_setup, monkeypa
         assert table.raw.tobytes() == expected[table.variant].tobytes()
 
 
+# -- scoring a split batch by batch --------------------------------------------------
+#
+# Each scorer reduces the split 512 rows at a time; these tests hold every
+# streamed scorer to the whole-split computation it replaced, bit for bit.
+
+STREAM_ROWS = 2 * 512 + 277  # two full batches and a shorter one
+
+
+@pytest.fixture(scope="module")
+def wide_cc_setup():
+    """An untrained CC model over 120 tokens whose logit columns 5 and 9 tie exactly,
+    and a split of STREAM_ROWS random windows."""
+    vocab = ex.Vocabulary.from_tokens([ex.UNK_TOKEN, ex.PAD_TOKEN] + [f"t{i}" for i in range(118)])
+    model = tasks.MlpCompletionModel(vocab, dim=16, seed=3)
+    w_out = model.params()["w_out"].data
+    w_out[:, 9] = w_out[:, 5]
+    rng = np.random.default_rng(11)
+    windows = rng.integers(ex.PAD_ID, len(vocab), size=(STREAM_ROWS, 4))
+    windows[:, 0] = rng.integers(2, len(vocab), size=STREAM_ROWS)  # at least one real slot
+    labels = rng.integers(2, len(vocab), size=STREAM_ROWS)
+    return model, pack_window_rows([f"w#{i}" for i in range(STREAM_ROWS)], labels, windows)
+
+
+def whole_split_temp_scale(logits, temperature):
+    scaled = logits.astype(np.float64)
+    scaled /= temperature
+    scaled -= scaled.max(axis=-1, keepdims=True)
+    return 1.0 / np.exp(scaled, out=scaled).sum(axis=-1)
+
+
+def whole_split_mc_dropout(model, samples, passes, p, seed, features=None):
+    rng = np.random.default_rng([int(s) for s in np.atleast_1d(seed)] + [0xD0])
+    total = None
+    for _ in range(passes):
+        probs = tasks.infer(at_rate(model, p), samples, rng=rng, features=features)["probs"]
+        total = probs.astype(np.float64) if total is None else total + probs
+    mean_probs = total / passes
+    return mean_probs.max(axis=-1), mean_probs.argmax(axis=-1)
+
+
+def whole_split_dissector(probes, base):
+    base_preds = base["probs"].argmax(axis=-1)
+    with nn.no_grad():
+        validities = [
+            uq._snapshot_validity(nn.softmax(nn.affine(nn.Tensor(base[p.tag]), p.w, p.b)).data, base_preds)
+            for p in probes
+        ]
+    scores = {}
+    for growth in uq.GROWTH_TYPES:
+        pv = np.zeros(len(base_preds), dtype=np.float64)
+        for weight, sv in zip(uq.growth_weights(growth, len(probes)), validities):
+            pv += weight * sv
+        scores[growth] = pv
+    return scores
+
+
+def test_streamed_temp_scale_equals_the_whole_split_bitwise(wide_cc_setup):
+    model, encoded = wide_cc_setup
+    logits = uq.base_outputs(model, encoded)["logits"]
+    tied = logits[:, 5] == logits[:, 9]
+    assert tied.all() and (logits.argmax(axis=-1) == 5).any()  # top-2 ties
+    for temperature in (0.05, 0.7, 1.0, 3.0, 100.0):
+        raw, conf, preds = uq.score_temp_scale(logits, temperature)
+        assert raw.tobytes() == whole_split_temp_scale(logits, temperature).tobytes()
+        assert raw is conf and np.array_equal(preds, logits.argmax(axis=-1))
+
+
+@pytest.mark.parametrize("resumed", [False, True])
+def test_streamed_mc_dropout_equals_the_whole_split_bitwise(wide_cc_setup, resumed):
+    model, encoded = wide_cc_setup
+    features = uq.base_outputs(model, encoded)["features"] if resumed else None
+    for passes, p in ((1, 0.5), (3, 0.5), (2, 0.0)):
+        raw, conf, preds = uq.score_mc_dropout(model, encoded, passes=passes, p=p, seed=[4, 2], features=features)
+        expected_conf, expected_preds = whole_split_mc_dropout(model, encoded, passes, p, [4, 2], features)
+        assert raw is conf and conf.tobytes() == expected_conf.tobytes()
+        assert np.array_equal(preds, expected_preds)
+
+
+@pytest.mark.parametrize("resumed", [False, True])
+def test_streamed_mmutant_equals_the_whole_split_bitwise(wide_cc_setup, resumed):
+    model, encoded = wide_cc_setup
+    base = uq.base_outputs(model, encoded)
+    base_preds = base["probs"].argmax(axis=-1)
+    resume = (base["features"], model) if resumed else ()
+    for op in uq.MUTATION_OPERATORS:
+        ensemble = uq.build_mutant_ensemble(model, op, degree=0.3, count=3, seed=8)
+        changed = sum(
+            tasks.predicted_labels(tasks.infer(m, encoded, keys=("logits",))["logits"]) != base_preds for m in ensemble
+        )
+        lcr, conf, preds = uq.score_mmutant(ensemble, encoded, base_preds, *resume)
+        assert lcr.tobytes() == (changed / len(ensemble)).tobytes()
+        assert conf.tobytes() == (1.0 - changed / len(ensemble)).tobytes()
+        assert preds is base_preds
+
+
+def test_streamed_predicted_labels_equal_the_whole_split_on_near_ties_and_non_finite_rows():
+    rng = np.random.default_rng(5)
+    logits = rng.normal(0.0, 3.0, size=(STREAM_ROWS, 9)).astype(np.float32)
+    top = logits.max(axis=-1)
+    logits[::3, 4] = top[::3]  # exact ties
+    logits[1::7, 2] = np.nextafter(top[1::7], np.float32(-np.inf))  # one float32 step below the top
+    logits[2::11, 6] = top[2::11] * np.float32(1 - 3e-6)  # within the 1e-5 margin
+    logits[600, 3] = np.nan
+    logits[700, 1] = np.inf
+    logits[701, :] = np.inf
+    logits[1100, :] = -np.inf
+    logits[1101, 8] = -np.inf
+    with np.errstate(invalid="ignore"):
+        whole = tasks.predicted_labels(logits)
+        streamed = np.concatenate([tasks.predicted_labels(logits[rows]) for rows in tasks.row_batches(len(logits))])
+    assert np.array_equal(streamed, whole)
+
+
+def random_probes(taps: dict[str, np.ndarray], n_classes: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [
+        uq.Probe(tag, nn.Tensor(rng.normal(0.0, 2.0, (acts.shape[1], n_classes))), nn.Tensor(rng.normal(0.0, 1.0, n_classes)))
+        for tag, acts in taps.items()
+    ]
+
+
+def test_streamed_dissector_equals_the_whole_split_bitwise_with_non_finite_probe_rows(wide_cc_setup):
+    model, encoded = wide_cc_setup
+    base = dict(uq.base_outputs(model, encoded))
+    acts = base["embed_mean"].copy()
+    acts[3, 0] = np.nan
+    acts[515, :] = np.inf  # +inf and -inf products sum to NaN
+    acts[900, 2] = np.inf
+    acts[1290, 1] = -np.inf
+    acts[1000] = 0.0  # a row of ties: softmax(b) alone
+    base["embed_mean"] = acts
+    shallow = {"embed_mean": acts, "deep": np.tanh(acts * 3.0)}
+    base["deep"] = shallow["deep"]
+    probes = random_probes(shallow, model.n_classes(), seed=2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for probe in probes:
+            with nn.no_grad():
+                reference = nn.softmax(nn.affine(nn.Tensor(base[probe.tag]), probe.w, probe.b)).data
+            q = probe.predict(base[probe.tag])
+            assert q.tobytes() == reference.tobytes()
+        # rows 3, 515, 900 and 1290: NaN in some of the row's columns, which np.sort puts last
+        assert np.isnan(probes[0].predict(acts)).any(axis=-1).sum() == 4
+        expected = whole_split_dissector(probes, base)
+        scores = uq.score_dissector(probes, base)
+    for growth in uq.GROWTH_TYPES:
+        raw, conf, preds = scores[growth]
+        assert raw.tobytes() == expected[growth].tobytes() and raw is conf
+        assert np.array_equal(preds, base["probs"].argmax(axis=-1))
+
+
+def test_streamed_snapshot_validity_keeps_the_nan_last_sort():
+    rng = np.random.default_rng(3)
+    q = rng.random((STREAM_ROWS, 6))
+    q[::5, 1] = q[::5, 4]  # tied top-2
+    q[7, 2] = np.nan
+    q[8, :] = np.nan
+    q[9, 0] = np.inf  # the row's max: its validity is 0 unless the probe agrees with the base label
+    base_pred = rng.integers(0, 6, STREAM_ROWS)
+    with np.errstate(invalid="ignore"):
+        whole = uq._snapshot_validity(q, base_pred)
+        streamed = np.concatenate([uq._snapshot_validity(q[rows], base_pred[rows]) for rows in tasks.row_batches(len(q))])
+    assert streamed.tobytes() == whole.tobytes()
+    assert np.isnan(whole[[7, 8]]).all()
+
+
+def test_cc_base_outputs_hold_the_embedding_mean_once(wide_cc_setup, cs_setup):
+    model, encoded = wide_cc_setup
+    base = uq.base_outputs(model, encoded)
+    assert base["embed_mean"] is base["features"]
+    cs_model, cs_encoded = cs_setup
+    cs_base = uq.base_outputs(cs_model, cs_encoded)
+    assert cs_base["embed_mean"].shape != cs_base["features"].shape
+
+
+@pytest.fixture(scope="module")
+def long_cc_split(wide_cc_setup):
+    model, encoded = wide_cc_setup
+    return model, encoded[np.arange(6000) % len(encoded)]
+
+
+# the scorers that keep one (N, V) float64 array: the sum of MC-Dropout's
+# passes, and one probe's softmax behind the Dissector's whole-split GEMM
+SPLIT_WIDE = ("mc_dropout", "dissector")
+
+
+@pytest.mark.parametrize("name", list(uq.ESTIMATORS))
+def test_streamed_scorers_hold_at_most_one_split_wide_float64_array(long_cc_split, name):
+    import tracemalloc
+
+    model, encoded = long_cc_split
+    n, v = len(encoded), model.n_classes()
+    estimator = uq.ESTIMATORS[name]
+    base = uq.base_outputs(model, encoded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the untrained model's temperature is clamped
+        state = estimator.fit(model, encoded, encoded, base, SETTINGS)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        estimator.score(model, state, encoded, base, "test1")
+        held = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # beyond that array: four batch-sized float64 ones and sixteen (N,) columns, results included
+    assert held <= (name in SPLIT_WIDE) * n * v * 8 + 4 * 512 * v * 8 + 16 * n * 8, (held, n * v * 8)
+
+
 # -- registry and score tables ------------------------------------------------------
 
 SETTINGS = {
@@ -809,13 +1016,13 @@ def test_mc_dropout_registry_passes_resume_at_the_head(cs_setup, monkeypatch):
     estimator = uq.ESTIMATORS["mc_dropout"]
     state = estimator.fit(model, encoded, encoded, base, SETTINGS)
     resumed = []
-    infer = tasks.infer
+    infer_batches = tasks.infer_batches
 
-    def recording_infer(*args, **kwargs):
+    def recording_infer_batches(*args, **kwargs):
         resumed.append(kwargs.get("features") is base["features"])
-        return infer(*args, **kwargs)
+        return infer_batches(*args, **kwargs)
 
-    monkeypatch.setattr(tasks, "infer", recording_infer)
+    monkeypatch.setattr(tasks, "infer_batches", recording_infer_batches)
     estimator.tables(model, state, encoded, base, "test1")
     assert resumed == [True] * SETTINGS["mc_passes"]
 
