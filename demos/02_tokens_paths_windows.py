@@ -33,6 +33,6 @@ for s in cbow[:3]:
     print(f"  target={s.target!r:<14} context={s.context}")
 
 # vocabularies are fixed once built; unseen tokens encode to UNK
-terminals, paths, labels = ex.build_cs_vocabs(samples, min_count=1)
+terminals, paths, labels = ex.build_cs_vocabs(samples, min_count=1).values()
 print(f"\nvocab sizes: terminals={len(terminals)}, paths={len(paths)}, labels={len(labels)}")
 print(f"unseen token encodes to UNK id: {terminals.encode('neverSeenBefore')}")

@@ -183,7 +183,7 @@ def _load_assignment(bucket: Path, shift: str):
 
 
 def cmd_extract(config: dict, args) -> int:
-    from . import corpus, tasks
+    from . import corpus
     from .extraction import (
         LexicalError,
         ParseError,
@@ -207,24 +207,17 @@ def cmd_extract(config: dict, args) -> int:
     for split in assignment.splits:
         samples = []
         for rel, text in corpus.iterate_samples(assignment, split, seed=config["seed"]):
+            diagnostics: list[str] = []
             try:
                 tokens = tokenize_java(text)
-            except LexicalError as exc:
+                tree = parse_java_lite(tokens, diagnostics) if args.task == "cs" else None
+            except (LexicalError, ParseError) as exc:
                 raise ValidationFailure(f"{assignment.base_dir / rel}: {exc}") from exc
+            recoveries += len(diagnostics)
             if args.task == "cs":
-                diagnostics: list[str] = []
-                try:
-                    tree = parse_java_lite(tokens, diagnostics)
-                except ParseError as exc:
-                    raise ValidationFailure(f"{assignment.base_dir / rel}: {exc}") from exc
-                recoveries += len(diagnostics)
                 samples.extend(
                     extract_method_samples(
-                        tree,
-                        max_contexts=ext["max_contexts"],
-                        max_path_len=ext["max_path_len"],
-                        seed=config["seed"],
-                        origin=rel,
+                        tree, max_contexts=ext["max_contexts"], max_path_len=ext["max_path_len"], seed=config["seed"]
                     )
                 )
             else:
@@ -238,13 +231,9 @@ def cmd_extract(config: dict, args) -> int:
         print(f"extract[{args.task}/{args.shift}/{split}] {len(samples)} samples")
     if train_samples is None:
         raise ValidationFailure("assignment has no 'train' split")
-    min_count = config["corpus"]["min_count"]
-    if args.task == "cs":
-        built = build_cs_vocabs(train_samples, min_count=min_count)
-    else:
-        built = (build_cc_vocab(train_samples, min_count=min_count),)
-    vocabs = {name: vocab.tokens for name, vocab in zip(tasks.MODELS[args.task].vocab_names, built)}
-    payload = {"config": echo_config(config), "vocabs": vocabs}
+    build_vocabs = build_cs_vocabs if args.task == "cs" else build_cc_vocab
+    vocabs = build_vocabs(train_samples, min_count=config["corpus"]["min_count"])
+    payload = {"config": echo_config(config), "vocabs": {name: vocab.tokens for name, vocab in vocabs.items()}}
     write_json(_vocabs_path(bucket, args.task, args.shift), payload)
     if recoveries:
         print(f"note: parser recovered {recoveries} unrecognized statements")

@@ -14,9 +14,11 @@ A manifest is a JSON document:
 Each selector's `root` is a directory relative to the manifest file. If the
 directory contains a `snapshot.json` sidecar ({"project", "version",
 "release_time", "files": [{"path", "author"}]}) the per-file authors and
-release time come from it; otherwise the directory is scanned for *.java
-files with author "unknown". The optional `author` key on a selector
-filters that split down to files by one author.
+release time come from it, and each file path stays inside the directory
+(neither absolute nor through `..`); otherwise the directory is scanned
+for *.java files with author "unknown". The optional `author` key on a
+selector filters that split down to files by one author. Loading resolves
+each selector to its files, so a manifest's splits are file lists.
 
 Splits operate at file granularity; a validation split is carved out of
 "train" by a seeded shuffle, so every sample extracted from a file inherits
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
@@ -44,39 +46,12 @@ class UnknownSplitError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class SnapshotFile:
-    rel_path: str
-    author: str
-
-
-@dataclass
-class ProjectSnapshot:
-    project: str
-    version: str
-    release_time: str
-    root: Path
-    files: list[SnapshotFile]
-
-
-@dataclass(frozen=True)
-class SplitSelector:
-    project: str
-    version: str
-    root: str
-    author: str | None = None
-
-
 @dataclass
 class ShiftManifest:
     shift_kind: str
     seed: int
-    splits: dict[str, list[SplitSelector]]
+    splits: dict[str, list[str]]  # split name -> its selectors' file paths relative to base_dir
     base_dir: Path
-    snapshots: dict[tuple[str, str, str], ProjectSnapshot] = field(default_factory=dict)
-
-    def snapshot_for(self, sel: SplitSelector) -> ProjectSnapshot:
-        return self.snapshots[(sel.project, sel.version, sel.root)]
 
 
 @dataclass
@@ -110,47 +85,41 @@ def _no_duplicate_keys(pairs):
     return dict(pairs)
 
 
-def _load_snapshot(base_dir: Path, sel: SplitSelector) -> ProjectSnapshot:
-    root = base_dir / sel.root
+def _snapshot_files(base_dir: Path, root_name: str) -> list[tuple[str, str]]:
+    """(path relative to `base_dir`, author) of each file of the snapshot directory `root_name`."""
+    root = base_dir / root_name
     if not root.is_dir():
         raise ManifestError(f"snapshot directory does not exist: {root}")
     sidecar = root / "snapshot.json"
-    if sidecar.is_file():
-        try:
-            meta = json.loads(sidecar.read_text(encoding="utf-8"))
-            release = str(meta.get("release_time", "1970-01-01"))
-            files = []
-            seen = set()
-            for entry in meta.get("files", []):
-                rel = entry["path"]
-                author = str(entry.get("author", "unknown"))
-                if not author:
-                    raise ManifestError(f"{sidecar}: empty author for {rel!r}")
-                if rel in seen:
-                    raise ManifestError(f"{sidecar}: duplicate file path {rel!r}")
-                seen.add(rel)
-                if not (root / rel).is_file():
-                    raise ManifestError(f"dangling file reference: {root / rel}")
-                files.append(SnapshotFile(rel_path=rel, author=author))
-        except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
-            raise ManifestError(f"cannot parse snapshot sidecar {sidecar}: {type(exc).__name__}: {exc}") from exc
-    else:
-        release = "1970-01-01"
-        files = [
-            SnapshotFile(rel_path=str(p.relative_to(root)), author="unknown")
-            for p in sorted(root.rglob("*.java"))
-        ]
+    if not sidecar.is_file():
+        return [(str(Path(root_name) / p.relative_to(root)), "unknown") for p in sorted(root.rglob("*.java"))]
+    try:
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        release = str(meta.get("release_time", "1970-01-01"))
+        files: dict[str, str] = {}
+        for entry in meta.get("files", []):
+            rel = entry["path"]
+            author = str(entry.get("author", "unknown"))
+            if not author:
+                raise ManifestError(f"{sidecar}: empty author for {rel!r}")
+            if rel in files:
+                raise ManifestError(f"{sidecar}: duplicate file path {rel!r}")
+            if Path(rel).is_absolute() or ".." in Path(rel).parts:
+                raise ManifestError(f"{sidecar}: file path {rel!r} leaves the snapshot directory")
+            if not (root / rel).is_file():
+                raise ManifestError(f"dangling file reference: {root / rel}")
+            files[rel] = author
+    except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
+        raise ManifestError(f"cannot parse snapshot sidecar {sidecar}: {type(exc).__name__}: {exc}") from exc
     try:
         date.fromisoformat(release)
     except ValueError as exc:
         raise ManifestError(f"unparseable release_time {release!r} for {root}") from exc
-    return ProjectSnapshot(
-        project=sel.project, version=sel.version, release_time=release, root=root, files=files
-    )
+    return [(str(Path(root_name) / rel), author) for rel, author in files.items()]
 
 
 def load_manifest(path) -> ShiftManifest:
-    """Parse and validate a manifest, resolving all snapshot file lists."""
+    """Parse and validate a manifest, resolving each selector to its files."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_no_duplicate_keys)
@@ -176,39 +145,23 @@ def load_manifest(path) -> ShiftManifest:
         raise ManifestError(f"split name {VALIDATION_SPLIT!r} is reserved for the carved validation set")
 
     base_dir = path.parent
-    splits: dict[str, list[SplitSelector]] = {}
-    manifest = ShiftManifest(shift_kind=shift_kind, seed=seed, splits=splits, base_dir=base_dir)
+    snapshots: dict[str, list[tuple[str, str]]] = {}  # selector root -> its files, read once
+    splits: dict[str, list[str]] = {}
     for name, selectors in raw_splits.items():
         if not isinstance(selectors, list) or not selectors:
             raise ManifestError(f"split {name!r} must list at least one snapshot selector")
-        parsed = []
+        files = splits[name] = []
         for raw in selectors:
             try:
-                sel = SplitSelector(
-                    project=raw["project"],
-                    version=raw["version"],
-                    root=raw["root"],
-                    author=raw.get("author"),
-                )
+                project, version, root, author = raw["project"], raw["version"], raw["root"], raw.get("author")
             except (TypeError, KeyError) as exc:
                 raise ManifestError(f"split {name!r}: selector needs project/version/root: {raw!r}") from exc
-            named = (sel.project, sel.version, sel.root) + (() if sel.author is None else (sel.author,))
-            if not all(isinstance(value, str) for value in named):
+            if not all(isinstance(value, str) for value in (project, version, root, "" if author is None else author)):
                 raise ManifestError(f"split {name!r}: selector project/version/root/author must be strings: {raw!r}")
-            key = (sel.project, sel.version, sel.root)
-            if key not in manifest.snapshots:
-                manifest.snapshots[key] = _load_snapshot(base_dir, sel)
-            parsed.append(sel)
-        splits[name] = parsed
-    return manifest
-
-
-def _selector_files(manifest: ShiftManifest, sel: SplitSelector) -> list[str]:
-    snap = manifest.snapshot_for(sel)
-    files = snap.files
-    if sel.author is not None:
-        files = [f for f in files if f.author == sel.author]
-    return [str(Path(sel.root) / f.rel_path) for f in files]
+            if root not in snapshots:
+                snapshots[root] = _snapshot_files(base_dir, root)
+            files += [rel for rel, by in snapshots[root] if author is None or by == author]
+    return ShiftManifest(shift_kind=shift_kind, seed=seed, splits=splits, base_dir=base_dir)
 
 
 def assign_splits(manifest: ShiftManifest, val_fraction: float = 0.1) -> SplitAssignment:
@@ -221,10 +174,7 @@ def assign_splits(manifest: ShiftManifest, val_fraction: float = 0.1) -> SplitAs
         raise ValueError(f"val_fraction must lie in (0, 1), got {val_fraction}")
     assigned: dict[str, list[str]] = {}
     seen: dict[str, str] = {}
-    for name, selectors in manifest.splits.items():
-        files: list[str] = []
-        for sel in selectors:
-            files.extend(_selector_files(manifest, sel))
+    for name, files in manifest.splits.items():
         files = sorted(files)
         if not files:
             raise ManifestError(f"split {name!r} is empty after filtering")

@@ -41,7 +41,6 @@ class PathContext:
 class MethodSample:
     label: str
     contexts: list[PathContext]
-    origin: str = ""
 
 
 @dataclass
@@ -104,7 +103,6 @@ def extract_method_samples(
     max_contexts: int = 200,
     max_path_len: int = 9,
     seed: int = 0,
-    origin: str = "",
 ) -> list[MethodSample]:
     """One sample per method with >= 2 enumerable leaves.
 
@@ -155,7 +153,7 @@ def extract_method_samples(
             rng = np.random.default_rng([seed, ordinal])
             keep = np.sort(rng.choice(len(contexts), size=max_contexts, replace=False))
             contexts = [contexts[k] for k in keep]
-        samples.append(MethodSample(label=name, contexts=contexts, origin=origin))
+        samples.append(MethodSample(label=name, contexts=contexts))
     return samples
 
 
@@ -249,7 +247,7 @@ def read_cs_contexts(path) -> list[MethodSample]:
             if len(fields) != 3:
                 raise ContextFormatError(f"{path}:{lineno}: bad context triple {chunk!r}")
             contexts.append(PathContext(*fields))
-        samples.append(MethodSample(label=parts[0], contexts=contexts, origin=f"{path}:{lineno}"))
+        samples.append(MethodSample(label=parts[0], contexts=contexts))
     return samples
 
 

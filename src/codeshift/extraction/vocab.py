@@ -69,10 +69,8 @@ class Vocabulary:
         return token in self._ids
 
 
-def build_cs_vocabs(
-    samples: Iterable[MethodSample], min_count: int = 1
-) -> tuple[Vocabulary, Vocabulary, Vocabulary]:
-    """Terminal, path, and label vocabularies from training-split samples."""
+def build_cs_vocabs(samples: Iterable[MethodSample], min_count: int = 1) -> dict[str, Vocabulary]:
+    """Terminal, path, and label vocabularies from training-split samples, keyed as the CS model's `vocabs()`."""
     terminal_counts: Counter = Counter()
     path_counts: Counter = Counter()
     label_counts: Counter = Counter()
@@ -86,15 +84,15 @@ def build_cs_vocabs(
             path_counts[c.path] += 1
     if empty:
         raise ValueError("cannot build vocabularies from an empty sample stream")
-    return (
-        Vocabulary.from_counts(terminal_counts, min_count),
-        Vocabulary.from_counts(path_counts, min_count),
-        Vocabulary.from_counts(label_counts, min_count),
-    )
+    return {
+        "terminals": Vocabulary.from_counts(terminal_counts, min_count),
+        "paths": Vocabulary.from_counts(path_counts, min_count),
+        "labels": Vocabulary.from_counts(label_counts, min_count),
+    }
 
 
-def build_cc_vocab(samples: Iterable[CbowSample], min_count: int = 1) -> Vocabulary:
-    """Token vocabulary over targets and (non-PAD) context slots."""
+def build_cc_vocab(samples: Iterable[CbowSample], min_count: int = 1) -> dict[str, Vocabulary]:
+    """The token vocabulary over targets and (non-PAD) context slots, keyed as the CC model's `vocabs()`."""
     counts: Counter = Counter()
     empty = True
     for s in samples:
@@ -105,4 +103,4 @@ def build_cc_vocab(samples: Iterable[CbowSample], min_count: int = 1) -> Vocabul
                 counts[tok] += 1
     if empty:
         raise ValueError("cannot build a vocabulary from an empty sample stream")
-    return Vocabulary.from_counts(counts, min_count)
+    return {"tokens": Vocabulary.from_counts(counts, min_count)}

@@ -39,7 +39,6 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
-import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -210,8 +209,8 @@ class _TaskModel:
     computed, and `feature_changes(base, split)` says which feature columns
     of a split differ from those `base` computes, and what they hold. A head
     returns "logits" and "features" (CS also "weights", one attention
-    weight per real context, and "pooled"); it computes "probs" and
-    "embed_mean" only when its `keys` name them. Dropout is live exactly
+    weight per real context, and "pooled"); it computes "probs", and CS's
+    "embed_mean", only when its `keys` name them. Dropout is live exactly
     when the forward is given a generator `rng`, at the model's
     `dropout_p`. `affine_layers` names each (weight, bias) pair whose
     output neurons mutation acts on.
@@ -379,7 +378,7 @@ class PathAttentionModel(_TaskModel):
 class MlpCompletionModel(_TaskModel):
     kind = CC
     vocab_names = ("tokens",)
-    probe_layers = ("embed_mean",)
+    probe_layers = ("features",)  # the embedding mean
     feature_params = ("token_emb",)
     affine_layers = (("w_out", "b_out"),)
 
@@ -425,8 +424,6 @@ class MlpCompletionModel(_TaskModel):
         h = nn.dropout(features, self.dropout_p, rng is not None, rng)
         logits = nn.affine(h, p["w_out"], p["b_out"])
         out = {"logits": logits, "features": features}
-        if "embed_mean" in keys:
-            out["embed_mean"] = features
         if "probs" in keys:
             out["probs"] = nn.softmax(logits)
         return out
@@ -456,8 +453,8 @@ def infer_batches(
 
     `rows` slices the batch's samples out of the split. Given `rng`, dropout
     is live at the model's `dropout_p` and draws from it batch after batch.
-    The model's head computes "probs" and "embed_mean" only when `keys` name
-    them. "features" holds the batch's `model.feature_rows(batch)` rows: one
+    The model's head computes "probs", and CS's "embed_mean", only when `keys`
+    name them. "features" holds the batch's `model.feature_rows(batch)` rows: one
     per real context for CS, one per sample for CC. The split's features,
     concatenated (`infer`) and passed back as `features` to a call over the
     same split, at any `batch_size`, resume every batch at `model.head`; the
@@ -488,20 +485,12 @@ def infer(
     rng: np.random.Generator | None = None,
     features: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
-    """`infer_batches`, each of `keys` concatenated over the split's batches.
-
-    A key whose batch arrays are another key's (CC's "embed_mean" is its
-    "features") shares that key's array rather than a second copy.
-    """
+    """`infer_batches`, each of `keys` concatenated over the split's batches."""
     chunks: dict[str, list[np.ndarray]] = {k: [] for k in keys}
     for _, out in infer_batches(model, samples, batch_size=batch_size, keys=keys, rng=rng, features=features):
-        for k in keys:
-            chunks[k].append(out[k])
-    joined: dict[str, np.ndarray] = {}
-    for k, parts in chunks.items():
-        twin = next((j for j in joined if all(map(operator.is_, chunks[j], parts))), None)
-        joined[k] = np.concatenate(parts, axis=0) if twin is None else joined[twin]
-    return joined
+        for k, part in out.items():
+            chunks[k].append(part)
+    return {k: np.concatenate(parts, axis=0) for k, parts in chunks.items()}
 
 
 def predicted_labels(logits: np.ndarray) -> np.ndarray:
@@ -668,5 +657,4 @@ def load_checkpoint(data: bytes, expect_kind: str | None = None) -> Model:
         if not np.isfinite(ck.arrays[name]).all():
             raise nn.CheckpointError(f"parameter {name!r} holds non-finite values")
         p.data = ck.arrays[name]
-    model.config_echo = ck.config
     return model

@@ -96,10 +96,11 @@ class ScoreTable:
 def base_outputs(model, samples) -> dict[str, np.ndarray]:
     """The deterministic forward every scorer reads: probs, logits, the probe
     taps, and the split's features, one array the Monte-Carlo scorers resume from
-    (CC's "embed_mean" tap is that same array)."""
+    (CC's one tap is that same array)."""
     from . import tasks
 
-    return tasks.infer(model, samples, keys=("probs", "logits", *model.probe_layers, "features"))
+    keys = dict.fromkeys(("probs", "logits", *model.probe_layers, "features"))
+    return tasks.infer(model, samples, keys=tuple(keys))
 
 
 def score_vanilla(probs: np.ndarray):

@@ -186,8 +186,9 @@ def test_criterion_2_metric_oracle():
 def small_models():
     cc_tokens = ex.tokenize_java("int a0 = b0; int a1 = b1; int a2 = b2; long c0 = d0;")
     cc_samples = ex.extract_cbow_samples(cc_tokens, window=4)
-    cc_vocab = ex.build_cc_vocab(cc_samples)
-    cc_encoded = tasks.encode_split(cc_samples, {"tokens": cc_vocab}, id_prefix="acc")
+    cc_vocabs = ex.build_cc_vocab(cc_samples)
+    cc_vocab = cc_vocabs["tokens"]
+    cc_encoded = tasks.encode_split(cc_samples, cc_vocabs, id_prefix="acc")
     cc_model = tasks.train_cc(cc_encoded, cc_vocab, tasks.TrainConfig(epochs=40, seed=8, embedding_dim=16)).model
 
     cs_source = """
@@ -199,8 +200,9 @@ def small_models():
     """
     tree = ex.parse_java_lite(ex.tokenize_java(cs_source))
     cs_samples = ex.extract_method_samples(tree)
-    terminals, paths, labels = ex.build_cs_vocabs(cs_samples)
-    cs_encoded = tasks.encode_split(cs_samples, {"terminals": terminals, "paths": paths, "labels": labels}, id_prefix="acc")
+    cs_vocabs = ex.build_cs_vocabs(cs_samples)
+    terminals, paths, labels = cs_vocabs.values()
+    cs_encoded = tasks.encode_split(cs_samples, cs_vocabs, id_prefix="acc")
     cs_model = tasks.train_cs(
         cs_encoded, terminals, paths, labels, tasks.TrainConfig(epochs=40, seed=8, embedding_dim=16)
     ).model
@@ -265,16 +267,18 @@ def test_criterion_4_memorization_oracle():
     """
     tree = ex.parse_java_lite(ex.tokenize_java(cs_source))
     cs_samples = ex.extract_method_samples(tree)
-    terminals, paths, labels = ex.build_cs_vocabs(cs_samples)
-    cs_encoded = tasks.encode_split(cs_samples, {"terminals": terminals, "paths": paths, "labels": labels}, id_prefix="fix")
+    cs_vocabs = ex.build_cs_vocabs(cs_samples)
+    terminals, paths, labels = cs_vocabs.values()
+    cs_encoded = tasks.encode_split(cs_samples, cs_vocabs, id_prefix="fix")
     assert len(cs_encoded) == 8
     cs_result = tasks.train_cs(cs_encoded, terminals, paths, labels, tasks.TrainConfig(seed=3))
     cs_acc = tasks.evaluate_accuracy(cs_result.model, cs_encoded)
 
     cc_tokens = ex.tokenize_java("int a0 = b0; int a1 = b1; int a2 = b2; int a3 = b3; long c0 = d0;")
     cc_samples = ex.extract_cbow_samples(cc_tokens, window=4)[:20]
-    cc_vocab = ex.build_cc_vocab(cc_samples)
-    cc_encoded = tasks.encode_split(cc_samples, {"tokens": cc_vocab}, id_prefix="fix")
+    cc_vocabs = ex.build_cc_vocab(cc_samples)
+    cc_vocab = cc_vocabs["tokens"]
+    cc_encoded = tasks.encode_split(cc_samples, cc_vocabs, id_prefix="fix")
     assert len(cc_encoded) == 20
     cc_result = tasks.train_cc(cc_encoded, cc_vocab, tasks.TrainConfig(seed=3))
     cc_acc = tasks.evaluate_accuracy(cc_result.model, cc_encoded)

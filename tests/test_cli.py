@@ -590,14 +590,6 @@ def test_manifest_not_utf8_exits_2_naming_file(tmp_path, capsys):
     assert_exit_2_naming(["make-splits", "--shift", "timeline"], config_path, target, capsys)
 
 
-def test_java_source_not_utf8_exits_2_naming_file(tmp_path, capsys):
-    config_path, corpus_root = synth_bucket(tmp_path)
-    assert main(["make-splits", "--shift", "project", "--config", str(config_path)]) == 0
-    target = sorted((corpus_root / "project").rglob("*.java"))[0]
-    target.write_bytes(target.read_bytes() + NOT_UTF8)
-    assert_exit_2_naming(["extract", "--task", "cc", "--shift", "project"], config_path, target, capsys)
-
-
 def test_java_nested_past_the_recursion_limit_exits_2_naming_file_and_line(tmp_path, capsys):
     config_path, corpus_root = synth_bucket(tmp_path)
     assert main(["make-splits", "--shift", "project", "--config", str(config_path)]) == 0
@@ -737,6 +729,16 @@ def set_train_selector(key, value):
     return edit_json(lambda payload: payload["splits"]["train"][0].__setitem__(key, value))
 
 
+def set_first_sidecar_path(rewrite):
+    """The sidecar's first file entry names its file as `rewrite(sidecar, path)` returns."""
+    def corrupt(target):
+        def edit(payload):
+            entry = payload["files"][0]
+            entry["path"] = rewrite(target, entry["path"])
+        return edit_json(edit)(target)
+    return corrupt
+
+
 def set_train_split(files):
     return edit_json(lambda payload: payload["assignment"]["splits"].__setitem__("train", files))
 
@@ -796,6 +798,14 @@ MALFORMED = {  # id: (artifact, corruption, command)
     "snapshot_truncated": (snapshot_artifact, lambda target: truncate(target) or target, MAKE_TIMELINE_SPLITS),
     "snapshot_not_an_object": (snapshot_artifact, write("[]"), MAKE_TIMELINE_SPLITS),
     "snapshot_entry_without_path": (snapshot_artifact, write('{"files": [{"author": "x"}]}'), MAKE_TIMELINE_SPLITS),
+    "snapshot_path_through_parent": (
+        snapshot_artifact,
+        set_first_sidecar_path(lambda sidecar, rel: f"../{sidecar.parent.name}/{rel}"),
+        MAKE_TIMELINE_SPLITS,
+    ),
+    "snapshot_path_absolute": (
+        snapshot_artifact, set_first_sidecar_path(lambda sidecar, rel: str(sidecar.parent / rel)), MAKE_TIMELINE_SPLITS
+    ),
     "splits_truncated": (splits_artifact, lambda target: truncate(target) or target, EXTRACT_CC),
     "splits_missing_file": (splits_artifact, unreadable_train_entry("nope.java"), EXTRACT_CC),
     "splits_directory_entry": (splits_artifact, unreadable_train_entry("."), EXTRACT_CC),
@@ -875,7 +885,7 @@ IMPORT_CONTRACT = {
     "synth-corpus": (["synth-corpus"], True, 0, ("tasks", "nn", "extraction", "uncertainty", "evalpipe", "metrics")),
     "make-splits": (["make-splits", "--shift", "project"], True, 0,
                     ("tasks", "nn", "extraction", "uncertainty", "evalpipe", "metrics")),
-    "extract": (["extract", *PROJECT_CS], True, 0, ("uncertainty", "evalpipe", "synth")),
+    "extract": (["extract", *PROJECT_CS], True, 0, ("tasks", "nn", "uncertainty", "evalpipe", "synth")),
     "train": (["train", *PROJECT_CS], True, 0, ("uncertainty", "evalpipe", "synth", "corpus")),
     "score": (["score", *PROJECT_CS], True, 0, ("evalpipe", "synth", "corpus")),
     "eval": (["eval", *PROJECT_CS], True, 0, ("tasks", "nn", "extraction", "synth", "corpus")),

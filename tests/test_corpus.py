@@ -77,6 +77,25 @@ def test_load_manifest_dangling_file_named(tmp_path):
         corpus.load_manifest(path)
 
 
+@pytest.mark.parametrize("absolute", [False, True])
+def test_load_manifest_rejects_a_sidecar_path_outside_its_snapshot(tmp_path, absolute):
+    make_snapshot(tmp_path / "v1", ["A.java"])
+    (tmp_path / "Outside.java").write_text("class O { }\n", encoding="utf-8")
+    rel = str(tmp_path / "Outside.java") if absolute else "../Outside.java"
+    sidecar = tmp_path / "v1" / "snapshot.json"
+    meta = json.loads(sidecar.read_text())
+    meta["files"].append({"path": rel, "author": "x"})
+    sidecar.write_text(json.dumps(meta))
+    splits = {
+        "train": [{"project": "p", "version": "v", "root": "v1"}],
+        "test1": [{"project": "p", "version": "v", "root": "v1"}],
+    }
+    path = write_manifest(tmp_path / "m.json", "timeline", splits)
+    with pytest.raises(corpus.ManifestError, match="leaves the snapshot directory") as info:
+        corpus.load_manifest(path)
+    assert str(sidecar) in str(info.value) and repr(rel) in str(info.value)
+
+
 def test_load_manifest_parse_error(tmp_path):
     bad = tmp_path / "m.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -182,15 +201,17 @@ def test_iterate_samples_unknown_split(tmp_path):
 
 def test_snapshot_scan_without_sidecar(tmp_path):
     root = tmp_path / "plain"
-    root.mkdir()
+    (root / "sub").mkdir(parents=True)
     (root / "X.java").write_text("class X { }", encoding="utf-8")
+    (root / "sub" / "Y.java").write_text("class Y { }", encoding="utf-8")
     (root / "notes.txt").write_text("skip me", encoding="utf-8")
     splits = {
         "train": [{"project": "p", "version": "v", "root": "plain"}],
-        "test1": [{"project": "p", "version": "v", "root": "plain"}],
+        "test1": [{"project": "p", "version": "v", "root": "plain", "author": "unknown"}],
+        "test2": [{"project": "p", "version": "v", "root": "plain", "author": "alice"}],
     }
-    # both splits reference the same file: the overlap check fires
     manifest = corpus.load_manifest(write_manifest(tmp_path / "m.json", "project", splits))
-    snap = manifest.snapshot_for(manifest.splits["train"][0])
-    assert [f.rel_path for f in snap.files] == ["X.java"]
-    assert snap.files[0].author == "unknown"
+    assert manifest.splits["train"] == ["plain/X.java", "plain/sub/Y.java"]
+    # a scanned file's author is "unknown", which that filter keeps and any other drops
+    assert manifest.splits["test1"] == manifest.splits["train"]
+    assert manifest.splits["test2"] == []

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codeshift import extraction as ex
-from codeshift import synth
+from codeshift import synth, tasks
 from codeshift.extraction.lexer import KEYWORDS, OPERATORS, SEPARATORS, WORD_LITERALS
 
 DATA = Path(__file__).parent / "data"
@@ -658,7 +658,9 @@ def test_vocab_ids_dense_and_frequency_ordered():
 def test_build_vocabs_from_samples_and_empty_error():
     tree = parse("class A { int f(int a) { return a; } int g(int b) { return b; } }")
     samples = ex.extract_method_samples(tree)
-    terminals, paths, labels = ex.build_cs_vocabs(samples, min_count=1)
+    vocabs = ex.build_cs_vocabs(samples, min_count=1)
+    assert list(vocabs) == list(tasks.MODELS["cs"].vocab_names)
+    terminals, paths, labels = vocabs.values()
     assert "f" in labels and "g" in labels
     assert all(p.count(",") == 0 and " " not in p for p in paths.tokens)
     with pytest.raises(ValueError):
@@ -669,7 +671,9 @@ def test_build_vocabs_from_samples_and_empty_error():
 
 def test_cc_vocab_skips_pad():
     tokens = ex.tokenize_java("a b")
-    vocab = ex.build_cc_vocab(ex.extract_cbow_samples(tokens, window=2), min_count=1)
+    vocabs = ex.build_cc_vocab(ex.extract_cbow_samples(tokens, window=2), min_count=1)
+    assert list(vocabs) == list(tasks.MODELS["cc"].vocab_names)
+    vocab = vocabs["tokens"]
     assert vocab.encode(ex.PAD_TOKEN) == ex.PAD_ID
     assert ex.PAD_TOKEN in vocab.tokens[:2]
 
@@ -683,7 +687,7 @@ def test_cs_contexts_roundtrip(tmp_path):
     path = tmp_path / "cs.txt"
     ex.write_cs_contexts(path, samples)
     back = ex.read_cs_contexts(path)
-    assert [(s.label, s.contexts) for s in back] == [(s.label, s.contexts) for s in samples]
+    assert back == samples
 
 
 def test_cc_contexts_roundtrip(tmp_path):
@@ -743,7 +747,7 @@ def test_cs_contexts_are_rejected_at_write_time_or_read_back_equal(rows):
     unreadable = any(set(text) & set(" ,\n\r") for text in fields) or any(not label and not c for label, c in rows)
     assert (back is None) == unreadable
     if back is not None:
-        assert [(s.label, s.contexts) for s in back] == [(s.label, s.contexts) for s in samples]
+        assert back == samples
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -38,8 +38,9 @@ def cs_training_setup(config=None):
     tree = ex.parse_java_lite(ex.tokenize_java(CS_FIXTURE))
     samples = ex.extract_method_samples(tree, max_contexts=200, max_path_len=9)
     assert len(samples) == 8
-    terminals, paths, labels = ex.build_cs_vocabs(samples, min_count=1)
-    encoded = tasks.encode_split(samples, {"terminals": terminals, "paths": paths, "labels": labels}, id_prefix="fix")
+    vocabs = ex.build_cs_vocabs(samples, min_count=1)
+    terminals, paths, labels = vocabs.values()
+    encoded = tasks.encode_split(samples, vocabs, id_prefix="fix")
     return encoded, terminals, paths, labels
 
 
@@ -60,8 +61,9 @@ def pack_window_rows(sample_ids, labels, windows):
 
 def cc_training_setup():
     samples = cc_fixture_samples()
-    vocab = ex.build_cc_vocab(samples, min_count=1)
-    encoded = tasks.encode_split(samples, {"tokens": vocab}, id_prefix="fix")
+    vocabs = ex.build_cc_vocab(samples, min_count=1)
+    vocab = vocabs["tokens"]
+    encoded = tasks.encode_split(samples, vocabs, id_prefix="fix")
     assert len(encoded) == 20
     return encoded, vocab
 
@@ -129,7 +131,9 @@ def test_forward_computes_probs_and_embed_mean_only_when_asked(task):
     assert "embed_mean" not in model.forward_batch(batch, keys=("probs",))
     out = model.forward_batch(batch, keys=("probs", "embed_mean"))
     assert np.array_equal(out["probs"].data, nn.softmax(out["logits"]).data)
-    assert out["embed_mean"].data.shape == (4, 8)
+    assert ("embed_mean" in out) == (task == "cs")  # CC's embedding mean is its "features", its one probe tap
+    mean = out["embed_mean" if task == "cs" else "features"]
+    assert mean.data.shape == (4, 8)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -662,7 +666,7 @@ def test_checkpoint_roundtrip_trained_model():
     for name, p in result.model.params().items():
         assert np.array_equal(loaded.params()[name].data, p.data)
     assert loaded.tokens.tokens == vocab.tokens
-    assert loaded.config_echo["train"]["seed"] == 2
+    assert nn.read_checkpoint(blob).config["train"]["seed"] == 2
     before = tasks.infer(result.model, encoded)["probs"]
     after = tasks.infer(loaded, encoded)["probs"]
     assert np.array_equal(before, after)

@@ -30,8 +30,9 @@ class Pair {
 def cc_setup():
     tokens = ex.tokenize_java(CC_SOURCE)
     samples = ex.extract_cbow_samples(tokens, window=4)
-    vocab = ex.build_cc_vocab(samples, min_count=1)
-    encoded = tasks.encode_split(samples, {"tokens": vocab}, id_prefix="cc")
+    vocabs = ex.build_cc_vocab(samples, min_count=1)
+    vocab = vocabs["tokens"]
+    encoded = tasks.encode_split(samples, vocabs, id_prefix="cc")
     config = tasks.TrainConfig(epochs=60, seed=5, embedding_dim=24)
     model = tasks.train_cc(encoded, vocab, config).model
     return model, encoded, vocab
@@ -41,8 +42,9 @@ def cc_setup():
 def cs_setup():
     tree = ex.parse_java_lite(ex.tokenize_java(CS_SOURCE))
     samples = ex.extract_method_samples(tree)
-    terminals, paths, labels = ex.build_cs_vocabs(samples)
-    encoded = tasks.encode_split(samples, {"terminals": terminals, "paths": paths, "labels": labels}, id_prefix="cs")
+    vocabs = ex.build_cs_vocabs(samples)
+    terminals, paths, labels = vocabs.values()
+    encoded = tasks.encode_split(samples, vocabs, id_prefix="cs")
     config = tasks.TrainConfig(epochs=60, seed=5, embedding_dim=24)
     model = tasks.train_cs(encoded, terminals, paths, labels, config).model
     return model, encoded
@@ -665,7 +667,7 @@ def unanimous_probe(model, big=800.0, agree_with=None):
     w = np.zeros((dim, n))
     b = np.full(n, -big)
     b[agree_with] = big
-    probe = uq.Probe(tag="embed_mean", w=nn.Tensor(w), b=nn.Tensor(b))
+    probe = uq.Probe(tag=model.probe_layers[0], w=nn.Tensor(w), b=nn.Tensor(b))
     return probe
 
 
@@ -864,7 +866,7 @@ def random_probes(taps: dict[str, np.ndarray], n_classes: int, seed: int) -> lis
 def test_streamed_dissector_equals_the_whole_split_bitwise_with_non_finite_probe_rows(wide_cc_setup):
     model, encoded = wide_cc_setup
     base = dict(uq.base_outputs(model, encoded))
-    acts = base["embed_mean"].copy()
+    acts = base["features"].copy()
     acts[3, 0] = np.nan
     acts[515, :] = np.inf  # +inf and -inf products sum to NaN
     acts[900, 2] = np.inf
@@ -908,7 +910,9 @@ def test_streamed_snapshot_validity_keeps_the_nan_last_sort():
 def test_cc_base_outputs_hold_the_embedding_mean_once(wide_cc_setup, cs_setup):
     model, encoded = wide_cc_setup
     base = uq.base_outputs(model, encoded)
-    assert base["embed_mean"] is base["features"]
+    assert model.probe_layers == ("features",)  # Dissector's one tap is the embedding mean, the features array
+    assert sorted(base) == ["features", "logits", "probs"]
+    assert base["features"].shape == (len(encoded), model.dim)
     cs_model, cs_encoded = cs_setup
     cs_base = uq.base_outputs(cs_model, cs_encoded)
     assert cs_base["embed_mean"].shape != cs_base["features"].shape
