@@ -19,13 +19,24 @@ A backward rule that builds a fresh gradient array hands it to
 `accumulate` (`fresh=True`), which keeps it without a copy. An embedding
 table's gradient is one `np.add.at`, which adds each id's rows in row
 order, as a loop would.
+
+`dropout`'s float64 uniforms and `attention_pool`'s weighted rows are
+formed `_BLOCK_ROWS` rows at a time, with the bits of one whole-array
+computation, so neither holds an (R, d) temporary over the rows it is
+given.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import Tensor, accumulate, make_node, needs_grad
+
+
+# rows per block of dropout's draw and attention pooling's weighted rows
+_BLOCK_ROWS = 512
 
 
 class ShapeError(ValueError):
@@ -243,10 +254,13 @@ def _embedding_grad(table: np.ndarray, ids: np.ndarray, g: np.ndarray) -> np.nda
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: survivors scaled by 1/(1-p) so inference is identity.
 
-    One `rng.random(x.shape)` draw gives the keep factors of every element
-    `x` holds, so a row's factors depend only on the rows before it. The
-    CS head passes its (R, d) real context rows, the CC head its (B, d)
-    embedding means; no PAD slot is drawn.
+    The keep factors are those of one `rng.random(x.shape)` draw, so a
+    row's factors depend only on the rows before it. The uniforms are drawn
+    `_BLOCK_ROWS` rows (of the last axis) at a time in C order, which is the
+    order `Generator.random` fills in: the numbers and the generator's end
+    state are the whole draw's, and no float64 array wider than a block is
+    held. The CS head passes its (R, d) real context rows, the CC head its
+    (B, d) embedding means, at most one block; no PAD slot is drawn.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
@@ -254,7 +268,13 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
         return x
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    keep = np.empty(x.data.shape, dtype=x.data.dtype)
+    flat = keep.reshape(-1)
+    step = _BLOCK_ROWS * max(1, math.prod(keep.shape[-1:]))
+    for start in range(0, flat.size, step):
+        block = flat[start:start + step]
+        np.greater_equal(rng.random(block.size), p, out=block)
+    keep /= 1.0 - p
     out = x.data * keep
 
     def backward_fn(g):
@@ -275,7 +295,10 @@ def attention_pool(contexts: Tensor, a: Tensor, mask: np.ndarray | None = None) 
     `pooled` is on the tape.
 
     Each bag's rows are contiguous, so its softmax max and sums are
-    `reduceat` segments starting at the bags' first rows. The scores
+    `reduceat` segments starting at the bags' first rows. The pooled sums
+    form the weighted rows over blocks of whole bags (those whose first
+    row falls in one `_BLOCK_ROWS`-row span), so no (R, d) product is held;
+    each bag's sum is the same sequence of adds. The scores
     (one d-long dot product per row) and the gradient of `a` (a sum over
     every row of the batch) are `np.einsum` reductions, which never call
     BLAS: a multi-threaded BLAS GEMV gives the rows near its thread split
@@ -297,7 +320,7 @@ def attention_pool(contexts: Tensor, a: Tensor, mask: np.ndarray | None = None) 
     s = np.einsum("rd,d->r", rows, a.data)
     e = np.exp(s - np.repeat(np.maximum.reduceat(s, starts), counts))
     w = e / np.repeat(np.add.reduceat(e, starts), counts)
-    pooled = np.add.reduceat(w[:, None] * rows, starts, axis=0).reshape(mask.shape[:-1] + (d,))
+    pooled = _pooled_sums(rows, w, starts, counts).reshape(mask.shape[:-1] + (d,))
 
     def backward_fn(g):
         g_rows = np.repeat(g.reshape(-1, d), counts, axis=0)
@@ -311,6 +334,16 @@ def attention_pool(contexts: Tensor, a: Tensor, mask: np.ndarray | None = None) 
             accumulate(contexts, gx.reshape(x.shape), fresh=True)
 
     return make_node(pooled, (contexts, a), backward_fn), Tensor(w)
+
+
+def _pooled_sums(rows: np.ndarray, w: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """`np.add.reduceat(w[:, None] * rows, starts, axis=0)`, bit for bit, a block of bags at a time."""
+    pooled = np.empty((len(starts), rows.shape[1]), dtype=np.result_type(w, rows))
+    opens = np.flatnonzero(np.diff(starts // _BLOCK_ROWS, prepend=-1))  # the bags that open a block
+    for lo, hi in zip(opens, [*opens[1:], len(starts)]):
+        first, stop = starts[lo], starts[hi - 1] + counts[hi - 1]
+        np.add.reduceat(w[first:stop, None] * rows[first:stop], starts[lo:hi] - first, axis=0, out=pooled[lo:hi])
+    return pooled
 
 
 def concat_last(parts: list[Tensor]) -> Tensor:

@@ -2,8 +2,12 @@
 
 A Tensor wraps one ndarray plus an optional gradient buffer. Ops build a
 tape of parent links and backward closures; `backward` replays the tape in
-reverse topological order. Default dtype is float32; passing float64 data
-keeps everything in 64-bit, which the gradient tests rely on.
+reverse topological order and consumes it as it goes: each node drops its
+closure and its parent links once its rule has run, so the forward arrays
+the closure captured and the gradients handed down are freed as soon as
+nothing else holds them. A graph runs backward once. Default dtype is
+float32; passing float64 data keeps everything in 64-bit, which the
+gradient tests rely on.
 """
 
 from __future__ import annotations
@@ -60,8 +64,13 @@ class Tensor:
 
 
 def needs_grad(t: Tensor) -> bool:
-    """Whether a gradient flowing into `t` reaches a tensor that requires one."""
-    return t.requires_grad or bool(t._parents)
+    """Whether a gradient flowing into `t` reaches a tensor that requires one (or a consumed tape)."""
+    return t.requires_grad or t._backward is not None
+
+
+def _consumed(g: np.ndarray) -> None:
+    """The backward rule `backward` leaves on each node whose rule it has run."""
+    raise RuntimeError("backward through a graph that has already run backward")
 
 
 def make_node(data: np.ndarray, parents: Iterable[Tensor], backward_fn) -> Tensor:
@@ -96,10 +105,15 @@ def accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
 
 
 def backward(loss: Tensor, seed: np.ndarray | None = None) -> None:
-    """Fill `.grad` of every tensor reachable from `loss`.
+    """Fill `.grad` of every tensor reachable from `loss`, consuming the tape.
 
     `seed` defaults to ones; pass an explicit cotangent to backprop a
-    non-scalar output.
+    non-scalar output. Each node is let go once its rule has run, with its
+    closure and parent links cleared, so a node nothing else holds is freed
+    with its forward arrays and its gradient; a tensor the caller holds
+    keeps its `.grad`. A second backward through the consumed graph, from
+    `loss`, from any tensor of it or from a new op on one, raises
+    RuntimeError before any gradient is touched.
     """
     topo: list[Tensor] = []
     seen: set[int] = set()
@@ -111,6 +125,8 @@ def backward(loss: Tensor, seed: np.ndarray | None = None) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._backward is _consumed:
+            _consumed(None)  # raises
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -118,9 +134,14 @@ def backward(loss: Tensor, seed: np.ndarray | None = None) -> None:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data) if seed is None else np.asarray(seed, dtype=loss.data.dtype)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    while topo:
+        node = topo.pop()
+        rule = node._backward
+        if rule is None:  # a leaf
+            continue
+        node._backward, node._parents = _consumed, ()
+        if node.grad is not None:
+            rule(node.grad)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

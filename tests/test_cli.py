@@ -451,35 +451,6 @@ def contexts_bucket(tmp_path, task):
 
 
 NOT_UTF8 = b"b a \xff c a\n"
-CONTEXT_CORRUPTIONS = {  # (task, file, text or bytes after the corruption, named line)
-    "cc_not_utf8": ("cc", "train.txt", NOT_UTF8, ""),
-    "cs_not_utf8": ("cs", "train.txt", NOT_UTF8, ""),
-    "cc_ragged_width": ("cc", "validation.txt", "b a <PAD> c a\nc b a\n", ":2"),
-    "cc_even_field_count": ("cc", "train.txt", "b a <PAD> c a\nc b a <PAD>\n", ":2"),
-    "cs_bad_triple": ("cs", "validation.txt", "addPair a,Name↑Call↓Name,b\nsubPair b,c\n", ":2"),
-    "vocab_not_json": ("cc", "vocabs.json", '{"vocabs": ', ""),
-    "vocab_missing_reserved": ("cs", "vocabs.json", '{"vocabs": {"terminals": ["a"], "paths": [], "labels": []}}', ""),
-    "vocab_of_other_task": ("cs", "vocabs.json", '{"vocabs": {"tokens": ["<UNK>", "<PAD>"]}}', ""),
-    "vocab_duplicated_token": ("cc", "vocabs.json", '{"vocabs": {"tokens": ["<UNK>", "<PAD>", "a", "b", "a"]}}', ""),
-    "vocab_number_token": ("cc", "vocabs.json", '{"vocabs": {"tokens": ["<UNK>", "<PAD>", "a", 5]}}', ""),
-}
-
-
-@pytest.mark.parametrize("corruption", sorted(CONTEXT_CORRUPTIONS))
-def test_corrupt_contexts_or_vocabs_exit_2_naming_file(tmp_path, capsys, corruption):
-    task, name, text, line = CONTEXT_CORRUPTIONS[corruption]
-    config_path, contexts = contexts_bucket(tmp_path, task)
-    flags = ["--task", task, "--shift", "project", "--config", str(config_path)]
-    assert main(["train", *flags]) == 0  # the uncorrupted bucket trains
-    target = contexts / f"{task}-project-{name}"
-    target.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
-    capsys.readouterr()
-    assert main(["train", *flags]) == 2
-    err = capsys.readouterr().err
-    assert f"{target}{line}" in err
-    assert "runtime error" not in err
-
-
 def score_bytes(config_path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted((bucket_of(config_path) / "scores").glob("*.csv"))}
 
@@ -725,6 +696,13 @@ def write(content):
     return corrupt
 
 
+def write_naming_line(content, line):
+    """`write`, whose error must name the file's line `line` (`<file>:<line>`)."""
+    def corrupt(target):
+        return f"{write(content)(target)}:{line}"
+    return corrupt
+
+
 def set_train_selector(key, value):
     return edit_json(lambda payload: payload["splits"]["train"][0].__setitem__(key, value))
 
@@ -834,6 +812,34 @@ MALFORMED = {  # id: (artifact, corruption, command)
     "vocab_duplicated_label": (
         contexts_artifact("cs", "vocabs.json"),
         edit_json(lambda payload: payload["vocabs"]["labels"].append("addPair")),
+        TRAIN_CS,
+    ),
+    "vocab_not_json": (contexts_artifact("cc", "vocabs.json"), write('{"vocabs": '), TRAIN_CC),
+    "vocab_missing_reserved": (
+        contexts_artifact("cs", "vocabs.json"),
+        write('{"vocabs": {"terminals": ["a"], "paths": [], "labels": []}}'),
+        TRAIN_CS,
+    ),
+    "vocab_of_other_task": (
+        contexts_artifact("cs", "vocabs.json"), write('{"vocabs": {"tokens": ["<UNK>", "<PAD>"]}}'), TRAIN_CS
+    ),
+    "vocab_duplicated_token": (
+        contexts_artifact("cc", "vocabs.json"), write('{"vocabs": {"tokens": ["<UNK>", "<PAD>", "a", "b", "a"]}}'), TRAIN_CC
+    ),
+    "vocab_number_token": (
+        contexts_artifact("cc", "vocabs.json"), write('{"vocabs": {"tokens": ["<UNK>", "<PAD>", "a", 5]}}'), TRAIN_CC
+    ),
+    "cc_not_utf8": (contexts_artifact("cc", "train.txt"), write(NOT_UTF8), TRAIN_CC),
+    "cs_not_utf8": (contexts_artifact("cs", "train.txt"), write(NOT_UTF8), TRAIN_CS),
+    "cc_ragged_width": (
+        contexts_artifact("cc", "validation.txt"), write_naming_line("b a <PAD> c a\nc b a\n", 2), TRAIN_CC
+    ),
+    "cc_even_field_count": (
+        contexts_artifact("cc", "train.txt"), write_naming_line("b a <PAD> c a\nc b a <PAD>\n", 2), TRAIN_CC
+    ),
+    "cs_bad_triple": (
+        contexts_artifact("cs", "validation.txt"),
+        write_naming_line("addPair a,Name↑Call↓Name,b\nsubPair b,c\n", 2),
         TRAIN_CS,
     ),
     "cc_contexts_empty": (contexts_artifact("cc", "train.txt"), write(""), TRAIN_CC),

@@ -3,11 +3,12 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codeshift import nn
@@ -582,6 +583,40 @@ def test_attention_pool_gradient_bytes_do_not_depend_on_the_blas_thread_count():
     assert len(digests["1"]) == 8 and digests["1"] == digests["2"]
 
 
+def bags_with_special_rows(lengths, d, dtype, seed):
+    """(rows, a, mask): bags of `lengths` rows, some of them NaN, +0 or -0, and a second bag of only -0 rows."""
+    rng = np.random.default_rng(seed)
+    lengths = np.array(lengths)
+    rows = rng.standard_normal((int(lengths.sum()), d)).astype(dtype)
+    specials = rng.choice(len(rows), size=min(len(rows), 9), replace=False)
+    rows[specials[:3]] = np.nan
+    rows[specials[3:6]] = 0.0
+    rows[specials[6:]] = -0.0
+    rows[lengths[0]:lengths[:2].sum()] = -0.0
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    return rows, rng.standard_normal(d).astype(dtype), mask
+
+
+BLOCKED_BAGS = {
+    "across_block_edges": [int(n) for n in np.random.default_rng(5).integers(1, 60, size=60)],
+    "longer_than_a_block": [3, 7, 700, 5, 900, 2],
+    "on_block_edges": [512, 512, 1, 511, 2, 1024],
+    "one_row_bags": [1] * 1100,
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bags", sorted(BLOCKED_BAGS))
+def test_attention_pool_sums_blocks_of_bags_bit_for_bit(bags, dtype):
+    # the pooled sums, formed a block of whole bags at a time, are the whole-array reduceat's bits
+    lengths = BLOCKED_BAGS[bags]
+    rows, a, mask = bags_with_special_rows(lengths, 5, dtype, seed=len(lengths))
+    pooled, weights = nn.attention_pool(nn.Tensor(rows), nn.Tensor(a), mask=mask)
+    starts = np.cumsum(lengths) - lengths
+    assert_bitwise(pooled.data, np.add.reduceat(weights.data[:, None] * rows, starts, axis=0))
+    assert np.isnan(pooled.data).any() and np.signbit(pooled.data[1]).all()  # the -0 bag's sum stays -0
+
+
 def test_dropout_identities():
     x = nn.Tensor(np.arange(12.0).reshape(3, 4))
     rng = np.random.default_rng(0)
@@ -595,12 +630,20 @@ def test_dropout_identities():
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
-    shape=st.lists(st.integers(0, 5), min_size=1, max_size=3).map(tuple),
+    shape=st.one_of(
+        st.lists(st.integers(0, 5), max_size=3).map(tuple),  # 0-d, zero-size and one-block shapes
+        st.tuples(st.integers(500, 1600), st.integers(1, 4)),  # rows across 512-row blocks
+        st.tuples(st.integers(1, 3), st.integers(150, 700), st.integers(0, 3)),  # flattened rows, zero widths
+    ),
     p=st.sampled_from([0.1, 0.5, 0.9]),
     dtype=st.sampled_from([np.float32, np.float64]),
     buffered=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(shape=(), p=0.5, dtype=np.float32, buffered=True, seed=1)
+@example(shape=(0,), p=0.5, dtype=np.float32, buffered=False, seed=1)
+@example(shape=(700, 0), p=0.5, dtype=np.float64, buffered=True, seed=1)
+@example(shape=(1025, 3), p=0.5, dtype=np.float32, buffered=True, seed=1)  # two full blocks and one row
 def test_dropout_draws_one_keep_factor_per_element(shape, p, dtype, buffered, seed):
     values = np.random.default_rng(seed + 1)
     x, g = (values.standard_normal(shape).astype(dtype) for _ in range(2))
@@ -753,6 +796,42 @@ def test_gradient_hand_over_keeps_view_gradients_apart():
     expected[1:5] = rows.grad
     assert_bitwise(w.grad, expected)
     assert_gradients_apart([w, rows, pooled])
+
+
+def test_backward_frees_what_only_the_tape_held():
+    rng = np.random.default_rng(23)
+    x = nn.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    h = nn.tanh(x)
+    loss = nn.mean(nn.mul(nn.dropout(h, 0.5, True, rng), nn.tanh(h)))
+    output = weakref.ref(loss._parents[0].data)  # the product's, which only the tape holds
+    nn.backward(loss)
+    assert output() is None
+    assert loss._parents == () and h._parents == ()
+    assert h.grad is not None and h.grad.shape == h.data.shape  # a tensor the caller holds keeps its gradient
+
+
+def test_a_second_backward_through_a_consumed_graph_raises():
+    rng = np.random.default_rng(29)
+    x = nn.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    h = nn.tanh(x)
+    loss = nn.mean(nn.mul(h, h))
+    nn.backward(loss)
+    grads = [t.grad for t in (x, h, loss)]
+    expected = x.grad.copy()
+    # again from the loss, from a tensor of the graph, and from a new op on one
+    for run in (
+        lambda: nn.backward(loss),
+        lambda: nn.backward(h, seed=np.ones_like(h.data)),
+        lambda: nn.backward(nn.mean(nn.tanh(h))),
+    ):
+        with pytest.raises(RuntimeError, match="already run backward"):
+            run()
+    assert all(t.grad is g for t, g in zip((x, h, loss), grads))  # raised before any gradient was touched
+    assert_bitwise(x.grad, expected)
+    # a leaf starts a new graph as before
+    nn.zero_grads([x])
+    nn.backward(nn.mean(nn.mul(nn.tanh(x), nn.tanh(x))))
+    assert_bitwise(x.grad, expected)
 
 
 def test_dropout_scaling_preserves_mean():

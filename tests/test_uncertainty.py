@@ -1,6 +1,7 @@
 """Estimator contracts: all five methods, the registry, and score files."""
 
 import copy
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -924,6 +925,17 @@ def long_cc_split(wide_cc_setup):
     return model, encoded[np.arange(6000) % len(encoded)]
 
 
+def traced_peak(run) -> int:
+    """Bytes `run()` allocates at its peak beyond what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 # the scorers that keep one (N, V) float64 array: the sum of MC-Dropout's
 # passes, and one probe's softmax behind the Dissector's whole-split GEMM
 SPLIT_WIDE = ("mc_dropout", "dissector")
@@ -931,8 +943,6 @@ SPLIT_WIDE = ("mc_dropout", "dissector")
 
 @pytest.mark.parametrize("name", list(uq.ESTIMATORS))
 def test_streamed_scorers_hold_at_most_one_split_wide_float64_array(long_cc_split, name):
-    import tracemalloc
-
     model, encoded = long_cc_split
     n, v = len(encoded), model.n_classes()
     estimator = uq.ESTIMATORS[name]
@@ -940,15 +950,53 @@ def test_streamed_scorers_hold_at_most_one_split_wide_float64_array(long_cc_spli
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the untrained model's temperature is clamped
         state = estimator.fit(model, encoded, encoded, base, SETTINGS)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        estimator.score(model, state, encoded, base, "test1")
-        held = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    held = traced_peak(lambda: estimator.score(model, state, encoded, base, "test1"))
     # beyond that array: four batch-sized float64 ones and sixteen (N,) columns, results included
     assert held <= (name in SPLIT_WIDE) * n * v * 8 + 4 * 512 * v * 8 + 16 * n * 8, (held, n * v * 8)
+
+
+def wide_cs_setup():
+    """An untrained CS model (d = 48) and 300 samples of 20-114 random contexts each.
+
+    A 128-sample training batch holds about 9k context rows and the one
+    512-sample scoring batch about 20k, each many of `nn`'s 512-row blocks.
+    """
+    rng = np.random.default_rng(7)
+    terminals, paths, labels = (
+        ex.Vocabulary.from_tokens([ex.UNK_TOKEN, ex.PAD_TOKEN] + [f"{kind}{i}" for i in range(n)])
+        for kind, n in (("t", 300), ("p", 900), ("l", 40))
+    )
+    lengths = rng.integers(20, 115, size=300)
+    columns = {
+        name: [rng.integers(2, len(vocab), size=n) for n in lengths]
+        for name, vocab in (("left", terminals), ("path", paths), ("right", terminals))
+    }
+    split = tasks.pack([f"w#{i}" for i in range(len(lengths))], rng.integers(2, len(labels), size=len(lengths)), columns)
+    ids = split.inputs
+    key = (ids["left"] * len(paths) + ids["path"]) * len(terminals) + ids["right"]
+    ids["triple"] = np.unique(key, return_inverse=True)[1].astype(np.int64)
+    return tasks.PathAttentionModel(terminals, paths, labels, dim=48, seed=3), split
+
+
+def test_cs_training_and_mc_dropout_hold_no_row_wide_float64_array():
+    model, split = wide_cs_setup()
+    d, n, v = model.dim, len(split), model.n_classes()
+    params = sum(p.data.nbytes for p in model.params().values())
+    config = tasks.TrainConfig(epochs=1, seed=5, embedding_dim=d, batch_size=128)
+    rows = max(split[i:i + 128].lengths.sum() for i in range(0, n, 128))
+    held = traced_peak(lambda: tasks.train_cs(split, *model.vocabs().values(), config))
+    # backward lets each node go once its rule has run, so a step's peak holds the combined rows, their
+    # gradient, the tanh's and the embedding gradient's int64 flat index, five (R, d) float32 arrays'
+    # worth, and the last step's combined rows and their gradient, which the loop's outputs hold until
+    # the next forward returns; with the parameters' gradients, Adam's two moments and the projected
+    # tables, four times the parameters
+    assert held <= 7 * rows * d * 4 + 4 * params, (held, rows * d * 4)
+    base = uq.base_outputs(model, split)
+    rows = model.feature_rows(split)  # one scoring batch
+    held = traced_peak(lambda: uq.score_mc_dropout(model, split, passes=1, features=base["features"]))
+    # the dropped rows and their keep factors, eight per-row float32 columns and two (N, V) float64
+    # arrays; the uniforms are drawn 512 rows at a time and the weighted rows pooled a block at a time
+    assert held <= 2 * rows * d * 4 + 8 * rows * 4 + 2 * n * v * 8, (held, rows * d * 4)
 
 
 # -- registry and score tables ------------------------------------------------------
