@@ -13,12 +13,24 @@ Each command imports only the layers it runs, so a short command does not
 pay for the rest at start-up: `report` and `--help` load no numpy, and
 `synth-corpus`, `make-splits`, `eval`, `sweep` and `filter` load no model.
 Every error that exits 2 derives from `config.ValidationFailure`.
+
+`train` and `score` first fix glibc's heap policy (`keep_heap`). Each
+training step and each scored batch allocates and frees the same few
+arrays of a megabyte or more: context rows, their gradients, the embedding
+gradient's index. By default glibc serves such an array by `mmap` and gives
+back a free heap top over its trim threshold, and it moves both thresholds
+with what was last freed, so a step can map, fault in and unmap its arrays
+page by page, every step. With arrays up to 32 MiB taken from the heap and
+up to 64 MiB of free heap top kept, a step reuses the pages of the one
+before. Both thresholds are set: setting either alone stops the mmap
+threshold from moving, at its 128 KiB start. The policy decides only where
+arrays live, so no artifact byte depends on it. Where the C library has
+no `mallopt` (macOS, Windows), nothing is set.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -36,12 +48,16 @@ from .config import (
     flatten_report,
     load_config,
     manifest_path,
+    read_json,
     write_csv,
     write_json,
     write_report_csv,
 )
 
 TASKS = ("cs", "cc")  # the keys of tasks.MODELS
+# (mallopt parameter, value): M_MMAP_THRESHOLD (-3) at 32 MiB, the most 64-bit glibc takes, and M_TRIM_THRESHOLD (-1)
+# at 64 MiB
+HEAP_POLICY = ((-3, 32 << 20), (-1, 64 << 20))
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -130,6 +146,18 @@ def _malformed(kind: str, path: Path):
         raise ValidationFailure(f"{kind} file {path} is malformed: {type(exc).__name__}: {exc}") from exc
 
 
+def keep_heap() -> tuple[int, ...]:
+    """Apply `HEAP_POLICY` through the C library's `mallopt`; each call's result (1 on success), or () without one."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no `mallopt`, or no process-wide C library handle
+        return ()
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return tuple(mallopt(param, value) for param, value in HEAP_POLICY)
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -178,7 +206,7 @@ def _load_assignment(bucket: Path, shift: str):
 
     path = _require(_splits_path(bucket, shift), f"make-splits --shift {shift}")
     with _malformed("splits", path):
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = read_json(path, "splits")
         return corpus.SplitAssignment.from_json(payload["assignment"], path.parent)
 
 
@@ -247,7 +275,7 @@ def _load_vocabs(bucket: Path, task: str, shift: str) -> dict:
 
     path = _require(_vocabs_path(bucket, task, shift), f"extract --task {task} --shift {shift}")
     with _malformed("vocab", path):
-        vocabs = json.loads(path.read_text(encoding="utf-8"))["vocabs"]
+        vocabs = read_json(path, "vocab")["vocabs"]
         expected = sorted(tasks.MODELS[task].vocab_names)
         if sorted(vocabs) != expected:
             raise ValueError(f"expected vocabularies {expected}, got {sorted(vocabs)}")
@@ -283,6 +311,7 @@ def cmd_train(config: dict, args) -> int:
 
     from . import tasks
 
+    keep_heap()
     bucket = bucket_dir(config)
     vocabs = _load_vocabs(bucket, args.task, args.shift)
     train_enc = _load_encoded(bucket, args.task, args.shift, "train", vocabs)
@@ -329,6 +358,7 @@ def _load_model(bucket: Path, task: str, shift: str):
 def cmd_score(config: dict, args) -> int:
     from . import uncertainty as uq
 
+    keep_heap()
     bucket = bucket_dir(config)
     model = _load_model(bucket, args.task, args.shift)
     vocabs = model.vocabs()  # every split is encoded as the model was trained
@@ -499,7 +529,7 @@ def cmd_report(config: dict, args) -> int:
     rows = []
     for path in paths:
         with _malformed("report", path):
-            report = json.loads(path.read_text(encoding="utf-8"))
+            report = read_json(path, "report")
             rows.extend(flatten_report(report))
         merged["reports"].append(report)
     write_json(report_dir / "all.json", merged)

@@ -8,6 +8,8 @@ rerunning with an identical effective config overwrites byte-identically
 while changed configs get their own bucket. Every config-stamped CSV goes
 through `write_csv`, and every JSON document the package writes (config
 echoes, vocabularies, reports, corpus manifests) through `write_json`.
+Every JSON document it reads (the config, manifests, snapshot sidecars,
+splits, vocabularies, reports) goes through `read_json`.
 
 This module imports nothing but the standard library, so it also holds
 what every layer shares: the shift kinds, the validation split's name, the
@@ -164,6 +166,19 @@ def _validate(config: dict) -> None:
             raise ConfigError(f"config {path!r} must name each of {names}, got {sorted(entries)}")
 
 
+def read_json(path, what: str, error: type[ValidationFailure] = ValidationFailure, object_pairs_hook=None):
+    """The JSON document in the UTF-8 file `path`, decoded by `json.loads` with `object_pairs_hook`.
+
+    A file that cannot be read, is not UTF-8, is not JSON or nests deeper
+    than the interpreter recurses raises `error` naming `what` and `path`,
+    so each reader exits 2 like every other malformed input.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=object_pairs_hook)
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+        raise error(f"{what} file {path} is malformed: {type(exc).__name__}: {exc}") from exc
+
+
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> dict:
     """Defaults <- config file <- explicit overrides; validated."""
     config = copy.deepcopy(DEFAULT_CONFIG)
@@ -172,10 +187,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        doc = read_json(path, "config", ConfigError)
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
         config = _deep_merge(config, doc)

@@ -27,7 +27,6 @@ the file's split.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from datetime import date
@@ -35,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SHIFT_KINDS, VALIDATION_SPLIT, ValidationFailure
+from .config import SHIFT_KINDS, VALIDATION_SPLIT, ValidationFailure, read_json
 
 
 class ManifestError(ValidationFailure, ValueError):
@@ -93,8 +92,8 @@ def _snapshot_files(base_dir: Path, root_name: str) -> list[tuple[str, str]]:
     sidecar = root / "snapshot.json"
     if not sidecar.is_file():
         return [(str(Path(root_name) / p.relative_to(root)), "unknown") for p in sorted(root.rglob("*.java"))]
+    meta = read_json(sidecar, "snapshot sidecar", ManifestError)
     try:
-        meta = json.loads(sidecar.read_text(encoding="utf-8"))
         release = str(meta.get("release_time", "1970-01-01"))
         files: dict[str, str] = {}
         for entry in meta.get("files", []):
@@ -109,7 +108,7 @@ def _snapshot_files(base_dir: Path, root_name: str) -> list[tuple[str, str]]:
             if not (root / rel).is_file():
                 raise ManifestError(f"dangling file reference: {root / rel}")
             files[rel] = author
-    except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ManifestError(f"cannot parse snapshot sidecar {sidecar}: {type(exc).__name__}: {exc}") from exc
     try:
         date.fromisoformat(release)
@@ -121,10 +120,7 @@ def _snapshot_files(base_dir: Path, root_name: str) -> list[tuple[str, str]]:
 def load_manifest(path) -> ShiftManifest:
     """Parse and validate a manifest, resolving each selector to its files."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_no_duplicate_keys)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"cannot parse manifest {path}: {exc}") from exc
+    doc = read_json(path, "manifest", ManifestError, object_pairs_hook=_no_duplicate_keys)
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")
     shift_kind = doc.get("shift_kind")

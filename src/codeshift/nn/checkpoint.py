@@ -75,8 +75,8 @@ class _Reader:
     def json_object(self) -> dict:
         try:
             value = json.loads(self.text(self.u32()))
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"JSON before offset {self.pos} is malformed: {exc}") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:  # not JSON, or nested deeper than Python recurses
+            raise CheckpointError(f"JSON before offset {self.pos} is malformed: {type(exc).__name__}: {exc}") from exc
         if not isinstance(value, dict):
             raise CheckpointError(f"JSON before offset {self.pos} is not an object")
         return value

@@ -17,13 +17,14 @@ padding.
 
 A backward rule that builds a fresh gradient array hands it to
 `accumulate` (`fresh=True`), which keeps it without a copy. An embedding
-table's gradient is one `np.add.at`, which adds each id's rows in row
-order, as a loop would.
+table's gradient is one `np.add.at` over pairs of adjacent columns viewed
+as complex numbers (plus one over an odd last column), which adds each
+id's rows in row order, as a loop would.
 
 `dropout`'s float64 uniforms and `attention_pool`'s weighted rows are
 formed `_BLOCK_ROWS` rows at a time, with the bits of one whole-array
 computation, so neither holds an (R, d) temporary over the rows it is
-given.
+given; off the tape, `dropout` keeps no keep factors either.
 """
 
 from __future__ import annotations
@@ -32,11 +33,13 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, accumulate, make_node, needs_grad
+from .tensor import Tensor, accumulate, make_node, needs_grad, on_tape
 
 
 # rows per block of dropout's draw and attention pooling's weighted rows
 _BLOCK_ROWS = 512
+# the complex dtype whose element is two adjacent columns of an embedding table of each float dtype
+_COLUMN_PAIRS = {np.dtype(np.float32): np.dtype(np.complex64), np.dtype(np.float64): np.dtype(np.complex128)}
 
 
 class ShapeError(ValueError):
@@ -239,16 +242,42 @@ def embedding_sum_tanh(lookups: list[tuple[Tensor, np.ndarray]], bias: Tensor, d
 def _embedding_grad(table: np.ndarray, ids: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The gradient of `table[ids]` for the cotangent `g` (ids.shape + (d,)).
 
-    One `np.add.at` over the flat indices id·d + column sums each id's rows
-    in row order from zero, as a loop of `gt[id] += row` would. It rounds
-    each addition to the output dtype, so `g` must be in `table`'s.
+    It sums each id's rows in row order from zero, as a loop of
+    `gt[id] += row` would. Each pair of adjacent columns is viewed as one
+    complex number (float32 as complex64, float64 as complex128), and one
+    `np.add.at` over the flat indices id·(d // 2) + pair adds them: a complex
+    addition is the two float additions of its parts, so every element gets
+    the same additions in the same order, with half as many indices and
+    half the index array. An odd last column takes its own `np.add.at` over
+    `ids`. Each addition rounds to the output dtype, so `g` must be in
+    `table`'s, float32 or float64.
+
+    The one difference from the loop is which NaN a sum of two NaNs keeps:
+    the loop keeps the running sum's, the complex addition may keep the
+    row's, so such an element can end with the other sign bit (as the
+    second column of a pair, the column -inf, +NaN, 1, -NaN sums to +NaN in
+    the loop and to -NaN here).
     """
-    if g.dtype != table.dtype:
-        raise ValueError(f"embedding gradient of dtype {g.dtype} for a {table.dtype} table")
-    d = table.shape[1]
-    gt = np.zeros(table.size, dtype=table.dtype)
-    np.add.at(gt, (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1), g.reshape(-1))
-    return gt.reshape(table.shape)
+    if g.dtype != table.dtype or table.dtype not in _COLUMN_PAIRS:
+        raise ValueError(
+            f"embedding gradient of dtype {g.dtype} for a {table.dtype} table (both float32, or both float64)"
+        )
+    vocab, d = table.shape
+    ids = ids.reshape(-1)
+    g = g.reshape(ids.size, d)
+    gt = np.zeros((vocab, d), dtype=table.dtype)
+    half = d // 2
+    if half:
+        # an odd d sums its pairs apart from its last column, and pays a copy of both
+        paired = gt if 2 * half == d else np.zeros((vocab, 2 * half), dtype=table.dtype)
+        pairs = np.ascontiguousarray(g[:, :2 * half]).view(_COLUMN_PAIRS[table.dtype])
+        flat = (ids[:, None] * half + np.arange(half)).reshape(-1)
+        np.add.at(paired.reshape(-1).view(pairs.dtype), flat, pairs.reshape(-1))
+        if paired is not gt:
+            gt[:, :-1] = paired
+    if d % 2:
+        np.add.at(gt[:, -1], ids, g[:, -1])
+    return gt
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -259,8 +288,11 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     `_BLOCK_ROWS` rows (of the last axis) at a time in C order, which is the
     order `Generator.random` fills in: the numbers and the generator's end
     state are the whole draw's, and no float64 array wider than a block is
-    held. The CS head passes its (R, d) real context rows, the CC head its
-    (B, d) embedding means, at most one block; no PAD slot is drawn.
+    held. Off the tape (`no_grad`, or `x` needs no gradient), each block of
+    keep factors is multiplied into the output as it is drawn, so no keep
+    array is held either; the bits are the same. The CS head passes its
+    (R, d) real context rows, the CC head its (B, d) embedding means, at
+    most one block; no PAD slot is drawn.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
@@ -268,14 +300,17 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
         return x
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    keep = np.empty(x.data.shape, dtype=x.data.dtype)
-    flat = keep.reshape(-1)
+    taped = on_tape((x,))
+    keep = np.empty(x.data.shape, dtype=x.data.dtype)  # off the tape, the output
+    flat, rows = keep.reshape(-1), x.data.reshape(-1)
     step = _BLOCK_ROWS * max(1, math.prod(keep.shape[-1:]))
     for start in range(0, flat.size, step):
         block = flat[start:start + step]
         np.greater_equal(rng.random(block.size), p, out=block)
-    keep /= 1.0 - p
-    out = x.data * keep
+        block /= 1.0 - p
+        if not taped:
+            block *= rows[start:start + step]
+    out = x.data * keep if taped else keep
 
     def backward_fn(g):
         accumulate(x, g * keep, fresh=True)

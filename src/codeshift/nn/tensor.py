@@ -73,6 +73,11 @@ def _consumed(g: np.ndarray) -> None:
     raise RuntimeError("backward through a graph that has already run backward")
 
 
+def on_tape(parents: Iterable[Tensor]) -> bool:
+    """Whether `make_node` records an op on `parents`: the tape is on and one of them needs a gradient."""
+    return _GRAD_ENABLED and any(needs_grad(p) for p in parents)
+
+
 def make_node(data: np.ndarray, parents: Iterable[Tensor], backward_fn) -> Tensor:
     """Wrap an op result; drops the tape when no parent needs gradients."""
     out = Tensor.__new__(Tensor)
@@ -81,11 +86,10 @@ def make_node(data: np.ndarray, parents: Iterable[Tensor], backward_fn) -> Tenso
     out.requires_grad = False
     out._parents = ()
     out._backward = None
-    if _GRAD_ENABLED:
-        live = tuple(parents)
-        if any(needs_grad(p) for p in live):
-            out._parents = live
-            out._backward = backward_fn
+    live = tuple(parents)
+    if on_tape(live):
+        out._parents = live
+        out._backward = backward_fn
     return out
 
 

@@ -1,7 +1,10 @@
 """CLI contracts: exit codes, artifact layout, config hashing, defaults."""
 
+import ctypes
 import json
 import os
+import platform
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +15,7 @@ import pytest
 import codeshift
 from codeshift import corpus, tasks
 from codeshift import uncertainty as uq
-from codeshift.cli import TASKS, main
+from codeshift.cli import TASKS, keep_heap, main
 from codeshift.config import DEFAULT_CONFIG, ConfigError, ValidationFailure, bucket_dir, config_hash, load_config
 from codeshift.extraction import PAD_TOKEN, UNK_TOKEN, ContextFormatError, Vocabulary
 
@@ -67,6 +70,16 @@ def test_every_exit_2_error_is_a_validation_failure_of_its_old_base():
                         (ContextFormatError, ValueError), (uq.EstimatorStateError, RuntimeError),
                         (uq.ScoresFileError, ValueError)):
         assert issubclass(error, ValidationFailure) and issubclass(error, base), error
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+def test_heap_policy_takes_on_glibc():
+    assert keep_heap() == (1, 1)
+
+
+def test_heap_policy_does_nothing_without_mallopt(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a C library without `mallopt`
+    assert keep_heap() == ()
 
 
 def test_usage_errors_exit_1(capsys):
@@ -364,7 +377,7 @@ def test_filter_threshold_bounds_are_accepted(tmp_path, threshold, accepted):
     assert len(rows) - 2 == accepted
 
 
-@pytest.mark.parametrize("damage", ["truncated", "wrong_kind", "config_not_json", "zero_dim"])
+@pytest.mark.parametrize("damage", ["truncated", "wrong_kind", "config_not_json", "config_nested_too_deep", "zero_dim"])
 def test_corrupt_checkpoint_exits_2_naming_file(tmp_path, capsys, damage):
     config_path = tmp_path / "config.json"
     config_path.write_text("{}", encoding="utf-8")
@@ -376,6 +389,11 @@ def test_corrupt_checkpoint_exits_2_naming_file(tmp_path, capsys, damage):
         ckpt.write_bytes(blob[: len(blob) // 2])
     elif damage == "wrong_kind":
         ckpt.write_bytes(tasks.save_checkpoint(tasks.MlpCompletionModel(vocab, dim=4)))
+    elif damage == "config_nested_too_deep":  # the config JSON swapped, with its length prefix
+        at = 4 + 4 + 2 + len(b"cs")  # magic, version, the kind's length and the kind
+        (size,) = struct.unpack_from("<I", blob, at)
+        deep = NESTED_TOO_DEEP.encode("utf-8")
+        ckpt.write_bytes(blob[:at] + struct.pack("<I", len(deep)) + deep + blob[at + 4 + size:])
     else:  # one byte changed in the config JSON, so every length prefix still holds
         old, new = (b'{"dim"', b'["dim"') if damage == "config_not_json" else (b'"dim": 4', b'"dim": 0')
         ckpt.write_bytes(blob.replace(old, new, 1))
@@ -626,6 +644,11 @@ def test_splits_file_with_an_absolute_corpus_path_still_loads(tmp_path, monkeypa
 # that names the file and no "runtime error".
 
 
+def config_artifact(tmp_path, request):
+    config_path, _ = synth_bucket(tmp_path)
+    return config_path, config_path
+
+
 def manifest_artifact(tmp_path, request):
     config_path, corpus_root = synth_bucket(tmp_path)
     return config_path, corpus_root / "manifest_project.json"
@@ -759,6 +782,7 @@ def score_field(index, value):
     return corrupt
 
 
+NESTED_TOO_DEEP = "[" * 200_000 + "]" * 200_000  # deeper than the interpreter recurses
 MAKE_SPLITS = ["make-splits", "--shift", "project"]
 MAKE_TIMELINE_SPLITS = ["make-splits", "--shift", "timeline"]
 EXTRACT_CC = ["extract", "--task", "cc", "--shift", "project"]
@@ -768,6 +792,13 @@ TRAIN_CC = ["train", "--task", "cc", "--shift", "project"]
 SWEEP_CS = ["sweep", "--task", "cs", "--shift", "project", "--method", "vanilla"]
 FILTER_CS = ["filter", "--task", "cs", "--shift", "project", "--method", "vanilla", "--threshold", "0.5"]
 MALFORMED = {  # id: (artifact, corruption, command)
+    "config_not_utf8": (config_artifact, write(b'{"seed": 1\xff}'), MAKE_SPLITS),
+    "config_nested_too_deep": (config_artifact, write(NESTED_TOO_DEEP), MAKE_SPLITS),
+    "manifest_nested_too_deep": (manifest_artifact, write(NESTED_TOO_DEEP), MAKE_SPLITS),
+    "snapshot_nested_too_deep": (snapshot_artifact, write(NESTED_TOO_DEEP), MAKE_TIMELINE_SPLITS),
+    "splits_nested_too_deep": (splits_artifact, write(NESTED_TOO_DEEP), EXTRACT_CC),
+    "vocab_nested_too_deep": (contexts_artifact("cc", "vocabs.json"), write(NESTED_TOO_DEEP), TRAIN_CC),
+    "report_nested_too_deep": (report_artifact, write(NESTED_TOO_DEEP), ["report"]),
     "manifest_truncated": (manifest_artifact, lambda target: truncate(target) or target, MAKE_SPLITS),
     "manifest_a_list": (manifest_artifact, write("[]"), MAKE_SPLITS),
     "manifest_without_train": (manifest_artifact, edit_json(lambda payload: payload["splits"].pop("train")), MAKE_SPLITS),
@@ -885,9 +916,9 @@ PROJECT_CS = ["--task", "cs", "--shift", "project"]
 # modules the command must not load). A row that forbids numpy runs where
 # `import numpy` fails, as `python -m codeshift.cli`.
 IMPORT_CONTRACT = {
-    "help": (["--help"], False, 0, ("numpy", *LAYERS)),
-    "config_error": (["report", "--config", "no-such-config.json"], False, 2, ("numpy", *LAYERS)),
-    "report": (["report"], True, 0, ("numpy", *LAYERS)),
+    "help": (["--help"], False, 0, ("numpy", "ctypes", *LAYERS)),
+    "config_error": (["report", "--config", "no-such-config.json"], False, 2, ("numpy", "ctypes", *LAYERS)),
+    "report": (["report"], True, 0, ("numpy", "ctypes", *LAYERS)),
     "synth-corpus": (["synth-corpus"], True, 0, ("tasks", "nn", "extraction", "uncertainty", "evalpipe", "metrics")),
     "make-splits": (["make-splits", "--shift", "project"], True, 0,
                     ("tasks", "nn", "extraction", "uncertainty", "evalpipe", "metrics")),

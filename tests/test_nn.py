@@ -418,6 +418,23 @@ def test_embedding_backward_signed_zeros_and_nan(dtype):
     assert np.isnan(grad[2, 0]) and not np.isnan(grad[[0, 1, 3, 4]]).any()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim", [1, 5, 47, 48, 100])  # the README's and the paper's d, and odd ones
+def test_embedding_grad_matches_loop_at_model_shapes(dtype, dim):
+    # about as many rows as one CS training batch of the README study, over a vocabulary it repeats
+    rng = np.random.default_rng(dim)
+    ids = rng.integers(0, 600, size=8639)
+    g = (rng.standard_normal((ids.size, dim)) * 10.0 ** rng.uniform(-5, 5, (ids.size, dim))).astype(dtype)
+    g[rng.random(g.shape) < 0.03] = -0.0
+    g[ids == 7] = -0.0  # an id whose rows are all -0.0 sums to +0.0
+    g[np.flatnonzero(ids == 9)[:2], 0] = [np.inf, -np.inf]  # inf + (-inf) is NaN, and stays so
+    table = np.zeros((600, dim), dtype=dtype)
+    with np.errstate(invalid="ignore"):
+        grad, expected = nn.ops._embedding_grad(table, ids, g), loop_embedding_grad(600, ids, g)
+    assert_bitwise(grad, expected)
+    assert not np.signbit(grad[7]).any() and np.isnan(grad[9, 0])
+
+
 def test_embedding_backward_needs_the_tables_dtype():
     # np.add.at rounds each addition to the table's dtype, so a wider gradient is refused, not rounded per row
     table = nn.Tensor(np.zeros((3, 2), dtype=np.float32), requires_grad=True)

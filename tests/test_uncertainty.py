@@ -986,17 +986,18 @@ def test_cs_training_and_mc_dropout_hold_no_row_wide_float64_array():
     rows = max(split[i:i + 128].lengths.sum() for i in range(0, n, 128))
     held = traced_peak(lambda: tasks.train_cs(split, *model.vocabs().values(), config))
     # backward lets each node go once its rule has run, so a step's peak holds the combined rows, their
-    # gradient, the tanh's and the embedding gradient's int64 flat index, five (R, d) float32 arrays'
-    # worth, and the last step's combined rows and their gradient, which the loop's outputs hold until
-    # the next forward returns; with the parameters' gradients, Adam's two moments and the projected
-    # tables, four times the parameters
-    assert held <= 7 * rows * d * 4 + 4 * params, (held, rows * d * 4)
+    # gradient, the tanh's and the embedding gradient's int64 index (one per column pair), four (R, d)
+    # float32 arrays' worth, and the last step's combined rows and their gradient, which the loop's
+    # outputs hold until the next forward returns; with the parameters' gradients, Adam's two moments
+    # and the projected tables, four times the parameters
+    assert held <= 6 * rows * d * 4 + 4 * params, (held, rows * d * 4)
     base = uq.base_outputs(model, split)
     rows = model.feature_rows(split)  # one scoring batch
     held = traced_peak(lambda: uq.score_mc_dropout(model, split, passes=1, features=base["features"]))
-    # the dropped rows and their keep factors, eight per-row float32 columns and two (N, V) float64
-    # arrays; the uniforms are drawn 512 rows at a time and the weighted rows pooled a block at a time
-    assert held <= 2 * rows * d * 4 + 8 * rows * 4 + 2 * n * v * 8, (held, rows * d * 4)
+    # the dropped rows, one 512-row block of float64 uniforms, eight per-row float32 columns and two
+    # (N, V) float64 arrays: off the tape each block of keep factors is multiplied in as it is drawn,
+    # and the weighted rows are pooled a block at a time
+    assert held <= rows * d * 4 + 512 * d * 8 + 8 * rows * 4 + 2 * n * v * 8, (held, rows * d * 4)
 
 
 # -- registry and score tables ------------------------------------------------------
