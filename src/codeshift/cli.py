@@ -41,6 +41,7 @@ from .config import (
     VALIDATION_SPLIT,
     ConfigError,
     ValidationFailure,
+    atomic_open,
     bucket_dir,
     config_hash,
     corpus_dir,
@@ -283,15 +284,15 @@ def _load_vocabs(bucket: Path, task: str, shift: str) -> dict:
 
 
 def _load_encoded(bucket: Path, task: str, shift: str, split: str, vocabs: dict, allow_empty: bool = False):
-    """`split`'s contexts encoded against `vocabs`, as one `tasks.EncodedSplit`."""
+    """`split`'s contexts encoded against `vocabs` line by line, as one `tasks.EncodedSplit`."""
     from . import tasks
     from .extraction import read_cc_contexts, read_cs_contexts
 
     path = _require(
         _contexts_path(bucket, task, shift, split), f"extract --task {task} --shift {shift}"
     )
-    raw = read_cs_contexts(path) if task == "cs" else read_cc_contexts(path)
-    encoded = tasks.encode_split(raw, vocabs, id_prefix=split)
+    records = read_cs_contexts(path) if task == "cs" else read_cc_contexts(path)
+    encoded = tasks.encode_records(records, vocabs, id_prefix=split)
     if not encoded and not allow_empty:
         raise ValidationFailure(f"contexts file {path} holds no {task} samples; re-run `extract`")
     return encoded
@@ -330,9 +331,11 @@ def cmd_train(config: dict, args) -> int:
     ckpt = _checkpoint_path(bucket, args.task, args.shift)
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     echo = echo_config(config)
-    ckpt.write_bytes(tasks.save_checkpoint(
+    blob = tasks.save_checkpoint(
         result.model, train_config={**dataclasses.asdict(train_config), "config_hash": echo["config_hash"]}
-    ))
+    )
+    with atomic_open(ckpt, binary=True) as f:
+        f.write(blob)
     log_dir = bucket / "logs"
     log_dir.mkdir(parents=True, exist_ok=True)
     tasks.write_epoch_log(result.history, log_dir / f"{args.task}-{args.shift}-epochs.csv", echo["config_hash"])

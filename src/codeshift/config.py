@@ -9,7 +9,9 @@ while changed configs get their own bucket. Every config-stamped CSV goes
 through `write_csv`, and every JSON document the package writes (config
 echoes, vocabularies, reports, corpus manifests) through `write_json`.
 Every JSON document it reads (the config, manifests, snapshot sidecars,
-splits, vocabularies, reports) goes through `read_json`.
+splits, vocabularies, reports) goes through `read_json`. Those writers, the
+context files and the checkpoints write through `atomic_open`, so an
+artifact is whole or absent.
 
 This module imports nothing but the standard library, so it also holds
 what every layer shares: the shift kinds, the validation split's name, the
@@ -23,6 +25,8 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 SHIFT_KINDS = ("timeline", "project", "author")
@@ -215,16 +219,36 @@ def echo_config(config: dict) -> dict:
     return echoed
 
 
+@contextmanager
+def atomic_open(path, binary: bool = False):
+    """A file to write `path`'s new content to: UTF-8 text with LF line ends, or bytes.
+
+    It is a temporary file beside `path`, `.<name>.tmp`, which no reader's
+    `*.txt`, `*.csv` or `*.json` glob matches. When the block ends it
+    replaces `path` in one `os.replace`; when the block raises it is
+    removed, and `path` keeps what it held.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path, config_hash: str, header: str, lines) -> None:
     """A UTF-8 CSV with LF line ends: `# config_hash=<hash>`, the header, then `lines`, each ending in LF."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         f.write(f"# config_hash={config_hash}\n{header}\n")
         f.writelines(lines)
 
 
 def write_json(path, doc: dict) -> None:
     """`doc` as UTF-8 JSON with sorted keys, indented 2, and one trailing LF."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
 

@@ -16,10 +16,11 @@ sentinel so the label never leaks into its own contexts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from ..config import ValidationFailure
+from ..config import ValidationFailure, atomic_open
 from .lexer import Token
 from .parser import AstNode
 
@@ -42,11 +43,19 @@ class MethodSample:
     label: str
     contexts: list[PathContext]
 
+    def record(self) -> tuple[str, list[str]]:
+        """What `read_cs_contexts` yields for this sample's line: the label and the contexts' fields."""
+        return self.label, [field for c in self.contexts for field in (c.left, c.path, c.right)]
+
 
 @dataclass
 class CbowSample:
     target: str
     context: list[str]
+
+    def record(self) -> tuple[str, list[str]]:
+        """What `read_cc_contexts` yields for this sample's line: the target and the context tokens."""
+        return self.target, self.context
 
 
 def normalize_text(text: str) -> str:
@@ -184,6 +193,11 @@ def extract_cbow_samples(tokens: list[Token], window: int = 4) -> list[CbowSampl
 # CS: one method per line, `label left,path,right left,path,right ...`
 # CC: one sample per line, `target ctx1 ctx2 ...` (2*w context slots)
 # UTF-8, LF line endings.
+#
+# The readers yield one record per non-empty line, and hold only that
+# line's strings: CS (label, fields), the contexts' left, path and right
+# fields one context after another; CC (target, context tokens). A
+# sample's `record()` is what its line reads back as.
 
 
 class ContextFormatError(ValidationFailure, ValueError):
@@ -215,12 +229,12 @@ def _checked(sample: str, line: str, joins: dict[str, int]) -> str:
 
 
 def _write_lines(path, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         f.writelines(line + "\n" for line in lines)
 
 
 def write_cs_contexts(path, samples: list[MethodSample]) -> None:
-    """Write one line per sample, which `read_cs_contexts` reads back as its label and contexts.
+    """Write one line per sample, which `read_cs_contexts` reads back as the sample's record.
 
     Before anything is written, ValueError names the first sample that would
     not read back so: a label or context field holding a space, a comma or
@@ -237,22 +251,18 @@ def write_cs_contexts(path, samples: list[MethodSample]) -> None:
     _write_lines(path, lines)
 
 
-def read_cs_contexts(path) -> list[MethodSample]:
-    samples = []
+def read_cs_contexts(path):
+    """Yield each line's record; a context that is not three fields raises ContextFormatError."""
     for lineno, line in _numbered_lines(path):
-        parts = line.split(" ")
-        contexts = []
-        for chunk in parts[1:]:
-            fields = chunk.split(",")
-            if len(fields) != 3:
-                raise ContextFormatError(f"{path}:{lineno}: bad context triple {chunk!r}")
-            contexts.append(PathContext(*fields))
-        samples.append(MethodSample(label=parts[0], contexts=contexts))
-    return samples
+        label, *chunks = line.split(" ")
+        if {*map(str.count, chunks, repeat(","))} - {2}:
+            bad = next(chunk for chunk in chunks if chunk.count(",") != 2)
+            raise ContextFormatError(f"{path}:{lineno}: bad context triple {bad!r}")
+        yield label, ",".join(chunks).split(",") if chunks else []
 
 
 def write_cc_contexts(path, samples: list[CbowSample]) -> None:
-    """Write one line per sample, which `read_cc_contexts` reads back as its target and context.
+    """Write one line per sample, which `read_cc_contexts` reads back as the sample's record.
 
     Before anything is written, ValueError names the first sample that would
     not read back so: a token holding a space or a line break, or a context
@@ -268,18 +278,15 @@ def write_cc_contexts(path, samples: list[CbowSample]) -> None:
     _write_lines(path, lines)
 
 
-def read_cc_contexts(path) -> list[CbowSample]:
-    samples = []
-    first = None  # (line number, field count) of the first sample
+def read_cc_contexts(path):
+    """Yield each line's record; ContextFormatError unless it is a target and 2*w tokens, as many as the first line's."""
+    first = None  # (line number, context width) of the first line
     for lineno, line in _numbered_lines(path):
-        parts = line.split(" ")
-        if len(parts) < 3 or len(parts) % 2 == 0:
+        target, *context = line.split(" ")
+        if len(context) < 2 or len(context) % 2:
             raise ContextFormatError(f"{path}:{lineno}: expected target plus 2*w context tokens")
         if first is None:
-            first = (lineno, len(parts))
-        elif len(parts) != first[1]:
-            raise ContextFormatError(
-                f"{path}:{lineno}: {len(parts) - 1} context tokens, but line {first[0]} has {first[1] - 1}"
-            )
-        samples.append(CbowSample(target=parts[0], context=parts[1:]))
-    return samples
+            first = (lineno, len(context))
+        elif len(context) != first[1]:
+            raise ContextFormatError(f"{path}:{lineno}: {len(context)} context tokens, but line {first[0]} has {first[1]}")
+        yield target, context

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import repeat
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, Iterator
 
 from ..config import UNK_ID
 from .samples import CbowSample, MethodSample, PAD_TOKEN
@@ -52,8 +50,9 @@ class Vocabulary:
     def encode(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
 
-    def encode_all(self, tokens: Iterable[str]) -> np.ndarray:
-        return np.fromiter(map(self._ids.get, tokens, repeat(UNK_ID)), dtype=np.int64)
+    def ids(self, tokens: Iterable[str]) -> Iterator[int]:
+        """Each token's id, lazily; an unseen one is UNK_ID."""
+        return map(self._ids.get, tokens, repeat(UNK_ID))
 
     def decode(self, idx: int) -> str:
         return self._tokens[idx]

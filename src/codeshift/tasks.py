@@ -22,11 +22,12 @@ the token table with the (B, V) bag the batch's shares scatter into, so
 its gradient is one product too.
 
 Each model carries its task: the vocabularies it was built over, which
-`encode_split` encodes every split against and checkpoints store, and its
+`encode_records` encodes every split against and checkpoints store, and its
 parameters. `MODELS` maps each task kind to its model class. A split is
-encoded once into one ragged layout (`EncodedSplit`): flat columns plus
-row lengths, one entry per CS context (with its index among the split's
-distinct triples) or per distinct CC window token, and no PAD stored.
+encoded once, one context-file line at a time, into one ragged layout
+(`EncodedSplit`): flat columns plus row lengths, one entry per CS context
+(with its index among the split's distinct triples) or per distinct CC
+window token, and no PAD stored.
 
 Both train with Adam on mean cross-entropy over seeded, shuffled batches.
 Accuracy is exact-match argmax, reported as a percentage; samples whose
@@ -38,8 +39,8 @@ from __future__ import annotations
 
 import copy
 import functools
-import itertools
-from collections.abc import Iterator, Sequence
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,20 +106,20 @@ class EncodedSplit:
         return EncodedSplit(self.sample_ids[rows], self.labels[rows], inputs, lengths)
 
 
-def pack(sample_ids, labels, rows: dict[str, Sequence]) -> EncodedSplit:
-    """Concatenate per-sample id rows into one EncodedSplit.
+def pack(sample_ids, labels, inputs: dict[str, Sequence[int]], lengths: Sequence[int]) -> EncodedSplit:
+    """Pack flat id columns into one EncodedSplit.
 
-    `rows` maps each input name to one id sequence per sample, and a
-    sample's sequences all have the same length.
+    `inputs` maps each input name to its ids, the rows' one after
+    another, and `lengths` counts each row's; every column holds their
+    sum. An int64 buffer (`array("q")`) is taken without a copy.
     """
-    sizes = {name: np.fromiter(map(len, column), dtype=np.int64, count=len(column)) for name, column in rows.items()}
-    lengths = next(iter(sizes.values()))
-    inputs = {}
-    for name, column in rows.items():
-        if not np.array_equal(sizes[name], lengths):
-            raise ValueError(f"input {name!r} rows differ in length from the first input's")
-        inputs[name] = np.fromiter(itertools.chain.from_iterable(column), dtype=np.int64, count=int(lengths.sum()))
-    return EncodedSplit(np.array(sample_ids, dtype=str), np.asarray(labels, dtype=np.int64), inputs, lengths)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    total = int(lengths.sum())
+    columns = {name: np.asarray(ids, dtype=np.int64) for name, ids in inputs.items()}
+    for name, ids in columns.items():
+        if ids.shape != (total,):
+            raise ValueError(f"input {name!r} holds {ids.size} ids for rows of {total}")
+    return EncodedSplit(np.array(sample_ids, dtype=str), np.asarray(labels, dtype=np.int64), columns, lengths)
 
 
 def pack_windows(sample_ids, labels, ids: np.ndarray, sizes: Sequence[int]) -> EncodedSplit:
@@ -135,52 +136,71 @@ def pack_windows(sample_ids, labels, ids: np.ndarray, sizes: Sequence[int]) -> E
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
     if ids.size != sizes.sum():
         raise ValueError(f"{ids.size} window ids for window sizes summing to {sizes.sum()}")
-    rows = np.repeat(np.arange(len(sizes)), sizes)
-    real = ids != PAD_ID
-    ids, rows = ids[real], rows[real]
-    order = np.lexsort((ids, rows))  # rows ascending, each row's ids ascending
-    ids, rows = ids[order], rows[order]
-    first = np.ones(ids.size, dtype=bool)
-    first[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
+    # one int64 key per real slot, its row and then its id, so one in-place
+    # sort orders rows ascending and each row's ids ascending; ids are taken
+    # from the lowest, so one out of the table's range still reaches the model
+    low = int(ids.min(initial=0))
+    width = int(ids.max(initial=0)) - low + 1
+    key = np.repeat(np.arange(len(sizes)) * width - low, sizes)
+    key += ids
+    key = key[ids != PAD_ID]
+    key.sort()
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
     starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, ids.size))
-    n_real = np.bincount(rows, minlength=len(sizes))
-    inputs = {"token": ids[starts], "share": counts / n_real[rows[starts]]}
-    lengths = np.bincount(rows[starts], minlength=len(sizes))
+    counts = np.diff(np.append(starts, key.size))
+    rows, token = np.divmod(key[starts], width)
+    token += low
+    n_real = np.bincount(rows, weights=counts, minlength=len(sizes))  # whole numbers in float64, so exact
+    inputs = {"token": token, "share": counts / n_real[rows]}
+    lengths = np.bincount(rows, minlength=len(sizes))
     return EncodedSplit(np.array(sample_ids, dtype=str), np.asarray(labels, dtype=np.int64), inputs, lengths)
 
 
-def encode_split(samples: list, vocabs: dict[str, Vocabulary], id_prefix: str = "") -> EncodedSplit:
-    """Encode a split's samples against a model's vocabularies and pack them.
+def encode_split(samples: Iterable, vocabs: dict[str, Vocabulary], id_prefix: str = "") -> EncodedSplit:
+    """`encode_records` over in-memory samples: each one's `record()`, which its context-file line reads back as."""
+    return encode_records((s.record() for s in samples), vocabs, id_prefix)
 
-    `vocabs` holds the CS `terminals`/`paths`/`labels` vocabularies or the
-    CC `tokens` one, as `model.vocabs()` returns them. CS methods without
-    contexts and CC windows without a real (non-PAD) slot are dropped; a
-    sample's id is `<id_prefix>#<index>`, its index among `samples`.
+
+def encode_records(
+    records: Iterable[tuple[str, list[str]]], vocabs: dict[str, Vocabulary], id_prefix: str = ""
+) -> EncodedSplit:
+    """Encode a split's records against a model's vocabularies and pack them, one record at a time.
+
+    `records` are a context file's, as `extraction.read_cs_contexts` or
+    `read_cc_contexts` yields them. `vocabs` holds the CS
+    `terminals`/`paths`/`labels` vocabularies or the CC `tokens` one, as
+    `model.vocabs()` returns them. Each record's fields go straight into
+    int64 id buffers, so nothing of a record outlives its turn. CS records
+    without contexts and CC windows without a real (non-PAD) slot are
+    dropped; a sample's id is `<id_prefix>#<index>`, its index among
+    `records`.
     """
+    labels, lengths = array("q"), array("q")
     if "tokens" in vocabs:
-        tokens = vocabs["tokens"]
-        split = pack_windows(
-            [f"{id_prefix}#{i}" for i in range(len(samples))],
-            tokens.encode_all(s.target for s in samples),
-            tokens.encode_all(itertools.chain.from_iterable(s.context for s in samples)),
-            [len(s.context) for s in samples],
-        )
+        tokens, windows = vocabs["tokens"], array("q")
+        for target, context in records:
+            labels.append(tokens.encode(target))
+            windows.extend(tokens.ids(context))
+            lengths.append(len(context))
+        split = pack_windows([f"{id_prefix}#{i}" for i in range(len(labels))], labels, windows, lengths)
         return split if split.lengths.all() else split[np.flatnonzero(split.lengths)]
-    kept = [(i, s) for i, s in enumerate(samples) if s.contexts]
-    terminals, paths = vocabs["terminals"], vocabs["paths"]
-    split = pack(
-        [f"{id_prefix}#{i}" for i, _ in kept],
-        vocabs["labels"].encode_all(s.label for _, s in kept),
-        {
-            "left": [terminals.encode_all(c.left for c in s.contexts) for _, s in kept],
-            "path": [paths.encode_all(c.path for c in s.contexts) for _, s in kept],
-            "right": [terminals.encode_all(c.right for c in s.contexts) for _, s in kept],
-        },
-    )
+    terminals, paths, names = vocabs["terminals"], vocabs["paths"], vocabs["labels"]
+    columns = {"left": array("q"), "path": array("q"), "right": array("q")}
+    left, path, right = columns.values()
+    kept = []
+    for i, (label, fields) in enumerate(records):
+        if fields:
+            kept.append(i)
+            labels.append(names.encode(label))
+            lengths.append(len(fields) // 3)
+            left.extend(terminals.ids(fields[0::3]))
+            path.extend(paths.ids(fields[1::3]))
+            right.extend(terminals.ids(fields[2::3]))
+    split = pack([f"{id_prefix}#{i}" for i in kept], labels, columns, lengths)
     ids = split.inputs
     key = (ids["left"] * len(paths) + ids["path"]) * len(terminals) + ids["right"]
-    ids["triple"] = np.unique(key, return_inverse=True)[1].astype(np.int64)
+    ids["triple"] = np.unique(key, return_inverse=True)[1].astype(np.int64, copy=False)
     return split
 
 

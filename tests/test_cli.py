@@ -16,7 +16,17 @@ import codeshift
 from codeshift import corpus, tasks
 from codeshift import uncertainty as uq
 from codeshift.cli import TASKS, keep_heap, main
-from codeshift.config import DEFAULT_CONFIG, ConfigError, ValidationFailure, bucket_dir, config_hash, load_config
+from codeshift.config import (
+    DEFAULT_CONFIG,
+    ConfigError,
+    ValidationFailure,
+    atomic_open,
+    bucket_dir,
+    config_hash,
+    load_config,
+    write_csv,
+    write_json,
+)
 from codeshift.extraction import PAD_TOKEN, UNK_TOKEN, ContextFormatError, Vocabulary
 
 
@@ -136,6 +146,36 @@ def test_ill_typed_config_values_exit_2_naming_the_key(tmp_path, capsys, doc, ke
         assert main([*command, "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and repr(key) in err
+
+
+def rows_then_failure():
+    yield "1,2\n"
+    raise RuntimeError("the second row")
+
+
+def write_raw(path, blob):
+    with atomic_open(path, binary=True) as f:
+        f.write(blob[:3])
+        raise RuntimeError("mid-checkpoint")
+
+
+# a writer that raises after writing part of the file: a CSV, a JSON document
+# (its value for "b" is not JSON), and raw bytes
+HALF_WRITES = {
+    "csv": lambda path: write_csv(path, "hash", "a,b", rows_then_failure()),
+    "json": lambda path: write_json(path, {"a": [1, 2], "b": object()}),
+    "bytes": lambda path: write_raw(path, b"checkpoint"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALF_WRITES))
+def test_a_writer_that_raises_mid_file_leaves_the_earlier_file_and_nothing_else(tmp_path, name):
+    path = tmp_path / f"artifact.{name}"
+    path.write_bytes(b"the earlier file\n")
+    with pytest.raises((RuntimeError, TypeError)):
+        HALF_WRITES[name](path)
+    assert path.read_bytes() == b"the earlier file\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary file is left behind
 
 
 def test_author_files_key_order_changes_neither_hash_nor_corpus(tmp_path):
@@ -449,18 +489,23 @@ def test_score_file_named_for_another_method_exits_2(tmp_path, capsys):
     assert str(target) in err and "temp_scale" in err
 
 
+# each task's context-file lines and its vocabularies' tokens after the reserved UNK and PAD
+CONTEXT_FIXTURE = {
+    "cs": (
+        ["addPair a,Name↑Call↓Name,b a,Name↑Call↓Name,c", "subPair b,Name↑Call↓Name,c"],
+        {"terminals": ["a", "b", "c"], "paths": ["Name↑Call↓Name"], "labels": ["addPair", "subPair"]},
+    ),
+    "cc": (["b a <PAD> c a", "c b a <PAD> <PAD>"], {"tokens": ["a", "b", "c"]}),
+}
+
+
 def contexts_bucket(tmp_path, task):
     """A bucket holding only the train/validation context files and the vocab file of `task`/project."""
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"train": {"embedding_dim": 4, "epochs": 1}}), encoding="utf-8")
     contexts = bucket_of(config_path) / "contexts"
     contexts.mkdir(parents=True)
-    if task == "cs":
-        lines = ["addPair a,Name↑Call↓Name,b a,Name↑Call↓Name,c", "subPair b,Name↑Call↓Name,c"]
-        vocabs = {"terminals": ["a", "b", "c"], "paths": ["Name↑Call↓Name"], "labels": ["addPair", "subPair"]}
-    else:
-        lines = ["b a <PAD> c a", "c b a <PAD> <PAD>"]
-        vocabs = {"tokens": ["a", "b", "c"]}
+    lines, vocabs = CONTEXT_FIXTURE[task]
     for split in ("train", "validation"):
         (contexts / f"{task}-project-{split}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     payload = {"vocabs": {name: [UNK_TOKEN, PAD_TOKEN, *tokens] for name, tokens in vocabs.items()}}

@@ -612,22 +612,21 @@ def test_vocab_encodes_unseen_tokens_to_unk():
 
     vocab = ex.Vocabulary.from_counts(Counter({"x": 2}), min_count=1)
     assert vocab.encode("baz") == ex.UNK_ID
-    assert vocab.encode_all(["x", "baz", "x"]).tolist() == [2, ex.UNK_ID, 2]
+    assert list(vocab.ids(["x", "baz", "x"])) == [2, ex.UNK_ID, 2]
     assert "baz" not in vocab and len(vocab) == 3
     rebuilt = ex.Vocabulary.from_tokens([ex.UNK_TOKEN, ex.PAD_TOKEN, "x"])
     assert rebuilt.encode("baz") == ex.UNK_ID
 
 
-def test_vocab_encode_all_matches_encode_on_any_stream():
+def test_vocab_ids_match_encode_on_any_stream():
     from collections import Counter
 
     vocab = ex.Vocabulary.from_counts(Counter({"x": 3, "y": 1}), min_count=1)
     stream = ["y", "zz", "x", ex.PAD_TOKEN, "", ex.UNK_TOKEN, "x"]
-    ids = vocab.encode_all(iter(stream))
-    assert ids.dtype == np.int64
-    assert ids.tolist() == [vocab.encode(t) for t in stream] == [3, ex.UNK_ID, 2, ex.PAD_ID, ex.UNK_ID, ex.UNK_ID, 2]
-    empty = vocab.encode_all(t for t in ())
-    assert empty.dtype == np.int64 and empty.shape == (0,)
+    ids = vocab.ids(iter(stream))
+    assert iter(ids) is ids  # lazy: a reader's line is looked up as it is consumed
+    assert list(ids) == [vocab.encode(t) for t in stream] == [3, ex.UNK_ID, 2, ex.PAD_ID, ex.UNK_ID, ex.UNK_ID, 2]
+    assert list(vocab.ids(t for t in ())) == []
 
 
 def test_vocab_from_tokens_rejects_a_duplicated_token():
@@ -686,8 +685,7 @@ def test_cs_contexts_roundtrip(tmp_path):
     samples = ex.extract_method_samples(tree)
     path = tmp_path / "cs.txt"
     ex.write_cs_contexts(path, samples)
-    back = ex.read_cs_contexts(path)
-    assert back == samples
+    assert list(ex.read_cs_contexts(path)) == [s.record() for s in samples]
 
 
 def test_cc_contexts_roundtrip(tmp_path):
@@ -695,8 +693,7 @@ def test_cc_contexts_roundtrip(tmp_path):
     samples = ex.extract_cbow_samples(tokens, window=2)
     path = tmp_path / "cc.txt"
     ex.write_cc_contexts(path, samples)
-    back = ex.read_cc_contexts(path)
-    assert [(s.target, s.context) for s in back] == [(s.target, s.context) for s in samples]
+    assert list(ex.read_cc_contexts(path)) == [(s.target, s.context) for s in samples]
 
 
 @pytest.mark.parametrize(
@@ -727,7 +724,7 @@ FIELD_TEXT = st.text(
 
 
 def written_back(write, read, samples):
-    """What `read` returns for the file `write` makes of `samples`, or None if `write` rejects them."""
+    """The records `read` yields for the file `write` makes of `samples`, or None if `write` rejects them."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "contexts.txt"
         try:
@@ -735,7 +732,7 @@ def written_back(write, read, samples):
         except ValueError:
             assert not path.exists()
             return None
-        return read(path)
+        return list(read(path))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -747,7 +744,7 @@ def test_cs_contexts_are_rejected_at_write_time_or_read_back_equal(rows):
     unreadable = any(set(text) & set(" ,\n\r") for text in fields) or any(not label and not c for label, c in rows)
     assert (back is None) == unreadable
     if back is not None:
-        assert back == samples
+        assert back == [s.record() for s in samples]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -761,11 +758,11 @@ def test_cc_contexts_are_rejected_at_write_time_or_read_back_equal(rows):
     )
     assert (back is None) == unreadable
     if back is not None:
-        assert [(s.target, s.context) for s in back] == [(s.target, s.context) for s in samples]
+        assert back == [(s.target, s.context) for s in samples]
 
 
 def test_cs_contexts_bad_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("label left,only\n", encoding="utf-8")
     with pytest.raises(ex.ContextFormatError):
-        ex.read_cs_contexts(path)
+        list(ex.read_cs_contexts(path))

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,7 @@ def cc_fixture_samples():
 
 def cc_fixture_windows(vocab):
     """The fixture's context windows as ids, one (2w,) row per sample, PAD at the file's edges."""
-    return np.array([vocab.encode_all(s.context) for s in cc_fixture_samples()])
+    return np.array([list(vocab.ids(s.context)) for s in cc_fixture_samples()], dtype=np.int64)
 
 
 def pack_window_rows(sample_ids, labels, windows):
@@ -91,8 +92,8 @@ def test_zero_cs_model_uniform_probs():
 
 def test_single_context_attention_weight_is_one():
     encoded, terminals, paths, labels = cs_training_setup()
-    first_context = {name: [encoded.inputs[name][:1]] for name in ("left", "path", "right")}
-    single = tasks.pack(["one"], encoded.labels[:1], {**first_context, "triple": [[0]]})
+    first_context = {name: encoded.inputs[name][:1] for name in ("left", "path", "right")}
+    single = tasks.pack(["one"], encoded.labels[:1], {**first_context, "triple": [0]}, [1])
     model = tasks.PathAttentionModel(terminals, paths, labels, dim=16, seed=3)
     (weights,) = per_sample(tasks.infer(model, single, keys=("weights",))["weights"], single.lengths)
     assert np.allclose(weights, [1.0])
@@ -173,9 +174,10 @@ def splits_and_selections(draw):
 
 def pack_rows(rows):
     """A two-input split over `rows`; the second input is the first shifted, so the columns differ."""
+    left = [i for row in rows for i in row]
     return tasks.pack(
         [f"s{i}" for i in range(len(rows))], list(range(100, 100 + len(rows))),
-        {"left": rows, "right": [[i + 1 for i in row] for row in rows]},
+        {"left": left, "right": [i + 1 for i in left]}, [len(row) for row in rows],
     )
 
 
@@ -209,14 +211,25 @@ def test_cs_triple_column_numbers_the_splits_distinct_triples_in_order():
     assert batch["triple"].tolist() == [distinct.index(t) for t in batch_triples]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.integers(-3, 40), max_size=6), max_size=8))
+def test_pack_windows_bags_each_windows_real_ids_with_their_shares(windows):
+    # ids outside a table's range too, negative ones included: the model's check must still see them
+    split = pack_window_rows([f"w{i}" for i in range(len(windows))], list(range(len(windows))), windows)
+    bags = [Counter(i for i in window if i != ex.PAD_ID) for window in windows]
+    assert split.lengths.tolist() == [len(bag) for bag in bags]
+    assert split.inputs["token"].tolist() == [i for bag in bags for i in sorted(bag)]
+    assert split.inputs["share"].tolist() == [bag[i] / sum(bag.values()) for bag in bags for i in sorted(bag)]
+
+
 def test_pack_windows_rejects_sizes_that_do_not_cover_the_ids():
     with pytest.raises(ValueError, match="3 window ids"):
         tasks.pack_windows(["a", "b"], [2, 2], np.array([2, 3, 4]), [2, 2])
 
 
 def test_pack_rejects_inputs_whose_rows_differ_in_length():
-    with pytest.raises(ValueError, match="'path' rows differ"):
-        tasks.pack(["a"], [5], {"left": [[2, 3]], "path": [[6]], "right": [[3, 2]]})
+    with pytest.raises(ValueError, match="'path' holds 1 ids for rows of 2"):
+        tasks.pack(["a"], [5], {"left": [2, 3], "path": [6], "right": [3, 2]}, [2])
 
 
 def test_with_params_replaces_only_the_named_arrays_without_initialising_new_ones(monkeypatch):
@@ -380,7 +393,7 @@ def test_evaluate_accuracy_reads_the_logits(monkeypatch):
 def test_empty_context_bag_raises():
     encoded, terminals, paths, labels = cs_training_setup()
     model = tasks.PathAttentionModel(terminals, paths, labels, dim=8)
-    empty = tasks.pack(["none"], [2], {"left": [[]], "path": [[]], "right": [[]]})
+    empty = tasks.pack(["none"], [2], {"left": [], "path": [], "right": []}, [0])
     with pytest.raises(ValueError, match="empty context bag"):
         tasks.infer(model, empty)
 

@@ -968,10 +968,12 @@ def wide_cs_setup():
     )
     lengths = rng.integers(20, 115, size=300)
     columns = {
-        name: [rng.integers(2, len(vocab), size=n) for n in lengths]
+        name: np.concatenate([rng.integers(2, len(vocab), size=n) for n in lengths])
         for name, vocab in (("left", terminals), ("path", paths), ("right", terminals))
     }
-    split = tasks.pack([f"w#{i}" for i in range(len(lengths))], rng.integers(2, len(labels), size=len(lengths)), columns)
+    split = tasks.pack(
+        [f"w#{i}" for i in range(len(lengths))], rng.integers(2, len(labels), size=len(lengths)), columns, lengths
+    )
     ids = split.inputs
     key = (ids["left"] * len(paths) + ids["path"]) * len(terminals) + ids["right"]
     ids["triple"] = np.unique(key, return_inverse=True)[1].astype(np.int64)
