@@ -18,19 +18,20 @@ tree = ex.parse_java_lite(tokens)
 print("\nparse tree:")
 print(tree.pretty())
 
-# a method sample is a bag of (left terminal, path, right terminal) triples;
-# the method's own name is masked with a sentinel wherever it appears
+# a method sample is its name and a bag of (left terminal, path, right terminal)
+# contexts, their fields one after another; the method's own name is masked
+# with a sentinel wherever it appears
 samples = ex.extract_method_samples(tree, max_contexts=200, max_path_len=9)
-sample = samples[0]
-print(f"\nmethod sample: label={sample.label!r}, {len(sample.contexts)} contexts, e.g.")
-for context in sample.contexts[:5]:
-    print(f"  ({context.left}, {context.path}, {context.right})")
+label, fields = samples[0]
+print(f"\nmethod sample: label={label!r}, {len(fields) // 3} contexts, e.g.")
+for k in range(0, 15, 3):
+    print(f"  ({', '.join(fields[k:k + 3])})")
 
 # code completion uses plain token windows with PAD at the boundaries
 cbow = ex.extract_cbow_samples(tokens, window=2)
 print(f"\ncbow samples ({len(cbow)} positions), first three:")
-for s in cbow[:3]:
-    print(f"  target={s.target!r:<14} context={s.context}")
+for target, context in cbow[:3]:
+    print(f"  target={target!r:<14} context={context}")
 
 # vocabularies are fixed once built; unseen tokens encode to UNK
 terminals, paths, labels = ex.build_cs_vocabs(samples, min_count=1).values()

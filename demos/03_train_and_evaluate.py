@@ -23,7 +23,7 @@ tree = ex.parse_java_lite(ex.tokenize_java(cs_source))
 cs_samples = ex.extract_method_samples(tree)
 cs_vocabs = ex.build_cs_vocabs(cs_samples)
 terminals, paths, labels = cs_vocabs.values()
-cs_encoded = tasks.encode_split(cs_samples, cs_vocabs, id_prefix="demo")
+cs_encoded = tasks.encode_records(cs_samples, cs_vocabs, id_prefix="demo")
 
 config = tasks.TrainConfig(embedding_dim=32, epochs=60, seed=1)
 result = tasks.train_cs(cs_encoded, terminals, paths, labels, config)
@@ -46,7 +46,7 @@ cc_tokens = ex.tokenize_java("int a0 = b0; int a1 = b1; int a2 = b2; long c0 = d
 cc_samples = ex.extract_cbow_samples(cc_tokens, window=4)
 cc_vocabs = ex.build_cc_vocab(cc_samples)
 vocab = cc_vocabs["tokens"]
-cc_encoded = tasks.encode_split(cc_samples, cc_vocabs, id_prefix="demo")
+cc_encoded = tasks.encode_records(cc_samples, cc_vocabs, id_prefix="demo")
 cc_result = tasks.train_cc(cc_encoded, vocab, tasks.TrainConfig(seed=1))  # published defaults
 print("\ncode completion (CBOW MLP):")
 print(f"  final train accuracy {cc_result.history[-1]['train_acc']:.1f}% over {len(cc_encoded)} samples")

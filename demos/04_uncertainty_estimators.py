@@ -27,7 +27,7 @@ tree = ex.parse_java_lite(ex.tokenize_java(source))
 samples = ex.extract_method_samples(tree)
 vocabs = ex.build_cs_vocabs(samples)
 terminals, paths, labels = vocabs.values()
-encoded = tasks.encode_split(samples, vocabs, id_prefix="demo")
+encoded = tasks.encode_records(samples, vocabs, id_prefix="demo")
 model = tasks.train_cs(encoded, terminals, paths, labels,
                        tasks.TrainConfig(embedding_dim=24, epochs=60, seed=5)).model
 

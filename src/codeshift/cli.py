@@ -226,42 +226,41 @@ def cmd_extract(config: dict, args) -> int:
         write_cs_contexts,
     )
 
+    ext = config["extraction"]
+    if args.task == "cs":
+        def extract(tokens, diagnostics):
+            tree = parse_java_lite(tokens, diagnostics)
+            return extract_method_samples(
+                tree, max_contexts=ext["max_contexts"], max_path_len=ext["max_path_len"], seed=config["seed"]
+            )
+        write, build_vocabs = write_cs_contexts, build_cs_vocabs
+    else:
+        def extract(tokens, diagnostics):
+            return extract_cbow_samples(tokens, window=ext["window"])
+        write, build_vocabs = write_cc_contexts, build_cc_vocab
+
     bucket = bucket_dir(config)
     assignment = _load_assignment(bucket, args.shift)
-    ext = config["extraction"]
-    out_dir = bucket / "contexts"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_samples = None
+    if "train" not in assignment.splits:
+        raise ValidationFailure("assignment has no 'train' split")
+    (bucket / "contexts").mkdir(parents=True, exist_ok=True)
     recoveries = 0
     for split in assignment.splits:
-        samples = []
+        records = []
         for rel, text in corpus.iterate_samples(assignment, split, seed=config["seed"]):
             diagnostics: list[str] = []
             try:
-                tokens = tokenize_java(text)
-                tree = parse_java_lite(tokens, diagnostics) if args.task == "cs" else None
+                records.extend(extract(tokenize_java(text), diagnostics))
             except (LexicalError, ParseError) as exc:
                 raise ValidationFailure(f"{assignment.base_dir / rel}: {exc}") from exc
             recoveries += len(diagnostics)
-            if args.task == "cs":
-                samples.extend(
-                    extract_method_samples(
-                        tree, max_contexts=ext["max_contexts"], max_path_len=ext["max_path_len"], seed=config["seed"]
-                    )
-                )
-            else:
-                samples.extend(extract_cbow_samples(tokens, window=ext["window"]))
-        if not samples:
+        if not records:
             raise ValidationFailure(f"split {split!r} produced no {args.task} samples")
-        writer = write_cs_contexts if args.task == "cs" else write_cc_contexts
-        writer(_contexts_path(bucket, args.task, args.shift, split), samples)
+        write(_contexts_path(bucket, args.task, args.shift, split), records)
         if split == "train":
-            train_samples = samples
-        print(f"extract[{args.task}/{args.shift}/{split}] {len(samples)} samples")
-    if train_samples is None:
-        raise ValidationFailure("assignment has no 'train' split")
-    build_vocabs = build_cs_vocabs if args.task == "cs" else build_cc_vocab
-    vocabs = build_vocabs(train_samples, min_count=config["corpus"]["min_count"])
+            train_records = records
+        print(f"extract[{args.task}/{args.shift}/{split}] {len(records)} samples")
+    vocabs = build_vocabs(train_records, min_count=config["corpus"]["min_count"])
     payload = {"config": echo_config(config), "vocabs": {name: vocab.tokens for name, vocab in vocabs.items()}}
     write_json(_vocabs_path(bucket, args.task, args.shift), payload)
     if recoveries:

@@ -1,10 +1,12 @@
 """Training-unit extraction: AST path contexts and CBOW token windows.
 
-A method sample is the bag of (left terminal, path, right terminal)
-triples over ordered leaf pairs inside one method declaration, where the
-path walks node kinds up to the lowest common ancestor and back down,
-rendered like "Param↑MethodDecl↓Block↓Return". A CBOW sample is one token
-position with its 2*w neighbors, padded at file boundaries.
+Every sample is a plain record, the one its context-file line reads back
+as. A method sample is `(label, fields)`: the method's name and the bag of
+(left terminal, path, right terminal) contexts over ordered leaf pairs
+inside its declaration, their fields one context after another. A path
+walks node kinds up to the lowest common ancestor and back down, rendered
+like "Param↑MethodDecl↓Block↓Return". A CBOW sample is `(target,
+context)`: one token with its 2*w neighbors, padded at file boundaries.
 
 Terminal/token texts are lightly normalized: string and char literals
 collapse to <STR>/<CHR> placeholders so terminals never contain spaces or
@@ -15,7 +17,6 @@ sentinel so the label never leaks into its own contexts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -29,33 +30,6 @@ METHOD_NAME_SENTINEL = "<METHOD>"
 
 UP = "↑"    # path step toward the root
 DOWN = "↓"  # path step away from the root
-
-
-@dataclass(frozen=True)
-class PathContext:
-    left: str
-    path: str
-    right: str
-
-
-@dataclass
-class MethodSample:
-    label: str
-    contexts: list[PathContext]
-
-    def record(self) -> tuple[str, list[str]]:
-        """What `read_cs_contexts` yields for this sample's line: the label and the contexts' fields."""
-        return self.label, [field for c in self.contexts for field in (c.left, c.path, c.right)]
-
-
-@dataclass
-class CbowSample:
-    target: str
-    context: list[str]
-
-    def record(self) -> tuple[str, list[str]]:
-        """What `read_cc_contexts` yields for this sample's line: the target and the context tokens."""
-        return self.target, self.context
 
 
 def normalize_text(text: str) -> str:
@@ -112,15 +86,15 @@ def extract_method_samples(
     max_contexts: int = 200,
     max_path_len: int = 9,
     seed: int = 0,
-) -> list[MethodSample]:
-    """One sample per method with >= 2 enumerable leaves.
+) -> list[tuple[str, list[str]]]:
+    """One `(label, fields)` record per method with >= 2 enumerable leaves and a context.
 
     Contexts are all ordered leaf pairs whose connecting path has at most
     `max_path_len` nodes; larger bags are thinned by a seeded uniform
     subsample that keeps source order.
     """
     parents = build_parent_map(tree)
-    samples: list[MethodSample] = []
+    samples = []
     for ordinal, m in enumerate(iter_method_nodes(tree)):
         name = method_name(m)
         if not name:
@@ -146,7 +120,7 @@ def extract_method_samples(
             index.append({id(n): k for k, n in enumerate(chain)})  # in chain order
             ups.append([UP.join(n.kind for n in chain[:k + 1]) for k in range(len(chain))])
             downs.append(["".join(DOWN + n.kind for n in reversed(chain[:k])) for k in range(len(chain))])
-        contexts: list[PathContext] = []
+        fields: list[str] = []  # left, path, right of each context, one after another
         for i in range(len(leaves)):
             for j in range(i + 1, len(leaves)):
                 right = index[j]
@@ -154,38 +128,33 @@ def extract_method_samples(
                     down = right.get(node)
                     if down is not None:
                         if up + 1 + down <= max_path_len:
-                            contexts.append(PathContext(terminals[i], ups[i][up] + downs[j][down], terminals[j]))
+                            fields += terminals[i], ups[i][up] + downs[j][down], terminals[j]
                         break
-        if not contexts:
+        if not fields:
             continue
-        if len(contexts) > max_contexts:
+        if len(fields) > 3 * max_contexts:
             rng = np.random.default_rng([seed, ordinal])
-            keep = np.sort(rng.choice(len(contexts), size=max_contexts, replace=False))
-            contexts = [contexts[k] for k in keep]
-        samples.append(MethodSample(label=name, contexts=contexts))
+            keep = np.sort(rng.choice(len(fields) // 3, size=max_contexts, replace=False))
+            fields = [field for k in keep.tolist() for field in fields[3 * k:3 * k + 3]]
+        samples.append((name, fields))
     return samples
 
 
-def extract_cbow_samples(tokens: list[Token], window: int = 4) -> list[CbowSample]:
-    """One sample per token position; boundary context slots hold <PAD>.
+def extract_cbow_samples(tokens: list[Token], window: int = 4) -> list[tuple[str, list[str]]]:
+    """One `(target, context)` record per token position; boundary context slots hold <PAD>.
 
     Every window needs a real slot, so a file of one token gives none: with
     two or more, each position's neighbour is in its window.
     """
     if window < 1:
         raise ValueError("window radius must be >= 1")
-    texts = [normalize_text(t.text) for t in tokens]
-    n = len(texts)
-    if n < 2:
+    if len(tokens) < 2:
         return []
-    samples = []
-    for i in range(n):
-        context = [
-            texts[j] if 0 <= j < n else PAD_TOKEN
-            for j in list(range(i - window, i)) + list(range(i + 1, i + window + 1))
-        ]
-        samples.append(CbowSample(target=texts[i], context=context))
-    return samples
+    pad = [PAD_TOKEN] * window
+    texts = [*pad, *(normalize_text(t.text) for t in tokens), *pad]
+    return [
+        (texts[i], texts[i - window:i] + texts[i + 1:i + window + 1]) for i in range(window, len(texts) - window)
+    ]
 
 
 # -- interchange files -------------------------------------------------
@@ -194,10 +163,10 @@ def extract_cbow_samples(tokens: list[Token], window: int = 4) -> list[CbowSampl
 # CC: one sample per line, `target ctx1 ctx2 ...` (2*w context slots)
 # UTF-8, LF line endings.
 #
-# The readers yield one record per non-empty line, and hold only that
-# line's strings: CS (label, fields), the contexts' left, path and right
-# fields one context after another; CC (target, context tokens). A
-# sample's `record()` is what its line reads back as.
+# The writers take the records extraction returns, and the readers yield
+# them back, one per non-empty line, holding only that line's strings: CS
+# (label, fields), the contexts' left, path and right fields one context
+# after another; CC (target, context tokens).
 
 
 class ContextFormatError(ValidationFailure, ValueError):
@@ -228,27 +197,26 @@ def _checked(sample: str, line: str, joins: dict[str, int]) -> str:
     return line
 
 
-def _write_lines(path, lines: list[str]) -> None:
-    with atomic_open(path) as f:
-        f.writelines(line + "\n" for line in lines)
+def write_cs_contexts(path, records: list[tuple[str, list[str]]]) -> None:
+    """Write one line per `(label, fields)` record, which `read_cs_contexts` reads back unchanged.
 
-
-def write_cs_contexts(path, samples: list[MethodSample]) -> None:
-    """Write one line per sample, which `read_cs_contexts` reads back as the sample's record.
-
-    Before anything is written, ValueError names the first sample that would
-    not read back so: a label or context field holding a space, a comma or
-    a line break, or an empty label without contexts (an empty line, which
-    the reader skips).
+    Each line is written as soon as its record is checked. ValueError names
+    the first record that would not read back so: fields that are not three
+    per context, a label or field holding a space, a comma or a line break,
+    or an empty label without contexts (an empty line, which the reader
+    skips). Then `atomic_open` removes what was written, and `path` keeps
+    what it held.
     """
-    lines = []
-    for i, s in enumerate(samples):
-        name = f"CS sample {i} {s.label!r}"
-        line = " ".join([s.label, *(f"{c.left},{c.path},{c.right}" for c in s.contexts)])
-        lines.append(_checked(name, line, {" ": len(s.contexts), ",": 2 * len(s.contexts)}))
-        if not line:
-            raise ValueError(f"{name}: an empty label without contexts writes an empty line, which the reader skips")
-    _write_lines(path, lines)
+    with atomic_open(path) as f:
+        for i, (label, fields) in enumerate(records):
+            name = f"CS sample {i} {label!r}"
+            n, ragged = divmod(len(fields), 3)
+            if ragged:
+                raise ValueError(f"{name}: {len(fields)} context fields; each context needs 3")
+            line = " ".join([label, *(",".join(fields[k:k + 3]) for k in range(0, 3 * n, 3))])
+            if not line:
+                raise ValueError(f"{name}: an empty label without contexts writes an empty line, which the reader skips")
+            f.write(_checked(name, line, {" ": n, ",": 2 * n}) + "\n")
 
 
 def read_cs_contexts(path):
@@ -261,21 +229,22 @@ def read_cs_contexts(path):
         yield label, ",".join(chunks).split(",") if chunks else []
 
 
-def write_cc_contexts(path, samples: list[CbowSample]) -> None:
-    """Write one line per sample, which `read_cc_contexts` reads back as the sample's record.
+def write_cc_contexts(path, records: list[tuple[str, list[str]]]) -> None:
+    """Write one line per `(target, context)` record, which `read_cc_contexts` reads back unchanged.
 
-    Before anything is written, ValueError names the first sample that would
-    not read back so: a token holding a space or a line break, or a context
-    that is not 2*w tokens (w >= 1) as wide as the first sample's.
+    Each line is written as soon as its record is checked. ValueError names
+    the first record that would not read back so: a token holding a space or
+    a line break, or a context that is not 2*w tokens (w >= 1) as wide as
+    the first record's. Then `atomic_open` removes what was written, and
+    `path` keeps what it held.
     """
-    width = len(samples[0].context) if samples else 0
-    lines = []
-    for i, s in enumerate(samples):
-        name = f"CC sample {i} {s.target!r}"
-        if len(s.context) != width or width < 2 or width % 2:
-            raise ValueError(f"{name}: {len(s.context)} context tokens; each needs 2*w, w >= 1, as the first: {width}")
-        lines.append(_checked(name, " ".join([s.target, *s.context]), {" ": width}))
-    _write_lines(path, lines)
+    width = len(records[0][1]) if records else 0
+    with atomic_open(path) as f:
+        for i, (target, context) in enumerate(records):
+            name = f"CC sample {i} {target!r}"
+            if len(context) != width or width < 2 or width % 2:
+                raise ValueError(f"{name}: {len(context)} context tokens; each needs 2*w, w >= 1, as the first: {width}")
+            f.write(_checked(name, " ".join([target, *context]), {" ": width}) + "\n")
 
 
 def read_cc_contexts(path):

@@ -14,7 +14,7 @@ from itertools import repeat
 from typing import Iterable, Iterator
 
 from ..config import UNK_ID
-from .samples import CbowSample, MethodSample, PAD_TOKEN
+from .samples import PAD_TOKEN
 
 UNK_TOKEN = "<UNK>"
 PAD_ID = 1
@@ -68,20 +68,17 @@ class Vocabulary:
         return token in self._ids
 
 
-def build_cs_vocabs(samples: Iterable[MethodSample], min_count: int = 1) -> dict[str, Vocabulary]:
-    """Terminal, path, and label vocabularies from training-split samples, keyed as the CS model's `vocabs()`."""
+def build_cs_vocabs(records: Iterable[tuple[str, list[str]]], min_count: int = 1) -> dict[str, Vocabulary]:
+    """Terminal, path, and label vocabularies from training-split records, keyed as the CS model's `vocabs()`."""
     terminal_counts: Counter = Counter()
     path_counts: Counter = Counter()
     label_counts: Counter = Counter()
-    empty = True
-    for s in samples:
-        empty = False
-        label_counts[s.label] += 1
-        for c in s.contexts:
-            terminal_counts[c.left] += 1
-            terminal_counts[c.right] += 1
-            path_counts[c.path] += 1
-    if empty:
+    for label, fields in records:
+        label_counts[label] += 1
+        terminal_counts.update(fields[0::3])
+        path_counts.update(fields[1::3])
+        terminal_counts.update(fields[2::3])
+    if not label_counts:
         raise ValueError("cannot build vocabularies from an empty sample stream")
     return {
         "terminals": Vocabulary.from_counts(terminal_counts, min_count),
@@ -90,16 +87,15 @@ def build_cs_vocabs(samples: Iterable[MethodSample], min_count: int = 1) -> dict
     }
 
 
-def build_cc_vocab(samples: Iterable[CbowSample], min_count: int = 1) -> dict[str, Vocabulary]:
-    """The token vocabulary over targets and (non-PAD) context slots, keyed as the CC model's `vocabs()`."""
+def build_cc_vocab(records: Iterable[tuple[str, list[str]]], min_count: int = 1) -> dict[str, Vocabulary]:
+    """The token vocabulary over targets and context slots, keyed as the CC model's `vocabs()`.
+
+    PAD, a reserved token, keeps its own id however many slots it fills.
+    """
     counts: Counter = Counter()
-    empty = True
-    for s in samples:
-        empty = False
-        counts[s.target] += 1
-        for tok in s.context:
-            if tok != PAD_TOKEN:
-                counts[tok] += 1
-    if empty:
+    for target, context in records:
+        counts[target] += 1
+        counts.update(context)
+    if not counts:
         raise ValueError("cannot build a vocabulary from an empty sample stream")
     return {"tokens": Vocabulary.from_counts(counts, min_count)}

@@ -157,18 +157,14 @@ def pack_windows(sample_ids, labels, ids: np.ndarray, sizes: Sequence[int]) -> E
     return EncodedSplit(np.array(sample_ids, dtype=str), np.asarray(labels, dtype=np.int64), inputs, lengths)
 
 
-def encode_split(samples: Iterable, vocabs: dict[str, Vocabulary], id_prefix: str = "") -> EncodedSplit:
-    """`encode_records` over in-memory samples: each one's `record()`, which its context-file line reads back as."""
-    return encode_records((s.record() for s in samples), vocabs, id_prefix)
-
-
 def encode_records(
     records: Iterable[tuple[str, list[str]]], vocabs: dict[str, Vocabulary], id_prefix: str = ""
 ) -> EncodedSplit:
     """Encode a split's records against a model's vocabularies and pack them, one record at a time.
 
-    `records` are a context file's, as `extraction.read_cs_contexts` or
-    `read_cc_contexts` yields them. `vocabs` holds the CS
+    `records` are a split's, as `extraction.extract_method_samples` and
+    `extract_cbow_samples` return them and `read_cs_contexts` and
+    `read_cc_contexts` yield them back from its file. `vocabs` holds the CS
     `terminals`/`paths`/`labels` vocabularies or the CC `tokens` one, as
     `model.vocabs()` returns them. Each record's fields go straight into
     int64 id buffers, so nothing of a record outlives its turn. CS records

@@ -6,8 +6,9 @@ bytes, an inserted byte, a deleted, duplicated or swapped line, or an extra
 or a missing `,`. The corrupted file goes through `read_cs_contexts` or
 `read_cc_contexts` and `tasks.encode_records`, and only two outcomes pass:
 
-- a split equal, bit for bit, to what the object path makes of the same
-  file (one sample object per line, each sample encoded on its own);
+- a split equal, bit for bit, to what the reference makes of the same
+  file (each line parsed on its own into a tuple, each sample encoded on
+  its own);
 - a ContextFormatError that names the file, and, for a malformed line,
   the line (counted as a text-mode read counts them).
 
@@ -28,6 +29,7 @@ import re
 import sys
 import tempfile
 from collections import Counter
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +39,7 @@ from codeshift.extraction import (
     PAD_ID,
     PAD_TOKEN,
     UNK_TOKEN,
-    CbowSample,
     ContextFormatError,
-    MethodSample,
-    PathContext,
     Vocabulary,
     read_cc_contexts,
     read_cs_contexts,
@@ -60,21 +59,25 @@ def vocabularies(tokens: dict[str, list[str]]) -> dict[str, Vocabulary]:
     return {name: Vocabulary.from_tokens([UNK_TOKEN, PAD_TOKEN, *names]) for name, names in tokens.items()}
 
 
-# -- the object path: the reference every streamed encoding must equal ----
+# -- the reference every streamed encoding must equal ---------------------
 
 
-def read_objects(path, task: str) -> list:
-    """The file read whole, one sample object per non-empty line: a MethodSample of PathContexts, or a CbowSample."""
+def read_tuples(path, task: str) -> list:
+    """The file read whole, one tuple per non-empty line: CS (label, [(left, path, right), ...]), CC (target, context).
+
+    A CS context that does not split into three fields raises ValueError.
+    """
     with open(path, encoding="utf-8") as f:
         lines = [line for line in (raw.rstrip("\n") for raw in f) if line]
     rows = [line.split(" ") for line in lines]
     if task == "cc":
-        return [CbowSample(target, context) for target, *context in rows]
-    return [MethodSample(label, [PathContext(*chunk.split(",")) for chunk in chunks]) for label, *chunks in rows]
+        return [(target, context) for target, *context in rows]
+    return [(label, [(left, path, right) for left, path, right in map(str.split, chunks, repeat(","))])
+            for label, *chunks in rows]
 
 
-def encode_objects(samples: list, vocabs: dict[str, Vocabulary], id_prefix: str) -> dict:
-    """The split's arrays as encoding each sample object on its own gives them.
+def encode_tuples(samples: list, vocabs: dict[str, Vocabulary], id_prefix: str) -> dict:
+    """The split's arrays as encoding each sample tuple on its own gives them.
 
     Triples are numbered by sorting the distinct ones, and a window's
     shares are its real slots counted one by one. A CC split's sample ids
@@ -84,11 +87,11 @@ def encode_objects(samples: list, vocabs: dict[str, Vocabulary], id_prefix: str)
     if "tokens" in vocabs:
         tokens = vocabs["tokens"]
         kept, labels, bags = [], [], []
-        for i, s in enumerate(samples):
-            real = Counter(t for t in map(tokens.encode, s.context) if t != PAD_ID)
+        for i, (target, context) in enumerate(samples):
+            real = Counter(t for t in map(tokens.encode, context) if t != PAD_ID)
             if real:
                 kept.append(i)
-                labels.append(tokens.encode(s.target))
+                labels.append(tokens.encode(target))
                 bags.append([(t, real[t] / sum(real.values())) for t in sorted(real)])
         inputs = {
             "token": np.array([t for bag in bags for t, _ in bag], dtype=np.int64),
@@ -101,10 +104,10 @@ def encode_objects(samples: list, vocabs: dict[str, Vocabulary], id_prefix: str)
             "inputs": inputs,
         }
     terminals, paths, names = vocabs["terminals"], vocabs["paths"], vocabs["labels"]
-    kept = [i for i, s in enumerate(samples) if s.contexts]
+    kept = [i for i, (_, contexts) in enumerate(samples) if contexts]
     triples = [
-        (terminals.encode(c.left), paths.encode(c.path), terminals.encode(c.right))
-        for i in kept for c in samples[i].contexts
+        (terminals.encode(left), paths.encode(path), terminals.encode(right))
+        for i in kept for left, path, right in samples[i][1]
     ]
     number = {t: k for k, t in enumerate(sorted(set(triples)))}
     columns = list(zip(*triples)) or [(), (), ()]
@@ -112,8 +115,8 @@ def encode_objects(samples: list, vocabs: dict[str, Vocabulary], id_prefix: str)
     inputs["triple"] = np.array([number[t] for t in triples], dtype=np.int64)
     return {
         "sample_ids": np.array([ids[i] for i in kept], dtype=str),
-        "labels": np.array([names.encode(samples[i].label) for i in kept], dtype=np.int64),
-        "lengths": np.array([len(samples[i].contexts) for i in kept], dtype=np.int64),
+        "labels": np.array([names.encode(samples[i][0]) for i in kept], dtype=np.int64),
+        "lengths": np.array([len(samples[i][1]) for i in kept], dtype=np.int64),
         "inputs": inputs,
     }
 
@@ -196,7 +199,7 @@ def check_case(task: str, seed: int, directory) -> tuple[str, str]:
     except ContextFormatError as exc:
         assert_names_the_file(str(exc), path, data)
         return kind, "rejected"
-    assert_same(split, encode_objects(read_objects(path, task), vocabs, "fuzz"))
+    assert_same(split, encode_tuples(read_tuples(path, task), vocabs, "fuzz"))
     return kind, "encoded"
 
 

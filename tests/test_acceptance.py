@@ -188,7 +188,7 @@ def small_models():
     cc_samples = ex.extract_cbow_samples(cc_tokens, window=4)
     cc_vocabs = ex.build_cc_vocab(cc_samples)
     cc_vocab = cc_vocabs["tokens"]
-    cc_encoded = tasks.encode_split(cc_samples, cc_vocabs, id_prefix="acc")
+    cc_encoded = tasks.encode_records(cc_samples, cc_vocabs, id_prefix="acc")
     cc_model = tasks.train_cc(cc_encoded, cc_vocab, tasks.TrainConfig(epochs=40, seed=8, embedding_dim=16)).model
 
     cs_source = """
@@ -202,7 +202,7 @@ def small_models():
     cs_samples = ex.extract_method_samples(tree)
     cs_vocabs = ex.build_cs_vocabs(cs_samples)
     terminals, paths, labels = cs_vocabs.values()
-    cs_encoded = tasks.encode_split(cs_samples, cs_vocabs, id_prefix="acc")
+    cs_encoded = tasks.encode_records(cs_samples, cs_vocabs, id_prefix="acc")
     cs_model = tasks.train_cs(
         cs_encoded, terminals, paths, labels, tasks.TrainConfig(epochs=40, seed=8, embedding_dim=16)
     ).model
@@ -269,7 +269,7 @@ def test_criterion_4_memorization_oracle():
     cs_samples = ex.extract_method_samples(tree)
     cs_vocabs = ex.build_cs_vocabs(cs_samples)
     terminals, paths, labels = cs_vocabs.values()
-    cs_encoded = tasks.encode_split(cs_samples, cs_vocabs, id_prefix="fix")
+    cs_encoded = tasks.encode_records(cs_samples, cs_vocabs, id_prefix="fix")
     assert len(cs_encoded) == 8
     cs_result = tasks.train_cs(cs_encoded, terminals, paths, labels, tasks.TrainConfig(seed=3))
     cs_acc = tasks.evaluate_accuracy(cs_result.model, cs_encoded)
@@ -278,7 +278,7 @@ def test_criterion_4_memorization_oracle():
     cc_samples = ex.extract_cbow_samples(cc_tokens, window=4)[:20]
     cc_vocabs = ex.build_cc_vocab(cc_samples)
     cc_vocab = cc_vocabs["tokens"]
-    cc_encoded = tasks.encode_split(cc_samples, cc_vocabs, id_prefix="fix")
+    cc_encoded = tasks.encode_records(cc_samples, cc_vocabs, id_prefix="fix")
     assert len(cc_encoded) == 20
     cc_result = tasks.train_cc(cc_encoded, cc_vocab, tasks.TrainConfig(seed=3))
     cc_acc = tasks.evaluate_accuracy(cc_result.model, cc_encoded)

@@ -682,6 +682,18 @@ def test_splits_file_with_an_absolute_corpus_path_still_loads(tmp_path, monkeypa
     assert main(["extract", "--task", "cc", "--shift", "project", "--config", str(config_path)]) == 0
 
 
+@pytest.mark.parametrize("task", TASKS)
+def test_extract_without_a_train_split_exits_2_before_writing_any_contexts(tmp_path, capsys, task):
+    config_path, _ = synth_bucket(tmp_path)
+    assert main(["make-splits", "--shift", "project", "--config", str(config_path)]) == 0
+    bucket = bucket_of(config_path)
+    edit_json(lambda payload: payload["assignment"]["splits"].pop("train"))(bucket / "splits" / "project.json")
+    capsys.readouterr()
+    assert main(["extract", "--task", task, "--shift", "project", "--config", str(config_path)]) == 2
+    assert "assignment has no 'train' split" in capsys.readouterr().err
+    assert list(bucket.glob("contexts/*.txt")) == []
+
+
 # -- one table of malformed artifacts -------------------------------------------------
 #
 # Each row names an artifact, a corruption and the command that reads it. The

@@ -1,4 +1,4 @@
-"""Context files encode line by line: equal to the object path bit for bit, within a memory bound, and whole or rejected when corrupted."""
+"""Context files encode line by line: equal to the tuple reference bit for bit, within a memory bound, and whole or rejected when corrupted."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from codeshift import tasks
 from codeshift.extraction import UNK_ID
-from fuzz_contexts import KINDS, READERS, assert_same, check_case, encode_objects, read_objects, vocabularies
+from fuzz_contexts import KINDS, READERS, assert_same, check_case, encode_tuples, read_tuples, vocabularies
 from test_uncertainty import traced_peak
 
 # each task's lines, written without a final line feed, its vocabularies' tokens, and the sample ids it keeps
@@ -43,10 +43,7 @@ def test_streamed_encoding_equals_the_object_path_bit_for_bit(tmp_path, task):
     path.write_text("\n".join(lines), encoding="utf-8")
     vocabs = vocabularies(tokens)
     split = tasks.encode_records(READERS[task](path), vocabs, "t")
-    samples = read_objects(path, task)
-    expected = encode_objects(samples, vocabs, "t")
-    assert_same(split, expected)
-    assert_same(tasks.encode_split(samples, vocabs, "t"), expected)  # in-memory samples share the encoder
+    assert_same(split, encode_tuples(read_tuples(path, task), vocabs, "t"))
     assert split.sample_ids.tolist() == kept
     assert UNK_ID in split.inputs["path" if task == "cs" else "token"]
 
@@ -76,7 +73,7 @@ def test_any_readable_file_encodes_as_the_object_path_does(tmp_path_factory, tas
     path.write_text("\n".join(lines) + "\n" * final_line_feed, encoding="utf-8")
     vocabs = vocabularies(CASES[task][1])
     split = tasks.encode_records(READERS[task](path), vocabs, "h")
-    assert_same(split, encode_objects(read_objects(path, task), vocabs, "h"))
+    assert_same(split, encode_tuples(read_tuples(path, task), vocabs, "h"))
 
 
 def large_context_file(path, task):
@@ -105,8 +102,8 @@ def large_context_file(path, task):
 # order, the sorted keys, the running count and the inverse): about 2.6 splits of four
 # columns. CC: the windows' ids and pack_windows' sort key are each about as large as the
 # token column, and finding each row's distinct ids holds about four more: about 3.8
-# splits. The object path holds a sample object per line and a str per field, about 12
-# (CS) and 8 (CC) splits' worth.
+# splits. A split held as one Python object per line and a str per field takes about 12
+# (CS) and 8 (CC) splits' worth, well over either bound.
 SPLITS_HELD = {"cs": 3.5, "cc": 5.0}
 
 

@@ -372,6 +372,12 @@ def test_parse_deep_nesting_raises_parse_error_or_keeps_the_invariants(kind, dep
 # -- path contexts -------------------------------------------------------
 
 
+def triples(fields):
+    """A method record's contexts as (left, path, right) triples, in order."""
+    assert len(fields) % 3 == 0
+    return list(zip(fields[0::3], fields[1::3], fields[2::3]))
+
+
 def brute_force_contexts(tree, max_path_len):
     """Independent enumeration: walk every method, pair leaves, climb chains."""
     def parent_of(root):
@@ -432,7 +438,7 @@ def test_method_samples_match_brute_force():
     expected = brute_force_contexts(tree, max_path_len=9)
     samples = ex.extract_method_samples(tree, max_contexts=200, max_path_len=9)
     assert len(samples) == 1
-    got = {(c.left, c.path, c.right) for c in samples[0].contexts}
+    got = set(triples(samples[0][1]))
     assert got == expected["id"]
     # the param/return pairing the fixture exists to pin down
     assert ("a", "Param↑MethodDecl↓Block↓Return", "a") in got
@@ -447,9 +453,8 @@ def test_method_samples_match_brute_force_larger():
     """
     tree = parse(source)
     expected = brute_force_contexts(tree, max_path_len=9)
-    for s in ex.extract_method_samples(tree, max_contexts=10_000, max_path_len=9):
-        got = {(c.left, c.path, c.right) for c in s.contexts}
-        assert got == expected[s.label]
+    for label, fields in ex.extract_method_samples(tree, max_contexts=10_000, max_path_len=9):
+        assert set(triples(fields)) == expected[label]
 
 
 def leaf_path(parents, left, right):
@@ -507,7 +512,7 @@ def test_method_contexts_equal_the_leaf_path_reference_in_order(synth_trees, max
             if contexts:
                 expected.append((name, contexts))
         samples = ex.extract_method_samples(tree, max_contexts=10**9, max_path_len=max_path_len)
-        assert [(s.label, [(c.left, c.path, c.right) for c in s.contexts]) for s in samples] == expected
+        assert [(label, triples(fields)) for label, fields in samples] == expected
         methods += len(expected)
     assert methods > 100
 
@@ -515,12 +520,10 @@ def test_method_contexts_equal_the_leaf_path_reference_in_order(synth_trees, max
 def test_method_sample_path_length_pruning():
     source = "class A { int f(int a) { if (a > 0) { if (a > 1) { return a; } } return 0; } }"
     tree = parse(source)
-    deep = ex.extract_method_samples(tree, max_contexts=10_000, max_path_len=30)[0]
-    shallow = ex.extract_method_samples(tree, max_contexts=10_000, max_path_len=3)[0]
-    assert len(shallow.contexts) < len(deep.contexts)
-    assert {(c.left, c.path, c.right) for c in shallow.contexts} <= {
-        (c.left, c.path, c.right) for c in deep.contexts
-    }
+    _, deep = ex.extract_method_samples(tree, max_contexts=10_000, max_path_len=30)[0]
+    _, shallow = ex.extract_method_samples(tree, max_contexts=10_000, max_path_len=3)[0]
+    assert len(shallow) < len(deep)
+    assert set(triples(shallow)) <= set(triples(deep))
 
 
 def test_method_with_single_body_leaf_is_dropped():
@@ -533,17 +536,17 @@ def test_max_contexts_subsample_is_deterministic():
     tree = parse(source)
     first = ex.extract_method_samples(tree, max_contexts=1, seed=7)
     second = ex.extract_method_samples(tree, max_contexts=1, seed=7)
-    assert len(first[0].contexts) == 1
-    assert first[0].contexts == second[0].contexts
+    assert len(triples(first[0][1])) == 1
+    assert first == second
 
 
 def test_no_label_leakage():
     source = "class A { int fib(int fib) { return fib(fib - 1) + fib; } }"
     tree = parse(source)
-    sample = ex.extract_method_samples(tree, max_contexts=10_000)[0]
-    for c in sample.contexts:
-        assert c.left != "fib" and c.right != "fib"
-    terminals = {c.left for c in sample.contexts} | {c.right for c in sample.contexts}
+    _, fields = ex.extract_method_samples(tree, max_contexts=10_000)[0]
+    for left, _, right in triples(fields):
+        assert left != "fib" and right != "fib"
+    terminals = {*fields[0::3], *fields[2::3]}
     assert ex.METHOD_NAME_SENTINEL in terminals
 
 
@@ -570,7 +573,7 @@ def test_path_symmetry():
 def test_cbow_window_one():
     tokens = ex.tokenize_java("a b c")
     samples = ex.extract_cbow_samples(tokens, window=1)
-    assert [(s.target, s.context) for s in samples] == [
+    assert samples == [
         ("a", [ex.PAD_TOKEN, "b"]),
         ("b", ["a", "c"]),
         ("c", ["b", ex.PAD_TOKEN]),
@@ -582,11 +585,9 @@ def test_cbow_empty_and_middle():
     assert ex.extract_cbow_samples(ex.tokenize_java("x"), window=2) == []  # its one window would be all PAD
     tokens = ex.tokenize_java("a b c d e")
     samples = ex.extract_cbow_samples(tokens, window=2)
-    middle = samples[2]
-    assert middle.target == "c"
-    assert middle.context == ["a", "b", "d", "e"]
-    for s in samples:
-        assert len(s.context) == 4
+    assert samples[2] == ("c", ["a", "b", "d", "e"])
+    for _, context in samples:
+        assert len(context) == 4
 
 
 # -- vocabulary ----------------------------------------------------------
@@ -677,6 +678,57 @@ def test_cc_vocab_skips_pad():
     assert ex.PAD_TOKEN in vocab.tokens[:2]
 
 
+def expected_vocab_tokens(texts, min_count):
+    """The vocabulary's token list built by hand: UNK and PAD, then every other token seen at least
+    `min_count` times, the most frequent first and equal counts in lexicographic order."""
+    counts = {}
+    for text in texts:
+        counts[text] = counts.get(text, 0) + 1
+    kept = [t for t in counts if counts[t] >= min_count and t not in (ex.UNK_TOKEN, ex.PAD_TOKEN)]
+    order = []
+    while kept:  # selection: the token no other beats
+        best = kept[0]
+        for t in kept[1:]:
+            if counts[t] > counts[best] or (counts[t] == counts[best] and t < best):
+                best = t
+        order.append(best)
+        kept.remove(best)
+    return [ex.UNK_TOKEN, ex.PAD_TOKEN, *order]
+
+
+VOCAB_TEXT = st.sampled_from(["a", "b", "B", "ab", "ü", "", ex.PAD_TOKEN, ex.UNK_TOKEN])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(VOCAB_TEXT, st.lists(st.tuples(VOCAB_TEXT, VOCAB_TEXT, VOCAB_TEXT), max_size=5)),
+             min_size=1, max_size=8),
+    st.integers(1, 4),
+)
+def test_cs_vocabs_order_tokens_as_a_brute_force_count_does(rows, min_count):
+    records = [(label, [t for c in contexts for t in c]) for label, contexts in rows]
+    vocabs = ex.build_cs_vocabs(records, min_count=min_count)
+    contexts = [c for _, cs in rows for c in cs]
+    assert vocabs["terminals"].tokens == expected_vocab_tokens(
+        [left for left, _, _ in contexts] + [right for _, _, right in contexts], min_count
+    )
+    assert vocabs["paths"].tokens == expected_vocab_tokens([path for _, path, _ in contexts], min_count)
+    assert vocabs["labels"].tokens == expected_vocab_tokens([label for label, _ in rows], min_count)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3).flatmap(lambda w: st.lists(
+        st.tuples(VOCAB_TEXT, st.lists(VOCAB_TEXT, min_size=2 * w, max_size=2 * w)), min_size=1, max_size=8
+    )),
+    st.integers(1, 4),
+)
+def test_cc_vocab_orders_tokens_as_a_brute_force_count_does(records, min_count):
+    vocab = ex.build_cc_vocab(records, min_count=min_count)["tokens"]
+    texts = [t for target, context in records for t in (target, *context) if t != ex.PAD_TOKEN]
+    assert vocab.tokens == expected_vocab_tokens(texts, min_count)
+
+
 # -- interchange files ----------------------------------------------------
 
 
@@ -685,7 +737,7 @@ def test_cs_contexts_roundtrip(tmp_path):
     samples = ex.extract_method_samples(tree)
     path = tmp_path / "cs.txt"
     ex.write_cs_contexts(path, samples)
-    assert list(ex.read_cs_contexts(path)) == [s.record() for s in samples]
+    assert list(ex.read_cs_contexts(path)) == samples
 
 
 def test_cc_contexts_roundtrip(tmp_path):
@@ -693,28 +745,35 @@ def test_cc_contexts_roundtrip(tmp_path):
     samples = ex.extract_cbow_samples(tokens, window=2)
     path = tmp_path / "cc.txt"
     ex.write_cc_contexts(path, samples)
-    assert list(ex.read_cc_contexts(path)) == [(s.target, s.context) for s in samples]
+    assert list(ex.read_cc_contexts(path)) == samples
 
 
 @pytest.mark.parametrize(
-    "write, samples, message",
+    "write, records, message",
     [
-        (ex.write_cs_contexts, [ex.MethodSample("get x,y,z", [ex.PathContext("a", "p", "b")])],
+        (ex.write_cs_contexts, [("get x,y,z", ["a", "p", "b"])],
          "CS sample 0 'get x,y,z': a field holds ' '"),
-        (ex.write_cs_contexts, [ex.MethodSample("get", []), ex.MethodSample("", [])],
+        (ex.write_cs_contexts, [("get", []), ("", [])],
          "CS sample 1 '': an empty label without contexts writes an empty line"),
-        (ex.write_cc_contexts, [ex.CbowSample("a", ["p", "q"]), ex.CbowSample("b", ["x y", "q"])],
+        (ex.write_cs_contexts, [("get", ["a", "p", "b"]), ("set", ["a", "p", "b", "c"])],
+         "CS sample 1 'set': 4 context fields; each context needs 3"),
+        (ex.write_cs_contexts, [("get", ["a", "p"])],
+         "CS sample 0 'get': 2 context fields; each context needs 3"),
+        (ex.write_cc_contexts, [("a", ["p", "q"]), ("b", ["x y", "q"])],
          "CC sample 1 'b': a field holds ' '"),
-        (ex.write_cc_contexts, [ex.CbowSample("a", ["p", "q"]), ex.CbowSample("b", list("pqrs"))],
+        (ex.write_cc_contexts, [("a", ["p", "q"]), ("b", list("pqrs"))],
          "CC sample 1 'b': 4 context tokens; each needs 2*w, w >= 1, as the first: 2"),
     ],
-    ids=["cs_label_with_separators", "cs_empty_line", "cc_token_with_a_space", "cc_ragged_context"],
+    ids=[
+        "cs_label_with_separators", "cs_empty_line", "cs_fields_not_three_per_context", "cs_a_context_short_of_three",
+        "cc_token_with_a_space", "cc_ragged_context",
+    ],
 )
-def test_context_writers_reject_a_sample_that_would_not_read_back(tmp_path, write, samples, message):
+def test_context_writers_reject_a_sample_that_would_not_read_back(tmp_path, write, records, message):
     path = tmp_path / "contexts.txt"
     with pytest.raises(ValueError, match=re.escape(message)):
-        write(path, samples)
-    assert not path.exists()  # nothing is written
+        write(path, records)
+    assert list(tmp_path.iterdir()) == []  # neither the file nor its temporary one is left
 
 
 # any text: ASCII, non-ASCII, the separators and every character str.splitlines breaks at
@@ -723,42 +782,52 @@ FIELD_TEXT = st.text(
 )
 
 
-def written_back(write, read, samples):
-    """The records `read` yields for the file `write` makes of `samples`, or None if `write` rejects them."""
+def written_back(write, read, records):
+    """The records `read` yields for the file `write` makes of `records`, or None if `write` rejects them."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "contexts.txt"
         try:
-            write(path, samples)
+            write(path, records)
         except ValueError:
-            assert not path.exists()
+            assert list(Path(tmp).iterdir()) == []
             return None
         return list(read(path))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(FIELD_TEXT, st.lists(st.tuples(FIELD_TEXT, FIELD_TEXT, FIELD_TEXT), max_size=3)), max_size=4))
-def test_cs_contexts_are_rejected_at_write_time_or_read_back_equal(rows):
-    samples = [ex.MethodSample(label, [ex.PathContext(*c) for c in contexts]) for label, contexts in rows]
-    back = written_back(ex.write_cs_contexts, ex.read_cs_contexts, samples)
-    fields = [text for label, contexts in rows for text in (label, *(t for c in contexts for t in c))]
-    unreadable = any(set(text) & set(" ,\n\r") for text in fields) or any(not label and not c for label, c in rows)
+# a method record's fields: whole contexts, or any count of fields; twice the examples of
+# the CC test, so that as many records of whole contexts are drawn as when only those were
+CS_FIELDS = st.one_of(
+    st.lists(st.tuples(FIELD_TEXT, FIELD_TEXT, FIELD_TEXT), max_size=3).map(lambda cs: [t for c in cs for t in c]),
+    st.lists(FIELD_TEXT, max_size=7),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(FIELD_TEXT, CS_FIELDS), max_size=4))
+def test_cs_contexts_are_rejected_at_write_time_or_read_back_equal(records):
+    back = written_back(ex.write_cs_contexts, ex.read_cs_contexts, records)
+    texts = [text for label, fields in records for text in (label, *fields)]
+    unreadable = (
+        any(set(text) & set(" ,\n\r") for text in texts)
+        or any(not label and not fields for label, fields in records)
+        or any(len(fields) % 3 for _, fields in records)
+    )
     assert (back is None) == unreadable
     if back is not None:
-        assert back == [s.record() for s in samples]
+        assert back == records
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(FIELD_TEXT, st.lists(FIELD_TEXT, max_size=4)), max_size=4))
-def test_cc_contexts_are_rejected_at_write_time_or_read_back_equal(rows):
-    samples = [ex.CbowSample(target, context) for target, context in rows]
-    back = written_back(ex.write_cc_contexts, ex.read_cc_contexts, samples)
-    width = len(rows[0][1]) if rows else 2
-    unreadable = any(set(t) & set(" \n\r") for target, context in rows for t in (target, *context)) or any(
-        len(context) != width or width < 2 or width % 2 for _, context in rows
+def test_cc_contexts_are_rejected_at_write_time_or_read_back_equal(records):
+    back = written_back(ex.write_cc_contexts, ex.read_cc_contexts, records)
+    width = len(records[0][1]) if records else 2
+    unreadable = any(set(t) & set(" \n\r") for target, context in records for t in (target, *context)) or any(
+        len(context) != width or width < 2 or width % 2 for _, context in records
     )
     assert (back is None) == unreadable
     if back is not None:
-        assert back == [(s.target, s.context) for s in samples]
+        assert back == records
 
 
 def test_cs_contexts_bad_line(tmp_path):

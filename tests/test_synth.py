@@ -39,8 +39,8 @@ def test_every_file_parses_and_extracts(small_corpus):
         assert diagnostics == [], f"{path} fell back to recovery: {diagnostics}"
         samples = ex.extract_method_samples(tree)
         assert samples, f"{path} produced no method samples"
-        for s in samples:
-            assert s.label in synth.LABELS
+        for label, _ in samples:
+            assert label in synth.LABELS
 
 
 def test_styles_use_disjoint_identifier_lexicons(small_corpus):

@@ -41,7 +41,7 @@ def cs_training_setup(config=None):
     assert len(samples) == 8
     vocabs = ex.build_cs_vocabs(samples, min_count=1)
     terminals, paths, labels = vocabs.values()
-    encoded = tasks.encode_split(samples, vocabs, id_prefix="fix")
+    encoded = tasks.encode_records(samples, vocabs, id_prefix="fix")
     return encoded, terminals, paths, labels
 
 
@@ -51,7 +51,7 @@ def cc_fixture_samples():
 
 def cc_fixture_windows(vocab):
     """The fixture's context windows as ids, one (2w,) row per sample, PAD at the file's edges."""
-    return np.array([list(vocab.ids(s.context)) for s in cc_fixture_samples()], dtype=np.int64)
+    return np.array([list(vocab.ids(context)) for _, context in cc_fixture_samples()], dtype=np.int64)
 
 
 def pack_window_rows(sample_ids, labels, windows):
@@ -64,7 +64,7 @@ def cc_training_setup():
     samples = cc_fixture_samples()
     vocabs = ex.build_cc_vocab(samples, min_count=1)
     vocab = vocabs["tokens"]
-    encoded = tasks.encode_split(samples, vocabs, id_prefix="fix")
+    encoded = tasks.encode_records(samples, vocabs, id_prefix="fix")
     assert len(encoded) == 20
     return encoded, vocab
 
@@ -424,14 +424,14 @@ def test_all_pad_context_raises():
         tasks.infer(model, bad)
 
 
-def test_encode_split_drops_a_cc_window_without_a_real_slot():
+def test_encode_records_drops_a_cc_window_without_a_real_slot():
     # a contexts file written before extraction skipped one-token files may hold such a window
     _, vocab = cc_training_setup()
-    samples = cc_fixture_samples()[:3]
-    samples.insert(1, ex.CbowSample(target="a0", context=[ex.PAD_TOKEN] * 8))
-    encoded = tasks.encode_split(samples, {"tokens": vocab}, id_prefix="old")
+    records = cc_fixture_samples()[:3]
+    records.insert(1, ("a0", [ex.PAD_TOKEN] * 8))
+    encoded = tasks.encode_records(records, {"tokens": vocab}, id_prefix="old")
     assert encoded.sample_ids.tolist() == ["old#0", "old#2", "old#3"]  # each window keeps its index
-    kept = tasks.encode_split([samples[i] for i in (0, 2, 3)], {"tokens": vocab})
+    kept = tasks.encode_records([records[i] for i in (0, 2, 3)], {"tokens": vocab})
     assert encoded.labels.tolist() == kept.labels.tolist() and encoded.lengths.tolist() == kept.lengths.tolist()
     for name, column in kept.inputs.items():
         assert encoded.inputs[name].tobytes() == column.tobytes()

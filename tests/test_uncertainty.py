@@ -33,7 +33,7 @@ def cc_setup():
     samples = ex.extract_cbow_samples(tokens, window=4)
     vocabs = ex.build_cc_vocab(samples, min_count=1)
     vocab = vocabs["tokens"]
-    encoded = tasks.encode_split(samples, vocabs, id_prefix="cc")
+    encoded = tasks.encode_records(samples, vocabs, id_prefix="cc")
     config = tasks.TrainConfig(epochs=60, seed=5, embedding_dim=24)
     model = tasks.train_cc(encoded, vocab, config).model
     return model, encoded, vocab
@@ -45,7 +45,7 @@ def cs_setup():
     samples = ex.extract_method_samples(tree)
     vocabs = ex.build_cs_vocabs(samples)
     terminals, paths, labels = vocabs.values()
-    encoded = tasks.encode_split(samples, vocabs, id_prefix="cs")
+    encoded = tasks.encode_records(samples, vocabs, id_prefix="cs")
     config = tasks.TrainConfig(epochs=60, seed=5, embedding_dim=24)
     model = tasks.train_cs(encoded, terminals, paths, labels, config).model
     return model, encoded
