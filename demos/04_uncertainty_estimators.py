@@ -28,8 +28,9 @@ samples = ex.extract_method_samples(tree)
 vocabs = ex.build_cs_vocabs(samples)
 terminals, paths, labels = vocabs.values()
 encoded = tasks.encode_records(samples, vocabs, id_prefix="demo")
-model = tasks.train_cs(encoded, terminals, paths, labels,
-                       tasks.TrainConfig(embedding_dim=24, epochs=60, seed=5)).model
+# a small model, trained in place by the same loop as `codeshift train` at a demo's scale
+model = tasks.PathAttentionModel(terminals, paths, labels, dim=24, seed=5)
+tasks.train(model, encoded, epochs=60, batch_size=512, learning_rate=0.001, seed=5)
 
 # the config's estimator parameters, with a smaller mutant ensemble
 settings = {**DEFAULT_CONFIG["uncertainty"], "mutant_count": 20, "seed": 0}

@@ -1,4 +1,4 @@
-"""The two classifiers under study and their training loops.
+"""The two classifiers under study and the one loop that trains them.
 
 CS (code summarization): a path-attention network. Each context triple
 (left terminal, path, right terminal) is combined into one d-wide vector,
@@ -29,7 +29,9 @@ encoded once, one context-file line at a time, into one ragged layout
 (with its index among the split's distinct triples) or per distinct CC
 window token, and no PAD stored.
 
-Both train with Adam on mean cross-entropy over seeded, shuffled batches.
+`train` trains either model in place with Adam on mean cross-entropy
+over seeded, shuffled batches, at the settings its caller passes; it
+holds no defaults, since the config's `train` section holds them.
 Accuracy is exact-match argmax, reported as a percentage; samples whose
 true label fell out of the training vocabulary (UNK) count as failures
 since the model can never legitimately produce UNK (`metrics.is_correct`).
@@ -41,7 +43,7 @@ import copy
 import functools
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,16 +54,6 @@ from .metrics import is_correct
 
 CS = "cs"
 CC = "cc"
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.001
-    embedding_dim: int = 100
-    dropout: float = 0.5  # CS only; the CC model has no dropout layer
-    batch_size: int = 512
-    epochs: int = 300
-    seed: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -551,33 +543,35 @@ def evaluate_accuracy(model: Model, samples: EncodedSplit, batch_size: int = 512
 # -- training --------------------------------------------------------------
 
 
-@dataclass
-class TrainResult:
-    """The trained model and one row per epoch: epoch, train_acc, val_acc, loss.
+def train(
+    model: Model,
+    samples: EncodedSplit,
+    *,
+    epochs: int,
+    batch_size: int,
+    learning_rate: float,
+    seed: int,
+    val_samples: EncodedSplit | None = None,
+) -> list[dict]:
+    """Train `model` in place; return one row per epoch: epoch, train_acc, val_acc, loss.
 
-    train_acc is measured on the final epoch only and is None on earlier rows;
-    val_acc is measured every epoch, or None without a validation split.
+    Epoch e shuffles the split with the generator seeded [seed, e, 0] and
+    draws dropout from [seed, e, 1]. train_acc is measured on the final
+    epoch only and is None on earlier rows; val_acc is measured every
+    epoch, or None without a validation split.
     """
-
-    model: Model
-    history: list[dict] = field(default_factory=list)
-
-
-def _train_loop(
-    model: Model, samples: EncodedSplit, config: TrainConfig, val_samples: EncodedSplit | None
-) -> TrainResult:
     if not samples:
         raise ValueError("empty training split")
-    state = nn.AdamState(learning_rate=config.learning_rate)
+    state = nn.AdamState(learning_rate=learning_rate)
     params = model.params()
     history = []
-    for epoch in range(config.epochs):
-        shuffle_rng = np.random.default_rng([config.seed, epoch, 0])
-        drop_rng = np.random.default_rng([config.seed, epoch, 1])
+    for epoch in range(epochs):
+        shuffle_rng = np.random.default_rng([seed, epoch, 0])
+        drop_rng = np.random.default_rng([seed, epoch, 1])
         order = shuffle_rng.permutation(len(samples))
         losses = []
-        for start in range(0, len(samples), config.batch_size):
-            batch = samples[order[start:start + config.batch_size]]
+        for start in range(0, len(samples), batch_size):
+            batch = samples[order[start:start + batch_size]]
             nn.zero_grads(params.values())
             out = model.forward_batch(batch, rng=drop_rng, keys=("probs",))
             loss = nn.mean(nn.cross_entropy(out["probs"], batch.labels))
@@ -588,37 +582,12 @@ def _train_loop(
         # only the final model's is measured; earlier rows log None
         row = {
             "epoch": epoch + 1,
-            "train_acc": evaluate_accuracy(model, samples, config.batch_size) if epoch + 1 == config.epochs else None,
-            "val_acc": evaluate_accuracy(model, val_samples, config.batch_size) if val_samples else None,
+            "train_acc": evaluate_accuracy(model, samples, batch_size) if epoch + 1 == epochs else None,
+            "val_acc": evaluate_accuracy(model, val_samples, batch_size) if val_samples else None,
             "loss": float(np.mean(losses)),
         }
         history.append(row)
-    return TrainResult(model=model, history=history)
-
-
-def train_cs(
-    samples: EncodedSplit,
-    terminals: Vocabulary,
-    paths: Vocabulary,
-    labels: Vocabulary,
-    config: TrainConfig,
-    val_samples: EncodedSplit | None = None,
-) -> TrainResult:
-    model = PathAttentionModel(
-        terminals, paths, labels,
-        dim=config.embedding_dim, dropout_p=config.dropout, seed=config.seed,
-    )
-    return _train_loop(model, samples, config, val_samples)
-
-
-def train_cc(
-    samples: EncodedSplit,
-    tokens: Vocabulary,
-    config: TrainConfig,
-    val_samples: EncodedSplit | None = None,
-) -> TrainResult:
-    model = MlpCompletionModel(tokens, dim=config.embedding_dim, seed=config.seed)
-    return _train_loop(model, samples, config, val_samples)
+    return history
 
 
 def write_epoch_log(history: list[dict], path, config_hash: str) -> None:

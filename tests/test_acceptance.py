@@ -15,7 +15,7 @@ from codeshift import evalpipe, nn, tasks
 from codeshift import extraction as ex
 from codeshift import uncertainty as uq
 from codeshift.cli import _load_encoded, main
-from codeshift.config import bucket_dir, config_hash, load_config
+from codeshift.config import DEFAULT_CONFIG, bucket_dir, config_hash, load_config
 from codeshift.metrics import aupr, brier, roc_auc
 
 
@@ -189,7 +189,8 @@ def small_models():
     cc_vocabs = ex.build_cc_vocab(cc_samples)
     cc_vocab = cc_vocabs["tokens"]
     cc_encoded = tasks.encode_records(cc_samples, cc_vocabs, id_prefix="acc")
-    cc_model = tasks.train_cc(cc_encoded, cc_vocab, tasks.TrainConfig(epochs=40, seed=8, embedding_dim=16)).model
+    cc_model = tasks.MlpCompletionModel(cc_vocab, dim=16, seed=8)
+    tasks.train(cc_model, cc_encoded, epochs=40, batch_size=512, learning_rate=0.001, seed=8)
 
     cs_source = """
     class Pair {
@@ -203,9 +204,8 @@ def small_models():
     cs_vocabs = ex.build_cs_vocabs(cs_samples)
     terminals, paths, labels = cs_vocabs.values()
     cs_encoded = tasks.encode_records(cs_samples, cs_vocabs, id_prefix="acc")
-    cs_model = tasks.train_cs(
-        cs_encoded, terminals, paths, labels, tasks.TrainConfig(epochs=40, seed=8, embedding_dim=16)
-    ).model
+    cs_model = tasks.PathAttentionModel(terminals, paths, labels, dim=16, seed=8)
+    tasks.train(cs_model, cs_encoded, epochs=40, batch_size=512, learning_rate=0.001, seed=8)
     return cc_model, cc_encoded, cs_model, cs_encoded
 
 
@@ -253,6 +253,8 @@ def test_criterion_3_estimator_invariants(small_models):
 
 def test_criterion_4_memorization_oracle():
     start = time.monotonic()
+    published = DEFAULT_CONFIG["train"]
+    settings = {key: published[key] for key in ("epochs", "batch_size", "learning_rate")}
     cs_source = """
     class Fixtures {
         int getCount(int count) { return count; }
@@ -271,8 +273,11 @@ def test_criterion_4_memorization_oracle():
     terminals, paths, labels = cs_vocabs.values()
     cs_encoded = tasks.encode_records(cs_samples, cs_vocabs, id_prefix="fix")
     assert len(cs_encoded) == 8
-    cs_result = tasks.train_cs(cs_encoded, terminals, paths, labels, tasks.TrainConfig(seed=3))
-    cs_acc = tasks.evaluate_accuracy(cs_result.model, cs_encoded)
+    cs_model = tasks.PathAttentionModel(
+        terminals, paths, labels, dim=published["embedding_dim"], dropout_p=published["dropout"], seed=3
+    )
+    cs_history = tasks.train(cs_model, cs_encoded, **settings, seed=3)
+    cs_acc = tasks.evaluate_accuracy(cs_model, cs_encoded)
 
     cc_tokens = ex.tokenize_java("int a0 = b0; int a1 = b1; int a2 = b2; int a3 = b3; long c0 = d0;")
     cc_samples = ex.extract_cbow_samples(cc_tokens, window=4)[:20]
@@ -280,14 +285,15 @@ def test_criterion_4_memorization_oracle():
     cc_vocab = cc_vocabs["tokens"]
     cc_encoded = tasks.encode_records(cc_samples, cc_vocabs, id_prefix="fix")
     assert len(cc_encoded) == 20
-    cc_result = tasks.train_cc(cc_encoded, cc_vocab, tasks.TrainConfig(seed=3))
-    cc_acc = tasks.evaluate_accuracy(cc_result.model, cc_encoded)
+    cc_model = tasks.MlpCompletionModel(cc_vocab, dim=published["embedding_dim"], seed=3)
+    cc_history = tasks.train(cc_model, cc_encoded, **settings, seed=3)
+    cc_acc = tasks.evaluate_accuracy(cc_model, cc_encoded)
 
     elapsed = time.monotonic() - start
     announce(
         4,
         cs_acc == 100.0 and cc_acc == 100.0 and elapsed < 120.0
-        and len(cs_result.history) == 300 and len(cc_result.history) == 300,
+        and len(cs_history) == 300 and len(cc_history) == 300,
         f"300-epoch default-config memorization: CS {cs_acc:.1f}%, CC {cc_acc:.1f}%, {elapsed:.1f}s (< 120s)",
     )
 

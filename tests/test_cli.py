@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import codeshift
-from codeshift import corpus, tasks
+from codeshift import corpus, nn, tasks
 from codeshift import uncertainty as uq
 from codeshift.cli import TASKS, keep_heap, main
 from codeshift.config import (
@@ -57,6 +57,37 @@ def workspace(tmp_path_factory):
 
 def bucket_of(config_path):
     return bucket_dir(load_config(config_path))
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_train_checkpoint_echoes_the_train_section(workspace, tmp_path, task):
+    # the fixture's corpus and training section, with a dropout and seed of their own and a work dir apart
+    root, config_path, _ = workspace
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    doc["paths"] = {"corpus_dir": str(root / "corpus"), "work_dir": str(tmp_path / "work")}
+    doc["train"]["dropout"] = 0.25
+    doc["seed"] = 7
+    (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    flags = ["--config", str(tmp_path / "config.json"), "--shift", "project"]
+    assert main(["make-splits", *flags]) == 0
+    assert main(["extract", "--task", task, *flags]) == 0
+    assert main(["train", "--task", task, *flags]) == 0
+    config = load_config(tmp_path / "config.json")
+    t = config["train"]
+    ckpt = nn.read_checkpoint((bucket_dir(config) / "checkpoints" / f"{task}-project.ckpt").read_bytes())
+    assert ckpt.config == {
+        "dim": t["embedding_dim"],
+        "dropout_p": t["dropout"] if task == "cs" else 0.0,  # CC trains without dropout
+        "train": {
+            "batch_size": t["batch_size"],
+            "dropout": t["dropout"],
+            "embedding_dim": t["embedding_dim"],
+            "epochs": t["epochs"],
+            "learning_rate": t["learning_rate"],
+            "seed": 7,
+            "config_hash": config_hash(config),
+        },
+    }
 
 
 def test_default_config_carries_published_values():
@@ -828,6 +859,13 @@ def before_last_brace(text: str, inserted: str) -> str:
     return text[:end] + inserted + text[end:]
 
 
+def delete_vanilla_validation(target):
+    """Delete the vanilla validation scores beside `target`; eval's error must name them and say to run `score`."""
+    gone = target.with_name("cs-project-vanilla-validation.csv")
+    gone.unlink()
+    return f"{gone}; run `score --task cs --shift project` first"
+
+
 def score_field(index, value):
     def corrupt(target):
         lines = target.read_text(encoding="utf-8").splitlines()
@@ -940,6 +978,7 @@ MALFORMED = {  # id: (artifact, corruption, command)
     ),
     "checkpoint_empty": (checkpoint_artifact, write(b""), ["score", "--task", "cc", "--shift", "project"]),
     "scores_empty": (scores_artifact, write(""), ["eval", "--task", "cs", "--shift", "project"]),
+    "scores_validation_missing": (scores_artifact, delete_vanilla_validation, ["eval", "--task", "cs", "--shift", "project"]),
     "scores_nan_confidence": (scores_artifact, score_field(4, "nan"), ["eval", "--task", "cs", "--shift", "project"]),
     "scores_float_predicted_sweep": (scores_artifact, score_field(5, "2.5"), SWEEP_CS),
     "scores_empty_sweep": (scores_artifact, write(""), SWEEP_CS),

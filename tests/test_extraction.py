@@ -776,9 +776,21 @@ def test_context_writers_reject_a_sample_that_would_not_read_back(tmp_path, writ
     assert list(tmp_path.iterdir()) == []  # neither the file nor its temporary one is left
 
 
-# any text: ASCII, non-ASCII, the separators and every character str.splitlines breaks at
-FIELD_TEXT = st.text(
-    alphabet=st.one_of(st.characters(), st.sampled_from(" ,\n\r\x0b\x0c\x1c\x85\u2028\u2029\ufeff")), max_size=6
+# the separators and every character str.splitlines breaks at
+SEPARATORS = " ,\n\r\x0b\x0c\x1c\x85\u2028\u2029\ufeff"
+
+
+def rarely(common, rare, one_in):
+    """`rare` in about one draw of `one_in`, `common` otherwise."""
+    return st.integers(1, one_in).flatmap(lambda i: rare if i == 1 else common)
+
+
+# ASCII and non-ASCII text; in about one field of 50, text about half of whose characters are separators,
+# so that most examples are written and read back and the rest are rejected for a separator or their shape
+FIELD_TEXT = rarely(
+    st.text(st.characters(exclude_characters=SEPARATORS), max_size=6),
+    st.text(st.one_of(st.characters(), st.sampled_from(SEPARATORS)), max_size=6),
+    50,
 )
 
 
@@ -794,12 +806,16 @@ def written_back(write, read, records):
         return list(read(path))
 
 
-# a method record's fields: whole contexts, or any count of fields; twice the examples of
-# the CC test, so that as many records of whole contexts are drawn as when only those were
-CS_FIELDS = st.one_of(
+# a method record's fields: whole contexts or, in about one record of ten, any count of fields
+CS_FIELDS = rarely(
     st.lists(st.tuples(FIELD_TEXT, FIELD_TEXT, FIELD_TEXT), max_size=3).map(lambda cs: [t for c in cs for t in c]),
     st.lists(FIELD_TEXT, max_size=7),
+    10,
 )
+# CC records: each context as wide as the example's width or, in about one record of ten, of any width up to 4
+CC_RECORDS = st.sampled_from([2, 4]).flatmap(lambda width: st.lists(st.tuples(
+    FIELD_TEXT, rarely(st.lists(FIELD_TEXT, min_size=width, max_size=width), st.lists(FIELD_TEXT, max_size=4), 10)
+), max_size=4))
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
@@ -818,7 +834,7 @@ def test_cs_contexts_are_rejected_at_write_time_or_read_back_equal(records):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(FIELD_TEXT, st.lists(FIELD_TEXT, max_size=4)), max_size=4))
+@given(CC_RECORDS)
 def test_cc_contexts_are_rejected_at_write_time_or_read_back_equal(records):
     back = written_back(ex.write_cc_contexts, ex.read_cc_contexts, records)
     width = len(records[0][1]) if records else 2

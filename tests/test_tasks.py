@@ -1,6 +1,5 @@
 """Model forward contracts, memorization oracles, and checkpoint round-trips."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 
 from codeshift import extraction as ex
 from codeshift import nn, tasks
+from codeshift.config import DEFAULT_CONFIG
 
 from test_nn import finite_diff_check
 
@@ -58,6 +58,14 @@ def pack_window_rows(sample_ids, labels, windows):
     """`tasks.pack_windows` over one id row per window."""
     ids = [i for window in windows for i in window]
     return tasks.pack_windows(sample_ids, labels, np.array(ids, dtype=np.int64), [len(window) for window in windows])
+
+
+def train_published(model, samples, seed):
+    """`tasks.train` at the published epochs, batch size and learning rate; the history rows."""
+    t = DEFAULT_CONFIG["train"]
+    return tasks.train(
+        model, samples, epochs=t["epochs"], batch_size=t["batch_size"], learning_rate=t["learning_rate"], seed=seed
+    )
 
 
 def cc_training_setup():
@@ -561,18 +569,19 @@ def test_cs_memorization_oracle():
     # 8 separable samples, full 300-epoch run at the default config: a
     # correct implementation must fit them exactly.
     encoded, terminals, paths, labels = cs_training_setup()
-    config = tasks.TrainConfig(seed=3)
-    result = tasks.train_cs(encoded, terminals, paths, labels, config)
-    assert tasks.evaluate_accuracy(result.model, encoded) == 100.0
-    assert len(result.history) == 300
-    assert result.history[-1]["train_acc"] == 100.0
+    t = DEFAULT_CONFIG["train"]
+    model = tasks.PathAttentionModel(terminals, paths, labels, dim=t["embedding_dim"], dropout_p=t["dropout"], seed=3)
+    history = train_published(model, encoded, seed=3)
+    assert tasks.evaluate_accuracy(model, encoded) == 100.0
+    assert len(history) == 300
+    assert history[-1]["train_acc"] == 100.0
 
 
 def test_cc_memorization_oracle():
     encoded, vocab = cc_training_setup()
-    config = tasks.TrainConfig(seed=3)
-    result = tasks.train_cc(encoded, vocab, config)
-    assert tasks.evaluate_accuracy(result.model, encoded) == 100.0
+    model = tasks.MlpCompletionModel(vocab, dim=DEFAULT_CONFIG["train"]["embedding_dim"], seed=3)
+    train_published(model, encoded, seed=3)
+    assert tasks.evaluate_accuracy(model, encoded) == 100.0
 
 
 def test_untrained_model_near_chance_on_balanced_data():
@@ -592,17 +601,19 @@ def test_untrained_model_near_chance_on_balanced_data():
 def test_train_empty_split_errors():
     encoded, vocab = cc_training_setup()
     with pytest.raises(ValueError):
-        tasks.train_cc(encoded[:0], vocab, tasks.TrainConfig(epochs=1))
+        tasks.train(tasks.MlpCompletionModel(vocab), encoded[:0], epochs=1, batch_size=512, learning_rate=0.001, seed=0)
 
 
 def test_training_deterministic_bitwise():
     encoded, vocab = cc_training_setup()
-    config = tasks.TrainConfig(epochs=5, seed=11, embedding_dim=16)
-    first = tasks.train_cc(encoded, vocab, config)
-    second = tasks.train_cc(encoded, vocab, config)
-    for name in first.model.params():
-        assert np.array_equal(first.model.params()[name].data, second.model.params()[name].data)
-    assert first.history == second.history
+    models = [tasks.MlpCompletionModel(vocab, dim=16, seed=11) for _ in range(2)]
+    histories = [
+        tasks.train(model, encoded, epochs=5, batch_size=512, learning_rate=0.001, seed=11) for model in models
+    ]
+    first, second = models
+    for name in first.params():
+        assert np.array_equal(first.params()[name].data, second.params()[name].data)
+    assert histories[0] == histories[1]
 
 
 def test_unk_true_label_counts_as_failure():
@@ -634,20 +645,20 @@ def test_epoch_log_csv(tmp_path):
 
 @pytest.mark.parametrize("task", ["cs", "cc"])
 def test_train_acc_is_measured_at_the_final_epoch_only(task):
-    config = tasks.TrainConfig(epochs=4, seed=5, embedding_dim=16, batch_size=8)
     if task == "cs":
         encoded, terminals, paths, labels = cs_training_setup()
         train, val = encoded[:6], encoded[6:]
-        result = tasks.train_cs(train, terminals, paths, labels, config, val_samples=val)
+        model = tasks.PathAttentionModel(terminals, paths, labels, dim=16, seed=5)
     else:
         encoded, vocab = cc_training_setup()
         train, val = encoded[:15], encoded[15:]
-        result = tasks.train_cc(train, vocab, config, val_samples=val)
-    assert [row["epoch"] for row in result.history] == [1, 2, 3, 4]
-    assert all(row["train_acc"] is None for row in result.history[:-1])
-    assert result.history[-1]["train_acc"] == tasks.evaluate_accuracy(result.model, train, config.batch_size)
-    assert all(isinstance(row["val_acc"], float) for row in result.history)
-    assert result.history[-1]["val_acc"] == tasks.evaluate_accuracy(result.model, val, config.batch_size)
+        model = tasks.MlpCompletionModel(vocab, dim=16, seed=5)
+    history = tasks.train(model, train, epochs=4, batch_size=8, learning_rate=0.001, seed=5, val_samples=val)
+    assert [row["epoch"] for row in history] == [1, 2, 3, 4]
+    assert all(row["train_acc"] is None for row in history[:-1])
+    assert history[-1]["train_acc"] == tasks.evaluate_accuracy(model, train, 8)
+    assert all(isinstance(row["val_acc"], float) for row in history)
+    assert history[-1]["val_acc"] == tasks.evaluate_accuracy(model, val, 8)
 
 
 @pytest.mark.parametrize("with_val", [True, False])
@@ -662,25 +673,26 @@ def test_training_runs_one_train_split_accuracy_pass(monkeypatch, with_val):
         return real(model, samples, batch_size)
 
     monkeypatch.setattr(tasks, "evaluate_accuracy", counting)
-    config = tasks.TrainConfig(epochs=5, seed=5, embedding_dim=16)
     val = encoded[15:] if with_val else None
-    tasks.train_cc(encoded[:15], vocab, config, val_samples=val)
+    model = tasks.MlpCompletionModel(vocab, dim=16, seed=5)
+    tasks.train(model, encoded[:15], epochs=5, batch_size=512, learning_rate=0.001, seed=5, val_samples=val)
     assert calls.count(15) == 1
-    assert len(calls) == (config.epochs + 1 if with_val else 1)
+    assert len(calls) == (5 + 1 if with_val else 1)
 
 
 def test_checkpoint_roundtrip_trained_model():
     encoded, vocab = cc_training_setup()
-    config = tasks.TrainConfig(epochs=3, seed=2, embedding_dim=16)
-    result = tasks.train_cc(encoded, vocab, config)
-    blob = tasks.save_checkpoint(result.model, train_config=dataclasses.asdict(config))
+    settings = {"epochs": 3, "batch_size": 512, "learning_rate": 0.001, "seed": 2}
+    model = tasks.MlpCompletionModel(vocab, dim=16, seed=2)
+    tasks.train(model, encoded, **settings)
+    blob = tasks.save_checkpoint(model, train_config=settings)
     loaded = tasks.load_checkpoint(blob)
     assert loaded.kind == tasks.CC
-    for name, p in result.model.params().items():
+    for name, p in model.params().items():
         assert np.array_equal(loaded.params()[name].data, p.data)
     assert loaded.tokens.tokens == vocab.tokens
-    assert nn.read_checkpoint(blob).config["train"]["seed"] == 2
-    before = tasks.infer(result.model, encoded)["probs"]
+    assert nn.read_checkpoint(blob).config["train"] == settings
+    before = tasks.infer(model, encoded)["probs"]
     after = tasks.infer(loaded, encoded)["probs"]
     assert np.array_equal(before, after)
 

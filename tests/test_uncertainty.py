@@ -34,8 +34,8 @@ def cc_setup():
     vocabs = ex.build_cc_vocab(samples, min_count=1)
     vocab = vocabs["tokens"]
     encoded = tasks.encode_records(samples, vocabs, id_prefix="cc")
-    config = tasks.TrainConfig(epochs=60, seed=5, embedding_dim=24)
-    model = tasks.train_cc(encoded, vocab, config).model
+    model = tasks.MlpCompletionModel(vocab, dim=24, seed=5)
+    tasks.train(model, encoded, epochs=60, batch_size=512, learning_rate=0.001, seed=5)
     return model, encoded, vocab
 
 
@@ -46,8 +46,8 @@ def cs_setup():
     vocabs = ex.build_cs_vocabs(samples)
     terminals, paths, labels = vocabs.values()
     encoded = tasks.encode_records(samples, vocabs, id_prefix="cs")
-    config = tasks.TrainConfig(epochs=60, seed=5, embedding_dim=24)
-    model = tasks.train_cs(encoded, terminals, paths, labels, config).model
+    model = tasks.PathAttentionModel(terminals, paths, labels, dim=24, seed=5)
+    tasks.train(model, encoded, epochs=60, batch_size=512, learning_rate=0.001, seed=5)
     return model, encoded
 
 
@@ -984,9 +984,13 @@ def test_cs_training_and_mc_dropout_hold_no_row_wide_float64_array():
     model, split = wide_cs_setup()
     d, n, v = model.dim, len(split), model.n_classes()
     params = sum(p.data.nbytes for p in model.params().values())
-    config = tasks.TrainConfig(epochs=1, seed=5, embedding_dim=d, batch_size=128)
     rows = max(split[i:i + 128].lengths.sum() for i in range(0, n, 128))
-    held = traced_peak(lambda: tasks.train_cs(split, *model.vocabs().values(), config))
+
+    def train():  # the model is built inside the measured run, so its parameters count
+        fresh = tasks.PathAttentionModel(*model.vocabs().values(), dim=d, seed=5)
+        tasks.train(fresh, split, epochs=1, batch_size=128, learning_rate=0.001, seed=5)
+
+    held = traced_peak(train)
     # backward lets each node go once its rule has run, so a step's peak holds the combined rows, their
     # gradient, the tanh's and the embedding gradient's int64 index (one per column pair), four (R, d)
     # float32 arrays' worth, and the last step's combined rows and their gradient, which the loop's
